@@ -13,7 +13,9 @@
 
 use econcast_bench::timing::{run_benchmarks, Bench};
 use econcast_core::{NodeParams, ProtocolConfig, ThroughputMode, Topology};
-use econcast_oracle::{non_clique_groupput_bounds, oracle_anyput, oracle_groupput};
+use econcast_oracle::{
+    non_clique_groupput_bounds, oracle_anyput, oracle_groupput, oracle_throughput_for,
+};
 use econcast_sim::{SimConfig, Simulator};
 use econcast_statespace::{
     gibbs::{summarize, summarize_naive, GibbsParams},
@@ -25,8 +27,17 @@ fn params() -> NodeParams {
     NodeParams::from_microwatts(10.0, 500.0, 500.0)
 }
 
+/// A heterogeneous served-shape instance: shared CC2500-like powers,
+/// budgets spread over a decade (the certificate path of a cache miss).
+fn served_nodes(n: usize) -> Vec<NodeParams> {
+    (0..n)
+        .map(|i| NodeParams::from_microwatts(5.0 + 45.0 * i as f64 / n as f64, 500.0, 450.0))
+        .collect()
+}
+
 fn main() {
     let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    let (served64, served16) = (served_nodes(64), served_nodes(16));
     let nodes10 = vec![params(); 10];
     let nodes10_b = nodes10.clone();
     let grid = Topology::square_grid(7);
@@ -41,6 +52,18 @@ fn main() {
         }),
         Bench::new("oracle_anyput_p3_n10", move || {
             black_box(oracle_anyput(black_box(&nodes10_b)).throughput);
+        }),
+        Bench::new("oracle_p2_served_n64", move || {
+            black_box(oracle_throughput_for(
+                black_box(&served64),
+                ThroughputMode::Groupput,
+            ));
+        }),
+        Bench::new("oracle_p3_served_n16", move || {
+            black_box(oracle_throughput_for(
+                black_box(&served16),
+                ThroughputMode::Anyput,
+            ));
         }),
         Bench::new("non_clique_bounds_grid7x7", move || {
             black_box(non_clique_groupput_bounds(

@@ -2,9 +2,13 @@
 //!
 //! The EconCast paper reduces its oracle-throughput computations to small
 //! linear programs: (P2) for the oracle groupput (`2N` variables,
-//! `3N + 1` constraints), (P3) for the oracle anyput (which adds the
-//! `χ_{i,j}` reception-share variables), and the relaxations that bound
-//! the maximum groupput in non-clique topologies (Section IV-C).
+//! `3N + 1` constraints), (P3) for the oracle anyput (solved in its
+//! Hall-reduced form, `2N` variables and `3N + 2` constraints, without
+//! the paper's `χ_{i,j}` reception shares), and the relaxations that
+//! bound the maximum groupput in non-clique topologies (Section IV-C),
+//! which keep neighbor-pair `χ_{i,j}`. The policy service's
+//! certificates solve groupput over shared powers without this crate;
+//! see `econcast-oracle`.
 //!
 //! None of the crates available to this reproduction provide an LP
 //! solver, so this crate implements one from scratch: a classic dense

@@ -10,20 +10,32 @@
 //! ```
 //!
 //! `χ_{i,j}` is the fraction of time node `j` receives from node `i`.
+//!
+//! [`oracle_anyput`] solves the Hall reduction of (P3), which drops the
+//! `N(N−1)` reception shares. Rows (14)/(15) ask for a nonnegative
+//! matrix `χ` off the diagonal with column sums `α_j` and row sums at
+//! least `β_i`. In a clique, transmitter `i` can use every listener but
+//! itself, and any two transmitters together can use every listener.
+//! Hall's condition then says such a `χ` exists exactly when
+//!
+//! ```text
+//!       β_i ≤ Σ_{j≠i} α_j            (14') for each single transmitter
+//!       Σ_i β_i ≤ Σ_j α_j            (15') for every larger set
+//! ```
+//!
+//! (larger sets of transmitters are covered by (15') because `β ≥ 0`;
+//! listen time beyond the demand goes to any transmitter `i ≠ j`). So
+//! the reduced LP, with `2N` variables and `3N + 2` rows, has the same
+//! optimum and, for `N ≥ 2`, the same feasible `(α, β)`. (A lone node
+//! has no listener to cover: (15) pins `α_0 = 0` where the reduction
+//! leaves it free, and both give `β_0 = 0`.)
 
 use crate::solution::OracleSolution;
 use econcast_core::NodeParams;
 use econcast_lp::{Problem, Relation};
 
-/// Variable layout for (P3): `α` at `0..n`, `β` at `n..2n`, then the
-/// `χ_{i,j}` (`i ≠ j`) packed row-major with the diagonal skipped.
-fn chi_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i != j && i < n && j < n);
-    let col = if j < i { j } else { j - 1 };
-    2 * n + i * (n - 1) + col
-}
-
-/// Solves (P3) exactly. The LP has `2N + N(N−1)` variables.
+/// Solves (P3) exactly through its Hall reduction. Variables are laid
+/// out `[α_0..α_{N−1}, β_0..β_{N−1}]`.
 ///
 /// # Panics
 ///
@@ -31,9 +43,8 @@ fn chi_index(n: usize, i: usize, j: usize) -> usize {
 pub fn oracle_anyput(nodes: &[NodeParams]) -> OracleSolution {
     let n = nodes.len();
     assert!(n >= 1, "need at least one node");
-    let num_vars = 2 * n + n * (n.saturating_sub(1));
-    let mut obj = vec![0.0; num_vars];
-    for o in obj.iter_mut().skip(n).take(n) {
+    let mut obj = vec![0.0; 2 * n];
+    for o in obj.iter_mut().skip(n) {
         *o = 1.0;
     }
     let mut p = Problem::maximize(&obj);
@@ -46,28 +57,16 @@ pub fn oracle_anyput(nodes: &[NodeParams]) -> OracleSolution {
         );
         // (10)
         p.constrain_sparse(&[(i, 1.0), (n + i, 1.0)], Relation::Le, 1.0);
-        if n >= 2 {
-            // (14): β_i − Σ_{j≠i} χ_{i,j} ≤ 0
-            let mut row: Vec<(usize, f64)> = vec![(n + i, 1.0)];
-            for j in 0..n {
-                if j != i {
-                    row.push((chi_index(n, i, j), -1.0));
-                }
-            }
-            p.constrain_sparse(&row, Relation::Le, 0.0);
-            // (15): α_i − Σ_{j≠i} χ_{j,i} = 0
-            let mut row: Vec<(usize, f64)> = vec![(i, 1.0)];
-            for j in 0..n {
-                if j != i {
-                    row.push((chi_index(n, j, i), -1.0));
-                }
-            }
-            p.constrain_sparse(&row, Relation::Eq, 0.0);
-        } else {
-            // A single node can never deliver to anyone: β_0 = 0.
-            p.constrain_sparse(&[(n + i, 1.0)], Relation::Le, 0.0);
-        }
+        // (14'): β_i − Σ_{j≠i} α_j ≤ 0 (a single node gets β_0 ≤ 0).
+        let mut row: Vec<(usize, f64)> = vec![(n + i, 1.0)];
+        row.extend((0..n).filter(|&j| j != i).map(|j| (j, -1.0)));
+        p.constrain_sparse(&row, Relation::Le, 0.0);
     }
+    // (15'): Σ_i β_i − Σ_j α_j ≤ 0
+    let row: Vec<(usize, f64)> = (0..2 * n)
+        .map(|k| (k, if k < n { -1.0 } else { 1.0 }))
+        .collect();
+    p.constrain_sparse(&row, Relation::Le, 0.0);
     // (11)
     let all_beta: Vec<(usize, f64)> = (0..n).map(|j| (n + j, 1.0)).collect();
     p.constrain_sparse(&all_beta, Relation::Le, 1.0);
@@ -78,7 +77,7 @@ pub fn oracle_anyput(nodes: &[NodeParams]) -> OracleSolution {
     OracleSolution {
         throughput: sol.objective,
         alpha: sol.x[..n].to_vec(),
-        beta: sol.x[n..2 * n].to_vec(),
+        beta: sol.x[n..].to_vec(),
     }
 }
 
@@ -96,24 +95,77 @@ pub fn oracle_anyput(nodes: &[NodeParams]) -> OracleSolution {
 /// always `Some` (the `Option` is kept for API stability with the
 /// groupput closed form, which genuinely has a fallback regime).
 pub fn oracle_anyput_homogeneous(n: usize, params: &NodeParams) -> Option<OracleSolution> {
+    let (share, throughput) = homogeneous_schedule(n, params);
+    Some(OracleSolution {
+        throughput,
+        alpha: vec![share; n],
+        beta: vec![share; n],
+    })
+}
+
+/// The per-node share `α* = β*` and `T*_a` of the closed form.
+pub(crate) fn homogeneous_schedule(n: usize, params: &NodeParams) -> (f64, f64) {
     assert!(n >= 2, "anyput needs at least two nodes");
     let nf = n as f64;
     let beta_free = params.budget_w / (params.transmit_w + params.listen_w);
-    let (alpha, beta, throughput) = if nf * beta_free > 1.0 {
-        (1.0 / nf, 1.0 / nf, 1.0)
+    if nf * beta_free > 1.0 {
+        (1.0 / nf, 1.0)
     } else {
-        (beta_free, beta_free, nf * beta_free)
-    };
-    Some(OracleSolution {
-        throughput,
-        alpha: vec![alpha; n],
-        beta: vec![beta; n],
-    })
+        (beta_free, nf * beta_free)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Variable layout of the full (P3): `α` at `0..n`, `β` at `n..2n`,
+    /// then the `χ_{i,j}` (`i ≠ j`) packed row-major with the diagonal
+    /// skipped.
+    fn chi_index(n: usize, i: usize, j: usize) -> usize {
+        debug_assert!(i != j && i < n && j < n);
+        let col = if j < i { j } else { j - 1 };
+        2 * n + i * (n - 1) + col
+    }
+
+    /// (P3) exactly as stated, with `2N + N(N−1)` variables: the
+    /// reference the Hall reduction is checked against.
+    fn oracle_anyput_full(nodes: &[NodeParams]) -> f64 {
+        let n = nodes.len();
+        let mut obj = vec![0.0; 2 * n + n * (n - 1)];
+        for o in obj.iter_mut().skip(n).take(n) {
+            *o = 1.0;
+        }
+        let mut p = Problem::maximize(&obj);
+        for (i, node) in nodes.iter().enumerate() {
+            p.constrain_sparse(
+                &[(i, node.listen_w), (n + i, node.transmit_w)],
+                Relation::Le,
+                node.budget_w,
+            );
+            p.constrain_sparse(&[(i, 1.0), (n + i, 1.0)], Relation::Le, 1.0);
+            // (14): β_i − Σ_{j≠i} χ_{i,j} ≤ 0
+            let mut row: Vec<(usize, f64)> = vec![(n + i, 1.0)];
+            row.extend(
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| (chi_index(n, i, j), -1.0)),
+            );
+            p.constrain_sparse(&row, Relation::Le, 0.0);
+            // (15): α_i − Σ_{j≠i} χ_{j,i} = 0
+            let mut row: Vec<(usize, f64)> = vec![(i, 1.0)];
+            row.extend(
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| (chi_index(n, j, i), -1.0)),
+            );
+            p.constrain_sparse(&row, Relation::Eq, 0.0);
+        }
+        let all_beta: Vec<(usize, f64)> = (0..n).map(|j| (n + j, 1.0)).collect();
+        p.constrain_sparse(&all_beta, Relation::Le, 1.0);
+        p.solve().expect("all-sleep is feasible").objective
+    }
 
     #[test]
     fn closed_form_matches_lp_in_both_regimes() {
@@ -142,7 +194,6 @@ mod tests {
         assert_eq!(cf.beta[0], 0.1);
         assert_eq!(cf.alpha[0], 0.1);
     }
-    use proptest::prelude::*;
 
     fn uw(budget: f64, l: f64, x: f64) -> NodeParams {
         NodeParams::from_microwatts(budget, l, x)
@@ -246,6 +297,33 @@ mod tests {
             prop_assert!(sol.is_feasible(&nodes, 1e-7));
             prop_assert!(sol.throughput <= 1.0 + 1e-9);
             prop_assert!(sol.throughput >= -1e-12);
+        }
+
+        /// The Hall-reduced (P3) has the full χ formulation's optimum,
+        /// including nodes with different powers, in both regimes.
+        #[test]
+        fn prop_hall_reduction_matches_full_p3(
+            n in 1usize..=12,
+            decades in proptest::collection::vec(-0.3f64..3.3, 12..13),
+            powers in proptest::collection::vec(100.0f64..900.0, 24..25),
+            common in 0usize..2,
+        ) {
+            // Budgets log-uniform over 0.5–2000 µW: most instances are
+            // energy-constrained, some airtime-capped.
+            let nodes: Vec<NodeParams> = (0..n)
+                .map(|i| {
+                    let k = if common == 1 { 0 } else { i };
+                    uw(10f64.powf(decades[i]), powers[2 * k], powers[2 * k + 1])
+                })
+                .collect();
+            let reduced = oracle_anyput(&nodes);
+            let full = oracle_anyput_full(&nodes);
+            prop_assert!(
+                (reduced.throughput - full).abs() <= 1e-9 * full.max(1e-12),
+                "n={n}: reduced {} vs full {full}",
+                reduced.throughput
+            );
+            prop_assert!(reduced.is_feasible(&nodes, 1e-9));
         }
     }
 }

@@ -21,15 +21,24 @@
 //! summary buffer are allocated once for the whole σ frontier. The
 //! solver's kernel-dispatch layer means the gap machinery scales with
 //! it: heterogeneous instances beyond the enumeration wall
-//! (`N > 20`) run the factorized polynomial kernel, and the LP
-//! oracles are polynomial too — groupput is `2N` variables /
-//! `3N + 1` constraints, anyput `2N + N(N−1)` variables (one per
-//! ordered transmitter/receiver pair) — so two-sided certificates at
-//! `N = 32` or `64` cost well under a second, not `2^N`.
+//! (`N > 20`) run the factorized polynomial kernel.
+//!
+//! The oracle side ([`oracle_throughput_for`]) takes the cheapest exact
+//! route the instance allows:
+//!
+//! * identical nodes: the closed forms of Appendix B, `O(1)`;
+//! * groupput over nodes that share `L` and `X` — every served policy
+//!   request — the `F(B)` scan of
+//!   `oracle_groupput_common_power`, `O(N log N)`.
+//!   It maximizes, over the aggregate transmit time `B = Σβ`, the total
+//!   listen time `Σ_i min(r_i, B)` less the cheapest split of `B`
+//!   into per-node transmit times (derivation in [`crate::groupput`]);
+//! * anyput: the Hall-reduced (P3) of [`crate::anyput`], `2N`
+//!   variables and `3N + 2` rows;
+//! * groupput with differing powers: the (P2) simplex.
 
-use crate::{
-    oracle_anyput, oracle_anyput_homogeneous, oracle_groupput, oracle_groupput_homogeneous,
-};
+use crate::groupput::oracle_groupput_common_power;
+use crate::{anyput, groupput, oracle_anyput, oracle_groupput};
 use econcast_core::{NodeParams, ThroughputMode};
 use econcast_statespace::homogeneous::HomogeneousP4Solution;
 use econcast_statespace::{P4Options, P4Solution, P4Solver};
@@ -69,23 +78,37 @@ impl AchievabilityGap {
     }
 }
 
-/// The LP oracle for `mode`, short-circuiting to the Appendix-B closed
-/// form for homogeneous instances in the energy-constrained regime —
-/// certificates for thousand-node homogeneous policies never touch the
-/// simplex.
+/// The oracle `T*` for `mode`, exact on every route (see the module
+/// docs): closed forms for identical nodes — certificates for
+/// thousand-node homogeneous policies never touch the simplex — then
+/// the common-power groupput scan, then the LPs.
 pub fn oracle_throughput_for(nodes: &[NodeParams], mode: ThroughputMode) -> f64 {
     if nodes.len() >= 2 && nodes.windows(2).all(|w| w[0] == w[1]) {
-        let closed = match mode {
-            ThroughputMode::Groupput => oracle_groupput_homogeneous(nodes.len(), &nodes[0]),
-            ThroughputMode::Anyput => oracle_anyput_homogeneous(nodes.len(), &nodes[0]),
-        };
-        if let Some(s) = closed {
-            return s.throughput;
-        }
+        return homogeneous_oracle(nodes.len(), &nodes[0], mode);
     }
     match mode {
-        ThroughputMode::Groupput => oracle_groupput(nodes).throughput,
+        ThroughputMode::Groupput => {
+            oracle_groupput_common_power(nodes).unwrap_or_else(|| oracle_groupput(nodes).throughput)
+        }
         ThroughputMode::Anyput => oracle_anyput(nodes).throughput,
+    }
+}
+
+/// `T*` of `n` identical nodes from the closed forms, in every regime.
+/// A lone node has no receiver, so its `T*` is 0. Past Appendix B's
+/// regime groupput is capped at `N − 1`: there `β* > 1/N`, so
+/// round-robin `β = 1/N`, `α = (N−1)/N` fits the budget (9) and meets
+/// the cap that (11) and (12) put on any schedule.
+fn homogeneous_oracle(n: usize, params: &NodeParams, mode: ThroughputMode) -> f64 {
+    if n < 2 {
+        return 0.0;
+    }
+    let nf = n as f64;
+    match mode {
+        ThroughputMode::Groupput => {
+            groupput::homogeneous_schedule(n, params).map_or(nf - 1.0, |(alpha, _)| nf * alpha)
+        }
+        ThroughputMode::Anyput => anyput::homogeneous_schedule(n, params).1,
     }
 }
 
@@ -139,11 +162,10 @@ pub fn certificate_for_homogeneous(
     let dual = sol.summary.expected_throughput
         + sigma * sol.summary.entropy
         + n as f64 * sol.eta * (params.budget_w - cons);
-    let nodes = vec![*params; n];
     AchievabilityGap {
         sigma,
         t_sigma: sol.throughput,
-        oracle: oracle_throughput_for(&nodes, mode),
+        oracle: homogeneous_oracle(n, params, mode),
         dual_upper: dual,
         converged: true,
     }

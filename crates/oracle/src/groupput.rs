@@ -10,6 +10,32 @@
 //!
 //! In a clique every listen during the (single) active transmission is
 //! a reception, so the groupput equals `Σ_i α_i` — the LP objective.
+//!
+//! [`oracle_groupput`] solves (P2) with the simplex for any powers.
+//! When every node shares `L` and `X` — every served policy request
+//! does — `oracle_groupput_common_power` solves it exactly in
+//! `O(N log N)` from the LP's structure:
+//!
+//! * With `r_i = ρ_i/L`, `c = X/L` and the aggregate transmit time
+//!   `B = Σ_j β_j`, (12) reads `α_i ≤ B − β_i`, which implies (10)
+//!   since `B ≤ 1` by (11). For a fixed `B` the best listen time is
+//!   `α_i = min(r_i − c·β_i, B − β_i)`, so `T*_g = max_{B ∈ [0, B_max]}
+//!   F(B)` with `B_max = min(1, Σ_i r_i/c)`.
+//! * `F(B) = Σ_i min(r_i, B) − cost(B)`, where `cost(B)` is the
+//!   cheapest way to split `B` into the `β_i`. Each node's loss of
+//!   listen time is convex piecewise linear in `β_i` with slopes `c`
+//!   and `1`, so the split fills the cheaper slope first. For `c ≤ 1`
+//!   a node with `r_i < B` offers `k_i = min((B − r_i)/(1 − c), r_i/c)`
+//!   at slope `c` and the rest costs `1`: `cost = c·min(B, K) +
+//!   max(0, B − K)` with `K = Σ_{r_i<B} k_i`. For `c > 1` a node with
+//!   `r_i ≥ B` offers `min((r_i − B)/(c − 1), B)` at slope `1` and the
+//!   rest costs `c`: `cost = min(B, K) + c·max(0, B − K)`.
+//! * `F` is the optimum of an LP as a function of one right-hand side,
+//!   hence concave and piecewise linear. Its kinks lie in `{0, B_max,
+//!   r_i, r_i/c}`, plus the one root of `K(B) = B` on each interval
+//!   between consecutive points of that set. One sort and prefix sums
+//!   evaluate `F` at a point in `O(log N)`; the maximum over the kinks
+//!   is `T*_g`.
 
 use crate::solution::OracleSolution;
 use econcast_core::NodeParams;
@@ -63,6 +89,96 @@ pub fn oracle_groupput(nodes: &[NodeParams]) -> OracleSolution {
     }
 }
 
+/// Solves (P2) exactly for nodes that share the listen and transmit
+/// power, in `O(N log N)` (see the module docs for the derivation).
+/// Returns `None` when the powers differ; callers fall back to
+/// [`oracle_groupput`] then.
+pub(crate) fn oracle_groupput_common_power(nodes: &[NodeParams]) -> Option<f64> {
+    let first = nodes.first()?;
+    let (l, x) = (first.listen_w, first.transmit_w);
+    if nodes.iter().any(|p| p.listen_w != l || p.transmit_w != x) {
+        return None;
+    }
+    let mut r: Vec<f64> = nodes.iter().map(|p| p.budget_w / l).collect();
+    r.sort_unstable_by(f64::total_cmp);
+    let mut prefix = Vec::with_capacity(r.len() + 1);
+    prefix.push(0.0);
+    let mut acc = 0.0;
+    for &ri in &r {
+        acc += ri;
+        prefix.push(acc);
+    }
+    let f = CommonPowerF {
+        r: &r,
+        prefix: &prefix,
+        c: x / l,
+    };
+    let b_max = (acc / f.c).min(1.0);
+    let mut kinks: Vec<f64> = r
+        .iter()
+        .flat_map(|&ri| [ri, ri / f.c])
+        .filter(|&b| b > 0.0 && b < b_max)
+        .chain([0.0, b_max])
+        .collect();
+    kinks.sort_unstable_by(f64::total_cmp);
+    kinks.dedup();
+    let mut best = f.at(0.0);
+    let mut prev = (0.0, f.excess(0.0));
+    for &b in &kinks[1..] {
+        let h = f.excess(b);
+        // `K(B) − B` is linear between kinks: its root is one more.
+        if (prev.1 < 0.0 && h > 0.0) || (prev.1 > 0.0 && h < 0.0) {
+            best = best.max(f.at(prev.0 + (b - prev.0) * prev.1 / (prev.1 - h)));
+        }
+        best = best.max(f.at(b));
+        prev = (b, h);
+    }
+    Some(best)
+}
+
+/// `F(B)` of the common-power (P2) over budgets `r` (sorted, in units
+/// of `L`) with their prefix sums. Every `K` term is kept scaled by
+/// `|1 − c|`, so `c` near 1 divides by nothing small.
+struct CommonPowerF<'a> {
+    r: &'a [f64],
+    prefix: &'a [f64],
+    c: f64,
+}
+
+impl CommonPowerF<'_> {
+    /// Number of budgets strictly below `b`.
+    fn below(&self, b: f64) -> usize {
+        self.r.partition_point(|&ri| ri < b)
+    }
+
+    /// `|1 − c|·K(B)`.
+    fn scaled_k(&self, b: f64) -> f64 {
+        let (r, p, c, n) = (self.r, self.prefix, self.c, self.r.len());
+        if c <= 1.0 {
+            // r_i < cB gives k_i = r_i/c; cB ≤ r_i < B gives (B − r_i)/(1 − c).
+            let (k1, k2) = (self.below(c * b), self.below(b));
+            (1.0 - c) / c * p[k1] + (k2 - k1) as f64 * b - (p[k2] - p[k1])
+        } else {
+            // B ≤ r_i ≤ cB gives (r_i − B)/(c − 1); r_i > cB gives B.
+            let k2 = self.below(b);
+            let k3 = r.partition_point(|&ri| ri <= c * b);
+            (p[k3] - p[k2]) - (k3 - k2) as f64 * b + (c - 1.0) * (n - k3) as f64 * b
+        }
+    }
+
+    /// `|1 − c|·(K(B) − B)`: its sign changes where `min(B, K)` kinks.
+    fn excess(&self, b: f64) -> f64 {
+        self.scaled_k(b) - (1.0 - self.c).abs() * b
+    }
+
+    fn at(&self, b: f64) -> f64 {
+        let k = self.below(b);
+        let listen_cap = self.prefix[k] + (self.r.len() - k) as f64 * b;
+        let d = (1.0 - self.c).abs();
+        listen_cap - self.c.max(1.0) * b + (d * b).min(self.scaled_k(b))
+    }
+}
+
 /// The closed-form homogeneous solution (Section IV-A / Appendix B),
 /// valid when nodes are sufficiently energy-constrained (constraint (9)
 /// dominates (10) and (11)):
@@ -72,22 +188,24 @@ pub fn oracle_groupput(nodes: &[NodeParams]) -> OracleSolution {
 /// ```
 ///
 /// Returns `None` when the closed form's regime does not apply (the
-/// resulting schedule would violate (10) or (11)); callers should fall
-/// back to [`oracle_groupput`] then.
+/// resulting schedule would violate (10) or (11)).
 pub fn oracle_groupput_homogeneous(n: usize, params: &NodeParams) -> Option<OracleSolution> {
+    let (alpha, beta) = homogeneous_schedule(n, params)?;
+    Some(OracleSolution {
+        throughput: n as f64 * alpha,
+        alpha: vec![alpha; n],
+        beta: vec![beta; n],
+    })
+}
+
+/// Appendix B's per-node `(α*, β*)`, or `None` outside its regime.
+pub(crate) fn homogeneous_schedule(n: usize, params: &NodeParams) -> Option<(f64, f64)> {
     assert!(n >= 2, "groupput needs at least two nodes");
     let nf = n as f64;
     let beta = params.budget_w / (params.transmit_w + (nf - 1.0) * params.listen_w);
     let alpha = (nf - 1.0) * beta;
     // Regime check: (10) per node and (11) across nodes.
-    if alpha + beta > 1.0 || nf * beta > 1.0 {
-        return None;
-    }
-    Some(OracleSolution {
-        throughput: nf * alpha,
-        alpha: vec![alpha; n],
-        beta: vec![beta; n],
-    })
+    (alpha + beta <= 1.0 && nf * beta <= 1.0).then_some((alpha, beta))
 }
 
 #[cfg(test)]
@@ -188,7 +306,50 @@ mod tests {
         assert_eq!(sol.throughput, 0.0);
     }
 
+    #[test]
+    fn common_power_matches_lp_on_the_table2_shape() {
+        let nodes: Vec<NodeParams> = [0.005, 0.01, 0.05, 0.1]
+            .iter()
+            .map(|&b| NodeParams::from_milliwatts(b, 1.0, 1.0))
+            .collect();
+        let exact = oracle_groupput_common_power(&nodes).expect("shared powers");
+        assert!((exact - oracle_groupput(&nodes).throughput).abs() < 1e-12);
+        let mixed = [nodes[0], uw(10.0, 500.0, 400.0)];
+        assert_eq!(oracle_groupput_common_power(&mixed), None);
+    }
+
     proptest! {
+        /// The common-power scan is exact: it matches the (P2) simplex
+        /// for `c = X/L` below, at and above 1, budgets from deeply
+        /// energy-constrained to airtime-capped (up to 20·L, where
+        /// many instances reach the cap `N − 1`), and duplicated budgets.
+        #[test]
+        fn prop_common_power_matches_lp(
+            n in 1usize..=96,
+            c_pick in 0usize..4,
+            c_free in 0.2f64..2.7,
+            scale in -3.0f64..1.3,
+            spread in proptest::collection::vec(0.0f64..1.0, 96..97),
+            dup in 1usize..4,
+        ) {
+            let c = [0.9, 1.0, 1.5, c_free][c_pick];
+            let l = 500e-6;
+            // Budgets ρ_i/L log-spread over one decade below 10^scale,
+            // each value repeated `dup` times.
+            let nodes: Vec<NodeParams> = (0..n)
+                .map(|i| {
+                    let r = 10f64.powf(scale - spread[i / dup]);
+                    NodeParams::new(r * l, l, c * l)
+                })
+                .collect();
+            let exact = oracle_groupput_common_power(&nodes).unwrap();
+            let lp = oracle_groupput(&nodes).throughput;
+            prop_assert!(
+                (exact - lp).abs() <= 1e-9 * lp.abs().max(1e-6),
+                "n={n} c={c}: exact {exact} vs LP {lp}"
+            );
+        }
+
         /// LP feasibility and the analytical cap T*_g ≤ N−1 hold for
         /// random heterogeneous networks.
         #[test]

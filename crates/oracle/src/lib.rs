@@ -8,9 +8,13 @@
 //!   to the power constraints (9), the single-state constraint (10),
 //!   the single-transmitter constraint (11), and the "listen only when
 //!   someone transmits" constraint (12). See [`groupput`].
+//!   Nodes that share `L` and `X` get an exact `O(N log N)` solution
+//!   from the LP's structure instead of the simplex.
 //! * **(P3)** — oracle anyput: maximize `Σ β_i` with the reception-
 //!   share variables `χ_{i,j}` and constraints (14)–(15) ensuring every
-//!   transmission has at least one listener. See [`anyput`].
+//!   transmission has at least one listener. In a clique Hall's
+//!   condition reduces (14)–(15) to two inequalities on `α`/`β`, so the
+//!   solved LP has `2N` variables. See [`anyput`].
 //! * **Non-cliques** (Section IV-C): upper and lower bounds on the
 //!   maximum groupput obtained from neighborhood-restricted variants of
 //!   (P2); the Fig. 6 grids make the two coincide, giving the exact
@@ -22,8 +26,8 @@
 //!   against each other.
 //!
 //! Closed-form solutions for homogeneous networks (Appendix B) are
-//! provided alongside and are cross-checked against the LP solver in
-//! tests.
+//! provided alongside; they and the structured solvers are
+//! cross-checked against the LP solver in tests.
 
 pub mod anyput;
 pub mod gap;

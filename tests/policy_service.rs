@@ -219,3 +219,73 @@ fn wire_server_answers_bad_requests_with_error_messages() {
     assert_eq!(codes[1], (2, ServiceErrorCode::TooLarge));
     assert_eq!(server.service().stats().errors, 2);
 }
+
+#[test]
+fn homogeneous_groupput_above_the_closed_form_regime_certifies_at_wire_scale() {
+    // ρ = 10·L puts Appendix B's β* past 1/N: the oracle is the cap
+    // N − 1 from the closed forms, with no LP over all N nodes.
+    let n = econcast::proto::service::MAX_WIRE_NODES;
+    let req = PolicyRequest {
+        budgets_w: vec![10.0 * L; n],
+        listen_w: L,
+        transmit_w: X,
+        sigma: 0.5,
+        objective: econcast::core::ThroughputMode::Groupput,
+        tolerance: 1e-3,
+    };
+    let mut svc = PolicyService::new(ServiceConfig::default());
+    let resp = svc
+        .serve(&req)
+        .expect("homogeneous requests serve at any N");
+    assert_eq!(resp.certificate.oracle, (n - 1) as f64);
+    assert!(
+        resp.certificate.is_consistent(1e-6),
+        "sandwich violated: T^σ={} T*={} D={}",
+        resp.certificate.t_sigma,
+        resp.certificate.oracle,
+        resp.certificate.dual_upper
+    );
+}
+
+#[test]
+fn one_budget_requests_certify_a_zero_oracle_on_every_tier() {
+    // A lone node has no receiver: T* = 0 in both modes, whether the
+    // request is served by the closed form or through a grid (the
+    // looser tolerances let the grid's coarse intervals serve).
+    for objective in [
+        econcast::core::ThroughputMode::Groupput,
+        econcast::core::ThroughputMode::Anyput,
+    ] {
+        for grid in [None, Some(econcast::service::GridConfig::default())] {
+            let mut svc = PolicyService::new(ServiceConfig {
+                grid,
+                ..ServiceConfig::default()
+            });
+            let mut tiers = Vec::new();
+            for (rho_uw, tolerance) in [(10.0, 1e-3), (17.0, 0.1), (29.0, 0.5)] {
+                let req = PolicyRequest {
+                    budgets_w: vec![rho_uw * 1e-6],
+                    listen_w: L,
+                    transmit_w: X,
+                    sigma: 0.5,
+                    objective,
+                    tolerance,
+                };
+                let resp = svc.serve(&req).expect("one-node requests serve");
+                let cert = &resp.certificate;
+                assert_eq!(cert.oracle, 0.0, "{objective:?} via {:?}", resp.tier);
+                assert!(
+                    cert.is_consistent(1e-6),
+                    "{objective:?} via {:?}: T^σ={} T*={} D={}",
+                    resp.tier,
+                    cert.t_sigma,
+                    cert.oracle,
+                    cert.dual_upper
+                );
+                tiers.push(resp.tier);
+            }
+            assert!(tiers.contains(&ServedTier::ClosedForm));
+            assert_eq!(grid.is_some(), tiers.contains(&ServedTier::Grid));
+        }
+    }
+}
