@@ -368,7 +368,7 @@ pub struct SmokeReport {
     /// The front's configured admission bound.
     pub queue_capacity: usize,
     /// Peak admission-queue depth the front ever saw. Bounded memory
-    /// means `<= queue_capacity` under all-v6 traffic.
+    /// means `<= queue_capacity`.
     pub queue_depth_peak: usize,
     /// Accepted-p99 budget (µs): `max_queue_delay` plus a generous
     /// service-time allowance derived from the calibrated capacity.
@@ -431,8 +431,7 @@ pub struct StackRun {
     /// The front's configured admission bound ([`STACK_QUEUE_CAPACITY`]).
     pub queue_capacity: usize,
     /// Peak admission-queue depth the front ever saw across the whole
-    /// run. Bounded memory means `<= queue_capacity` under all-v6
-    /// traffic.
+    /// run. Bounded memory means `<= queue_capacity`.
     pub queue_depth_peak: usize,
 }
 
@@ -565,20 +564,17 @@ mod tests {
         use econcast_service::{Admission, AdmissionController};
         let ctl = AdmissionController::new(STACK_QUEUE_CAPACITY, STACK_MAX_QUEUE_DELAY);
         let mut rng = Xorshift64Star::new(0xEC0_CA57_0AD);
-        let (mut ref_depth, mut ref_peak) = (0usize, 0usize);
+        let (mut ref_depth, mut ref_peak, mut sheds) = (0usize, 0usize, 0usize);
         for step in 0..4000 {
             // Arrivals outnumber drains 3:1, so the queue genuinely
-            // fills, saturates, and presses past capacity — every rung
-            // of the ladder gets traffic.
+            // fills, saturates, and presses against capacity — every
+            // rung of the ladder gets traffic.
             if rng.next_unit() < 0.75 {
-                // Mostly v6 peers (sheddable); a pre-v6 straggler now
-                // and then exercises the cannot-shed rung, which may
-                // legitimately push the peak past capacity.
-                let can_shed = rng.next_unit() < 0.9;
-                let got = ctl.admit(can_shed);
+                let got = ctl.admit();
                 ref_depth += 1;
-                if ref_depth > STACK_QUEUE_CAPACITY && can_shed {
+                if ref_depth > STACK_QUEUE_CAPACITY {
                     ref_depth -= 1; // a shed holds no slot, no peak
+                    sheds += 1;
                     assert!(matches!(got, Admission::Shed { .. }), "step {step}");
                 } else {
                     ref_peak = ref_peak.max(ref_depth);
@@ -592,13 +588,13 @@ mod tests {
             assert_eq!(ctl.depth(), ref_depth, "depth diverged at step {step}");
             assert_eq!(ctl.depth_peak(), ref_peak, "peak diverged at step {step}");
         }
-        assert!(
-            ref_peak > STACK_QUEUE_CAPACITY,
-            "schedule never pressed past capacity"
-        );
+        // The schedule presses to capacity and sheds past it, and the
+        // peak never exceeds the bound.
+        assert_eq!(ref_peak, STACK_QUEUE_CAPACITY, "peak is the capacity");
+        assert!(sheds > 0, "schedule never pressed past capacity");
         // And the harness-visible number *is* the gauge's high-water
         // mark — one object feeds the ladder, the stats overlay, and
-        // a v7 scrape.
+        // a metrics scrape.
         assert_eq!(ctl.queue_gauge().peak() as usize, ctl.depth_peak());
     }
 

@@ -36,8 +36,8 @@ use econcast_metrics::{MetricsSnapshot, GAUGE_LIVE_BACKENDS, GAUGE_SATURATION_OP
 use econcast_proto::service::{WireServiceStats, STATS_COUNTERS, STATS_SHARD_AGGREGATE};
 use econcast_service::stats::{StatKind, STAT_KINDS};
 use econcast_service::{
-    serve_connection_admitted, AdmissionController, ConnOptions, FamilyKey, PolicyClient,
-    PolicyRequest, PolicyResponse, ServeTarget, ServiceError, ServiceStats,
+    serve_connection_admitted, AdmissionController, FamilyKey, PolicyClient, PolicyRequest,
+    PolicyResponse, ServeTarget, ServiceError, ServiceStats,
 };
 
 /// Timeout for the fresh per-request dials a stats fan-in (or a
@@ -452,16 +452,7 @@ impl ClusterFront {
                         admission: Arc::clone(&admission),
                         rebase,
                     };
-                    serve_connection_admitted(
-                        stream,
-                        &target,
-                        ConnOptions {
-                            max_batch,
-                            ..ConnOptions::default()
-                        },
-                        &admission,
-                        &stop,
-                    );
+                    serve_connection_admitted(stream, &target, max_batch, &admission, &stop);
                 });
             })
         };

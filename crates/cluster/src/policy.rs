@@ -38,7 +38,7 @@
 //! part; the latency cliff is the *caches*: an inheriting backend has
 //! no grids for the families it just inherited. So the router keeps
 //! shadow per-slot mix recorders, and a rebalance ships them over the
-//! wire-v4 `MixSeed` message to whoever inherits the keys — grids are
+//! wire `MixSeed` message to whoever inherits the keys — grids are
 //! prewarmed before the first inherited request arrives, counted in
 //! [`ClusterStats::reshard_handoffs`](crate::ClusterStats).
 
@@ -358,7 +358,7 @@ pub fn remove_backend_with_handoff(router: &Arc<Mutex<ClusterRouter>>, slot: usi
     true
 }
 
-/// Ships a mix to one backend over the wire-v4 `MixSeed` path.
+/// Ships a mix to one backend over the wire `MixSeed` path.
 fn seed_backend(addr: SocketAddr, mix: &[(FamilyKey, u64)]) -> std::io::Result<(u16, u16)> {
     PolicyClient::connect_with_timeout(addr, 1, HANDOFF_DIAL_TIMEOUT)?.seed_mix(mix)
 }

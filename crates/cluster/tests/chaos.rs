@@ -22,7 +22,7 @@ use econcast_service::{
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -371,6 +371,46 @@ fn bind_backend() -> (ServerHandle, SocketAddr) {
     .expect("bind backend");
     let addr = server.local_addr();
     (server.spawn(), addr)
+}
+
+/// Regression: a refused dial is a failed dial. The proxy drops the
+/// first connection right after accepting it; the dial must surface as
+/// `Err` rather than settle on a reduced protocol through a second
+/// dial, and the next dial is a full-protocol link — its batch is
+/// bit-identical to the in-process reference and the metrics scrape
+/// works on it.
+#[test]
+fn refused_dial_fails_and_the_next_dial_speaks_the_full_protocol() {
+    let (handle, addr) = bind_backend();
+    let proxy = FaultProxy::spawn(addr, Arc::new(AtomicU64::new(0))).expect("spawn proxy");
+    let timeout = Duration::from_secs(5);
+    let batch = mixed_batch(32);
+
+    proxy.arm(Fault::RefuseConnect);
+    let refused = PolicyClient::connect_with_timeout(proxy.addr(), batch.len() as u16, timeout);
+    assert!(refused.is_err(), "a refused dial must not yield a link");
+    assert_eq!(proxy.fired(), 1);
+
+    let reference = ShardRouter::new(RouterConfig {
+        shards: 2,
+        service: service_cfg(),
+        ..RouterConfig::default()
+    });
+    let expected = reference.serve_batch(&batch);
+    let mut client = PolicyClient::connect_with_timeout(proxy.addr(), batch.len() as u16, timeout)
+        .expect("clean dial after the refusal");
+    let got = client.serve_batch(&batch).expect("serve");
+    assert_eq!(got.len(), expected.len());
+    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+        assert_payload_identical(i, g, e);
+    }
+    let snap = client.metrics().expect("metrics scrape on the new link");
+    assert!(!snap.counters.is_empty());
+    assert_eq!(proxy.fired(), 1, "the fault fired once");
+
+    drop(client);
+    proxy.shutdown();
+    handle.shutdown();
 }
 
 /// A homogeneous request in one fixed family (grid-coverable budget,

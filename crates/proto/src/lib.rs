@@ -35,6 +35,5 @@ pub use error::DecodeError;
 pub use frame::{DataFrame, Frame, PingFrame, ReceptionReport};
 pub use service::{
     ScatterEncoder, ServedTier, ServiceCodec, ServiceErrorCode, ServiceMessage, WireObjective,
-    WirePolicy, WirePolicyError, WirePolicyRequest, WirePolicyResponse, MIN_WIRE_VERSION,
-    WIRE_VERSION,
+    WirePolicy, WirePolicyError, WirePolicyRequest, WirePolicyResponse, WIRE_VERSION,
 };

@@ -5,16 +5,15 @@
 //! transmit" — and answers with per-node policies plus the
 //! achievability-gap certificate of `econcast-oracle::gap`. These
 //! messages ride the same CRC-16/CCITT integrity layer as the radio
-//! frames in [`crate::frame`], but form a separate, *versioned* family
-//! (type octets `0x10..`) so the two wire surfaces can evolve
-//! independently.
+//! frames in [`crate::frame`], but form a separate family (type octets
+//! `0x10..`) so the two wire surfaces can evolve independently.
 //!
 //! Wire layout (big-endian, CRC-16/CCITT-FALSE over everything before
 //! the CRC; all floats are IEEE-754 bit patterns, so round-trips are
 //! exact):
 //!
 //! ```text
-//! Request:  [0x10][ver][corr u32][id u32][deadline_us u32 (v6+)]
+//! Request:  [0x10][ver][corr u32][id u32][deadline_us u32]
 //!           [obj u8][sigma f64][tol f64]
 //!           [listen f64][transmit f64][n u16]{ [rho f64] }×n [crc u16]
 //! Response: [0x11][ver][corr u32][id u32][tier u8][kernel u8][converged u8]
@@ -24,8 +23,7 @@
 //! Hello:    [0x13][ver][id u32][max_batch u16][crc u16]
 //! Welcome:  [0x14][ver][id u32][shards u16][max_batch u16][crc u16]
 //! StatsReq: [0x15][ver][id u32][shard u16][crc u16]
-//! Stats:    [0x16][ver][id u32][shard u16]{ [counter u64] }×k [crc u16]
-//!           (k = 20 through v5, 24 at v6)
+//! Stats:    [0x16][ver][id u32][shard u16]{ [counter u64] }×24 [crc u16]
 //! Ping:     [0x17][ver][id u32][crc u16]
 //! Pong:     [0x18][ver][id u32][crc u16]
 //! MixSeed:  [0x19][ver][id u32][count u16]
@@ -33,68 +31,17 @@
 //!             [hits u64] }×count [crc u16]
 //! MixAck:   [0x1A][ver][id u32][absorbed u16][grids_built u16][crc u16]
 //! Overload: [0x1B][ver][corr u32][id u32][retry_after_us u32][crc u16]
-//!           (v6+ only)
-//! MetricsReq: [0x1C][ver][id u32][crc u16]  (v7+ only)
+//! MetricsReq: [0x1C][ver][id u32][crc u16]
 //! Metrics:  [0x1D][ver][id u32]
 //!           [nc u16]{ [counter u64] }×nc
 //!           [ng u16]{ [kind u8][value u64] }×ng
 //!           [nh u16]{ [nb u16]{ [bucket u16][count u64] }×nb }×nh
-//!           [crc u16]  (v7+ only)
+//!           [crc u16]
 //! ```
 //!
-//! Version 2 added the response's `kernel` octet (which solve kernel
-//! produced the policy — closed form, Gray-code enumeration,
-//! factorized large-N, or grid interpolation) and the two
-//! kernel-resolved exact-hit counters in the stats block, so
-//! cache-behaviour regressions at large N are observable per kernel.
-//! Version 3 added the `Ping`/`Pong` health pair (the liveness probe
-//! of the cluster layer's remote-shard dialers) and the
-//! `byte_evictions` counter in the stats block (the cross-tier cache
-//! byte budget's eviction accounting).
-//! Version 4 added the `MixSeed`/`MixAck` warm-handoff pair — a
-//! snapshot of one shard's observed homogeneous request mix, shipped
-//! to the shard inheriting its key range during a reshard so grid
-//! prewarming starts from the departing owner's heat instead of cold —
-//! and the four cluster self-healing counters in the stats block
-//! (`auto_respawns`, `quarantines`, `reshard_handoffs`,
-//! `injected_faults`).
-//! Version 5 added the `corr u32` correlation-id field to the three
-//! data-plane messages (`Request`/`Response`/`Error`, shown above) so
-//! several batches can be in flight on one connection and replies can
-//! complete out of order — the client stamps every request of a
-//! submitted batch with one fresh `corr`, the server echoes it, and
-//! the client demultiplexes replies to the right in-flight batch by
-//! `corr` alone. All other message types are byte-identical to v4
-//! except for the version octet. Decoders accept both v4 and v5
-//! ([`MIN_WIRE_VERSION`]); a v4 frame decodes with `corr = 0`, and
-//! encoders can stamp either version
-//! ([`ServiceMessage::encode_into_versioned`]) so a v5 binary can
-//! interoperate with a v4 peer in both directions.
-//! Version 6 is the overload-control revision: requests gained the
-//! optional `deadline_us` budget (0 = none — the caller's end-to-end
-//! latency tolerance; a server drops work it cannot finish in time
-//! and answers `Overloaded` instead of returning a late result), the
-//! `Overloaded` frame (`0x1B`, an explicit admission rejection
-//! carrying a `retry_after_us` pacing hint) joined the data plane,
-//! and four overload counters (`shed_rejects`, `degraded_serves`,
-//! `deadline_expired`, `queue_depth_peak`) appended to the stats
-//! block. All three additions are negotiated: frames stamped v4/v5
-//! keep their exact prior layouts (no deadline field, 20 stats
-//! counters), a pre-v6 frame decodes with `deadline_us = 0`, and the
-//! `Overloaded` frame is never sent to a pre-v6 peer — servers shed
-//! those connections through the degraded-serve ladder instead, so an
-//! old client sees only frames it can parse.
-//! Version 7 added the always-on metrics plane's scrape pair:
-//! `MetricsRequest` (`0x1C`) asks for a point-in-time snapshot of the
-//! serving process's metrics registry, answered by `MetricsResponse`
-//! (`0x1D`) — counters, merge-kind-tagged gauges, and sparse
-//! log-bucket latency histograms, all self-describing so a fan-in
-//! needs no out-of-band schema. Like the `Overloaded` frame, the pair
-//! is negotiated: neither frame is ever sent to a pre-v7 peer
-//! (clients refuse to scrape an old connection, servers only answer
-//! frames received), and a `0x1C`/`0x1D` frame stamped pre-v7 is
-//! refused as [`DecodeError::UnsupportedVersion`]. Every other
-//! message is byte-identical between v6 and v7.
+//! `ver` is always [`WIRE_VERSION`]; any other version octet is
+//! rejected (as [`DecodeError::UnsupportedVersion`], after the CRC
+//! check).
 //!
 //! `Hello`/`Welcome` form the connection handshake of the TCP policy
 //! server: the client announces the largest batch it intends to
@@ -106,10 +53,9 @@
 //! liveness/round-trip probe that touches no shard state, cheap enough
 //! for health checkers to send on a tight cadence.
 //!
-//! `ver` is [`WIRE_VERSION`] (or any accepted version down to
-//! [`MIN_WIRE_VERSION`]); decoders reject versions outside that window
-//! with [`DecodeError::UnsupportedVersion`] so old binaries fail
-//! loudly instead of misparsing. Budgets are listed in the *caller's* node
+//! The data-plane frames carry a `corr` correlation id, echoed in every
+//! reply, so several batches can be in flight on one connection and
+//! complete out of order. Budgets are listed in the *caller's* node
 //! order and the response's policies come back in that same order —
 //! canonicalization for caching is entirely the server's business and
 //! never leaks onto the wire.
@@ -120,11 +66,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Current service wire-format version.
 pub const WIRE_VERSION: u8 = 7;
-
-/// Oldest wire version this build still decodes (and can encode, via
-/// [`ServiceMessage::encode_into_versioned`]). A v4 data-plane frame
-/// carries no correlation id; it decodes with `corr = 0`.
-pub const MIN_WIRE_VERSION: u8 = 4;
 
 /// Hard cap on per-message node counts so every message fits a u16
 /// stream-length prefix (a 4000-node response is 64 042 bytes).
@@ -149,16 +90,6 @@ const TYPE_MIX_ACK: u8 = 0x1A;
 const TYPE_OVERLOADED: u8 = 0x1B;
 const TYPE_METRICS_REQUEST: u8 = 0x1C;
 const TYPE_METRICS_RESPONSE: u8 = 0x1D;
-
-/// First wire version that carries the overload-control surface: the
-/// request `deadline_us` field, the `Overloaded` frame, and the four
-/// appended overload stats counters.
-pub const OVERLOAD_WIRE_VERSION: u8 = 6;
-
-/// First wire version that carries the metrics-plane scrape pair
-/// (`MetricsRequest`/`MetricsResponse`). Neither frame is ever sent
-/// to a pre-v7 peer.
-pub const METRICS_WIRE_VERSION: u8 = 7;
 
 /// Cap on counters per [`WireMetricsSnapshot`] (frame must fit the
 /// u16 stream-length prefix; the registry currently uses 13).
@@ -289,10 +220,8 @@ pub enum ServiceErrorCode {
     /// enumeration, and no fallback tier covers it.
     TooLarge,
     /// The server's admission ladder rejected the request under
-    /// overload (wire v6). Rides the dedicated `0x1B` frame — which
-    /// carries the `retry_after_us` pacing hint — never the `0x12`
-    /// code octet, so pre-v6 decoders are never shown a code they
-    /// don't know.
+    /// overload. Rides the dedicated `0x1B` frame — which carries the
+    /// `retry_after_us` pacing hint — never the `0x12` code octet.
     Overloaded,
 }
 
@@ -323,17 +252,17 @@ impl ServiceErrorCode {
 /// while `budgets_w[i]` carries each node's `ρ_i` in caller order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WirePolicyRequest {
-    /// Batch correlation id (wire v5), echoed in the reply. All
-    /// requests of one pipelined submit share a `corr`; `0` means
-    /// "unknown" (every v4 frame, or a caller that does not pipeline).
+    /// Batch correlation id, echoed in the reply. All requests of one
+    /// pipelined submit share a `corr`; `0` means "unknown" (a caller
+    /// that does not pipeline).
     pub corr: u32,
     /// Caller-chosen per-request id, echoed in the response.
     pub id: u32,
-    /// Deadline budget in microseconds (wire v6): how long the caller
-    /// is willing to wait for this answer, measured from the server's
-    /// receipt. `0` means "no deadline" (and is what every pre-v6
-    /// frame decodes to). A server that cannot finish inside the
-    /// budget answers `Overloaded` instead of a late result.
+    /// Deadline budget in microseconds: how long the caller is
+    /// willing to wait for this answer, measured from the server's
+    /// receipt. `0` means "no deadline". A server that cannot finish
+    /// inside the budget answers `Overloaded` instead of a late
+    /// result.
     pub deadline_us: u32,
     /// Throughput objective.
     pub objective: WireObjective,
@@ -363,7 +292,7 @@ pub struct WirePolicy {
 /// A served policy plus its achievability certificate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WirePolicyResponse {
-    /// Echo of the request's batch correlation id (wire v5; 0 = v4).
+    /// Echo of the request's batch correlation id.
     pub corr: u32,
     /// Echo of the request id.
     pub id: u32,
@@ -389,14 +318,13 @@ pub struct WirePolicyResponse {
 /// A per-request error reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WirePolicyError {
-    /// Echo of the request's batch correlation id (wire v5; 0 = v4).
+    /// Echo of the request's batch correlation id.
     pub corr: u32,
     /// Echo of the request id.
     pub id: u32,
     /// What went wrong.
     pub code: ServiceErrorCode,
-    /// Pacing hint for [`ServiceErrorCode::Overloaded`] (wire v6):
-    /// how long the caller should back off before retrying, in
+    /// Pacing hint for [`ServiceErrorCode::Overloaded`]: how long the caller should back off before retrying, in
     /// microseconds (0 = "retry whenever"). Always 0 for the other
     /// codes — the `0x12` frame does not carry it.
     pub retry_after_us: u32,
@@ -473,7 +401,7 @@ pub struct WireMixFamily {
     pub hits: u64,
 }
 
-/// Warm-handoff seed (wire v4): a snapshot of the sender's observed
+/// Warm-handoff seed: a snapshot of the sender's observed
 /// homogeneous request mix, hottest families first. Sent to the shard
 /// inheriting a departing owner's key range during a reshard so its
 /// prewarmer starts from real heat instead of cold; answered by
@@ -531,62 +459,43 @@ pub struct WireServiceStats {
     /// LRU resident entries.
     pub lru_len: u64,
     /// Exact-tier hits whose entry was produced by the homogeneous
-    /// closed form (wire v2).
+    /// closed form.
     pub exact_hits_closed_form: u64,
     /// Exact-tier hits whose entry was produced by the factorized
-    /// large-N solver (wire v2).
+    /// large-N solver.
     pub exact_hits_factorized: u64,
     /// LRU entries evicted to satisfy the cross-tier cache byte
-    /// budget, as opposed to the entry-count capacity (wire v3).
+    /// budget, as opposed to the entry-count capacity.
     pub byte_evictions: u64,
     /// Dead backends automatically respawned and retargeted by the
-    /// cluster's supervisor policy loop (wire v4; zero for plain
-    /// services — the cluster front overlays it on the aggregate).
+    /// cluster's supervisor policy loop (zero for plain services —
+    /// the cluster front overlays it on the aggregate).
     pub auto_respawns: u64,
     /// Backend slots quarantined onto the local fallback solver after
-    /// exhausting their respawn budget (wire v4).
+    /// exhausting their respawn budget.
     pub quarantines: u64,
-    /// Warm mix handoffs shipped during live reshards (wire v4).
+    /// Warm mix handoffs shipped during live reshards.
     pub reshard_handoffs: u64,
     /// Faults injected by a scripted fault plan — nonzero only under
-    /// the chaos harness (wire v4).
+    /// the chaos harness.
     pub injected_faults: u64,
-    /// Requests rejected with `Overloaded` by the admission ladder
-    /// (wire v6; zero for peers answering at v4/v5 — the counter is
-    /// simply not shipped to them).
+    /// Requests rejected with `Overloaded` by the admission ladder.
     pub shed_rejects: u64,
     /// Requests served from the certified degraded (grid) tier at
     /// relaxed tolerance because the admission ladder was under
-    /// pressure (wire v6).
+    /// pressure.
     pub degraded_serves: u64,
     /// Requests whose `deadline_us` budget expired before a result
-    /// could be produced — answered `Overloaded`, never late (wire
-    /// v6).
+    /// could be produced — answered `Overloaded`, never late.
     pub deadline_expired: u64,
     /// High-water mark of the admission queue depth, in requests — a
-    /// gauge, not a counter: aggregation takes the max (wire v6).
+    /// gauge, not a counter: aggregation takes the max.
     pub queue_depth_peak: u64,
 }
 
 /// Number of u64 counters in [`WireServiceStats`] — pins the wire
-/// layout; adding a counter is a wire-version bump (v2 appended the
-/// two kernel-resolved exact-hit counters, v3 the byte-budget
-/// eviction counter, v4 the four cluster self-healing counters, v6
-/// the four overload counters, keeping earlier slots stable).
+/// layout of the stats block.
 pub const STATS_COUNTERS: usize = 24;
-
-/// Counter count of the pre-v6 stats block — what a v4/v5 frame
-/// carries; decoders fill the missing overload slots with zero.
-pub const STATS_COUNTERS_PRE_V6: usize = 20;
-
-/// How many stats counters a frame stamped `version` carries.
-fn stats_counters_for(version: u8) -> usize {
-    if version >= OVERLOAD_WIRE_VERSION {
-        STATS_COUNTERS
-    } else {
-        STATS_COUNTERS_PRE_V6
-    }
-}
 
 impl WireServiceStats {
     /// The counters in wire (declaration) order.
@@ -663,7 +572,7 @@ pub struct WireStatsResponse {
 }
 
 /// Asks for a point-in-time snapshot of the serving process's
-/// always-on metrics registry (wire v7). A cluster front answers with
+/// always-on metrics registry. A cluster front answers with
 /// its cluster-wide fan-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireMetricsRequest {
@@ -687,7 +596,7 @@ pub struct WireMetricsSnapshot {
     pub hists: Vec<Vec<(u16, u64)>>,
 }
 
-/// Metrics scrape reply (wire v7).
+/// Metrics scrape reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMetricsResponse {
     /// Echo of the request id.
@@ -717,13 +626,13 @@ pub enum ServiceMessage {
     Ping(WirePing),
     /// Server → client: liveness reply.
     Pong(WirePong),
-    /// Peer → peer: warm-handoff request-mix seed (wire v4).
+    /// Peer → peer: warm-handoff request-mix seed.
     MixSeed(WireMixSeed),
-    /// Reply: what the receiver did with the seed (wire v4).
+    /// Reply: what the receiver did with the seed.
     MixAck(WireMixAck),
-    /// Client → server: metrics scrape request (wire v7).
+    /// Client → server: metrics scrape request.
     MetricsRequest(WireMetricsRequest),
-    /// Server → client: metrics snapshot (wire v7).
+    /// Server → client: metrics snapshot.
     MetricsResponse(WireMetricsResponse),
 }
 
@@ -735,32 +644,13 @@ impl ServiceMessage {
         buf.freeze()
     }
 
-    /// Encodes into an existing buffer (appends) at the current
-    /// [`WIRE_VERSION`].
+    /// Encodes into an existing buffer (appends).
     ///
     /// # Panics
     ///
     /// Panics when a node list exceeds [`MAX_WIRE_NODES`] — requests
     /// that large cannot be framed and indicate a caller bug.
     pub fn encode_into(&self, buf: &mut BytesMut) {
-        self.encode_into_versioned(buf, WIRE_VERSION);
-    }
-
-    /// Encodes into an existing buffer (appends) at an explicit wire
-    /// version — the interop path for talking to an older peer. A v4
-    /// encoding drops the correlation id (the field did not exist);
-    /// everything else is byte-identical apart from the version octet.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a version outside
-    /// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`], or when a node list
-    /// exceeds [`MAX_WIRE_NODES`].
-    pub fn encode_into_versioned(&self, buf: &mut BytesMut, version: u8) {
-        assert!(
-            (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version),
-            "unsupported encode version {version}"
-        );
         let start = buf.len();
         match self {
             ServiceMessage::Request(r) => {
@@ -769,14 +659,10 @@ impl ServiceMessage {
                     "request exceeds MAX_WIRE_NODES"
                 );
                 buf.put_u8(TYPE_REQUEST);
-                buf.put_u8(version);
-                if version >= 5 {
-                    buf.put_u32(r.corr);
-                }
+                buf.put_u8(WIRE_VERSION);
+                buf.put_u32(r.corr);
                 buf.put_u32(r.id);
-                if version >= OVERLOAD_WIRE_VERSION {
-                    buf.put_u32(r.deadline_us);
-                }
+                buf.put_u32(r.deadline_us);
                 buf.put_u8(r.objective.to_u8());
                 buf.put_f64(r.sigma);
                 buf.put_f64(r.tolerance);
@@ -793,10 +679,8 @@ impl ServiceMessage {
                     "response exceeds MAX_WIRE_NODES"
                 );
                 buf.put_u8(TYPE_RESPONSE);
-                buf.put_u8(version);
-                if version >= 5 {
-                    buf.put_u32(r.corr);
-                }
+                buf.put_u8(WIRE_VERSION);
+                buf.put_u32(r.corr);
                 buf.put_u32(r.id);
                 buf.put_u8(r.tier.to_u8());
                 buf.put_u8(r.kernel.to_u8());
@@ -813,64 +697,57 @@ impl ServiceMessage {
             }
             ServiceMessage::Error(e) => {
                 if e.code == ServiceErrorCode::Overloaded {
-                    // Overload rejections ride their own v6 frame so
-                    // the retry hint has a place to live and pre-v6
-                    // decoders never meet an unknown code octet.
-                    assert!(
-                        version >= OVERLOAD_WIRE_VERSION,
-                        "Overloaded cannot be encoded at wire v{version}"
-                    );
+                    // Overload rejections ride their own frame so the
+                    // retry hint has a place to live.
                     buf.put_u8(TYPE_OVERLOADED);
-                    buf.put_u8(version);
+                    buf.put_u8(WIRE_VERSION);
                     buf.put_u32(e.corr);
                     buf.put_u32(e.id);
                     buf.put_u32(e.retry_after_us);
                 } else {
                     buf.put_u8(TYPE_ERROR);
-                    buf.put_u8(version);
-                    if version >= 5 {
-                        buf.put_u32(e.corr);
-                    }
+                    buf.put_u8(WIRE_VERSION);
+                    buf.put_u32(e.corr);
                     buf.put_u32(e.id);
                     buf.put_u8(e.code.to_u8());
                 }
             }
             ServiceMessage::Hello(h) => {
                 buf.put_u8(TYPE_HELLO);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(h.id);
                 buf.put_u16(h.max_batch);
             }
             ServiceMessage::Welcome(w) => {
                 buf.put_u8(TYPE_WELCOME);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(w.id);
                 buf.put_u16(w.shards);
                 buf.put_u16(w.max_batch);
             }
             ServiceMessage::StatsRequest(r) => {
                 buf.put_u8(TYPE_STATS_REQUEST);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(r.id);
                 buf.put_u16(r.shard);
             }
             ServiceMessage::StatsResponse(r) => {
                 buf.put_u8(TYPE_STATS_RESPONSE);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(r.id);
                 buf.put_u16(r.shard);
-                for counter in &r.stats.to_array()[..stats_counters_for(version)] {
-                    buf.put_u64(*counter);
+                for counter in r.stats.to_array() {
+                    buf.put_u64(counter);
                 }
             }
             ServiceMessage::Ping(p) => {
                 buf.put_u8(TYPE_PING);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(p.id);
             }
             ServiceMessage::Pong(p) => {
                 buf.put_u8(TYPE_PONG);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(p.id);
             }
             ServiceMessage::MixSeed(s) => {
@@ -879,7 +756,7 @@ impl ServiceMessage {
                     "mix seed exceeds MAX_WIRE_FAMILIES"
                 );
                 buf.put_u8(TYPE_MIX_SEED);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(s.id);
                 buf.put_u16(s.families.len() as u16);
                 for f in &s.families {
@@ -893,27 +770,17 @@ impl ServiceMessage {
             }
             ServiceMessage::MixAck(a) => {
                 buf.put_u8(TYPE_MIX_ACK);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(a.id);
                 buf.put_u16(a.absorbed);
                 buf.put_u16(a.grids_built);
             }
             ServiceMessage::MetricsRequest(r) => {
-                // v7-born, like the Overloaded frame at v6: never
-                // encoded toward an older peer.
-                assert!(
-                    version >= METRICS_WIRE_VERSION,
-                    "MetricsRequest cannot be encoded at wire v{version}"
-                );
                 buf.put_u8(TYPE_METRICS_REQUEST);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(r.id);
             }
             ServiceMessage::MetricsResponse(r) => {
-                assert!(
-                    version >= METRICS_WIRE_VERSION,
-                    "MetricsResponse cannot be encoded at wire v{version}"
-                );
                 let s = &r.snapshot;
                 assert!(
                     s.counters.len() <= MAX_WIRE_METRICS_COUNTERS
@@ -923,7 +790,7 @@ impl ServiceMessage {
                     "metrics snapshot exceeds wire caps"
                 );
                 buf.put_u8(TYPE_METRICS_RESPONSE);
-                buf.put_u8(version);
+                buf.put_u8(WIRE_VERSION);
                 buf.put_u32(r.id);
                 buf.put_u16(s.counters.len() as u16);
                 for &c in &s.counters {
@@ -948,31 +815,17 @@ impl ServiceMessage {
         buf.put_u16(crc);
     }
 
-    /// The exact encoded size in bytes at [`WIRE_VERSION`], CRC
-    /// included.
+    /// The exact encoded size in bytes, CRC included.
     pub fn encoded_len(&self) -> usize {
-        self.encoded_len_versioned(WIRE_VERSION)
-    }
-
-    /// The exact encoded size in bytes at an explicit wire version,
-    /// CRC included (a v4 data-plane frame is 4 bytes shorter — no
-    /// correlation id).
-    pub fn encoded_len_versioned(&self, version: u8) -> usize {
-        let corr = if version >= 5 { 4 } else { 0 };
-        let dl = if version >= OVERLOAD_WIRE_VERSION {
-            4
-        } else {
-            0
-        };
         match self {
-            ServiceMessage::Request(r) => 41 + corr + dl + 8 * r.budgets_w.len() + 2,
-            ServiceMessage::Response(r) => 43 + corr + 16 * r.policies.len() + 2,
+            ServiceMessage::Request(r) => 49 + 8 * r.budgets_w.len() + 2,
+            ServiceMessage::Response(r) => 47 + 16 * r.policies.len() + 2,
             ServiceMessage::Error(e) if e.code == ServiceErrorCode::Overloaded => 14 + 2,
-            ServiceMessage::Error(_) => 7 + corr + 2,
+            ServiceMessage::Error(_) => 11 + 2,
             ServiceMessage::Hello(_) => 8 + 2,
             ServiceMessage::Welcome(_) => 10 + 2,
             ServiceMessage::StatsRequest(_) => 8 + 2,
-            ServiceMessage::StatsResponse(_) => 8 + 8 * stats_counters_for(version) + 2,
+            ServiceMessage::StatsResponse(_) => 8 + 8 * STATS_COUNTERS + 2,
             ServiceMessage::Ping(_) | ServiceMessage::Pong(_) => 6 + 2,
             ServiceMessage::MixSeed(s) => 8 + 35 * s.families.len() + 2,
             ServiceMessage::MixAck(_) => 10 + 2,
@@ -994,23 +847,14 @@ impl ServiceMessage {
                 available: data.len(),
             });
         }
-        // Total length first (needs the count field for the two
+        // Total length first (needs the count field for the
         // variable-size messages), then CRC, then version, then fields
-        // — so corrupt bytes surface as BadChecksum, not field errors.
-        // The three data-plane layouts depend on the version octet
-        // (v5 inserts a 4-byte correlation id); an out-of-window
-        // version assumes the current layout and is rejected after the
-        // CRC check, so a corrupt version byte still surfaces as
-        // BadChecksum.
-        let corr_len: usize = if data[1] >= 5 { 4 } else { 0 };
-        let dl_len: usize = if data[1] >= OVERLOAD_WIRE_VERSION {
-            4
-        } else {
-            0
-        };
+        // — so corrupt bytes surface as BadChecksum, not field errors,
+        // and a corrupt version byte surfaces as BadChecksum rather
+        // than UnsupportedVersion.
         let total_len = match data[0] {
             TYPE_REQUEST => {
-                let fixed = 41 + corr_len + dl_len;
+                let fixed = 49;
                 if data.len() < fixed {
                     return Err(DecodeError::Truncated {
                         needed: fixed + 2,
@@ -1021,7 +865,7 @@ impl ServiceMessage {
                 fixed + 8 * n + 2
             }
             TYPE_RESPONSE => {
-                let fixed = 43 + corr_len;
+                let fixed = 47;
                 if data.len() < fixed {
                     return Err(DecodeError::Truncated {
                         needed: fixed + 2,
@@ -1031,11 +875,11 @@ impl ServiceMessage {
                 let n = u16::from_be_bytes([data[fixed - 2], data[fixed - 1]]) as usize;
                 fixed + 16 * n + 2
             }
-            TYPE_ERROR => 9 + corr_len,
+            TYPE_ERROR => 13,
             TYPE_OVERLOADED => 16,
             TYPE_HELLO | TYPE_STATS_REQUEST => 10,
             TYPE_WELCOME => 12,
-            TYPE_STATS_RESPONSE => 10 + 8 * stats_counters_for(data[1]),
+            TYPE_STATS_RESPONSE => 10 + 8 * STATS_COUNTERS,
             TYPE_PING | TYPE_PONG => 8,
             TYPE_MIX_SEED => {
                 if data.len() < 8 {
@@ -1088,21 +932,16 @@ impl ServiceMessage {
         if crc16_ccitt(payload) != expected {
             return Err(DecodeError::BadChecksum);
         }
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&payload[1]) {
+        if payload[1] != WIRE_VERSION {
             return Err(DecodeError::UnsupportedVersion(payload[1]));
         }
-        let version = payload[1];
 
         let mut cur = &payload[2..]; // skip type + version octets
         let msg = match data[0] {
             TYPE_REQUEST => {
-                let corr = if version >= 5 { cur.get_u32() } else { 0 };
+                let corr = cur.get_u32();
                 let id = cur.get_u32();
-                let deadline_us = if version >= OVERLOAD_WIRE_VERSION {
-                    cur.get_u32()
-                } else {
-                    0
-                };
+                let deadline_us = cur.get_u32();
                 let objective = WireObjective::from_u8(cur.get_u8())?;
                 let sigma = cur.get_f64();
                 let tolerance = cur.get_f64();
@@ -1129,7 +968,7 @@ impl ServiceMessage {
                 })
             }
             TYPE_RESPONSE => {
-                let corr = if version >= 5 { cur.get_u32() } else { 0 };
+                let corr = cur.get_u32();
                 let id = cur.get_u32();
                 let tier = ServedTier::from_u8(cur.get_u8())?;
                 let kernel = PolicyKernel::from_u8(cur.get_u8())?;
@@ -1166,7 +1005,7 @@ impl ServiceMessage {
                 })
             }
             TYPE_ERROR => {
-                let corr = if version >= 5 { cur.get_u32() } else { 0 };
+                let corr = cur.get_u32();
                 let id = cur.get_u32();
                 let code = ServiceErrorCode::from_u8(cur.get_u8())?;
                 ServiceMessage::Error(WirePolicyError {
@@ -1177,12 +1016,6 @@ impl ServiceMessage {
                 })
             }
             TYPE_OVERLOADED => {
-                // The frame itself is v6-born: a pre-v6 stamp is a
-                // peer bug (no such binary can produce it), refused
-                // like any other version violation.
-                if version < OVERLOAD_WIRE_VERSION {
-                    return Err(DecodeError::UnsupportedVersion(version));
-                }
                 let corr = cur.get_u32();
                 let id = cur.get_u32();
                 let retry_after_us = cur.get_u32();
@@ -1217,7 +1050,7 @@ impl ServiceMessage {
                 let id = cur.get_u32();
                 let shard = cur.get_u16();
                 let mut counters = [0u64; STATS_COUNTERS];
-                for c in counters.iter_mut().take(stats_counters_for(version)) {
+                for c in &mut counters {
                     *c = cur.get_u64();
                 }
                 ServiceMessage::StatsResponse(WireStatsResponse {
@@ -1266,69 +1099,62 @@ impl ServiceMessage {
                     grids_built,
                 })
             }
-            TYPE_METRICS_REQUEST | TYPE_METRICS_RESPONSE => {
-                // The pair is v7-born: a pre-v7 stamp is a peer bug
-                // (no such binary can produce it) — refused like a
-                // pre-v6 Overloaded frame.
-                if version < METRICS_WIRE_VERSION {
-                    return Err(DecodeError::UnsupportedVersion(version));
+            TYPE_METRICS_REQUEST => {
+                ServiceMessage::MetricsRequest(WireMetricsRequest { id: cur.get_u32() })
+            }
+            TYPE_METRICS_RESPONSE => {
+                let id = cur.get_u32();
+                let nc = cur.get_u16() as usize;
+                if nc > MAX_WIRE_METRICS_COUNTERS {
+                    return Err(DecodeError::MalformedLength);
                 }
-                if data[0] == TYPE_METRICS_REQUEST {
-                    ServiceMessage::MetricsRequest(WireMetricsRequest { id: cur.get_u32() })
-                } else {
-                    let id = cur.get_u32();
-                    let nc = cur.get_u16() as usize;
-                    if nc > MAX_WIRE_METRICS_COUNTERS {
-                        return Err(DecodeError::MalformedLength);
-                    }
-                    let mut counters = Vec::with_capacity(nc);
-                    for _ in 0..nc {
-                        counters.push(cur.get_u64());
-                    }
-                    let ng = cur.get_u16() as usize;
-                    if ng > MAX_WIRE_METRICS_GAUGES {
-                        return Err(DecodeError::MalformedLength);
-                    }
-                    let mut gauges = Vec::with_capacity(ng);
-                    for _ in 0..ng {
-                        let kind = cur.get_u8();
-                        if kind > 1 {
-                            return Err(DecodeError::InvalidField("gauge kind"));
-                        }
-                        gauges.push((kind, cur.get_u64()));
-                    }
-                    let nh = cur.get_u16() as usize;
-                    if nh > MAX_WIRE_METRICS_HISTS {
-                        return Err(DecodeError::MalformedLength);
-                    }
-                    let mut hists = Vec::with_capacity(nh);
-                    for _ in 0..nh {
-                        let nb = cur.get_u16() as usize;
-                        if nb > MAX_WIRE_METRICS_BUCKETS {
-                            return Err(DecodeError::MalformedLength);
-                        }
-                        let mut buckets = Vec::with_capacity(nb);
-                        for _ in 0..nb {
-                            let idx = cur.get_u16();
-                            buckets.push((idx, cur.get_u64()));
-                        }
-                        // Ascending-index discipline is part of the
-                        // format: it makes merge linear and equality
-                        // canonical.
-                        if buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
-                            return Err(DecodeError::InvalidField("hist bucket order"));
-                        }
-                        hists.push(buckets);
-                    }
-                    ServiceMessage::MetricsResponse(WireMetricsResponse {
-                        id,
-                        snapshot: WireMetricsSnapshot {
-                            counters,
-                            gauges,
-                            hists,
-                        },
-                    })
+                let mut counters = Vec::with_capacity(nc);
+                for _ in 0..nc {
+                    counters.push(cur.get_u64());
                 }
+                let ng = cur.get_u16() as usize;
+                if ng > MAX_WIRE_METRICS_GAUGES {
+                    return Err(DecodeError::MalformedLength);
+                }
+                let mut gauges = Vec::with_capacity(ng);
+                for _ in 0..ng {
+                    let kind = cur.get_u8();
+                    if kind > 1 {
+                        return Err(DecodeError::InvalidField("gauge kind"));
+                    }
+                    gauges.push((kind, cur.get_u64()));
+                }
+                let nh = cur.get_u16() as usize;
+                if nh > MAX_WIRE_METRICS_HISTS {
+                    return Err(DecodeError::MalformedLength);
+                }
+                let mut hists = Vec::with_capacity(nh);
+                for _ in 0..nh {
+                    let nb = cur.get_u16() as usize;
+                    if nb > MAX_WIRE_METRICS_BUCKETS {
+                        return Err(DecodeError::MalformedLength);
+                    }
+                    let mut buckets = Vec::with_capacity(nb);
+                    for _ in 0..nb {
+                        let idx = cur.get_u16();
+                        buckets.push((idx, cur.get_u64()));
+                    }
+                    // Ascending-index discipline is part of the
+                    // format: it makes merge linear and equality
+                    // canonical.
+                    if buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
+                        return Err(DecodeError::InvalidField("hist bucket order"));
+                    }
+                    hists.push(buckets);
+                }
+                ServiceMessage::MetricsResponse(WireMetricsResponse {
+                    id,
+                    snapshot: WireMetricsSnapshot {
+                        counters,
+                        gauges,
+                        hists,
+                    },
+                })
             }
             _ => unreachable!("validated above"),
         };
@@ -1339,28 +1165,9 @@ impl ServiceMessage {
 /// Incremental encoder/decoder for a stream of length-prefixed service
 /// messages — the service-side twin of [`crate::StreamCodec`], with
 /// the same `u16` length prefix and fatal-error semantics.
-///
-/// The codec also carries the per-connection version state of the v4/v5
-/// interop story: it remembers the version octet of the last frame it
-/// decoded ([`ServiceCodec::peer_version`], what the peer speaks) and
-/// can be clamped to an older ceiling ([`ServiceCodec::set_max_version`],
-/// emulating a pre-v5 binary that drops newer frames as
-/// [`DecodeError::UnsupportedVersion`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServiceCodec {
     buffer: BytesMut,
-    peer_version: Option<u8>,
-    max_version: u8,
-}
-
-impl Default for ServiceCodec {
-    fn default() -> Self {
-        ServiceCodec {
-            buffer: BytesMut::new(),
-            peer_version: None,
-            max_version: WIRE_VERSION,
-        }
-    }
 }
 
 impl ServiceCodec {
@@ -1371,17 +1178,10 @@ impl ServiceCodec {
 
     /// Encodes one message with its length prefix into `out`.
     pub fn encode(msg: &ServiceMessage, out: &mut BytesMut) {
-        Self::encode_versioned(msg, out, WIRE_VERSION);
-    }
-
-    /// Encodes one message with its length prefix into `out` at an
-    /// explicit wire version (the reply path of a server talking to a
-    /// v4 client, or a v4-emulating test peer).
-    pub fn encode_versioned(msg: &ServiceMessage, out: &mut BytesMut, version: u8) {
-        let len = msg.encoded_len_versioned(version);
+        let len = msg.encoded_len();
         assert!(len <= u16::MAX as usize, "message too large for u16 prefix");
         out.put_u16(len as u16);
-        msg.encode_into_versioned(out, version);
+        msg.encode_into(out);
     }
 
     /// Appends received bytes to the internal reassembly buffer.
@@ -1392,21 +1192,6 @@ impl ServiceCodec {
     /// Bytes currently buffered and not yet decoded.
     pub fn pending(&self) -> usize {
         self.buffer.len()
-    }
-
-    /// The version octet of the last successfully decoded frame — what
-    /// the peer actually speaks. `None` until the first frame arrives.
-    pub fn peer_version(&self) -> Option<u8> {
-        self.peer_version
-    }
-
-    /// Clamps the newest frame version this codec accepts. Frames above
-    /// the ceiling fail with [`DecodeError::UnsupportedVersion`] even
-    /// though this build could parse them — exactly how a binary built
-    /// at that older version behaves, which is what the cross-version
-    /// interop tests need to emulate.
-    pub fn set_max_version(&mut self, version: u8) {
-        self.max_version = version;
     }
 
     /// Attempts to decode the next complete message. `Ok(None)` means
@@ -1426,11 +1211,6 @@ impl ServiceCodec {
         if used != len {
             return Err(DecodeError::MalformedLength);
         }
-        let version = frame[1]; // validated by decode
-        if version > self.max_version {
-            return Err(DecodeError::UnsupportedVersion(version));
-        }
-        self.peer_version = Some(version);
         self.buffer.advance(2 + len);
         Ok(Some(msg))
     }
@@ -1488,9 +1268,11 @@ impl ScatterEncoder {
         self.frames = 0;
     }
 
-    /// Appends one length-prefixed frame at the given wire version.
+    /// Appends one length-prefixed frame. `version` must be
+    /// [`WIRE_VERSION`], the only version this build speaks.
     pub fn push(&mut self, msg: &ServiceMessage, version: u8) {
-        ServiceCodec::encode_versioned(msg, &mut self.buf, version);
+        assert_eq!(version, WIRE_VERSION, "unsupported wire version");
+        ServiceCodec::encode(msg, &mut self.buf);
         self.frames += 1;
     }
 
@@ -1608,24 +1390,6 @@ mod tests {
         assert_eq!(used, b.len());
     }
 
-    /// A v5 encoding of a deadline-carrying request keeps the v5 byte
-    /// layout exactly (no deadline field) and decodes back with
-    /// `deadline_us = 0` — the deadline is a v6 privilege.
-    #[test]
-    fn v5_request_drops_deadline() {
-        let m = sample_request();
-        let mut b = BytesMut::new();
-        m.encode_into_versioned(&mut b, 5);
-        assert_eq!(b.len(), m.encoded_len_versioned(5));
-        assert_eq!(b.len(), 45 + 24 + 2, "v5 layout unchanged");
-        let (decoded, _) = ServiceMessage::decode(&b).unwrap();
-        let ServiceMessage::Request(mut expect) = m else {
-            unreachable!()
-        };
-        expect.deadline_us = 0;
-        assert_eq!(decoded, ServiceMessage::Request(expect));
-    }
-
     #[test]
     fn response_roundtrip_and_size() {
         let m = sample_response();
@@ -1684,19 +1448,6 @@ mod tests {
             ServiceMessage::decode(&forged),
             Err(DecodeError::UnsupportedVersion(5))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "Overloaded cannot be encoded at wire v5")]
-    fn overloaded_refuses_pre_v6_encode() {
-        let m = ServiceMessage::Error(WirePolicyError {
-            corr: 1,
-            id: 2,
-            code: ServiceErrorCode::Overloaded,
-            retry_after_us: 3,
-        });
-        let mut b = BytesMut::new();
-        m.encode_into_versioned(&mut b, 5);
     }
 
     fn sample_metrics_response() -> ServiceMessage {
@@ -1776,22 +1527,6 @@ mod tests {
         let be = empty.encode();
         assert_eq!(be.len(), 14);
         assert_eq!(ServiceMessage::decode(&be).unwrap().0, empty);
-    }
-
-    #[test]
-    #[should_panic(expected = "MetricsRequest cannot be encoded at wire v6")]
-    fn metrics_request_refuses_pre_v7_encode() {
-        let m = ServiceMessage::MetricsRequest(WireMetricsRequest { id: 1 });
-        let mut b = BytesMut::new();
-        m.encode_into_versioned(&mut b, 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "MetricsResponse cannot be encoded at wire v6")]
-    fn metrics_response_refuses_pre_v7_encode() {
-        let m = sample_metrics_response();
-        let mut b = BytesMut::new();
-        m.encode_into_versioned(&mut b, 6);
     }
 
     #[test]
@@ -1928,24 +1663,6 @@ mod tests {
         assert_eq!(stats.to_array()[21], 22, "degraded serves ride slot 21");
         assert_eq!(stats.to_array()[22], 23, "deadline expiries ride slot 22");
         assert_eq!(stats.to_array()[23], 24, "queue depth peak rides slot 23");
-
-        // A v5 stats frame ships only the 20 pre-v6 counters; the
-        // overload slots come back zero, everything else intact.
-        let v6_frame = ServiceMessage::StatsResponse(WireStatsResponse {
-            id: 9,
-            shard: 2,
-            stats,
-        });
-        let mut v5_frame = BytesMut::new();
-        v6_frame.encode_into_versioned(&mut v5_frame, 5);
-        assert_eq!(v5_frame.len(), 8 + 8 * STATS_COUNTERS_PRE_V6 + 2);
-        let (decoded, _) = ServiceMessage::decode(&v5_frame).unwrap();
-        let ServiceMessage::StatsResponse(r) = decoded else {
-            panic!("stats frame decoded as something else");
-        };
-        assert_eq!(r.stats.injected_faults, 20);
-        assert_eq!(r.stats.shed_rejects, 0);
-        assert_eq!(r.stats.queue_depth_peak, 0);
     }
 
     #[test]
@@ -2065,19 +1782,97 @@ mod tests {
         assert_eq!(ServiceMessage::decode(&b), Err(DecodeError::BadChecksum));
     }
 
-    #[test]
-    fn version_mismatch_rejected() {
-        // Rebuild the message with a bumped version byte and a *valid*
-        // CRC, so the version check itself is exercised.
-        let mut b = sample_request().encode().to_vec();
-        b[1] = WIRE_VERSION + 1;
+    /// `frame` with its version octet replaced by `version` and the
+    /// CRC recomputed, so the version check itself is exercised.
+    fn restamped(frame: &[u8], version: u8) -> Vec<u8> {
+        let mut b = frame.to_vec();
+        b[1] = version;
         let body_len = b.len() - 2;
         let crc = crate::crc::crc16_ccitt(&b[..body_len]);
         b[body_len..].copy_from_slice(&crc.to_be_bytes());
-        assert_eq!(
-            ServiceMessage::decode(&b),
-            Err(DecodeError::UnsupportedVersion(WIRE_VERSION + 1))
-        );
+        b
+    }
+
+    /// One message of every type in the family.
+    fn one_of_each() -> Vec<ServiceMessage> {
+        let error = |code, retry_after_us| {
+            ServiceMessage::Error(WirePolicyError {
+                corr: 3,
+                id: 9,
+                code,
+                retry_after_us,
+            })
+        };
+        vec![
+            sample_request(),
+            sample_response(),
+            error(ServiceErrorCode::TooLarge, 0),
+            error(ServiceErrorCode::Overloaded, 1_500),
+            ServiceMessage::Hello(WireHello {
+                id: 3,
+                max_batch: 256,
+            }),
+            ServiceMessage::Welcome(WireWelcome {
+                id: 3,
+                shards: 4,
+                max_batch: 1024,
+            }),
+            ServiceMessage::StatsRequest(WireStatsRequest { id: 9, shard: 1 }),
+            ServiceMessage::StatsResponse(WireStatsResponse {
+                id: 9,
+                shard: 2,
+                stats: WireServiceStats::default(),
+            }),
+            ServiceMessage::Ping(WirePing { id: 11 }),
+            ServiceMessage::Pong(WirePong { id: 11 }),
+            sample_mix_seed(),
+            ServiceMessage::MixAck(WireMixAck {
+                id: 21,
+                absorbed: 2,
+                grids_built: 1,
+            }),
+            ServiceMessage::MetricsRequest(WireMetricsRequest { id: 5 }),
+            sample_metrics_response(),
+        ]
+    }
+
+    /// Every message type is accepted only at [`WIRE_VERSION`]: any
+    /// other version octet (with a valid CRC) is `UnsupportedVersion`,
+    /// while a corrupted version octet (stale CRC) is a checksum error.
+    #[test]
+    fn version_mismatch_rejected() {
+        for m in one_of_each() {
+            let b = m.encode();
+            assert_eq!(ServiceMessage::decode(&b).unwrap().0, m);
+            for version in [0u8, 4, 5, 6, WIRE_VERSION + 1, 255] {
+                assert_eq!(
+                    ServiceMessage::decode(&restamped(&b, version)),
+                    Err(DecodeError::UnsupportedVersion(version)),
+                    "{m:?} stamped v{version}"
+                );
+                let mut corrupt = b.to_vec();
+                corrupt[1] = version;
+                assert_eq!(
+                    ServiceMessage::decode(&corrupt),
+                    Err(DecodeError::BadChecksum),
+                    "{m:?} with a corrupt version octet {version}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn versions_below_min_rejected() {
+        // WIRE_VERSION is also the oldest version served: every lower
+        // stamp with a valid CRC is refused, none falls back to an older
+        // layout.
+        let b = sample_request().encode();
+        for version in 0..WIRE_VERSION {
+            assert_eq!(
+                ServiceMessage::decode(&restamped(&b, version)),
+                Err(DecodeError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]
@@ -2145,105 +1940,6 @@ mod tests {
         let mut codec = ServiceCodec::new();
         codec.feed(&wire);
         assert!(codec.next_message().is_err());
-    }
-
-    /// A v4 encoding of the three data-plane messages keeps the v4
-    /// byte layout exactly (4 bytes shorter — no correlation id) and
-    /// decodes on a v5 binary with `corr = 0`.
-    #[test]
-    fn v4_frames_roundtrip_with_zero_corr() {
-        let strip_corr = |m: &ServiceMessage| match m.clone() {
-            ServiceMessage::Request(mut r) => {
-                r.corr = 0;
-                r.deadline_us = 0;
-                ServiceMessage::Request(r)
-            }
-            ServiceMessage::Response(mut r) => {
-                r.corr = 0;
-                ServiceMessage::Response(r)
-            }
-            ServiceMessage::Error(mut e) => {
-                e.corr = 0;
-                ServiceMessage::Error(e)
-            }
-            other => other,
-        };
-        let error = ServiceMessage::Error(WirePolicyError {
-            corr: 55,
-            id: 9,
-            code: ServiceErrorCode::TooLarge,
-            retry_after_us: 0,
-        });
-        for (m, v4_len) in [
-            (sample_request(), 41 + 24 + 2),
-            (sample_response(), 43 + 32 + 2),
-            (error, 9),
-        ] {
-            let mut b = BytesMut::new();
-            m.encode_into_versioned(&mut b, 4);
-            assert_eq!(b.len(), m.encoded_len_versioned(4));
-            assert_eq!(b.len(), v4_len);
-            assert_eq!(b[1], 4, "version octet rides at offset 1");
-            let (decoded, used) = ServiceMessage::decode(&b).unwrap();
-            assert_eq!(used, b.len());
-            assert_eq!(decoded, strip_corr(&m));
-        }
-        // Non-data-plane messages only differ in the version octet.
-        let ping = ServiceMessage::Ping(WirePing { id: 3 });
-        let mut b4 = BytesMut::new();
-        ping.encode_into_versioned(&mut b4, 4);
-        let b5 = ping.encode();
-        assert_eq!(b4.len(), b5.len());
-        assert_eq!(ServiceMessage::decode(&b4).unwrap().0, ping);
-    }
-
-    #[test]
-    fn versions_below_min_rejected() {
-        // A v3-stamped frame (v4 layout, valid CRC) must be refused —
-        // the compat window opens at MIN_WIRE_VERSION, not at zero.
-        let mut b = BytesMut::new();
-        sample_request().encode_into_versioned(&mut b, 4);
-        let mut b = b.to_vec();
-        b[1] = MIN_WIRE_VERSION - 1;
-        let body_len = b.len() - 2;
-        let crc = crate::crc::crc16_ccitt(&b[..body_len]);
-        b[body_len..].copy_from_slice(&crc.to_be_bytes());
-        assert_eq!(
-            ServiceMessage::decode(&b),
-            Err(DecodeError::UnsupportedVersion(MIN_WIRE_VERSION - 1))
-        );
-    }
-
-    /// The codec remembers what the peer speaks and can emulate an
-    /// older binary via the max-version clamp.
-    #[test]
-    fn codec_tracks_peer_version_and_clamps() {
-        let mut codec = ServiceCodec::new();
-        assert_eq!(codec.peer_version(), None);
-
-        let mut v5 = BytesMut::new();
-        ServiceCodec::encode(&sample_request(), &mut v5);
-        codec.feed(&v5);
-        assert!(codec.next_message().unwrap().is_some());
-        assert_eq!(codec.peer_version(), Some(WIRE_VERSION));
-
-        let mut v4 = BytesMut::new();
-        ServiceCodec::encode_versioned(&sample_request(), &mut v4, 4);
-        codec.feed(&v4);
-        assert!(codec.next_message().unwrap().is_some());
-        assert_eq!(codec.peer_version(), Some(4));
-
-        // A v4-clamped codec refuses v5 frames the way a real v4
-        // binary would — UnsupportedVersion, fatal for the stream.
-        let mut old = ServiceCodec::new();
-        old.set_max_version(4);
-        old.feed(&v4);
-        assert!(old.next_message().unwrap().is_some());
-        old.feed(&v5);
-        assert_eq!(
-            old.next_message(),
-            Err(DecodeError::UnsupportedVersion(WIRE_VERSION))
-        );
     }
 
     /// The scatter encoder frames batches into one reusable buffer:
@@ -2425,7 +2121,7 @@ mod tests {
         }
 
         /// MixSeed round-trips for arbitrary family lists, and every
-        /// proper truncation fails with Truncated — the v4 warm-handoff
+        /// proper truncation fails with Truncated — the warm-handoff
         /// message inherits the framing discipline of the rest of the
         /// family.
         #[test]
@@ -2497,19 +2193,19 @@ mod tests {
             prop_assert!(ServiceMessage::decode(&b).is_err());
         }
 
-        /// Cross-version interop: any request encoded at v4 decodes on
-        /// this build as the same message with `corr = 0`, and every
-        /// truncation/single-byte corruption of the v4 frame is still
-        /// a clean rejection.
+        /// Cross-version interop: a v4 peer's request is refused, never
+        /// misread. Its genuine v4 layout (no correlation id, no
+        /// deadline) and the current layout stamped v4 both fail to
+        /// decode — the latter as `UnsupportedVersion(4)` — and every
+        /// truncation is still a clean `Truncated`.
         #[test]
         fn prop_v4_request_interop(
             corr in any::<u32>(),
             id in any::<u32>(),
             budgets in proptest::collection::vec(1e-9f64..1.0, 0..20),
             cut_frac in 0.0f64..1.0,
-            flip in 1u8..=255,
         ) {
-            let mut m = WirePolicyRequest {
+            let b = ServiceMessage::Request(WirePolicyRequest {
                 corr,
                 id,
                 deadline_us: id ^ corr,
@@ -2519,37 +2215,36 @@ mod tests {
                 listen_w: 1e-3,
                 transmit_w: 1e-3,
                 budgets_w: budgets,
-            };
-            let mut b = BytesMut::new();
-            ServiceMessage::Request(m.clone()).encode_into_versioned(&mut b, 4);
-            let (decoded, used) = ServiceMessage::decode(&b).unwrap();
-            prop_assert_eq!(used, b.len());
-            m.corr = 0;
-            m.deadline_us = 0;
-            prop_assert_eq!(decoded, ServiceMessage::Request(m));
+            })
+            .encode();
+            let v4 = restamped(&b, 4);
+            prop_assert_eq!(
+                ServiceMessage::decode(&v4),
+                Err(DecodeError::UnsupportedVersion(4))
+            );
+            // The v4 layout: drop corr (bytes 2..6) and deadline (10..14).
+            let mut legacy = b[..2].to_vec();
+            legacy.extend_from_slice(&b[6..10]);
+            legacy.extend_from_slice(&b[14..]);
+            prop_assert!(ServiceMessage::decode(&restamped(&legacy, 4)).is_err());
 
             let cut = ((b.len() - 1) as f64 * cut_frac) as usize;
             prop_assert!(matches!(
-                ServiceMessage::decode(&b[..cut]),
+                ServiceMessage::decode(&v4[..cut]),
                 Err(DecodeError::Truncated { .. })
             ));
-            let mut corrupt = b.to_vec();
-            let pos = ((b.len() - 1) as f64 * cut_frac) as usize;
-            corrupt[pos] ^= flip;
-            prop_assert!(ServiceMessage::decode(&corrupt).is_err());
         }
 
         /// Cross-version interop for the other correlated data-plane
-        /// frames: responses and errors encoded at v4 decode as the
-        /// same message with `corr = 0`, and truncation/single-byte
-        /// corruption of the v4 frame is still a clean rejection.
+        /// frames: a response or error in the v4 layout (no correlation
+        /// id) or stamped v4 is refused, and every truncation is still a
+        /// clean `Truncated`.
         #[test]
         fn prop_v4_response_and_error_interop(
             corr in any::<u32>(),
             id in any::<u32>(),
             is_error in any::<bool>(),
             cut_frac in 0.0f64..1.0,
-            flip in 1u8..=255,
         ) {
             let m = if is_error {
                 ServiceMessage::Error(WirePolicyError {
@@ -2566,44 +2261,33 @@ mod tests {
                 r.id = id;
                 ServiceMessage::Response(r)
             };
-            let mut b = BytesMut::new();
-            m.encode_into_versioned(&mut b, 4);
-            let (decoded, used) = ServiceMessage::decode(&b).unwrap();
-            prop_assert_eq!(used, b.len());
-            let expected = match m {
-                ServiceMessage::Error(mut e) => {
-                    e.corr = 0;
-                    ServiceMessage::Error(e)
-                }
-                ServiceMessage::Response(mut r) => {
-                    r.corr = 0;
-                    ServiceMessage::Response(r)
-                }
-                _ => unreachable!(),
-            };
-            prop_assert_eq!(decoded, expected);
+            let b = m.encode();
+            let v4 = restamped(&b, 4);
+            prop_assert_eq!(
+                ServiceMessage::decode(&v4),
+                Err(DecodeError::UnsupportedVersion(4))
+            );
+            let mut legacy = b[..2].to_vec();
+            legacy.extend_from_slice(&b[6..]);
+            prop_assert!(ServiceMessage::decode(&restamped(&legacy, 4)).is_err());
 
             let cut = ((b.len() - 1) as f64 * cut_frac) as usize;
             prop_assert!(matches!(
-                ServiceMessage::decode(&b[..cut]),
+                ServiceMessage::decode(&v4[..cut]),
                 Err(DecodeError::Truncated { .. })
             ));
-            let mut corrupt = b.to_vec();
-            let pos = ((corrupt.len() - 1) as f64 * cut_frac) as usize;
-            corrupt[pos] ^= flip;
-            prop_assert!(ServiceMessage::decode(&corrupt).is_err());
         }
 
-        /// A concatenated stream interleaving v4 and v5 frames decodes
-        /// through the codec with every correlation id preserved (v5)
-        /// or zeroed (v4), in stream order — and cutting the stream at
-        /// any byte boundary still yields exactly the complete frames
-        /// before the cut (the codec never mis-frames across a
-        /// version change mid-stream).
+        /// A stream that switches version mid-way stops there: the
+        /// codec yields every current-version frame before the first
+        /// foreign-stamped one, in order with their correlation ids,
+        /// then fails with `UnsupportedVersion` — and cutting the
+        /// stream at any byte boundary yields exactly the complete
+        /// frames before the cut (up to that first foreign frame).
         #[test]
         fn prop_mixed_version_stream_decode(
             frames in proptest::collection::vec(
-                (any::<u32>(), any::<u32>(), any::<bool>(), 0usize..6),
+                (any::<u32>(), any::<u32>(), 0u8..8, 0usize..6),
                 1..12,
             ),
             cut_frac in 0.0f64..1.0,
@@ -2611,7 +2295,8 @@ mod tests {
             let mut stream = BytesMut::new();
             let mut boundaries = vec![0usize];
             let mut expected = Vec::new();
-            for &(corr, id, v5, n) in &frames {
+            let mut foreign = None;
+            for &(corr, id, pick, n) in &frames {
                 let m = ServiceMessage::Request(WirePolicyRequest {
                     corr,
                     id,
@@ -2623,22 +2308,44 @@ mod tests {
                     transmit_w: 1e-3,
                     budgets_w: vec![1e-3; n],
                 });
-                ServiceCodec::encode_versioned(&m, &mut stream, if v5 { 5 } else { 4 });
+                let mut framed = BytesMut::new();
+                ServiceCodec::encode(&m, &mut framed);
+                let mut framed = framed.to_vec();
+                // Picks 0..3 stamp an older version (4, 5, 6).
+                if pick < 3 {
+                    let version = 4 + pick;
+                    let body = restamped(&framed[2..], version);
+                    framed.truncate(2);
+                    framed.extend_from_slice(&body);
+                    foreign.get_or_insert((boundaries.len() - 1, version));
+                } else if foreign.is_none() {
+                    expected.push((corr, id));
+                }
+                stream.extend_from_slice(&framed);
                 boundaries.push(stream.len());
-                expected.push((if v5 { corr } else { 0 }, id));
             }
             let mut codec = ServiceCodec::new();
             codec.feed(&stream);
             let mut got = Vec::new();
-            while let Ok(Some(ServiceMessage::Request(r))) = codec.next_message() {
-                got.push((r.corr, r.id));
-            }
+            let end = loop {
+                match codec.next_message() {
+                    Ok(Some(ServiceMessage::Request(r))) => got.push((r.corr, r.id)),
+                    other => break other,
+                }
+            };
             prop_assert_eq!(&got, &expected);
+            match foreign {
+                Some((_, version)) => {
+                    prop_assert_eq!(end, Err(DecodeError::UnsupportedVersion(version)))
+                }
+                None => prop_assert_eq!(end, Ok(None)),
+            }
 
             // Any cut point: every frame wholly before the cut decodes,
-            // nothing after it does.
+            // nothing after it (or after the first foreign frame) does.
             let cut = (stream.len() as f64 * cut_frac) as usize;
             let whole = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
+            let whole = foreign.map_or(whole, |(k, _)| whole.min(k));
             let mut codec = ServiceCodec::new();
             codec.feed(&stream[..cut]);
             let mut got = 0usize;
@@ -2648,7 +2355,7 @@ mod tests {
             prop_assert_eq!(got, whole);
         }
 
-        /// Every Overloaded reply is well-formed v6 wire: exactly 16
+        /// Every Overloaded reply is well-formed wire: exactly 16
         /// bytes on the 0x1B type, round-trips bit-exactly for any
         /// (corr, id, retry) triple, and every truncation or
         /// single-byte corruption is a clean typed rejection.
@@ -2686,10 +2393,10 @@ mod tests {
             prop_assert!(ServiceMessage::decode(&corrupt).is_err());
         }
 
-        /// Deadline interop: a v6 request round-trips its deadline
-        /// bit-exactly, while v4/v5 encodings of the same request keep
-        /// their historical layouts (no deadline octets anywhere) and
-        /// decode with `deadline_us = 0`.
+        /// Deadline interop: a request round-trips its deadline
+        /// bit-exactly, while the same request stamped with an older
+        /// version (4, 5 or 6) is refused rather than decoded with the
+        /// deadline dropped.
         #[test]
         fn prop_deadline_version_interop(
             corr in any::<u32>(),
@@ -2697,7 +2404,7 @@ mod tests {
             deadline_us in 1u32..u32::MAX,
             n in 0usize..12,
         ) {
-            let m = WirePolicyRequest {
+            let m = ServiceMessage::Request(WirePolicyRequest {
                 corr,
                 id,
                 deadline_us,
@@ -2707,23 +2414,17 @@ mod tests {
                 listen_w: 1e-3,
                 transmit_w: 1e-3,
                 budgets_w: vec![1e-3; n],
-            };
-            let b6 = ServiceMessage::Request(m.clone()).encode();
-            prop_assert_eq!(b6.len(), 49 + 8 * n + 2);
-            let (d6, _) = ServiceMessage::decode(&b6).unwrap();
-            prop_assert_eq!(d6, ServiceMessage::Request(m.clone()));
+            });
+            let b = m.encode();
+            prop_assert_eq!(b.len(), 49 + 8 * n + 2);
+            let (decoded, _) = ServiceMessage::decode(&b).unwrap();
+            prop_assert_eq!(decoded, m);
 
-            for (version, fixed) in [(5u8, 45usize), (4u8, 41usize)] {
-                let mut b = BytesMut::new();
-                ServiceMessage::Request(m.clone()).encode_into_versioned(&mut b, version);
-                prop_assert_eq!(b.len(), fixed + 8 * n + 2);
-                let (decoded, _) = ServiceMessage::decode(&b).unwrap();
-                let mut expect = m.clone();
-                expect.deadline_us = 0;
-                if version < 5 {
-                    expect.corr = 0;
-                }
-                prop_assert_eq!(decoded, ServiceMessage::Request(expect));
+            for version in [4u8, 5, 6] {
+                prop_assert_eq!(
+                    ServiceMessage::decode(&restamped(&b, version)),
+                    Err(DecodeError::UnsupportedVersion(version))
+                );
             }
         }
 

@@ -17,18 +17,15 @@
 //!    reports the *achieved* gap, so a caller can always see exactly
 //!    what accuracy it got.
 //! 3. **Shed** — depth past capacity: rejected with an explicit
-//!    `Overloaded { retry_after_us }` frame (wire v6). Never a silent
-//!    drop, never a reset.
+//!    `Overloaded { retry_after_us }` frame. Never a silent drop, never
+//!    a reset.
 //!
-//! Peers that negotiated a pre-v6 wire version cannot decode the
-//! `Overloaded` frame, so rung 3 does not apply to them: they are
-//! served (degraded past the threshold) no matter the depth — exactly
-//! what the pre-overload-control server did, which is what keeps v5
-//! interop bit-identical.
+//! A shed request holds no queue slot, so the queue depth — and its
+//! high-water mark — never exceeds the configured capacity.
 //!
 //! ## Deadlines
 //!
-//! A v6 request may carry a `deadline_us` budget, measured from
+//! A request may carry a `deadline_us` budget, measured from
 //! server receipt. The ladder enforces it on the way *out*: a result
 //! whose request ran past its budget is replaced by `Overloaded` —
 //! the caller never receives a result it has already given up on
@@ -82,7 +79,7 @@ pub struct AdmissionController {
     max_queue_delay: Duration,
     /// The queue-depth gauge (level + high-water mark) — the shared
     /// `econcast-metrics` primitive, so the same object feeds the
-    /// ladder, the stats overlay, and a v7 metrics scrape.
+    /// ladder, the stats overlay, and a metrics scrape.
     queue: Gauge,
     shed_rejects: AtomicU64,
     degraded_serves: AtomicU64,
@@ -117,14 +114,11 @@ impl AdmissionController {
         }
     }
 
-    /// Walks one request up the ladder. `can_shed` is whether the
-    /// peer negotiated wire v6 (and can therefore decode an
-    /// `Overloaded` frame); without it the ladder tops out at the
-    /// degraded rung. An admitted request holds one queue slot until
-    /// [`release`](Self::release).
-    pub fn admit(&self, can_shed: bool) -> Admission {
+    /// Walks one request up the ladder. An admitted request holds one
+    /// queue slot until [`release`](Self::release).
+    pub fn admit(&self) -> Admission {
         let depth = self.queue.add(1) as usize;
-        if depth > self.capacity && can_shed {
+        if depth > self.capacity {
             self.queue.sub(1);
             self.shed_rejects.fetch_add(1, Ordering::Relaxed);
             return Admission::Shed {
@@ -132,8 +126,8 @@ impl AdmissionController {
             };
         }
         // Only a *held* slot advances the peak — the shed rung above
-        // released its slot, so all-v6 traffic keeps the peak within
-        // capacity (the CI bounded-memory assertion).
+        // released its slot, so the peak stays within capacity (the
+        // CI bounded-memory assertion).
         self.queue.note_peak(depth as u64);
         if depth > self.degrade_at {
             self.degraded_serves.fetch_add(1, Ordering::Relaxed);
@@ -174,7 +168,7 @@ impl AdmissionController {
         self.queue.value() as usize
     }
 
-    /// The queue-depth gauge itself, for injection into a v7 metrics
+    /// The queue-depth gauge itself, for injection into a metrics
     /// scrape (level under [`GAUGE_QUEUE_DEPTH`], peak under
     /// [`GAUGE_QUEUE_DEPTH_PEAK`]).
     ///
@@ -185,10 +179,8 @@ impl AdmissionController {
     }
 
     /// High-water mark of the queue depth. The shed rung never holds
-    /// a slot, so with all-v6 traffic this never exceeds the
-    /// configured capacity (the CI overload-smoke bounded-memory
-    /// assertion); pre-v6 peers — who cannot be shed — may push it
-    /// past, exactly as far as their unsheddable requests go.
+    /// a slot, so this never exceeds the configured capacity (the CI
+    /// overload-smoke bounded-memory assertion).
     pub fn depth_peak(&self) -> usize {
         self.queue.peak() as usize
     }
@@ -222,8 +214,8 @@ impl AdmissionController {
     /// Overlays the overload counters onto a stats snapshot — the
     /// admission twin of the cluster front's robustness-counter
     /// overlay, so `shed_rejects`/`degraded_serves`/
-    /// `deadline_expired`/`queue_depth_peak` ride the same wire v6
-    /// stats block as the per-tier counters. Counters *fold in*
+    /// `deadline_expired`/`queue_depth_peak` ride the same wire stats
+    /// block as the per-tier counters. Counters *fold in*
     /// (sums, peak via max) rather than overwrite: a cluster front's
     /// aggregate already carries its backends' own admission
     /// counters, and the front's must join them, not erase them.
@@ -243,36 +235,38 @@ mod tests {
     fn ladder_rungs_follow_depth() {
         let a = AdmissionController::new(4, Duration::from_millis(50));
         // degrade_at = 2: slots 1–2 admit, 3–4 degrade, 5 sheds.
-        assert_eq!(a.admit(true), Admission::Admit);
-        assert_eq!(a.admit(true), Admission::Admit);
-        assert_eq!(a.admit(true), Admission::AdmitDegraded);
-        assert_eq!(a.admit(true), Admission::AdmitDegraded);
-        assert!(matches!(a.admit(true), Admission::Shed { .. }));
-        // The shed attempt held no slot: depth and peak stay bounded.
+        assert_eq!(a.admit(), Admission::Admit);
+        assert_eq!(a.admit(), Admission::Admit);
+        assert_eq!(a.admit(), Admission::AdmitDegraded);
+        assert_eq!(a.admit(), Admission::AdmitDegraded);
+        // Every attempt past capacity sheds and holds no slot: depth
+        // and peak stay bounded by the capacity.
+        for _ in 0..8 {
+            assert!(matches!(a.admit(), Admission::Shed { .. }));
+        }
         assert_eq!(a.depth(), 4);
         assert_eq!(a.depth_peak(), 4);
-        // A pre-v6 peer cannot be shed — the ladder tops out degraded.
-        assert_eq!(a.admit(false), Admission::AdmitDegraded);
-        a.release(5, Duration::from_millis(1));
+        a.release(4, Duration::from_millis(1));
         assert_eq!(a.depth(), 0);
-        assert_eq!(a.admit(true), Admission::Admit);
+        assert_eq!(a.admit(), Admission::Admit);
+        assert!(a.depth_peak() <= 4);
     }
 
     #[test]
     fn retry_hint_floors_at_max_queue_delay_and_scales_with_depth() {
         let a = AdmissionController::new(2, Duration::from_millis(50));
-        assert_eq!(a.admit(true), Admission::Admit);
-        assert_eq!(a.admit(true), Admission::AdmitDegraded);
+        assert_eq!(a.admit(), Admission::Admit);
+        assert_eq!(a.admit(), Admission::AdmitDegraded);
         // No service-time observation yet: the floor answers.
-        match a.admit(true) {
+        match a.admit() {
             Admission::Shed { retry_after_us } => assert_eq!(retry_after_us, 50_000),
             other => panic!("expected shed, got {other:?}"),
         }
         // Teach it 100ms/request; two queued => ~200ms drain.
         a.release(2, Duration::from_millis(200));
-        assert_eq!(a.admit(true), Admission::Admit);
-        assert_eq!(a.admit(true), Admission::AdmitDegraded);
-        match a.admit(true) {
+        assert_eq!(a.admit(), Admission::Admit);
+        assert_eq!(a.admit(), Admission::AdmitDegraded);
+        match a.admit() {
             Admission::Shed { retry_after_us } => {
                 assert!(retry_after_us >= 150_000, "got {retry_after_us}");
             }
@@ -283,20 +277,20 @@ mod tests {
     #[test]
     fn external_hint_raises_the_retry_floor() {
         let a = AdmissionController::new(1, Duration::from_millis(10));
-        let _ = a.admit(true);
-        match a.admit(true) {
+        let _ = a.admit();
+        match a.admit() {
             Admission::Shed { retry_after_us } => assert_eq!(retry_after_us, 10_000),
             other => panic!("expected shed, got {other:?}"),
         }
         // A saturated backend advertising 250ms dominates the local
         // floor; clearing it restores the local estimate.
         a.set_external_hint_us(250_000);
-        match a.admit(true) {
+        match a.admit() {
             Admission::Shed { retry_after_us } => assert_eq!(retry_after_us, 250_000),
             other => panic!("expected shed, got {other:?}"),
         }
         a.set_external_hint_us(0);
-        match a.admit(true) {
+        match a.admit() {
             Admission::Shed { retry_after_us } => assert_eq!(retry_after_us, 10_000),
             other => panic!("expected shed, got {other:?}"),
         }
@@ -314,8 +308,8 @@ mod tests {
     #[test]
     fn overlay_reports_counters_and_peak() {
         let a = AdmissionController::new(1, Duration::from_millis(10));
-        let _ = a.admit(true);
-        assert!(matches!(a.admit(true), Admission::Shed { .. }));
+        let _ = a.admit();
+        assert!(matches!(a.admit(), Admission::Shed { .. }));
         a.note_deadline_expired();
         let mut s = ServiceStats::default();
         a.overlay(&mut s);

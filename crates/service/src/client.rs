@@ -7,8 +7,8 @@ use crate::request::PolicyRequest;
 use crate::stats::ServiceStats;
 use econcast_proto::service::{
     ScatterEncoder, ServiceCodec, ServiceMessage, WireHello, WireMetricsRequest, WireMixSeed,
-    WirePing, WirePolicyError, WirePolicyResponse, WireStatsRequest, METRICS_WIRE_VERSION,
-    MIN_WIRE_VERSION, STATS_SHARD_AGGREGATE, WIRE_VERSION,
+    WirePing, WirePolicyError, WirePolicyResponse, WireStatsRequest, STATS_SHARD_AGGREGATE,
+    WIRE_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -19,7 +19,7 @@ use std::time::Duration;
 /// The data plane is pipelined:
 /// [`submit_batch`](PolicyClient::submit_batch) frames a batch into
 /// the connection's reusable scatter buffer, stamps every request
-/// with one fresh wire-v5 correlation id, flushes it (absorbing any
+/// with one fresh correlation id, flushes it (absorbing any
 /// replies that arrive meanwhile), and returns a [`Ticket`];
 /// [`collect`](PolicyClient::collect) blocks until that ticket's
 /// batch completed. Several tickets may be in flight on one
@@ -30,11 +30,9 @@ use std::time::Duration;
 /// submit-then-collect convenience and behaves exactly like the
 /// pre-pipeline call.
 ///
-/// On connect the client offers [`WIRE_VERSION`] and falls back to a
-/// v4 redial when the server hangs up on the unknown version — so a
-/// new client talks to an old server (corr rides as 0 and replies
-/// demultiplex by id range), and an old client's v4 frames still
-/// decode on a new server, which answers in kind.
+/// Every frame rides [`WIRE_VERSION`]; a server built at any other
+/// version drops the `Hello`, and the connect fails instead of
+/// settling on a reduced protocol.
 ///
 /// ## Failure contract
 ///
@@ -64,7 +62,6 @@ pub struct PolicyClient {
     server_max_batch: u16,
     next_id: u32,
     next_corr: u32,
-    wire_version: u8,
 }
 
 /// One batch entry's outcome: the served wire response, or the
@@ -110,12 +107,6 @@ impl Collector {
         (k < self.out.len()).then_some(k)
     }
 
-    /// Whether a reply id falls inside this batch's id range — the
-    /// v4 demultiplexer (no correlation id on the wire).
-    fn owns(&self, id: u32) -> bool {
-        self.slot(id).is_some()
-    }
-
     /// Files a reply; ids outside the batch are ignored.
     fn file(&mut self, id: u32, result: WireResult) {
         if let Some(k) = self.slot(id) {
@@ -138,29 +129,11 @@ impl Collector {
 }
 
 impl PolicyClient {
-    /// Connects and performs the `Hello`/`Welcome` handshake, offering
-    /// the current wire version and redialing at v4 when the server
-    /// turns out to be an older binary (which drops the unknown-version
-    /// hello without a reply). `max_batch` is the largest batch this
-    /// client intends to pipeline (informational, rides the hello).
+    /// Connects and performs the `Hello`/`Welcome` handshake.
+    /// `max_batch` is the largest batch this client intends to
+    /// pipeline (informational, rides the hello).
     pub fn connect(addr: impl ToSocketAddrs, max_batch: u16) -> std::io::Result<Self> {
-        match Self::handshake(TcpStream::connect(&addr)?, max_batch, WIRE_VERSION) {
-            Err(e) if handshake_version_rejected(&e) => {
-                Self::handshake(TcpStream::connect(&addr)?, max_batch, MIN_WIRE_VERSION)
-            }
-            other => other,
-        }
-    }
-
-    /// Connects offering an explicit wire version, with no fallback —
-    /// the cross-version interop knob: `connect_versioned(addr, b, 4)`
-    /// behaves on the wire exactly like a v4-era client binary.
-    pub fn connect_versioned(
-        addr: impl ToSocketAddrs,
-        max_batch: u16,
-        version: u8,
-    ) -> std::io::Result<Self> {
-        Self::handshake(TcpStream::connect(&addr)?, max_batch, version)
+        Self::handshake(TcpStream::connect(addr)?, max_batch)
     }
 
     /// Like [`PolicyClient::connect`], but with `timeout` applied to
@@ -175,22 +148,14 @@ impl PolicyClient {
         max_batch: u16,
         timeout: Duration,
     ) -> std::io::Result<Self> {
-        let dial = |version: u8| -> std::io::Result<Self> {
-            let stream = TcpStream::connect_timeout(&addr, timeout)?;
-            stream.set_read_timeout(Some(timeout))?;
-            stream.set_write_timeout(Some(timeout))?;
-            Self::handshake(stream, max_batch, version)
-        };
-        match dial(WIRE_VERSION) {
-            Err(e) if handshake_version_rejected(&e) => dial(MIN_WIRE_VERSION),
-            other => other,
-        }
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        Self::handshake(stream, max_batch)
     }
 
-    /// Performs the `Hello`/`Welcome` handshake on a connected stream,
-    /// offering `version`. The negotiated connection version is the
-    /// minimum of the offer and what the welcome came stamped with.
-    fn handshake(stream: TcpStream, max_batch: u16, version: u8) -> std::io::Result<Self> {
+    /// Performs the `Hello`/`Welcome` handshake on a connected stream.
+    fn handshake(stream: TcpStream, max_batch: u16) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         let mut client = PolicyClient {
             stream,
@@ -201,13 +166,7 @@ impl PolicyClient {
             server_max_batch: 0,
             next_id: 0,
             next_corr: 1,
-            wire_version: version,
         };
-        if version < WIRE_VERSION {
-            // A client pinned to an old version must also *reject*
-            // newer frames, like the real old binary would.
-            client.codec.set_max_version(version);
-        }
         let id = client.take_id();
         client.send(&ServiceMessage::Hello(WireHello { id, max_batch }))?;
         loop {
@@ -215,11 +174,6 @@ impl PolicyClient {
                 ServiceMessage::Welcome(w) if w.id == id => {
                     client.shards = w.shards;
                     client.server_max_batch = w.max_batch;
-                    // The server echoes the version it will speak; a
-                    // v4 welcome downgrades the connection.
-                    if let Some(peer) = client.codec.peer_version() {
-                        client.wire_version = client.wire_version.min(peer);
-                    }
                     return Ok(client);
                 }
                 // Anything else before the welcome is protocol misuse;
@@ -232,11 +186,6 @@ impl PolicyClient {
     /// Shard count the server advertised.
     pub fn shards(&self) -> u16 {
         self.shards
-    }
-
-    /// The wire version this connection negotiated.
-    pub fn wire_version(&self) -> u8 {
-        self.wire_version
     }
 
     /// Applies a read/write timeout to the underlying stream (`None`
@@ -283,7 +232,7 @@ impl PolicyClient {
         self.server_max_batch
     }
 
-    /// Ships a warm-handoff request mix (`MixSeed`, wire v4) and
+    /// Ships a warm-handoff request mix (`MixSeed`) and
     /// waits for the ack; returns `(families_absorbed, grids_built)`
     /// as reported by the server. The reshard path uses this to seed
     /// the inheriting shard's prewarmer from the departing owner's
@@ -316,11 +265,9 @@ impl PolicyClient {
     }
 
     /// [`submit_batch`](PolicyClient::submit_batch) with a deadline
-    /// budget stamped on every request (wire v6): the server sheds —
-    /// with an explicit `Overloaded` — any request it cannot answer
-    /// within `deadline` of receiving it, rather than serving it
-    /// late. On a pre-v6 connection the stamp has no wire slot and is
-    /// silently dropped, like a v6 server talking to a v5 one.
+    /// budget stamped on every request: the server sheds — with an
+    /// explicit `Overloaded` — any request it cannot answer within
+    /// `deadline` of receiving it, rather than serving it late.
     pub fn submit_batch_deadline(
         &mut self,
         reqs: &[PolicyRequest],
@@ -342,7 +289,7 @@ impl PolicyClient {
                 ServiceMessage::Request(w)
             })
             .collect();
-        self.enc.push_all(&msgs, self.wire_version);
+        self.enc.push_all(&msgs, WIRE_VERSION);
         self.pending.push(PendingBatch {
             corr,
             collector: Collector::new(base, reqs.len()),
@@ -529,22 +476,16 @@ impl PolicyClient {
         }
     }
 
-    /// Routes one decoded message to its in-flight batch: by
-    /// correlation id when the peer stamped one (v5), by id range
-    /// otherwise (v4). Control-plane messages and replies for no
-    /// live ticket are dropped.
+    /// Routes one decoded message to its in-flight batch by
+    /// correlation id. Control-plane messages and replies for no live
+    /// ticket are dropped.
     fn dispatch(&mut self, msg: ServiceMessage) {
         let (corr, id, result) = match msg {
             ServiceMessage::Response(r) => (r.corr, r.id, Ok(r)),
             ServiceMessage::Error(e) => (e.corr, e.id, Err(e)),
             _ => return,
         };
-        let batch = if corr != 0 {
-            self.pending.iter_mut().find(|b| b.corr == corr)
-        } else {
-            self.pending.iter_mut().find(|b| b.collector.owns(id))
-        };
-        if let Some(b) = batch {
+        if let Some(b) = self.pending.iter_mut().find(|b| b.corr == corr) {
             b.collector.file(id, result);
         }
     }
@@ -573,21 +514,9 @@ impl PolicyClient {
         }
     }
 
-    /// Fetches the server's metrics snapshot (wire v7): hub counters,
-    /// injected gauges, and the always-on latency histograms. Errors
-    /// without sending anything when the connection negotiated a
-    /// pre-v7 version — the scrape pair must never reach an older
-    /// peer.
+    /// Fetches the server's metrics snapshot: hub counters, injected
+    /// gauges, and the always-on latency histograms.
     pub fn metrics(&mut self) -> std::io::Result<econcast_metrics::MetricsSnapshot> {
-        if self.wire_version < METRICS_WIRE_VERSION {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                format!(
-                    "metrics scrape needs wire v{METRICS_WIRE_VERSION}, peer speaks v{}",
-                    self.wire_version
-                ),
-            ));
-        }
         let id = self.take_id();
         self.send(&ServiceMessage::MetricsRequest(WireMetricsRequest { id }))?;
         loop {
@@ -624,7 +553,7 @@ impl PolicyClient {
 
     fn send(&mut self, msg: &ServiceMessage) -> std::io::Result<()> {
         debug_assert!(self.enc.is_drained(), "send during an unflushed submit");
-        self.enc.push(msg, self.wire_version);
+        self.enc.push(msg, WIRE_VERSION);
         while !self.enc.is_drained() {
             let n = (&self.stream).write(self.enc.pending())?;
             if n == 0 {
@@ -664,17 +593,4 @@ impl PolicyClient {
             self.codec.feed(&buf[..n]);
         }
     }
-}
-
-/// Whether a handshake failure looks like "old server dropped our
-/// v5 hello" — the silent-close behaviour of a pre-v5 binary whose
-/// codec hit `UnsupportedVersion` — rather than a dead endpoint.
-fn handshake_version_rejected(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::UnexpectedEof
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::BrokenPipe
-    )
 }

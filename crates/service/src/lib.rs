@@ -73,8 +73,8 @@ pub use metrics::{snapshot_from_wire, snapshot_to_wire};
 pub use prewarm::{mix_from_wire, mix_to_wire, MixRecorder, PrewarmConfig};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
 pub use server::{
-    serve_connection, serve_connection_admitted, serve_connection_gated, serve_connection_opts,
-    ConnOptions, PolicyServer, ServeTarget, ServerConfig, ServerHandle,
+    serve_connection, serve_connection_admitted, serve_connection_gated, PolicyServer, ServeTarget,
+    ServerConfig, ServerHandle,
 };
 pub use service::{PolicyService, ServiceConfig};
 pub use shard::{RouterConfig, ShardRouter};

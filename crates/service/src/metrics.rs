@@ -1,4 +1,4 @@
-//! v7 metrics-plane glue: converting between the in-process
+//! Metrics-plane glue: converting between the in-process
 //! [`MetricsSnapshot`] and its wire form, shared by every front-end
 //! that answers a `MetricsRequest`.
 //!

@@ -74,7 +74,7 @@ pub enum ServiceError {
     },
     /// The admission queue is past its shed ladder: the request was
     /// rejected (or its deadline expired) rather than served late.
-    /// Rides the dedicated v6 `Overloaded` frame, never `0x12`.
+    /// Rides the dedicated `Overloaded` frame, never `0x12`.
     Overloaded {
         /// Server's drain-time estimate: retry no sooner than this.
         retry_after_us: u32,

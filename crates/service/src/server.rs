@@ -43,8 +43,7 @@ use econcast_metrics::{
 };
 use econcast_proto::service::{
     ServiceCodec, ServiceErrorCode, ServiceMessage, WireMetricsResponse, WireMixAck,
-    WirePolicyError, WirePong, WireStatsResponse, WireWelcome, METRICS_WIRE_VERSION,
-    OVERLOAD_WIRE_VERSION, STATS_SHARD_AGGREGATE, WIRE_VERSION,
+    WirePolicyError, WirePong, WireStatsResponse, WireWelcome, STATS_SHARD_AGGREGATE,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -66,12 +65,6 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Whether to run the background prewarm thread.
     pub background_prewarm: bool,
-    /// Highest wire version this server speaks. Frames above it are a
-    /// fatal decode error (the connection drops without a reply),
-    /// which is exactly how a binary predating that version behaves —
-    /// pin to 4 to stand in for a pre-pipelining server in
-    /// cross-version tests.
-    pub max_wire_version: u8,
 }
 
 impl Default for ServerConfig {
@@ -81,7 +74,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             max_batch: 1024,
             background_prewarm: true,
-            max_wire_version: WIRE_VERSION,
         }
     }
 }
@@ -201,10 +193,7 @@ impl PolicyServer {
             svc.queue_capacity,
             svc.max_queue_delay,
         ));
-        let opts = ConnOptions {
-            max_batch: self.cfg.max_batch.max(1),
-            max_wire_version: self.cfg.max_wire_version,
-        };
+        let max_batch = self.cfg.max_batch.max(1);
 
         let acceptor = {
             let (stop, router) = (Arc::clone(&stop), Arc::clone(&router));
@@ -245,7 +234,7 @@ impl PolicyServer {
                             }
                         }
                         let _slot = SlotGuard(gate);
-                        serve_connection_admitted(stream, &*router, opts, &admission, &stop);
+                        serve_connection_admitted(stream, &*router, max_batch, &admission, &stop);
                     });
                 }
             })
@@ -364,8 +353,8 @@ pub trait ServeTarget {
     /// refusal.
     fn stats(&self, shard: u16) -> Option<crate::stats::ServiceStats>;
 
-    /// Absorbs a warm-handoff request mix (a `MixSeed` message, wire
-    /// v4) into the target's prewarmer; returns `(families_absorbed,
+    /// Absorbs a warm-handoff request mix (a `MixSeed` message) into
+    /// the target's prewarmer; returns `(families_absorbed,
     /// grids_built)`. The default ignores the seed — only targets
     /// with a grid prewarmer override this.
     fn seed_mix(&self, mix: &[(FamilyKey, u64)]) -> (usize, usize) {
@@ -373,7 +362,7 @@ pub trait ServeTarget {
         (0, 0)
     }
 
-    /// A point-in-time metrics scrape (wire v7): the process-global
+    /// A point-in-time metrics scrape: the process-global
     /// counter/histogram hub plus whatever gauges this target owns.
     /// The default serves the bare hub snapshot; targets that own
     /// gauge sources (LRU residency, cluster slot health) override
@@ -428,26 +417,6 @@ const DRAIN_GRACE: Duration = Duration::from_secs(2);
 /// How long shutdown waits for live handlers to drain.
 const DRAIN_WAIT: Duration = Duration::from_secs(5);
 
-/// Per-connection protocol options; what [`serve_connection_opts`]
-/// needs beyond the stream and the target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnOptions {
-    /// Largest request batch served as one unit.
-    pub max_batch: usize,
-    /// Highest wire version spoken (see
-    /// [`ServerConfig::max_wire_version`]).
-    pub max_wire_version: u8,
-}
-
-impl Default for ConnOptions {
-    fn default() -> Self {
-        ConnOptions {
-            max_batch: 1024,
-            max_wire_version: WIRE_VERSION,
-        }
-    }
-}
-
 /// Serves one connection until EOF, I/O error, or a (fatal) decode
 /// error — the single protocol loop shared by every TCP front-end
 /// (see [`ServeTarget`]). Equivalent to [`serve_connection_gated`]
@@ -469,18 +438,10 @@ pub fn serve_connection_gated(
     max_batch: usize,
     stop: &AtomicBool,
 ) {
-    serve_connection_opts(
-        stream,
-        target,
-        ConnOptions {
-            max_batch,
-            ..ConnOptions::default()
-        },
-        stop,
-    );
+    serve_connection_inner(stream, target, max_batch, None, stop);
 }
 
-/// [`serve_connection_opts`] with the overload-control plane armed:
+/// [`serve_connection_gated`] with the overload-control plane armed:
 /// every request walks `admission`'s shed ladder before joining a
 /// batch (see [`crate::admission`]), deadline-carrying batches are
 /// served earliest-deadline-first, results that outlived their
@@ -491,32 +452,11 @@ pub fn serve_connection_gated(
 pub fn serve_connection_admitted(
     stream: TcpStream,
     target: &impl ServeTarget,
-    opts: ConnOptions,
+    max_batch: usize,
     admission: &AdmissionController,
     stop: &AtomicBool,
 ) {
-    serve_connection_inner(stream, target, opts, Some(admission), stop);
-}
-
-/// The full-option connection loop behind [`serve_connection`] and
-/// [`serve_connection_gated`].
-///
-/// The read path is greedy: after each blocking read it drains
-/// whatever else the client already queued (non-blocking), so a
-/// pipelined client's second and third batches ride the same serve
-/// cycle instead of waiting out another wakeup. The write path
-/// streams: each batch's replies are flushed as soon as that batch is
-/// served, so the first submitted batch's responses are on the wire
-/// while later batches are still being solved. Replies echo the
-/// request's correlation id and are encoded at the version the peer
-/// spoke, clamped to [`ConnOptions::max_wire_version`].
-pub fn serve_connection_opts(
-    stream: TcpStream,
-    target: &impl ServeTarget,
-    opts: ConnOptions,
-    stop: &AtomicBool,
-) {
-    serve_connection_inner(stream, target, opts, None, stop);
+    serve_connection_inner(stream, target, max_batch, Some(admission), stop);
 }
 
 /// One admitted request's batch bookkeeping: reply routing (`corr`,
@@ -530,19 +470,28 @@ struct ReqMeta {
     arrival: Instant,
 }
 
+/// The connection loop behind every `serve_connection*` entry point.
+///
+/// The read path is greedy: after each blocking read it drains
+/// whatever else the client already queued (non-blocking), so a
+/// pipelined client's second and third batches ride the same serve
+/// cycle instead of waiting out another wakeup. The write path
+/// streams: each batch's replies are flushed as soon as that batch is
+/// served, so the first submitted batch's responses are on the wire
+/// while later batches are still being solved. Replies echo the
+/// request's correlation id.
 fn serve_connection_inner(
     mut stream: TcpStream,
     target: &impl ServeTarget,
-    opts: ConnOptions,
+    max_batch: usize,
     admission: Option<&AdmissionController>,
     stop: &AtomicBool,
 ) {
     use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
-    let max_batch = opts.max_batch.max(1);
+    let max_batch = max_batch.max(1);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(GATE_TICK));
     let mut codec = ServiceCodec::new();
-    codec.set_max_version(opts.max_wire_version);
     // Reused across cycles: the read buffer, the encoded-reply buffer
     // and the batch scratch — steady-state serving allocates nothing
     // but the responses themselves.
@@ -605,13 +554,6 @@ fn serve_connection_inner(
             // the codec contract says — no best-effort resync.
             return;
         };
-        // Replies speak the version the client does (a v4 client
-        // must not receive v5 frames), clamped to what this server
-        // is allowed to speak.
-        let version = codec
-            .peer_version()
-            .unwrap_or(opts.max_wire_version)
-            .min(opts.max_wire_version);
 
         for msg in messages {
             match msg {
@@ -621,18 +563,14 @@ fn serve_connection_inner(
                     // stream out before the next batch is solved.
                     if let Some(m) = ids.first() {
                         if m.corr != w.corr {
-                            serve_into(target, &mut ids, &mut batch, &mut out, version, admission);
+                            serve_into(target, &mut ids, &mut batch, &mut out, admission);
                             if flush(&mut stream, &mut out).is_err() {
                                 return;
                             }
                         }
                     }
-                    // The shed ladder: only peers that negotiated v6
-                    // can decode an `Overloaded` frame; older peers
-                    // top out at the degraded rung, never a drop.
-                    let can_shed = version >= OVERLOAD_WIRE_VERSION;
                     let decision = admission
-                        .map(|a| a.admit(can_shed))
+                        .map(AdmissionController::admit)
                         .unwrap_or(Admission::Admit);
                     match decision {
                         Admission::Shed { retry_after_us } => {
@@ -644,7 +582,7 @@ fn serve_connection_inner(
                                 u64::from(retry_after_us),
                             );
                             econcast_metrics::counter_add(CTR_OVERLOADED_SENT, 1);
-                            ServiceCodec::encode_versioned(
+                            ServiceCodec::encode(
                                 &ServiceMessage::Error(WirePolicyError {
                                     corr: w.corr,
                                     id: w.id,
@@ -652,7 +590,6 @@ fn serve_connection_inner(
                                     retry_after_us,
                                 }),
                                 &mut out,
-                                version,
                             );
                         }
                         rung => {
@@ -669,9 +606,7 @@ fn serve_connection_inner(
                             });
                             batch.push(req);
                             if batch.len() >= max_batch {
-                                serve_into(
-                                    target, &mut ids, &mut batch, &mut out, version, admission,
-                                );
+                                serve_into(target, &mut ids, &mut batch, &mut out, admission);
                                 if flush(&mut stream, &mut out).is_err() {
                                     return;
                                 }
@@ -680,14 +615,13 @@ fn serve_connection_inner(
                     }
                 }
                 ServiceMessage::Hello(h) => {
-                    ServiceCodec::encode_versioned(
+                    ServiceCodec::encode(
                         &ServiceMessage::Welcome(WireWelcome {
                             id: h.id,
                             shards: target.shard_count() as u16,
                             max_batch: max_batch.min(usize::from(u16::MAX)) as u16,
                         }),
                         &mut out,
-                        version,
                     );
                 }
                 ServiceMessage::StatsRequest(r) => {
@@ -716,57 +650,45 @@ fn serve_connection_inner(
                             retry_after_us: 0,
                         }),
                     };
-                    ServiceCodec::encode_versioned(&msg, &mut out, version);
+                    ServiceCodec::encode(&msg, &mut out);
                 }
                 // Liveness probe: answer immediately, touching no
                 // shard state (health checkers ride a tight cadence).
                 ServiceMessage::Ping(p) => {
-                    ServiceCodec::encode_versioned(
-                        &ServiceMessage::Pong(WirePong { id: p.id }),
-                        &mut out,
-                        version,
-                    );
+                    ServiceCodec::encode(&ServiceMessage::Pong(WirePong { id: p.id }), &mut out);
                 }
                 // Warm handoff: fold the shipped mix into the
                 // prewarmer and report what happened.
                 ServiceMessage::MixSeed(s) => {
                     let mix = crate::prewarm::mix_from_wire(&s.families);
                     let (absorbed, grids_built) = target.seed_mix(&mix);
-                    ServiceCodec::encode_versioned(
+                    ServiceCodec::encode(
                         &ServiceMessage::MixAck(WireMixAck {
                             id: s.id,
                             absorbed: absorbed.min(usize::from(u16::MAX)) as u16,
                             grids_built: grids_built.min(usize::from(u16::MAX)) as u16,
                         }),
                         &mut out,
-                        version,
                     );
                 }
-                // Metrics scrape (wire v7): the target's snapshot
-                // (hub counters + histograms + target-owned gauges)
-                // with the front's admission queue gauge injected on
-                // top. The frame only ever rides a v7 reply stream —
-                // the request itself is v7-stamped, so `version` is
-                // only below 7 if this server is pinned older, and a
-                // pinned server's codec already dropped the stream.
+                // Metrics scrape: the target's snapshot (hub counters +
+                // histograms + target-owned gauges) with the front's
+                // admission queue gauge injected on top.
                 ServiceMessage::MetricsRequest(r) => {
-                    if version >= METRICS_WIRE_VERSION {
-                        let mut snap = target.metrics();
-                        if let Some(a) = admission {
-                            let g = a.queue_gauge();
-                            snap.gauges[GAUGE_QUEUE_DEPTH].1 += g.value();
-                            let peak = &mut snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1;
-                            *peak = (*peak).max(g.peak());
-                        }
-                        ServiceCodec::encode_versioned(
-                            &ServiceMessage::MetricsResponse(WireMetricsResponse {
-                                id: r.id,
-                                snapshot: crate::metrics::snapshot_to_wire(&snap),
-                            }),
-                            &mut out,
-                            version,
-                        );
+                    let mut snap = target.metrics();
+                    if let Some(a) = admission {
+                        let g = a.queue_gauge();
+                        snap.gauges[GAUGE_QUEUE_DEPTH].1 += g.value();
+                        let peak = &mut snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1;
+                        *peak = (*peak).max(g.peak());
                     }
+                    ServiceCodec::encode(
+                        &ServiceMessage::MetricsResponse(WireMetricsResponse {
+                            id: r.id,
+                            snapshot: crate::metrics::snapshot_to_wire(&snap),
+                        }),
+                        &mut out,
+                    );
                 }
                 // Server-to-client message types arriving here are
                 // protocol misuse; drop them.
@@ -779,7 +701,7 @@ fn serve_connection_inner(
                 | ServiceMessage::MetricsResponse(_) => {}
             }
         }
-        serve_into(target, &mut ids, &mut batch, &mut out, version, admission);
+        serve_into(target, &mut ids, &mut batch, &mut out, admission);
         if flush(&mut stream, &mut out).is_err() {
             return;
         }
@@ -815,7 +737,6 @@ fn serve_into(
     ids: &mut Vec<ReqMeta>,
     batch: &mut Vec<PolicyRequest>,
     out: &mut BytesMut,
-    version: u8,
     admission: Option<&AdmissionController>,
 ) {
     if batch.is_empty() {
@@ -834,8 +755,6 @@ fn serve_into(
         let expired = m.deadline_us != 0
             && m.arrival.elapsed() > Duration::from_micros(u64::from(m.deadline_us));
         let mut msg = if expired {
-            // `deadline_us` only decodes on a v6 frame, so `version`
-            // is ≥ 6 here and the peer can decode the reply.
             if let Some(a) = admission {
                 a.note_deadline_expired();
             }
@@ -858,7 +777,7 @@ fn serve_into(
             ServiceMessage::Error(e) => e.corr = m.corr,
             _ => unreachable!(),
         }
-        ServiceCodec::encode_versioned(&msg, out, version);
+        ServiceCodec::encode(&msg, out);
     }
     econcast_trace::complete_from(
         "proto",

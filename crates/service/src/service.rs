@@ -106,11 +106,9 @@ pub struct ServiceConfig {
     /// macro then costs one relaxed atomic load and a branch.
     pub trace: econcast_trace::TraceConfig,
     /// Admission-queue capacity (requests) in front of `serve_batch`
-    /// on the socket server. Past it, wire-v6 callers get an explicit
-    /// `Overloaded { retry_after_us }`; pre-v6 callers (which cannot
-    /// decode that frame) are served through the full degrade ladder
-    /// instead — never a silent drop or reset either way. The
-    /// in-process `serve_batch` path is unaffected (closed-loop, the
+    /// on the socket server. Past it, callers get an explicit
+    /// `Overloaded { retry_after_us }` — never a silent drop or
+    /// reset. The in-process `serve_batch` path is unaffected (closed-loop, the
     /// caller *is* the queue).
     pub queue_capacity: usize,
     /// Longest a request may wait in the admission queue before the

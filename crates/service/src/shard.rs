@@ -235,7 +235,7 @@ impl ShardRouter {
     }
 
     /// Cache residency summed across shards: `(entries, bytes)` —
-    /// the LRU gauge pair a v7 metrics scrape reports. Shards hold
+    /// the LRU gauge pair a metrics scrape reports. Shards hold
     /// disjoint key ranges, so the sums are deployment totals.
     pub fn cache_residency(&self) -> (u64, u64) {
         let mut entries = 0u64;

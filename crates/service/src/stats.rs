@@ -15,7 +15,7 @@
 //!
 //! [`merge`](ServiceStats::merge) is driven by the table, not by
 //! hand-maintained per-field code — a new field merges wrong only if
-//! its kind is declared wrong. The richer v7 metrics plane
+//! its kind is declared wrong. The richer metrics plane
 //! (`econcast-metrics`) makes the same distinction self-describing on
 //! the wire by tagging every gauge with its merge kind.
 
@@ -97,33 +97,33 @@ pub struct ServiceStats {
     /// cluster's supervisor policy loop. Always zero for a plain
     /// service — the cluster front overlays the four self-healing
     /// counters on the aggregate it reports, so they ride the same
-    /// wire block as the per-tier counters (wire v4).
+    /// wire block as the per-tier counters.
     pub auto_respawns: u64,
     /// Backend slots quarantined onto the local fallback solver after
-    /// exhausting their respawn budget (cluster overlay, wire v4).
+    /// exhausting their respawn budget (cluster overlay).
     pub quarantines: u64,
     /// Warm mix handoffs shipped during live reshards (cluster
-    /// overlay, wire v4).
+    /// overlay).
     pub reshard_handoffs: u64,
     /// Faults injected by a scripted fault plan — nonzero only under
-    /// the chaos harness (cluster overlay, wire v4).
+    /// the chaos harness (cluster overlay).
     pub injected_faults: u64,
     /// Requests rejected with `Overloaded` past the shed ladder
-    /// (admission overlay, wire v6).
+    /// (admission overlay).
     pub shed_rejects: u64,
     /// Requests served from the interpolation-grid tier at a relaxed —
     /// still certificate-reported — tolerance because the admission
-    /// queue was past its degrade threshold (admission overlay, v6).
+    /// queue was past its degrade threshold (admission overlay).
     pub degraded_serves: u64,
     /// Requests whose `deadline_us` budget expired before (or during)
     /// service; each also counts in
     /// [`shed_rejects`](Self::shed_rejects) — the caller saw an
-    /// `Overloaded`, never a late result (admission overlay, v6).
+    /// `Overloaded`, never a late result (admission overlay).
     pub deadline_expired: u64,
     /// High-water mark of the admission queue depth — a gauge, not a
     /// counter: [`merge`](Self::merge) takes the max, and the CI
     /// overload-smoke job asserts it stays within `queue_capacity`
-    /// (bounded queue memory). Wire v6.
+    /// (bounded queue memory).
     pub queue_depth_peak: u64,
 }
 

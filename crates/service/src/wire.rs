@@ -110,7 +110,7 @@ impl WireServer {
                         &mut out,
                     );
                 }
-                // Metrics scrape (wire v7): the hub snapshot with
+                // Metrics scrape: the hub snapshot with
                 // this service's LRU gauges injected — the
                 // single-shard special case of the TCP front-end's
                 // scrape path.

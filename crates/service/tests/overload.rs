@@ -39,15 +39,15 @@ fn rel(a: f64, b: f64) -> f64 {
 
 #[test]
 fn full_queue_sheds_with_retry_hint_never_resets() {
-    // Queue pinned at capacity: every further v6 request walks off
+    // Queue pinned at capacity: every further request walks off
     // the top of the ladder — an explicit `Overloaded` with a usable
     // retry hint, never a dropped request or a closed connection.
     let handle = PolicyServer::bind("127.0.0.1:0", server(2, Duration::from_millis(25)))
         .expect("bind")
         .spawn();
     let adm = handle.admission().clone();
-    let _ = adm.admit(true);
-    let _ = adm.admit(true); // depth == capacity
+    let _ = adm.admit();
+    let _ = adm.admit(); // depth == capacity
 
     let batch = mixed_batch(8);
     let mut client = PolicyClient::connect(handle.addr(), batch.len() as u16).expect("connect");
@@ -142,7 +142,7 @@ fn degraded_serves_stay_within_relaxed_tolerance() {
         .spawn();
     let adm = handle.admission().clone();
     for _ in 0..4 {
-        let _ = adm.admit(true); // degrade_at == 4: band is 5..=8
+        let _ = adm.admit(); // degrade_at == 4: band is 5..=8
     }
 
     let batch: Vec<PolicyRequest> = (2..6)
@@ -202,43 +202,6 @@ fn degraded_serves_stay_within_relaxed_tolerance() {
     assert_eq!(stats.shed_rejects, 0);
 
     adm.release(4, Duration::from_millis(1));
-    drop(client);
-    handle.shutdown();
-}
-
-#[test]
-fn pre_v6_peer_is_never_shed_only_degraded() {
-    // A v5 peer cannot decode `Overloaded`, so the ladder tops out at
-    // the degraded rung for it: even with the queue pinned *past*
-    // capacity it is served — the pre-overload-control contract — and
-    // the documented price is a queue peak above the bound.
-    let handle = PolicyServer::bind("127.0.0.1:0", server(1, Duration::from_millis(10)))
-        .expect("bind")
-        .spawn();
-    let adm = handle.admission().clone();
-    let _ = adm.admit(true); // depth == capacity
-
-    let batch = mixed_batch(4);
-    let mut client =
-        PolicyClient::connect_versioned(handle.addr(), batch.len() as u16, 5).expect("connect v5");
-    assert_eq!(client.wire_version(), 5);
-    let got = client.serve_batch(&batch).expect("serve at v5");
-    assert!(got.iter().all(Result::is_ok), "v5 peers are always served");
-
-    // The overload counters live in v6 stats slots the v5 wire does
-    // not carry — read them server-side.
-    let mut stats = econcast_service::ServiceStats::default();
-    adm.overlay(&mut stats);
-    assert_eq!(stats.shed_rejects, 0);
-    assert_eq!(stats.degraded_serves, batch.len() as u64);
-    assert!(stats.queue_depth_peak > 1, "unsheddable load pushes past");
-    // Over the v5 wire the stats block is the legacy 20-counter
-    // layout: the overload slots simply don't exist there.
-    let wire_stats = client.stats(None).expect("stats at v5");
-    assert_eq!(wire_stats.degraded_serves, 0);
-    assert_eq!(wire_stats.queue_depth_peak, 0);
-
-    adm.release(1, Duration::from_millis(1));
     drop(client);
     handle.shutdown();
 }

@@ -4,7 +4,8 @@
 //! across shards.
 
 use econcast_core::{NodeParams, ThroughputMode};
-use econcast_proto::service::{ServiceCodec, ServiceMessage};
+use econcast_proto::crc::crc16_ccitt;
+use econcast_proto::service::{ServiceCodec, ServiceMessage, WireHello};
 use econcast_service::workload::mixed_batch;
 use econcast_service::{
     PolicyClient, PolicyRequest, PolicyServer, PolicyService, RouterConfig, ServerConfig,
@@ -182,6 +183,44 @@ fn corrupt_frame_drops_the_connection_without_a_reply() {
         .read_to_end(&mut reply)
         .expect("server closes cleanly");
     assert_eq!(n, 0, "no reply for a corrupt stream, just EOF");
+    handle.shutdown();
+}
+
+#[test]
+fn foreign_version_hello_is_closed_without_a_welcome() {
+    let handle = PolicyServer::bind("127.0.0.1:0", server(2))
+        .expect("bind")
+        .spawn();
+
+    // A well-formed `Hello` stamped v6, CRC recomputed over the new
+    // version octet: the frame is intact, only the version is foreign.
+    let mut wire = bytes::BytesMut::new();
+    ServiceCodec::encode(
+        &ServiceMessage::Hello(WireHello {
+            id: 1,
+            max_batch: 8,
+        }),
+        &mut wire,
+    );
+    let mut hello = wire.to_vec();
+    hello[3] = 6; // after the u16 length prefix and the type octet
+    let body_end = hello.len() - 2;
+    let crc = crc16_ccitt(&hello[2..body_end]);
+    hello[body_end..].copy_from_slice(&crc.to_be_bytes());
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.write_all(&hello).expect("send");
+    let mut reply = Vec::new();
+    let n = stream
+        .read_to_end(&mut reply)
+        .expect("server closes cleanly");
+    assert_eq!(n, 0, "no Welcome for a v6 hello, just EOF");
+
+    // The same server still serves a current-version client.
+    let batch = mixed_batch(4);
+    let mut client = PolicyClient::connect(handle.addr(), batch.len() as u16).expect("connect");
+    let out = client.serve_batch(&batch).expect("serve");
+    assert!(out.iter().all(Result::is_ok));
     handle.shutdown();
 }
 
