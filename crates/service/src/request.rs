@@ -174,8 +174,12 @@ impl PolicyRequest {
                 "radio powers must be positive finite",
             ));
         }
-        if !fin_pos(self.sigma) {
-            return Err(ServiceError::BadRequest("sigma must be positive finite"));
+        // A subnormal σ passes `fin_pos` but its 1/σ is ∞, which every
+        // Gibbs weight divides by.
+        if !fin_pos(self.sigma) || !fin_pos(1.0 / self.sigma) {
+            return Err(ServiceError::BadRequest(
+                "sigma must be positive finite with a finite reciprocal",
+            ));
         }
         if !fin_pos(self.tolerance) {
             return Err(ServiceError::BadRequest(

@@ -1,43 +1,74 @@
-//! Combinatorial fast path for homogeneous networks.
+//! Closed-form Gibbs summary for homogeneous networks.
 //!
 //! When all nodes share `(ρ, L, X)` and a common multiplier `η`, the
-//! Gibbs weight (19) depends on a state only through the pair
-//! `(transmitter present?, listener count m)`. Aggregating the
-//! `(N + 2)·2^{N−1}` states into `2N + 1` groups —
+//! Gibbs weight (19) depends on a state only through `(transmitter
+//! present?, listener count m)`, so every sum over the states is
+//! binomial. With `u = ηL/σ`, `v = ηX/σ`, `a = e^{−u}`,
+//! `ln b = (1 − ηL)/σ` and `G = (1 + a)^{N−1} − 1`:
 //!
-//! * no transmitter, `m ∈ 0..=N` listeners: `C(N, m)` states each with
-//!   log-weight `−m·ηL/σ`;
-//! * one transmitter, `m ∈ 0..=N−1` listeners: `N·C(N−1, m)` states
-//!   with log-weight `(T(m) − m·ηL − ηX)/σ`
+//! | states | mass | listener mass `Σ m·w` |
+//! |---|---|---|
+//! | no transmitter | `(1+a)^N` | `N·a·(1+a)^{N−1}` |
+//! | groupput transmitter | `N·e^{−v}·(1+b)^{N−1}` | `N·e^{−v}·(N−1)·b·(1+b)^{N−2}` |
+//! | anyput transmitter | `N·e^{−v}·(1 + e^{1/σ}·G)` | `N·e^{−v}·e^{1/σ}·(N−1)·a·(1+a)^{N−2}` |
 //!
-//! — makes the marginals and (P4) solvable for thousands of nodes. The
-//! same optimum is symmetric in the nodes (the dual is convex and the
+//! Groupput's `E[T]` mass equals its listener mass, its burst mass is
+//! `N·e^{−v}·((1+b)^{N−1} − 1)` and its burst-exit mass `N·e^{−v}·G`.
+//! Anyput's `E[T]` and burst masses are both `N·e^{−v}·e^{1/σ}·G`, and
+//! its burst-exit mass is `e^{−1/σ}` times that (eq. (35)). The entropy
+//! is `ln Z − (E[T]/σ − u·E[m] − v·P(tx))`.
+//!
+//! [`HomogeneousGibbs::summarize`] is therefore O(1) in `N`. It never
+//! leaves the log domain: the halves are split by a logistic in
+//! `ln Z₁ − ln Z₀`, each moment is a conditional expectation bounded
+//! by `N`, and `(1 + r)^k − 1` keeps its leading term `k·r` where
+//! `k·ln(1 + r)` would underflow. Every field stays finite from
+//! `σ = 1e-300` to thousands of nodes.
+//!
+//! The optimum is symmetric in the nodes (the dual is convex and the
 //! problem invariant under permutations), so a *scalar* multiplier
 //! suffices and the dual minimization becomes a monotone root-find on
 //! the budget slack, solved here by bisection.
 
 use econcast_core::{NodeParams, ThroughputMode};
 
-/// Precomputed `ln m!` table for stable `ln C(n, k)`.
-fn ln_factorials(n: usize) -> Vec<f64> {
-    let mut t = vec![0.0; n + 1];
-    for i in 1..=n {
-        t[i] = t[i - 1] + (i as f64).ln();
-    }
-    t
+/// `ln(1 + e^y)`.
+fn softplus(y: f64) -> f64 {
+    y.max(0.0) + (-y.abs()).exp().ln_1p()
 }
 
-/// Aggregated Gibbs evaluation for a homogeneous network.
+/// `1 / (1 + e^{−y})`.
+fn logistic(y: f64) -> f64 {
+    let e = (-y.abs()).exp();
+    (if y >= 0.0 { 1.0 } else { e }) / (1.0 + e)
+}
+
+/// `ln((1 + e^{ln_r})^k − 1)` for a count `k ≥ 0`; `−∞` at `k = 0`.
+fn ln_pow1p_m1(k: f64, ln_r: f64) -> f64 {
+    // Below k·r ≈ 2e-16 the binomial tail past `k·r` is beyond f64,
+    // and `k·ln(1 + r)` may already have underflowed.
+    let lead = k.ln() + ln_r;
+    if lead < -36.0 {
+        return lead;
+    }
+    let x = k * softplus(ln_r);
+    if x > std::f64::consts::LN_2 {
+        x + (-(-x).exp()).ln_1p()
+    } else {
+        x.exp_m1().ln()
+    }
+}
+
+/// Closed-form Gibbs evaluation for a homogeneous network.
 #[derive(Debug, Clone)]
 pub struct HomogeneousGibbs {
     n: usize,
     params: NodeParams,
     sigma: f64,
     mode: ThroughputMode,
-    ln_fact: Vec<f64>,
 }
 
-/// Aggregated marginals at a given scalar multiplier.
+/// Per-node marginals and network moments at a scalar multiplier.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HomogeneousSummary {
     /// Per-node listen fraction `α`.
@@ -69,7 +100,7 @@ impl HomogeneousSummary {
 }
 
 impl HomogeneousGibbs {
-    /// Creates the aggregated evaluator.
+    /// Creates the closed-form evaluator. Allocation-free.
     ///
     /// # Panics
     ///
@@ -82,96 +113,71 @@ impl HomogeneousGibbs {
             params,
             sigma,
             mode,
-            ln_fact: ln_factorials(n),
         }
     }
 
-    fn ln_choose(&self, n: usize, k: usize) -> f64 {
-        self.ln_fact[n] - self.ln_fact[k] - self.ln_fact[n - k]
-    }
-
-    /// Per-state throughput for a one-transmitter group with `m`
-    /// listeners.
-    fn t_of(&self, m: usize) -> f64 {
-        self.mode.state_throughput(true, m)
-    }
-
-    /// The log of one aggregated group's total weight
-    /// (`ln multiplicity + per-state log weight`) for listener count
-    /// `m`, with or without a transmitter.
-    fn group_log_term(&self, eta: f64, m: usize, has_tx: bool) -> f64 {
-        let (l, x, sigma) = (self.params.listen_w, self.params.transmit_w, self.sigma);
-        if has_tx {
-            (self.n as f64).ln()
-                + self.ln_choose(self.n - 1, m)
-                + (self.t_of(m) - m as f64 * eta * l - eta * x) / sigma
-        } else {
-            self.ln_choose(self.n, m) - (m as f64) * eta * l / sigma
-        }
-    }
-
-    /// Iterates `(m, has_tx)` over the `2N + 1` aggregated groups.
-    fn groups(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
-        (0..=self.n)
-            .map(|m| (m, false))
-            .chain((0..self.n).map(|m| (m, true)))
-    }
-
-    /// Evaluates the aggregated summary at scalar multiplier `eta`.
-    /// Allocation-free: the `2N + 1` group terms are recomputed in the
-    /// accumulation pass instead of being collected.
+    /// Evaluates the summary at scalar multiplier `eta` in O(1).
     pub fn summarize(&self, eta: f64) -> HomogeneousSummary {
         assert!(eta >= 0.0 && eta.is_finite());
-        let n = self.n;
-        let nf = n as f64;
+        let nf = self.n as f64;
+        // Nodes a transmitter can reach.
+        let k = nf - 1.0;
         let (l, x, sigma) = (self.params.listen_w, self.params.transmit_w, self.sigma);
+        let inv_sigma = 1.0 / sigma;
+        let u = eta * l / sigma;
+        let v = eta * x / sigma;
 
-        let max_lt = self
-            .groups()
-            .map(|(m, has_tx)| self.group_log_term(eta, m, has_tx))
-            .fold(f64::NEG_INFINITY, f64::max);
+        // No transmitter: ln Z₀ and E[m | idle].
+        let ln_z_idle = nf * softplus(-u);
+        let listeners_idle = nf * logistic(-u);
 
-        let mut z = 0.0;
-        let mut listeners_acc = 0.0;
-        let mut tx_acc = 0.0;
-        let mut tw_acc = 0.0;
-        let mut state_exponent_acc = 0.0; // Σ mass · per-state log-weight
-        let mut burst_acc = 0.0;
-        let mut burst_exit_acc = 0.0;
-        for (m, has_tx) in self.groups() {
-            let lt = self.group_log_term(eta, m, has_tx);
-            let mass = (lt - max_lt).exp();
-            z += mass;
-            listeners_acc += mass * m as f64;
-            let t_w;
-            if has_tx {
-                tx_acc += mass;
-                t_w = self.t_of(m);
-                tw_acc += mass * t_w;
-                if m >= 1 {
-                    burst_acc += mass;
-                    let signal = self.mode.listener_signal(m as f64);
-                    burst_exit_acc += mass * (-signal / sigma).exp();
-                }
-            } else {
-                t_w = 0.0;
+        // A transmitter: ln(Z₁ / (N·e^{−v})) and E[m], E[T], the burst
+        // probability and the burst-exit mass, all given a transmitter.
+        let (ln_q, listeners_tx, throughput_tx, burst_tx, burst_exit_tx) = match self.mode {
+            ThroughputMode::Groupput => {
+                let ln_b = (1.0 - eta * l) / sigma;
+                let ln_q = k * softplus(ln_b);
+                let listeners = k * logistic(ln_b);
+                let burst = -(-ln_q).exp_m1();
+                let burst_exit = (ln_pow1p_m1(k, -u) - ln_q).exp();
+                (ln_q, listeners, listeners, burst, burst_exit)
             }
-            // Per-state log weight (without the multiplicity term).
-            let per_state_lw =
-                (t_w - m as f64 * eta * l - if has_tx { eta * x } else { 0.0 }) / sigma;
-            state_exponent_acc += mass * per_state_lw;
-        }
+            ThroughputMode::Anyput => {
+                let ln_g = ln_pow1p_m1(k, -u);
+                let y = inv_sigma + ln_g;
+                let burst = logistic(y);
+                // E[m | transmitter, m ≥ 1] = (N−1)·a·(1+a)^{N−2} / G,
+                // written so the `ln(N−1) − u` shared with `ln G`
+                // cancels exactly when `G` keeps only its leading term.
+                let listeners = if burst > 0.0 {
+                    burst * (k.ln() - u + (k - 1.0) * softplus(-u) - ln_g).exp()
+                } else {
+                    0.0
+                };
+                let burst_exit = burst * (-inv_sigma).exp();
+                (softplus(y), listeners, burst, burst, burst_exit)
+            }
+        };
 
-        let log_partition = max_lt + z.ln();
-        let inv_z = 1.0 / z;
+        // Split the mass between the two halves: d = ln Z₁ − ln Z₀.
+        let d = nf.ln() - v + ln_q - ln_z_idle;
+        let p_tx = logistic(d);
+        let log_partition = ln_z_idle + softplus(d);
+        let listeners = logistic(-d) * listeners_idle + p_tx * listeners_tx;
+        let expected_throughput = p_tx * throughput_tx;
+        // E[per-state log weight] = E[T]/σ − u·E[m] − v·P(tx); a zero
+        // probability contributes nothing even where its price is ∞.
+        let priced = |price: f64, p: f64| if p > 0.0 { price * p } else { 0.0 };
+        let mean_log_weight =
+            expected_throughput * inv_sigma - priced(u, listeners) - priced(v, p_tx);
         HomogeneousSummary {
-            alpha: listeners_acc * inv_z / nf,
-            beta: tx_acc * inv_z / nf,
-            expected_throughput: tw_acc * inv_z,
+            alpha: listeners / nf,
+            beta: p_tx / nf,
+            expected_throughput,
             log_partition,
-            entropy: log_partition - state_exponent_acc * inv_z,
-            burst_mass: burst_acc * inv_z,
-            burst_exit_mass: burst_exit_acc * inv_z,
+            entropy: log_partition - mean_log_weight,
+            burst_mass: p_tx * burst_tx,
+            burst_exit_mass: p_tx * burst_exit_tx,
         }
     }
 }
@@ -194,7 +200,7 @@ pub struct HomogeneousP4Solution {
     pub alpha: f64,
     /// Per-node transmit fraction.
     pub beta: f64,
-    /// Final aggregated summary.
+    /// Final summary.
     pub summary: HomogeneousSummary,
 }
 
@@ -212,48 +218,40 @@ impl HomogeneousP4 {
     ///
     /// Consumption `α(η)L + β(η)X` is strictly decreasing in `η`
     /// (raising the price of energy can only reduce activity), so a
-    /// doubling search followed by bisection is exact.
+    /// doubling search followed by bisection is exact. A binding
+    /// budget returns the bracket's feasible end, never its midpoint:
+    /// at small σ consumption is a near-step in `η`, and a midpoint can
+    /// overdraw the budget and break the certificate's `T^σ ≤ T*`.
     pub fn solve(&self) -> HomogeneousP4Solution {
-        let rho = self.params.budget_w;
-        let cons = |eta: f64| {
-            let s = self.gibbs.summarize(eta);
-            (s.consumption(&self.params), s)
-        };
-
-        let (c0, s0) = cons(0.0);
-        if c0 <= rho {
-            return HomogeneousP4Solution {
-                throughput: s0.expected_throughput,
-                eta: 0.0,
-                alpha: s0.alpha,
-                beta: s0.beta,
-                summary: s0,
-            };
-        }
-
-        // Doubling search for an upper bracket.
-        let mut hi = 1.0 / self.params.listen_w.max(self.params.transmit_w);
-        let mut iter = 0;
-        while cons(hi).0 > rho {
-            hi *= 2.0;
-            iter += 1;
-            assert!(iter < 200, "failed to bracket the dual optimum");
-        }
-        let mut lo = 0.0;
-        // 200 bisection steps: interval shrinks by 2^200 — exact to f64.
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if cons(mid).0 > rho {
-                lo = mid;
-            } else {
-                hi = mid;
+        let over = |s: &HomogeneousSummary| s.consumption(&self.params) > self.params.budget_w;
+        let (mut eta, mut s) = (0.0, self.gibbs.summarize(0.0));
+        if over(&s) {
+            // Doubling search for a feasible upper bracket.
+            eta = 1.0 / self.params.listen_w.max(self.params.transmit_w);
+            s = self.gibbs.summarize(eta);
+            let mut iter = 0;
+            while over(&s) {
+                eta *= 2.0;
+                s = self.gibbs.summarize(eta);
+                iter += 1;
+                assert!(iter < 200, "failed to bracket the dual optimum");
             }
-            if hi - lo <= f64::EPSILON * hi {
-                break;
+            // Bisect (lo, eta], keeping `eta` feasible. 200 steps shrink
+            // the interval by 2^200 — exact to f64.
+            let mut lo = 0.0;
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + eta);
+                let s_mid = self.gibbs.summarize(mid);
+                if over(&s_mid) {
+                    lo = mid;
+                } else {
+                    (eta, s) = (mid, s_mid);
+                }
+                if eta - lo <= f64::EPSILON * eta {
+                    break;
+                }
             }
         }
-        let eta = 0.5 * (lo + hi);
-        let (_, s) = cons(eta);
         HomogeneousP4Solution {
             throughput: s.expected_throughput,
             eta,
@@ -274,6 +272,60 @@ mod tests {
 
     fn params() -> NodeParams {
         NodeParams::from_microwatts(10.0, 500.0, 500.0)
+    }
+
+    /// The O(N) reference: sums the `2N + 1` aggregated groups — no
+    /// transmitter with `m ∈ 0..=N` listeners (`C(N, m)` states of
+    /// log-weight `−m·ηL/σ`), one transmitter with `m ∈ 0..=N−1`
+    /// (`N·C(N−1, m)` states of log-weight `(T(m) − m·ηL − ηX)/σ`) —
+    /// shifted by their largest log term.
+    fn aggregated_summary(g: &HomogeneousGibbs, eta: f64) -> HomogeneousSummary {
+        let (n, mode, sigma) = (g.n, g.mode, g.sigma);
+        let (l, x) = (g.params.listen_w, g.params.transmit_w);
+        let mut ln_fact = vec![0.0; n + 1];
+        for i in 1..=n {
+            ln_fact[i] = ln_fact[i - 1] + (i as f64).ln();
+        }
+        let ln_choose = |n: usize, k: usize| ln_fact[n] - ln_fact[k] - ln_fact[n - k];
+        // (m, has_tx, ln multiplicity, per-state log weight).
+        let groups: Vec<(usize, bool, f64, f64)> = (0..=n)
+            .map(|m| (m, false, ln_choose(n, m), -(m as f64) * eta * l / sigma))
+            .chain((0..n).map(|m| {
+                let t = mode.state_throughput(true, m);
+                let lw = (t - m as f64 * eta * l - eta * x) / sigma;
+                (m, true, (n as f64).ln() + ln_choose(n - 1, m), lw)
+            }))
+            .collect();
+        let max_lt = groups
+            .iter()
+            .map(|&(_, _, ln_mult, lw)| ln_mult + lw)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let (mut z, mut listeners, mut tx, mut tw, mut mean_lw) = (0.0, 0.0, 0.0, 0.0, 0.0);
+        let (mut burst, mut burst_exit) = (0.0, 0.0);
+        for &(m, has_tx, ln_mult, lw) in &groups {
+            let mass = (ln_mult + lw - max_lt).exp();
+            z += mass;
+            listeners += mass * m as f64;
+            mean_lw += mass * lw;
+            if has_tx {
+                tx += mass;
+                tw += mass * mode.state_throughput(true, m);
+                if m >= 1 {
+                    burst += mass;
+                    burst_exit += mass * (-mode.listener_signal(m as f64) / sigma).exp();
+                }
+            }
+        }
+        let log_partition = max_lt + z.ln();
+        HomogeneousSummary {
+            alpha: listeners / z / n as f64,
+            beta: tx / z / n as f64,
+            expected_throughput: tw / z,
+            log_partition,
+            entropy: log_partition - mean_lw / z,
+            burst_mass: burst / z,
+            burst_exit_mass: burst_exit / z,
+        }
     }
 
     #[test]
@@ -380,7 +432,81 @@ mod tests {
         assert!((cons - params().budget_w).abs() / params().budget_w < 1e-6);
     }
 
+    /// The doubling search's first bracket end, `1/max(L, X)`.
+    fn first_bracket(p: &NodeParams) -> f64 {
+        1.0 / p.listen_w.max(p.transmit_w)
+    }
+
+    #[test]
+    fn tiny_sigma_stays_finite_and_feasible() {
+        let p = NodeParams::from_microwatts(10.0, 500.0, 450.0);
+        let scale = first_bracket(&p);
+        for n in [1usize, 2, 50, 4000] {
+            for mode in [Groupput, Anyput] {
+                let g = HomogeneousGibbs::new(n, p, 1e-300, mode);
+                let solved = HomogeneousP4::new(n, p, 1e-300, mode).solve();
+                assert!(solved.summary.consumption(&p) <= p.budget_w);
+                for eta in [0.0, scale, 1e5 * scale, solved.eta] {
+                    let s = g.summarize(eta);
+                    let fields = [
+                        s.alpha,
+                        s.beta,
+                        s.expected_throughput,
+                        s.log_partition,
+                        s.entropy,
+                        s.burst_mass,
+                        s.burst_exit_mass,
+                    ];
+                    assert!(
+                        fields.iter().all(|f| f.is_finite()),
+                        "n={n} {mode:?} η={eta}: {s:?}"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
+        /// The closed form pins to the O(N) aggregated sum from one
+        /// node to the wire cap, at `η = 0`, at both bracket ends
+        /// `1/max(L, X)` and `1e5/max(L, X)`, and log-spread over
+        /// eleven decades between them.
+        #[test]
+        fn prop_closed_form_matches_aggregated_sum(
+            n in 1usize..=4000,
+            anyput in 0u8..2,
+            sigma in 0.15f64..1.0,
+            pick in 0u8..6,
+            t in 0.0f64..1.0,
+        ) {
+            let p = NodeParams::from_microwatts(10.0, 500.0, 450.0);
+            let mode = if anyput == 1 { Anyput } else { Groupput };
+            let scale = first_bracket(&p);
+            let eta = match pick {
+                0 => 0.0,
+                1 => scale,
+                2 => 1e5 * scale,
+                _ => scale * 10f64.powf(-6.0 + 11.0 * t),
+            };
+            let g = HomogeneousGibbs::new(n, p, sigma, mode);
+            let (got, want) = (g.summarize(eta), aggregated_summary(&g, eta));
+            // The floor covers results near underflow, where the
+            // reference's subnormal partial sums carry no relative
+            // precision.
+            let rel = |a: f64, b: f64| (a - b).abs() <= 1e-10 * b.abs() + 1e-300;
+            let abs = |a: f64, b: f64| (a - b).abs() <= 1e-10 * b.abs().max(1.0);
+            prop_assert!(
+                rel(got.alpha, want.alpha)
+                    && rel(got.beta, want.beta)
+                    && rel(got.expected_throughput, want.expected_throughput)
+                    && rel(got.burst_mass, want.burst_mass)
+                    && rel(got.burst_exit_mass, want.burst_exit_mass)
+                    && abs(got.log_partition, want.log_partition)
+                    && abs(got.entropy, want.entropy),
+                "n={n} {mode:?} σ={sigma} η={eta}: {got:?} vs {want:?}"
+            );
+        }
+
         /// Consumption is monotone decreasing in η — the property the
         /// bisection relies on.
         #[test]

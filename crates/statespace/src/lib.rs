@@ -30,10 +30,10 @@
 //! * [`instance`] — canonical instance keys (sorted budgets +
 //!   permutation, decade-quantized tolerance tiers) for the policy
 //!   cache in `econcast-service`;
-//! * [`homogeneous`] — a combinatorial fast path for homogeneous
-//!   networks that aggregates states by `(listener count, transmitter
-//!   present)`, supporting thousands of nodes where enumeration would
-//!   be hopeless, and cross-checked against enumeration in tests.
+//! * [`homogeneous`] — a closed-form fast path for homogeneous
+//!   networks: grouped by `(listener count, transmitter present)`, the
+//!   Gibbs sums are binomial, so a summary costs O(1) at any node
+//!   count; cross-checked against enumeration in tests.
 
 pub mod factorized;
 pub mod gibbs;

@@ -45,7 +45,7 @@ pub enum SummaryKernel {
     GrayCode,
     /// The factorized polynomial kernel (O(N) per evaluation).
     Factorized,
-    /// The homogeneous aggregation + scalar-dual bisection.
+    /// The homogeneous O(1) closed form + scalar-dual bisection.
     Homogeneous,
 }
 

@@ -289,3 +289,83 @@ fn one_budget_requests_certify_a_zero_oracle_on_every_tier() {
         }
     }
 }
+
+#[test]
+fn homogeneous_answers_stay_feasible_and_certified_down_to_tiny_sigma() {
+    // At small σ consumption is a near-step in the scalar multiplier:
+    // a bisection midpoint can overdraw the budget and push T^σ past
+    // T*. Every tier must answer inside the budget (the grid within
+    // its tolerance tier) with a valid sandwich.
+    let tolerance = 1e-3;
+    for grid in [Some(econcast::service::GridConfig::default()), None] {
+        let mut svc = PolicyService::new(ServiceConfig {
+            grid,
+            ..ServiceConfig::default()
+        });
+        for sigma in [1e-2, 1e-3, 1e-6, 1e-300] {
+            for n in [1usize, 2, 50, 4000] {
+                for objective in [
+                    econcast::core::ThroughputMode::Groupput,
+                    econcast::core::ThroughputMode::Anyput,
+                ] {
+                    for rho in [10e-6, 1.0] {
+                        let req = PolicyRequest {
+                            budgets_w: vec![rho; n],
+                            listen_w: L,
+                            transmit_w: X,
+                            sigma,
+                            objective,
+                            tolerance,
+                        };
+                        let at = format!("σ={sigma} N={n} {objective:?} ρ={rho} grid={grid:?}");
+                        let resp = svc.serve(&req).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+                        let cert = &resp.certificate;
+                        assert!(
+                            [resp.throughput, cert.t_sigma, cert.oracle, cert.dual_upper]
+                                .iter()
+                                .all(|v| v.is_finite()),
+                            "{at} via {:?}: {cert:?}",
+                            resp.tier
+                        );
+                        for p in &resp.policies {
+                            assert!(
+                                (0.0..=1.0).contains(&p.listen)
+                                    && (0.0..=1.0).contains(&p.transmit),
+                                "{at} via {:?}: {p:?}",
+                                resp.tier
+                            );
+                            let power = p.listen * L + p.transmit * X;
+                            assert!(
+                                power <= rho * (1.0 + 3.0 * tolerance),
+                                "{at} via {:?}: draws {} of the budget",
+                                resp.tier,
+                                power / rho
+                            );
+                        }
+                        assert!(
+                            cert.is_consistent(1e-9),
+                            "{at} via {:?}: T^σ={} T*={} D={}",
+                            resp.tier,
+                            cert.t_sigma,
+                            cert.oracle,
+                            cert.dual_upper
+                        );
+                    }
+                }
+            }
+        }
+        // A subnormal σ is positive and finite, but 1/σ is not.
+        let subnormal = PolicyRequest {
+            budgets_w: vec![10e-6; 2],
+            listen_w: L,
+            transmit_w: X,
+            sigma: 1e-310,
+            objective: econcast::core::ThroughputMode::Groupput,
+            tolerance,
+        };
+        assert!(matches!(
+            svc.serve(&subnormal),
+            Err(ServiceError::BadRequest(_))
+        ));
+    }
+}
