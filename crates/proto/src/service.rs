@@ -1942,6 +1942,47 @@ mod tests {
         assert!(codec.next_message().is_err());
     }
 
+    /// Every single-bit flip of a stream-framed N=66 response (the
+    /// size a batch-256 call carries, checksummed by the folding CRC)
+    /// is refused: a flip in the body fails to decode, and a flip in
+    /// the length prefix either fails or waits for bytes that never
+    /// come. No flipped frame decodes.
+    #[test]
+    fn every_bit_flip_of_a_folded_response_is_rejected() {
+        let m = ServiceMessage::Response(WirePolicyResponse {
+            corr: 0xAB0BA,
+            id: 7,
+            tier: ServedTier::Grid,
+            kernel: PolicyKernel::Grid,
+            converged: true,
+            throughput: 3.25,
+            cert_t_sigma: 3.25,
+            cert_oracle: 4.0,
+            cert_dual_upper: 4.5,
+            policies: (0..66)
+                .map(|i| WirePolicy {
+                    listen: 0.01 * f64::from(i),
+                    transmit: 1e-3 / (1.0 + f64::from(i)),
+                })
+                .collect(),
+        });
+        let mut wire = BytesMut::new();
+        ServiceCodec::encode(&m, &mut wire);
+        assert_eq!(wire.len(), 2 + 1105);
+        for bit in 0..wire.len() * 8 {
+            let mut flipped = wire.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let mut codec = ServiceCodec::new();
+            codec.feed(&flipped);
+            let r = codec.next_message();
+            if bit < 16 {
+                assert!(!matches!(r, Ok(Some(_))), "prefix bit {bit} decoded: {r:?}");
+            } else {
+                assert!(r.is_err(), "body bit {bit} not refused: {r:?}");
+            }
+        }
+    }
+
     /// The scatter encoder frames batches into one reusable buffer:
     /// the bytes are exactly the per-message codec's, and a drained
     /// buffer resets for the next batch without dropping frames.

@@ -52,7 +52,6 @@ use std::time::Duration;
 ///   CRC-checked when it was decoded (pinned by the
 ///   `corrupt_mid_stream_reply_fails_the_call_not_prior_results`
 ///   regression test).
-#[derive(Debug)]
 pub struct PolicyClient {
     stream: TcpStream,
     codec: ServiceCodec,
@@ -62,6 +61,28 @@ pub struct PolicyClient {
     server_max_batch: u16,
     next_id: u32,
     next_corr: u32,
+    /// Socket read buffer, reused by every read so a collect does not
+    /// zero a fresh one per decoded message.
+    rbuf: Box<[u8]>,
+}
+
+/// Bytes one socket read may take.
+const READ_CHUNK: usize = 64 * 1024;
+
+impl std::fmt::Debug for PolicyClient {
+    /// Every field but the read buffer, whose contents are stale bytes.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PolicyClient")
+            .field("stream", &self.stream)
+            .field("codec", &self.codec)
+            .field("enc", &self.enc)
+            .field("pending", &self.pending)
+            .field("shards", &self.shards)
+            .field("server_max_batch", &self.server_max_batch)
+            .field("next_id", &self.next_id)
+            .field("next_corr", &self.next_corr)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One batch entry's outcome: the served wire response, or the
@@ -166,6 +187,7 @@ impl PolicyClient {
             server_max_batch: 0,
             next_id: 0,
             next_corr: 1,
+            rbuf: vec![0; READ_CHUNK].into_boxed_slice(),
         };
         let id = client.take_id();
         client.send(&ServiceMessage::Hello(WireHello { id, max_batch }))?;
@@ -420,10 +442,9 @@ impl PolicyClient {
     /// in-flight batches. Returns whether any bytes arrived.
     fn drain_ready(&mut self) -> std::io::Result<bool> {
         use std::io::ErrorKind::{Interrupted, WouldBlock};
-        let mut buf = [0u8; 64 * 1024];
         let mut got = false;
         loop {
-            match (&self.stream).read(&mut buf) {
+            match (&self.stream).read(&mut self.rbuf) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
@@ -432,7 +453,7 @@ impl PolicyClient {
                 }
                 Ok(n) => {
                     got = true;
-                    self.ingest(n, &buf)?;
+                    self.ingest(n)?;
                 }
                 Err(e) if e.kind() == WouldBlock => break,
                 Err(e) if e.kind() == Interrupted => {}
@@ -442,13 +463,14 @@ impl PolicyClient {
         Ok(got)
     }
 
-    /// Feeds `buf[..n]` to the codec and files every decoded message,
-    /// traced as one `proto/frame_decode` span per readable burst —
-    /// the pipelined read path's twin of the server's drain span.
-    fn ingest(&mut self, n: usize, buf: &[u8]) -> std::io::Result<()> {
+    /// Feeds the first `n` bytes of the read buffer to the codec and
+    /// files every decoded message, traced as one `proto/frame_decode`
+    /// span per readable burst — the pipelined read path's twin of the
+    /// server's drain span.
+    fn ingest(&mut self, n: usize) -> std::io::Result<()> {
         let t0 = econcast_trace::armed_now();
         let mut decoded = 0u64;
-        self.codec.feed(&buf[..n]);
+        self.codec.feed(&self.rbuf[..n]);
         loop {
             match self.codec.next_message() {
                 Ok(Some(msg)) => {
@@ -571,7 +593,6 @@ impl PolicyClient {
     /// surface as `InvalidData`; a server-side disconnect as
     /// `UnexpectedEof`.
     fn recv(&mut self) -> std::io::Result<ServiceMessage> {
-        let mut buf = [0u8; 64 * 1024];
         loop {
             match self.codec.next_message() {
                 Ok(Some(msg)) => return Ok(msg),
@@ -583,14 +604,14 @@ impl PolicyClient {
                     ))
                 }
             }
-            let n = (&self.stream).read(&mut buf)?;
+            let n = (&self.stream).read(&mut self.rbuf)?;
             if n == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ));
             }
-            self.codec.feed(&buf[..n]);
+            self.codec.feed(&self.rbuf[..n]);
         }
     }
 }
