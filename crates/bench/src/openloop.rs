@@ -105,8 +105,9 @@ pub struct OpenLoopRow {
     /// Fraction of requests answered `Overloaded` (explicit, with a
     /// retry hint — never a dropped request or a reset stream).
     pub shed_rate: f64,
-    /// Fraction of requests served at the degraded grid tier, from the
-    /// server's own counters (the response payload doesn't mark it).
+    /// Fraction of requests served at the degraded (one decade looser)
+    /// tolerance, from the server's own counters (the response payload
+    /// doesn't mark it).
     pub degraded_rate: f64,
     /// Deadline expiries observed by the server during the pass.
     pub deadline_expired: u64,
@@ -453,7 +454,6 @@ pub fn run_on_dedicated_stack(cfg: &OpenLoopConfig) -> io::Result<StackRun> {
                     },
                     ..RouterConfig::default()
                 },
-                background_prewarm: false,
                 ..ServerConfig::default()
             },
         )?;
@@ -614,7 +614,6 @@ mod tests {
                     },
                     ..RouterConfig::default()
                 },
-                background_prewarm: false,
                 ..ServerConfig::default()
             },
         )

@@ -22,8 +22,8 @@ use econcast_cluster::{
 };
 use econcast_core::{NodeParams, ProtocolConfig, ThroughputMode};
 use econcast_service::{
-    GridConfig, PolicyClient, PolicyRequest, PolicyServer, PolicyService, RouterConfig,
-    ServerConfig, ServiceConfig,
+    PolicyClient, PolicyRequest, PolicyServer, PolicyService, RouterConfig, ServerConfig,
+    ServiceConfig,
 };
 use econcast_sim::{SimConfig, Simulator};
 use econcast_statespace::gibbs::{summarize_naive, GibbsParams, GibbsSummary};
@@ -191,23 +191,13 @@ pub(crate) fn service_batch(size: usize) -> Vec<PolicyRequest> {
         .collect()
 }
 
-/// Service config for the cold benchmark: every iteration starts from
-/// empty caches, and the grid tier is disabled so per-iteration work
-/// is uniform (no lumpy lazy grid builds inside the timing loop).
-fn cold_service() -> PolicyService {
+/// Service for the cold and warm benchmarks: an exact tier large
+/// enough for the whole batch. The cold benchmark starts every
+/// iteration from a fresh one; the warm one warms it before
+/// measurement, so its steady state is pure cache serving.
+fn bench_service() -> PolicyService {
     PolicyService::new(ServiceConfig {
         lru_capacity: 4096,
-        grid: None,
-        ..ServiceConfig::default()
-    })
-}
-
-/// Service config for the warm benchmark (grid enabled; warmed before
-/// measurement so the steady state is pure cache serving).
-fn warm_service() -> PolicyService {
-    PolicyService::new(ServiceConfig {
-        lru_capacity: 4096,
-        grid: Some(GridConfig::default()),
         ..ServiceConfig::default()
     })
 }
@@ -411,7 +401,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                 workload: Box::new({
                     let batch = batch.clone();
                     move || {
-                        let mut svc = cold_service();
+                        let mut svc = bench_service();
                         black_box(svc.serve_batch(&batch));
                     }
                 }),
@@ -423,8 +413,8 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                 name: service_entry_name("warm", size),
                 workload: Box::new({
                     let batch = batch.clone();
-                    let mut svc = warm_service();
-                    svc.serve_batch(&batch); // warm the tiers once
+                    let mut svc = bench_service();
+                    svc.serve_batch(&batch); // warm the cache once
                     move || {
                         black_box(svc.serve_batch(&batch));
                     }
@@ -437,8 +427,8 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                 name: service_entry_name("warm_metrics", size),
                 workload: Box::new({
                     let batch = batch.clone();
-                    let mut svc = warm_service();
-                    svc.serve_batch(&batch); // warm the tiers once
+                    let mut svc = bench_service();
+                    svc.serve_batch(&batch); // warm the cache once
                     move || {
                         // Identical work to the warm entry, but with
                         // the always-on metrics plane recording — the
@@ -539,7 +529,6 @@ fn bind_socket_server() -> std::io::Result<std::net::SocketAddr> {
                 },
                 ..RouterConfig::default()
             },
-            background_prewarm: false,
             ..ServerConfig::default()
         },
     )
@@ -571,7 +560,6 @@ fn bind_cluster_front() -> std::io::Result<std::net::SocketAddr> {
                     },
                     ..RouterConfig::default()
                 },
-                background_prewarm: false,
                 ..ServerConfig::default()
             },
         )?;
@@ -942,8 +930,8 @@ pub fn run_suite(quick: bool, filter: Option<&str>) -> SuiteReport {
 fn warm_latency_percentiles(size: usize, quick: bool) -> Option<(f64, f64, f64)> {
     let calls = if quick { 120 } else { 400 };
     let batch = service_batch(size);
-    let mut svc = warm_service();
-    svc.serve_batch(&batch); // warm the tiers before arming
+    let mut svc = bench_service();
+    svc.serve_batch(&batch); // warm the cache before arming
     econcast_trace::set_histograms(true);
     econcast_trace::clear_histograms();
     for _ in 0..calls {

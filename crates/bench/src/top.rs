@@ -15,8 +15,8 @@
 use econcast_metrics::{
     HistSnapshot, MetricsSnapshot, SnapshotRing, CTR_BATCHES, CTR_DEADLINE_MISS, CTR_DEGRADED,
     CTR_ERRORS, CTR_FAILOVER_RESERVES, CTR_OVERLOADED_RECEIVED, CTR_OVERLOADED_SENT,
-    CTR_QUARANTINES, CTR_REQUESTS, CTR_RESHARD_HANDOFFS, CTR_RESPAWNS, CTR_SATURATION_OPENS,
-    CTR_SHED, GAUGE_LIVE_BACKENDS, GAUGE_LRU_BYTES, GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH,
+    CTR_QUARANTINES, CTR_REQUESTS, CTR_RESPAWNS, CTR_SATURATION_OPENS, CTR_SHED,
+    GAUGE_LIVE_BACKENDS, GAUGE_LRU_BYTES, GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH,
     GAUGE_QUEUE_DEPTH_PEAK, GAUGE_SATURATION_OPEN, HIST_REQUEST_NS,
 };
 use econcast_service::PolicyClient;
@@ -152,7 +152,6 @@ fn render(
         ("failover re-serves", snap.counter(CTR_FAILOVER_RESERVES)),
         ("respawns", snap.counter(CTR_RESPAWNS)),
         ("quarantines", snap.counter(CTR_QUARANTINES)),
-        ("reshard handoffs", snap.counter(CTR_RESHARD_HANDOFFS)),
         ("saturation opens", snap.counter(CTR_SATURATION_OPENS)),
     ];
     let mut shown = false;
@@ -240,7 +239,6 @@ mod tests {
                     },
                     ..RouterConfig::default()
                 },
-                background_prewarm: false,
                 ..ServerConfig::default()
             },
         )

@@ -122,7 +122,6 @@ fn drive_socket() -> std::io::Result<f64> {
                 },
                 ..RouterConfig::default()
             },
-            background_prewarm: false,
             ..ServerConfig::default()
         },
     )?
@@ -159,7 +158,6 @@ fn drive() -> std::io::Result<()> {
                     },
                     ..RouterConfig::default()
                 },
-                background_prewarm: false,
                 ..ServerConfig::default()
             },
         )?;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! policy_backend [--addr 127.0.0.1:0] [--shards N] [--workers W]
-//!                [--max-batch B] [--prewarm] [--crash-after-ms T]
+//!                [--max-batch B] [--crash-after-ms T]
 //! ```
 //!
 //! `--crash-after-ms T` makes the process abort (exit code 1) `T`
@@ -25,7 +25,7 @@ fn usage(err: &str) -> ! {
     eprintln!("policy_backend: {err}");
     eprintln!(
         "usage: policy_backend [--addr HOST:PORT] [--shards N] [--workers W] \
-         [--max-batch B] [--prewarm] [--crash-after-ms T]"
+         [--max-batch B] [--crash-after-ms T]"
     );
     std::process::exit(2);
 }
@@ -35,7 +35,6 @@ fn main() {
     let mut shards = 2usize;
     let mut workers: Option<usize> = None;
     let mut max_batch = 1024usize;
-    let mut prewarm = false;
     let mut crash_after_ms: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
@@ -63,7 +62,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage("--max-batch must be a positive integer"));
             }
-            "--prewarm" => prewarm = true,
             "--crash-after-ms" => {
                 crash_after_ms = Some(
                     value("--crash-after-ms")
@@ -87,7 +85,6 @@ fn main() {
                 ..RouterConfig::default()
             },
             max_batch,
-            background_prewarm: prewarm,
             ..ServerConfig::default()
         },
     )

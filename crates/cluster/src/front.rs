@@ -36,13 +36,13 @@ use econcast_metrics::{MetricsSnapshot, GAUGE_LIVE_BACKENDS, GAUGE_SATURATION_OP
 use econcast_proto::service::{WireServiceStats, STATS_COUNTERS, STATS_SHARD_AGGREGATE};
 use econcast_service::stats::{StatKind, STAT_KINDS};
 use econcast_service::{
-    serve_connection_admitted, AdmissionController, FamilyKey, PolicyClient, PolicyRequest,
-    PolicyResponse, ServeTarget, ServiceError, ServiceStats,
+    serve_connection_admitted, AdmissionController, PolicyClient, PolicyRequest, PolicyResponse,
+    ServeTarget, ServiceError, ServiceStats,
 };
 
-/// Timeout for the fresh per-request dials a stats fan-in (or a
-/// `MixSeed` forward) makes. Deliberately short: these are advisory,
-/// and they run with the router unlocked but a client waiting.
+/// Timeout for the fresh per-request dials a stats or metrics fan-in
+/// makes. Deliberately short: these are advisory, and they run with
+/// the router unlocked but a client waiting.
 const STATS_DIAL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
 /// How long a shutdown waits for in-flight connections to drain.
 const DRAIN_WAIT: std::time::Duration = std::time::Duration::from_secs(5);
@@ -226,7 +226,6 @@ impl ServeTarget for FrontTarget {
             let cs = self.router().cluster_stats();
             total.auto_respawns = cs.auto_respawns;
             total.quarantines = cs.quarantines;
-            total.reshard_handoffs = cs.reshard_handoffs;
             total.injected_faults = cs.injected_faults;
             Some(total)
         } else {
@@ -289,30 +288,6 @@ impl ServeTarget for FrontTarget {
         total.gauges[econcast_metrics::GAUGE_LRU_ENTRIES].1 += lru_entries;
         total.gauges[econcast_metrics::GAUGE_LRU_BYTES].1 += lru_bytes;
         total
-    }
-
-    /// A `MixSeed` received by the front fans out to every
-    /// attemptable remote backend (fresh short-timeout dials, router
-    /// unlocked) — seeding a cluster warms the backends that actually
-    /// own grids. Local slots have no prewarmer and absorb nothing.
-    fn seed_mix(&self, mix: &[(FamilyKey, u64)]) -> (usize, usize) {
-        let targets: Vec<SocketAddr> = self
-            .router()
-            .remote_slot_addrs()
-            .into_iter()
-            .filter(|&(_, _, attempt)| attempt)
-            .map(|(_, addr, _)| addr)
-            .collect();
-        let (mut absorbed, mut built) = (0usize, 0usize);
-        for addr in targets {
-            let seeded = PolicyClient::connect_with_timeout(addr, 1, STATS_DIAL_TIMEOUT)
-                .and_then(|mut client| client.seed_mix(mix));
-            if let Ok((a, b)) = seeded {
-                absorbed = absorbed.max(usize::from(a));
-                built += usize::from(b);
-            }
-        }
-        (absorbed, built)
     }
 }
 

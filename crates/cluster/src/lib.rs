@@ -42,10 +42,9 @@
 //!   crash-loop damping (exponential backoff, quarantine onto a local
 //!   solver after too many respawns per window), and retargets ring
 //!   slots after a readiness probe — no operator in the loop. The
-//!   same module rebalances the ring live
-//!   ([`add_backend_with_warmup`], [`remove_backend_with_handoff`])
-//!   with warm `MixSeed` handoffs of the router's shadow request-mix
-//!   recorders.
+//!   ring also rebalances live ([`ClusterRouter::add_backend`],
+//!   [`ClusterRouter::remove_backend`]); inherited keys solve cold on
+//!   their new owner, bit-identical to the old owner's answers.
 //! * [`FaultProxy`] / [`FaultPlan`] — a deterministic fault-injection
 //!   harness (connect refusals, frame corruption, stalls, partial
 //!   writes, scripted process kills) that drives the chaos acceptance
@@ -70,9 +69,7 @@ pub mod topology;
 
 pub use fault::{Fault, FaultEvent, FaultPlan, FaultProxy};
 pub use front::{ClusterFront, FrontConfig, FrontHandle};
-pub use policy::{
-    add_backend_with_warmup, remove_backend_with_handoff, ClusterHealer, HealerConfig, RetargetFn,
-};
+pub use policy::{ClusterHealer, HealerConfig, RetargetFn};
 pub use remote::{RemoteConfig, RemoteShard, RemoteShardStats, RemoteTicket};
 pub use router::{ClusterConfig, ClusterRouter, ClusterStats, SlotSpec, StatsSource};
 pub use supervisor::{default_backend_binary, Supervisor, SupervisorConfig};

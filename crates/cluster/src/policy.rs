@@ -1,5 +1,5 @@
-//! The supervisor policy loop and live-rebalance helpers: detection,
-//! decision, and repair with no operator in the loop.
+//! The supervisor policy loop: detection, decision, and repair with
+//! no operator in the loop.
 //!
 //! PR 5 deliberately split mechanism from policy: the [`Supervisor`]
 //! can spawn/kill/respawn, the router can retarget — but *somebody*
@@ -30,21 +30,10 @@
 //! Requests never wait for any of this: a down slot's sub-batches are
 //! served by the router's local fallback (bit-identical bits) the
 //! whole time.
-//!
-//! ## Live rebalancing with warm handoff
-//!
-//! [`add_backend_with_warmup`] and [`remove_backend_with_handoff`]
-//! grow and shrink the ring under load. The ring math is the easy
-//! part; the latency cliff is the *caches*: an inheriting backend has
-//! no grids for the families it just inherited. So the router keeps
-//! shadow per-slot mix recorders, and a rebalance ships them over the
-//! wire `MixSeed` message to whoever inherits the keys — grids are
-//! prewarmed before the first inherited request arrives, counted in
-//! [`ClusterStats::reshard_handoffs`](crate::ClusterStats).
 
 use crate::router::ClusterRouter;
 use crate::supervisor::Supervisor;
-use econcast_service::{FamilyKey, PolicyClient};
+use econcast_service::PolicyClient;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -305,62 +294,6 @@ fn sleep_ticks(total: Duration, stop: &AtomicBool) {
         std::thread::sleep(step);
         remaining = remaining.saturating_sub(step);
     }
-}
-
-/// Dial/I-O timeout for warm-handoff `MixSeed` shipments.
-const HANDOFF_DIAL_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Adds a backend to a live ring with warm handoff: the new slot
-/// takes its vnodes immediately, and the router's merged shadow mix
-/// is shipped to the new backend (out of lock) so the families whose
-/// keys it inherits grid-serve from the first request. Returns the
-/// new slot id.
-pub fn add_backend_with_warmup(router: &Arc<Mutex<ClusterRouter>>, addr: SocketAddr) -> u16 {
-    let _handoff = econcast_trace::trace_span!("cluster", "reshard_handoff");
-    let (slot, mix) = {
-        let mut r = lock(router);
-        let slot = r.add_backend(addr);
-        (slot, r.export_mix())
-    };
-    if !mix.is_empty() && seed_backend(addr, &mix).is_ok() {
-        lock(router).note_reshard_handoff();
-    }
-    slot
-}
-
-/// Retires a backend from a live ring with warm handoff: the slot's
-/// vnodes vanish (its key ranges fall to the ring successors) and the
-/// departing owner's shadow mix is shipped (out of lock) to every
-/// remaining attemptable remote backend — any of them may inherit any
-/// of the keys. Returns `false` when the slot is not remote or is the
-/// last one. The handoff needs nothing from the departing backend, so
-/// removing an already-dead backend still warms its inheritors.
-pub fn remove_backend_with_handoff(router: &Arc<Mutex<ClusterRouter>>, slot: usize) -> bool {
-    let _handoff = econcast_trace::trace_span!("cluster", "reshard_handoff");
-    let (mix, targets) = {
-        let mut r = lock(router);
-        let Some(mix) = r.remove_backend(slot) else {
-            return false;
-        };
-        let targets: Vec<SocketAddr> = r
-            .remote_slot_addrs()
-            .into_iter()
-            .filter(|&(_, _, attempt)| attempt)
-            .map(|(_, addr, _)| addr)
-            .collect();
-        (mix, targets)
-    };
-    for addr in targets {
-        if !mix.is_empty() && seed_backend(addr, &mix).is_ok() {
-            lock(router).note_reshard_handoff();
-        }
-    }
-    true
-}
-
-/// Ships a mix to one backend over the wire `MixSeed` path.
-fn seed_backend(addr: SocketAddr, mix: &[(FamilyKey, u64)]) -> std::io::Result<(u16, u16)> {
-    PolicyClient::connect_with_timeout(addr, 1, HANDOFF_DIAL_TIMEOUT)?.seed_mix(mix)
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

@@ -459,7 +459,6 @@ mod tests {
                     },
                     ..RouterConfig::default()
                 },
-                background_prewarm: false,
                 ..ServerConfig::default()
             },
         )
@@ -589,7 +588,6 @@ mod tests {
                     },
                     ..RouterConfig::default()
                 },
-                background_prewarm: false,
                 ..ServerConfig::default()
             },
         )

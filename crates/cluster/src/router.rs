@@ -36,7 +36,7 @@
 use crate::remote::{RemoteConfig, RemoteShard, RemoteShardStats};
 use econcast_metrics::OpsKind;
 use econcast_proto::service::ServiceErrorCode;
-use econcast_service::{FamilyKey, MixRecorder, ServiceStats};
+use econcast_service::ServiceStats;
 use econcast_service::{PolicyRequest, PolicyResponse, PolicyService, ServiceConfig, ServiceError};
 use econcast_statespace::{fnv1a_64, CanonicalInstance, InstanceKey};
 use std::net::SocketAddr;
@@ -137,8 +137,6 @@ pub struct ClusterStats {
     /// Crash-looping backends the policy loop gave up on and pinned
     /// onto a local in-process slot.
     pub quarantines: u64,
-    /// Warm mix handoffs shipped during live ring rebalances.
-    pub reshard_handoffs: u64,
     /// Faults fired by an attached fault-injection harness (zero in
     /// production deployments).
     pub injected_faults: u64,
@@ -168,16 +166,7 @@ pub struct ClusterRouter {
     /// own no points.
     ring: Vec<(u64, u16)>,
     slots: Vec<Slot>,
-    /// Shadow per-slot request-mix recorders, fed at routing time:
-    /// the router's own copy of each backend's observed heat, so a
-    /// warm handoff never depends on being able to reach the (dead,
-    /// departing) backend it describes.
-    mixes: Vec<MixRecorder>,
     cfg: ClusterConfig,
-    /// Grid-coverable budget range gating shadow mix recording
-    /// (`None` when the grid tier is disabled), mirroring
-    /// `ShardRouter`.
-    grid_range: Option<(f64, f64)>,
     /// The failover solver (and the answerer of invalid requests).
     fallback: PolicyService,
     routed: Vec<u64>,
@@ -188,7 +177,6 @@ pub struct ClusterRouter {
     invalid_requests: u64,
     auto_respawns: u64,
     quarantines: u64,
-    reshard_handoffs: u64,
     overload_rejects: u64,
     saturated_routes: u64,
     /// Per-slot saturation window from the last backend `Overloaded`:
@@ -223,10 +211,8 @@ impl ClusterRouter {
         let mut router = ClusterRouter {
             ring: Vec::new(),
             routed: vec![0; slots.len()],
-            mixes: slots.iter().map(|_| MixRecorder::new()).collect(),
             saturation: vec![None; slots.len()],
             slots,
-            grid_range: cfg.service.grid.map(|g| (g.rho_min_w, g.rho_max_w)),
             fallback: PolicyService::new(cfg.service),
             cfg,
             remote_served: 0,
@@ -236,7 +222,6 @@ impl ClusterRouter {
             invalid_requests: 0,
             auto_respawns: 0,
             quarantines: 0,
-            reshard_handoffs: 0,
             overload_rejects: 0,
             saturated_routes: 0,
             injected_faults: Arc::new(AtomicU64::new(0)),
@@ -302,21 +287,6 @@ impl ClusterRouter {
         }
     }
 
-    /// Every live remote slot: `(slot, backend address, whether the
-    /// health machine would attempt an operation right now)`. The
-    /// warm-handoff helpers snapshot this under the lock and dial
-    /// outside it.
-    pub fn remote_slot_addrs(&self) -> Vec<(usize, SocketAddr, bool)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(s, slot)| match slot {
-                Slot::Remote(rs) => Some((s, rs.addr(), rs.should_attempt())),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// A remote slot's dialer counters (`None` for local or retired
     /// slots).
     pub fn remote_stats(&self, slot: usize) -> Option<RemoteShardStats> {
@@ -337,7 +307,6 @@ impl ClusterRouter {
             invalid_requests: self.invalid_requests,
             auto_respawns: self.auto_respawns,
             quarantines: self.quarantines,
-            reshard_handoffs: self.reshard_handoffs,
             injected_faults: self.injected_faults.load(Ordering::Relaxed),
             overload_rejects: self.overload_rejects,
             saturated_routes: self.saturated_routes,
@@ -484,12 +453,6 @@ impl ClusterRouter {
         econcast_metrics::ops_event(OpsKind::Respawn, 0, 0);
     }
 
-    /// Records one shipped warm-handoff mix.
-    pub fn note_reshard_handoff(&mut self) {
-        self.reshard_handoffs += 1;
-        econcast_metrics::ops_event(OpsKind::ReshardHandoff, 0, 0);
-    }
-
     /// The shared injected-fault counter. A fault-injection harness
     /// clones this handle and increments it every time a scripted
     /// fault actually fires, so chaos runs are auditable through the
@@ -519,10 +482,9 @@ impl ClusterRouter {
     /// Appends a remote slot for a new backend and rebalances the
     /// ring live: the new slot takes its vnodes immediately, moving
     /// ~1/(n+1) of the key space onto the new backend. Returns the
-    /// new slot id. Warm the new backend with
-    /// [`export_mix`](Self::export_mix) (see
-    /// `policy::add_backend_with_warmup`) so inherited families
-    /// grid-serve from the first request.
+    /// new slot id. The inherited keys are cold on the new backend:
+    /// their first requests solve there, bit-identical to the answers
+    /// of the old owner.
     ///
     /// # Panics
     ///
@@ -537,7 +499,6 @@ impl ClusterRouter {
                 u64::from(slot),
             ))));
         self.routed.push(0);
-        self.mixes.push(MixRecorder::new());
         self.saturation.push(None);
         self.rebuild_ring();
         slot
@@ -545,13 +506,11 @@ impl ClusterRouter {
 
     /// Retires a remote slot and rebalances the ring live: the slot's
     /// vnodes vanish and its key ranges fall to the ring successors.
-    /// Returns the departing slot's shadow mix — the payload a warm
-    /// handoff ships to the inheriting backends (see
-    /// `policy::remove_backend_with_handoff`) — or `None` when the
-    /// slot is not remote or is the last slot on the ring.
-    pub fn remove_backend(&mut self, slot: usize) -> Option<Vec<(FamilyKey, u64)>> {
+    /// Returns `false` (and changes nothing) when the slot is not
+    /// remote or is the last slot on the ring.
+    pub fn remove_backend(&mut self, slot: usize) -> bool {
         if !self.slot_is_remote(slot) {
-            return None;
+            return false;
         }
         let live = self
             .slots
@@ -559,27 +518,11 @@ impl ClusterRouter {
             .filter(|s| !matches!(s, Slot::Retired))
             .count();
         if live <= 1 {
-            return None;
+            return false;
         }
         self.slots[slot] = Slot::Retired;
         self.rebuild_ring();
-        Some(std::mem::take(&mut self.mixes[slot]).export())
-    }
-
-    /// One slot's shadow request mix, hottest families first.
-    pub fn export_slot_mix(&self, slot: usize) -> Vec<(FamilyKey, u64)> {
-        self.mixes[slot].export()
-    }
-
-    /// The shadow request mix merged across every slot — what a
-    /// freshly added backend is seeded with (its inherited key ranges
-    /// come from every existing slot).
-    pub fn export_mix(&self) -> Vec<(FamilyKey, u64)> {
-        let mut merged = MixRecorder::new();
-        for mix in &self.mixes {
-            merged.absorb(&mix.export());
-        }
-        merged.export()
+        true
     }
 
     /// Where each slot's serving counters come from, plus the
@@ -653,23 +596,6 @@ impl ClusterRouter {
                     );
                     let s = self.slot_of_key(&canon.key) as usize;
                     self.routed[s] += 1;
-                    // Shadow the backend's view of its request mix
-                    // (same gate as `ShardRouter`): this is the heat a
-                    // warm handoff ships when the slot's key range
-                    // moves — available even after the backend dies.
-                    if canon.homogeneous
-                        && self
-                            .grid_range
-                            .is_some_and(|(lo, hi)| (lo..=hi).contains(&canon.sorted_budgets[0]))
-                    {
-                        self.mixes[s].record(FamilyKey::new(
-                            canon.sorted_budgets.len(),
-                            req.listen_w,
-                            req.transmit_w,
-                            req.sigma,
-                            req.objective,
-                        ));
-                    }
                     sub_idx[s].push(i);
                 }
             }

@@ -2,15 +2,14 @@
 //! against a live cluster (process kills, frame corruption, stalls,
 //! partial writes) while the supervisor policy loop heals — every
 //! response bit-identical to the single-process path and zero
-//! caller-visible errors throughout. Plus: live ring rebalancing with
-//! warm `MixSeed` handoffs, crash-loop quarantine, and the graceful
-//! drain of a mid-frame request.
+//! caller-visible errors throughout. Plus: live ring rebalancing,
+//! crash-loop quarantine, and the graceful drain of a mid-frame
+//! request.
 
 use bytes::BytesMut;
 use econcast_cluster::{
-    add_backend_with_warmup, remove_backend_with_handoff, ClusterConfig, ClusterFront,
-    ClusterHealer, ClusterRouter, Fault, FaultEvent, FaultPlan, FaultProxy, FrontConfig,
-    HealerConfig, RemoteConfig, SlotSpec, Supervisor, SupervisorConfig,
+    ClusterConfig, ClusterFront, ClusterHealer, ClusterRouter, Fault, FaultEvent, FaultPlan,
+    FaultProxy, FrontConfig, HealerConfig, RemoteConfig, SlotSpec, Supervisor, SupervisorConfig,
 };
 use econcast_core::{NodeParams, ThroughputMode};
 use econcast_proto::service::{ServiceCodec, ServiceMessage, WireHello};
@@ -353,8 +352,7 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
 }
 
 /// One in-process backend server for rebalance tests (in-process so
-/// the test controls its config; no background prewarm so every grid
-/// on it is attributable to the warm handoff or an inline build).
+/// the test controls its config).
 fn bind_backend() -> (ServerHandle, SocketAddr) {
     let server = PolicyServer::bind(
         "127.0.0.1:0",
@@ -364,7 +362,6 @@ fn bind_backend() -> (ServerHandle, SocketAddr) {
                 service: service_cfg(),
                 ..RouterConfig::default()
             },
-            background_prewarm: false,
             ..ServerConfig::default()
         },
     )
@@ -413,8 +410,7 @@ fn refused_dial_fails_and_the_next_dial_speaks_the_full_protocol() {
     handle.shutdown();
 }
 
-/// A homogeneous request in one fixed family (grid-coverable budget,
-/// coarse tolerance so the grid tier serves), varying only the
+/// A homogeneous request in one fixed family, varying only the
 /// budget.
 fn family_req(rho_uw: f64) -> PolicyRequest {
     PolicyRequest {
@@ -429,13 +425,14 @@ fn family_req(rho_uw: f64) -> PolicyRequest {
     }
 }
 
-/// Live ring rebalancing with warm handoff, pinned by a bounded
-/// throughput dip: the backend added under load inherits keys *and*
-/// the shadow mix, so it grid-serves inherited families from the
-/// first request with zero inline builds — and retiring a backend
-/// ships its mix to the survivors the same way.
+/// Live ring rebalancing under a mixed heterogeneous and homogeneous
+/// load: a backend added mid-run takes its vnodes at once, and a
+/// retired one's key ranges fall to its ring successors. Inherited
+/// keys solve cold on their new owner, so every answer through both
+/// moves matches the in-process reference bit for bit, with zero
+/// errors and no failover.
 #[test]
-fn live_reshard_warm_handoff_avoids_inline_builds_on_the_inheritor() {
+fn live_reshard_keeps_answers_bit_identical() {
     let (handle_a, addr_a) = bind_backend();
     let (handle_b, addr_b) = bind_backend();
     let router = Arc::new(Mutex::new(ClusterRouter::new(
@@ -447,88 +444,51 @@ fn live_reshard_warm_handoff_avoids_inline_builds_on_the_inheritor() {
         service: service_cfg(),
         ..RouterConfig::default()
     });
-
-    // Warm phase: make one family hot so the router's shadow
-    // recorders learn it (8 hits ≫ the prewarm min_hits of 3).
-    let warm: Vec<PolicyRequest> = (0..8)
-        .map(|i| family_req(10.0 + 0.1 * f64::from(i)))
-        .collect();
-    let expected_warm = reference.serve_batch(&warm);
-    let got = router.lock().unwrap().serve_batch(&warm);
-    for (i, (g, e)) in got.iter().zip(&expected_warm).enumerate() {
-        assert_resp_identical(i, g, e);
-    }
-    assert!(
-        !router.lock().unwrap().export_mix().is_empty(),
-        "shadow recorders must have learned the warm family"
-    );
+    // The acceptance mix plus fresh budgets in one homogeneous family,
+    // offset per phase so each phase brings keys no slot has seen.
+    let phase = |offset: f64| -> Vec<PolicyRequest> {
+        let mut batch = mixed_batch(48);
+        batch.extend((0..16).map(|i| family_req(offset + 0.6 * f64::from(i))));
+        batch
+    };
+    let serve_checked = |batch: &[PolicyRequest]| {
+        let expected = reference.serve_batch(batch);
+        let got = router.lock().unwrap().serve_batch(batch);
+        assert_eq!(got.len(), expected.len());
+        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert_resp_identical(i, g, e);
+        }
+    };
+    serve_checked(&phase(5.0));
 
     // Grow the ring under load: the new backend takes its vnodes and
-    // is seeded with the merged shadow mix before any request hits it.
+    // serves its share of the next batch from a cold cache.
     let (handle_c, addr_c) = bind_backend();
-    let slot = add_backend_with_warmup(&router, addr_c);
+    let slot = router.lock().unwrap().add_backend(addr_c);
     assert_eq!(slot, 2);
-    let warmed = PolicyClient::connect(addr_c, 1)
+    serve_checked(&phase(20.0));
+    let inheritor = PolicyClient::connect(addr_c, 1)
         .expect("connect new backend")
         .stats(None)
         .expect("new backend stats");
     assert!(
-        warmed.grid_prewarms >= 1,
-        "the handoff must have prewarmed the hot family: {warmed:?}"
-    );
-    assert_eq!(warmed.grid_builds, 0);
-    assert_eq!(warmed.requests, 0, "warmed before any request arrived");
-    assert!(router.lock().unwrap().cluster_stats().reshard_handoffs >= 1);
-
-    // Post-handoff probes: fresh budgets in the hot family. About a
-    // third land on the new slot; it must serve them from the
-    // prewarmed grid — zero inline builds is the bounded-dip pin.
-    let probes: Vec<PolicyRequest> = (0..40)
-        .map(|i| family_req(5.0 + 0.6 * f64::from(i)))
-        .collect();
-    let expected_probes = reference.serve_batch(&probes);
-    let got = router.lock().unwrap().serve_batch(&probes);
-    for (i, (g, e)) in got.iter().zip(&expected_probes).enumerate() {
-        assert_resp_identical(i, g, e);
-    }
-    let after = PolicyClient::connect(addr_c, 1)
-        .expect("connect new backend")
-        .stats(None)
-        .expect("new backend stats");
-    assert!(after.requests > 0, "the new slot must have inherited keys");
-    assert_eq!(
-        after.grid_builds, 0,
-        "inherited requests must never pay an inline build: {after:?}"
-    );
-    assert!(
-        after.grid_hits >= 1,
-        "the prewarmed grid must actually serve: {after:?}"
+        inheritor.requests > 0,
+        "the new slot must have inherited keys"
     );
 
-    // Shrink the ring under load: retire slot 0; its shadow mix ships
-    // to every survivor (any of them may inherit any key), its vnodes
-    // vanish, and serving continues bit-identically with zero errors.
-    let handoffs_before = router.lock().unwrap().cluster_stats().reshard_handoffs;
+    // Shrink the ring under load: retire slot 0; its vnodes vanish
+    // and serving continues bit-identically.
     let routed_0_before = router.lock().unwrap().cluster_stats().routed[0];
-    assert!(remove_backend_with_handoff(&router, 0));
-    let probes2: Vec<PolicyRequest> = (0..20)
-        .map(|i| family_req(35.0 + 0.4 * f64::from(i)))
-        .collect();
-    let expected_probes2 = reference.serve_batch(&probes2);
-    let got = router.lock().unwrap().serve_batch(&probes2);
-    for (i, (g, e)) in got.iter().zip(&expected_probes2).enumerate() {
-        assert_resp_identical(i, g, e);
-    }
+    assert!(router.lock().unwrap().remove_backend(0));
+    serve_checked(&phase(35.0));
     let stats = router.lock().unwrap().cluster_stats();
     assert_eq!(stats.healthy, vec![false, true, true], "slot 0 retired");
     assert_eq!(
         stats.routed[0], routed_0_before,
         "a retired slot owns no vnodes and takes no new keys"
     );
-    assert!(
-        stats.reshard_handoffs > handoffs_before,
-        "retirement must have shipped the departing mix: {stats:?}"
-    );
+    assert_eq!(stats.backend_failures, 0, "{stats:?}");
+    assert_eq!(stats.local_fallbacks, 0, "{stats:?}");
 
     handle_a.shutdown();
     handle_b.shutdown();

@@ -266,13 +266,11 @@ fn stats_fan_in_equals_the_sum_of_backend_stats() {
     // front overlays the router's values onto the wire aggregate.
     assert_eq!(aggregate.auto_respawns, 0);
     assert_eq!(aggregate.quarantines, 0);
-    assert_eq!(aggregate.reshard_handoffs, 0);
     assert_eq!(aggregate.injected_faults, 0);
     {
         let router = front.router();
         let mut guard = router.lock().unwrap();
         guard.note_auto_respawn();
-        guard.note_reshard_handoff();
         guard
             .injected_fault_counter()
             .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
@@ -280,7 +278,6 @@ fn stats_fan_in_equals_the_sum_of_backend_stats() {
     let overlaid = client.stats(None).expect("overlaid aggregate");
     assert_eq!(overlaid.auto_respawns, 1);
     assert_eq!(overlaid.quarantines, 0);
-    assert_eq!(overlaid.reshard_handoffs, 1);
     assert_eq!(overlaid.injected_faults, 3);
     // …while a backend asked directly still knows nothing of them.
     let direct = PolicyClient::connect(sup.addr(0), 1)

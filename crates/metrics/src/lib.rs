@@ -76,12 +76,10 @@ pub const CTR_FAILOVER_RESERVES: usize = 8;
 pub const CTR_RESPAWNS: usize = 9;
 /// Backend slots quarantined onto the fallback solver.
 pub const CTR_QUARANTINES: usize = 10;
-/// Warm mix handoffs shipped during live reshards.
-pub const CTR_RESHARD_HANDOFFS: usize = 11;
 /// Backend-saturation windows opened.
-pub const CTR_SATURATION_OPENS: usize = 12;
+pub const CTR_SATURATION_OPENS: usize = 11;
 /// Number of named counters in the registry.
-pub const NUM_COUNTERS: usize = 13;
+pub const NUM_COUNTERS: usize = 12;
 
 /// Display names, indexed by the `CTR_*` constants.
 pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
@@ -96,7 +94,6 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "failover_reserves",
     "respawns",
     "quarantines",
-    "reshard_handoffs",
     "saturation_opens",
 ];
 
@@ -113,7 +110,8 @@ pub const GAUGE_QUEUE_DEPTH: usize = 0;
 pub const GAUGE_QUEUE_DEPTH_PEAK: usize = 1;
 /// Entries resident in the exact-match LRU tier (Σ — disjoint shards).
 pub const GAUGE_LRU_ENTRIES: usize = 2;
-/// Bytes charged to the cache budget, LRU + grids (Σ).
+/// Bytes resident in the exact-match LRU tier, the quantity the cache
+/// byte budget bounds (Σ).
 pub const GAUGE_LRU_BYTES: usize = 3;
 /// Live (non-quarantined, non-dead) backends behind a front (Σ).
 pub const GAUGE_LIVE_BACKENDS: usize = 4;
@@ -583,8 +581,6 @@ pub enum OpsKind {
     Respawn,
     /// A backend slot was quarantined onto the fallback solver.
     Quarantine,
-    /// A warm mix handoff shipped during a live reshard.
-    ReshardHandoff,
     /// A backend-saturation window opened.
     SaturationOpen,
     /// A backend-saturation window lapsed.
@@ -602,7 +598,6 @@ impl OpsKind {
             OpsKind::FailoverReserve => "failover_reserve",
             OpsKind::Respawn => "respawn",
             OpsKind::Quarantine => "quarantine",
-            OpsKind::ReshardHandoff => "reshard_handoff",
             OpsKind::SaturationOpen => "saturation_open",
             OpsKind::SaturationClose => "saturation_close",
         }
@@ -618,7 +613,6 @@ impl OpsKind {
             OpsKind::FailoverReserve => Some(CTR_FAILOVER_RESERVES),
             OpsKind::Respawn => Some(CTR_RESPAWNS),
             OpsKind::Quarantine => Some(CTR_QUARANTINES),
-            OpsKind::ReshardHandoff => Some(CTR_RESHARD_HANDOFFS),
             OpsKind::SaturationOpen => Some(CTR_SATURATION_OPENS),
             OpsKind::SaturationClose => None,
         }

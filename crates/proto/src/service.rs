@@ -23,13 +23,9 @@
 //! Hello:    [0x13][ver][id u32][max_batch u16][crc u16]
 //! Welcome:  [0x14][ver][id u32][shards u16][max_batch u16][crc u16]
 //! StatsReq: [0x15][ver][id u32][shard u16][crc u16]
-//! Stats:    [0x16][ver][id u32][shard u16]{ [counter u64] }×24 [crc u16]
+//! Stats:    [0x16][ver][id u32][shard u16]{ [counter u64] }×20 [crc u16]
 //! Ping:     [0x17][ver][id u32][crc u16]
 //! Pong:     [0x18][ver][id u32][crc u16]
-//! MixSeed:  [0x19][ver][id u32][count u16]
-//!           { [n u16][listen f64][transmit f64][sigma f64][mode u8]
-//!             [hits u64] }×count [crc u16]
-//! MixAck:   [0x1A][ver][id u32][absorbed u16][grids_built u16][crc u16]
 //! Overload: [0x1B][ver][corr u32][id u32][retry_after_us u32][crc u16]
 //! MetricsReq: [0x1C][ver][id u32][crc u16]
 //! Metrics:  [0x1D][ver][id u32]
@@ -41,7 +37,9 @@
 //!
 //! `ver` is always [`WIRE_VERSION`]; any other version octet is
 //! rejected (as [`DecodeError::UnsupportedVersion`], after the CRC
-//! check).
+//! check). Type octets 0x19 and 0x1A are retired and decode as
+//! [`DecodeError::UnknownFrameType`], as does any octet outside the
+//! table.
 //!
 //! `Hello`/`Welcome` form the connection handshake of the TCP policy
 //! server: the client announces the largest batch it intends to
@@ -71,11 +69,6 @@ pub const WIRE_VERSION: u8 = 7;
 /// stream-length prefix (a 4000-node response is 64 042 bytes).
 pub const MAX_WIRE_NODES: usize = 4000;
 
-/// Hard cap on families per [`MixSeed`](ServiceMessage::MixSeed)
-/// message so it fits the u16 stream-length prefix (1000 families are
-/// 35 010 bytes); senders truncate to the hottest families.
-pub const MAX_WIRE_FAMILIES: usize = 1000;
-
 const TYPE_REQUEST: u8 = 0x10;
 const TYPE_RESPONSE: u8 = 0x11;
 const TYPE_ERROR: u8 = 0x12;
@@ -85,14 +78,12 @@ const TYPE_STATS_REQUEST: u8 = 0x15;
 const TYPE_STATS_RESPONSE: u8 = 0x16;
 const TYPE_PING: u8 = 0x17;
 const TYPE_PONG: u8 = 0x18;
-const TYPE_MIX_SEED: u8 = 0x19;
-const TYPE_MIX_ACK: u8 = 0x1A;
 const TYPE_OVERLOADED: u8 = 0x1B;
 const TYPE_METRICS_REQUEST: u8 = 0x1C;
 const TYPE_METRICS_RESPONSE: u8 = 0x1D;
 
 /// Cap on counters per [`WireMetricsSnapshot`] (frame must fit the
-/// u16 stream-length prefix; the registry currently uses 13).
+/// u16 stream-length prefix; the registry currently uses 12).
 pub const MAX_WIRE_METRICS_COUNTERS: usize = 256;
 
 /// Cap on gauges per [`WireMetricsSnapshot`].
@@ -144,10 +135,9 @@ pub enum ServedTier {
     Solver,
     /// Exact-match LRU hit on the canonicalized instance.
     Exact,
-    /// Interpolated from the precomputed (N, ρ) grid.
-    Grid,
-    /// The O(1)-per-group homogeneous closed form (scalar-dual
-    /// bisection over the `2N + 1` aggregated state groups).
+    /// The homogeneous closed form (scalar-dual bisection over the
+    /// O(1) binomial Gibbs summary). Octet 2, the retired grid tier,
+    /// is refused.
     ClosedForm,
 }
 
@@ -156,7 +146,6 @@ impl ServedTier {
         match self {
             ServedTier::Solver => 0,
             ServedTier::Exact => 1,
-            ServedTier::Grid => 2,
             ServedTier::ClosedForm => 3,
         }
     }
@@ -165,7 +154,6 @@ impl ServedTier {
         match v {
             0 => Ok(ServedTier::Solver),
             1 => Ok(ServedTier::Exact),
-            2 => Ok(ServedTier::Grid),
             3 => Ok(ServedTier::ClosedForm),
             _ => Err(DecodeError::InvalidField("tier")),
         }
@@ -184,10 +172,9 @@ pub enum PolicyKernel {
     GrayCode,
     /// The factorized polynomial large-N kernel.
     Factorized,
-    /// The homogeneous scalar-dual closed form.
+    /// The homogeneous scalar-dual closed form. Octet 3, the retired
+    /// grid kernel, is refused.
     ClosedForm,
-    /// Interpolated from a precomputed `(N, ρ)` grid.
-    Grid,
 }
 
 impl PolicyKernel {
@@ -196,7 +183,6 @@ impl PolicyKernel {
             PolicyKernel::GrayCode => 0,
             PolicyKernel::Factorized => 1,
             PolicyKernel::ClosedForm => 2,
-            PolicyKernel::Grid => 3,
         }
     }
 
@@ -205,7 +191,6 @@ impl PolicyKernel {
             0 => Ok(PolicyKernel::GrayCode),
             1 => Ok(PolicyKernel::Factorized),
             2 => Ok(PolicyKernel::ClosedForm),
-            3 => Ok(PolicyKernel::Grid),
             _ => Err(DecodeError::InvalidField("kernel")),
         }
     }
@@ -301,7 +286,7 @@ pub struct WirePolicyResponse {
     /// Which solve kernel produced the underlying policy.
     pub kernel: PolicyKernel,
     /// Whether the underlying dual solve met its tolerance (always
-    /// true for closed-form/grid tiers).
+    /// true for the closed-form tier).
     pub converged: bool,
     /// Expected network throughput `E_π[T_w]` under the policy.
     pub throughput: f64,
@@ -381,55 +366,9 @@ pub struct WirePong {
     pub id: u32,
 }
 
-/// One observed homogeneous request family and its heat, the unit of
-/// a [`WireMixSeed`]. Mirrors the service crate's `FamilyKey` plus its
-/// observation count; floats ride as IEEE-754 bit patterns, so family
-/// identity survives the wire exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireMixFamily {
-    /// Node count of the family.
-    pub n: u16,
-    /// Listen power `L` (W).
-    pub listen_w: f64,
-    /// Transmit power `X` (W).
-    pub transmit_w: f64,
-    /// Entropy temperature σ.
-    pub sigma: f64,
-    /// Objective: 0 = groupput, 1 = anyput.
-    pub mode: u8,
-    /// Observations of this family at the sender.
-    pub hits: u64,
-}
-
-/// Warm-handoff seed: a snapshot of the sender's observed
-/// homogeneous request mix, hottest families first. Sent to the shard
-/// inheriting a departing owner's key range during a reshard so its
-/// prewarmer starts from real heat instead of cold; answered by
-/// [`WireMixAck`]. Absorbing a seed is a pure latency optimization —
-/// a prewarmed grid is bit-identical to the lazily built one, so
-/// responses never depend on whether a seed arrived.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireMixSeed {
-    /// Caller-chosen correlation id, echoed in the ack.
-    pub id: u32,
-    /// Observed families, hottest first (≤ [`MAX_WIRE_FAMILIES`]).
-    pub families: Vec<WireMixFamily>,
-}
-
-/// Warm-handoff acknowledgement: what the receiver did with the seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireMixAck {
-    /// Echo of the seed id.
-    pub id: u32,
-    /// Families recorded into the receiver's mix.
-    pub absorbed: u16,
-    /// Grid families built eagerly while absorbing.
-    pub grids_built: u16,
-}
-
 /// The serving counters of one shard (or the aggregate), mirroring
-/// the service crate's `ServiceStats`. Encoded as 16 u64s in
-/// declaration order.
+/// the service crate's `ServiceStats`. Encoded as
+/// [`STATS_COUNTERS`] (20) u64s in declaration order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireServiceStats {
     /// Requests received (including failed ones).
@@ -438,8 +377,6 @@ pub struct WireServiceStats {
     pub batches: u64,
     /// Exact-match LRU hits.
     pub exact_hits: u64,
-    /// Grid-interpolation hits.
-    pub grid_hits: u64,
     /// Homogeneous closed-form serves.
     pub closed_form_hits: u64,
     /// Exact (P4) solver runs.
@@ -448,10 +385,6 @@ pub struct WireServiceStats {
     pub batch_dedup_hits: u64,
     /// Rejected requests.
     pub errors: u64,
-    /// Grid families built lazily.
-    pub grid_builds: u64,
-    /// Grid families built by the prewarmer.
-    pub grid_prewarms: u64,
     /// LRU insertions.
     pub lru_inserts: u64,
     /// LRU evictions.
@@ -464,8 +397,8 @@ pub struct WireServiceStats {
     /// Exact-tier hits whose entry was produced by the factorized
     /// large-N solver.
     pub exact_hits_factorized: u64,
-    /// LRU entries evicted to satisfy the cross-tier cache byte
-    /// budget, as opposed to the entry-count capacity.
+    /// LRU entries evicted to satisfy the cache byte budget, as
+    /// opposed to the entry-count capacity.
     pub byte_evictions: u64,
     /// Dead backends automatically respawned and retargeted by the
     /// cluster's supervisor policy loop (zero for plain services —
@@ -474,16 +407,15 @@ pub struct WireServiceStats {
     /// Backend slots quarantined onto the local fallback solver after
     /// exhausting their respawn budget.
     pub quarantines: u64,
-    /// Warm mix handoffs shipped during live reshards.
-    pub reshard_handoffs: u64,
     /// Faults injected by a scripted fault plan — nonzero only under
     /// the chaos harness.
     pub injected_faults: u64,
     /// Requests rejected with `Overloaded` by the admission ladder.
     pub shed_rejects: u64,
-    /// Requests served from the certified degraded (grid) tier at
-    /// relaxed tolerance because the admission ladder was under
-    /// pressure.
+    /// Requests served at a relaxed, certificate-reported tolerance
+    /// because the admission ladder was under pressure. Only the
+    /// heterogeneous solver's stopping tolerance relaxes; a
+    /// homogeneous closed-form answer does not depend on tolerance.
     pub degraded_serves: u64,
     /// Requests whose `deadline_us` budget expired before a result
     /// could be produced — answered `Overloaded`, never late.
@@ -495,7 +427,7 @@ pub struct WireServiceStats {
 
 /// Number of u64 counters in [`WireServiceStats`] — pins the wire
 /// layout of the stats block.
-pub const STATS_COUNTERS: usize = 24;
+pub const STATS_COUNTERS: usize = 20;
 
 impl WireServiceStats {
     /// The counters in wire (declaration) order.
@@ -504,13 +436,10 @@ impl WireServiceStats {
             self.requests,
             self.batches,
             self.exact_hits,
-            self.grid_hits,
             self.closed_form_hits,
             self.solver_solves,
             self.batch_dedup_hits,
             self.errors,
-            self.grid_builds,
-            self.grid_prewarms,
             self.lru_inserts,
             self.lru_evictions,
             self.lru_len,
@@ -519,7 +448,6 @@ impl WireServiceStats {
             self.byte_evictions,
             self.auto_respawns,
             self.quarantines,
-            self.reshard_handoffs,
             self.injected_faults,
             self.shed_rejects,
             self.degraded_serves,
@@ -534,27 +462,23 @@ impl WireServiceStats {
             requests: c[0],
             batches: c[1],
             exact_hits: c[2],
-            grid_hits: c[3],
-            closed_form_hits: c[4],
-            solver_solves: c[5],
-            batch_dedup_hits: c[6],
-            errors: c[7],
-            grid_builds: c[8],
-            grid_prewarms: c[9],
-            lru_inserts: c[10],
-            lru_evictions: c[11],
-            lru_len: c[12],
-            exact_hits_closed_form: c[13],
-            exact_hits_factorized: c[14],
-            byte_evictions: c[15],
-            auto_respawns: c[16],
-            quarantines: c[17],
-            reshard_handoffs: c[18],
-            injected_faults: c[19],
-            shed_rejects: c[20],
-            degraded_serves: c[21],
-            deadline_expired: c[22],
-            queue_depth_peak: c[23],
+            closed_form_hits: c[3],
+            solver_solves: c[4],
+            batch_dedup_hits: c[5],
+            errors: c[6],
+            lru_inserts: c[7],
+            lru_evictions: c[8],
+            lru_len: c[9],
+            exact_hits_closed_form: c[10],
+            exact_hits_factorized: c[11],
+            byte_evictions: c[12],
+            auto_respawns: c[13],
+            quarantines: c[14],
+            injected_faults: c[15],
+            shed_rejects: c[16],
+            degraded_serves: c[17],
+            deadline_expired: c[18],
+            queue_depth_peak: c[19],
         }
     }
 }
@@ -626,10 +550,6 @@ pub enum ServiceMessage {
     Ping(WirePing),
     /// Server → client: liveness reply.
     Pong(WirePong),
-    /// Peer → peer: warm-handoff request-mix seed.
-    MixSeed(WireMixSeed),
-    /// Reply: what the receiver did with the seed.
-    MixAck(WireMixAck),
     /// Client → server: metrics scrape request.
     MetricsRequest(WireMetricsRequest),
     /// Server → client: metrics snapshot.
@@ -750,31 +670,6 @@ impl ServiceMessage {
                 buf.put_u8(WIRE_VERSION);
                 buf.put_u32(p.id);
             }
-            ServiceMessage::MixSeed(s) => {
-                assert!(
-                    s.families.len() <= MAX_WIRE_FAMILIES,
-                    "mix seed exceeds MAX_WIRE_FAMILIES"
-                );
-                buf.put_u8(TYPE_MIX_SEED);
-                buf.put_u8(WIRE_VERSION);
-                buf.put_u32(s.id);
-                buf.put_u16(s.families.len() as u16);
-                for f in &s.families {
-                    buf.put_u16(f.n);
-                    buf.put_f64(f.listen_w);
-                    buf.put_f64(f.transmit_w);
-                    buf.put_f64(f.sigma);
-                    buf.put_u8(f.mode);
-                    buf.put_u64(f.hits);
-                }
-            }
-            ServiceMessage::MixAck(a) => {
-                buf.put_u8(TYPE_MIX_ACK);
-                buf.put_u8(WIRE_VERSION);
-                buf.put_u32(a.id);
-                buf.put_u16(a.absorbed);
-                buf.put_u16(a.grids_built);
-            }
             ServiceMessage::MetricsRequest(r) => {
                 buf.put_u8(TYPE_METRICS_REQUEST);
                 buf.put_u8(WIRE_VERSION);
@@ -827,8 +722,6 @@ impl ServiceMessage {
             ServiceMessage::StatsRequest(_) => 8 + 2,
             ServiceMessage::StatsResponse(_) => 8 + 8 * STATS_COUNTERS + 2,
             ServiceMessage::Ping(_) | ServiceMessage::Pong(_) => 6 + 2,
-            ServiceMessage::MixSeed(s) => 8 + 35 * s.families.len() + 2,
-            ServiceMessage::MixAck(_) => 10 + 2,
             ServiceMessage::MetricsRequest(_) => 6 + 2,
             ServiceMessage::MetricsResponse(r) => {
                 let s = &r.snapshot;
@@ -881,17 +774,6 @@ impl ServiceMessage {
             TYPE_WELCOME => 12,
             TYPE_STATS_RESPONSE => 10 + 8 * STATS_COUNTERS,
             TYPE_PING | TYPE_PONG => 8,
-            TYPE_MIX_SEED => {
-                if data.len() < 8 {
-                    return Err(DecodeError::Truncated {
-                        needed: 10,
-                        available: data.len(),
-                    });
-                }
-                let count = u16::from_be_bytes([data[6], data[7]]) as usize;
-                8 + 35 * count + 2
-            }
-            TYPE_MIX_ACK => 12,
             TYPE_METRICS_REQUEST => 8,
             TYPE_METRICS_RESPONSE => {
                 // Three counted sections, one nested — walk them to
@@ -1061,44 +943,6 @@ impl ServiceMessage {
             }
             TYPE_PING => ServiceMessage::Ping(WirePing { id: cur.get_u32() }),
             TYPE_PONG => ServiceMessage::Pong(WirePong { id: cur.get_u32() }),
-            TYPE_MIX_SEED => {
-                let id = cur.get_u32();
-                let count = cur.get_u16() as usize;
-                if count > MAX_WIRE_FAMILIES {
-                    return Err(DecodeError::MalformedLength);
-                }
-                let mut families = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let n = cur.get_u16();
-                    let listen_w = cur.get_f64();
-                    let transmit_w = cur.get_f64();
-                    let sigma = cur.get_f64();
-                    let mode = cur.get_u8();
-                    if mode > 1 {
-                        return Err(DecodeError::InvalidField("mix mode"));
-                    }
-                    let hits = cur.get_u64();
-                    families.push(WireMixFamily {
-                        n,
-                        listen_w,
-                        transmit_w,
-                        sigma,
-                        mode,
-                        hits,
-                    });
-                }
-                ServiceMessage::MixSeed(WireMixSeed { id, families })
-            }
-            TYPE_MIX_ACK => {
-                let id = cur.get_u32();
-                let absorbed = cur.get_u16();
-                let grids_built = cur.get_u16();
-                ServiceMessage::MixAck(WireMixAck {
-                    id,
-                    absorbed,
-                    grids_built,
-                })
-            }
             TYPE_METRICS_REQUEST => {
                 ServiceMessage::MetricsRequest(WireMetricsRequest { id: cur.get_u32() })
             }
@@ -1359,8 +1203,8 @@ mod tests {
         ServiceMessage::Response(WirePolicyResponse {
             corr: 0xAB0BA,
             id: 7,
-            tier: ServedTier::Grid,
-            kernel: PolicyKernel::Grid,
+            tier: ServedTier::ClosedForm,
+            kernel: PolicyKernel::ClosedForm,
             converged: true,
             throughput: 3.25,
             cert_t_sigma: 3.25,
@@ -1591,27 +1435,23 @@ mod tests {
             requests: 1,
             batches: 2,
             exact_hits: 3,
-            grid_hits: 4,
-            closed_form_hits: 5,
-            solver_solves: 6,
-            batch_dedup_hits: 7,
-            errors: 8,
-            grid_builds: 9,
-            grid_prewarms: 10,
-            lru_inserts: 11,
-            lru_evictions: 12,
-            lru_len: 13,
-            exact_hits_closed_form: 14,
-            exact_hits_factorized: 15,
-            byte_evictions: 16,
-            auto_respawns: 17,
-            quarantines: 18,
-            reshard_handoffs: 19,
-            injected_faults: 20,
-            shed_rejects: 21,
-            degraded_serves: 22,
-            deadline_expired: 23,
-            queue_depth_peak: 24,
+            closed_form_hits: 4,
+            solver_solves: 5,
+            batch_dedup_hits: 6,
+            errors: 7,
+            lru_inserts: 8,
+            lru_evictions: 9,
+            lru_len: 10,
+            exact_hits_closed_form: 11,
+            exact_hits_factorized: 12,
+            byte_evictions: 13,
+            auto_respawns: 14,
+            quarantines: 15,
+            injected_faults: 16,
+            shed_rejects: 17,
+            degraded_serves: 18,
+            deadline_expired: 19,
+            queue_depth_peak: 20,
         };
         for m in [
             ServiceMessage::Hello(WireHello {
@@ -1649,20 +1489,21 @@ mod tests {
             }
         }
         // Counter order is pinned: array round-trip is the identity,
-        // and the v2 counters append after v1's 13 stable slots.
+        // and every field rides its declaration slot.
         assert_eq!(WireServiceStats::from_array(stats.to_array()), stats);
-        assert_eq!(stats.to_array()[9], 10, "grid_prewarms rides slot 9");
-        assert_eq!(stats.to_array()[13], 14, "closed-form hits ride slot 13");
-        assert_eq!(stats.to_array()[14], 15, "factorized hits ride slot 14");
-        assert_eq!(stats.to_array()[15], 16, "byte evictions ride slot 15");
-        assert_eq!(stats.to_array()[16], 17, "auto respawns ride slot 16");
-        assert_eq!(stats.to_array()[17], 18, "quarantines ride slot 17");
-        assert_eq!(stats.to_array()[18], 19, "reshard handoffs ride slot 18");
-        assert_eq!(stats.to_array()[19], 20, "injected faults ride slot 19");
-        assert_eq!(stats.to_array()[20], 21, "shed rejects ride slot 20");
-        assert_eq!(stats.to_array()[21], 22, "degraded serves ride slot 21");
-        assert_eq!(stats.to_array()[22], 23, "deadline expiries ride slot 22");
-        assert_eq!(stats.to_array()[23], 24, "queue depth peak rides slot 23");
+        assert_eq!(stats.to_array()[3], 4, "closed-form serves ride slot 3");
+        assert_eq!(stats.to_array()[7], 8, "LRU inserts ride slot 7");
+        assert_eq!(stats.to_array()[9], 10, "LRU length rides slot 9");
+        assert_eq!(stats.to_array()[10], 11, "closed-form hits ride slot 10");
+        assert_eq!(stats.to_array()[11], 12, "factorized hits ride slot 11");
+        assert_eq!(stats.to_array()[12], 13, "byte evictions ride slot 12");
+        assert_eq!(stats.to_array()[13], 14, "auto respawns ride slot 13");
+        assert_eq!(stats.to_array()[14], 15, "quarantines ride slot 14");
+        assert_eq!(stats.to_array()[15], 16, "injected faults ride slot 15");
+        assert_eq!(stats.to_array()[16], 17, "shed rejects ride slot 16");
+        assert_eq!(stats.to_array()[17], 18, "degraded serves ride slot 17");
+        assert_eq!(stats.to_array()[18], 19, "deadline expiries ride slot 18");
+        assert_eq!(stats.to_array()[19], 20, "queue depth peak rides slot 19");
     }
 
     #[test]
@@ -1688,87 +1529,6 @@ mod tests {
         ));
     }
 
-    fn sample_mix_seed() -> ServiceMessage {
-        ServiceMessage::MixSeed(WireMixSeed {
-            id: 21,
-            families: vec![
-                WireMixFamily {
-                    n: 12,
-                    listen_w: 500e-6,
-                    transmit_w: 450e-6,
-                    sigma: 0.5,
-                    mode: 0,
-                    hits: 9,
-                },
-                WireMixFamily {
-                    n: 96,
-                    listen_w: 500e-6,
-                    transmit_w: 450e-6,
-                    sigma: 0.25,
-                    mode: 1,
-                    hits: 4,
-                },
-            ],
-        })
-    }
-
-    #[test]
-    fn mix_seed_roundtrip_and_size() {
-        let m = sample_mix_seed();
-        let b = m.encode();
-        assert_eq!(b.len(), m.encoded_len());
-        assert_eq!(b.len(), 8 + 35 * 2 + 2);
-        let (decoded, used) = ServiceMessage::decode(&b).unwrap();
-        assert_eq!(decoded, m);
-        assert_eq!(used, b.len());
-        // Empty seeds are legal (a shard with no recorded mix).
-        let empty = ServiceMessage::MixSeed(WireMixSeed {
-            id: 1,
-            families: vec![],
-        });
-        let be = empty.encode();
-        assert_eq!(be.len(), 10);
-        assert_eq!(ServiceMessage::decode(&be).unwrap().0, empty);
-    }
-
-    #[test]
-    fn mix_ack_roundtrip_and_size() {
-        let m = ServiceMessage::MixAck(WireMixAck {
-            id: 21,
-            absorbed: 2,
-            grids_built: 1,
-        });
-        let b = m.encode();
-        assert_eq!(b.len(), m.encoded_len());
-        assert_eq!(b.len(), 12);
-        let (decoded, used) = ServiceMessage::decode(&b).unwrap();
-        assert_eq!(decoded, m);
-        assert_eq!(used, b.len());
-        for cut in 0..b.len() {
-            assert!(matches!(
-                ServiceMessage::decode(&b[..cut]),
-                Err(DecodeError::Truncated { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn mix_seed_invalid_mode_rejected() {
-        // A mode octet ≥ 2 with a *valid* CRC must fail as a field
-        // error, not slip through as a bogus objective.
-        let mut b = sample_mix_seed().encode().to_vec();
-        let mode_off = 8 + 2 + 24; // first family's mode octet
-        assert_eq!(b[mode_off], 0);
-        b[mode_off] = 2;
-        let body_len = b.len() - 2;
-        let crc = crate::crc::crc16_ccitt(&b[..body_len]);
-        b[body_len..].copy_from_slice(&crc.to_be_bytes());
-        assert_eq!(
-            ServiceMessage::decode(&b),
-            Err(DecodeError::InvalidField("mix mode"))
-        );
-    }
-
     #[test]
     fn stats_corruption_detected() {
         let mut b = ServiceMessage::StatsResponse(WireStatsResponse {
@@ -1782,15 +1542,21 @@ mod tests {
         assert_eq!(ServiceMessage::decode(&b), Err(DecodeError::BadChecksum));
     }
 
-    /// `frame` with its version octet replaced by `version` and the
-    /// CRC recomputed, so the version check itself is exercised.
-    fn restamped(frame: &[u8], version: u8) -> Vec<u8> {
+    /// `frame` with octet `at` set to `value` and the CRC recomputed,
+    /// so the field check itself is exercised.
+    fn with_octet(frame: &[u8], at: usize, value: u8) -> Vec<u8> {
         let mut b = frame.to_vec();
-        b[1] = version;
+        b[at] = value;
         let body_len = b.len() - 2;
         let crc = crate::crc::crc16_ccitt(&b[..body_len]);
         b[body_len..].copy_from_slice(&crc.to_be_bytes());
         b
+    }
+
+    /// `frame` with its version octet replaced by `version` and the
+    /// CRC recomputed, so the version check itself is exercised.
+    fn restamped(frame: &[u8], version: u8) -> Vec<u8> {
+        with_octet(frame, 1, version)
     }
 
     /// One message of every type in the family.
@@ -1825,12 +1591,6 @@ mod tests {
             }),
             ServiceMessage::Ping(WirePing { id: 11 }),
             ServiceMessage::Pong(WirePong { id: 11 }),
-            sample_mix_seed(),
-            ServiceMessage::MixAck(WireMixAck {
-                id: 21,
-                absorbed: 2,
-                grids_built: 1,
-            }),
             ServiceMessage::MetricsRequest(WireMetricsRequest { id: 5 }),
             sample_metrics_response(),
         ]
@@ -1913,6 +1673,62 @@ mod tests {
         );
     }
 
+    /// Decodes `frame` both directly and through the stream codec;
+    /// both must refuse it with `want`.
+    fn assert_refused(frame: &[u8], want: DecodeError) {
+        assert_eq!(ServiceMessage::decode(frame), Err(want.clone()));
+        let mut wire = BytesMut::new();
+        wire.put_u16(frame.len() as u16);
+        wire.extend_from_slice(frame);
+        let mut codec = ServiceCodec::new();
+        codec.feed(&wire);
+        assert_eq!(codec.next_message(), Err(want));
+    }
+
+    #[test]
+    fn retired_grid_tier_octet_is_refused() {
+        // Response: [0x11][ver][corr u32][id u32][tier u8]...
+        let b = sample_response().encode();
+        assert_eq!(b[10], ServedTier::ClosedForm.to_u8());
+        assert_refused(&with_octet(&b, 10, 2), DecodeError::InvalidField("tier"));
+        // The live octets on either side still decode.
+        for tier in [0u8, 1, 3] {
+            assert!(ServiceMessage::decode(&with_octet(&b, 10, tier)).is_ok());
+        }
+    }
+
+    #[test]
+    fn retired_grid_kernel_octet_is_refused() {
+        // Response: ...[tier u8][kernel u8]...
+        let b = sample_response().encode();
+        assert_eq!(b[11], PolicyKernel::ClosedForm.to_u8());
+        assert_refused(&with_octet(&b, 11, 3), DecodeError::InvalidField("kernel"));
+        for kernel in [0u8, 1, 2] {
+            assert!(ServiceMessage::decode(&with_octet(&b, 11, kernel)).is_ok());
+        }
+    }
+
+    #[test]
+    fn retired_mix_message_types_are_refused() {
+        // The frames the retired warm-handoff pair used to carry, at
+        // the current version with a valid CRC: an empty seed
+        // ([0x19][ver][id u32][count u16]) and an ack
+        // ([0x1A][ver][id u32][absorbed u16][grids_built u16]).
+        let seal = |mut body: Vec<u8>| {
+            let crc = crate::crc::crc16_ccitt(&body);
+            body.extend_from_slice(&crc.to_be_bytes());
+            body
+        };
+        let seed = seal(vec![0x19, WIRE_VERSION, 0, 0, 0, 21, 0, 0]);
+        let ack = seal(vec![0x1A, WIRE_VERSION, 0, 0, 0, 21, 0, 2, 0, 1]);
+        assert_refused(&seed, DecodeError::UnknownFrameType(0x19));
+        assert_refused(&ack, DecodeError::UnknownFrameType(0x1A));
+        // No live message encodes to either octet.
+        for m in one_of_each() {
+            assert!(!matches!(m.encode()[0], 0x19 | 0x1A), "{m:?}");
+        }
+    }
+
     #[test]
     fn codec_roundtrip_with_chunked_feed() {
         let msgs = vec![sample_request(), sample_response()];
@@ -1952,8 +1768,8 @@ mod tests {
         let m = ServiceMessage::Response(WirePolicyResponse {
             corr: 0xAB0BA,
             id: 7,
-            tier: ServedTier::Grid,
-            kernel: PolicyKernel::Grid,
+            tier: ServedTier::ClosedForm,
+            kernel: PolicyKernel::ClosedForm,
             converged: true,
             throughput: 3.25,
             cert_t_sigma: 3.25,
@@ -2057,8 +1873,8 @@ mod tests {
         fn prop_response_roundtrip(
             corr in any::<u32>(),
             id in any::<u32>(),
-            tier in 0u8..4,
-            kernel in 0u8..4,
+            tier in 0usize..3,
+            kernel in 0u8..3,
             converged in any::<bool>(),
             t in 0.0f64..100.0,
             policies in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..40),
@@ -2066,7 +1882,7 @@ mod tests {
             let m = ServiceMessage::Response(WirePolicyResponse {
                 corr,
                 id,
-                tier: ServedTier::from_u8(tier).unwrap(),
+                tier: [ServedTier::Solver, ServedTier::Exact, ServedTier::ClosedForm][tier],
                 kernel: PolicyKernel::from_u8(kernel).unwrap(),
                 converged,
                 throughput: t,
@@ -2159,59 +1975,6 @@ mod tests {
                     Err(DecodeError::Truncated { .. })
                 ));
             }
-        }
-
-        /// MixSeed round-trips for arbitrary family lists, and every
-        /// proper truncation fails with Truncated — the warm-handoff
-        /// message inherits the framing discipline of the rest of the
-        /// family.
-        #[test]
-        fn prop_mix_seed_roundtrip_and_truncation(
-            id in any::<u32>(),
-            fams in proptest::collection::vec(
-                (1u16..4000, 1e-9f64..1.0, 0.01f64..10.0, any::<u64>()),
-                0..20,
-            ),
-            cut_frac in 0.0f64..1.0,
-        ) {
-            let m = ServiceMessage::MixSeed(WireMixSeed {
-                id,
-                families: fams
-                    .into_iter()
-                    .map(|(n, listen_w, sigma, hits)| WireMixFamily {
-                        n,
-                        listen_w,
-                        transmit_w: listen_w * 0.9,
-                        sigma,
-                        mode: (n % 2) as u8,
-                        hits,
-                    })
-                    .collect(),
-            });
-            let b = m.encode();
-            prop_assert_eq!(b.len(), m.encoded_len());
-            let (decoded, used) = ServiceMessage::decode(&b).unwrap();
-            prop_assert_eq!(decoded, m);
-            prop_assert_eq!(used, b.len());
-            let cut = ((b.len() - 1) as f64 * cut_frac) as usize;
-            prop_assert!(matches!(
-                ServiceMessage::decode(&b[..cut]),
-                Err(DecodeError::Truncated { .. })
-            ));
-        }
-
-        /// Single-byte corruption anywhere in a MixSeed frame is a
-        /// clean rejection — CRC, type validation, version check, or
-        /// (for a count-field flip) a length mismatch.
-        #[test]
-        fn prop_mix_seed_corruption_detected(
-            pos_frac in 0.0f64..1.0,
-            flip in 1u8..=255,
-        ) {
-            let mut b = sample_mix_seed().encode().to_vec();
-            let pos = ((b.len() - 1) as f64 * pos_frac) as usize;
-            b[pos] ^= flip;
-            prop_assert!(ServiceMessage::decode(&b).is_err());
         }
 
         /// Single-byte corruption anywhere in a Ping/Pong frame is a

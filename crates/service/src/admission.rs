@@ -11,9 +11,11 @@
 //!    at the caller's stated tolerance.
 //! 2. **Admit degraded** — depth above the degrade threshold but
 //!    within capacity: served with the tolerance relaxed by one
-//!    decade (capped at [`DEGRADED_TOLERANCE_CAP`]), which steers the
-//!    request onto the interpolation-grid tier — one Gibbs evaluation
-//!    instead of a solve. The response's weak-duality certificate
+//!    decade (capped at [`DEGRADED_TOLERANCE_CAP`]). A heterogeneous
+//!    request then runs the (P4) dual descent to a looser stopping
+//!    tolerance, so it takes fewer iterations; a homogeneous request
+//!    is answered by the closed form, which does not depend on
+//!    tolerance. The response's weak-duality certificate
 //!    reports the *achieved* gap, so a caller can always see exactly
 //!    what accuracy it got.
 //! 3. **Shed** — depth past capacity: rejected with an explicit

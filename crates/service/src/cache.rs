@@ -14,13 +14,11 @@
 //! Besides the entry-count capacity, the cache can carry an optional
 //! **byte budget**: every entry is charged an approximate resident
 //! size (slot + key copies + policy-vector heap), and inserts evict
-//! from the recency tail until the total fits. The budget is *shared
-//! across cache tiers*: `PolicyService` charges resident
-//! interpolation grids against the same `max_cache_bytes` pool and
-//! narrows the LRU's budget to the remainder
-//! ([`LruCache::set_byte_budget`]), so a service's cache footprint is
-//! bounded by one number no matter how traffic splits between tiers.
-//! Byte-driven evictions are counted separately
+//! from the recency tail until the total fits. `PolicyService` sets
+//! it from `ServiceConfig::max_cache_bytes`; the exact tier is the
+//! only cache a service keeps, so that one number bounds its cache
+//! footprint. Eviction changes which requests replay, never the bits
+//! of an answer. Byte-driven evictions are counted separately
 //! ([`LruCache::byte_evictions`]) from capacity-driven ones.
 
 use econcast_oracle::AchievabilityGap;
@@ -42,7 +40,7 @@ pub struct CachedPolicy {
     pub converged: bool,
     /// Which solve kernel produced the entry — carried through the
     /// cache so later exact-tier hits stay attributable (closed form
-    /// vs a prior factorized large-N solve vs Gray-code vs grid).
+    /// vs a prior factorized large-N solve vs Gray-code).
     pub kernel: PolicyKernel,
     /// The certificate computed when the entry was produced.
     pub certificate: AchievabilityGap,
@@ -101,7 +99,7 @@ struct Slot {
 }
 
 /// Fixed-capacity LRU over canonical instance keys, with an optional
-/// shared byte budget (see the module docs).
+/// byte budget (see the module docs).
 #[derive(Debug)]
 pub struct LruCache {
     map: HashMap<InstanceKey, usize>,
@@ -112,9 +110,7 @@ pub struct LruCache {
     /// Least recently used slot.
     tail: usize,
     capacity: usize,
-    /// Byte ceiling currently granted to this cache (`None` =
-    /// unbounded). `PolicyService` shrinks it as grids claim their
-    /// share of the common pool.
+    /// Byte ceiling (`None` = unbounded).
     max_bytes: Option<usize>,
     /// Approximate resident bytes of the current entries.
     bytes: usize,
@@ -174,19 +170,6 @@ impl LruCache {
     /// Approximate resident bytes of the current entries.
     pub fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// The current byte budget (`None` = unbounded).
-    pub fn byte_budget(&self) -> Option<usize> {
-        self.max_bytes
-    }
-
-    /// Re-grants the byte budget, evicting LRU-first until the
-    /// resident entries fit — how the service narrows the exact tier's
-    /// share of the common pool when a grid build claims bytes.
-    pub fn set_byte_budget(&mut self, max_bytes: Option<usize>) {
-        self.max_bytes = max_bytes;
-        self.enforce_byte_budget();
     }
 
     /// Entries evicted so far, for any reason (capacity or byte
@@ -431,16 +414,6 @@ mod tests {
         assert_eq!(lru.len(), 0, "oversized entry cannot reside");
         assert_eq!(lru.bytes(), 0);
         assert_eq!(lru.byte_evictions(), 4);
-
-        // Narrowing the budget evicts immediately, tail first.
-        let mut lru = LruCache::with_byte_budget(1024, Some(3 * unit));
-        for k in 1..=3 {
-            lru.insert(key(k as f64), value(k as f64));
-        }
-        lru.set_byte_budget(Some(unit));
-        assert_eq!(lru.len(), 1);
-        assert!(lru.get(&key(3.0)).is_some(), "most recent survives");
-        assert_eq!(lru.byte_evictions(), 2);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! A blocking TCP client for the policy server, with a pipelined
 //! submit/collect data plane.
 
-use crate::grid::FamilyKey;
 use crate::ready;
 use crate::request::PolicyRequest;
 use crate::stats::ServiceStats;
 use econcast_proto::service::{
-    ScatterEncoder, ServiceCodec, ServiceMessage, WireHello, WireMetricsRequest, WireMixSeed,
-    WirePing, WirePolicyError, WirePolicyResponse, WireStatsRequest, STATS_SHARD_AGGREGATE,
-    WIRE_VERSION,
+    ScatterEncoder, ServiceCodec, ServiceMessage, WireHello, WireMetricsRequest, WirePing,
+    WirePolicyError, WirePolicyResponse, WireStatsRequest, STATS_SHARD_AGGREGATE, WIRE_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -252,27 +250,6 @@ impl PolicyClient {
     /// The server's batch cap from the handshake.
     pub fn server_max_batch(&self) -> u16 {
         self.server_max_batch
-    }
-
-    /// Ships a warm-handoff request mix (`MixSeed`) and
-    /// waits for the ack; returns `(families_absorbed, grids_built)`
-    /// as reported by the server. The reshard path uses this to seed
-    /// the inheriting shard's prewarmer from the departing owner's
-    /// observed heat.
-    pub fn seed_mix(&mut self, mix: &[(FamilyKey, u64)]) -> std::io::Result<(u16, u16)> {
-        let id = self.take_id();
-        self.send(&ServiceMessage::MixSeed(WireMixSeed {
-            id,
-            families: crate::prewarm::mix_to_wire(mix),
-        }))?;
-        loop {
-            match self.recv()? {
-                ServiceMessage::MixAck(a) if a.id == id => {
-                    return Ok((a.absorbed, a.grids_built));
-                }
-                other => self.dispatch(other),
-            }
-        }
     }
 
     /// Submits one batch without waiting for its replies: frames every

@@ -9,13 +9,13 @@
 //!
 //! ## The tier ladder
 //!
-//! Every request walks a multi-tier policy cache, cheapest tier first:
+//! Every request probes the exact-match cache first; a miss is solved
+//! by the tier its shape selects:
 //!
 //! | tier | serves | cost | accuracy |
 //! |------|--------|------|----------|
 //! | **Exact** (LRU) | any previously-solved canonical instance | O(1) lookup | bit-identical to the producing solve |
-//! | **Grid** | homogeneous cliques with ρ inside the precomputed (N, ρ) grid | one Gibbs evaluation | midpoint-certified ≤ tolerance tier |
-//! | **ClosedForm** | any homogeneous clique | scalar-dual bisection, O(N log) | exact symmetric optimum |
+//! | **ClosedForm** | any homogeneous clique | scalar-dual bisection over an O(1) Gibbs summary | exact symmetric optimum |
 //! | **Solver** | heterogeneous instances up to the enumeration ceiling | full (P4) dual descent | dual residual ≤ tolerance tier |
 //!
 //! Instances are canonicalized before keying (budgets sorted,
@@ -45,16 +45,13 @@
 //! `std::net` TCP acceptor (thread-per-connection, bounded pool) in
 //! front of a [`ShardRouter`] that consistent-hashes canonical
 //! instance keys across several `PolicyService` shards, keeping each
-//! shard's LRU/grid caches hot and disjoint; [`PolicyClient`] is the
-//! matching blocking client, and [`prewarm`] builds interpolation
-//! grids in the background from each shard's observed request mix.
+//! shard's LRU hot and disjoint; [`PolicyClient`] is the matching
+//! blocking client.
 
 pub mod admission;
 pub mod cache;
 pub mod client;
-pub mod grid;
 pub mod metrics;
-pub mod prewarm;
 pub mod ready;
 pub mod request;
 pub mod server;
@@ -68,9 +65,7 @@ pub use admission::{degraded_tolerance, Admission, AdmissionController};
 pub use cache::{CachedPolicy, LruCache};
 pub use client::{PolicyClient, Ticket, WireResult};
 pub use econcast_trace::TraceConfig;
-pub use grid::{FamilyKey, GridConfig, PolicyGrid};
 pub use metrics::{snapshot_from_wire, snapshot_to_wire};
-pub use prewarm::{mix_from_wire, mix_to_wire, MixRecorder, PrewarmConfig};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
 pub use server::{
     serve_connection, serve_connection_admitted, serve_connection_gated, PolicyServer, ServeTarget,

@@ -54,7 +54,7 @@ pub struct PolicyResponse {
     /// observable per kernel.
     pub kernel: PolicyKernel,
     /// Whether the producing solve met its tolerance (true for the
-    /// grid/closed-form tiers, whose scalar dual is solved exactly).
+    /// closed-form tier, whose scalar dual is solved exactly).
     pub converged: bool,
     /// Weak-duality certificate `T^σ ≤ T* ≤ D(η)`.
     pub certificate: AchievabilityGap,

@@ -23,17 +23,8 @@
 //! router's per-shard or aggregate counters. Decode errors (CRC,
 //! framing, version) are fatal for the connection, matching the
 //! codec's semantics: the server drops the stream without a reply.
-//!
-//! ## Prewarming
-//!
-//! With [`ServerConfig::background_prewarm`] set, a janitor thread
-//! runs [`ShardRouter::prewarm_once`] every
-//! `prewarm.interval`, building interpolation grids for the hottest
-//! observed request families off the request path (see
-//! [`crate::prewarm`]).
 
 use crate::admission::{degraded_tolerance, Admission, AdmissionController};
-use crate::grid::FamilyKey;
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::shard::{RouterConfig, ShardRouter};
 use bytes::BytesMut;
@@ -42,8 +33,8 @@ use econcast_metrics::{
     GAUGE_QUEUE_DEPTH_PEAK,
 };
 use econcast_proto::service::{
-    ServiceCodec, ServiceErrorCode, ServiceMessage, WireMetricsResponse, WireMixAck,
-    WirePolicyError, WirePong, WireStatsResponse, WireWelcome, STATS_SHARD_AGGREGATE,
+    ServiceCodec, ServiceErrorCode, ServiceMessage, WireMetricsResponse, WirePolicyError, WirePong,
+    WireStatsResponse, WireWelcome, STATS_SHARD_AGGREGATE,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -55,7 +46,7 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for a [`PolicyServer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Shard/routing/prewarm configuration.
+    /// Shard/routing configuration.
     pub router: RouterConfig,
     /// Maximum concurrently served connections (the accept pool
     /// bound); further clients wait in the listen backlog.
@@ -63,7 +54,9 @@ pub struct ServerConfig {
     /// Largest request batch served as one unit; longer pipelines are
     /// split. Advertised in the `Welcome` handshake.
     pub max_batch: usize,
-    /// Whether to run the background prewarm thread.
+    /// Has no effect: the server runs no background prewarmer. Kept
+    /// only so `servebench/` compiles; the next benchmark PR deletes
+    /// it.
     pub background_prewarm: bool,
 }
 
@@ -73,7 +66,7 @@ impl Default for ServerConfig {
             router: RouterConfig::default(),
             max_connections: 64,
             max_batch: 1024,
-            background_prewarm: true,
+            background_prewarm: false,
         }
     }
 }
@@ -174,15 +167,14 @@ impl PolicyServer {
             .expect("bound listener has an address")
     }
 
-    /// The shard router (stats, manual prewarming).
+    /// The shard router (stats).
     pub fn router(&self) -> &Arc<ShardRouter> {
         &self.router
     }
 
-    /// Starts the acceptor (and, if configured, the prewarmer) and
-    /// returns a handle that stops them on [`ServerHandle::shutdown`]
-    /// or drop. Live connection handlers are not joined — they end
-    /// when their client disconnects.
+    /// Starts the acceptor and returns a handle that stops it on
+    /// [`ServerHandle::shutdown`] or drop. Live connection handlers are
+    /// not joined — they end when their client disconnects.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
@@ -240,20 +232,6 @@ impl PolicyServer {
             })
         };
 
-        let prewarmer = self.cfg.background_prewarm.then(|| {
-            let (stop, router) = (Arc::clone(&stop), Arc::clone(&router));
-            let interval = router.prewarm_config().interval;
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::park_timeout(interval);
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    router.prewarm_once();
-                }
-            })
-        });
-
         ServerHandle {
             addr,
             router,
@@ -261,7 +239,6 @@ impl PolicyServer {
             stop,
             gate,
             acceptor: Some(acceptor),
-            prewarmer,
         }
     }
 }
@@ -275,7 +252,6 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     gate: Arc<ConnGate>,
     acceptor: Option<JoinHandle<()>>,
-    prewarmer: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -284,7 +260,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shard router (stats, manual prewarming).
+    /// The shard router (stats).
     pub fn router(&self) -> &Arc<ShardRouter> {
         &self.router
     }
@@ -295,7 +271,7 @@ impl ServerHandle {
         &self.admission
     }
 
-    /// Stops accepting, joins the acceptor and prewarmer threads, and
+    /// Stops accepting, joins the acceptor thread, and
     /// **drains** live connections: handlers observe the stop flag at
     /// their next idle tick, finish serving everything their clients
     /// already sent (complete batches, full replies on the wire), and
@@ -317,10 +293,6 @@ impl ServerHandle {
         self.gate.interrupt();
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prewarmer.take() {
-            h.thread().unpark();
             let _ = h.join();
         }
         self.gate.wait_idle(DRAIN_WAIT);
@@ -353,15 +325,6 @@ pub trait ServeTarget {
     /// refusal.
     fn stats(&self, shard: u16) -> Option<crate::stats::ServiceStats>;
 
-    /// Absorbs a warm-handoff request mix (a `MixSeed` message) into
-    /// the target's prewarmer; returns `(families_absorbed,
-    /// grids_built)`. The default ignores the seed — only targets
-    /// with a grid prewarmer override this.
-    fn seed_mix(&self, mix: &[(FamilyKey, u64)]) -> (usize, usize) {
-        let _ = mix;
-        (0, 0)
-    }
-
     /// A point-in-time metrics scrape: the process-global
     /// counter/histogram hub plus whatever gauges this target owns.
     /// The default serves the bare hub snapshot; targets that own
@@ -390,10 +353,6 @@ impl ServeTarget for ShardRouter {
         } else {
             None
         }
-    }
-
-    fn seed_mix(&self, mix: &[(FamilyKey, u64)]) -> (usize, usize) {
-        self.absorb_mix(mix)
     }
 
     fn metrics(&self) -> MetricsSnapshot {
@@ -657,20 +616,6 @@ fn serve_connection_inner(
                 ServiceMessage::Ping(p) => {
                     ServiceCodec::encode(&ServiceMessage::Pong(WirePong { id: p.id }), &mut out);
                 }
-                // Warm handoff: fold the shipped mix into the
-                // prewarmer and report what happened.
-                ServiceMessage::MixSeed(s) => {
-                    let mix = crate::prewarm::mix_from_wire(&s.families);
-                    let (absorbed, grids_built) = target.seed_mix(&mix);
-                    ServiceCodec::encode(
-                        &ServiceMessage::MixAck(WireMixAck {
-                            id: s.id,
-                            absorbed: absorbed.min(usize::from(u16::MAX)) as u16,
-                            grids_built: grids_built.min(usize::from(u16::MAX)) as u16,
-                        }),
-                        &mut out,
-                    );
-                }
                 // Metrics scrape: the target's snapshot (hub counters +
                 // histograms + target-owned gauges) with the front's
                 // admission queue gauge injected on top.
@@ -697,7 +642,6 @@ fn serve_connection_inner(
                 | ServiceMessage::Welcome(_)
                 | ServiceMessage::StatsResponse(_)
                 | ServiceMessage::Pong(_)
-                | ServiceMessage::MixAck(_)
                 | ServiceMessage::MetricsResponse(_) => {}
             }
         }

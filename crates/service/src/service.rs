@@ -6,9 +6,8 @@
 //! A batch is served in three phases:
 //!
 //! 1. **Probe (serial, request order)** — validate, canonicalize
-//!    (sorted budgets + permutation + tolerance tier), then walk the
-//!    tier ladder: exact-match LRU → interpolation grid (homogeneous,
-//!    in-range, error-certified) → queue a solve. Queued solves are
+//!    (sorted budgets + permutation + tolerance tier), then probe the
+//!    exact-match LRU; a miss queues a solve. Queued solves are
 //!    deduplicated within the batch: two requests that canonicalize to
 //!    the same key share one solve.
 //! 2. **Solve (parallel)** — pending solves fan out over
@@ -31,7 +30,6 @@
 //! computes a job, never *what* it computes.
 
 use crate::cache::{CachedPolicy, LruCache};
-use crate::grid::{FamilyKey, GridConfig, PolicyGrid};
 use crate::request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
 use crate::stats::ServiceStats;
 use econcast_core::NodeParams;
@@ -66,40 +64,15 @@ pub struct ServiceConfig {
     /// node, so the ceiling stays separately tunable; the default
     /// stays at the largest size the end-to-end tests pin.
     pub max_anyput_nodes: usize,
-    /// Grid tier configuration; `None` disables the tier.
-    pub grid: Option<GridConfig>,
-    /// Cross-tier cache byte budget (`None` = unbounded): an
-    /// approximate ceiling on resident cache bytes shared by the
-    /// exact LRU **and** the interpolation grids. Grid builds charge
-    /// the pool first (grids are few, hot, and expensive to rebuild);
-    /// the LRU gets the remainder and evicts — size-aware, LRU-first —
-    /// to fit, counting those evictions in
-    /// `ServiceStats::byte_evictions`. A *lazy* (request-path) build
-    /// only runs when its grid fits alongside the resident ones —
-    /// never displacing a grid, so alternating hot families cannot
-    /// build–evict thrash; families that don't fit serve through the
-    /// closed form. The *prewarmer* may rotate the resident set:
-    /// when its installs overflow the pool, oldest-built grids are
-    /// evicted (`PolicyService::grid_evictions`), and a grid that
-    /// could never fit alone is not built at all. The entry-count
+    /// Exact-tier byte budget (`None` = unbounded): an approximate
+    /// ceiling on resident LRU bytes. Past it the LRU evicts —
+    /// size-aware, LRU-first — to fit, counting those evictions in
+    /// `ServiceStats::byte_evictions`. The entry-count
     /// [`lru_capacity`](Self::lru_capacity) still applies; whichever
-    /// bound bites first wins.
-    ///
-    /// One caveat: cache *contents* under a byte budget depend on
-    /// request history, and an absent grid serves through the closed
-    /// form — numerically within tolerance but not bit-identical to a
-    /// grid serve. Deployments relying on the cross-topology
-    /// bit-identical guarantee should size the budget above the
-    /// working grid set (or disable the grid tier); the pinned
-    /// acceptance configurations leave this `None`.
+    /// bound bites first wins. A budget changes only which requests
+    /// replay from the cache, never an answer's bits: a miss re-runs
+    /// the same deterministic solve that produced the evicted entry.
     pub max_cache_bytes: Option<usize>,
-    /// Whether the first homogeneous in-range request of a family
-    /// builds its grid inline (`true`, the default) or only
-    /// already-resident grids serve (`false`) — the sharded server's
-    /// mode, where the background prewarmer builds grids off the
-    /// request path and cold requests fall through to the exact
-    /// closed form instead of paying a ~2·points-solve build.
-    pub lazy_grid_builds: bool,
     /// Tracing knob: arms span collection and/or latency histograms
     /// process-wide when this service is constructed (see
     /// [`econcast_trace::TraceConfig`]). Default off — every trace
@@ -125,8 +98,6 @@ impl Default for ServiceConfig {
             workers: None,
             max_exact_nodes: 256,
             max_anyput_nodes: 64,
-            grid: Some(GridConfig::default()),
-            lazy_grid_builds: true,
             max_cache_bytes: None,
             trace: econcast_trace::TraceConfig::default(),
             queue_capacity: 256,
@@ -219,13 +190,6 @@ impl SolveJob {
 pub struct PolicyService {
     cfg: ServiceConfig,
     lru: LruCache,
-    grids: HashMap<FamilyKey, PolicyGrid>,
-    /// Build order of the resident grids — the FIFO eviction queue
-    /// when the grids alone overflow the shared byte budget.
-    grid_order: std::collections::VecDeque<FamilyKey>,
-    /// Bytes the resident grids have claimed from the shared cache
-    /// budget (0 when unbudgeted or no grids are resident).
-    grid_bytes: usize,
     /// One solver workspace pool per worker slot, reused across
     /// batches.
     scratch: Vec<SolverPool>,
@@ -239,14 +203,10 @@ struct Counters {
     exact_hits: u64,
     exact_hits_closed_form: u64,
     exact_hits_factorized: u64,
-    grid_hits: u64,
     closed_form_hits: u64,
     solver_solves: u64,
     batch_dedup_hits: u64,
     errors: u64,
-    grid_builds: u64,
-    grid_prewarms: u64,
-    grid_evictions: u64,
     lru_inserts: u64,
 }
 
@@ -262,63 +222,10 @@ impl PolicyService {
         cfg.trace.apply();
         PolicyService {
             lru: LruCache::with_byte_budget(cfg.lru_capacity, cfg.max_cache_bytes),
-            grids: HashMap::new(),
-            grid_order: std::collections::VecDeque::new(),
-            grid_bytes: 0,
             scratch: Vec::new(),
             stats: Counters::default(),
             cfg,
         }
-    }
-
-    /// Whether a grid built with `grid_cfg` could ever reside inside
-    /// the byte budget *on its own* — the prewarm gate. The prewarmer
-    /// runs off the request path and installs the currently-hottest
-    /// families, so displacing an older resident grid there is
-    /// intentional rotation, not waste.
-    fn grid_could_fit_alone(&self, grid_cfg: &GridConfig) -> bool {
-        self.cfg
-            .max_cache_bytes
-            .is_none_or(|budget| PolicyGrid::estimate_bytes(grid_cfg) <= budget)
-    }
-
-    /// Whether a grid built with `grid_cfg` fits **alongside** the
-    /// grids already resident — the stricter *request-path* gate.
-    /// Lazy builds never displace a resident grid: with a budget that
-    /// fits one grid but not two, traffic alternating between two hot
-    /// families would otherwise pay a full ~2·points-solve build per
-    /// request, each install evicting the other family (build–evict
-    /// thrash). A family that does not fit simply serves through the
-    /// closed form; rotating the resident set is the prewarmer's job.
-    fn grid_fits_alongside(&self, grid_cfg: &GridConfig) -> bool {
-        self.cfg
-            .max_cache_bytes
-            .is_none_or(|budget| self.grid_bytes + PolicyGrid::estimate_bytes(grid_cfg) <= budget)
-    }
-
-    /// Installs a freshly built grid and rebalances the shared byte
-    /// budget: grids charge the pool first — oldest-built grids are
-    /// evicted when the grids alone overflow it — and the LRU's share
-    /// shrinks to the remainder, evicting size-aware, LRU-first, to
-    /// fit.
-    fn install_grid(&mut self, family: FamilyKey, grid: PolicyGrid) {
-        self.grid_bytes += grid.approx_bytes();
-        self.grids.insert(family, grid);
-        self.grid_order.push_back(family);
-        let Some(budget) = self.cfg.max_cache_bytes else {
-            return;
-        };
-        while self.grid_bytes > budget {
-            let Some(oldest) = self.grid_order.pop_front() else {
-                break;
-            };
-            if let Some(evicted) = self.grids.remove(&oldest) {
-                self.grid_bytes -= evicted.approx_bytes();
-                self.stats.grid_evictions += 1;
-            }
-        }
-        self.lru
-            .set_byte_budget(Some(budget.saturating_sub(self.grid_bytes)));
     }
 
     /// A snapshot of the per-tier counters.
@@ -329,13 +236,11 @@ impl PolicyService {
             exact_hits: self.stats.exact_hits,
             exact_hits_closed_form: self.stats.exact_hits_closed_form,
             exact_hits_factorized: self.stats.exact_hits_factorized,
-            grid_hits: self.stats.grid_hits,
             closed_form_hits: self.stats.closed_form_hits,
             solver_solves: self.stats.solver_solves,
             batch_dedup_hits: self.stats.batch_dedup_hits,
             errors: self.stats.errors,
-            grid_builds: self.stats.grid_builds,
-            grid_prewarms: self.stats.grid_prewarms,
+            grid_builds: 0,
             lru_inserts: self.stats.lru_inserts,
             lru_evictions: self.lru.evictions(),
             lru_len: self.lru.len() as u64,
@@ -346,7 +251,6 @@ impl PolicyService {
             // never counts either.
             auto_respawns: 0,
             quarantines: 0,
-            reshard_handoffs: 0,
             injected_faults: 0,
             shed_rejects: 0,
             degraded_serves: 0,
@@ -355,59 +259,15 @@ impl PolicyService {
         }
     }
 
-    /// Approximate resident cache bytes (exact LRU + grids) — the
-    /// quantity [`ServiceConfig::max_cache_bytes`] bounds.
+    /// Approximate resident exact-tier bytes — the quantity
+    /// [`ServiceConfig::max_cache_bytes`] bounds.
     pub fn cache_bytes(&self) -> usize {
-        self.lru.bytes() + self.grid_bytes
-    }
-
-    /// Grids evicted (oldest-built first) because the resident grids
-    /// alone overflowed the byte budget. Not a wire counter — the
-    /// wire's `byte_evictions` counts the LRU side, where budget
-    /// pressure normally lands.
-    pub fn grid_evictions(&self) -> u64 {
-        self.stats.grid_evictions
+        self.lru.bytes()
     }
 
     /// The configuration the service was built with.
     pub fn config(&self) -> &ServiceConfig {
         &self.cfg
-    }
-
-    /// Whether the interpolation grid for `family` is resident.
-    pub fn has_grid(&self, family: &FamilyKey) -> bool {
-        self.grids.contains_key(family)
-    }
-
-    /// Eagerly builds the interpolation grid for one homogeneous
-    /// family, ahead of the lazy build a request would trigger.
-    /// Returns `true` when a build actually ran; `false` when the grid
-    /// tier is disabled, the family is already resident, or one grid
-    /// cannot fit the byte budget. The prewarmed grid is *identical*
-    /// to the lazily built one (the build is deterministic), so
-    /// prewarming changes latency, never responses.
-    pub fn prewarm_grid(&mut self, family: &FamilyKey) -> bool {
-        let Some(grid_cfg) = self.cfg.grid else {
-            return false;
-        };
-        if self.grids.contains_key(family) || !self.grid_could_fit_alone(&grid_cfg) {
-            return false;
-        }
-        let grid = PolicyGrid::build(
-            family.n,
-            f64::from_bits(family.listen),
-            f64::from_bits(family.transmit),
-            f64::from_bits(family.sigma),
-            if family.mode == 0 {
-                econcast_core::ThroughputMode::Groupput
-            } else {
-                econcast_core::ThroughputMode::Anyput
-            },
-            &grid_cfg,
-        );
-        self.install_grid(*family, grid);
-        self.stats.grid_prewarms += 1;
-        true
     }
 
     /// Serves one request (a batch of one).
@@ -608,66 +468,11 @@ impl PolicyService {
             match hit.kernel {
                 PolicyKernel::ClosedForm => self.stats.exact_hits_closed_form += 1,
                 PolicyKernel::Factorized => self.stats.exact_hits_factorized += 1,
-                PolicyKernel::GrayCode | PolicyKernel::Grid => {}
+                PolicyKernel::GrayCode => {}
             }
             let resp = respond(&canon, hit, ServedTier::Exact);
             econcast_trace::trace_instant!("service", "tier_exact");
             return Plan::Done(Ok(resp));
-        }
-
-        // Tier 2: interpolation grid (homogeneous cliques only). The
-        // range gate runs *before* the lazy build: a budget the grid
-        // can never cover must not trigger 65 knot/validation solves
-        // for a family that will fall through to the closed form
-        // anyway.
-        if canon.homogeneous {
-            if let Some(grid_cfg) = self
-                .cfg
-                .grid
-                .filter(|g| (g.rho_min_w..=g.rho_max_w).contains(&canon.sorted_budgets[0]))
-            {
-                let family = FamilyKey::new(
-                    canon.sorted_budgets.len(),
-                    req.listen_w,
-                    req.transmit_w,
-                    req.sigma,
-                    req.objective,
-                );
-                if self.cfg.lazy_grid_builds
-                    && !self.grids.contains_key(&family)
-                    && self.grid_fits_alongside(&grid_cfg)
-                {
-                    let grid = PolicyGrid::build(
-                        canon.sorted_budgets.len(),
-                        req.listen_w,
-                        req.transmit_w,
-                        req.sigma,
-                        req.objective,
-                        &grid_cfg,
-                    );
-                    self.stats.grid_builds += 1;
-                    // Grids share the cache byte budget with the
-                    // exact tier: charge the pool, shrink the LRU.
-                    self.install_grid(family, grid);
-                }
-                // Prewarmed-only mode (`lazy_grid_builds = false`)
-                // never builds on the request path; cold families
-                // fall through to the closed form until the prewarmer
-                // installs their grid.
-                let served = self
-                    .grids
-                    .get(&family)
-                    .and_then(|g| g.serve(canon.sorted_budgets[0], canon.tolerance_tier));
-                if let Some(policy) = served {
-                    self.stats.grid_hits += 1;
-                    // Publish into the exact tier so a repeat of this
-                    // instance is an O(1) LRU hit.
-                    self.lru.insert(canon.key.clone(), policy.clone());
-                    self.stats.lru_inserts += 1;
-                    econcast_trace::trace_instant!("service", "tier_grid");
-                    return Plan::Done(Ok(respond(&canon, &policy, ServedTier::Grid)));
-                }
-            }
         }
 
         // Heterogeneous instances beyond the solver's latency ceiling
@@ -687,7 +492,7 @@ impl PolicyService {
             }));
         }
 
-        // Tier 3 (homogeneous closed form) or the exact solver —
+        // Homogeneous closed form or the exact solver —
         // queued, deduplicated by canonical key.
         if let Some(&j) = pending.get(&canon.key) {
             econcast_trace::trace_instant!("service", "tier_dedup");
@@ -735,7 +540,6 @@ fn kernel_span_name(kernel: PolicyKernel) -> &'static str {
         PolicyKernel::GrayCode => "solve_graycode",
         PolicyKernel::Factorized => "solve_factorized",
         PolicyKernel::ClosedForm => "solve_closed_form",
-        PolicyKernel::Grid => "solve_grid",
     }
 }
 
@@ -879,78 +683,14 @@ mod tests {
             1e-3,
         );
         let resp = svc.serve(&req).unwrap();
-        assert!(matches!(
-            resp.tier,
-            ServedTier::Grid | ServedTier::ClosedForm
-        ));
+        assert_eq!(resp.tier, ServedTier::ClosedForm);
+        assert_eq!(resp.kernel, PolicyKernel::ClosedForm);
         assert_eq!(svc.stats().solver_solves, 0);
         assert!(resp.converged);
         assert!(resp.throughput > 0.0);
         // Certificate sandwich holds.
         let c = &resp.certificate;
         assert!(c.t_sigma <= c.oracle + 1e-9 && c.oracle <= c.dual_upper + 1e-9);
-    }
-
-    #[test]
-    fn out_of_range_budget_skips_the_grid_build() {
-        let mut svc = service();
-        // 25 mW sits above the default grid roof (10 mW): the closed
-        // form must answer without a 65-solve grid build for a family
-        // that could never serve the request.
-        let req = PolicyRequest::homogeneous(
-            8,
-            econcast_core::NodeParams::from_milliwatts(25.0, 67.0, 33.0),
-            0.5,
-            Groupput,
-            1e-2,
-        );
-        let resp = svc.serve(&req).unwrap();
-        assert_eq!(resp.tier, ServedTier::ClosedForm);
-        assert_eq!(svc.stats().grid_builds, 0, "no doomed grid build");
-    }
-
-    #[test]
-    fn prewarmed_only_mode_never_builds_inline() {
-        let mut svc = PolicyService::new(ServiceConfig {
-            workers: Some(1),
-            lazy_grid_builds: false,
-            ..ServiceConfig::default()
-        });
-        let req = |rho_uw: f64| {
-            PolicyRequest::homogeneous(
-                10,
-                econcast_core::NodeParams::from_microwatts(rho_uw, 500.0, 450.0),
-                0.5,
-                Groupput,
-                1e-1, // coarsest tier: every certified interval serves it
-            )
-        };
-        // Cold in-range homogeneous request: closed form, no build.
-        let cold = svc.serve(&req(10.0)).unwrap();
-        assert_eq!(cold.tier, ServedTier::ClosedForm);
-        assert_eq!(svc.stats().grid_builds, 0);
-        assert_eq!(svc.stats().grid_prewarms, 0);
-
-        // Prewarm the family off the request path…
-        let family = FamilyKey::new(10, 500e-6, 450e-6, 0.5, Groupput);
-        assert!(svc.prewarm_grid(&family), "fresh family builds");
-        assert!(!svc.prewarm_grid(&family), "resident family is a no-op");
-        assert!(svc.has_grid(&family));
-        assert_eq!(svc.stats().grid_prewarms, 1);
-
-        // …and a novel budget in the family now grid-serves. (The
-        // grid may still decline an interval whose certified error
-        // exceeds even the coarse tier, so scan a few budgets and
-        // require at least one grid hit.)
-        let mut grid_hits = 0;
-        for rho_uw in [11.0, 17.0, 29.0, 41.0] {
-            if svc.serve(&req(rho_uw)).unwrap().tier == ServedTier::Grid {
-                grid_hits += 1;
-            }
-        }
-        assert!(grid_hits > 0, "prewarmed grid never served");
-        assert_eq!(svc.stats().grid_hits, grid_hits);
-        assert_eq!(svc.stats().grid_builds, 0, "still no inline build");
     }
 
     #[test]
@@ -1014,20 +754,16 @@ mod tests {
     #[test]
     fn byte_budget_bounds_the_cache_across_tiers() {
         // Calibrate one entry's cost on an unbudgeted twin.
-        let mut probe = PolicyService::new(ServiceConfig {
-            workers: Some(1),
-            grid: None,
-            ..ServiceConfig::default()
-        });
+        let mut probe = service();
         probe.serve(&het_request(&[5e-6, 10e-6], 1e-2)).unwrap();
         let unit = probe.cache_bytes();
         assert!(unit > 0);
 
-        // Room for two entries (grid tier off: only the LRU charges).
+        // Room for two entries.
+        let budget = 2 * unit + unit / 2;
         let mut svc = PolicyService::new(ServiceConfig {
             workers: Some(1),
-            grid: None,
-            max_cache_bytes: Some(2 * unit + unit / 2),
+            max_cache_bytes: Some(budget),
             ..ServiceConfig::default()
         });
         let reqs: Vec<PolicyRequest> = (0..3)
@@ -1040,74 +776,30 @@ mod tests {
         assert_eq!(s.lru_len, 2, "budget holds two entries");
         assert_eq!(s.byte_evictions, 1, "third insert evicted the oldest");
         assert_eq!(s.lru_evictions, 1);
-        assert!(svc.cache_bytes() <= 2 * unit + unit / 2);
+        assert!(svc.cache_bytes() <= budget);
         // The oldest entry is the one that went: re-serving it solves
         // again, the newer two replay from the exact tier.
         assert_eq!(svc.serve(&reqs[2]).unwrap().tier, ServedTier::Exact);
         assert_eq!(svc.serve(&reqs[0]).unwrap().tier, ServedTier::Solver);
 
-        // A grid build charges the same pool: with a budget that fits
-        // one grid but not grid + entry, installing the grid squeezes
-        // every LRU entry out.
-        let grid_bytes = PolicyGrid::estimate_bytes(&GridConfig::default());
-        let mut svc = PolicyService::new(ServiceConfig {
-            workers: Some(1),
-            max_cache_bytes: Some(grid_bytes + unit / 2),
-            ..ServiceConfig::default()
-        });
-        svc.serve(&het_request(&[5e-6, 10e-6], 1e-2)).unwrap();
-        assert_eq!(svc.stats().lru_len, 1);
-        let family = FamilyKey::new(10, 500e-6, 450e-6, 0.5, Groupput);
-        assert!(svc.prewarm_grid(&family), "one grid fits the budget");
-        let s = svc.stats();
-        assert_eq!(s.lru_len, 0, "grid claimed the whole pool");
-        assert!(s.byte_evictions >= 1);
-        assert!(svc.cache_bytes() <= grid_bytes + unit / 2);
-
-        // A second family overflows the grid share: the oldest-built
-        // grid is evicted (FIFO), keeping the total bounded.
-        let family2 = FamilyKey::new(12, 500e-6, 450e-6, 0.5, Groupput);
-        assert!(svc.prewarm_grid(&family2));
-        assert_eq!(svc.grid_evictions(), 1, "oldest grid evicted");
-        assert!(!svc.has_grid(&family), "FIFO victim is the first family");
-        assert!(svc.has_grid(&family2));
-        assert!(svc.cache_bytes() <= grid_bytes + unit / 2);
-
-        // The request path never displaces a resident grid: a lazy
-        // build for a *third* family (in grid range, budget already
-        // full) is skipped — closed form serves, no thrash.
-        let in_range = PolicyRequest::homogeneous(
-            11,
-            econcast_core::NodeParams::from_microwatts(10.0, 500.0, 450.0),
+        // Closed-form entries charge the same budget as solver ones: a
+        // two-node closed form costs what a two-node solver entry does,
+        // so it evicts the least recently used entry and the total
+        // stays bounded.
+        let homo = PolicyRequest::homogeneous(
+            2,
+            econcast_core::NodeParams::from_microwatts(10.0, 500.0, 500.0),
             0.5,
             Groupput,
-            1e-1,
+            1e-2,
         );
-        let resp = svc.serve(&in_range).unwrap();
-        assert_eq!(resp.tier, ServedTier::ClosedForm);
-        assert_eq!(svc.stats().grid_builds, 0, "no lazy build-evict thrash");
-        assert_eq!(svc.grid_evictions(), 1, "resident grid undisturbed");
-        assert!(svc.has_grid(&family2));
-
-        // A budget too small for any grid skips builds outright — no
-        // build-evict thrash, the closed form serves instead.
-        let mut tiny = PolicyService::new(ServiceConfig {
-            workers: Some(1),
-            max_cache_bytes: Some(grid_bytes / 2),
-            ..ServiceConfig::default()
-        });
-        assert!(!tiny.prewarm_grid(&family), "oversize grid never builds");
-        let resp = tiny
-            .serve(&PolicyRequest::homogeneous(
-                10,
-                econcast_core::NodeParams::from_microwatts(10.0, 500.0, 450.0),
-                0.5,
-                Groupput,
-                1e-1,
-            ))
-            .unwrap();
-        assert_eq!(resp.tier, ServedTier::ClosedForm);
-        assert_eq!(tiny.stats().grid_builds, 0, "no lazy build either");
+        assert_eq!(svc.serve(&homo).unwrap().tier, ServedTier::ClosedForm);
+        let s = svc.stats();
+        assert_eq!(s.lru_len, 2);
+        assert_eq!(s.byte_evictions, 3);
+        assert!(svc.cache_bytes() <= budget);
+        assert_eq!(svc.serve(&homo).unwrap().tier, ServedTier::Exact);
+        assert_eq!(svc.serve(&reqs[2]).unwrap().tier, ServedTier::Solver);
     }
 
     #[test]
@@ -1115,7 +807,6 @@ mod tests {
         let mut svc = PolicyService::new(ServiceConfig {
             lru_capacity: 1,
             workers: Some(1),
-            grid: None,
             ..ServiceConfig::default()
         });
         let r1 = het_request(&[5e-6, 10e-6], 1e-2);

@@ -5,9 +5,9 @@
 //! routed by **consistent hashing** of the canonical key over a ring
 //! of virtual nodes: every canonical instance — and therefore every
 //! permutation and tolerance-tier alias of it — always lands on the
-//! same shard, so the per-shard LRU and grid caches stay hot and
-//! **disjoint** (no entry is duplicated across shards, and growing the
-//! shard count moves only ~1/k of the key space).
+//! same shard, so the per-shard LRU caches stay hot and **disjoint**
+//! (no entry is duplicated across shards, and growing the shard count
+//! moves only ~1/k of the key space).
 //!
 //! ## Response invariance
 //!
@@ -22,8 +22,6 @@
 //! job can arrive in a later sub-batch and replay from the LRU as
 //! `Exact` — same bits either way.
 
-use crate::grid::FamilyKey;
-use crate::prewarm::{MixRecorder, PrewarmConfig};
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::service::{PolicyService, ServiceConfig};
 use crate::stats::ServiceStats;
@@ -41,9 +39,6 @@ pub struct RouterConfig {
     pub vnodes: usize,
     /// Configuration applied to every shard's `PolicyService`.
     pub service: ServiceConfig,
-    /// Prewarming knobs (used by [`ShardRouter::prewarm_once`] and the
-    /// TCP server's background prewarmer).
-    pub prewarm: PrewarmConfig,
 }
 
 impl Default for RouterConfig {
@@ -52,16 +47,14 @@ impl Default for RouterConfig {
             shards: 2,
             vnodes: 64,
             service: ServiceConfig::default(),
-            prewarm: PrewarmConfig::default(),
         }
     }
 }
 
-/// One shard: a policy service plus its observed request mix.
+/// One shard: a policy service plus its routing count.
 #[derive(Debug)]
 struct ShardState {
     service: PolicyService,
-    mixes: MixRecorder,
     /// Requests routed to this shard (including rejected ones).
     routed: u64,
 }
@@ -77,11 +70,6 @@ pub struct ShardRouter {
     /// Sorted consistent-hash ring: `(point, shard)`.
     ring: Vec<(u64, u16)>,
     shards: Vec<Mutex<ShardState>>,
-    prewarm: PrewarmConfig,
-    /// Grid-coverable budget range of the shard services (`None` when
-    /// the grid tier is disabled) — gates mix recording so the
-    /// prewarmer never builds a grid no request could be served from.
-    grid_range: Option<(f64, f64)>,
 }
 
 impl ShardRouter {
@@ -106,17 +94,11 @@ impl ShardRouter {
             .map(|_| {
                 Mutex::new(ShardState {
                     service: PolicyService::new(cfg.service),
-                    mixes: MixRecorder::new(),
                     routed: 0,
                 })
             })
             .collect();
-        ShardRouter {
-            ring,
-            shards,
-            prewarm: cfg.prewarm,
-            grid_range: cfg.service.grid.map(|g| (g.rho_min_w, g.rho_max_w)),
-        }
+        ShardRouter { ring, shards }
     }
 
     /// Number of shards.
@@ -147,12 +129,10 @@ impl ShardRouter {
         let nshards = self.shards.len();
         // Route — canonicalize each request exactly once; ownership of
         // the canonicalization is handed to the home shard's probe
-        // phase below, so nothing is sorted or cloned twice. Also note
-        // grid-coverable homogeneous families for the prewarmer.
+        // phase below, so nothing is sorted or cloned twice.
         let route_t0 = econcast_trace::armed_now();
         let mut canons: Vec<Option<CanonicalInstance>> = Vec::with_capacity(reqs.len());
         let mut sub_idx: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        let mut observed: Vec<Vec<FamilyKey>> = vec![Vec::new(); nshards];
         for (i, req) in reqs.iter().enumerate() {
             let shard = match req.validate() {
                 // Rejected requests are charged to shard 0.
@@ -163,19 +143,6 @@ impl ShardRouter {
                 Ok(()) => {
                     let canon = canonicalize(req);
                     let s = self.shard_of_key(&canon.key);
-                    if canon.homogeneous
-                        && self
-                            .grid_range
-                            .is_some_and(|(lo, hi)| (lo..=hi).contains(&canon.sorted_budgets[0]))
-                    {
-                        observed[s as usize].push(FamilyKey::new(
-                            canon.sorted_budgets.len(),
-                            req.listen_w,
-                            req.transmit_w,
-                            req.sigma,
-                            req.objective,
-                        ));
-                    }
                     canons.push(Some(canon));
                     s
                 }
@@ -200,9 +167,6 @@ impl ShardRouter {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             shard.routed += sub.len() as u64;
-            for family in observed[s].drain(..) {
-                shard.mixes.record(family);
-            }
             let results = shard.service.serve_batch_prerouted(sub);
             for (&i, r) in idxs.iter().zip(results) {
                 out[i] = Some(r);
@@ -257,83 +221,6 @@ impl ShardRouter {
             total.merge(&self.shard_stats(s));
         }
         total
-    }
-
-    /// One prewarm cycle: for every shard, build grids for up to
-    /// `max_per_cycle` of its hottest observed families with at least
-    /// `min_hits` observations that are not yet resident. Returns the
-    /// number of grids built. Each build briefly holds that shard's
-    /// lock, so cycles are bounded by `max_per_cycle` to stay short.
-    pub fn prewarm_once(&self) -> usize {
-        let mut built = 0;
-        for shard in &self.shards {
-            let mut st = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let candidates = st.mixes.candidates(self.prewarm.min_hits);
-            let mut cycle = 0;
-            for (family, _) in candidates {
-                if cycle >= self.prewarm.max_per_cycle {
-                    break;
-                }
-                if st.service.prewarm_grid(&family) {
-                    built += 1;
-                    cycle += 1;
-                }
-            }
-        }
-        built
-    }
-
-    /// The prewarm configuration the router was built with.
-    pub fn prewarm_config(&self) -> PrewarmConfig {
-        self.prewarm
-    }
-
-    /// Snapshot of the observed homogeneous request mix merged across
-    /// every shard, hottest families first — the payload of a warm
-    /// handoff when this deployment's key range moves elsewhere.
-    pub fn export_mix(&self) -> Vec<(FamilyKey, u64)> {
-        let mut merged = MixRecorder::new();
-        for shard in &self.shards {
-            let st = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            merged.absorb(&st.mixes.export());
-        }
-        merged.export()
-    }
-
-    /// Absorbs a warm-handoff mix shipped from a departing key-range
-    /// owner: every shard's recorder learns the heat (a family's
-    /// future budgets hash shard-independently, so any shard may end
-    /// up serving it), then bounded prewarm cycles install the hottest
-    /// qualifying grids ahead of demand. Returns `(families_absorbed,
-    /// grids_built)`. Purely a latency optimization — a prewarmed grid
-    /// is bit-identical to the lazily built one.
-    pub fn absorb_mix(&self, mix: &[(FamilyKey, u64)]) -> (usize, usize) {
-        if mix.is_empty() {
-            return (0, 0);
-        }
-        for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .mixes
-                .absorb(mix);
-        }
-        // Each cycle builds at most `max_per_cycle` grids per shard;
-        // iterate until a cycle builds nothing, capped by the family
-        // count so absorption stays bounded under any recorder state.
-        let mut built = 0;
-        for _ in 0..mix.len() {
-            let cycle = self.prewarm_once();
-            if cycle == 0 {
-                break;
-            }
-            built += cycle;
-        }
-        (mix.len(), built)
     }
 }
 
@@ -470,114 +357,5 @@ mod tests {
         assert!(matches!(out[0], Err(ServiceError::BadRequest(_))));
         assert_eq!(r.shard_stats(0).errors, 1);
         assert_eq!(r.aggregate_stats().errors, 1);
-    }
-
-    #[test]
-    fn prewarm_builds_hot_families_and_grid_serves() {
-        // Prewarmed-only shards: grids are never built on the request
-        // path, so the prewarmer is what installs them.
-        let r = ShardRouter::new(RouterConfig {
-            shards: 2,
-            service: ServiceConfig {
-                workers: Some(1),
-                lazy_grid_builds: false,
-                ..ServiceConfig::default()
-            },
-            ..RouterConfig::default()
-        });
-        // Three sightings of one family qualify it (default min_hits);
-        // repeats after the first are exact-LRU hits, but the router
-        // records the family at routing time regardless of tier.
-        let req = homogeneous(10, 10.0);
-        let shard = r.shard_of_request(&req).unwrap() as usize;
-        for _ in 0..3 {
-            let out = r.serve_batch(std::slice::from_ref(&req));
-            assert!(out[0].is_ok());
-        }
-        assert_eq!(r.shard_stats(shard).grid_builds, 0, "no inline build");
-        assert_eq!(r.prewarm_once(), 1, "one hot family to build");
-        assert_eq!(r.prewarm_once(), 0, "already resident");
-        assert_eq!(r.shard_stats(shard).grid_prewarms, 1);
-        assert_eq!(r.aggregate_stats().grid_prewarms, 1);
-
-        // Later budgets in the same family that land on the same
-        // shard (different budgets hash independently) now
-        // grid-serve, with no build charged to the request path. The
-        // grid may decline an interval whose certified error exceeds
-        // the tier, so scan several and require at least one hit.
-        let laters: Vec<PolicyRequest> = (1..200)
-            .map(|k| PolicyRequest {
-                tolerance: 1e-1, // coarsest tier: most intervals serve
-                ..homogeneous(10, 10.0 + 0.5 * f64::from(k))
-            })
-            .filter(|req| r.shard_of_request(req).unwrap() as usize == shard)
-            .take(6)
-            .collect();
-        assert!(!laters.is_empty(), "no nearby budget shares the shard");
-        let out = r.serve_batch(&laters);
-        let grid_hits = out
-            .iter()
-            .filter(|r| r.as_ref().unwrap().tier == econcast_proto::service::ServedTier::Grid)
-            .count();
-        assert!(grid_hits > 0, "prewarmed grid never served");
-        assert_eq!(r.shard_stats(shard).grid_builds, 0);
-    }
-
-    #[test]
-    fn absorbed_mix_prewarms_like_local_heat() {
-        let r = ShardRouter::new(RouterConfig {
-            shards: 2,
-            service: ServiceConfig {
-                workers: Some(1),
-                lazy_grid_builds: false,
-                ..ServiceConfig::default()
-            },
-            ..RouterConfig::default()
-        });
-        // The departing owner's recorder: one family hot enough to
-        // qualify (min_hits), one below the floor.
-        let mut src = MixRecorder::new();
-        for _ in 0..5 {
-            src.record(FamilyKey::new(
-                10,
-                500e-6,
-                450e-6,
-                0.5,
-                ThroughputMode::Groupput,
-            ));
-        }
-        src.record(FamilyKey::new(
-            50,
-            500e-6,
-            450e-6,
-            0.5,
-            ThroughputMode::Groupput,
-        ));
-        let (absorbed, built) = r.absorb_mix(&src.export());
-        assert_eq!(absorbed, 2);
-        assert_eq!(built, 2, "the hot family builds once per shard");
-        assert_eq!(r.aggregate_stats().grid_prewarms, 2);
-
-        // A cold deployment now grid-serves the family without any
-        // inline build — the handoff's entire point. The grid may
-        // decline an interval whose certified error exceeds the tier,
-        // so scan a few budgets and require at least one hit.
-        let probes: Vec<PolicyRequest> = (1..40)
-            .map(|k| PolicyRequest {
-                tolerance: 1e-1,
-                ..homogeneous(10, 10.0 + 0.5 * f64::from(k))
-            })
-            .collect();
-        let out = r.serve_batch(&probes);
-        let grid_hits = out
-            .iter()
-            .filter(|r| r.as_ref().unwrap().tier == econcast_proto::service::ServedTier::Grid)
-            .count();
-        assert!(grid_hits > 0, "absorbed mix never produced a grid serve");
-        assert_eq!(r.aggregate_stats().grid_builds, 0);
-
-        // Absorbing the same mix again is idempotent for residency.
-        let (_, rebuilt) = r.absorb_mix(&src.export());
-        assert_eq!(rebuilt, 0, "grids already resident");
     }
 }

@@ -36,8 +36,8 @@ pub enum StatKind {
 /// [`WireServiceStats::to_array`]).
 pub const STAT_KINDS: [StatKind; STATS_COUNTERS] = {
     let mut kinds = [StatKind::Counter; STATS_COUNTERS];
-    kinds[12] = StatKind::GaugeSum; // lru_len
-    kinds[23] = StatKind::GaugeMax; // queue_depth_peak
+    kinds[9] = StatKind::GaugeSum; // lru_len
+    kinds[19] = StatKind::GaugeMax; // queue_depth_peak
     kinds
 };
 
@@ -52,8 +52,6 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Requests answered from the exact-match LRU tier.
     pub exact_hits: u64,
-    /// Requests answered by grid interpolation.
-    pub grid_hits: u64,
     /// Requests answered by the homogeneous closed-form tier.
     pub closed_form_hits: u64,
     /// Requests that ran the exact (P4) dual-descent solver.
@@ -63,10 +61,10 @@ pub struct ServiceStats {
     pub batch_dedup_hits: u64,
     /// Requests rejected (validation or size).
     pub errors: u64,
-    /// Grid families built lazily so far.
+    /// Always 0: the service builds no interpolation grids. Kept only
+    /// so `servebench/` compiles; the next benchmark PR deletes it.
+    /// Not on the wire.
     pub grid_builds: u64,
-    /// Grid families built ahead of demand by the prewarmer.
-    pub grid_prewarms: u64,
     /// Entries inserted into the LRU.
     pub lru_inserts: u64,
     /// Entries evicted from the LRU.
@@ -78,7 +76,7 @@ pub struct ServiceStats {
     /// this attributes the two kernels that matter at large N, so
     /// cache behaviour there (where the factorized solver feeds the
     /// LRU) is observable separately from the closed-form traffic.
-    /// Hits on Gray-code- or grid-produced entries land in neither
+    /// Hits on Gray-code-produced entries land in neither
     /// counter (the sum is ≤ `exact_hits`, not a partition of it);
     /// per-response attribution for *every* kernel rides the
     /// `kernel` tag on `PolicyResponse`.
@@ -86,34 +84,31 @@ pub struct ServiceStats {
     /// Exact-tier hits whose entry was produced by the factorized
     /// large-N solver.
     pub exact_hits_factorized: u64,
-    /// LRU entries evicted to satisfy the cross-tier cache **byte
-    /// budget** (`ServiceConfig::max_cache_bytes`), as opposed to
+    /// LRU entries evicted to satisfy the cache **byte budget**
+    /// (`ServiceConfig::max_cache_bytes`), as opposed to
     /// [`lru_evictions`](Self::lru_evictions) which counts evictions
-    /// for any reason (entry-count capacity included). Grid builds
-    /// charge the shared budget too, so a burst of grid residency
-    /// shows up here as exact-tier pressure.
+    /// for any reason (entry-count capacity included).
     pub byte_evictions: u64,
     /// Dead backends automatically respawned and retargeted by the
     /// cluster's supervisor policy loop. Always zero for a plain
-    /// service — the cluster front overlays the four self-healing
+    /// service — the cluster front overlays the three self-healing
     /// counters on the aggregate it reports, so they ride the same
     /// wire block as the per-tier counters.
     pub auto_respawns: u64,
     /// Backend slots quarantined onto the local fallback solver after
     /// exhausting their respawn budget (cluster overlay).
     pub quarantines: u64,
-    /// Warm mix handoffs shipped during live reshards (cluster
-    /// overlay).
-    pub reshard_handoffs: u64,
     /// Faults injected by a scripted fault plan — nonzero only under
     /// the chaos harness (cluster overlay).
     pub injected_faults: u64,
     /// Requests rejected with `Overloaded` past the shed ladder
     /// (admission overlay).
     pub shed_rejects: u64,
-    /// Requests served from the interpolation-grid tier at a relaxed —
-    /// still certificate-reported — tolerance because the admission
-    /// queue was past its degrade threshold (admission overlay).
+    /// Requests served at a relaxed — still certificate-reported —
+    /// tolerance because the admission queue was past its degrade
+    /// threshold (admission overlay). The relaxation loosens the
+    /// heterogeneous solver's stopping tolerance; a homogeneous
+    /// closed-form answer does not depend on tolerance.
     pub degraded_serves: u64,
     /// Requests whose `deadline_us` budget expired before (or during)
     /// service; each also counts in
@@ -128,19 +123,15 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Requests served without touching any solver (exact + grid +
-    /// in-batch dedup).
+    /// Requests served without touching any solver (exact + in-batch
+    /// dedup).
     pub fn solver_free(&self) -> u64 {
-        self.exact_hits + self.grid_hits + self.batch_dedup_hits
+        self.exact_hits + self.batch_dedup_hits
     }
 
     /// Total requests answered successfully.
     pub fn served(&self) -> u64 {
-        self.exact_hits
-            + self.grid_hits
-            + self.closed_form_hits
-            + self.solver_solves
-            + self.batch_dedup_hits
+        self.exact_hits + self.closed_form_hits + self.solver_solves + self.batch_dedup_hits
     }
 
     /// Accumulates another snapshot into this one — how per-shard
@@ -166,13 +157,10 @@ impl ServiceStats {
             requests: self.requests,
             batches: self.batches,
             exact_hits: self.exact_hits,
-            grid_hits: self.grid_hits,
             closed_form_hits: self.closed_form_hits,
             solver_solves: self.solver_solves,
             batch_dedup_hits: self.batch_dedup_hits,
             errors: self.errors,
-            grid_builds: self.grid_builds,
-            grid_prewarms: self.grid_prewarms,
             lru_inserts: self.lru_inserts,
             lru_evictions: self.lru_evictions,
             lru_len: self.lru_len,
@@ -181,7 +169,6 @@ impl ServiceStats {
             byte_evictions: self.byte_evictions,
             auto_respawns: self.auto_respawns,
             quarantines: self.quarantines,
-            reshard_handoffs: self.reshard_handoffs,
             injected_faults: self.injected_faults,
             shed_rejects: self.shed_rejects,
             degraded_serves: self.degraded_serves,
@@ -196,13 +183,11 @@ impl ServiceStats {
             requests: w.requests,
             batches: w.batches,
             exact_hits: w.exact_hits,
-            grid_hits: w.grid_hits,
             closed_form_hits: w.closed_form_hits,
             solver_solves: w.solver_solves,
             batch_dedup_hits: w.batch_dedup_hits,
             errors: w.errors,
-            grid_builds: w.grid_builds,
-            grid_prewarms: w.grid_prewarms,
+            grid_builds: 0,
             lru_inserts: w.lru_inserts,
             lru_evictions: w.lru_evictions,
             lru_len: w.lru_len,
@@ -211,7 +196,6 @@ impl ServiceStats {
             byte_evictions: w.byte_evictions,
             auto_respawns: w.auto_respawns,
             quarantines: w.quarantines,
-            reshard_handoffs: w.reshard_handoffs,
             injected_faults: w.injected_faults,
             shed_rejects: w.shed_rejects,
             degraded_serves: w.degraded_serves,
@@ -237,19 +221,20 @@ mod tests {
         // Every field is distinct in the fixture, so a swapped mapping
         // in either direction would break the equality above.
         assert_eq!(s.requests, 1);
-        assert_eq!(s.grid_prewarms, 10);
-        assert_eq!(s.lru_len, 13);
-        assert_eq!(s.exact_hits_closed_form, 14);
-        assert_eq!(s.exact_hits_factorized, 15);
-        assert_eq!(s.byte_evictions, 16);
-        assert_eq!(s.auto_respawns, 17);
-        assert_eq!(s.quarantines, 18);
-        assert_eq!(s.reshard_handoffs, 19);
-        assert_eq!(s.injected_faults, 20);
-        assert_eq!(s.shed_rejects, 21);
-        assert_eq!(s.degraded_serves, 22);
-        assert_eq!(s.deadline_expired, 23);
-        assert_eq!(s.queue_depth_peak, 24);
+        assert_eq!(s.closed_form_hits, 4);
+        assert_eq!(s.lru_inserts, 8);
+        assert_eq!(s.lru_len, 10);
+        assert_eq!(s.exact_hits_closed_form, 11);
+        assert_eq!(s.exact_hits_factorized, 12);
+        assert_eq!(s.byte_evictions, 13);
+        assert_eq!(s.auto_respawns, 14);
+        assert_eq!(s.quarantines, 15);
+        assert_eq!(s.injected_faults, 16);
+        assert_eq!(s.shed_rejects, 17);
+        assert_eq!(s.degraded_serves, 18);
+        assert_eq!(s.deadline_expired, 19);
+        assert_eq!(s.queue_depth_peak, 20);
+        assert_eq!(s.grid_builds, 0, "the shim is not on the wire");
     }
 
     #[test]
@@ -268,14 +253,14 @@ mod tests {
 
     #[test]
     fn stat_kinds_flag_exactly_the_two_gauges() {
-        // lru_len (slot 12) sums across disjoint shards; the queue
-        // peak (slot 23) maxes across a shared queue; everything else
+        // lru_len (slot 9) sums across disjoint shards; the queue
+        // peak (slot 19) maxes across a shared queue; everything else
         // is a plain counter. A gauge smuggled into the counter list
         // without a kind declaration fails here.
         for (i, kind) in STAT_KINDS.iter().enumerate() {
             let expect = match i {
-                12 => StatKind::GaugeSum,
-                23 => StatKind::GaugeMax,
+                9 => StatKind::GaugeSum,
+                19 => StatKind::GaugeMax,
                 _ => StatKind::Counter,
             };
             assert_eq!(*kind, expect, "slot {i}");

@@ -98,18 +98,6 @@ impl WireServer {
                 ServiceMessage::Ping(p) => {
                     ServiceCodec::encode(&ServiceMessage::Pong(WirePong { id: p.id }), &mut out);
                 }
-                // The in-process server has no prewarmer to seed;
-                // ack a mix handoff as fully ignored.
-                ServiceMessage::MixSeed(s) => {
-                    ServiceCodec::encode(
-                        &ServiceMessage::MixAck(econcast_proto::service::WireMixAck {
-                            id: s.id,
-                            absorbed: 0,
-                            grids_built: 0,
-                        }),
-                        &mut out,
-                    );
-                }
                 // Metrics scrape: the hub snapshot with
                 // this service's LRU gauges injected — the
                 // single-shard special case of the TCP front-end's
@@ -135,7 +123,6 @@ impl WireServer {
                 | ServiceMessage::Welcome(_)
                 | ServiceMessage::StatsResponse(_)
                 | ServiceMessage::Pong(_)
-                | ServiceMessage::MixAck(_)
                 | ServiceMessage::MetricsResponse(_) => self.ignored += 1,
             }
         }

@@ -13,15 +13,15 @@ use crate::request::PolicyRequest;
 use econcast_core::{NodeParams, ThroughputMode};
 
 /// Builds the deterministic mixed batch, truncated or cycle-padded to
-/// `len` requests: homogeneous cliques in and out of the default grid
-/// range, heterogeneous exact-solver instances plus a permutation of
+/// `len` requests: homogeneous cliques at µW and mW budgets,
+/// heterogeneous exact-solver instances plus a permutation of
 /// each (the canonicalization regression rides along), both
 /// objectives, and — once `len` exceeds the distinct prefix —
 /// duplicates exercising the in-batch dedup path.
 pub fn mixed_batch(len: usize) -> Vec<PolicyRequest> {
     let mut reqs = Vec::new();
     let modes = [ThroughputMode::Groupput, ThroughputMode::Anyput];
-    // Homogeneous: several (n, ρ) points inside the grid range...
+    // Homogeneous: several (n, ρ) points at µW budgets...
     for (i, n) in [5usize, 12, 50, 96].into_iter().enumerate() {
         for (j, rho_uw) in [4.0, 10.0, 37.0].into_iter().enumerate() {
             let params = NodeParams::from_microwatts(rho_uw, 500.0, 450.0);
@@ -34,7 +34,7 @@ pub fn mixed_batch(len: usize) -> Vec<PolicyRequest> {
             ));
         }
     }
-    // ...and outside it (25 mW budget exceeds the grid's 10 mW roof).
+    // ...and at a 25 mW budget.
     for n in [8usize, 64] {
         let params = NodeParams::from_milliwatts(25.0, 67.0, 33.0);
         reqs.push(PolicyRequest::homogeneous(

@@ -24,7 +24,6 @@ fn scrape_reports_serve_path_counters_histograms_and_gauges() {
                 },
                 ..RouterConfig::default()
             },
-            background_prewarm: false,
             ..ServerConfig::default()
         },
     )

@@ -28,7 +28,6 @@ fn server(queue_capacity: usize, max_queue_delay: Duration) -> ServerConfig {
             },
             ..RouterConfig::default()
         },
-        background_prewarm: false,
         ..ServerConfig::default()
     }
 }

@@ -22,7 +22,6 @@ fn server(shards: usize, workers: usize) -> ServerConfig {
             },
             ..RouterConfig::default()
         },
-        background_prewarm: false,
         ..ServerConfig::default()
     }
 }

@@ -30,9 +30,9 @@ fn mode_of(bit: bool) -> ThroughputMode {
 }
 
 proptest! {
-    /// Homogeneous requests are served by the grid or closed-form tier
-    /// (never the enumeration solver), and the answer matches a fresh
-    /// exact `P4Solver` solve within the tolerance tier.
+    /// Homogeneous requests are served by the closed-form tier (never
+    /// the enumeration solver), and the answer matches a fresh exact
+    /// `P4Solver` solve within the tolerance tier.
     #[test]
     fn homogeneous_tiers_match_fresh_solver(
         n in 2usize..9,
@@ -48,7 +48,7 @@ proptest! {
 
         let mut svc = service();
         let resp = svc.serve(&req).unwrap();
-        prop_assert!(matches!(resp.tier, ServedTier::Grid | ServedTier::ClosedForm));
+        prop_assert_eq!(resp.tier, ServedTier::ClosedForm);
         prop_assert_eq!(svc.stats().solver_solves, 0);
 
         let fresh = solve_p4(&vec![params; n], sigma, mode, P4Options::default());
@@ -219,11 +219,9 @@ fn large_n_requests_serve_and_cache_via_the_factorized_kernel() {
 
     // A homogeneous replay lands in the same kind of LRU but
     // attributes to the closed form — the two counters split
-    // `exact_hits` by producing kernel. (Grid disabled so the request
-    // reaches the closed-form tier, whose entries do get cached.)
+    // `exact_hits` by producing kernel.
     let mut svc2 = PolicyService::new(ServiceConfig {
         workers: Some(1),
-        grid: None,
         ..ServiceConfig::default()
     });
     let homog = PolicyRequest::homogeneous(

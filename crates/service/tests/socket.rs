@@ -24,9 +24,6 @@ fn server(shards: usize) -> ServerConfig {
             },
             ..RouterConfig::default()
         },
-        // Keep tests deterministic: no background thread racing the
-        // assertions; prewarming has its own unit tests.
-        background_prewarm: false,
         ..ServerConfig::default()
     }
 }

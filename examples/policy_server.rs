@@ -74,11 +74,10 @@ fn main() {
     for shard in 0..client.shards() {
         let s = client.stats(Some(shard)).expect("shard stats");
         println!(
-            "shard {shard}: {:>3} requests | exact {:>2} · grid {:>2} · closed-form {:>2} · \
+            "shard {shard}: {:>3} requests | exact {:>2} · closed-form {:>2} · \
              solver {:>2} · dedup {:>2} | lru {} entries",
             s.requests,
             s.exact_hits,
-            s.grid_hits,
             s.closed_form_hits,
             s.solver_solves,
             s.batch_dedup_hits,

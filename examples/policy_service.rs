@@ -84,15 +84,9 @@ fn main() {
         }
         let s = server.service().stats();
         println!(
-            "stats: {} requests | exact {} · grid {} · closed-form {} · solver {} | \
+            "stats: {} requests | exact {} · closed-form {} · solver {} | \
              lru {}/{} entries\n",
-            s.requests,
-            s.exact_hits,
-            s.grid_hits,
-            s.closed_form_hits,
-            s.solver_solves,
-            s.lru_len,
-            1024,
+            s.requests, s.exact_hits, s.closed_form_hits, s.solver_solves, s.lru_len, 1024,
         );
     }
     println!("warm pass served entirely from the exact tier — no solver ran.");

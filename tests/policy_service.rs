@@ -77,10 +77,7 @@ fn mixed_batch_exercises_every_tier_and_warm_cache_skips_solvers() {
         after_cold.solver_solves > 0,
         "heterogeneous instances solved"
     );
-    assert!(
-        after_cold.grid_hits + after_cold.closed_form_hits > 0,
-        "homogeneous tiers used"
-    );
+    assert!(after_cold.closed_form_hits > 0, "homogeneous tier used");
     assert!(after_cold.batch_dedup_hits > 0, "padding deduplicated");
 
     // Warm pass: every request is an exact-tier hit; no solver of any
@@ -94,7 +91,6 @@ fn mixed_batch_exercises_every_tier_and_warm_cache_skips_solvers() {
     );
     assert_eq!(after_warm.solver_solves, after_cold.solver_solves);
     assert_eq!(after_warm.closed_form_hits, after_cold.closed_form_hits);
-    assert_eq!(after_warm.grid_hits, after_cold.grid_hits);
     assert_eq!(after_warm.batch_dedup_hits, after_cold.batch_dedup_hits);
 
     // Warm answers are bit-identical to cold ones (modulo the tier
@@ -106,6 +102,88 @@ fn mixed_batch_exercises_every_tier_and_warm_cache_skips_solvers() {
             bits_equal(c, w),
             "request {i}: warm replay diverged from cold"
         );
+    }
+}
+
+/// A homogeneous-heavy batch: several families (node count, σ,
+/// objective) at µW–mW budgets and tolerances 1e-1…1e-3, plus a few
+/// heterogeneous instances, with every request repeated so a small
+/// cache must evict and re-solve.
+fn homogeneous_heavy_batch() -> Vec<PolicyRequest> {
+    let mut reqs = Vec::new();
+    for (k, &n) in [2usize, 7, 12, 50, 200].iter().enumerate() {
+        for (j, &rho_uw) in [3.0, 10.0, 37.0, 410.0, 2600.0].iter().enumerate() {
+            let objective = if (k + j) % 2 == 0 {
+                econcast::core::ThroughputMode::Groupput
+            } else {
+                econcast::core::ThroughputMode::Anyput
+            };
+            reqs.push(PolicyRequest {
+                budgets_w: vec![rho_uw * 1e-6; n],
+                listen_w: L,
+                transmit_w: X,
+                sigma: if j % 2 == 0 { 0.5 } else { 0.25 },
+                objective,
+                tolerance: [1e-1, 1e-2, 1e-3][(k + 2 * j) % 3],
+            });
+        }
+    }
+    for k in 0..4 {
+        reqs.push(PolicyRequest {
+            budgets_w: vec![5e-6, (10 + k) as f64 * 1e-6, 20e-6],
+            listen_w: L,
+            transmit_w: X,
+            sigma: 0.5,
+            objective: econcast::core::ThroughputMode::Groupput,
+            tolerance: 1e-2,
+        });
+    }
+    let repeat = reqs.clone();
+    reqs.extend(repeat);
+    reqs
+}
+
+#[test]
+fn byte_budget_never_changes_an_answer() {
+    // The cache byte budget bounds what the exact tier holds; it must
+    // never decide which computation answers a request. 512 B holds
+    // at most a couple of small entries, so most requests here solve
+    // afresh under it and replay from the cache without it. The bits
+    // must agree either way, at every worker count.
+    let batch = homogeneous_heavy_batch();
+    let serve = |workers: usize, max_cache_bytes: Option<usize>| {
+        let mut svc = PolicyService::new(ServiceConfig {
+            workers: Some(workers),
+            max_cache_bytes,
+            ..ServiceConfig::default()
+        });
+        // One batch, then each request on its own: the second pass
+        // replays whatever the budget let the cache keep.
+        let mut out = svc.serve_batch(&batch);
+        out.extend(batch.iter().map(|req| svc.serve(req)));
+        (out, svc.stats())
+    };
+    let (reference, unbudgeted) = serve(1, None);
+    assert_eq!(unbudgeted.lru_evictions, 0);
+    for workers in [1usize, 2, 4] {
+        for budget in [None, Some(512)] {
+            let (got, stats) = serve(workers, budget);
+            if budget.is_some() {
+                assert!(stats.byte_evictions > 0, "the budget must bite");
+            }
+            for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
+                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+                assert!(
+                    bits_equal(a, b) && a.kernel == b.kernel,
+                    "request {i} diverged at {workers} workers, budget {budget:?}: \
+                     {:?}/{:?} vs {:?}/{:?}",
+                    a.tier,
+                    a.kernel,
+                    b.tier,
+                    b.kernel
+                );
+            }
+        }
     }
 }
 
@@ -249,43 +327,34 @@ fn homogeneous_groupput_above_the_closed_form_regime_certifies_at_wire_scale() {
 
 #[test]
 fn one_budget_requests_certify_a_zero_oracle_on_every_tier() {
-    // A lone node has no receiver: T* = 0 in both modes, whether the
-    // request is served by the closed form or through a grid (the
-    // looser tolerances let the grid's coarse intervals serve).
+    // A lone node has no receiver: T* = 0 in both modes, at every
+    // tolerance the closed form is asked for.
     for objective in [
         econcast::core::ThroughputMode::Groupput,
         econcast::core::ThroughputMode::Anyput,
     ] {
-        for grid in [None, Some(econcast::service::GridConfig::default())] {
-            let mut svc = PolicyService::new(ServiceConfig {
-                grid,
-                ..ServiceConfig::default()
-            });
-            let mut tiers = Vec::new();
-            for (rho_uw, tolerance) in [(10.0, 1e-3), (17.0, 0.1), (29.0, 0.5)] {
-                let req = PolicyRequest {
-                    budgets_w: vec![rho_uw * 1e-6],
-                    listen_w: L,
-                    transmit_w: X,
-                    sigma: 0.5,
-                    objective,
-                    tolerance,
-                };
-                let resp = svc.serve(&req).expect("one-node requests serve");
-                let cert = &resp.certificate;
-                assert_eq!(cert.oracle, 0.0, "{objective:?} via {:?}", resp.tier);
-                assert!(
-                    cert.is_consistent(1e-6),
-                    "{objective:?} via {:?}: T^σ={} T*={} D={}",
-                    resp.tier,
-                    cert.t_sigma,
-                    cert.oracle,
-                    cert.dual_upper
-                );
-                tiers.push(resp.tier);
-            }
-            assert!(tiers.contains(&ServedTier::ClosedForm));
-            assert_eq!(grid.is_some(), tiers.contains(&ServedTier::Grid));
+        let mut svc = PolicyService::new(ServiceConfig::default());
+        for (rho_uw, tolerance) in [(10.0, 1e-3), (17.0, 0.1), (29.0, 0.5)] {
+            let req = PolicyRequest {
+                budgets_w: vec![rho_uw * 1e-6],
+                listen_w: L,
+                transmit_w: X,
+                sigma: 0.5,
+                objective,
+                tolerance,
+            };
+            let resp = svc.serve(&req).expect("one-node requests serve");
+            assert_eq!(resp.tier, ServedTier::ClosedForm);
+            let cert = &resp.certificate;
+            assert_eq!(cert.oracle, 0.0, "{objective:?} via {:?}", resp.tier);
+            assert!(
+                cert.is_consistent(1e-6),
+                "{objective:?} via {:?}: T^σ={} T*={} D={}",
+                resp.tier,
+                cert.t_sigma,
+                cert.oracle,
+                cert.dual_upper
+            );
         }
     }
 }
@@ -294,78 +363,72 @@ fn one_budget_requests_certify_a_zero_oracle_on_every_tier() {
 fn homogeneous_answers_stay_feasible_and_certified_down_to_tiny_sigma() {
     // At small σ consumption is a near-step in the scalar multiplier:
     // a bisection midpoint can overdraw the budget and push T^σ past
-    // T*. Every tier must answer inside the budget (the grid within
-    // its tolerance tier) with a valid sandwich.
+    // T*. Every answer must stay inside the budget with a valid
+    // sandwich.
     let tolerance = 1e-3;
-    for grid in [Some(econcast::service::GridConfig::default()), None] {
-        let mut svc = PolicyService::new(ServiceConfig {
-            grid,
-            ..ServiceConfig::default()
-        });
-        for sigma in [1e-2, 1e-3, 1e-6, 1e-300] {
-            for n in [1usize, 2, 50, 4000] {
-                for objective in [
-                    econcast::core::ThroughputMode::Groupput,
-                    econcast::core::ThroughputMode::Anyput,
-                ] {
-                    for rho in [10e-6, 1.0] {
-                        let req = PolicyRequest {
-                            budgets_w: vec![rho; n],
-                            listen_w: L,
-                            transmit_w: X,
-                            sigma,
-                            objective,
-                            tolerance,
-                        };
-                        let at = format!("σ={sigma} N={n} {objective:?} ρ={rho} grid={grid:?}");
-                        let resp = svc.serve(&req).unwrap_or_else(|e| panic!("{at}: {e:?}"));
-                        let cert = &resp.certificate;
+    let mut svc = PolicyService::new(ServiceConfig::default());
+    for sigma in [1e-2, 1e-3, 1e-6, 1e-300] {
+        for n in [1usize, 2, 50, 4000] {
+            for objective in [
+                econcast::core::ThroughputMode::Groupput,
+                econcast::core::ThroughputMode::Anyput,
+            ] {
+                for rho in [10e-6, 1.0] {
+                    let req = PolicyRequest {
+                        budgets_w: vec![rho; n],
+                        listen_w: L,
+                        transmit_w: X,
+                        sigma,
+                        objective,
+                        tolerance,
+                    };
+                    let at = format!("σ={sigma} N={n} {objective:?} ρ={rho}");
+                    let resp = svc.serve(&req).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+                    let cert = &resp.certificate;
+                    assert!(
+                        [resp.throughput, cert.t_sigma, cert.oracle, cert.dual_upper]
+                            .iter()
+                            .all(|v| v.is_finite()),
+                        "{at} via {:?}: {cert:?}",
+                        resp.tier
+                    );
+                    for p in &resp.policies {
                         assert!(
-                            [resp.throughput, cert.t_sigma, cert.oracle, cert.dual_upper]
-                                .iter()
-                                .all(|v| v.is_finite()),
-                            "{at} via {:?}: {cert:?}",
+                            (0.0..=1.0).contains(&p.listen) && (0.0..=1.0).contains(&p.transmit),
+                            "{at} via {:?}: {p:?}",
                             resp.tier
                         );
-                        for p in &resp.policies {
-                            assert!(
-                                (0.0..=1.0).contains(&p.listen)
-                                    && (0.0..=1.0).contains(&p.transmit),
-                                "{at} via {:?}: {p:?}",
-                                resp.tier
-                            );
-                            let power = p.listen * L + p.transmit * X;
-                            assert!(
-                                power <= rho * (1.0 + 3.0 * tolerance),
-                                "{at} via {:?}: draws {} of the budget",
-                                resp.tier,
-                                power / rho
-                            );
-                        }
+                        let power = p.listen * L + p.transmit * X;
                         assert!(
-                            cert.is_consistent(1e-9),
-                            "{at} via {:?}: T^σ={} T*={} D={}",
+                            power <= rho * (1.0 + 3.0 * tolerance),
+                            "{at} via {:?}: draws {} of the budget",
                             resp.tier,
-                            cert.t_sigma,
-                            cert.oracle,
-                            cert.dual_upper
+                            power / rho
                         );
                     }
+                    assert!(
+                        cert.is_consistent(1e-9),
+                        "{at} via {:?}: T^σ={} T*={} D={}",
+                        resp.tier,
+                        cert.t_sigma,
+                        cert.oracle,
+                        cert.dual_upper
+                    );
                 }
             }
         }
-        // A subnormal σ is positive and finite, but 1/σ is not.
-        let subnormal = PolicyRequest {
-            budgets_w: vec![10e-6; 2],
-            listen_w: L,
-            transmit_w: X,
-            sigma: 1e-310,
-            objective: econcast::core::ThroughputMode::Groupput,
-            tolerance,
-        };
-        assert!(matches!(
-            svc.serve(&subnormal),
-            Err(ServiceError::BadRequest(_))
-        ));
     }
+    // A subnormal σ is positive and finite, but 1/σ is not.
+    let subnormal = PolicyRequest {
+        budgets_w: vec![10e-6; 2],
+        listen_w: L,
+        transmit_w: X,
+        sigma: 1e-310,
+        objective: econcast::core::ThroughputMode::Groupput,
+        tolerance,
+    };
+    assert!(matches!(
+        svc.serve(&subnormal),
+        Err(ServiceError::BadRequest(_))
+    ));
 }
