@@ -21,9 +21,12 @@
 //! percent (default 5) of its recording-off twin from the *same* run —
 //! paired within one record, so machine speed divides out and the
 //! contract holds from the first run on any machine.
+//!
+//! Every check runs before the gate decides: all failures print, then
+//! the gate exits 1, so one failing check never hides another.
 
 use econcast_bench::gate::{
-    bench_doc, compare, metrics_overhead_check, parse_json, ratio_rows, BenchDoc,
+    bench_doc, gate_failures, metrics_overhead_check, parse_json, ratio_rows, BenchDoc,
     METRICS_OVERHEAD_BATCH,
 };
 use std::path::{Path, PathBuf};
@@ -92,8 +95,8 @@ fn main() {
     };
 
     // The always-on-overhead contract is paired within the fresh record
-    // itself, so it runs before baseline discovery — it binds on a
-    // brand-new machine with nothing committed yet.
+    // itself, so it binds on a brand-new machine with nothing committed
+    // yet. Its failure is reported with every other one at the end.
     match metrics_overhead_check(&fresh, max_metrics_loss) {
         Ok(Some((warm, on))) => println!(
             "bench_gate: warm_rps_metrics_on OK — {on:.0} req/s recording vs {warm:.0} req/s \
@@ -105,10 +108,7 @@ fn main() {
             "bench_gate: warm_rps_metrics_on skipped — no warm batch-{METRICS_OVERHEAD_BATCH} \
              row in this (filtered) record"
         ),
-        Err(e) => {
-            eprintln!("bench_gate: REGRESSION {e}");
-            std::process::exit(1);
-        }
+        Err(_) => {}
     }
 
     // Newest committed baseline at the same thread count, skipping the
@@ -143,15 +143,58 @@ fn main() {
             Err(e) => eprintln!("bench_gate: skipping unreadable baseline: {e}"),
         }
     }
-    let Some((base_path, baseline)) = baselines.into_iter().max_by_key(|(_, d)| d.created_unix)
-    else {
-        println!(
-            "bench_gate: no committed baseline matches threads={}; nothing to gate",
+    let baseline = baselines.into_iter().max_by_key(|(_, d)| d.created_unix);
+    match &baseline {
+        None => println!(
+            "bench_gate: no committed baseline matches threads={}; no baseline rows to gate",
             fresh.threads
-        );
-        return;
-    };
+        ),
+        Some((base_path, baseline)) => print_table(
+            &fresh_path,
+            &fresh,
+            base_path,
+            baseline,
+            max_loss,
+            max_lat_gain,
+        ),
+    }
 
+    let failures = gate_failures(
+        &fresh,
+        baseline.as_ref().map(|(_, d)| d),
+        max_loss,
+        max_lat_gain,
+        max_metrics_loss,
+    );
+    if failures.is_empty() {
+        if baseline.is_some() {
+            println!(
+                "bench_gate: OK — no throughput regressed by more than {:.0}%, \
+                 no p99 latency grew by more than {:.0}%",
+                max_loss * 100.0,
+                max_lat_gain * 100.0
+            );
+        }
+        return;
+    }
+    for f in &failures {
+        eprintln!("bench_gate: REGRESSION {f}");
+    }
+    std::process::exit(1);
+}
+
+/// Prints the comparison header and the per-entry table. It prints on
+/// every run with a baseline — a passing gate still shows where each
+/// throughput moved. Fresh-only rows are informational "new" (no
+/// baseline yet, never an error).
+fn print_table(
+    fresh_path: &Path,
+    fresh: &BenchDoc,
+    base_path: &Path,
+    baseline: &BenchDoc,
+    max_loss: f64,
+    max_lat_gain: f64,
+) {
     println!(
         "bench_gate: {} (sha {}, quick {}) vs baseline {} (sha {}, quick {}), \
          max regression {:.0}% (throughput), {:.0}% (p99 latency)",
@@ -164,14 +207,11 @@ fn main() {
         max_loss * 100.0,
         max_lat_gain * 100.0
     );
-    // The per-entry table prints on every run — a passing gate still
-    // shows where each throughput moved. Fresh-only rows are
-    // informational "new" (no baseline yet, never an error).
     println!(
         "{:<36} {:>14} {:>14} {:>9}",
         "entry", "baseline/s", "fresh/s", "ratio"
     );
-    for row in ratio_rows(&fresh, &baseline) {
+    for row in ratio_rows(fresh, baseline) {
         let fmt = |v: Option<f64>| match v {
             Some(v) => format!("{v:.3}"),
             None => "-".to_string(),
@@ -194,34 +234,4 @@ fn main() {
             ratio
         );
     }
-    let regressions = compare(&fresh, &baseline, max_loss, max_lat_gain);
-    if regressions.is_empty() {
-        println!(
-            "bench_gate: OK — no throughput regressed by more than {:.0}%, \
-             no p99 latency grew by more than {:.0}%",
-            max_loss * 100.0,
-            max_lat_gain * 100.0
-        );
-        return;
-    }
-    for r in &regressions {
-        if r.latency {
-            eprintln!(
-                "bench_gate: REGRESSION {}: {:.1}us -> {:.1}us p99 ({:.0}% increase)",
-                r.what,
-                r.baseline,
-                r.fresh,
-                r.loss() * 100.0
-            );
-        } else {
-            eprintln!(
-                "bench_gate: REGRESSION {}: {:.3}/s -> {:.3}/s ({:.0}% loss)",
-                r.what,
-                r.baseline,
-                r.fresh,
-                r.loss() * 100.0
-            );
-        }
-    }
-    std::process::exit(1);
 }

@@ -614,6 +614,52 @@ impl Regression {
     }
 }
 
+impl std::fmt::Display for Regression {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.latency {
+            write!(
+                f,
+                "{}: {:.1}us -> {:.1}us p99 ({:.0}% increase)",
+                self.what,
+                self.baseline,
+                self.fresh,
+                self.loss() * 100.0
+            )
+        } else {
+            write!(
+                f,
+                "{}: {:.3}/s -> {:.3}/s ({:.0}% loss)",
+                self.what,
+                self.baseline,
+                self.fresh,
+                self.loss() * 100.0
+            )
+        }
+    }
+}
+
+/// Every failed binding check of the gate on one fresh record, one line
+/// each: the paired [`metrics_overhead_check`] first, then — when a
+/// comparable baseline exists — each regressed baseline row
+/// ([`compare`]). All checks run before the gate decides, so one
+/// failing check never hides another. Empty when the gate passes.
+pub fn gate_failures(
+    fresh: &BenchDoc,
+    baseline: Option<&BenchDoc>,
+    max_loss: f64,
+    max_lat_gain: f64,
+    max_metrics_loss: f64,
+) -> Vec<String> {
+    let regressions = baseline
+        .map(|b| compare(fresh, b, max_loss, max_lat_gain))
+        .unwrap_or_default();
+    metrics_overhead_check(fresh, max_metrics_loss)
+        .err()
+        .into_iter()
+        .chain(regressions.iter().map(Regression::to_string))
+        .collect()
+}
+
 /// The batch size the always-on-overhead contract binds at: large
 /// enough that per-batch fixed costs vanish and the per-request
 /// metrics cost is what's measured.
@@ -1175,6 +1221,34 @@ mod tests {
             metrics_overhead_check(&doc(false, &[], &[]), 0.05),
             Ok(None)
         );
+    }
+
+    #[test]
+    fn gate_failures_reports_every_failure_at_once() {
+        // A record that fails the overhead pair *and* regresses a
+        // baseline row must report both: the overhead check may not
+        // end the gate before any baseline row is compared.
+        let fresh = doc(
+            false,
+            &[],
+            &[
+                (256, "warm_rps", 1000.0),
+                (256, "warm_metrics_rps", 900.0),
+                (32, "socket_rps", 10_000.0),
+            ],
+        );
+        let base = doc(false, &[], &[(32, "socket_rps", 50_000.0)]);
+        let failures = gate_failures(&fresh, Some(&base), 0.30, 0.50, 0.05);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].starts_with("warm_rps_metrics_on:"));
+        assert_eq!(
+            failures[1],
+            "service batch=32 socket_rps: 50000.000/s -> 10000.000/s (80% loss)"
+        );
+        // Without a baseline only the paired check binds.
+        assert_eq!(gate_failures(&fresh, None, 0.30, 0.50, 0.05).len(), 1);
+        // A passing record reports nothing.
+        assert!(gate_failures(&base, Some(&base), 0.30, 0.50, 0.05).is_empty());
     }
 
     #[test]

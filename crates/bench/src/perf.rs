@@ -15,7 +15,7 @@
 //! allocations), which is the denominator of the headline
 //! `p4_n12_speedup_vs_naive` figure.
 
-use crate::timing::{format_seconds, measure, Measurement};
+use crate::timing::{format_seconds, measure, measure_alternating, Measurement};
 use econcast_cluster::{
     ClusterConfig, ClusterFront, ClusterHealer, ClusterRouter, FrontConfig, HealerConfig,
     RemoteConfig, SlotSpec,
@@ -105,10 +105,23 @@ fn solve_p4_naive_reference(
     last.expect("at least one iteration").expected_throughput
 }
 
+/// How one suite entry runs.
+enum Workload {
+    /// One row, timed on its own.
+    Single(Box<dyn FnMut()>),
+    /// Two rows on one shared state, timed in alternating rounds
+    /// ([`measure_alternating`]): the entry's own row runs with
+    /// `false`, the row named `twin` with `true`.
+    Paired {
+        twin: String,
+        run: Box<dyn FnMut(bool)>,
+    },
+}
+
 /// One suite entry: name + workload.
 struct Entry {
     name: String,
-    workload: Box<dyn FnMut()>,
+    workload: Workload,
     /// Whether the workload *size* depends on the `--quick` flag
     /// (fixed-iteration budgets, simulated horizon). Recorded in the
     /// JSON so the CI gate knows — from the file itself, not a
@@ -231,7 +244,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
         let mut solver = P4Solver::new(n);
         entries.push(Entry {
             name: name.to_string(),
-            workload: Box::new(move || {
+            workload: Workload::Single(Box::new(move || {
                 black_box(
                     solver
                         .solve(
@@ -242,7 +255,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                         )
                         .throughput,
                 );
-            }),
+            })),
             quick_sensitive: true,
         });
     }
@@ -257,7 +270,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
         let mut solver = P4Solver::new(n);
         entries.push(Entry {
             name: name.to_string(),
-            workload: Box::new(move || {
+            workload: Workload::Single(Box::new(move || {
                 black_box(
                     solver
                         .solve(
@@ -268,7 +281,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                         )
                         .throughput,
                 );
-            }),
+            })),
             quick_sensitive: true,
         });
     }
@@ -276,14 +289,14 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
         let nodes = vec![params(); 12];
         entries.push(Entry {
             name: "p4_solve_n12_naive".to_string(),
-            workload: Box::new(move || {
+            workload: Workload::Single(Box::new(move || {
                 black_box(solve_p4_naive_reference(
                     &nodes,
                     0.5,
                     mode,
                     fixed_iters(it12, KernelSelect::GrayCode),
                 ));
-            }),
+            })),
             quick_sensitive: true,
         });
     }
@@ -293,7 +306,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
         let mut ws = SummaryWorkspace::new(12);
         entries.push(Entry {
             name: "gibbs_summarize_n12".to_string(),
-            workload: Box::new(move || {
+            workload: Workload::Single(Box::new(move || {
                 ws.compute(&GibbsParams {
                     nodes: &nodes,
                     eta: &eta,
@@ -301,7 +314,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                     mode,
                 });
                 black_box(ws.expected_throughput());
-            }),
+            })),
             quick_sensitive: false,
         });
     }
@@ -310,14 +323,14 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
         let eta = vec![3000.0; 12];
         entries.push(Entry {
             name: "gibbs_summarize_naive_n12".to_string(),
-            workload: Box::new(move || {
+            workload: Workload::Single(Box::new(move || {
                 black_box(summarize_naive(&GibbsParams {
                     nodes: &nodes,
                     eta: &eta,
                     sigma: 0.5,
                     mode,
                 }));
-            }),
+            })),
             quick_sensitive: false,
         });
     }
@@ -329,7 +342,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
         let mut ws = FactorizedWorkspace::new(12);
         entries.push(Entry {
             name: "summarize_factorized_n12".to_string(),
-            workload: Box::new(move || {
+            workload: Workload::Single(Box::new(move || {
                 ws.compute(&GibbsParams {
                     nodes: &nodes,
                     eta: &eta,
@@ -337,20 +350,20 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                     mode,
                 });
                 black_box(ws.expected_throughput());
-            }),
+            })),
             quick_sensitive: false,
         });
     }
     if keep("homogeneous_p4_n1000") {
         entries.push(Entry {
             name: "homogeneous_p4_n1000".to_string(),
-            workload: Box::new(|| {
+            workload: Workload::Single(Box::new(|| {
                 black_box(
                     HomogeneousP4::new(1000, params(), 0.5, ThroughputMode::Groupput)
                         .solve()
                         .throughput,
                 );
-            }),
+            })),
             quick_sensitive: false,
         });
     }
@@ -398,50 +411,43 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
         if keep(&service_entry_name("cold", size)) {
             entries.push(Entry {
                 name: service_entry_name("cold", size),
-                workload: Box::new({
+                workload: Workload::Single(Box::new({
                     let batch = batch.clone();
                     move || {
                         let mut svc = bench_service();
                         black_box(svc.serve_batch(&batch));
                     }
-                }),
+                })),
                 quick_sensitive: false,
             });
         }
-        if keep(&service_entry_name("warm", size)) {
+        // The warm row and its recording-on twin share one warmed
+        // service and alternate rounds, so heap layout and run order
+        // fall on both alike and the paired `warm_rps_metrics_on` gate
+        // row measures the metrics plane alone. A filter that keeps
+        // either row measures both.
+        if keep(&service_entry_name("warm", size))
+            || keep(&service_entry_name("warm_metrics", size))
+        {
             entries.push(Entry {
                 name: service_entry_name("warm", size),
-                workload: Box::new({
-                    let batch = batch.clone();
-                    let mut svc = bench_service();
-                    svc.serve_batch(&batch); // warm the cache once
-                    move || {
-                        black_box(svc.serve_batch(&batch));
-                    }
-                }),
-                quick_sensitive: false,
-            });
-        }
-        if keep(&service_entry_name("warm_metrics", size)) {
-            entries.push(Entry {
-                name: service_entry_name("warm_metrics", size),
-                workload: Box::new({
-                    let batch = batch.clone();
-                    let mut svc = bench_service();
-                    svc.serve_batch(&batch); // warm the cache once
-                    move || {
-                        // Identical work to the warm entry, but with
-                        // the always-on metrics plane recording — the
-                        // paired `warm_rps_metrics_on` gate row holds
-                        // the difference within noise. The suite loop
-                        // runs recording-off, so the toggle pair
-                        // brackets each call (two relaxed stores,
-                        // nothing next to a serve_batch).
-                        econcast_metrics::set_recording(true);
-                        black_box(svc.serve_batch(&batch));
-                        econcast_metrics::set_recording(false);
-                    }
-                }),
+                workload: Workload::Paired {
+                    twin: service_entry_name("warm_metrics", size),
+                    run: Box::new({
+                        let batch = batch.clone();
+                        let mut svc = bench_service();
+                        svc.serve_batch(&batch); // warm the cache once
+                        move |recording| {
+                            // The suite loop runs recording-off, so the
+                            // toggle pair brackets each recording-on
+                            // call (two relaxed stores, nothing next to
+                            // a serve_batch).
+                            econcast_metrics::set_recording(recording);
+                            black_box(svc.serve_batch(&batch));
+                            econcast_metrics::set_recording(false);
+                        }
+                    }),
+                },
                 quick_sensitive: false,
             });
         }
@@ -454,7 +460,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                 let mut client: Option<PolicyClient> = None;
                 entries.push(Entry {
                     name: service_entry_name("cluster", size),
-                    workload: Box::new(move || {
+                    workload: Workload::Single(Box::new(move || {
                         let client = client.get_or_insert_with(|| {
                             let mut c =
                                 PolicyClient::connect(addr, size.min(u16::MAX as usize) as u16)
@@ -463,7 +469,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                             c
                         });
                         black_box(client.serve_batch(&batch).expect("cluster round trip"));
-                    }),
+                    })),
                     quick_sensitive: false,
                 });
             }
@@ -480,7 +486,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
             let mut client: Option<PolicyClient> = None;
             entries.push(Entry {
                 name: service_entry_name("socket", size),
-                workload: Box::new(move || {
+                workload: Workload::Single(Box::new(move || {
                     let client = client.get_or_insert_with(|| {
                         let mut c = PolicyClient::connect(addr, size.min(u16::MAX as usize) as u16)
                             .expect("loopback connect");
@@ -488,7 +494,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                         c
                     });
                     black_box(client.serve_batch(&batch).expect("socket round trip"));
-                }),
+                })),
                 quick_sensitive: false,
             });
         }
@@ -496,7 +502,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
     if keep("sim_grid7x7") {
         entries.push(Entry {
             name: "sim_grid7x7".to_string(),
-            workload: Box::new(move || {
+            workload: Workload::Single(Box::new(move || {
                 let mut cfg = SimConfig::ideal_clique(
                     49,
                     params(),
@@ -506,7 +512,7 @@ fn suite(quick: bool, filter: Option<&str>) -> Vec<Entry> {
                 );
                 cfg.topology = econcast_core::Topology::square_grid(7);
                 black_box(Simulator::new(cfg).expect("valid").run().groupput);
-            }),
+            })),
             quick_sensitive: true,
         });
     }
@@ -719,22 +725,29 @@ pub fn run_suite(quick: bool, filter: Option<&str>) -> SuiteReport {
     // The throughput loop measures the recording-off path — the same
     // overhead contract the tracing rows keep — so the baseline-named
     // entries stay comparable across the plane's introduction. The
-    // warm_metrics entries re-arm recording from inside their own
-    // workloads; everything after the loop runs at the production
-    // default (on).
+    // warm_metrics rounds of the paired warm entries re-arm recording
+    // inside the workload; everything after the loop runs at the
+    // production default (on).
     econcast_metrics::set_recording(false);
-    for mut e in entries {
-        let m = measure(&e.name, &mut *e.workload);
-        println!(
-            "{:<28} {:>12}/iter ({} iters)",
-            m.name,
-            format_seconds(m.mean_s),
-            m.iterations
-        );
-        if e.quick_sensitive {
-            quick_sensitive.push(e.name);
+    for e in entries {
+        let ms = match e.workload {
+            Workload::Single(mut run) => vec![measure(&e.name, &mut *run)],
+            Workload::Paired { twin, mut run } => {
+                measure_alternating([&e.name, &twin], &mut *run).to_vec()
+            }
+        };
+        for m in ms {
+            println!(
+                "{:<28} {:>12}/iter ({} iters)",
+                m.name,
+                format_seconds(m.mean_s),
+                m.iterations
+            );
+            if e.quick_sensitive {
+                quick_sensitive.push(m.name.clone());
+            }
+            measurements.push(m);
         }
-        measurements.push(m);
     }
     econcast_metrics::set_recording(true);
     let mean_of = |name: &str| {

@@ -97,6 +97,47 @@ pub fn measure(name: &str, workload: &mut dyn FnMut()) -> Measurement {
     }
 }
 
+/// Measures two variants of one workload that share state, in
+/// alternating rounds (`false`, `true`, `false`, …) until each has
+/// accumulated [`TARGET_SECONDS`]. Host drift — clock frequency, a
+/// neighbour's load — and run order then fall on both rows alike, so
+/// their ratio measures the variants, not when each ran. The first
+/// measurement is `names[0]` (`false`), the second `names[1]`.
+pub fn measure_alternating(names: [&str; 2], workload: &mut dyn FnMut(bool)) -> [Measurement; 2] {
+    // Warm-up + calibration on both variants.
+    let once = [false, true].map(|v| {
+        let t0 = Instant::now();
+        workload(v);
+        t0.elapsed().as_secs_f64().max(1e-9)
+    });
+    // ~20 rounds per variant within the target time.
+    let batch = once.map(|o| ((TARGET_SECONDS / 20.0 / o).ceil() as u64).clamp(1, 1_000_000));
+    let mut iterations = [0u64; 2];
+    let mut total = [0.0f64; 2];
+    let mut best = [f64::INFINITY; 2];
+    while total.iter().any(|&t| t < TARGET_SECONDS) && iterations[0] < 10_000_000 {
+        for (v, variant) in [false, true].into_iter().enumerate() {
+            let t = Instant::now();
+            for _ in 0..batch[v] {
+                workload(variant);
+            }
+            let dt = t.elapsed().as_secs_f64();
+            total[v] += dt;
+            iterations[v] += batch[v];
+            best[v] = best[v].min(dt / batch[v] as f64);
+        }
+        if once.iter().any(|&o| o > TARGET_SECONDS) {
+            break; // a single iteration already exceeds the budget
+        }
+    }
+    [0, 1].map(|v| Measurement {
+        name: names[v].to_string(),
+        iterations: iterations[v],
+        mean_s: total[v] / iterations[v] as f64,
+        best_s: best[v],
+    })
+}
+
 /// Runs benchmarks whose name contains `filter` (all when `None`),
 /// printing a criterion-like report line per entry.
 pub fn run_benchmarks(benches: Vec<Bench>, filter: Option<&str>) {
@@ -138,6 +179,24 @@ mod tests {
         assert!(m.mean_s > 0.0);
         assert!(m.best_s <= m.mean_s * 1.5 + 1e-9);
         assert!(m.throughput() > 1.0);
+    }
+
+    #[test]
+    fn alternating_rounds_interleave_both_variants() {
+        let (mut last, mut switches, mut on_calls) = (None, 0u64, 0u64);
+        let [off, on] = measure_alternating(["off", "on"], &mut |v| {
+            if last.is_some_and(|l| l != v) {
+                switches += 1;
+            }
+            last = Some(v);
+            on_calls += u64::from(v);
+            std::hint::black_box(on_calls);
+        });
+        assert_eq!((off.name.as_str(), on.name.as_str()), ("off", "on"));
+        assert!(off.iterations > 0 && on.iterations > 0);
+        assert_eq!(on_calls, on.iterations + 1, "one calibration call each");
+        // Rounds alternate: the variant changes many times, not once.
+        assert!(switches >= 10, "{switches} switches");
     }
 
     #[test]

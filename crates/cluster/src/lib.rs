@@ -21,8 +21,9 @@
 //!   `PolicyClient` with bounded retry/backoff and a per-backend
 //!   health machine (down after `unhealthy_after` consecutive
 //!   failures, reprobed after `reprobe_after`).
-//! * [`ClusterRouter`] — routes canonicalized `InstanceKey`s over the
-//!   same 64-vnode FNV-1a ring as `ShardRouter`, fans batches out to
+//! * [`ClusterRouter`] — routes raw requests by their order-independent
+//!   `route_hash_of` over the same 64-vnode ring as `ShardRouter`
+//!   (the hash every backend's `InstanceKey` carries), fans batches out to
 //!   backends concurrently, reassembles responses in request order,
 //!   and re-serves any failed backend's sub-batch on a **local
 //!   fallback solver** — recorded in [`ClusterStats`], never surfaced

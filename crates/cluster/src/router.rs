@@ -1,14 +1,17 @@
-//! Routing canonical instance keys across cluster slots.
+//! Routing (P4) instances across cluster slots.
 //!
 //! A [`ClusterRouter`] is the multi-process sibling of
-//! `econcast_service::ShardRouter`: requests are canonicalized and
-//! consistent-hashed over the **same 64-vnode FNV-1a ring**
-//! (`fnv1a_64([slot, vnode])` points, `InstanceKey::route_hash` keys),
-//! but a slot is a [`RemoteShard`] dialing a backend `PolicyServer`
-//! process — or an in-process `PolicyService` for mixed local/remote
-//! topologies. With equal slot counts the two routers assign every
-//! canonical key identically, so promoting an in-process shard to a
-//! remote backend moves no keys.
+//! `econcast_service::ShardRouter`: requests are consistent-hashed
+//! over the **same 64-vnode ring** (`fnv1a_64([slot, vnode])`
+//! points), but a slot is a [`RemoteShard`] dialing a backend
+//! `PolicyServer` process — or an in-process `PolicyService` for
+//! mixed local/remote topologies. The router keys each raw request
+//! with `route_hash_of` — one O(N) pass, no sort, no allocation —
+//! which equals the `InstanceKey::route_hash` the backends route and
+//! cache on, so with equal slot counts the two routers assign every
+//! instance identically and promoting an in-process shard to a remote
+//! backend moves no keys. The router never canonicalizes: only the
+//! slot that serves a request sorts its budgets.
 //!
 //! ## Fan-out and reassembly
 //!
@@ -38,7 +41,7 @@ use econcast_metrics::OpsKind;
 use econcast_proto::service::ServiceErrorCode;
 use econcast_service::ServiceStats;
 use econcast_service::{PolicyRequest, PolicyResponse, PolicyService, ServiceConfig, ServiceError};
-use econcast_statespace::{fnv1a_64, CanonicalInstance, InstanceKey};
+use econcast_statespace::{fnv1a_64, route_hash_of, InstanceKey};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -257,7 +260,12 @@ impl ClusterRouter {
     /// partition-point walk as `ShardRouter::shard_of_key`, over the
     /// same ring construction.
     pub fn slot_of_key(&self, key: &InstanceKey) -> u16 {
-        let h = key.route_hash();
+        self.slot_of_hash(key.route_hash())
+    }
+
+    /// The home slot of a route hash: the first ring point at or after
+    /// it (wrapping).
+    fn slot_of_hash(&self, h: u64) -> u16 {
         let i = self.ring.partition_point(|&(p, _)| p < h);
         self.ring[if i == self.ring.len() { 0 } else { i }].1
     }
@@ -563,6 +571,33 @@ impl ClusterRouter {
         self.fallback.stats()
     }
 
+    /// Scatters a batch into per-slot request indices (request order
+    /// kept within each slot), keying every valid request with
+    /// [`route_hash_of`] over its raw fields. Invalid requests are
+    /// counted and left out: they are answered locally with their
+    /// typed errors and never touch a backend.
+    fn route(&mut self, reqs: &[PolicyRequest]) -> Vec<Vec<usize>> {
+        let mut sub_idx: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
+        for (i, req) in reqs.iter().enumerate() {
+            if req.validate().is_err() {
+                self.invalid_requests += 1;
+                continue;
+            }
+            let h = route_hash_of(
+                &req.budgets_w,
+                req.listen_w,
+                req.transmit_w,
+                req.sigma,
+                req.objective,
+                req.tolerance,
+            );
+            let s = usize::from(self.slot_of_hash(h));
+            self.routed[s] += 1;
+            sub_idx[s].push(i);
+        }
+        sub_idx
+    }
+
     /// Serves a batch: scatter to home slots, concurrent remote
     /// fan-out, deterministic local fallback for anything a backend
     /// could not answer, gather in request order. Backend failures are
@@ -579,27 +614,7 @@ impl ClusterRouter {
         );
         self.sweep_saturation();
         let nslots = self.slots.len();
-        let mut sub_idx: Vec<Vec<usize>> = vec![Vec::new(); nslots];
-        for (i, req) in reqs.iter().enumerate() {
-            match req.validate() {
-                // Invalid requests are answered locally with their
-                // typed errors; they never touch a backend.
-                Err(_) => self.invalid_requests += 1,
-                Ok(()) => {
-                    let canon = CanonicalInstance::new(
-                        &req.budgets_w,
-                        req.listen_w,
-                        req.transmit_w,
-                        req.sigma,
-                        req.objective,
-                        req.tolerance,
-                    );
-                    let s = self.slot_of_key(&canon.key) as usize;
-                    self.routed[s] += 1;
-                    sub_idx[s].push(i);
-                }
-            }
-        }
+        let sub_idx = self.route(reqs);
 
         // Remote fan-out, pipelined: submit every live backend's
         // sub-batch back to back, then drive all the in-flight
@@ -754,6 +769,7 @@ mod tests {
     use super::*;
     use econcast_core::{NodeParams, ThroughputMode};
     use econcast_service::{RouterConfig, ShardRouter};
+    use econcast_statespace::CanonicalInstance;
 
     fn request(n: usize, rho_uw: f64) -> PolicyRequest {
         PolicyRequest::homogeneous(
@@ -794,6 +810,123 @@ mod tests {
                     "n={n} rho={rho}"
                 );
             }
+        }
+    }
+
+    /// A splitmix64 stream for generated requests.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound as u64) as usize
+        }
+
+        /// Log-uniform in `[lo, hi)`.
+        fn log_uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            let u = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            lo * (hi / lo).powf(u)
+        }
+    }
+
+    /// A random valid request: N in 1..=4000, budgets drawn from a
+    /// small pool so duplicates are common, either mode, σ and the
+    /// radio powers log-uniform, and a tolerance anywhere inside a
+    /// random decade (including past both clamps).
+    fn random_request(g: &mut Gen) -> PolicyRequest {
+        let max_n = if g.below(4) == 0 { 4000 } else { 64 };
+        let n = 1 + g.below(max_n);
+        let pool: Vec<f64> = (0..1 + g.below(n))
+            .map(|_| g.log_uniform(1e-7, 1e-3))
+            .collect();
+        let decade = 10f64.powi(-(g.below(12) as i32));
+        let pool_len = pool.len();
+        PolicyRequest {
+            budgets_w: (0..n).map(|_| pool[g.below(pool_len)]).collect(),
+            listen_w: g.log_uniform(1e-4, 1e-2),
+            transmit_w: g.log_uniform(1e-4, 1e-2),
+            sigma: g.log_uniform(1e-2, 4.0),
+            objective: if g.below(2) == 0 {
+                ThroughputMode::Groupput
+            } else {
+                ThroughputMode::Anyput
+            },
+            tolerance: decade * g.log_uniform(1.0, 10.0),
+        }
+    }
+
+    fn route_hash(req: &PolicyRequest) -> u64 {
+        route_hash_of(
+            &req.budgets_w,
+            req.listen_w,
+            req.transmit_w,
+            req.sigma,
+            req.objective,
+            req.tolerance,
+        )
+    }
+
+    #[test]
+    fn front_and_backends_agree_on_every_route() {
+        // The front keys raw requests; backends key canonical ones. If
+        // the two ever disagreed, one instance would be cached on two
+        // backends and neither LRU would stay disjoint and hot.
+        let mut g = Gen(0x5eed);
+        for slots in [1usize, 2, 3, 5] {
+            let mut cluster =
+                ClusterRouter::new(&vec![SlotSpec::Local; slots], ClusterConfig::default());
+            let sharded = ShardRouter::new(RouterConfig {
+                shards: slots,
+                ..RouterConfig::default()
+            });
+            let mut cheap = Vec::new();
+            let mut cheap_slots = vec![0u64; slots];
+            for case in 0..150 {
+                let mut req = random_request(&mut g);
+                let canon = CanonicalInstance::new(
+                    &req.budgets_w,
+                    req.listen_w,
+                    req.transmit_w,
+                    req.sigma,
+                    req.objective,
+                    req.tolerance,
+                );
+                let h = route_hash(&req);
+                assert_eq!(h, canon.key.route_hash(), "case {case}");
+                // A shuffled copy with an aliased tolerance routes alike.
+                for i in (1..req.budgets_w.len()).rev() {
+                    let j = g.below(i + 1);
+                    req.budgets_w.swap(i, j);
+                }
+                req.tolerance = canon.tolerance_tier * g.log_uniform(1.0, 9.9);
+                assert_eq!(route_hash(&req), h, "case {case} permuted");
+
+                let routed = cluster.route(std::slice::from_ref(&req));
+                let slot = routed.iter().position(|s| !s.is_empty()).unwrap();
+                assert_eq!(routed.iter().map(Vec::len).sum::<usize>(), 1);
+                let slot = slot as u16;
+                assert_eq!(slot, cluster.slot_of_key(&canon.key), "case {case}");
+                assert_eq!(slot, sharded.shard_of_key(&canon.key), "case {case}");
+                assert_eq!(Some(slot), sharded.shard_of_request(&req), "case {case}");
+                // Closed-form and over-ceiling requests answer without
+                // a dual descent; those also go through serve_batch.
+                if canon.homogeneous || canon.sorted_budgets.len() > 256 {
+                    cheap_slots[usize::from(slot)] += 1;
+                    cheap.push(req);
+                }
+            }
+            let before = cluster.cluster_stats().routed;
+            cluster.serve_batch(&cheap);
+            let after = cluster.cluster_stats().routed;
+            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            assert_eq!(delta, cheap_slots, "{slots} slots");
         }
     }
 

@@ -303,6 +303,80 @@ impl LruCache {
     }
 }
 
+/// A genuine 64-bit route-hash collision between two distinct
+/// instances, for tests that pin what a collision may not break.
+#[cfg(test)]
+pub(crate) mod collision {
+    use econcast_core::ThroughputMode::Groupput;
+    use econcast_statespace::CanonicalInstance;
+
+    /// The per-budget salt and finalizer of
+    /// `econcast_statespace::route_hash_of`, mirrored here; the
+    /// assertion in [`colliding_budgets`] catches any drift.
+    const BUDGET_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+    const M1: u64 = 0xbf58_476d_1ce4_e5b9;
+    const M2: u64 = 0x94d0_49bb_1331_11eb;
+
+    fn mix64(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(M1);
+        z = (z ^ (z >> 27)).wrapping_mul(M2);
+        z ^ (z >> 31)
+    }
+
+    /// Inverts `x ^ (x >> s)`.
+    fn unshift(x: u64, s: u32) -> u64 {
+        let (mut y, mut t) = (x, x >> s);
+        while t != 0 {
+            y ^= t;
+            t >>= s;
+        }
+        y
+    }
+
+    /// Multiplicative inverse of an odd constant mod 2^64 (Newton).
+    fn inverse(c: u64) -> u64 {
+        (0..6).fold(c, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)))
+        })
+    }
+
+    fn unmix64(mut z: u64) -> u64 {
+        z = unshift(z, 31).wrapping_mul(inverse(M2));
+        z = unshift(z, 27).wrapping_mul(inverse(M1));
+        unshift(z, 30)
+    }
+
+    fn word(b: f64) -> u64 {
+        mix64(b.to_bits() ^ BUDGET_SALT)
+    }
+
+    /// Two-node budget sets with equal per-budget word sums — hence
+    /// equal route hashes under any shared header — built by
+    /// inverting the finalizer: walk the first budget of the second
+    /// set upward until the partner that restores the sum lands in
+    /// `[1 µW, 100 µW)`.
+    pub(crate) fn colliding_budgets() -> ([f64; 2], [f64; 2]) {
+        let a = [5e-6, 20e-6];
+        let target = word(a[0]).wrapping_add(word(a[1]));
+        let mut c0 = 7e-6f64.to_bits();
+        let b = loop {
+            c0 += 1;
+            let c0 = f64::from_bits(c0);
+            let c1 = f64::from_bits(unmix64(target.wrapping_sub(word(c0))) ^ BUDGET_SALT);
+            if (1e-6..1e-4).contains(&c1) {
+                break [c0, c1];
+            }
+        };
+        let key = |budgets: &[f64]| {
+            CanonicalInstance::new(budgets, 500e-6, 500e-6, 0.5, Groupput, 1e-2).key
+        };
+        let (ka, kb) = (key(&a), key(&b));
+        assert_ne!(ka, kb, "distinct instances");
+        assert_eq!(ka.route_hash(), kb.route_hash(), "a real collision");
+        (a, b)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,5 +524,23 @@ mod tests {
             }
         }
         assert_eq!(hits, 4);
+    }
+
+    #[test]
+    fn colliding_route_hashes_stay_separate_entries() {
+        // `InstanceKey` hashes only its route hash; equality still
+        // compares every field, so a collision shares a bucket, never
+        // an entry.
+        let (a, b) = collision::colliding_budgets();
+        let key = |budgets: &[f64]| {
+            CanonicalInstance::new(budgets, 500e-6, 500e-6, 0.5, Groupput, 1e-2).key
+        };
+        let mut lru = LruCache::new(4);
+        lru.insert(key(&a), value(1.0));
+        lru.insert(key(&b), value(2.0));
+        assert_eq!(lru.len(), 2);
+        assert_eq!(lru.get(&key(&a)).unwrap().throughput, 1.0);
+        assert_eq!(lru.get(&key(&b)).unwrap().throughput, 2.0);
+        assert_eq!(lru.get(&key(&[b[1], b[0]])).unwrap().throughput, 2.0);
     }
 }

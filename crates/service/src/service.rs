@@ -575,14 +575,20 @@ fn record_batch_metrics(t0: std::time::Instant, results: &[Result<PolicyResponse
 
 /// Builds a caller-order response from a canonical-order policy.
 fn respond(canon: &CanonicalInstance, policy: &CachedPolicy, tier: ServedTier) -> PolicyResponse {
-    let canonical: Vec<NodePolicy> = policy
-        .alpha
-        .iter()
-        .zip(&policy.beta)
-        .map(|(&listen, &transmit)| NodePolicy { listen, transmit })
-        .collect();
+    let mut policies = vec![
+        NodePolicy {
+            listen: 0.0,
+            transmit: 0.0
+        };
+        canon.perm.len()
+    ];
+    for ((&caller_idx, &listen), &transmit) in
+        canon.perm.iter().zip(&policy.alpha).zip(&policy.beta)
+    {
+        policies[caller_idx] = NodePolicy { listen, transmit };
+    }
     PolicyResponse {
-        policies: canon.restore_order(&canonical),
+        policies,
         throughput: policy.throughput,
         tier,
         kernel: policy.kernel,
@@ -646,6 +652,39 @@ mod tests {
         let idx_max = 1; // 20 µW in request a
         let awake = |p: &crate::request::NodePolicy| p.listen + p.transmit;
         assert!(awake(&ra.policies[idx_max]) > awake(&ra.policies[idx_min]));
+    }
+
+    #[test]
+    fn colliding_route_hashes_never_alias_in_a_batch() {
+        // Two distinct instances with equal route hashes: in-batch
+        // dedup and the LRU key on full equality, so each answer keeps
+        // its own bits, exactly as served alone.
+        let (a, b) = crate::cache::collision::colliding_budgets();
+        let batch = [
+            het_request(&a, 1e-2),
+            het_request(&b, 1e-2),
+            het_request(&[a[1], a[0]], 1e-2),
+            het_request(&[b[1], b[0]], 1e-2),
+        ];
+        let alone: Vec<PolicyResponse> =
+            batch.iter().map(|r| service().serve(r).unwrap()).collect();
+        assert_ne!(alone[0].throughput.to_bits(), alone[1].throughput.to_bits());
+        let mut svc = service();
+        for round in 0..2 {
+            let out = svc.serve_batch(&batch);
+            for (got, want) in out.iter().zip(&alone) {
+                let got = got.as_ref().unwrap();
+                assert_eq!(got.throughput.to_bits(), want.throughput.to_bits());
+                for (g, w) in got.policies.iter().zip(&want.policies) {
+                    assert_eq!(g.listen.to_bits(), w.listen.to_bits(), "round {round}");
+                    assert_eq!(g.transmit.to_bits(), w.transmit.to_bits());
+                }
+            }
+        }
+        let s = svc.stats();
+        assert_eq!(s.solver_solves, 2, "one solve per distinct instance");
+        assert_eq!(s.batch_dedup_hits, 2, "only true permutations alias");
+        assert_eq!(s.exact_hits, 4, "the replay hits both entries");
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Sharding policy services by canonical instance key.
 //!
 //! A [`ShardRouter`] fronts `k` independent [`PolicyService`] shards.
-//! Requests are canonicalized (`econcast_statespace::instance`) and
-//! routed by **consistent hashing** of the canonical key over a ring
-//! of virtual nodes: every canonical instance — and therefore every
-//! permutation and tolerance-tier alias of it — always lands on the
-//! same shard, so the per-shard LRU caches stay hot and **disjoint**
-//! (no entry is duplicated across shards, and growing the shard count
-//! moves only ~1/k of the key space).
+//! Requests are canonicalized once (`econcast_statespace::instance`)
+//! and routed by **consistent hashing** of the key's order-independent
+//! route hash over a ring of virtual nodes: every canonical instance
+//! — and therefore every permutation and tolerance-tier alias of it —
+//! always lands on the same shard, so the per-shard LRU caches stay
+//! hot and **disjoint** (no entry is duplicated across shards, and
+//! growing the shard count moves only ~1/k of the key space). The
+//! canonicalization travels with the request to its shard, which
+//! probes and answers from it without sorting again.
 //!
 //! ## Response invariance
 //!
@@ -25,7 +27,7 @@
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::service::{PolicyService, ServiceConfig};
 use crate::stats::ServiceStats;
-use econcast_statespace::{CanonicalInstance, InstanceKey};
+use econcast_statespace::{route_hash_of, CanonicalInstance, InstanceKey};
 use std::sync::Mutex;
 
 /// Configuration for a sharded deployment.
@@ -109,16 +111,27 @@ impl ShardRouter {
     /// The home shard of a canonical instance key: the first ring
     /// point at or after the key's route hash (wrapping).
     pub fn shard_of_key(&self, key: &InstanceKey) -> u16 {
-        let h = key.route_hash();
+        self.shard_of_hash(key.route_hash())
+    }
+
+    fn shard_of_hash(&self, h: u64) -> u16 {
         let i = self.ring.partition_point(|&(p, _)| p < h);
         self.ring[if i == self.ring.len() { 0 } else { i }].1
     }
 
     /// The home shard of a request, or `None` when the request fails
-    /// validation (rejected requests are charged to shard 0).
+    /// validation (rejected requests are charged to shard 0). Keys the
+    /// raw request with [`route_hash_of`] — no canonicalization.
     pub fn shard_of_request(&self, req: &PolicyRequest) -> Option<u16> {
         req.validate().ok()?;
-        Some(self.shard_of_key(&canonicalize(req).key))
+        Some(self.shard_of_hash(route_hash_of(
+            &req.budgets_w,
+            req.listen_w,
+            req.transmit_w,
+            req.sigma,
+            req.objective,
+            req.tolerance,
+        )))
     }
 
     /// Serves a batch: requests scatter to their home shards (each

@@ -46,7 +46,7 @@ pub mod state;
 pub use factorized::{summarize_factorized, FactorizedWorkspace};
 pub use gibbs::{summarize, GibbsParams, GibbsSummary, StateTable, SummaryWorkspace};
 pub use homogeneous::{HomogeneousGibbs, HomogeneousP4};
-pub use instance::{fnv1a_64, quantize_tolerance, CanonicalInstance, InstanceKey};
+pub use instance::{fnv1a_64, quantize_tolerance, route_hash_of, CanonicalInstance, InstanceKey};
 pub use p4::{solve_p4, KernelSelect, P4Options, P4Solution, P4Solver, SolverPool, SummaryKernel};
 pub use space::StateSpace;
 pub use state::NetworkState;
