@@ -20,11 +20,12 @@
 //!   the single-process server.
 //!
 //! Protocol compatibility is by construction, not by convention: both
-//! front-ends run the *same* connection loop
-//! (`econcast_service::serve_connection_gated`), differing only in the
-//! [`ServeTarget`] behind it — a `ShardRouter` there, the
+//! front-ends run on the *same* [`Acceptor`] — one accept gate, one
+//! draining shutdown, and one admitted connection loop
+//! (`serve_connection_admitted`) — differing only in the
+//! [`ServeTarget`] behind it: a `ShardRouter` there, one shared
 //! mutex-guarded [`ClusterRouter`] here. Connections are handled
-//! thread-per-connection behind a bounded accept gate; batches
+//! thread-per-connection behind the bounded accept gate; batches
 //! serialize through the router's mutex (the router owns the dialer
 //! pool — remote fan-out inside a batch is still concurrent). A
 //! shutdown drains: handlers finish everything their clients already
@@ -36,20 +37,16 @@ use econcast_metrics::{MetricsSnapshot, GAUGE_LIVE_BACKENDS, GAUGE_SATURATION_OP
 use econcast_proto::service::{WireServiceStats, STATS_COUNTERS, STATS_SHARD_AGGREGATE};
 use econcast_service::stats::{StatKind, STAT_KINDS};
 use econcast_service::{
-    serve_connection_admitted, AdmissionController, PolicyClient, PolicyRequest, PolicyResponse,
-    ServeTarget, ServiceError, ServiceStats,
+    Acceptor, AdmissionController, PolicyClient, PolicyRequest, PolicyResponse, ServeTarget,
+    ServiceError, ServiceStats,
 };
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::{Arc, Mutex};
 
 /// Timeout for the fresh per-request dials a stats or metrics fan-in
 /// makes. Deliberately short: these are advisory, and they run with
 /// the router unlocked but a client waiting.
 const STATS_DIAL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
-/// How long a shutdown waits for in-flight connections to drain.
-const DRAIN_WAIT: std::time::Duration = std::time::Duration::from_secs(5);
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// Per-slot re-basing state for cluster fan-ins. A respawned (or
 /// quarantined) backend restarts its counters at zero; summed naively
@@ -140,11 +137,11 @@ impl ScrapeRebase {
     }
 }
 
-/// The cluster router as a connection-loop target: every protocol
-/// interaction locks the mutex for exactly one router operation.
-/// (A newtype over the mutex, not `impl ServeTarget for
-/// Mutex<ClusterRouter>` — the orphan rule forbids covering a local
-/// type with a foreign one.)
+/// The cluster router as a connection-loop target, shared by every
+/// connection: each protocol interaction locks the mutex for exactly
+/// one router operation. (A newtype over the mutex, not
+/// `impl ServeTarget for Mutex<ClusterRouter>` — the orphan rule
+/// forbids covering a local type with a foreign one.)
 struct FrontTarget {
     router: Arc<Mutex<ClusterRouter>>,
     /// The front's shared admission controller: each serve republishes
@@ -152,9 +149,10 @@ struct FrontTarget {
     /// at the front advertises a `retry_after_us` no shorter than what
     /// the saturated backends themselves asked for.
     admission: Arc<AdmissionController>,
-    /// Shared across every connection: per-slot counter re-basing so
-    /// fan-ins stay monotone across backend respawns.
-    rebase: Arc<Mutex<ScrapeRebase>>,
+    /// Per-slot counter re-basing so fan-ins stay monotone across
+    /// backend respawns (and across scraping connections coming and
+    /// going).
+    rebase: Mutex<ScrapeRebase>,
 }
 
 impl FrontTarget {
@@ -169,6 +167,25 @@ impl FrontTarget {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+}
+
+/// Asks one remote slot over a fresh short-timeout dial — the fan-ins'
+/// per-backend round trip, always made with the router unlocked so a
+/// slow or unreachable backend cannot freeze serving behind the mutex.
+/// `None` for local slots, backends the health machine says to skip,
+/// and failed dials or requests.
+fn scrape<R>(
+    source: &StatsSource,
+    ask: impl FnOnce(&mut PolicyClient) -> std::io::Result<R>,
+) -> Option<R> {
+    let StatsSource::Remote {
+        addr,
+        attempt: true,
+    } = source
+    else {
+        return None;
+    };
+    ask(&mut PolicyClient::connect_with_timeout(*addr, 1, STATS_DIAL_TIMEOUT).ok()?).ok()
 }
 
 impl ServeTarget for FrontTarget {
@@ -189,22 +206,12 @@ impl ServeTarget for FrontTarget {
 
     /// Stats fan-in without blocking the data plane: the router lock
     /// is held only for a network-free snapshot; the per-backend
-    /// round-trips (fresh short-timeout dials) happen unlocked, so a
-    /// monitoring poll against a slow or unreachable backend cannot
-    /// freeze request serving behind the mutex.
+    /// round-trips ([`scrape`]) happen unlocked.
     fn stats(&self, shard: u16) -> Option<ServiceStats> {
         let (sources, fallback) = self.router().stats_sources();
         let fetch = |source: &StatsSource| match source {
             StatsSource::Local(stats) => Some(*stats),
-            StatsSource::Remote { addr, attempt } => {
-                if !attempt {
-                    return None;
-                }
-                PolicyClient::connect_with_timeout(*addr, 1, STATS_DIAL_TIMEOUT)
-                    .ok()?
-                    .stats(None)
-                    .ok()
-            }
+            remote => scrape(remote, |c| c.stats(None)),
         };
         if shard == STATS_SHARD_AGGREGATE {
             // The fan-in is what the cluster can *see*: down or
@@ -237,15 +244,14 @@ impl ServeTarget for FrontTarget {
 
     /// Cluster-wide metrics fan-in, same locking discipline as
     /// [`stats`](Self::stats): a network-free snapshot under the
-    /// router lock, per-backend scrapes on fresh short-timeout dials
-    /// outside it. The front's own process-global hub already covers
-    /// local slots, the fallback solver, and the front's serve path —
-    /// remote backends are the only scrapes to fan in. Each remote
-    /// scrape passes through the per-slot re-base so a respawned
-    /// backend's counter reset never makes the aggregate dip; the
-    /// router-owned cluster gauges (live slots, open saturation
-    /// windows) are injected last. The connection loop adds the
-    /// front's admission-queue gauge on top.
+    /// router lock, per-backend [`scrape`]s outside it. The front's
+    /// own process-global hub already covers local slots, the fallback
+    /// solver, and the front's serve path — remote backends are the
+    /// only scrapes to fan in. Each remote scrape passes through the
+    /// per-slot re-base so a respawned backend's counter reset never
+    /// makes the aggregate dip; the router-owned cluster gauges (live
+    /// slots, open saturation windows) are injected last. The
+    /// connection loop adds the front's admission-queue gauge on top.
     fn metrics(&self) -> MetricsSnapshot {
         let (sources, live, windows, (lru_entries, lru_bytes)) = {
             let router = self.router();
@@ -260,19 +266,7 @@ impl ServeTarget for FrontTarget {
         let scrapes: Vec<(usize, MetricsSnapshot)> = sources
             .iter()
             .enumerate()
-            .filter_map(|(slot, source)| match source {
-                StatsSource::Remote {
-                    addr,
-                    attempt: true,
-                } => {
-                    let snap = PolicyClient::connect_with_timeout(*addr, 1, STATS_DIAL_TIMEOUT)
-                        .ok()?
-                        .metrics()
-                        .ok()?;
-                    Some((slot, snap))
-                }
-                _ => None,
-            })
+            .filter_map(|(slot, source)| Some((slot, scrape(source, PolicyClient::metrics)?)))
             .collect();
         let mut total = econcast_metrics::snapshot();
         let mut rebase = self.rebase();
@@ -294,8 +288,9 @@ impl ServeTarget for FrontTarget {
 /// Tuning knobs for a [`ClusterFront`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontConfig {
-    /// Maximum concurrently served connections; excess clients are
-    /// refused (connection closed immediately).
+    /// Maximum concurrently served connections (the accept pool
+    /// bound); further clients wait in the listen backlog until a
+    /// slot frees.
     pub max_connections: usize,
     /// Largest request batch served as one routed unit; longer
     /// pipelines are split. Advertised in the `Welcome` handshake.
@@ -358,87 +353,30 @@ impl ClusterFront {
         &self.router
     }
 
-    /// Starts the acceptor and returns a handle that stops it on
+    /// Starts the [`Acceptor`] and returns a handle that stops it on
     /// [`FrontHandle::shutdown`] or drop, draining live connections.
+    /// One admission controller and one target serve every
+    /// connection, so all of them share the bounded queue, exactly as
+    /// on a single-process server.
     pub fn spawn(self) -> FrontHandle {
-        let addr = self.local_addr();
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        let router = Arc::clone(&self.router);
-        let max_batch = self.cfg.max_batch.max(1);
-        let max_connections = self.cfg.max_connections.max(1);
-        // One admission controller for the whole front: every
-        // connection's requests share the bounded queue, exactly as
-        // on a single-process server.
         let admission = Arc::new(AdmissionController::new(
             self.cfg.queue_capacity,
             self.cfg.max_queue_delay,
         ));
-        // One re-base table for the whole front: monotone fan-ins
-        // must survive the scraping connection coming and going too.
-        let rebase = Arc::new(Mutex::new(ScrapeRebase::default()));
-
-        let acceptor = {
-            let (stop, router, active) =
-                (Arc::clone(&stop), Arc::clone(&router), Arc::clone(&active));
-            let admission = Arc::clone(&admission);
-            let rebase = Arc::clone(&rebase);
-            std::thread::spawn(move || loop {
-                let stream = match self.listener.accept() {
-                    Ok((stream, _)) => stream,
-                    Err(_) => {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                        continue;
-                    }
-                };
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Over the pool bound: refuse outright rather than
-                // park — the router mutex serializes batches anyway,
-                // so queueing refused clients buys nothing.
-                if active.fetch_add(1, Ordering::SeqCst) >= max_connections {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                let (router, active, stop) =
-                    (Arc::clone(&router), Arc::clone(&active), Arc::clone(&stop));
-                let admission = Arc::clone(&admission);
-                let rebase = Arc::clone(&rebase);
-                std::thread::spawn(move || {
-                    struct Guard(Arc<AtomicUsize>);
-                    impl Drop for Guard {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    let _guard = Guard(active);
-                    // Admitted + gated: every request walks the
-                    // front's shed ladder before routing, and on
-                    // shutdown the handler drains what the client
-                    // already sent (including a grace period for
-                    // partially received frames), then closes — no
-                    // client-visible mid-stream error.
-                    let target = FrontTarget {
-                        router,
-                        admission: Arc::clone(&admission),
-                        rebase,
-                    };
-                    serve_connection_admitted(stream, &target, max_batch, &admission, &stop);
-                });
-            })
-        };
-
+        let target = Arc::new(FrontTarget {
+            router: Arc::clone(&self.router),
+            admission: Arc::clone(&admission),
+            rebase: Mutex::default(),
+        });
         FrontHandle {
-            addr,
-            router,
-            admission,
-            stop,
-            active,
-            acceptor: Some(acceptor),
+            router: self.router,
+            acceptor: Acceptor::spawn(
+                self.listener,
+                target,
+                self.cfg.max_connections,
+                self.cfg.max_batch,
+                admission,
+            ),
         }
     }
 }
@@ -446,18 +384,14 @@ impl ClusterFront {
 /// Running front-end handle; shuts the acceptor down when dropped.
 #[derive(Debug)]
 pub struct FrontHandle {
-    addr: SocketAddr,
     router: Arc<Mutex<ClusterRouter>>,
-    admission: Arc<AdmissionController>,
-    stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl FrontHandle {
     /// The served address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// The shared router (cluster stats, re-targeting).
@@ -468,38 +402,12 @@ impl FrontHandle {
     /// The front's shared admission controller (queue depth, overload
     /// counters) — one per front, shared by every connection.
     pub fn admission(&self) -> &Arc<AdmissionController> {
-        &self.admission
+        self.acceptor.admission()
     }
 
-    /// Stops accepting, then drains: live connections serve every
-    /// request their clients already sent (plus a short grace for
-    /// partially received frames) before closing, and the shutdown
-    /// waits for them — bounded by an internal deadline so a wedged
-    /// handler cannot hang it forever.
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
-    }
-
-    fn shutdown_impl(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the acceptor out of accept() with a throwaway connect.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        // Drain: handlers notice the stop flag on their next idle
-        // tick and finish what is already buffered.
-        let deadline = std::time::Instant::now() + DRAIN_WAIT;
-        while self.active.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-    }
-}
-
-impl Drop for FrontHandle {
-    fn drop(&mut self) {
-        self.shutdown_impl();
+    /// Stops accepting and drains live connections; see
+    /// [`Acceptor::shutdown`].
+    pub fn shutdown(self) {
+        self.acceptor.shutdown();
     }
 }

@@ -188,7 +188,11 @@ impl RemoteShard {
     /// whole sub-batch locally. Exactly
     /// [`begin_batch`](RemoteShard::begin_batch) followed by the
     /// blocking finish.
-    pub fn serve_batch(&mut self, reqs: &[PolicyRequest]) -> std::io::Result<Vec<WireResult>> {
+    pub fn serve_batch<'a, I>(&mut self, reqs: I) -> std::io::Result<Vec<WireResult>>
+    where
+        I: IntoIterator<Item = &'a PolicyRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let t = self.begin_batch(reqs)?;
         self.finish(&t)
     }
@@ -200,9 +204,14 @@ impl RemoteShard {
     /// tickets can be in flight at once, multiplexed on one thread
     /// via [`RemoteShard::poll_fd`]. A submit-side failure is
     /// recorded like any stream failure.
-    pub fn begin_batch(&mut self, reqs: &[PolicyRequest]) -> std::io::Result<RemoteTicket> {
+    pub fn begin_batch<'a, I>(&mut self, reqs: I) -> std::io::Result<RemoteTicket>
+    where
+        I: IntoIterator<Item = &'a PolicyRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let t0 = econcast_trace::armed_now();
         let deadline = self.cfg.io_timeout.map(|t| Instant::now() + t);
+        let reqs = reqs.into_iter();
         let n = reqs.len();
         match self.connect().and_then(|conn| conn.submit_batch(reqs)) {
             Ok(ticket) => Ok(RemoteTicket {

@@ -286,15 +286,6 @@ impl ClusterRouter {
         matches!(self.slots.get(slot), Some(Slot::Remote(_)))
     }
 
-    /// A remote slot's backend address (`None` for local or retired
-    /// slots).
-    pub fn slot_addr(&self, slot: usize) -> Option<SocketAddr> {
-        match self.slots.get(slot)? {
-            Slot::Remote(rs) => Some(rs.addr()),
-            _ => None,
-        }
-    }
-
     /// A remote slot's dialer counters (`None` for local or retired
     /// slots).
     pub fn remote_stats(&self, slot: usize) -> Option<RemoteShardStats> {
@@ -641,25 +632,15 @@ impl ClusterRouter {
             })
             .sum();
         self.saturated_routes += skipped_saturated;
-        let sub_batches: Vec<Option<Vec<PolicyRequest>>> = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(s, slot)| match slot {
-                Slot::Remote(rs)
-                    if !sub_idx[s].is_empty() && rs.should_attempt() && !saturated[s] =>
-                {
-                    Some(sub_idx[s].iter().map(|&i| reqs[i].clone()).collect())
-                }
-                _ => None,
-            })
-            .collect();
         let mut remote_results: Vec<Option<std::io::Result<Vec<econcast_service::WireResult>>>> =
             (0..self.slots.len()).map(|_| None).collect();
         let mut jobs = Vec::new();
-        for (s, (slot, batch)) in self.slots.iter_mut().zip(&sub_batches).enumerate() {
-            if let (Slot::Remote(rs), Some(batch)) = (slot, batch) {
-                match rs.begin_batch(batch) {
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            let Slot::Remote(rs) = slot else { continue };
+            if !sub_idx[s].is_empty() && rs.should_attempt() && !saturated[s] {
+                // Encoded straight from the caller's requests: the
+                // sub-batch is a view, not a copy.
+                match rs.begin_batch(sub_idx[s].iter().map(|&i| &reqs[i])) {
                     Ok(ticket) => jobs.push(crate::driver::Job {
                         slot: s,
                         shard: rs,

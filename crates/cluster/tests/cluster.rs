@@ -427,3 +427,98 @@ fn discovered_topology_serves_through_a_real_front() {
     drop(client);
     front.shutdown();
 }
+
+/// A two-local-slot front with a one-connection accept pool.
+fn one_slot_front() -> econcast_cluster::FrontHandle {
+    ClusterFront::bind(
+        "127.0.0.1:0",
+        ClusterRouter::new(&[SlotSpec::Local, SlotSpec::Local], cluster_cfg()),
+        FrontConfig {
+            max_connections: 1,
+            ..FrontConfig::default()
+        },
+    )
+    .expect("bind front")
+    .spawn()
+}
+
+/// An over-cap client waits in the listen backlog instead of being
+/// refused: its handshake completes once the held slot frees, and it
+/// is then served the reference bits.
+#[test]
+fn over_cap_front_client_is_served_once_the_slot_frees() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+
+    let front = one_slot_front();
+    let batch = mixed_batch(48);
+    let expected = ShardRouter::new(RouterConfig {
+        shards: 2,
+        service: service_cfg(),
+        ..RouterConfig::default()
+    })
+    .serve_batch(&batch);
+
+    // A served call proves the first connection's handler owns the
+    // one slot.
+    let mut first = PolicyClient::connect(front.addr(), 64).expect("connect first");
+    assert!(first.serve_batch(&batch[..1]).expect("first serves")[0].is_ok());
+
+    let addr = front.addr();
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(PolicyClient::connect(addr, 64));
+    });
+    // While the slot is held the second handshake neither completes
+    // nor fails: the client sits in the backlog.
+    assert!(
+        matches!(
+            rx.recv_timeout(Duration::from_millis(500)),
+            Err(RecvTimeoutError::Timeout)
+        ),
+        "over-cap client was answered (or refused) while the slot was held"
+    );
+
+    drop(first);
+    let mut second = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("handshake completes once the slot frees")
+        .expect("over-cap client connects");
+    let got = second.serve_batch(&batch).expect("serve");
+    assert_eq!(got.len(), batch.len());
+    for (i, wire) in got.iter().enumerate() {
+        assert_payload_identical(i, wire, &expected[i]);
+    }
+    drop(second);
+    front.shutdown();
+}
+
+/// Shutdown is not wedged behind a saturated front accept pool, and
+/// the held connection is drained to a clean close.
+#[test]
+fn front_shutdown_does_not_hang_when_the_accept_pool_is_saturated() {
+    let front = one_slot_front();
+    let mut client = PolicyClient::connect(front.addr(), 1).expect("connect");
+    assert!(client.serve_batch(&mixed_batch(1)).expect("serve")[0].is_ok());
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        front.shutdown();
+        done_tx.send(()).expect("report shutdown");
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("front shutdown wedged behind the saturated accept pool");
+
+    let err = client
+        .serve_batch(&mixed_batch(1))
+        .expect_err("drained connection is closed after shutdown");
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::UnexpectedEof
+                | std::io::ErrorKind::BrokenPipe
+                | std::io::ErrorKind::ConnectionReset
+        ),
+        "expected a clean close, got {err:?}"
+    );
+}

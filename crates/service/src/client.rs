@@ -258,8 +258,15 @@ impl PolicyClient {
     /// any replies — for *any* in-flight ticket — that arrive while
     /// the send buffer drains. Returns the ticket to redeem with
     /// [`collect`](PolicyClient::collect) or
-    /// [`try_collect`](PolicyClient::try_collect).
-    pub fn submit_batch(&mut self, reqs: &[PolicyRequest]) -> std::io::Result<Ticket> {
+    /// [`try_collect`](PolicyClient::try_collect). Takes the requests
+    /// by reference (a slice, a `&Vec`, or any exact-size iterator of
+    /// references), so a caller scattering one batch across several
+    /// connections encodes straight from its own storage.
+    pub fn submit_batch<'a, I>(&mut self, reqs: I) -> std::io::Result<Ticket>
+    where
+        I: IntoIterator<Item = &'a PolicyRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.submit_batch_deadline(reqs, None)
     }
 
@@ -267,19 +274,24 @@ impl PolicyClient {
     /// budget stamped on every request: the server sheds — with an
     /// explicit `Overloaded` — any request it cannot answer within
     /// `deadline` of receiving it, rather than serving it late.
-    pub fn submit_batch_deadline(
+    pub fn submit_batch_deadline<'a, I>(
         &mut self,
-        reqs: &[PolicyRequest],
+        reqs: I,
         deadline: Option<Duration>,
-    ) -> std::io::Result<Ticket> {
+    ) -> std::io::Result<Ticket>
+    where
+        I: IntoIterator<Item = &'a PolicyRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let reqs = reqs.into_iter();
+        let n = reqs.len();
         let deadline_us = deadline
             .map(|d| d.as_micros().min(u128::from(u32::MAX)) as u32)
             .unwrap_or(0);
         let base = self.next_id;
-        self.next_id = self.next_id.wrapping_add(reqs.len() as u32);
+        self.next_id = self.next_id.wrapping_add(n as u32);
         let corr = self.take_corr();
         let msgs: Vec<ServiceMessage> = reqs
-            .iter()
             .enumerate()
             .map(|(k, req)| {
                 let mut w = req.to_wire(base.wrapping_add(k as u32));
@@ -291,7 +303,7 @@ impl PolicyClient {
         self.enc.push_all(&msgs, WIRE_VERSION);
         self.pending.push(PendingBatch {
             corr,
-            collector: Collector::new(base, reqs.len()),
+            collector: Collector::new(base, n),
         });
         self.flush()?;
         Ok(Ticket { corr })

@@ -33,20 +33,17 @@
 //! pool per worker. Responses are **bit-identical at any worker
 //! count** and come back in request order.
 //!
-//! ## Wire API
+//! ## Wire API and deployment layer
 //!
-//! [`WireServer`] exposes the whole thing over the versioned,
+//! [`PolicyServer`] exposes the whole thing over the versioned,
 //! CRC-checked `econcast-proto::service` message family on a
-//! length-prefixed byte stream.
-//!
-//! ## Deployment layer
-//!
-//! [`PolicyServer`] is the network-facing build of the same stack: a
-//! `std::net` TCP acceptor (thread-per-connection, bounded pool) in
-//! front of a [`ShardRouter`] that consistent-hashes canonical
-//! instance keys across several `PolicyService` shards, keeping each
-//! shard's LRU hot and disjoint; [`PolicyClient`] is the matching
-//! blocking client.
+//! length-prefixed TCP stream: an [`Acceptor`] (thread-per-connection,
+//! bounded pool, draining shutdown) in front of a [`ShardRouter`] that
+//! consistent-hashes canonical instance keys across several
+//! `PolicyService` shards, keeping each shard's LRU hot and disjoint;
+//! [`PolicyClient`] is the matching blocking client. Every wire
+//! message is dispatched in one place, the acceptor's connection loop,
+//! which the cluster front runs too.
 
 pub mod admission;
 pub mod cache;
@@ -58,7 +55,6 @@ pub mod server;
 pub mod service;
 pub mod shard;
 pub mod stats;
-pub mod wire;
 pub mod workload;
 
 pub use admission::{degraded_tolerance, Admission, AdmissionController};
@@ -67,14 +63,10 @@ pub use client::{PolicyClient, Ticket, WireResult};
 pub use econcast_trace::TraceConfig;
 pub use metrics::{snapshot_from_wire, snapshot_to_wire};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
-pub use server::{
-    serve_connection, serve_connection_admitted, serve_connection_gated, PolicyServer, ServeTarget,
-    ServerConfig, ServerHandle,
-};
+pub use server::{Acceptor, PolicyServer, ServeTarget, ServerConfig, ServerHandle};
 pub use service::{PolicyService, ServiceConfig};
 pub use shard::{RouterConfig, ShardRouter};
 pub use stats::ServiceStats;
-pub use wire::WireServer;
 
 // The tier and kernel discriminants live in the proto crate (they
 // are part of the wire format); re-export them as native API too.

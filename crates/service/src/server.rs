@@ -1,4 +1,5 @@
-//! The TCP front-end: a [`ShardRouter`] behind a `std::net` listener.
+//! The TCP front-end: a [`ShardRouter`] behind a `std::net` listener,
+//! and the [`Acceptor`] every TCP front-end in the workspace runs on.
 //!
 //! ## Threading model
 //!
@@ -9,7 +10,9 @@
 //! The environment is offline (no tokio); blocking I/O over OS threads
 //! is the deployment story this repo can actually run, and the shard
 //! mutexes already serialize what must be serialized — handlers whose
-//! batches touch disjoint shards proceed in parallel.
+//! batches touch disjoint shards proceed in parallel. The cluster
+//! front runs on the same [`Acceptor`], with its router as the
+//! [`ServeTarget`].
 //!
 //! ## Protocol
 //!
@@ -17,12 +20,12 @@
 //! family ([`ServiceCodec`]). A client *should* open with `Hello`
 //! (answered by `Welcome` carrying the shard count and batch cap) but
 //! the server also serves handshake-less streams. Every fully received
-//! `Request` in one read cycle is served as a single routed batch —
-//! pipelining `k` requests buys `k`-way batching exactly like the
-//! in-process [`crate::WireServer`]. `StatsRequest` answers from the
-//! router's per-shard or aggregate counters. Decode errors (CRC,
-//! framing, version) are fatal for the connection, matching the
-//! codec's semantics: the server drops the stream without a reply.
+//! `Request` in one read cycle is served as a single routed batch, so
+//! pipelining `k` requests buys `k`-way batching. `StatsRequest`
+//! answers from the router's per-shard or aggregate counters. Decode
+//! errors (CRC, framing, version) are fatal for the connection,
+//! matching the codec's semantics: the server drops the stream without
+//! a reply.
 
 use crate::admission::{degraded_tolerance, Admission, AdmissionController};
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
@@ -172,30 +175,96 @@ impl PolicyServer {
         &self.router
     }
 
-    /// Starts the acceptor and returns a handle that stops it on
-    /// [`ServerHandle::shutdown`] or drop. Live connection handlers are
-    /// not joined — they end when their client disconnects.
+    /// Starts the [`Acceptor`] and returns a handle that stops it on
+    /// [`ServerHandle::shutdown`] or drop, draining live connections.
     pub fn spawn(self) -> ServerHandle {
-        let addr = self.local_addr();
-        let stop = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(ConnGate::new(self.cfg.max_connections));
-        let router = Arc::clone(&self.router);
         let svc = self.cfg.router.service;
         let admission = Arc::new(AdmissionController::new(
             svc.queue_capacity,
             svc.max_queue_delay,
         ));
-        let max_batch = self.cfg.max_batch.max(1);
+        ServerHandle {
+            router: Arc::clone(&self.router),
+            acceptor: Acceptor::spawn(
+                self.listener,
+                self.router,
+                self.cfg.max_connections,
+                self.cfg.max_batch,
+                admission,
+            ),
+        }
+    }
+}
 
-        let acceptor = {
-            let (stop, router) = (Arc::clone(&stop), Arc::clone(&router));
-            let (gate, admission) = (Arc::clone(&gate), Arc::clone(&admission));
+/// Running-server handle; shuts the server down when dropped.
+#[derive(Debug)]
+pub struct ServerHandle {
+    router: Arc<ShardRouter>,
+    acceptor: Acceptor,
+}
+
+impl ServerHandle {
+    /// The served address.
+    pub fn addr(&self) -> SocketAddr {
+        self.acceptor.addr()
+    }
+
+    /// The shard router (stats).
+    pub fn router(&self) -> &Arc<ShardRouter> {
+        &self.router
+    }
+
+    /// The admission controller shared by every connection handler
+    /// (queue depth, overload counters).
+    pub fn admission(&self) -> &Arc<AdmissionController> {
+        self.acceptor.admission()
+    }
+
+    /// Stops accepting and drains live connections; see
+    /// [`Acceptor::shutdown`].
+    pub fn shutdown(self) {
+        self.acceptor.shutdown();
+    }
+}
+
+/// The one TCP acceptor behind every front-end ([`PolicyServer`], the
+/// cluster crate's `ClusterFront`): an accept thread plus one handler
+/// thread per live connection, each running the connection loop
+/// against one shared [`ServeTarget`] under one shared admission
+/// controller. Stops on [`Acceptor::shutdown`] or drop.
+#[derive(Debug)]
+pub struct Acceptor {
+    addr: SocketAddr,
+    admission: Arc<AdmissionController>,
+    stop: Arc<AtomicBool>,
+    gate: Arc<ConnGate>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Serves `listener` until shutdown. At most `max_connections`
+    /// handlers run at once: the accept thread claims a slot *before*
+    /// accepting, so excess clients wait in the kernel listen backlog
+    /// rather than being accepted and parked (or dropped). Requests
+    /// pipelined past `max_batch` are split into several batches.
+    pub fn spawn<T: ServeTarget + Send + Sync + 'static>(
+        listener: TcpListener,
+        target: Arc<T>,
+        max_connections: usize,
+        max_batch: usize,
+        admission: Arc<AdmissionController>,
+    ) -> Acceptor {
+        let addr = listener
+            .local_addr()
+            .expect("bound listener has an address");
+        let stop = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(ConnGate::new(max_connections));
+        let thread = {
+            let (stop, gate, admission) =
+                (Arc::clone(&stop), Arc::clone(&gate), Arc::clone(&admission));
             std::thread::spawn(move || {
-                // Claim a handler slot *before* accepting, so when the
-                // pool is full excess clients really do wait in the
-                // kernel backlog instead of being accepted and parked.
                 while gate.acquire(&stop) {
-                    let stream = match self.listener.accept() {
+                    let stream = match listener.accept() {
                         Ok((stream, _)) => stream,
                         Err(_) => {
                             // Transient accept failure (fd exhaustion,
@@ -205,7 +274,7 @@ impl PolicyServer {
                             if stop.load(Ordering::SeqCst) {
                                 break;
                             }
-                            std::thread::sleep(std::time::Duration::from_millis(10));
+                            std::thread::sleep(Duration::from_millis(10));
                             continue;
                         }
                     };
@@ -213,7 +282,7 @@ impl PolicyServer {
                         gate.release();
                         break;
                     }
-                    let (gate, router) = (Arc::clone(&gate), Arc::clone(&router));
+                    let (gate, target) = (Arc::clone(&gate), Arc::clone(&target));
                     let (stop, admission) = (Arc::clone(&stop), Arc::clone(&admission));
                     std::thread::spawn(move || {
                         // Return the slot on unwind too: a panicking
@@ -226,91 +295,70 @@ impl PolicyServer {
                             }
                         }
                         let _slot = SlotGuard(gate);
-                        serve_connection_admitted(stream, &*router, max_batch, &admission, &stop);
+                        serve_connection_admitted(stream, &*target, max_batch, &admission, &stop);
                     });
                 }
             })
         };
-
-        ServerHandle {
+        Acceptor {
             addr,
-            router,
             admission,
             stop,
             gate,
-            acceptor: Some(acceptor),
+            thread: Some(thread),
         }
     }
-}
 
-/// Running-server handle; shuts the server down when dropped.
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    router: Arc<ShardRouter>,
-    admission: Arc<AdmissionController>,
-    stop: Arc<AtomicBool>,
-    gate: Arc<ConnGate>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
     /// The served address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// The shard router (stats).
-    pub fn router(&self) -> &Arc<ShardRouter> {
-        &self.router
-    }
-
-    /// The admission controller shared by every connection handler
-    /// (queue depth, overload counters).
+    /// The admission controller shared by every connection (queue
+    /// depth, overload counters).
     pub fn admission(&self) -> &Arc<AdmissionController> {
         &self.admission
     }
 
-    /// Stops accepting, joins the acceptor thread, and
-    /// **drains** live connections: handlers observe the stop flag at
-    /// their next idle tick, finish serving everything their clients
-    /// already sent (complete batches, full replies on the wire), and
-    /// close cleanly — an in-flight `serve_batch` sees its whole
-    /// result, never a mid-frame disconnect. The drain wait is bounded
-    /// ([`DRAIN_WAIT`]) so a wedged client cannot hold shutdown
-    /// hostage.
+    /// Stops accepting, joins the accept thread, and **drains** live
+    /// connections: handlers observe the stop flag at their next idle
+    /// tick, finish serving everything their clients already sent
+    /// (complete batches, full replies on the wire), and close cleanly
+    /// — an in-flight batch sees its whole result, never a mid-frame
+    /// disconnect. The drain wait is bounded (5 s) so a wedged client
+    /// cannot hold shutdown hostage.
     pub fn shutdown(mut self) {
-        self.shutdown_impl();
+        self.stop_and_drain();
     }
 
-    fn shutdown_impl(&mut self) {
+    fn stop_and_drain(&mut self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The acceptor is parked either in the gate (pool saturated —
-        // interrupt() wakes it to observe the stop flag) or in
-        // accept() (a throwaway connection wakes it).
+        // The accept thread is parked either in the gate (pool
+        // saturated — interrupt() wakes it to observe the stop flag)
+        // or in accept() (a throwaway connection wakes it).
         self.gate.interrupt();
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.take() {
+        if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
         self.gate.wait_idle(DRAIN_WAIT);
     }
 }
 
-impl Drop for ServerHandle {
+impl Drop for Acceptor {
     fn drop(&mut self) {
-        self.shutdown_impl();
+        self.stop_and_drain();
     }
 }
 
 /// What a TCP connection loop serves. One implementation of the
-/// protocol dispatch ([`serve_connection`]) fronts every deployment
-/// shape: [`PolicyServer`] implements this for [`ShardRouter`]
-/// (in-process shards), the cluster crate implements it for its
-/// router-behind-a-mutex (remote backends) — so a new wire message is
-/// wired up exactly once, not per front-end.
+/// protocol dispatch (the [`Acceptor`]'s connection loop) fronts
+/// every deployment shape: [`PolicyServer`] implements this for
+/// [`ShardRouter`] (in-process shards), the cluster crate implements
+/// it for its router-behind-a-mutex (remote backends) — so a new wire
+/// message is wired up exactly once, not per front-end.
 pub trait ServeTarget {
     /// Shard (or cluster-slot) count advertised in the `Welcome`
     /// handshake.
@@ -376,48 +424,6 @@ const DRAIN_GRACE: Duration = Duration::from_secs(2);
 /// How long shutdown waits for live handlers to drain.
 const DRAIN_WAIT: Duration = Duration::from_secs(5);
 
-/// Serves one connection until EOF, I/O error, or a (fatal) decode
-/// error — the single protocol loop shared by every TCP front-end
-/// (see [`ServeTarget`]). Equivalent to [`serve_connection_gated`]
-/// with a stop flag that is never raised.
-pub fn serve_connection(stream: TcpStream, target: &impl ServeTarget, max_batch: usize) {
-    serve_connection_gated(stream, target, max_batch, &AtomicBool::new(false));
-}
-
-/// [`serve_connection`] with a cooperative drain: reads tick every
-/// [`GATE_TICK`] so a raised `stop` flag is observed even on an idle
-/// connection. On stop, the handler finishes what the client already
-/// sent — complete batches served, full replies written — and closes
-/// only once the stream is quiet (no partially received frame, or the
-/// [`DRAIN_GRACE`] ran out), so a draining shutdown is never a
-/// mid-frame disconnect from the client's point of view.
-pub fn serve_connection_gated(
-    stream: TcpStream,
-    target: &impl ServeTarget,
-    max_batch: usize,
-    stop: &AtomicBool,
-) {
-    serve_connection_inner(stream, target, max_batch, None, stop);
-}
-
-/// [`serve_connection_gated`] with the overload-control plane armed:
-/// every request walks `admission`'s shed ladder before joining a
-/// batch (see [`crate::admission`]), deadline-carrying batches are
-/// served earliest-deadline-first, results that outlived their
-/// `deadline_us` budget are replaced by `Overloaded`, and aggregate
-/// stats responses carry the overload counters. [`PolicyServer`]
-/// handlers run this; the plain entry points serve unadmitted (the
-/// closed-loop in-process paths, where the caller is the queue).
-pub fn serve_connection_admitted(
-    stream: TcpStream,
-    target: &impl ServeTarget,
-    max_batch: usize,
-    admission: &AdmissionController,
-    stop: &AtomicBool,
-) {
-    serve_connection_inner(stream, target, max_batch, Some(admission), stop);
-}
-
 /// One admitted request's batch bookkeeping: reply routing (`corr`,
 /// `id`) plus what the deadline ladder needs on the way out.
 #[derive(Debug, Clone, Copy)]
@@ -429,7 +435,16 @@ struct ReqMeta {
     arrival: Instant,
 }
 
-/// The connection loop behind every `serve_connection*` entry point.
+/// Serves one connection until EOF, I/O error, a (fatal) decode error,
+/// or a drained stop — the single protocol loop every [`Acceptor`]
+/// handler runs (see [`ServeTarget`]).
+///
+/// Overload control is always armed: every request walks
+/// `admission`'s shed ladder before joining a batch (see
+/// [`crate::admission`]), deadline-carrying batches are served
+/// earliest-deadline-first, results that outlived their `deadline_us`
+/// budget are replaced by `Overloaded`, and aggregate stats responses
+/// carry the overload counters.
 ///
 /// The read path is greedy: after each blocking read it drains
 /// whatever else the client already queued (non-blocking), so a
@@ -439,11 +454,18 @@ struct ReqMeta {
 /// served, so the first submitted batch's responses are on the wire
 /// while later batches are still being solved. Replies echo the
 /// request's correlation id.
-fn serve_connection_inner(
+///
+/// The drain is cooperative: reads tick every [`GATE_TICK`] so a
+/// raised `stop` flag is observed even on an idle connection. On stop,
+/// the handler finishes what the client already sent and closes only
+/// once the stream is quiet (no partially received frame, or the
+/// [`DRAIN_GRACE`] ran out), so a draining shutdown is never a
+/// mid-frame disconnect from the client's point of view.
+fn serve_connection_admitted(
     mut stream: TcpStream,
     target: &impl ServeTarget,
     max_batch: usize,
-    admission: Option<&AdmissionController>,
+    admission: &AdmissionController,
     stop: &AtomicBool,
 ) {
     use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
@@ -528,10 +550,7 @@ fn serve_connection_inner(
                             }
                         }
                     }
-                    let decision = admission
-                        .map(AdmissionController::admit)
-                        .unwrap_or(Admission::Admit);
-                    match decision {
+                    match admission.admit() {
                         Admission::Shed { retry_after_us } => {
                             // Flight-recorder: the shed and the
                             // Overloaded frame it turned into.
@@ -592,9 +611,7 @@ fn serve_connection_inner(
                             // overlays it (like the cluster front's
                             // robustness counters).
                             if r.shard == STATS_SHARD_AGGREGATE {
-                                if let Some(a) = admission {
-                                    a.overlay(&mut stats);
-                                }
+                                admission.overlay(&mut stats);
                             }
                             ServiceMessage::StatsResponse(WireStatsResponse {
                                 id: r.id,
@@ -621,12 +638,10 @@ fn serve_connection_inner(
                 // admission queue gauge injected on top.
                 ServiceMessage::MetricsRequest(r) => {
                     let mut snap = target.metrics();
-                    if let Some(a) = admission {
-                        let g = a.queue_gauge();
-                        snap.gauges[GAUGE_QUEUE_DEPTH].1 += g.value();
-                        let peak = &mut snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1;
-                        *peak = (*peak).max(g.peak());
-                    }
+                    let g = admission.queue_gauge();
+                    snap.gauges[GAUGE_QUEUE_DEPTH].1 += g.value();
+                    let peak = &mut snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1;
+                    *peak = (*peak).max(g.peak());
                     ServiceCodec::encode(
                         &ServiceMessage::MetricsResponse(WireMetricsResponse {
                             id: r.id,
@@ -669,7 +684,7 @@ fn flush(stream: &mut TcpStream, out: &mut BytesMut) -> std::io::Result<()> {
 /// Serves the buffered requests (if any) as one routed batch and
 /// encodes the replies, echoing each request's correlation id.
 ///
-/// With `admission` armed this is also where the deadline ladder
+/// This is also where the deadline ladder
 /// lands: deadline-carrying batches are reordered earliest-deadline-
 /// first before serving, and a result whose request ran past its
 /// `deadline_us` budget is replaced by an `Overloaded` frame — the
@@ -681,7 +696,7 @@ fn serve_into(
     ids: &mut Vec<ReqMeta>,
     batch: &mut Vec<PolicyRequest>,
     out: &mut BytesMut,
-    admission: Option<&AdmissionController>,
+    admission: &AdmissionController,
 ) {
     if batch.is_empty() {
         return;
@@ -691,24 +706,20 @@ fn serve_into(
     }
     let t_serve = Instant::now();
     let results = target.serve(batch);
-    if let Some(a) = admission {
-        a.release(results.len(), t_serve.elapsed());
-    }
+    admission.release(results.len(), t_serve.elapsed());
     let t0 = econcast_trace::armed_now();
     for (m, result) in ids.drain(..).zip(&results) {
         let expired = m.deadline_us != 0
             && m.arrival.elapsed() > Duration::from_micros(u64::from(m.deadline_us));
         let mut msg = if expired {
-            if let Some(a) = admission {
-                a.note_deadline_expired();
-            }
+            admission.note_deadline_expired();
             econcast_metrics::ops_event(OpsKind::DeadlineMiss, 0, u64::from(m.deadline_us));
             econcast_metrics::counter_add(CTR_OVERLOADED_SENT, 1);
             ServiceMessage::Error(WirePolicyError {
                 corr: m.corr,
                 id: m.id,
                 code: ServiceErrorCode::Overloaded,
-                retry_after_us: admission.map(|a| a.retry_after_us()).unwrap_or(0),
+                retry_after_us: admission.retry_after_us(),
             })
         } else {
             match result {

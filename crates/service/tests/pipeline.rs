@@ -110,7 +110,7 @@ fn tickets_collect_in_every_permutation_order() {
     for perm in PERMS {
         let tickets: Vec<_> = chunks
             .iter()
-            .map(|c| client.submit_batch(c).expect("submit"))
+            .map(|c| client.submit_batch(*c).expect("submit"))
             .collect();
         // Redeem out of submission order: replies for not-yet-asked
         // tickets get filed while an earlier collect drains the wire.

@@ -202,7 +202,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`].
+    /// Length specification for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         start: usize,

@@ -1,23 +1,38 @@
 //! Policy service end-to-end: a fleet manager asks the wire API for
 //! listen/transmit policies.
 //!
-//! Encodes a mixed batch of policy requests (a homogeneous 100-tag
+//! Sends a mixed batch of policy requests (a homogeneous 100-tag
 //! fleet at several harvest rates, plus a heterogeneous 5-node
-//! deployment and a permutation of it), feeds the bytes to a
-//! [`WireServer`], and decodes the responses — then does it again to
-//! show the warm cache answering without touching a solver.
+//! deployment and a permutation of it) to a one-shard loopback
+//! `PolicyServer` through a `PolicyClient`, and prints the responses —
+//! then does it again to show the warm cache answering without
+//! touching a solver.
 //!
 //! ```text
 //! cargo run --release --example policy_service
 //! ```
 
-use bytes::BytesMut;
 use econcast::core::{NodeParams, ThroughputMode};
-use econcast::proto::service::{ServiceCodec, ServiceMessage};
-use econcast::service::{PolicyRequest, PolicyService, WireServer};
+use econcast::service::{
+    PolicyClient, PolicyRequest, PolicyServer, RouterConfig, ServerConfig, ServiceConfig,
+};
 
 fn main() {
-    let mut server = WireServer::new(PolicyService::default());
+    let service = ServiceConfig::default();
+    let server = PolicyServer::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            router: RouterConfig {
+                shards: 1,
+                service,
+                ..RouterConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback")
+    .spawn();
+    let mut client = PolicyClient::connect(server.addr(), 64).expect("connect");
 
     // The batch: one fleet, three harvest conditions, plus a
     // heterogeneous site (solar / battery / mains-assisted nodes) and
@@ -48,30 +63,17 @@ fn main() {
     requests.push(permuted);
 
     for pass in ["cold", "warm"] {
-        // Client side: encode the batch onto the wire.
-        let mut wire = BytesMut::new();
-        for (id, req) in requests.iter().enumerate() {
-            ServiceCodec::encode(&ServiceMessage::Request(req.to_wire(id as u32)), &mut wire);
-        }
-
-        // Server side: feed bytes, serve everything buffered as one
-        // batch.
-        server.feed(&wire);
-        let reply_bytes = server.poll_batch().expect("clean stream");
-
-        // Client side again: decode the replies.
-        let mut codec = ServiceCodec::new();
-        codec.feed(&reply_bytes);
+        // One pipelined batch over the socket; replies come back
+        // decoded, in request order.
+        let replies = client.serve_batch(&requests).expect("served");
         println!("== {pass} pass ==");
-        for msg in codec.drain().expect("valid replies") {
-            let ServiceMessage::Response(r) = msg else {
-                panic!("no errors expected in this demo");
-            };
+        for (i, reply) in replies.into_iter().enumerate() {
+            let r = reply.expect("no errors expected in this demo");
             let p0 = &r.policies[0];
             println!(
                 "req {:>2} [{:?}]: {:>3} nodes, T = {:.4}, node0 (α, β) = ({:.5}, {:.5}), \
                  certificate T^σ {:.4} ≤ T* {:.4} ≤ D(η) {:.4}",
-                r.id,
+                i,
                 r.tier,
                 r.policies.len(),
                 r.throughput,
@@ -82,11 +84,16 @@ fn main() {
                 r.cert_dual_upper,
             );
         }
-        let s = server.service().stats();
+        let s = client.stats(None).expect("stats");
         println!(
             "stats: {} requests | exact {} · closed-form {} · solver {} | \
              lru {}/{} entries\n",
-            s.requests, s.exact_hits, s.closed_form_hits, s.solver_solves, s.lru_len, 1024,
+            s.requests,
+            s.exact_hits,
+            s.closed_form_hits,
+            s.solver_solves,
+            s.lru_len,
+            service.lru_capacity,
         );
     }
     println!("warm pass served entirely from the exact tier — no solver ran.");

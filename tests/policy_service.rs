@@ -1,13 +1,16 @@
 //! End-to-end acceptance tests for the policy-serving subsystem:
 //! a 256-request mixed batch must be answered bit-identically at any
 //! worker count, warm-cache exact-tier hits must skip the solvers
-//! entirely, and the wire front-end must agree with the native path.
+//! entirely, and a loopback `PolicyServer` must agree with the native
+//! path bit for bit.
 
 use econcast::proto::service::{ServiceCodec, ServiceMessage};
 use econcast::service::{
-    PolicyRequest, PolicyResponse, PolicyService, ServedTier, ServiceConfig, ServiceError,
-    WireServer,
+    PolicyClient, PolicyRequest, PolicyResponse, PolicyServer, PolicyService, RouterConfig,
+    ServedTier, ServerConfig, ServiceConfig, ServiceError,
 };
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
 const L: f64 = 500e-6;
 const X: f64 = 450e-6;
@@ -187,6 +190,55 @@ fn byte_budget_never_changes_an_answer() {
     }
 }
 
+/// A one-shard, one-connection loopback `PolicyServer` over `service`.
+fn one_shard_server(service: ServiceConfig) -> econcast::service::ServerHandle {
+    PolicyServer::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            router: RouterConfig {
+                shards: 1,
+                service,
+                ..RouterConfig::default()
+            },
+            max_connections: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback server")
+    .spawn()
+}
+
+/// Writes `wire` to a [`one_shard_server`] on a raw socket in
+/// `chunk`-byte pieces and reads back exactly `replies` decoded
+/// messages. The pieces are queued while another client holds the
+/// server's one connection slot, so the handler finds the whole
+/// stream buffered and serves it in one read cycle: one batch, as in
+/// one native `serve_batch` call.
+fn exchange(addr: SocketAddr, wire: &[u8], chunk: usize, replies: usize) -> Vec<ServiceMessage> {
+    let mut holder = PolicyClient::connect(addr, 1).expect("connect slot holder");
+    holder.ping().expect("holder owns the slot");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    for piece in wire.chunks(chunk) {
+        stream.write_all(piece).expect("send");
+    }
+    drop(holder);
+    let mut codec = ServiceCodec::new();
+    let mut out = Vec::new();
+    let mut buf = vec![0u8; 64 * 1024];
+    while out.len() < replies {
+        let n = stream.read(&mut buf).expect("server replies");
+        assert!(n > 0, "server closed after {} replies", out.len());
+        codec.feed(&buf[..n]);
+        out.extend(codec.drain().expect("server output decodes"));
+    }
+    assert_eq!(out.len(), replies, "no reply beyond the requests sent");
+    out
+}
+
 #[test]
 fn wire_server_matches_native_serving() {
     use bytes::BytesMut;
@@ -200,25 +252,19 @@ fn wire_server_matches_native_serving() {
     });
     let expected = native.serve_batch(&batch);
 
-    // Wire path: encode all requests, feed in ragged chunks, poll once.
+    // Wire path: encode all requests and send them to a loopback
+    // server in ragged 7-byte chunks over a raw socket.
     let mut wire = BytesMut::new();
     for (id, req) in batch.iter().enumerate() {
         ServiceCodec::encode(&ServiceMessage::Request(req.to_wire(id as u32)), &mut wire);
     }
-    let mut server = WireServer::new(PolicyService::new(ServiceConfig {
+    let server = one_shard_server(ServiceConfig {
         workers: Some(1),
         ..ServiceConfig::default()
-    }));
-    for chunk in wire.chunks(7) {
-        server.feed(chunk);
-    }
-    let out = server.poll_batch().expect("clean stream");
+    });
+    let replies = exchange(server.addr(), &wire, 7, batch.len());
 
-    // Decode the responses and compare with the native results.
-    let mut codec = ServiceCodec::new();
-    codec.feed(&out);
-    let replies = codec.drain().expect("server output decodes");
-    assert_eq!(replies.len(), batch.len());
+    // Compare the decoded responses with the native results.
     for (id, (reply, exp)) in replies.iter().zip(&expected).enumerate() {
         match (reply, exp) {
             (ServiceMessage::Response(w), Ok(native_resp)) => {
@@ -238,8 +284,6 @@ fn wire_server_matches_native_serving() {
             other => panic!("request {id}: unexpected reply pairing {other:?}"),
         }
     }
-    // Batching happened: one poll, one batch.
-    assert_eq!(server.service().stats().batches, 1);
 }
 
 #[test]
@@ -279,13 +323,8 @@ fn wire_server_answers_bad_requests_with_error_messages() {
         }),
         &mut wire,
     );
-    let mut server = WireServer::new(PolicyService::default());
-    server.feed(&wire);
-    let out = server.poll_batch().unwrap();
-    let mut codec = ServiceCodec::new();
-    codec.feed(&out);
-    let replies = codec.drain().unwrap();
-    assert_eq!(replies.len(), 2);
+    let server = one_shard_server(ServiceConfig::default());
+    let replies = exchange(server.addr(), &wire, wire.len(), 2);
     let codes: Vec<_> = replies
         .iter()
         .map(|m| match m {
@@ -295,7 +334,8 @@ fn wire_server_answers_bad_requests_with_error_messages() {
         .collect();
     assert_eq!(codes[0], (1, ServiceErrorCode::BadRequest));
     assert_eq!(codes[1], (2, ServiceErrorCode::TooLarge));
-    assert_eq!(server.service().stats().errors, 2);
+    let mut client = PolicyClient::connect(server.addr(), 1).expect("connect stats client");
+    assert_eq!(client.stats(None).expect("stats").errors, 2);
 }
 
 #[test]
