@@ -4,13 +4,14 @@
 //! recorder as a Perfetto-compatible artifact.
 //!
 //! The backends are *child processes* ([`Supervisor`]-spawned), not
-//! in-process servers: the metrics hub is process-global, so an
-//! in-process backend's counters would appear on both sides of the
-//! fan-in equation and the equality check would prove nothing.
+//! in-process servers: the latency histograms live on a
+//! process-global hub, so an in-process backend's histograms would
+//! appear on both sides of the fan-in equation and the histogram
+//! check would prove nothing.
 
 use econcast_cluster::{
-    default_backend_binary, ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, RemoteConfig,
-    SlotSpec, Supervisor, SupervisorConfig,
+    default_backend_binary, ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, FrontHandle,
+    RemoteConfig, SlotSpec, Supervisor, SupervisorConfig,
 };
 use econcast_metrics::{MetricsSnapshot, OpsKind, CTR_FAILOVER_RESERVES, GAUGE_LIVE_BACKENDS};
 use econcast_service::workload::mixed_batch;
@@ -38,12 +39,22 @@ impl SmokeOutcome {
     }
 }
 
-/// Ground truth for the fan-in: Σ direct backend scrapes plus this
-/// process's own plane. Valid only while the local hub is quiescent —
-/// metrics scrapes don't bump serve counters, so back-to-back scrapes
-/// see the same local state.
-fn expected_sum(addrs: &[SocketAddr]) -> io::Result<MetricsSnapshot> {
+/// Ground truth for the fan-in: Σ direct backend scrapes plus the
+/// front's own share — this process's latency histograms, the
+/// router's counters and fallback solver, and the front's admission
+/// counters. Valid only while the front is quiescent — metrics
+/// scrapes don't bump serve counters, so back-to-back scrapes see the
+/// same local state.
+fn expected_sum(front: &FrontHandle, addrs: &[SocketAddr]) -> io::Result<MetricsSnapshot> {
     let mut sum = econcast_metrics::snapshot();
+    sum.merge(
+        &front
+            .router()
+            .lock()
+            .map_err(|_| io::Error::other("router poisoned"))?
+            .metrics(),
+    );
+    sum.merge(&front.admission().metrics());
     for &addr in addrs {
         let direct = PolicyClient::connect(addr, 1)?.metrics()?;
         sum.merge(&direct);
@@ -90,7 +101,7 @@ pub fn run(out_dir: &Path) -> io::Result<SmokeOutcome> {
         // Fan-in: scrape the aggregate first, then ground truth — the
         // local hub holds still in between.
         let aggregate = client.metrics()?;
-        let expected = expected_sum(&sup.addrs())?;
+        let expected = expected_sum(&front, &sup.addrs())?;
         checks.push((
             "counter fan-in = sum of backends + front-local",
             aggregate.counters == expected.counters,
@@ -111,7 +122,7 @@ pub fn run(out_dir: &Path) -> io::Result<SmokeOutcome> {
         let out = client.serve_batch(&batch[..32])?;
         checks.push(("failover serves the batch", out.iter().all(Result::is_ok)));
         let after = client.metrics()?;
-        let expected = expected_sum(&sup.addrs()[1..])?;
+        let expected = expected_sum(&front, &sup.addrs()[1..])?;
         checks.push((
             "fan-in rebalances after the kill",
             after.counters == expected.counters && after.hists == expected.hists,

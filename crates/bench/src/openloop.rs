@@ -592,10 +592,14 @@ mod tests {
         // peak never exceeds the bound.
         assert_eq!(ref_peak, STACK_QUEUE_CAPACITY, "peak is the capacity");
         assert!(sheds > 0, "schedule never pressed past capacity");
-        // And the harness-visible number *is* the gauge's high-water
-        // mark — one object feeds the ladder, the stats overlay, and
-        // a metrics scrape.
-        assert_eq!(ctl.queue_gauge().peak() as usize, ctl.depth_peak());
+        // And the harness-visible number *is* the scraped gauge's
+        // high-water mark — one object feeds the ladder and a metrics
+        // scrape.
+        assert_eq!(
+            ctl.metrics()
+                .gauge(econcast_metrics::GAUGE_QUEUE_DEPTH_PEAK) as usize,
+            ctl.depth_peak()
+        );
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! snapshot per interval, nothing more.
 
 use econcast_metrics::{
-    HistSnapshot, MetricsSnapshot, SnapshotRing, CTR_BATCHES, CTR_DEADLINE_MISS, CTR_DEGRADED,
-    CTR_ERRORS, CTR_FAILOVER_RESERVES, CTR_OVERLOADED_RECEIVED, CTR_OVERLOADED_SENT,
-    CTR_QUARANTINES, CTR_REQUESTS, CTR_RESPAWNS, CTR_SATURATION_OPENS, CTR_SHED,
+    HistSnapshot, MetricsSnapshot, SnapshotRing, CTR_AUTO_RESPAWNS, CTR_BATCHES,
+    CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES, CTR_ERRORS, CTR_FAILOVER_RESERVES,
+    CTR_OVERLOADED_RECEIVED, CTR_QUARANTINES, CTR_REQUESTS, CTR_SATURATION_OPENS, CTR_SHED_REJECTS,
     GAUGE_LIVE_BACKENDS, GAUGE_LRU_BYTES, GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH,
     GAUGE_QUEUE_DEPTH_PEAK, GAUGE_SATURATION_OPEN, HIST_REQUEST_NS,
 };
@@ -64,6 +64,21 @@ fn hist_delta(cur: &HistSnapshot, prev: &HistSnapshot) -> HistSnapshot {
     out
 }
 
+/// Ladder occupancy over the ring's window: `(served, degraded,
+/// shed)`, where arriving requests landed. An expired deadline counts
+/// in `CTR_SHED_REJECTS` *and*, as it was admitted and served, in
+/// `CTR_REQUESTS`; only the rest of the rejects were shed at
+/// admission, so only they join the served requests in what was
+/// offered.
+fn ladder(ring: &SnapshotRing) -> (u64, u64, u64) {
+    let served = ring.delta(CTR_REQUESTS);
+    let degraded = ring.delta(CTR_DEGRADED_SERVES).min(served);
+    let shed = ring
+        .delta(CTR_SHED_REJECTS)
+        .saturating_sub(ring.delta(CTR_DEADLINE_EXPIRED));
+    (served, degraded, shed)
+}
+
 /// Renders one frame of the ops view.
 fn render(
     out: &mut impl Write,
@@ -91,9 +106,7 @@ fn render(
     // Ladder occupancy over the window: where arriving requests landed
     // (served normal / served degraded / shed), as fractions of
     // everything that arrived.
-    let served = ring.delta(CTR_REQUESTS);
-    let degraded = ring.delta(CTR_DEGRADED).min(served);
-    let shed = ring.delta(CTR_SHED);
+    let (served, degraded, shed) = ladder(ring);
     let offered = served + shed;
     let pct = |n: u64| {
         if offered == 0 {
@@ -146,11 +159,11 @@ fn render(
     // Ops totals only print once nonzero — a healthy cluster shows a
     // clean frame, an unhealthy one names its failure mode.
     let ops = [
-        ("deadline misses", snap.counter(CTR_DEADLINE_MISS)),
-        ("overloaded sent", snap.counter(CTR_OVERLOADED_SENT)),
+        ("deadline misses", snap.counter(CTR_DEADLINE_EXPIRED)),
+        ("overloaded sent", snap.counter(CTR_SHED_REJECTS)),
         ("overloaded received", snap.counter(CTR_OVERLOADED_RECEIVED)),
         ("failover re-serves", snap.counter(CTR_FAILOVER_RESERVES)),
-        ("respawns", snap.counter(CTR_RESPAWNS)),
+        ("respawns", snap.counter(CTR_AUTO_RESPAWNS)),
         ("quarantines", snap.counter(CTR_QUARANTINES)),
         ("saturation opens", snap.counter(CTR_SATURATION_OPENS)),
     ];
@@ -227,6 +240,34 @@ mod tests {
     }
 
     #[test]
+    fn ladder_counts_each_rejected_request_once() {
+        // Over the window: 100 requests served (10 of them degraded,
+        // 4 of those past their deadline), and 30 `Overloaded`
+        // answers — 26 sheds at admission plus the 4 expiries, which
+        // were also served. 126 requests were offered, not 130.
+        let mut counters = vec![0u64; econcast_metrics::NUM_COUNTERS];
+        let mut ring = SnapshotRing::new(4);
+        ring.push(0, &counters);
+        counters[CTR_REQUESTS] = 100;
+        counters[CTR_DEGRADED_SERVES] = 10;
+        counters[CTR_SHED_REJECTS] = 30;
+        counters[CTR_DEADLINE_EXPIRED] = 4;
+        ring.push(1_000_000_000, &counters);
+        assert_eq!(ladder(&ring), (100, 10, 26));
+
+        let snap = MetricsSnapshot {
+            counters: counters.clone(),
+            ..MetricsSnapshot::zeroed()
+        };
+        let mut out = Vec::new();
+        render(&mut out, 0, &snap, &ring, &HistSnapshot::default(), false).expect("render");
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.contains("(126 offered)"), "{text}");
+        assert!(text.contains("deadline misses=4"), "{text}");
+        assert!(text.contains("overloaded sent=30"), "{text}");
+    }
+
+    #[test]
     fn top_renders_frames_against_a_live_server() {
         let handle = PolicyServer::bind(
             "127.0.0.1:0",
@@ -245,9 +286,9 @@ mod tests {
         .expect("bind")
         .spawn();
         // Put some traffic on the plane so the view has something to
-        // show (the hub is process-global — the exact numbers belong
-        // to whichever tests ran first, which is why this test only
-        // asserts shape, never totals).
+        // show (the latency histograms are process-global — the exact
+        // numbers belong to whichever tests ran first, which is why
+        // this test only asserts shape, never totals).
         let batch = crate::perf::service_batch(8);
         let mut client = PolicyClient::connect(handle.addr(), 8).expect("connect");
         client.serve_batch(&batch).expect("serve");

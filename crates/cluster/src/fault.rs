@@ -8,7 +8,7 @@
 //! backend→router chunk for the stream faults), and bumps the shared
 //! injected-fault counter
 //! ([`ClusterRouter::injected_fault_counter`](crate::ClusterRouter::injected_fault_counter)),
-//! so a chaos run is auditable through the ordinary stats plane.
+//! so a chaos run is auditable through the ordinary metrics scrape.
 //!
 //! Which faults fire when is scripted by a [`FaultPlan`]: a per-round
 //! schedule that is **deterministic in its seed** — the same seed

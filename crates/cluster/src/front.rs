@@ -9,12 +9,13 @@
 //!   **slot** count);
 //! * pipelined `Request`s are served as routed batches through the
 //!   [`ClusterRouter`] (remote fan-out, local failover);
-//! * `StatsRequest(shard = i)` answers with slot `i`'s serving
-//!   counters (a remote slot is asked over the wire, via a fresh
-//!   short-timeout dial made *outside* the router lock — the control
-//!   plane never blocks the data plane);
-//!   `shard = 0xFFFF` answers with the cluster-wide fan-in — backend
-//!   aggregates + local slots + the fallback solver;
+//! * `MetricsRequest(shard = i)` answers with slot `i`'s scrape (a
+//!   remote slot is asked over the wire, via a fresh short-timeout
+//!   dial made *outside* the router lock — the control plane never
+//!   blocks the data plane); `shard = 0xFFFF` answers with the
+//!   cluster-wide fan-in — backend scrapes + local slots + the
+//!   router's own counters and fallback solver + the front's
+//!   admission counters;
 //! * `Ping` → `Pong` (liveness, untouched by routing);
 //! * decode errors drop the connection without a reply, exactly like
 //!   the single-process server.
@@ -33,22 +34,21 @@
 //! stream error.
 
 use crate::router::{ClusterRouter, StatsSource};
-use econcast_metrics::{MetricsSnapshot, GAUGE_LIVE_BACKENDS, GAUGE_SATURATION_OPEN};
-use econcast_proto::service::{WireServiceStats, STATS_COUNTERS, STATS_SHARD_AGGREGATE};
-use econcast_service::stats::{StatKind, STAT_KINDS};
+use econcast_metrics::MetricsSnapshot;
+use econcast_proto::service::STATS_SHARD_AGGREGATE;
 use econcast_service::{
     Acceptor, AdmissionController, PolicyClient, PolicyRequest, PolicyResponse, ServeTarget,
-    ServiceError, ServiceStats,
+    ServiceError,
 };
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 
-/// Timeout for the fresh per-request dials a stats or metrics fan-in
-/// makes. Deliberately short: these are advisory, and they run with
-/// the router unlocked but a client waiting.
+/// Timeout for the fresh per-request dials a scrape fan-in makes.
+/// Deliberately short: these are advisory, and they run with the
+/// router unlocked but a client waiting.
 const STATS_DIAL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
 
-/// Per-slot re-basing state for cluster fan-ins. A respawned (or
+/// Per-slot re-basing state for the scrape fan-in. A respawned (or
 /// quarantined) backend restarts its counters at zero; summed naively
 /// that reads as every rate going sharply negative right when the
 /// cluster healed. The front instead remembers, per slot, the last
@@ -58,10 +58,12 @@ const STATS_DIAL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2
 /// base, and every contribution is reported as `base + raw` — so the
 /// front's aggregates stay monotone across respawns.
 ///
-/// Only counters (and, for metrics, histograms — which reset with
-/// their process) are re-based. Gauges are instantaneous readings: a
-/// decrease is ordinary (an LRU evicted, a queue drained), never a
-/// restart signal, and re-basing one would double-count live state.
+/// Only counters and histograms (which reset with their process) are
+/// re-based. Gauges are instantaneous readings: a decrease is
+/// ordinary (an LRU evicted, a queue drained), never a restart
+/// signal, and re-basing one would double-count live state — so the
+/// base's gauges are always zero (a dead process holds no live
+/// state).
 #[derive(Debug, Default)]
 struct ScrapeRebase {
     slots: Vec<SlotRebase>,
@@ -69,70 +71,34 @@ struct ScrapeRebase {
 
 #[derive(Debug, Default, Clone)]
 struct SlotRebase {
-    /// Stats-plane counters: accumulated totals of dead incarnations
-    /// (empty until the slot is first scraped), and the last raw
-    /// fetch.
-    stats_base: Vec<u64>,
-    stats_last: Vec<u64>,
-    /// Metrics-plane siblings. The base's gauges are always zero (a
-    /// dead process holds no live state).
-    metrics_base: MetricsSnapshot,
-    metrics_last: MetricsSnapshot,
+    /// Accumulated totals of dead incarnations.
+    base: MetricsSnapshot,
+    /// The last raw scrape.
+    last: MetricsSnapshot,
 }
 
 impl ScrapeRebase {
-    fn slot(&mut self, slot: usize) -> &mut SlotRebase {
+    /// Folds one slot's fresh scrape into its monotone view.
+    fn fold(&mut self, slot: usize, fresh: &MetricsSnapshot) -> MetricsSnapshot {
         if self.slots.len() <= slot {
             self.slots.resize(slot + 1, SlotRebase::default());
         }
-        &mut self.slots[slot]
-    }
-
-    /// Folds one slot's fresh stats fetch into its monotone view.
-    fn stats(&mut self, slot: usize, fresh: &ServiceStats) -> ServiceStats {
-        let state = self.slot(slot);
-        if state.stats_base.is_empty() {
-            state.stats_base = vec![0; STATS_COUNTERS];
-            state.stats_last = vec![0; STATS_COUNTERS];
-        }
-        let raw = fresh.to_wire().to_array();
-        let reset = raw
-            .iter()
-            .zip(&state.stats_last)
-            .enumerate()
-            .any(|(i, (&cur, &last))| STAT_KINDS[i] == StatKind::Counter && cur < last);
-        let mut adjusted = raw;
-        for i in 0..STATS_COUNTERS {
-            if STAT_KINDS[i] == StatKind::Counter {
-                if reset {
-                    state.stats_base[i] += state.stats_last[i];
-                }
-                adjusted[i] += state.stats_base[i];
-            }
-            state.stats_last[i] = raw[i];
-        }
-        ServiceStats::from_wire(&WireServiceStats::from_array(adjusted))
-    }
-
-    /// Folds one slot's fresh metrics scrape into its monotone view.
-    fn metrics(&mut self, slot: usize, fresh: &MetricsSnapshot) -> MetricsSnapshot {
-        let state = self.slot(slot);
+        let state = &mut self.slots[slot];
         let reset = state
-            .metrics_last
+            .last
             .counters
             .iter()
             .zip(&fresh.counters)
             .any(|(&last, &cur)| cur < last);
+        let mut prev = std::mem::replace(&mut state.last, fresh.clone());
         if reset {
-            let mut dead = state.metrics_last.clone();
-            for gauge in &mut dead.gauges {
+            for gauge in &mut prev.gauges {
                 gauge.1 = 0;
             }
-            state.metrics_base.merge(&dead);
+            state.base.merge(&prev);
         }
-        state.metrics_last = fresh.clone();
         let mut adjusted = fresh.clone();
-        adjusted.merge(&state.metrics_base);
+        adjusted.merge(&state.base);
         adjusted
     }
 }
@@ -149,7 +115,7 @@ struct FrontTarget {
     /// at the front advertises a `retry_after_us` no shorter than what
     /// the saturated backends themselves asked for.
     admission: Arc<AdmissionController>,
-    /// Per-slot counter re-basing so fan-ins stay monotone across
+    /// Per-slot counter re-basing so the fan-in stays monotone across
     /// backend respawns (and across scraping connections coming and
     /// going).
     rebase: Mutex<ScrapeRebase>,
@@ -169,15 +135,12 @@ impl FrontTarget {
     }
 }
 
-/// Asks one remote slot over a fresh short-timeout dial — the fan-ins'
+/// Asks one remote slot over a fresh short-timeout dial — the fan-in's
 /// per-backend round trip, always made with the router unlocked so a
 /// slow or unreachable backend cannot freeze serving behind the mutex.
 /// `None` for local slots, backends the health machine says to skip,
 /// and failed dials or requests.
-fn scrape<R>(
-    source: &StatsSource,
-    ask: impl FnOnce(&mut PolicyClient) -> std::io::Result<R>,
-) -> Option<R> {
+fn scrape(source: &StatsSource) -> Option<MetricsSnapshot> {
     let StatsSource::Remote {
         addr,
         attempt: true,
@@ -185,7 +148,8 @@ fn scrape<R>(
     else {
         return None;
     };
-    ask(&mut PolicyClient::connect_with_timeout(*addr, 1, STATS_DIAL_TIMEOUT).ok()?).ok()
+    let mut client = PolicyClient::connect_with_timeout(*addr, 1, STATS_DIAL_TIMEOUT).ok()?;
+    client.metrics().ok()
 }
 
 impl ServeTarget for FrontTarget {
@@ -204,84 +168,40 @@ impl ServeTarget for FrontTarget {
         out
     }
 
-    /// Stats fan-in without blocking the data plane: the router lock
-    /// is held only for a network-free snapshot; the per-backend
-    /// round-trips ([`scrape`]) happen unlocked.
-    fn stats(&self, shard: u16) -> Option<ServiceStats> {
-        let (sources, fallback) = self.router().stats_sources();
-        let fetch = |source: &StatsSource| match source {
-            StatsSource::Local(stats) => Some(*stats),
-            remote => scrape(remote, |c| c.stats(None)),
+    /// Scrape fan-in without blocking the data plane: the router
+    /// lock is held only for network-free snapshots; the per-backend
+    /// round-trips ([`scrape`]) happen unlocked. Each remote scrape
+    /// passes through the per-slot re-base, so a respawned backend
+    /// restarting at zero never drags a counter backwards. The
+    /// aggregate is what the cluster can *see*: down or unreachable
+    /// backends contribute nothing while absent. It adds the
+    /// process-global latency histograms (covering local slots and
+    /// the fallback solver) and the router's own share; the
+    /// connection loop merges the front's admission counters on top.
+    fn metrics(&self, shard: u16) -> Option<MetricsSnapshot> {
+        let (sources, own) = {
+            let router = self.router();
+            let own = (shard == STATS_SHARD_AGGREGATE).then(|| router.metrics());
+            (router.stats_sources(), own)
         };
-        if shard == STATS_SHARD_AGGREGATE {
-            // The fan-in is what the cluster can *see*: down or
-            // unreachable backends contribute nothing while absent.
-            // Each slot's fetch passes through the per-slot re-base,
-            // so a respawned backend restarting at zero never drags
-            // the aggregate's counters backwards.
-            let mut total = fallback;
-            let mut rebase = self.rebase();
-            for (slot, source) in sources.iter().enumerate() {
-                if let Some(stats) = fetch(source) {
-                    total.merge(&rebase.stats(slot, &stats));
-                }
-            }
-            drop(rebase);
-            // The robustness counters are distribution-layer facts
-            // only the router knows; overlay them onto the aggregate
-            // (backends report them as zero).
-            let cs = self.router().cluster_stats();
-            total.auto_respawns = cs.auto_respawns;
-            total.quarantines = cs.quarantines;
-            total.injected_faults = cs.injected_faults;
-            Some(total)
-        } else {
+        let fetch = |slot: usize, source: StatsSource| match source {
+            StatsSource::Local(snap) => Some(snap),
+            remote => Some(self.rebase().fold(slot, &scrape(&remote)?)),
+        };
+        let Some(own) = own else {
             // `None` (unknown slot or unreachable backend) becomes a
             // typed refusal in the connection loop.
-            fetch(sources.get(usize::from(shard))?)
-        }
-    }
-
-    /// Cluster-wide metrics fan-in, same locking discipline as
-    /// [`stats`](Self::stats): a network-free snapshot under the
-    /// router lock, per-backend [`scrape`]s outside it. The front's
-    /// own process-global hub already covers local slots, the fallback
-    /// solver, and the front's serve path — remote backends are the
-    /// only scrapes to fan in. Each remote scrape passes through the
-    /// per-slot re-base so a respawned backend's counter reset never
-    /// makes the aggregate dip; the router-owned cluster gauges (live
-    /// slots, open saturation windows) are injected last. The
-    /// connection loop adds the front's admission-queue gauge on top.
-    fn metrics(&self) -> MetricsSnapshot {
-        let (sources, live, windows, (lru_entries, lru_bytes)) = {
-            let router = self.router();
-            let (sources, _) = router.stats_sources();
-            (
-                sources,
-                router.live_slots(),
-                router.saturation_windows_open(),
-                router.local_cache_residency(),
-            )
+            let slot = usize::from(shard);
+            return fetch(slot, sources.into_iter().nth(slot)?);
         };
-        let scrapes: Vec<(usize, MetricsSnapshot)> = sources
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, source)| Some((slot, scrape(source, PolicyClient::metrics)?)))
-            .collect();
         let mut total = econcast_metrics::snapshot();
-        let mut rebase = self.rebase();
-        for (slot, snap) in &scrapes {
-            total.merge(&rebase.metrics(*slot, snap));
+        total.merge(&own);
+        for (slot, source) in sources.into_iter().enumerate() {
+            if let Some(snap) = fetch(slot, source) {
+                total.merge(&snap);
+            }
         }
-        drop(rebase);
-        // Backends report these as zero; the router owns them. The
-        // LRU gauges add the in-process residency (local slots + the
-        // fallback solver) on top of what the backend scrapes carried.
-        total.gauges[GAUGE_LIVE_BACKENDS].1 += live;
-        total.gauges[GAUGE_SATURATION_OPEN].1 += windows;
-        total.gauges[econcast_metrics::GAUGE_LRU_ENTRIES].1 += lru_entries;
-        total.gauges[econcast_metrics::GAUGE_LRU_BYTES].1 += lru_bytes;
-        total
+        Some(total)
     }
 }
 

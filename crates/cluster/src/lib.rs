@@ -32,8 +32,9 @@
 //!   the backends' config).
 //! * [`ClusterFront`] — a `PolicyServer`-compatible TCP front-end:
 //!   clients connect to one address and the cluster is transparent.
-//!   Stats requests fan in cluster-wide over the existing
-//!   `StatsRequest` wire path.
+//!   A metrics scrape of the aggregate fans in cluster-wide: backend
+//!   scrapes, local slots, and the router's and front's own counters,
+//!   each counted once by the component it happened in.
 //! * [`Supervisor`] — spawns and monitors `policy_backend` child
 //!   processes (readiness via their `LISTENING <addr>` line, liveness
 //!   via `try_wait`, replacement via [`Supervisor::respawn`] +

@@ -19,7 +19,7 @@
 //! backends are stock `PolicyServer` processes that cannot tell a
 //! dialer from any other client.
 
-use econcast_service::{ready, PolicyClient, PolicyRequest, ServiceStats, Ticket, WireResult};
+use econcast_service::{ready, PolicyClient, PolicyRequest, Ticket, WireResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -324,22 +324,6 @@ impl RemoteShard {
         }
     }
 
-    /// Fetches the backend's aggregate serving counters over the
-    /// existing `StatsRequest` path.
-    pub fn backend_stats(&mut self) -> std::io::Result<ServiceStats> {
-        let result = self.connect().and_then(|conn| conn.stats(None));
-        match result {
-            Ok(stats) => {
-                self.note_success();
-                Ok(stats)
-            }
-            Err(e) => {
-                self.note_failure();
-                Err(e)
-            }
-        }
-    }
-
     /// Returns the pooled connection, dialing with bounded
     /// retry/backoff when none is live.
     fn connect(&mut self) -> std::io::Result<&mut PolicyClient> {
@@ -499,8 +483,11 @@ mod tests {
         assert_eq!(s.served, 1);
         assert!(s.connects >= 1);
 
-        // Stats fan-in sees the request the backend served.
-        let backend = shard.backend_stats().expect("stats");
+        // The backend's own scrape counts the request it served.
+        let backend = PolicyClient::connect(server.addr(), 1)
+            .expect("connect backend")
+            .stats(None)
+            .expect("stats");
         assert_eq!(backend.requests, 1);
         server.shutdown();
     }

@@ -37,7 +37,11 @@
 //! read `Exact`), matching the PR 3 socket-test convention.
 
 use crate::remote::{RemoteConfig, RemoteShard, RemoteShardStats};
-use econcast_metrics::OpsKind;
+use econcast_metrics::{
+    MetricsSnapshot, OpsKind, CTR_AUTO_RESPAWNS, CTR_FAILOVER_RESERVES, CTR_INJECTED_FAULTS,
+    CTR_OVERLOADED_RECEIVED, CTR_QUARANTINES, CTR_SATURATION_OPENS, GAUGE_LIVE_BACKENDS,
+    GAUGE_SATURATION_OPEN,
+};
 use econcast_proto::service::ServiceErrorCode;
 use econcast_service::ServiceStats;
 use econcast_service::{PolicyRequest, PolicyResponse, PolicyService, ServiceConfig, ServiceError};
@@ -98,13 +102,13 @@ enum Slot {
     Retired,
 }
 
-/// Where one slot's serving counters come from — snapshot under the
+/// Where one slot's metrics scrape comes from — snapshot under the
 /// router lock ([`ClusterRouter::stats_sources`]), fetched outside
 /// it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub enum StatsSource {
-    /// An in-process slot's counters, read directly.
-    Local(ServiceStats),
+    /// An in-process slot's counters and LRU gauges, read directly.
+    Local(MetricsSnapshot),
     /// A backend to ask over the wire; `attempt = false` means the
     /// health machine says the backend is down and no reprobe is due
     /// yet — don't burn a dial on it.
@@ -127,7 +131,8 @@ pub struct ClusterStats {
     /// Requests answered by an in-process local slot.
     pub local_served: u64,
     /// Requests re-served by the local fallback solver because their
-    /// backend was down, failed mid-batch, or rejected them.
+    /// backend was down, failed mid-batch, or rejected them (scraped
+    /// as `CTR_FAILOVER_RESERVES`).
     pub local_fallbacks: u64,
     /// Backend stream failures observed (each voids one sub-batch).
     pub backend_failures: u64,
@@ -145,8 +150,12 @@ pub struct ClusterStats {
     pub injected_faults: u64,
     /// Per-request `Overloaded` rejections received from backends —
     /// each marked its slot saturated and was re-served by the local
-    /// fallback (the caller never saw the rejection).
+    /// fallback (the caller never saw the rejection). Scraped as
+    /// `CTR_OVERLOADED_RECEIVED`.
     pub overload_rejects: u64,
+    /// Backend-saturation windows opened (an `Overloaded` landing in
+    /// an already-open window extends it and opens nothing).
+    pub saturation_opens: u64,
     /// Requests routed *around* a saturated backend: its slot was
     /// inside a `retry_after_us` window from an earlier `Overloaded`,
     /// so the router went straight to the fallback without burning a
@@ -181,6 +190,7 @@ pub struct ClusterRouter {
     auto_respawns: u64,
     quarantines: u64,
     overload_rejects: u64,
+    saturation_opens: u64,
     saturated_routes: u64,
     /// Per-slot saturation window from the last backend `Overloaded`:
     /// `(backoff end, the backend's retry_after_us hint)`.
@@ -226,6 +236,7 @@ impl ClusterRouter {
             auto_respawns: 0,
             quarantines: 0,
             overload_rejects: 0,
+            saturation_opens: 0,
             saturated_routes: 0,
             injected_faults: Arc::new(AtomicU64::new(0)),
         };
@@ -308,6 +319,7 @@ impl ClusterRouter {
             quarantines: self.quarantines,
             injected_faults: self.injected_faults.load(Ordering::Relaxed),
             overload_rejects: self.overload_rejects,
+            saturation_opens: self.saturation_opens,
             saturated_routes: self.saturated_routes,
             healthy: (0..self.slots.len())
                 .map(|s| self.slot_healthy(s))
@@ -358,6 +370,7 @@ impl ClusterRouter {
         // an `Overloaded` landing inside an already-open window only
         // extends it.
         if !self.slot_saturated(slot) {
+            self.saturation_opens += 1;
             econcast_metrics::ops_event(
                 OpsKind::SaturationOpen,
                 slot as u64,
@@ -386,37 +399,29 @@ impl ClusterRouter {
         }
     }
 
-    /// Slots currently able to serve — healthy remotes plus local
-    /// slots — injected by the cluster front as its `live_backends`
-    /// gauge.
-    pub fn live_slots(&self) -> u64 {
-        (0..self.slots.len())
-            .filter(|&s| self.slot_healthy(s))
-            .count() as u64
-    }
-
-    /// Currently open backend-saturation windows — the front's
-    /// `saturation_windows_open` gauge.
-    pub fn saturation_windows_open(&self) -> u64 {
-        (0..self.slots.len())
-            .filter(|&s| self.slot_saturated(s))
-            .count() as u64
-    }
-
-    /// LRU residency `(entries, bytes)` of everything in-process —
-    /// local slots plus the fallback solver — for the front's gauge
-    /// injection (remote backends report their own residency in their
-    /// scrapes).
-    pub fn local_cache_residency(&self) -> (u64, u64) {
-        let mut entries = self.fallback.stats().lru_len;
-        let mut bytes = self.fallback.cache_bytes() as u64;
-        for slot in &self.slots {
-            if let Slot::Local(svc) = slot {
-                entries += svc.stats().lru_len;
-                bytes += svc.cache_bytes() as u64;
-            }
-        }
-        (entries, bytes)
+    /// The router's own share of the front's aggregate scrape: the
+    /// fallback solver's counters and LRU gauges, the distribution
+    /// counters only the router counts (respawns, quarantines,
+    /// injected faults, backend `Overloaded`s, failover re-serves,
+    /// saturation opens), and the cluster gauges — slots able to
+    /// serve (healthy remotes plus local slots) and open saturation
+    /// windows. The slots themselves are scraped separately
+    /// ([`stats_sources`](Self::stats_sources)), so a per-slot scrape
+    /// answers from its slot alone.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = self.fallback.metrics();
+        snap.counters[CTR_AUTO_RESPAWNS] = self.auto_respawns;
+        snap.counters[CTR_QUARANTINES] = self.quarantines;
+        snap.counters[CTR_INJECTED_FAULTS] = self.injected_faults.load(Ordering::Relaxed);
+        snap.counters[CTR_OVERLOADED_RECEIVED] = self.overload_rejects;
+        snap.counters[CTR_FAILOVER_RESERVES] = self.local_fallbacks;
+        snap.counters[CTR_SATURATION_OPENS] = self.saturation_opens;
+        let slots = 0..self.slots.len();
+        snap.gauges[GAUGE_LIVE_BACKENDS].1 =
+            slots.clone().filter(|&s| self.slot_healthy(s)).count() as u64;
+        snap.gauges[GAUGE_SATURATION_OPEN].1 =
+            slots.filter(|&s| self.slot_saturated(s)).count() as u64;
+        snap
     }
 
     /// Pings every remote slot (dialing as needed), returning the
@@ -455,7 +460,7 @@ impl ClusterRouter {
     /// The shared injected-fault counter. A fault-injection harness
     /// clones this handle and increments it every time a scripted
     /// fault actually fires, so chaos runs are auditable through the
-    /// ordinary stats plane.
+    /// ordinary metrics scrape.
     pub fn injected_fault_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.injected_faults)
     }
@@ -524,28 +529,25 @@ impl ClusterRouter {
         true
     }
 
-    /// Where each slot's serving counters come from, plus the
-    /// fallback solver's own counters — a cheap, network-free
+    /// Where each slot's scrape comes from — a cheap, network-free
     /// snapshot. The cluster front takes this under its router lock
     /// and performs the actual backend round-trips *outside* it, so a
-    /// slow or unreachable backend stalls one stats request, never
-    /// the data plane.
-    pub fn stats_sources(&self) -> (Vec<StatsSource>, ServiceStats) {
-        let sources = self
-            .slots
+    /// slow or unreachable backend stalls one scrape, never the data
+    /// plane.
+    pub fn stats_sources(&self) -> Vec<StatsSource> {
+        self.slots
             .iter()
             .map(|slot| match slot {
-                Slot::Local(svc) => StatsSource::Local(svc.stats()),
+                Slot::Local(svc) => StatsSource::Local(svc.metrics()),
                 Slot::Remote(rs) => StatsSource::Remote {
                     addr: rs.addr(),
                     attempt: rs.should_attempt(),
                 },
                 // A retired slot's counters died with its backend;
                 // it contributes zeros to any fan-in.
-                Slot::Retired => StatsSource::Local(ServiceStats::default()),
+                Slot::Retired => StatsSource::Local(MetricsSnapshot::zeroed()),
             })
-            .collect();
-        (sources, self.fallback.stats())
+            .collect()
     }
 
     /// The fallback solver's own counters (how much failover work the
@@ -556,8 +558,8 @@ impl ClusterRouter {
     /// someone holds the router (the front keeps it behind a mutex)
     /// would stall the data plane behind a control-plane round-trip.
     /// Aggregation lives in the cluster front, built on the
-    /// network-free [`stats_sources`](Self::stats_sources) snapshot
-    /// plus out-of-lock dials.
+    /// network-free [`stats_sources`](Self::stats_sources) and
+    /// [`metrics`](Self::metrics) snapshots plus out-of-lock dials.
     pub fn fallback_stats(&self) -> ServiceStats {
         self.fallback.stats()
     }
@@ -1001,7 +1003,7 @@ mod tests {
         assert!(dialer.failures >= 1);
         assert_eq!(dialer.served, 0);
         assert_eq!(cluster.ping_all(), vec![false], "probe fails while dead");
-        let (sources, _) = cluster.stats_sources();
+        let sources = cluster.stats_sources();
         assert!(matches!(
             sources[0],
             StatsSource::Remote { attempt: false, .. }
@@ -1056,10 +1058,19 @@ mod tests {
 
         let cs = cluster.cluster_stats();
         assert_eq!(cs.overload_rejects, 1);
+        assert_eq!(cs.saturation_opens, 1);
         assert_eq!(cs.saturated_routes, reqs.len() as u64);
         assert_eq!(cs.local_fallbacks, reqs.len() as u64);
         assert_eq!(cs.backend_failures, 0, "no dial burned on a saturated slot");
         assert_eq!(cs.saturated, vec![true]);
+        // The router's scrape share carries the same counts, each
+        // counted once: one rejection, one window, one re-serve per
+        // request.
+        let m = cluster.metrics();
+        assert_eq!(m.counter(CTR_OVERLOADED_RECEIVED), 1);
+        assert_eq!(m.counter(CTR_SATURATION_OPENS), 1);
+        assert_eq!(m.counter(CTR_FAILOVER_RESERVES), reqs.len() as u64);
+        assert_eq!(m.gauge(GAUGE_SATURATION_OPEN), 1);
         // Saturation is orthogonal to health: the healer never saw a
         // thing, so the slot still reads healthy.
         assert_eq!(cs.healthy, vec![true]);

@@ -291,8 +291,8 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
     );
     assert!(stats.remote_served > 0, "healthy rounds served remotely");
 
-    // The robustness counters ride the ordinary stats plane: the wire
-    // aggregate carries the router's overlay. (The fan-in's own dials
+    // The robustness counters ride the ordinary scrape: the wire
+    // aggregate carries the router's counts. (The fan-in's own dials
     // pass through the proxies and may consume a still-armed fault,
     // so bracket the fault counter instead of pinning it.)
     let aggregate = client.stats(None).expect("aggregate stats");
@@ -305,7 +305,7 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
     assert!(
         aggregate.injected_faults >= stats.injected_faults
             && aggregate.injected_faults <= after.injected_faults,
-        "overlay {} outside [{}, {}]",
+        "scraped {} outside [{}, {}]",
         aggregate.injected_faults,
         stats.injected_faults,
         after.injected_faults

@@ -1,15 +1,23 @@
 //! Cluster acceptance tests: supervisor-spawned backend *processes*
 //! on real TCP, pinned bit-for-bit against the single-process
 //! `ShardRouter` path — including while a backend is killed mid-run —
-//! plus stats fan-in and supervisor monitoring.
+//! plus the scrape fan-in and supervisor monitoring.
 
 use econcast_cluster::{
     ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, RemoteConfig, SlotSpec, Supervisor,
     SupervisorConfig,
 };
+use econcast_metrics::{
+    MetricsSnapshot, COUNTER_NAMES, CTR_AUTO_RESPAWNS, CTR_BATCHES, CTR_BATCH_DEDUP_HITS,
+    CTR_BYTE_EVICTIONS, CTR_CLOSED_FORM_HITS, CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES,
+    CTR_ERRORS, CTR_EXACT_HITS, CTR_EXACT_HITS_CLOSED_FORM, CTR_EXACT_HITS_FACTORIZED,
+    CTR_INJECTED_FAULTS, CTR_LRU_EVICTIONS, CTR_LRU_INSERTS, CTR_QUARANTINES, CTR_REQUESTS,
+    CTR_SHED_REJECTS, CTR_SOLVER_SOLVES, GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH_PEAK,
+};
 use econcast_service::workload::mixed_batch;
 use econcast_service::{
-    PolicyClient, PolicyRequest, RouterConfig, ServiceConfig, ServiceStats, ShardRouter,
+    PolicyClient, PolicyRequest, PolicyServer, RouterConfig, ServerConfig, ServiceConfig,
+    ServiceErrorCode, ServiceStats, ShardRouter,
 };
 use std::path::Path;
 use std::time::Duration;
@@ -228,7 +236,7 @@ fn stats_fan_in_equals_the_sum_of_backend_stats() {
         let mut direct = PolicyClient::connect(sup.addr(i), 1).expect("connect backend");
         summed.merge(&direct.stats(None).expect("backend stats"));
     }
-    // The front's admission overlay rides the aggregate: closed-loop
+    // The front's admission counters ride the aggregate: closed-loop
     // traffic well under the queue bound sheds and degrades nothing,
     // but the front's queue peak (the whole pipelined batch) joins
     // the backends' peaks via max.
@@ -263,7 +271,7 @@ fn stats_fan_in_equals_the_sum_of_backend_stats() {
 
     // The robustness counters are distribution-layer facts: backends
     // report them as zero (so the sum equality above holds), and the
-    // front overlays the router's values onto the wire aggregate.
+    // front adds the router's counts to the wire aggregate.
     assert_eq!(aggregate.auto_respawns, 0);
     assert_eq!(aggregate.quarantines, 0);
     assert_eq!(aggregate.injected_faults, 0);
@@ -290,6 +298,119 @@ fn stats_fan_in_equals_the_sum_of_backend_stats() {
     drop(client);
     front.shutdown();
     drop(sup);
+}
+
+/// Asserts that a scrape and a serving-counter view agree on every
+/// counter and gauge they share, field by registry slot.
+fn assert_planes_agree(m: &MetricsSnapshot, s: &ServiceStats) {
+    let shared = [
+        (CTR_REQUESTS, s.requests),
+        (CTR_BATCHES, s.batches),
+        (CTR_EXACT_HITS, s.exact_hits),
+        (CTR_CLOSED_FORM_HITS, s.closed_form_hits),
+        (CTR_SOLVER_SOLVES, s.solver_solves),
+        (CTR_BATCH_DEDUP_HITS, s.batch_dedup_hits),
+        (CTR_ERRORS, s.errors),
+        (CTR_LRU_INSERTS, s.lru_inserts),
+        (CTR_LRU_EVICTIONS, s.lru_evictions),
+        (CTR_EXACT_HITS_CLOSED_FORM, s.exact_hits_closed_form),
+        (CTR_EXACT_HITS_FACTORIZED, s.exact_hits_factorized),
+        (CTR_BYTE_EVICTIONS, s.byte_evictions),
+        (CTR_AUTO_RESPAWNS, s.auto_respawns),
+        (CTR_QUARANTINES, s.quarantines),
+        (CTR_INJECTED_FAULTS, s.injected_faults),
+        (CTR_SHED_REJECTS, s.shed_rejects),
+        (CTR_DEGRADED_SERVES, s.degraded_serves),
+        (CTR_DEADLINE_EXPIRED, s.deadline_expired),
+    ];
+    for (idx, v) in shared {
+        assert_eq!(m.counter(idx), v, "{}", COUNTER_NAMES[idx]);
+    }
+    assert_eq!(m.gauge(GAUGE_LRU_ENTRIES), s.lru_len);
+    assert_eq!(m.gauge(GAUGE_QUEUE_DEPTH_PEAK), s.queue_depth_peak);
+}
+
+#[test]
+fn front_counts_each_shed_and_expiry_once() {
+    // Two in-process backends behind a front with a 2-slot queue and
+    // 1µs deadlines: every request is answered `Overloaded` by the
+    // front, some shed at its admission and some routed, served by a
+    // backend and then past their deadline. Counters are per
+    // component, so in-process backends keep their own counts, and
+    // each answer counts exactly once in the fan-in.
+    let backend = || {
+        PolicyServer::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                router: RouterConfig {
+                    shards: 1,
+                    service: service_cfg(),
+                    ..RouterConfig::default()
+                },
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind backend")
+        .spawn()
+    };
+    let backends = [backend(), backend()];
+    let slots: Vec<SlotSpec> = backends
+        .iter()
+        .map(|b| SlotSpec::Remote(b.addr()))
+        .collect();
+    let front = ClusterFront::bind(
+        "127.0.0.1:0",
+        ClusterRouter::new(&slots, cluster_cfg()),
+        FrontConfig {
+            queue_capacity: 2,
+            max_queue_delay: Duration::from_millis(5),
+            ..FrontConfig::default()
+        },
+    )
+    .expect("bind front")
+    .spawn();
+    let batch = mixed_batch(16);
+    let mut client = PolicyClient::connect(front.addr(), batch.len() as u16).expect("connect");
+    let mut overloaded = 0u64;
+    let mut pipeline = |client: &mut PolicyClient| {
+        let ticket = client
+            .submit_batch_deadline(&batch, Some(Duration::from_micros(1)))
+            .expect("submit");
+        for r in client.collect(ticket).expect("collect") {
+            let e = r.expect_err("every request is rejected");
+            assert_eq!(e.code, ServiceErrorCode::Overloaded);
+            overloaded += 1;
+        }
+    };
+    let adm = front.admission();
+    let _ = (adm.admit(), adm.admit());
+    pipeline(&mut client);
+    adm.release(2, Duration::from_millis(1));
+    pipeline(&mut client);
+
+    let m = client.metrics().expect("scrape");
+    let s = client.stats(None).expect("stats");
+    assert_planes_agree(&m, &s);
+    assert_eq!(overloaded, 2 * batch.len() as u64);
+    assert_eq!(s.shed_rejects, overloaded, "one count per Overloaded");
+    assert!(s.deadline_expired >= 1, "{s:?}");
+    assert!(s.shed_rejects - s.deadline_expired >= batch.len() as u64);
+    // The backends served exactly the requests that later expired,
+    // and report them as their own.
+    let mut served = 0;
+    for b in &backends {
+        let direct = PolicyClient::connect(b.addr(), 1)
+            .expect("connect backend")
+            .stats(None)
+            .expect("backend stats");
+        assert_eq!(direct.shed_rejects, 0, "backends shed nothing");
+        served += direct.requests;
+    }
+    assert_eq!(s.requests, served);
+    assert_eq!(s.requests, s.deadline_expired, "{s:?}");
+
+    drop(client);
+    front.shutdown();
 }
 
 #[test]

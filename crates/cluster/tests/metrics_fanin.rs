@@ -1,18 +1,18 @@
 //! Cluster-wide v7 metrics fan-in pinned against ground truth: a
 //! `MetricsRequest` through the front must equal the merge of direct
-//! per-backend scrapes plus the front process's own plane — including
-//! after a mid-run backend kill — and a respawned backend restarting
-//! its counters at zero must never drag the front's aggregate
-//! backwards (the per-slot re-base carries the dead incarnation's
-//! totals forward).
+//! per-backend scrapes plus the front's own share — including after a
+//! mid-run backend kill — and a respawned backend restarting its
+//! counters at zero must never drag the front's aggregate backwards
+//! (the per-slot re-base carries the dead incarnation's totals
+//! forward).
 //!
-//! One test in its own binary: the expected sums are computed from
-//! the front process's global hub, which must stay quiescent between
-//! the aggregate scrape and the ground-truth scrapes.
+//! One test in its own binary: the expected histograms come from the
+//! front process's global hub, which must stay quiescent between the
+//! aggregate scrape and the ground-truth scrapes.
 
 use econcast_cluster::{
-    ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, RemoteConfig, SlotSpec, Supervisor,
-    SupervisorConfig,
+    ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, FrontHandle, RemoteConfig, SlotSpec,
+    Supervisor, SupervisorConfig,
 };
 use econcast_metrics::{
     MetricsSnapshot, CTR_REQUESTS, GAUGE_LIVE_BACKENDS, GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH,
@@ -43,10 +43,15 @@ fn cluster_cfg() -> ClusterConfig {
     }
 }
 
-/// Ground truth: Σ direct backend scrapes + the front process's own
-/// plane (local slots, fallback solver, front serve path, ops events).
-fn expected_sum(addrs: &[SocketAddr]) -> MetricsSnapshot {
+/// Ground truth: Σ direct backend scrapes + the front's own share —
+/// the process's latency histograms (the fallback solver's serves),
+/// the router's counters and fallback solver, and the front's
+/// admission counters. The front-local counters come from the
+/// components that count them, not from a process-global tally.
+fn expected_sum(front: &FrontHandle, addrs: &[SocketAddr]) -> MetricsSnapshot {
     let mut sum = econcast_metrics::snapshot();
+    sum.merge(&front.router().lock().unwrap().metrics());
+    sum.merge(&front.admission().metrics());
     for &addr in addrs {
         let direct = PolicyClient::connect(addr, 1)
             .expect("connect backend")
@@ -82,9 +87,9 @@ fn metrics_fan_in_equals_backend_sum_and_survives_kill_and_respawn() {
     }
 
     // 1. Fan-in == Σ backends + front-local: counters and histograms
-    // exactly; the cluster gauges are the front's own overlay.
+    // exactly; the cluster gauges are the router's own.
     let aggregate = client.metrics().expect("front scrape");
-    let expected = expected_sum(&sup.addrs());
+    let expected = expected_sum(&front, &sup.addrs());
     assert_eq!(aggregate.counters, expected.counters, "counter fan-in");
     assert_eq!(aggregate.hists, expected.hists, "histogram fan-in");
     assert_eq!(aggregate.counters[CTR_REQUESTS], 2 * batch.len() as u64);
@@ -114,7 +119,7 @@ fn metrics_fan_in_equals_backend_sum_and_survives_kill_and_respawn() {
         .expect("serve through the kill");
     assert!(out.iter().all(Result::is_ok));
     let after_kill = client.metrics().expect("front scrape after kill");
-    let expected = expected_sum(&sup.addrs()[1..]);
+    let expected = expected_sum(&front, &sup.addrs()[1..]);
     assert_eq!(
         after_kill.counters, expected.counters,
         "fan-in after the kill"
@@ -149,7 +154,7 @@ fn metrics_fan_in_equals_backend_sum_and_survives_kill_and_respawn() {
     // scrapes + front-local + the dead incarnation's carried totals
     // (counters and histograms only — a dead process holds no live
     // gauge state).
-    let mut expected = expected_sum(&sup.addrs());
+    let mut expected = expected_sum(&front, &sup.addrs());
     let mut carried = dead.clone();
     for gauge in &mut carried.gauges {
         gauge.1 = 0;

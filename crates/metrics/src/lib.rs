@@ -3,49 +3,50 @@
 //! `econcast-trace` is a *diagnostic* facility: armed on demand, and
 //! its span histograms cost ~20% armed, so they stay off in
 //! production. This crate is the *operational* twin: a fixed, named
-//! set of *counters*, *gauges*, and *latency histograms* recorded
-//! **unconditionally on the serve path** (budget: within noise —
-//! enforced by the bench gate's paired `warm_metrics` row), plus a
-//! **flight recorder** — a bounded ring of timestamped significant
-//! ops events (sheds, failovers, respawns, quarantines, …) dumpable
-//! as Perfetto-compatible JSON so a chaos run leaves a black-box
-//! record.
+//! registry of *counters*, *gauges*, and *latency histograms* that
+//! every serving front answers a metrics scrape with (the scrape is
+//! the only counter schema on the wire), plus a **flight recorder** —
+//! a bounded ring of timestamped significant ops events (sheds,
+//! failovers, respawns, quarantines, …) dumpable as
+//! Perfetto-compatible JSON so a chaos run leaves a black-box record.
 //!
-//! ## Cost model
+//! ## Who counts
 //!
-//! * [`Counter`] — sharded relaxed `fetch_add`; threads hash onto
-//!   cache-line-padded shards, so concurrent serve threads never
-//!   bounce one hot line.
+//! * Counters — the registry fixes their names and wire order
+//!   (`CTR_*`); it does not hold them. Each event is counted once, by
+//!   the component it happens in (a policy service's tier counters,
+//!   an admission controller, a cluster router), and that owner's
+//!   serving target fills its counts into each scrape. A process may
+//!   run many servers, and each still reports exactly its own.
+//! * [`Gauge`] — a value + high-water pair of atomics, owned and
+//!   injected into a scrape the same way (admission queue, LRU,
+//!   router).
 //! * [`Histogram`] — one relaxed `fetch_add` into a fixed log-bucket
 //!   array (the bucket scheme is `econcast-trace`'s, re-exported, so
-//!   both layers' histograms merge index-for-index).
-//! * [`Gauge`] — a value + high-water pair of atomics, owned by the
-//!   component whose level it is (admission queue, LRU, router);
-//!   gauges are **not** process-global — they are injected into a
-//!   snapshot at scrape time by whoever owns them.
-//! * Flight recorder — a mutex-guarded ring, touched only on *rare*
-//!   events (a shed, a respawn), never on the per-request path.
+//!   both layers' histograms merge index-for-index). The serve path's
+//!   two latency histograms live on the process-global [`hub`], so a
+//!   serve path records into them without plumbing.
+//! * Flight recorder — a mutex-guarded ring on the same hub, touched
+//!   only on *rare* events (a shed, a respawn), never on the
+//!   per-request path. Recording an event does not count it.
 //!
-//! Counters, histograms, and the recorder live in one process-global
-//! [`hub`] (mirroring `econcast-trace`'s process-wide design): a
-//! serve path records into it without plumbing, and a scrape drains
-//! it without locks. [`set_recording`] (default **on**) is the single
-//! kill switch the bench harness uses to measure the plane's own
-//! overhead.
+//! [`set_recording`] (default **on**) is the kill switch for the hub
+//! (histograms and recorder) that the bench harness uses to measure
+//! the plane's own overhead.
 //!
 //! ## Snapshots, merge, windows
 //!
-//! [`snapshot`] freezes the hub into a [`MetricsSnapshot`]: dense
-//! counters, kind-tagged gauges, sparse histograms. Snapshots
-//! [`merge`](MetricsSnapshot::merge) order-insensitively (Σ for
-//! counters, Σ-or-max per gauge kind, bucket-wise Σ for histograms) —
-//! the cluster front fans per-backend snapshots into one exactly this
-//! way, and the property tests pin associativity. A [`SnapshotRing`]
-//! keeps the last K snapshots so every counter also reads as a
-//! *rate* — the `repro --top` ops view is built on it.
+//! A [`MetricsSnapshot`] holds dense counters, kind-tagged gauges
+//! and sparse histograms. Snapshots [`merge`](MetricsSnapshot::merge)
+//! order-insensitively (Σ for counters, Σ-or-max per gauge kind,
+//! bucket-wise Σ for histograms) — the cluster front fans per-backend
+//! snapshots into one exactly this way, and the property tests pin
+//! associativity. A [`SnapshotRing`] keeps the last K snapshots so
+//! every counter also reads as a *rate* — the `repro --top` ops view
+//! is built on it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 pub use econcast_trace::{bucket_high, bucket_of, NUM_BUCKETS, SUB_BITS};
@@ -54,46 +55,87 @@ pub use econcast_trace::{bucket_high, bucket_of, NUM_BUCKETS, SUB_BITS};
 // The fixed metric registry
 // ---------------------------------------------------------------------------
 
+// Counters. The registry names them and fixes their wire order; it
+// does not count them. Each is counted by exactly one owner — a
+// `PolicyService` (the serve tiers, indices 0..=11), a front's
+// admission controller (the shed ladder, 15..=17), or a cluster
+// router (distribution, 12..=14 and 18..=20) — and the owner's
+// serving target fills it into a scrape.
+
 /// Requests received on the serve path (including failed ones).
 pub const CTR_REQUESTS: usize = 0;
 /// Batches served.
 pub const CTR_BATCHES: usize = 1;
-/// Per-request errors returned.
-pub const CTR_ERRORS: usize = 2;
-/// Requests shed by the admission ladder.
-pub const CTR_SHED: usize = 3;
+/// Requests answered from the exact-match LRU tier.
+pub const CTR_EXACT_HITS: usize = 2;
+/// Requests answered by the homogeneous closed-form tier.
+pub const CTR_CLOSED_FORM_HITS: usize = 3;
+/// Requests that ran the exact (P4) dual-descent solver.
+pub const CTR_SOLVER_SOLVES: usize = 4;
+/// Requests answered as an alias of an identical instance solved
+/// earlier in the same batch.
+pub const CTR_BATCH_DEDUP_HITS: usize = 5;
+/// Per-request errors returned (validation or size).
+pub const CTR_ERRORS: usize = 6;
+/// Entries inserted into the LRU.
+pub const CTR_LRU_INSERTS: usize = 7;
+/// Entries evicted from the LRU, for any reason.
+pub const CTR_LRU_EVICTIONS: usize = 8;
+/// Exact-tier hits on entries the homogeneous closed form produced.
+pub const CTR_EXACT_HITS_CLOSED_FORM: usize = 9;
+/// Exact-tier hits on entries the factorized solver produced.
+pub const CTR_EXACT_HITS_FACTORIZED: usize = 10;
+/// LRU entries evicted to satisfy the cache byte budget.
+pub const CTR_BYTE_EVICTIONS: usize = 11;
+/// Dead backends respawned by the cluster's policy loop.
+pub const CTR_AUTO_RESPAWNS: usize = 12;
+/// Backend slots quarantined onto a local solver.
+pub const CTR_QUARANTINES: usize = 13;
+/// Faults fired by a fault-injection harness.
+pub const CTR_INJECTED_FAULTS: usize = 14;
+/// `Overloaded` answers sent: requests shed by the admission ladder
+/// plus admitted requests whose deadline expired.
+pub const CTR_SHED_REJECTS: usize = 15;
 /// Requests served degraded (tolerance relaxed one decade).
-pub const CTR_DEGRADED: usize = 4;
-/// Requests whose deadline budget expired before service.
-pub const CTR_DEADLINE_MISS: usize = 5;
-/// `Overloaded` frames sent to peers.
-pub const CTR_OVERLOADED_SENT: usize = 6;
-/// `Overloaded` frames received from backends.
-pub const CTR_OVERLOADED_RECEIVED: usize = 7;
-/// Batches re-served locally after a backend failure.
-pub const CTR_FAILOVER_RESERVES: usize = 8;
-/// Dead backends automatically respawned.
-pub const CTR_RESPAWNS: usize = 9;
-/// Backend slots quarantined onto the fallback solver.
-pub const CTR_QUARANTINES: usize = 10;
+pub const CTR_DEGRADED_SERVES: usize = 16;
+/// Admitted requests whose deadline budget expired before their
+/// result was sent. Each also counts in [`CTR_SHED_REJECTS`] and, as
+/// it was served, in [`CTR_REQUESTS`].
+pub const CTR_DEADLINE_EXPIRED: usize = 17;
+/// `Overloaded` answers received from backends.
+pub const CTR_OVERLOADED_RECEIVED: usize = 18;
+/// Requests re-served by the cluster's local fallback solver after
+/// their backend was down, failed or shed them. Counted per request
+/// (it counted batches with a re-serve before the counters had one
+/// owner each).
+pub const CTR_FAILOVER_RESERVES: usize = 19;
 /// Backend-saturation windows opened.
-pub const CTR_SATURATION_OPENS: usize = 11;
+pub const CTR_SATURATION_OPENS: usize = 20;
 /// Number of named counters in the registry.
-pub const NUM_COUNTERS: usize = 12;
+pub const NUM_COUNTERS: usize = 21;
 
 /// Display names, indexed by the `CTR_*` constants.
 pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "requests",
     "batches",
+    "exact_hits",
+    "closed_form_hits",
+    "solver_solves",
+    "batch_dedup_hits",
     "errors",
-    "shed",
-    "degraded",
-    "deadline_miss",
-    "overloaded_sent",
+    "lru_inserts",
+    "lru_evictions",
+    "exact_hits_closed_form",
+    "exact_hits_factorized",
+    "byte_evictions",
+    "auto_respawns",
+    "quarantines",
+    "injected_faults",
+    "shed_rejects",
+    "degraded_serves",
+    "deadline_expired",
     "overloaded_received",
     "failover_reserves",
-    "respawns",
-    "quarantines",
     "saturation_opens",
 ];
 
@@ -154,85 +196,6 @@ pub const HIST_NAMES: [&str; NUM_HISTS] = ["batch_ns", "request_ns"];
 // ---------------------------------------------------------------------------
 // Primitives
 // ---------------------------------------------------------------------------
-
-const COUNTER_SHARDS: usize = 8;
-
-#[repr(align(64))]
-#[derive(Debug)]
-struct PaddedU64(AtomicU64);
-
-impl PaddedU64 {
-    const fn new() -> Self {
-        PaddedU64(AtomicU64::new(0))
-    }
-}
-
-static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-#[inline]
-fn thread_shard() -> usize {
-    thread_local! {
-        static SLOT: usize =
-            NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-    }
-    SLOT.try_with(|s| *s).unwrap_or(0)
-}
-
-/// A monotone event counter, sharded across cache-line-padded atomics
-/// so concurrent serve threads never contend on one line. All
-/// operations are relaxed — a read is a snapshot, not a fence.
-#[derive(Debug)]
-pub struct Counter {
-    shards: [PaddedU64; COUNTER_SHARDS],
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter {
-            shards: [
-                PaddedU64::new(),
-                PaddedU64::new(),
-                PaddedU64::new(),
-                PaddedU64::new(),
-                PaddedU64::new(),
-                PaddedU64::new(),
-                PaddedU64::new(),
-                PaddedU64::new(),
-            ],
-        }
-    }
-
-    /// Adds `n` on the calling thread's shard.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.shards[thread_shard()]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The sum across shards.
-    pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .fold(0u64, u64::wrapping_add)
-    }
-
-    /// Zeroes every shard (tests and the bench harness only — the
-    /// serve path never resets).
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
-}
 
 /// A level with a high-water mark: current value plus the peak it has
 /// ever reached. Owned by the component whose level it measures (the
@@ -563,19 +526,19 @@ impl SnapshotRing {
 /// Flight-recorder ring capacity (events; overflow drops oldest).
 pub const RECORDER_CAPACITY: usize = 4096;
 
-/// A significant ops event — the flight recorder's vocabulary. Each
-/// maps onto the counter it also bumps (see [`ops_event`]).
+/// A significant ops event — the flight recorder's vocabulary. The
+/// event is logged, not counted: its count lives with the component
+/// it happened in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpsKind {
     /// A request was shed by the admission ladder.
     Shed,
-    /// An `Overloaded` frame was sent to a peer.
-    OverloadedSent,
     /// An `Overloaded` frame arrived from a backend.
     OverloadedReceived,
     /// A request's deadline budget expired before service.
     DeadlineMiss,
-    /// A batch was re-served locally after a backend failure.
+    /// Requests were re-served locally after a backend failure (the
+    /// event's `detail` is how many).
     FailoverReserve,
     /// A dead backend was respawned.
     Respawn,
@@ -592,7 +555,6 @@ impl OpsKind {
     pub fn name(self) -> &'static str {
         match self {
             OpsKind::Shed => "shed",
-            OpsKind::OverloadedSent => "overloaded_sent",
             OpsKind::OverloadedReceived => "overloaded_received",
             OpsKind::DeadlineMiss => "deadline_miss",
             OpsKind::FailoverReserve => "failover_reserve",
@@ -600,21 +562,6 @@ impl OpsKind {
             OpsKind::Quarantine => "quarantine",
             OpsKind::SaturationOpen => "saturation_open",
             OpsKind::SaturationClose => "saturation_close",
-        }
-    }
-
-    /// The registry counter this event bumps, if any.
-    fn counter(self) -> Option<usize> {
-        match self {
-            OpsKind::Shed => Some(CTR_SHED),
-            OpsKind::OverloadedSent => Some(CTR_OVERLOADED_SENT),
-            OpsKind::OverloadedReceived => Some(CTR_OVERLOADED_RECEIVED),
-            OpsKind::DeadlineMiss => Some(CTR_DEADLINE_MISS),
-            OpsKind::FailoverReserve => Some(CTR_FAILOVER_RESERVES),
-            OpsKind::Respawn => Some(CTR_RESPAWNS),
-            OpsKind::Quarantine => Some(CTR_QUARANTINES),
-            OpsKind::SaturationOpen => Some(CTR_SATURATION_OPENS),
-            OpsKind::SaturationClose => None,
         }
     }
 }
@@ -646,12 +593,12 @@ struct Recorder {
 // The process-global hub
 // ---------------------------------------------------------------------------
 
-/// The process-global metrics plane: the registry's counters and
-/// histograms plus the flight recorder. Gauges are *not* here — they
-/// are owned by their components and injected at scrape time.
+/// The process-global part of the metrics plane: the registry's
+/// histograms plus the flight recorder. Counters and gauges are *not*
+/// here — they are owned by their components and filled in at scrape
+/// time.
 #[derive(Debug)]
 pub struct Hub {
-    counters: [Counter; NUM_COUNTERS],
     hists: Vec<Histogram>,
     recorder: Mutex<Recorder>,
 }
@@ -666,7 +613,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The process-global hub.
 pub fn hub() -> &'static Hub {
     HUB.get_or_init(|| Hub {
-        counters: std::array::from_fn(|_| Counter::new()),
         hists: (0..NUM_HISTS).map(|_| Histogram::new()).collect(),
         recorder: Mutex::new(Recorder::default()),
     })
@@ -686,43 +632,21 @@ pub fn set_recording(on: bool) {
 }
 
 impl Hub {
-    /// Adds `n` to a registry counter.
-    #[inline]
-    pub fn counter_add(&self, idx: usize, n: u64) {
-        self.counters[idx].add(n);
-    }
-
-    /// A registry counter's current value.
-    pub fn counter_get(&self, idx: usize) -> u64 {
-        self.counters[idx].get()
-    }
-
     /// Records `n` samples of `v` into a registry histogram.
     #[inline]
     pub fn record_n(&self, hist: usize, v: u64, n: u64) {
         self.hists[hist].record_n(v, n);
     }
 
-    /// Freezes counters and histograms into a snapshot. Gauge slots
-    /// come back zeroed (with their registry kinds) for the owner
-    /// layer to fill in.
+    /// Freezes the histograms into a registry-shaped snapshot.
+    /// Counter and gauge slots come back zeroed (gauges with their
+    /// registry kinds) for their owners to fill in.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::zeroed();
-        for (i, c) in self.counters.iter().enumerate() {
-            snap.counters[i] = c.get();
-        }
         for (i, h) in self.hists.iter().enumerate() {
             snap.hists[i] = h.snapshot();
         }
         snap
-    }
-}
-
-/// Adds `n` to a registry counter on the global hub, when recording.
-#[inline]
-pub fn counter_add(idx: usize, n: u64) {
-    if recording_on() {
-        hub().counter_add(idx, n);
     }
 }
 
@@ -735,24 +659,21 @@ pub fn record_n(hist: usize, v: u64, n: u64) {
     }
 }
 
-/// Freezes the global hub (counters + histograms; gauge slots zeroed
-/// for the caller to fill).
+/// Freezes the global hub's histograms (counter and gauge slots
+/// zeroed for their owners to fill).
 pub fn snapshot() -> MetricsSnapshot {
     hub().snapshot()
 }
 
-/// Records one flight-recorder event (and bumps its registry
-/// counter). Touches a mutex — call on *rare* events only, never on
-/// the per-request fast path.
+/// Records one flight-recorder event. It logs the event and counts
+/// nothing: the component the event happened in already counted it.
+/// Touches a mutex — call on *rare* events only, never on the
+/// per-request fast path.
 pub fn ops_event(kind: OpsKind, slot: u64, detail: u64) {
     if !recording_on() {
         return;
     }
-    let h = hub();
-    if let Some(idx) = kind.counter() {
-        h.counter_add(idx, 1);
-    }
-    let mut rec = lock(&h.recorder);
+    let mut rec = lock(&hub().recorder);
     if rec.events.len() == RECORDER_CAPACITY {
         rec.events.pop_front();
         rec.dropped += 1;
@@ -812,15 +733,11 @@ pub fn recorder_dump_json() -> String {
     out
 }
 
-/// Zeroes the global hub's counters and histograms and empties the
-/// recorder — a clean slate for tests and bench runs. Leaves the
-/// recording switch alone.
+/// Zeroes the global hub's histograms and empties the recorder — a
+/// clean slate for tests and bench runs. Leaves the recording switch
+/// alone.
 pub fn reset() {
-    let h = hub();
-    for c in &h.counters {
-        c.reset();
-    }
-    for hist in &h.hists {
+    for hist in &hub().hists {
         hist.reset();
     }
     recorder_clear();
@@ -840,23 +757,6 @@ mod tests {
         set_recording(true);
         reset();
         guard
-    }
-
-    #[test]
-    fn counter_sums_across_threads_and_shards() {
-        let c = Counter::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        c.add(1);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 8000);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -963,14 +863,14 @@ mod tests {
     }
 
     #[test]
-    fn ops_events_bump_their_registry_counters() {
+    fn ops_events_log_without_counting() {
         let _g = serial();
         ops_event(OpsKind::Respawn, 2, 0);
         ops_event(OpsKind::Quarantine, 2, 0);
-        ops_event(OpsKind::SaturationClose, 1, 0); // no counter
-        let snap = snapshot();
-        assert_eq!(snap.counter(CTR_RESPAWNS), 1);
-        assert_eq!(snap.counter(CTR_QUARANTINES), 1);
+        ops_event(OpsKind::SaturationClose, 1, 0);
+        // The router that respawned and quarantined counts those; the
+        // recorder only logs them, so the hub's scrape counts nothing.
+        assert_eq!(snapshot(), MetricsSnapshot::zeroed());
         let names: Vec<_> = recorder_events().iter().map(|e| e.kind.name()).collect();
         assert_eq!(names, vec!["respawn", "quarantine", "saturation_close"]);
         reset();
@@ -993,17 +893,15 @@ mod tests {
     fn recording_switch_gates_everything() {
         let _g = serial();
         set_recording(false);
-        counter_add(CTR_REQUESTS, 5);
         record_n(HIST_BATCH_NS, 1_000, 1);
         ops_event(OpsKind::Shed, 0, 0);
-        let snap = snapshot();
-        assert_eq!(snap.counter(CTR_REQUESTS), 0);
-        assert_eq!(snap.counter(CTR_SHED), 0);
-        assert_eq!(snap.hist(HIST_BATCH_NS).total(), 0);
+        assert_eq!(snapshot().hist(HIST_BATCH_NS).total(), 0);
         assert!(recorder_events().is_empty());
         set_recording(true);
-        counter_add(CTR_REQUESTS, 5);
-        assert_eq!(snapshot().counter(CTR_REQUESTS), 5);
+        record_n(HIST_BATCH_NS, 1_000, 1);
+        ops_event(OpsKind::Shed, 0, 0);
+        assert_eq!(snapshot().hist(HIST_BATCH_NS).total(), 1);
+        assert_eq!(recorder_events().len(), 1);
         reset();
     }
 
@@ -1014,6 +912,10 @@ mod tests {
         assert_eq!(GAUGE_KINDS.len(), NUM_GAUGES);
         assert_eq!(HIST_NAMES.len(), NUM_HISTS);
         assert_eq!(GAUGE_KINDS[GAUGE_QUEUE_DEPTH_PEAK], GAUGE_KIND_MAX);
+        // Counter names are unique: a scrape is read by name.
+        for (i, a) in COUNTER_NAMES.iter().enumerate() {
+            assert!(!COUNTER_NAMES[i + 1..].contains(a), "{a} twice");
+        }
         let z = MetricsSnapshot::zeroed();
         assert_eq!(z.counters.len(), NUM_COUNTERS);
         assert_eq!(z.gauges.len(), NUM_GAUGES);

@@ -22,12 +22,10 @@
 //! Error:    [0x12][ver][corr u32][id u32][code u8][crc u16]
 //! Hello:    [0x13][ver][id u32][max_batch u16][crc u16]
 //! Welcome:  [0x14][ver][id u32][shards u16][max_batch u16][crc u16]
-//! StatsReq: [0x15][ver][id u32][shard u16][crc u16]
-//! Stats:    [0x16][ver][id u32][shard u16]{ [counter u64] }×20 [crc u16]
 //! Ping:     [0x17][ver][id u32][crc u16]
 //! Pong:     [0x18][ver][id u32][crc u16]
 //! Overload: [0x1B][ver][corr u32][id u32][retry_after_us u32][crc u16]
-//! MetricsReq: [0x1C][ver][id u32][crc u16]
+//! MetricsReq: [0x1C][ver][id u32][shard u16][crc u16]
 //! Metrics:  [0x1D][ver][id u32]
 //!           [nc u16]{ [counter u64] }×nc
 //!           [ng u16]{ [kind u8][value u64] }×ng
@@ -37,17 +35,18 @@
 //!
 //! `ver` is always [`WIRE_VERSION`]; any other version octet is
 //! rejected (as [`DecodeError::UnsupportedVersion`], after the CRC
-//! check). Type octets 0x19 and 0x1A are retired and decode as
-//! [`DecodeError::UnknownFrameType`], as does any octet outside the
-//! table.
+//! check). Type octets 0x15, 0x16, 0x19 and 0x1A are retired and
+//! decode as [`DecodeError::UnknownFrameType`], as does any octet
+//! outside the table.
 //!
 //! `Hello`/`Welcome` form the connection handshake of the TCP policy
 //! server: the client announces the largest batch it intends to
 //! pipeline, the server answers with its shard count and the batch cap
-//! it will honor. `StatsReq` asks for one shard's serving counters
+//! it will honor. `MetricsReq` asks for one shard's metrics scrape
 //! (`shard = 0xFFFF` aggregates across all shards) and is answered by
-//! `Stats` with the counters of [`WireServiceStats`] in declaration
-//! order. `Ping` is answered by `Pong` echoing the id — a pure
+//! `Metrics`: the counters in the metrics registry's index order,
+//! merge-kind-tagged gauges and sparse histograms. It is the only
+//! counter frame. `Ping` is answered by `Pong` echoing the id — a pure
 //! liveness/round-trip probe that touches no shard state, cheap enough
 //! for health checkers to send on a tight cadence.
 //!
@@ -74,8 +73,6 @@ const TYPE_RESPONSE: u8 = 0x11;
 const TYPE_ERROR: u8 = 0x12;
 const TYPE_HELLO: u8 = 0x13;
 const TYPE_WELCOME: u8 = 0x14;
-const TYPE_STATS_REQUEST: u8 = 0x15;
-const TYPE_STATS_RESPONSE: u8 = 0x16;
 const TYPE_PING: u8 = 0x17;
 const TYPE_PONG: u8 = 0x18;
 const TYPE_OVERLOADED: u8 = 0x1B;
@@ -83,7 +80,7 @@ const TYPE_METRICS_REQUEST: u8 = 0x1C;
 const TYPE_METRICS_RESPONSE: u8 = 0x1D;
 
 /// Cap on counters per [`WireMetricsSnapshot`] (frame must fit the
-/// u16 stream-length prefix; the registry currently uses 12).
+/// u16 stream-length prefix; the registry currently uses 21).
 pub const MAX_WIRE_METRICS_COUNTERS: usize = 256;
 
 /// Cap on gauges per [`WireMetricsSnapshot`].
@@ -97,8 +94,8 @@ pub const MAX_WIRE_METRICS_HISTS: usize = 8;
 /// the u16 length prefix).
 pub const MAX_WIRE_METRICS_BUCKETS: usize = 512;
 
-/// The `shard` value that requests counters aggregated across every
-/// shard instead of one shard's.
+/// The `shard` value of a [`WireMetricsRequest`] that asks for the
+/// scrape aggregated across every shard instead of one shard's.
 pub const STATS_SHARD_AGGREGATE: u16 = 0xFFFF;
 
 /// Which throughput objective the requested policy optimizes.
@@ -339,16 +336,6 @@ pub struct WireWelcome {
     pub max_batch: u16,
 }
 
-/// Asks for one shard's serving counters
-/// ([`STATS_SHARD_AGGREGATE`] = sum over all shards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireStatsRequest {
-    /// Caller-chosen correlation id, echoed in the response.
-    pub id: u32,
-    /// Shard index, or [`STATS_SHARD_AGGREGATE`].
-    pub shard: u16,
-}
-
 /// Liveness probe: "are you there, and is the request path alive?".
 /// Answered by [`WirePong`] echoing the id. Carries no other state —
 /// the cluster layer's health checkers send these on a tight cadence
@@ -366,142 +353,16 @@ pub struct WirePong {
     pub id: u32,
 }
 
-/// The serving counters of one shard (or the aggregate), mirroring
-/// the service crate's `ServiceStats`. Encoded as
-/// [`STATS_COUNTERS`] (20) u64s in declaration order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireServiceStats {
-    /// Requests received (including failed ones).
-    pub requests: u64,
-    /// Batches served.
-    pub batches: u64,
-    /// Exact-match LRU hits.
-    pub exact_hits: u64,
-    /// Homogeneous closed-form serves.
-    pub closed_form_hits: u64,
-    /// Exact (P4) solver runs.
-    pub solver_solves: u64,
-    /// In-batch dedup hits.
-    pub batch_dedup_hits: u64,
-    /// Rejected requests.
-    pub errors: u64,
-    /// LRU insertions.
-    pub lru_inserts: u64,
-    /// LRU evictions.
-    pub lru_evictions: u64,
-    /// LRU resident entries.
-    pub lru_len: u64,
-    /// Exact-tier hits whose entry was produced by the homogeneous
-    /// closed form.
-    pub exact_hits_closed_form: u64,
-    /// Exact-tier hits whose entry was produced by the factorized
-    /// large-N solver.
-    pub exact_hits_factorized: u64,
-    /// LRU entries evicted to satisfy the cache byte budget, as
-    /// opposed to the entry-count capacity.
-    pub byte_evictions: u64,
-    /// Dead backends automatically respawned and retargeted by the
-    /// cluster's supervisor policy loop (zero for plain services —
-    /// the cluster front overlays it on the aggregate).
-    pub auto_respawns: u64,
-    /// Backend slots quarantined onto the local fallback solver after
-    /// exhausting their respawn budget.
-    pub quarantines: u64,
-    /// Faults injected by a scripted fault plan — nonzero only under
-    /// the chaos harness.
-    pub injected_faults: u64,
-    /// Requests rejected with `Overloaded` by the admission ladder.
-    pub shed_rejects: u64,
-    /// Requests served at a relaxed, certificate-reported tolerance
-    /// because the admission ladder was under pressure. Only the
-    /// heterogeneous solver's stopping tolerance relaxes; a
-    /// homogeneous closed-form answer does not depend on tolerance.
-    pub degraded_serves: u64,
-    /// Requests whose `deadline_us` budget expired before a result
-    /// could be produced — answered `Overloaded`, never late.
-    pub deadline_expired: u64,
-    /// High-water mark of the admission queue depth, in requests — a
-    /// gauge, not a counter: aggregation takes the max.
-    pub queue_depth_peak: u64,
-}
-
-/// Number of u64 counters in [`WireServiceStats`] — pins the wire
-/// layout of the stats block.
-pub const STATS_COUNTERS: usize = 20;
-
-impl WireServiceStats {
-    /// The counters in wire (declaration) order.
-    pub fn to_array(self) -> [u64; STATS_COUNTERS] {
-        [
-            self.requests,
-            self.batches,
-            self.exact_hits,
-            self.closed_form_hits,
-            self.solver_solves,
-            self.batch_dedup_hits,
-            self.errors,
-            self.lru_inserts,
-            self.lru_evictions,
-            self.lru_len,
-            self.exact_hits_closed_form,
-            self.exact_hits_factorized,
-            self.byte_evictions,
-            self.auto_respawns,
-            self.quarantines,
-            self.injected_faults,
-            self.shed_rejects,
-            self.degraded_serves,
-            self.deadline_expired,
-            self.queue_depth_peak,
-        ]
-    }
-
-    /// Rebuilds the struct from wire-order counters.
-    pub fn from_array(c: [u64; STATS_COUNTERS]) -> Self {
-        WireServiceStats {
-            requests: c[0],
-            batches: c[1],
-            exact_hits: c[2],
-            closed_form_hits: c[3],
-            solver_solves: c[4],
-            batch_dedup_hits: c[5],
-            errors: c[6],
-            lru_inserts: c[7],
-            lru_evictions: c[8],
-            lru_len: c[9],
-            exact_hits_closed_form: c[10],
-            exact_hits_factorized: c[11],
-            byte_evictions: c[12],
-            auto_respawns: c[13],
-            quarantines: c[14],
-            injected_faults: c[15],
-            shed_rejects: c[16],
-            degraded_serves: c[17],
-            deadline_expired: c[18],
-            queue_depth_peak: c[19],
-        }
-    }
-}
-
-/// Stats reply for one shard (or the aggregate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireStatsResponse {
-    /// Echo of the request id.
-    pub id: u32,
-    /// Which shard these counters describe
-    /// ([`STATS_SHARD_AGGREGATE`] = the sum).
-    pub shard: u16,
-    /// The counters.
-    pub stats: WireServiceStats,
-}
-
-/// Asks for a point-in-time snapshot of the serving process's
-/// always-on metrics registry. A cluster front answers with
-/// its cluster-wide fan-in.
+/// Asks for a point-in-time scrape of one shard's metrics, or of the
+/// whole endpoint's ([`STATS_SHARD_AGGREGATE`]). A cluster front
+/// answers the aggregate with its cluster-wide fan-in and a shard
+/// index with that slot's scrape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireMetricsRequest {
     /// Caller-chosen correlation id, echoed in the response.
     pub id: u32,
+    /// Shard index, or [`STATS_SHARD_AGGREGATE`].
+    pub shard: u16,
 }
 
 /// The wire form of one metrics scrape: dense counters, merge-kind-
@@ -542,10 +403,6 @@ pub enum ServiceMessage {
     Hello(WireHello),
     /// Server → client: handshake reply with the deployment shape.
     Welcome(WireWelcome),
-    /// Client → server: counter snapshot request.
-    StatsRequest(WireStatsRequest),
-    /// Server → client: counter snapshot.
-    StatsResponse(WireStatsResponse),
     /// Client → server: liveness probe.
     Ping(WirePing),
     /// Server → client: liveness reply.
@@ -645,21 +502,6 @@ impl ServiceMessage {
                 buf.put_u16(w.shards);
                 buf.put_u16(w.max_batch);
             }
-            ServiceMessage::StatsRequest(r) => {
-                buf.put_u8(TYPE_STATS_REQUEST);
-                buf.put_u8(WIRE_VERSION);
-                buf.put_u32(r.id);
-                buf.put_u16(r.shard);
-            }
-            ServiceMessage::StatsResponse(r) => {
-                buf.put_u8(TYPE_STATS_RESPONSE);
-                buf.put_u8(WIRE_VERSION);
-                buf.put_u32(r.id);
-                buf.put_u16(r.shard);
-                for counter in r.stats.to_array() {
-                    buf.put_u64(counter);
-                }
-            }
             ServiceMessage::Ping(p) => {
                 buf.put_u8(TYPE_PING);
                 buf.put_u8(WIRE_VERSION);
@@ -674,6 +516,7 @@ impl ServiceMessage {
                 buf.put_u8(TYPE_METRICS_REQUEST);
                 buf.put_u8(WIRE_VERSION);
                 buf.put_u32(r.id);
+                buf.put_u16(r.shard);
             }
             ServiceMessage::MetricsResponse(r) => {
                 let s = &r.snapshot;
@@ -719,10 +562,8 @@ impl ServiceMessage {
             ServiceMessage::Error(_) => 11 + 2,
             ServiceMessage::Hello(_) => 8 + 2,
             ServiceMessage::Welcome(_) => 10 + 2,
-            ServiceMessage::StatsRequest(_) => 8 + 2,
-            ServiceMessage::StatsResponse(_) => 8 + 8 * STATS_COUNTERS + 2,
             ServiceMessage::Ping(_) | ServiceMessage::Pong(_) => 6 + 2,
-            ServiceMessage::MetricsRequest(_) => 6 + 2,
+            ServiceMessage::MetricsRequest(_) => 8 + 2,
             ServiceMessage::MetricsResponse(r) => {
                 let s = &r.snapshot;
                 let hists: usize = s.hists.iter().map(|h| 2 + 10 * h.len()).sum();
@@ -770,11 +611,9 @@ impl ServiceMessage {
             }
             TYPE_ERROR => 13,
             TYPE_OVERLOADED => 16,
-            TYPE_HELLO | TYPE_STATS_REQUEST => 10,
+            TYPE_HELLO | TYPE_METRICS_REQUEST => 10,
             TYPE_WELCOME => 12,
-            TYPE_STATS_RESPONSE => 10 + 8 * STATS_COUNTERS,
             TYPE_PING | TYPE_PONG => 8,
-            TYPE_METRICS_REQUEST => 8,
             TYPE_METRICS_RESPONSE => {
                 // Three counted sections, one nested — walk them to
                 // find the frame length, guarding every count read.
@@ -923,28 +762,12 @@ impl ServiceMessage {
                     max_batch,
                 })
             }
-            TYPE_STATS_REQUEST => {
-                let id = cur.get_u32();
-                let shard = cur.get_u16();
-                ServiceMessage::StatsRequest(WireStatsRequest { id, shard })
-            }
-            TYPE_STATS_RESPONSE => {
-                let id = cur.get_u32();
-                let shard = cur.get_u16();
-                let mut counters = [0u64; STATS_COUNTERS];
-                for c in &mut counters {
-                    *c = cur.get_u64();
-                }
-                ServiceMessage::StatsResponse(WireStatsResponse {
-                    id,
-                    shard,
-                    stats: WireServiceStats::from_array(counters),
-                })
-            }
             TYPE_PING => ServiceMessage::Ping(WirePing { id: cur.get_u32() }),
             TYPE_PONG => ServiceMessage::Pong(WirePong { id: cur.get_u32() }),
             TYPE_METRICS_REQUEST => {
-                ServiceMessage::MetricsRequest(WireMetricsRequest { id: cur.get_u32() })
+                let id = cur.get_u32();
+                let shard = cur.get_u16();
+                ServiceMessage::MetricsRequest(WireMetricsRequest { id, shard })
             }
             TYPE_METRICS_RESPONSE => {
                 let id = cur.get_u32();
@@ -1307,10 +1130,13 @@ mod tests {
 
     #[test]
     fn metrics_request_roundtrip_and_size() {
-        let m = ServiceMessage::MetricsRequest(WireMetricsRequest { id: 0xFEED });
+        let m = ServiceMessage::MetricsRequest(WireMetricsRequest {
+            id: 0xFEED,
+            shard: 3,
+        });
         let b = m.encode();
         assert_eq!(b.len(), m.encoded_len());
-        assert_eq!(b.len(), 8, "0x1C frame: hdr + id + crc");
+        assert_eq!(b.len(), 10, "0x1C frame: hdr + id + shard + crc");
         assert_eq!(b[0], 0x1C);
         assert_eq!(b[1], WIRE_VERSION);
         let (decoded, used) = ServiceMessage::decode(&b).unwrap();
@@ -1431,28 +1257,9 @@ mod tests {
 
     #[test]
     fn handshake_and_stats_roundtrip() {
-        let stats = WireServiceStats {
-            requests: 1,
-            batches: 2,
-            exact_hits: 3,
-            closed_form_hits: 4,
-            solver_solves: 5,
-            batch_dedup_hits: 6,
-            errors: 7,
-            lru_inserts: 8,
-            lru_evictions: 9,
-            lru_len: 10,
-            exact_hits_closed_form: 11,
-            exact_hits_factorized: 12,
-            byte_evictions: 13,
-            auto_respawns: 14,
-            quarantines: 15,
-            injected_faults: 16,
-            shed_rejects: 17,
-            degraded_serves: 18,
-            deadline_expired: 19,
-            queue_depth_peak: 20,
-        };
+        // The control-plane pairs: the handshake, the metrics scrape
+        // (the only counter frame) for the aggregate and for one shard,
+        // and the health probe.
         for m in [
             ServiceMessage::Hello(WireHello {
                 id: 3,
@@ -1463,15 +1270,11 @@ mod tests {
                 shards: 4,
                 max_batch: 1024,
             }),
-            ServiceMessage::StatsRequest(WireStatsRequest {
+            ServiceMessage::MetricsRequest(WireMetricsRequest {
                 id: 9,
                 shard: STATS_SHARD_AGGREGATE,
             }),
-            ServiceMessage::StatsResponse(WireStatsResponse {
-                id: 9,
-                shard: 2,
-                stats,
-            }),
+            ServiceMessage::MetricsRequest(WireMetricsRequest { id: 9, shard: 2 }),
             ServiceMessage::Ping(WirePing { id: 11 }),
             ServiceMessage::Pong(WirePong { id: 11 }),
         ] {
@@ -1488,27 +1291,18 @@ mod tests {
                 ));
             }
         }
-        // Counter order is pinned: array round-trip is the identity,
-        // and every field rides its declaration slot.
-        assert_eq!(WireServiceStats::from_array(stats.to_array()), stats);
-        assert_eq!(stats.to_array()[3], 4, "closed-form serves ride slot 3");
-        assert_eq!(stats.to_array()[7], 8, "LRU inserts ride slot 7");
-        assert_eq!(stats.to_array()[9], 10, "LRU length rides slot 9");
-        assert_eq!(stats.to_array()[10], 11, "closed-form hits ride slot 10");
-        assert_eq!(stats.to_array()[11], 12, "factorized hits ride slot 11");
-        assert_eq!(stats.to_array()[12], 13, "byte evictions ride slot 12");
-        assert_eq!(stats.to_array()[13], 14, "auto respawns ride slot 13");
-        assert_eq!(stats.to_array()[14], 15, "quarantines ride slot 14");
-        assert_eq!(stats.to_array()[15], 16, "injected faults ride slot 15");
-        assert_eq!(stats.to_array()[16], 17, "shed rejects ride slot 16");
-        assert_eq!(stats.to_array()[17], 18, "degraded serves ride slot 17");
-        assert_eq!(stats.to_array()[18], 19, "deadline expiries ride slot 18");
-        assert_eq!(stats.to_array()[19], 20, "queue depth peak rides slot 19");
+        // The shard rides the two octets after the id.
+        let b = ServiceMessage::MetricsRequest(WireMetricsRequest {
+            id: 0,
+            shard: 0x0102,
+        })
+        .encode();
+        assert_eq!(&b[6..8], &[0x01, 0x02]);
     }
 
     #[test]
     fn ping_pong_roundtrip_and_size() {
-        // The v3 health pair mirrors the 0x13..0x16 family: fixed
+        // The v3 health pair mirrors the handshake pair: fixed
         // size, CRC-checked, id echo intact.
         let ping = ServiceMessage::Ping(WirePing { id: 0xDEAD_BEEF });
         let pong = ServiceMessage::Pong(WirePong { id: 0xDEAD_BEEF });
@@ -1531,14 +1325,8 @@ mod tests {
 
     #[test]
     fn stats_corruption_detected() {
-        let mut b = ServiceMessage::StatsResponse(WireStatsResponse {
-            id: 1,
-            shard: 0,
-            stats: WireServiceStats::default(),
-        })
-        .encode()
-        .to_vec();
-        b[20] ^= 0x01; // inside the counter block
+        let mut b = sample_metrics_response().encode().to_vec();
+        b[12] ^= 0x01; // inside the counter block (after nc at 6..8)
         assert_eq!(ServiceMessage::decode(&b), Err(DecodeError::BadChecksum));
     }
 
@@ -1583,15 +1371,9 @@ mod tests {
                 shards: 4,
                 max_batch: 1024,
             }),
-            ServiceMessage::StatsRequest(WireStatsRequest { id: 9, shard: 1 }),
-            ServiceMessage::StatsResponse(WireStatsResponse {
-                id: 9,
-                shard: 2,
-                stats: WireServiceStats::default(),
-            }),
             ServiceMessage::Ping(WirePing { id: 11 }),
             ServiceMessage::Pong(WirePong { id: 11 }),
-            ServiceMessage::MetricsRequest(WireMetricsRequest { id: 5 }),
+            ServiceMessage::MetricsRequest(WireMetricsRequest { id: 5, shard: 1 }),
             sample_metrics_response(),
         ]
     }
@@ -1726,6 +1508,27 @@ mod tests {
         // No live message encodes to either octet.
         for m in one_of_each() {
             assert!(!matches!(m.encode()[0], 0x19 | 0x1A), "{m:?}");
+        }
+    }
+
+    #[test]
+    fn retired_stats_message_types_are_refused() {
+        // The frames the retired stats pair used to carry, at the
+        // current version with a valid CRC: a request
+        // ([0x15][ver][id u32][shard u16]) and a reply
+        // ([0x16][ver][id u32][shard u16]{ [counter u64] }×20).
+        let seal = |mut body: Vec<u8>| {
+            let crc = crate::crc::crc16_ccitt(&body);
+            body.extend_from_slice(&crc.to_be_bytes());
+            body
+        };
+        let req = seal(vec![0x15, WIRE_VERSION, 0, 0, 0, 9, 0xFF, 0xFF]);
+        let mut reply = vec![0x16, WIRE_VERSION, 0, 0, 0, 9, 0, 0];
+        reply.extend(std::iter::repeat_n(0u8, 8 * 20));
+        assert_refused(&req, DecodeError::UnknownFrameType(0x15));
+        assert_refused(&seal(reply), DecodeError::UnknownFrameType(0x16));
+        for m in one_of_each() {
+            assert!(!matches!(m.encode()[0], 0x15 | 0x16), "{m:?}");
         }
     }
 
@@ -1953,7 +1756,7 @@ mod tests {
 
         /// Ping/Pong round-trip for arbitrary ids, and every proper
         /// truncation fails with Truncated — mirroring the
-        /// 0x13..0x16 handshake/stats suite for the v3 health pair.
+        /// handshake/scrape suite for the v3 health pair.
         #[test]
         fn prop_ping_pong_roundtrip_and_truncation(
             id in any::<u32>(),
@@ -2274,6 +2077,67 @@ mod tests {
                 ServiceMessage::decode(&b[..cut]),
                 Err(DecodeError::Truncated { .. })
             ));
+        }
+
+        /// Scrape requests for any id and shard round-trip, every
+        /// proper truncation fails with Truncated, and any single-byte
+        /// corruption is a clean rejection.
+        #[test]
+        fn prop_metrics_request_roundtrip_truncation_and_corruption(
+            id in any::<u32>(),
+            shard in any::<u16>(),
+            cut_frac in 0.0f64..1.0,
+            pos_frac in 0.0f64..1.0,
+            flip in 1u8..=255,
+        ) {
+            let m = ServiceMessage::MetricsRequest(WireMetricsRequest { id, shard });
+            let b = m.encode();
+            prop_assert_eq!(b.len(), m.encoded_len());
+            let (decoded, used) = ServiceMessage::decode(&b).unwrap();
+            prop_assert_eq!(decoded, m);
+            prop_assert_eq!(used, b.len());
+            let cut = ((b.len() - 1) as f64 * cut_frac) as usize;
+            prop_assert!(matches!(
+                ServiceMessage::decode(&b[..cut]),
+                Err(DecodeError::Truncated { .. })
+            ));
+            let mut corrupt = b.to_vec();
+            let pos = ((corrupt.len() - 1) as f64 * pos_frac) as usize;
+            corrupt[pos] ^= flip;
+            prop_assert!(ServiceMessage::decode(&corrupt).is_err());
+        }
+
+        /// A retired stats frame is refused whatever it carries, by
+        /// the decoder and by the stream codec (so a server drops the
+        /// connection without a reply), exactly like 0x19/0x1A.
+        #[test]
+        fn prop_retired_stats_frames_refused(
+            reply in any::<bool>(),
+            id in any::<u32>(),
+            shard in any::<u16>(),
+            counters in proptest::collection::vec(any::<u64>(), 20),
+        ) {
+            let ty = if reply { 0x16 } else { 0x15 };
+            let mut body = vec![ty, WIRE_VERSION];
+            body.extend_from_slice(&id.to_be_bytes());
+            body.extend_from_slice(&shard.to_be_bytes());
+            if reply {
+                for c in &counters {
+                    body.extend_from_slice(&c.to_be_bytes());
+                }
+            }
+            let crc = crate::crc::crc16_ccitt(&body);
+            body.extend_from_slice(&crc.to_be_bytes());
+            prop_assert_eq!(
+                ServiceMessage::decode(&body),
+                Err(DecodeError::UnknownFrameType(ty))
+            );
+            let mut codec = ServiceCodec::new();
+            let mut wire = BytesMut::new();
+            wire.put_u16(body.len() as u16);
+            wire.extend_from_slice(&body);
+            codec.feed(&wire);
+            prop_assert_eq!(codec.drain(), Err(DecodeError::UnknownFrameType(ty)));
         }
 
         /// Single-byte corruption anywhere in a metrics frame is a

@@ -37,8 +37,10 @@
 //!
 //! [`ServiceConfig::queue_capacity`]: crate::ServiceConfig::queue_capacity
 
-use crate::stats::ServiceStats;
-use econcast_metrics::Gauge;
+use econcast_metrics::{
+    Gauge, MetricsSnapshot, CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES, CTR_SHED_REJECTS,
+    GAUGE_QUEUE_DEPTH, GAUGE_QUEUE_DEPTH_PEAK,
+};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -71,9 +73,9 @@ pub fn degraded_tolerance(stated: f64) -> f64 {
 
 /// Shared admission state for one server front: a depth-bounded
 /// virtual queue (the requests admitted but not yet served, across
-/// every connection handler) plus the overload counters it overlays
-/// onto stats responses. All atomics — admission never takes a lock
-/// on the request path.
+/// every connection handler) plus the overload counters, which it
+/// alone counts and contributes to the front's aggregate scrape. All
+/// atomics — admission never takes a lock on the request path.
 #[derive(Debug)]
 pub struct AdmissionController {
     capacity: usize,
@@ -81,7 +83,7 @@ pub struct AdmissionController {
     max_queue_delay: Duration,
     /// The queue-depth gauge (level + high-water mark) — the shared
     /// `econcast-metrics` primitive, so the same object feeds the
-    /// ladder, the stats overlay, and a metrics scrape.
+    /// ladder and a metrics scrape.
     queue: Gauge,
     shed_rejects: AtomicU64,
     degraded_serves: AtomicU64,
@@ -170,16 +172,6 @@ impl AdmissionController {
         self.queue.value() as usize
     }
 
-    /// The queue-depth gauge itself, for injection into a metrics
-    /// scrape (level under [`GAUGE_QUEUE_DEPTH`], peak under
-    /// [`GAUGE_QUEUE_DEPTH_PEAK`]).
-    ///
-    /// [`GAUGE_QUEUE_DEPTH`]: econcast_metrics::GAUGE_QUEUE_DEPTH
-    /// [`GAUGE_QUEUE_DEPTH_PEAK`]: econcast_metrics::GAUGE_QUEUE_DEPTH_PEAK
-    pub fn queue_gauge(&self) -> &Gauge {
-        &self.queue
-    }
-
     /// High-water mark of the queue depth. The shed rung never holds
     /// a slot, so this never exceeds the configured capacity (the CI
     /// overload-smoke bounded-memory assertion).
@@ -213,19 +205,20 @@ impl AdmissionController {
         drain.max(floor).max(hint).min(u64::from(u32::MAX)) as u32
     }
 
-    /// Overlays the overload counters onto a stats snapshot — the
-    /// admission twin of the cluster front's robustness-counter
-    /// overlay, so `shed_rejects`/`degraded_serves`/
-    /// `deadline_expired`/`queue_depth_peak` ride the same wire stats
-    /// block as the per-tier counters. Counters *fold in*
-    /// (sums, peak via max) rather than overwrite: a cluster front's
-    /// aggregate already carries its backends' own admission
-    /// counters, and the front's must join them, not erase them.
-    pub fn overlay(&self, stats: &mut ServiceStats) {
-        stats.shed_rejects += self.shed_rejects.load(Ordering::Relaxed);
-        stats.degraded_serves += self.degraded_serves.load(Ordering::Relaxed);
-        stats.deadline_expired += self.deadline_expired.load(Ordering::Relaxed);
-        stats.queue_depth_peak = stats.queue_depth_peak.max(self.depth_peak() as u64);
+    /// The front's own share of an aggregate scrape: the overload
+    /// counters under `CTR_SHED_REJECTS`, `CTR_DEGRADED_SERVES` and
+    /// `CTR_DEADLINE_EXPIRED`, and the queue gauge's level and peak.
+    /// A connection loop merges it into the target's scrape, so a
+    /// cluster front's own counters join its backends' rather than
+    /// replace them.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::zeroed();
+        snap.counters[CTR_SHED_REJECTS] = self.shed_rejects.load(Ordering::Relaxed);
+        snap.counters[CTR_DEGRADED_SERVES] = self.degraded_serves.load(Ordering::Relaxed);
+        snap.counters[CTR_DEADLINE_EXPIRED] = self.deadline_expired.load(Ordering::Relaxed);
+        snap.gauges[GAUGE_QUEUE_DEPTH].1 = self.queue.value();
+        snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1 = self.queue.peak();
+        snap
     }
 }
 
@@ -313,10 +306,10 @@ mod tests {
         let _ = a.admit();
         assert!(matches!(a.admit(), Admission::Shed { .. }));
         a.note_deadline_expired();
-        let mut s = ServiceStats::default();
-        a.overlay(&mut s);
+        let s = crate::ServiceStats::from_snapshot(&a.metrics());
         assert_eq!(s.shed_rejects, 2); // one shed + one expiry
         assert_eq!(s.deadline_expired, 1);
         assert_eq!(s.queue_depth_peak, 1);
+        assert_eq!(a.metrics().gauge(GAUGE_QUEUE_DEPTH), 1, "one slot held");
     }
 }

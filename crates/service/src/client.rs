@@ -6,7 +6,7 @@ use crate::request::PolicyRequest;
 use crate::stats::ServiceStats;
 use econcast_proto::service::{
     ScatterEncoder, ServiceCodec, ServiceMessage, WireHello, WireMetricsRequest, WirePing,
-    WirePolicyError, WirePolicyResponse, WireStatsRequest, STATS_SHARD_AGGREGATE, WIRE_VERSION,
+    WirePolicyError, WirePolicyResponse, STATS_SHARD_AGGREGATE, WIRE_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -501,35 +501,25 @@ impl PolicyClient {
         }
     }
 
-    /// Fetches one shard's counters (`None` = the aggregate).
+    /// Fetches one shard's counters (`None` = the aggregate): the
+    /// serving-counter view of that shard's metrics scrape.
     pub fn stats(&mut self, shard: Option<u16>) -> std::io::Result<ServiceStats> {
+        let snap = self.scrape(shard.unwrap_or(STATS_SHARD_AGGREGATE))?;
+        Ok(ServiceStats::from_snapshot(&snap))
+    }
+
+    /// Fetches the server's aggregate metrics snapshot: counters,
+    /// injected gauges, and the always-on latency histograms.
+    pub fn metrics(&mut self) -> std::io::Result<econcast_metrics::MetricsSnapshot> {
+        self.scrape(STATS_SHARD_AGGREGATE)
+    }
+
+    fn scrape(&mut self, shard: u16) -> std::io::Result<econcast_metrics::MetricsSnapshot> {
         let id = self.take_id();
-        let shard = shard.unwrap_or(STATS_SHARD_AGGREGATE);
-        self.send(&ServiceMessage::StatsRequest(WireStatsRequest {
+        self.send(&ServiceMessage::MetricsRequest(WireMetricsRequest {
             id,
             shard,
         }))?;
-        loop {
-            match self.recv()? {
-                ServiceMessage::StatsResponse(r) if r.id == id => {
-                    return Ok(ServiceStats::from_wire(&r.stats));
-                }
-                ServiceMessage::Error(e) if e.id == id => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("server rejected stats request for shard {shard}"),
-                    ));
-                }
-                other => self.dispatch(other),
-            }
-        }
-    }
-
-    /// Fetches the server's metrics snapshot: hub counters, injected
-    /// gauges, and the always-on latency histograms.
-    pub fn metrics(&mut self) -> std::io::Result<econcast_metrics::MetricsSnapshot> {
-        let id = self.take_id();
-        self.send(&ServiceMessage::MetricsRequest(WireMetricsRequest { id }))?;
         loop {
             match self.recv()? {
                 ServiceMessage::MetricsResponse(r) if r.id == id => {
@@ -538,7 +528,7 @@ impl PolicyClient {
                 ServiceMessage::Error(e) if e.id == id => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidInput,
-                        "server rejected metrics request",
+                        format!("server rejected metrics request for shard {shard}"),
                     ));
                 }
                 other => self.dispatch(other),

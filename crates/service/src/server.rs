@@ -21,23 +21,22 @@
 //! (answered by `Welcome` carrying the shard count and batch cap) but
 //! the server also serves handshake-less streams. Every fully received
 //! `Request` in one read cycle is served as a single routed batch, so
-//! pipelining `k` requests buys `k`-way batching. `StatsRequest`
-//! answers from the router's per-shard or aggregate counters. Decode
-//! errors (CRC, framing, version) are fatal for the connection,
-//! matching the codec's semantics: the server drops the stream without
-//! a reply.
+//! pipelining `k` requests buys `k`-way batching. `MetricsRequest`
+//! answers with one shard's scrape or the aggregate; counters come
+//! from the components that count them (the shards' services, the
+//! admission controller), never from a process-global tally. Decode
+//! errors (CRC, framing, version, a retired frame type) are fatal for
+//! the connection, matching the codec's semantics: the server drops
+//! the stream without a reply.
 
 use crate::admission::{degraded_tolerance, Admission, AdmissionController};
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::shard::{RouterConfig, ShardRouter};
 use bytes::BytesMut;
-use econcast_metrics::{
-    MetricsSnapshot, OpsKind, CTR_DEGRADED, CTR_OVERLOADED_SENT, GAUGE_QUEUE_DEPTH,
-    GAUGE_QUEUE_DEPTH_PEAK,
-};
+use econcast_metrics::{MetricsSnapshot, OpsKind};
 use econcast_proto::service::{
     ServiceCodec, ServiceErrorCode, ServiceMessage, WireMetricsResponse, WirePolicyError, WirePong,
-    WireStatsResponse, WireWelcome, STATS_SHARD_AGGREGATE,
+    WireWelcome, STATS_SHARD_AGGREGATE,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -170,7 +169,7 @@ impl PolicyServer {
             .expect("bound listener has an address")
     }
 
-    /// The shard router (stats).
+    /// The shard router (per-shard counters).
     pub fn router(&self) -> &Arc<ShardRouter> {
         &self.router
     }
@@ -209,7 +208,7 @@ impl ServerHandle {
         self.acceptor.addr()
     }
 
-    /// The shard router (stats).
+    /// The shard router (per-shard counters).
     pub fn router(&self) -> &Arc<ShardRouter> {
         &self.router
     }
@@ -367,21 +366,15 @@ pub trait ServeTarget {
     /// Serves one routed batch; results in request order.
     fn serve(&self, reqs: &[PolicyRequest]) -> Vec<Result<PolicyResponse, ServiceError>>;
 
-    /// One shard's counters, or the deployment aggregate for
-    /// [`STATS_SHARD_AGGREGATE`]; `None` = unknown shard (or a
-    /// backend the target cannot reach), answered with a typed
-    /// refusal.
-    fn stats(&self, shard: u16) -> Option<crate::stats::ServiceStats>;
-
-    /// A point-in-time metrics scrape: the process-global
-    /// counter/histogram hub plus whatever gauges this target owns.
-    /// The default serves the bare hub snapshot; targets that own
-    /// gauge sources (LRU residency, cluster slot health) override
-    /// and inject them. The connection loop injects the admission
-    /// queue gauge on top — admission is per front, not per target.
-    fn metrics(&self) -> MetricsSnapshot {
-        econcast_metrics::snapshot()
-    }
+    /// A point-in-time metrics scrape of one shard, or of the whole
+    /// target for [`STATS_SHARD_AGGREGATE`]: the counters and gauges
+    /// of whatever the target owns, and for the aggregate the
+    /// process-global latency histograms too. `None` = unknown shard
+    /// (or a backend the target cannot reach), answered with a typed
+    /// refusal. The connection loop merges the front's admission
+    /// counters and queue gauge into the aggregate — admission is per
+    /// front, not per target.
+    fn metrics(&self, shard: u16) -> Option<MetricsSnapshot>;
 }
 
 impl ServeTarget for ShardRouter {
@@ -393,22 +386,16 @@ impl ServeTarget for ShardRouter {
         self.serve_batch(reqs)
     }
 
-    fn stats(&self, shard: u16) -> Option<crate::stats::ServiceStats> {
-        if shard == STATS_SHARD_AGGREGATE {
-            Some(self.aggregate_stats())
-        } else if usize::from(shard) < self.num_shards() {
-            Some(self.shard_stats(usize::from(shard)))
-        } else {
-            None
+    fn metrics(&self, shard: u16) -> Option<MetricsSnapshot> {
+        if shard != STATS_SHARD_AGGREGATE {
+            return (usize::from(shard) < self.num_shards())
+                .then(|| self.shard_metrics(usize::from(shard)));
         }
-    }
-
-    fn metrics(&self) -> MetricsSnapshot {
         let mut snap = econcast_metrics::snapshot();
-        let (entries, bytes) = self.cache_residency();
-        snap.gauges[econcast_metrics::GAUGE_LRU_ENTRIES].1 = entries;
-        snap.gauges[econcast_metrics::GAUGE_LRU_BYTES].1 = bytes;
-        snap
+        for s in 0..self.num_shards() {
+            snap.merge(&self.shard_metrics(s));
+        }
+        Some(snap)
     }
 }
 
@@ -443,8 +430,8 @@ struct ReqMeta {
 /// `admission`'s shed ladder before joining a batch (see
 /// [`crate::admission`]), deadline-carrying batches are served
 /// earliest-deadline-first, results that outlived their `deadline_us`
-/// budget are replaced by `Overloaded`, and aggregate stats responses
-/// carry the overload counters.
+/// budget are replaced by `Overloaded`, and aggregate scrapes carry
+/// the overload counters.
 ///
 /// The read path is greedy: after each blocking read it drains
 /// whatever else the client already queued (non-blocking), so a
@@ -552,14 +539,12 @@ fn serve_connection_admitted(
                     }
                     match admission.admit() {
                         Admission::Shed { retry_after_us } => {
-                            // Flight-recorder: the shed and the
-                            // Overloaded frame it turned into.
+                            // Counted by the controller; logged here.
                             econcast_metrics::ops_event(
                                 OpsKind::Shed,
                                 0,
                                 u64::from(retry_after_us),
                             );
-                            econcast_metrics::counter_add(CTR_OVERLOADED_SENT, 1);
                             ServiceCodec::encode(
                                 &ServiceMessage::Error(WirePolicyError {
                                     corr: w.corr,
@@ -573,7 +558,6 @@ fn serve_connection_admitted(
                         rung => {
                             let mut req = PolicyRequest::from_wire(&w);
                             if rung == Admission::AdmitDegraded {
-                                econcast_metrics::counter_add(CTR_DEGRADED, 1);
                                 req.tolerance = degraded_tolerance(req.tolerance);
                             }
                             ids.push(ReqMeta {
@@ -602,21 +586,23 @@ fn serve_connection_admitted(
                         &mut out,
                     );
                 }
-                ServiceMessage::StatsRequest(r) => {
-                    let msg = match target.stats(r.shard) {
-                        Some(mut stats) => {
-                            // The aggregate carries the overload
-                            // counters: admission is front-wide, not
-                            // per shard, so only the aggregate view
-                            // overlays it (like the cluster front's
-                            // robustness counters).
+                // Liveness probe: answer immediately, touching no
+                // shard state (health checkers ride a tight cadence).
+                ServiceMessage::Ping(p) => {
+                    ServiceCodec::encode(&ServiceMessage::Pong(WirePong { id: p.id }), &mut out);
+                }
+                // Metrics scrape: the target's snapshot, with the
+                // front's admission counters and queue gauge merged
+                // into the aggregate.
+                ServiceMessage::MetricsRequest(r) => {
+                    let msg = match target.metrics(r.shard) {
+                        Some(mut snap) => {
                             if r.shard == STATS_SHARD_AGGREGATE {
-                                admission.overlay(&mut stats);
+                                snap.merge(&admission.metrics());
                             }
-                            ServiceMessage::StatsResponse(WireStatsResponse {
+                            ServiceMessage::MetricsResponse(WireMetricsResponse {
                                 id: r.id,
-                                shard: r.shard,
-                                stats: stats.to_wire(),
+                                snapshot: crate::metrics::snapshot_to_wire(&snap),
                             })
                         }
                         None => ServiceMessage::Error(WirePolicyError {
@@ -628,34 +614,11 @@ fn serve_connection_admitted(
                     };
                     ServiceCodec::encode(&msg, &mut out);
                 }
-                // Liveness probe: answer immediately, touching no
-                // shard state (health checkers ride a tight cadence).
-                ServiceMessage::Ping(p) => {
-                    ServiceCodec::encode(&ServiceMessage::Pong(WirePong { id: p.id }), &mut out);
-                }
-                // Metrics scrape: the target's snapshot (hub counters +
-                // histograms + target-owned gauges) with the front's
-                // admission queue gauge injected on top.
-                ServiceMessage::MetricsRequest(r) => {
-                    let mut snap = target.metrics();
-                    let g = admission.queue_gauge();
-                    snap.gauges[GAUGE_QUEUE_DEPTH].1 += g.value();
-                    let peak = &mut snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1;
-                    *peak = (*peak).max(g.peak());
-                    ServiceCodec::encode(
-                        &ServiceMessage::MetricsResponse(WireMetricsResponse {
-                            id: r.id,
-                            snapshot: crate::metrics::snapshot_to_wire(&snap),
-                        }),
-                        &mut out,
-                    );
-                }
                 // Server-to-client message types arriving here are
                 // protocol misuse; drop them.
                 ServiceMessage::Response(_)
                 | ServiceMessage::Error(_)
                 | ServiceMessage::Welcome(_)
-                | ServiceMessage::StatsResponse(_)
                 | ServiceMessage::Pong(_)
                 | ServiceMessage::MetricsResponse(_) => {}
             }
@@ -714,7 +677,6 @@ fn serve_into(
         let mut msg = if expired {
             admission.note_deadline_expired();
             econcast_metrics::ops_event(OpsKind::DeadlineMiss, 0, u64::from(m.deadline_us));
-            econcast_metrics::counter_add(CTR_OVERLOADED_SENT, 1);
             ServiceMessage::Error(WirePolicyError {
                 corr: m.corr,
                 id: m.id,

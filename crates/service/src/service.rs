@@ -245,10 +245,10 @@ impl PolicyService {
             lru_evictions: self.lru.evictions(),
             lru_len: self.lru.len() as u64,
             byte_evictions: self.lru.byte_evictions(),
-            // The cluster self-healing counters are overlays owned by
-            // the cluster front, and the overload counters by the
-            // socket server's admission controller; a plain service
-            // never counts either.
+            // The cluster self-healing counters are counted by the
+            // cluster router, and the overload counters by the socket
+            // server's admission controller; a plain service never
+            // counts either.
             auto_respawns: 0,
             quarantines: 0,
             injected_faults: 0,
@@ -257,6 +257,15 @@ impl PolicyService {
             deadline_expired: 0,
             queue_depth_peak: 0,
         }
+    }
+
+    /// This service's counters and LRU gauges as a registry-shaped
+    /// metrics scrape. The latency histograms stay empty: they are
+    /// the process-wide hub's, not the service's.
+    pub fn metrics(&self) -> econcast_metrics::MetricsSnapshot {
+        let mut snap = self.stats().to_snapshot();
+        snap.gauges[econcast_metrics::GAUGE_LRU_BYTES].1 = self.cache_bytes() as u64;
+        snap
     }
 
     /// Approximate resident exact-tier bytes — the quantity
@@ -304,7 +313,7 @@ impl PolicyService {
             }
         }
         let results = self.solve_and_publish(plans, jobs);
-        record_batch_metrics(t0, &results);
+        record_batch_metrics(t0, results.len());
         results
     }
 
@@ -343,7 +352,7 @@ impl PolicyService {
             }
         }
         let results = self.solve_and_publish(plans, jobs);
-        record_batch_metrics(t0, &results);
+        record_batch_metrics(t0, results.len());
         results
     }
 
@@ -543,27 +552,22 @@ fn kernel_span_name(kernel: PolicyKernel) -> &'static str {
     }
 }
 
-/// Always-on metrics for one served batch: request/batch/error
-/// counters plus the two latency histograms, recorded on the global
-/// hub. One `recording_on` check, then a handful of relaxed atomics
-/// amortized over the whole batch — the cost the `warm_rps_metrics_on`
-/// bench row holds within noise of the unrecorded path. Unlike the
-/// trace crate's armed histograms this is unconditional in production;
+/// Always-on metrics for one served batch: the two latency
+/// histograms, recorded on the global hub (the batch's request, batch
+/// and error counts are the service's own counters). One
+/// `recording_on` check, then two relaxed atomics amortized over the
+/// whole batch — the cost the `warm_rps_metrics_on` bench row holds
+/// within noise of the unrecorded path. Unlike the trace crate's armed
+/// histograms this is unconditional in production;
 /// `set_recording(false)` exists for the bench harness to measure the
 /// difference, not as an operating mode.
-fn record_batch_metrics(t0: std::time::Instant, results: &[Result<PolicyResponse, ServiceError>]) {
+fn record_batch_metrics(t0: std::time::Instant, requests: usize) {
     if !econcast_metrics::recording_on() {
         return;
     }
-    let n = results.len() as u64;
+    let n = requests as u64;
     let elapsed = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
     let hub = econcast_metrics::hub();
-    hub.counter_add(econcast_metrics::CTR_BATCHES, 1);
-    hub.counter_add(econcast_metrics::CTR_REQUESTS, n);
-    let errors = results.iter().filter(|r| r.is_err()).count() as u64;
-    if errors > 0 {
-        hub.counter_add(econcast_metrics::CTR_ERRORS, errors);
-    }
     hub.record_n(econcast_metrics::HIST_BATCH_NS, elapsed, 1);
     // Per-request time is attributed as the batch mean: one bucket
     // update for the whole batch instead of per-request clock reads,

@@ -27,6 +27,7 @@
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::service::{PolicyService, ServiceConfig};
 use crate::stats::ServiceStats;
+use econcast_metrics::MetricsSnapshot;
 use econcast_statespace::{route_hash_of, CanonicalInstance, InstanceKey};
 use std::sync::Mutex;
 
@@ -211,29 +212,19 @@ impl ShardRouter {
             .routed
     }
 
-    /// Cache residency summed across shards: `(entries, bytes)` —
-    /// the LRU gauge pair a metrics scrape reports. Shards hold
-    /// disjoint key ranges, so the sums are deployment totals.
-    pub fn cache_residency(&self) -> (u64, u64) {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for shard in &self.shards {
-            let st = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            entries += st.service.stats().lru_len;
-            bytes += st.service.cache_bytes() as u64;
-        }
-        (entries, bytes)
-    }
-
-    /// Counter snapshot summed across every shard.
-    pub fn aggregate_stats(&self) -> ServiceStats {
-        let mut total = ServiceStats::default();
-        for s in 0..self.shards.len() {
-            total.merge(&self.shard_stats(s));
-        }
-        total
+    /// One shard's counters and LRU gauges as a metrics scrape (see
+    /// [`PolicyService::metrics`]). Shards hold disjoint key ranges,
+    /// so merged shard scrapes are deployment totals.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of range.
+    pub fn shard_metrics(&self, shard: usize) -> MetricsSnapshot {
+        self.shards[shard]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .service
+            .metrics()
     }
 }
 
@@ -369,6 +360,7 @@ mod tests {
         let out = r.serve_batch(std::slice::from_ref(&bad));
         assert!(matches!(out[0], Err(ServiceError::BadRequest(_))));
         assert_eq!(r.shard_stats(0).errors, 1);
-        assert_eq!(r.aggregate_stats().errors, 1);
+        assert_eq!(r.shard_metrics(0).counter(econcast_metrics::CTR_ERRORS), 1);
+        assert_eq!(r.shard_stats(1).errors, 0);
     }
 }

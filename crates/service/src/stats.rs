@@ -1,44 +1,23 @@
-//! Per-tier serving counters.
+//! Per-tier serving counters, and their place in a metrics scrape.
 //!
-//! ## Counters vs gauges
-//!
-//! The stats block is *almost* all counters — monotone totals since
-//! construction, merged across shards and backends by summing. Two
-//! fields are gauges (instantaneous levels) riding the same wire
-//! block for history's sake, and each carries its merge rule in
-//! [`STAT_KINDS`]:
-//!
-//! - `lru_len` is a [`StatKind::GaugeSum`]: shards hold disjoint key
-//!   ranges, so total residency is the sum of the levels.
-//! - `queue_depth_peak` is a [`StatKind::GaugeMax`]: shards share one
-//!   admission queue, so the deployment peak is the max.
-//!
-//! [`merge`](ServiceStats::merge) is driven by the table, not by
-//! hand-maintained per-field code — a new field merges wrong only if
-//! its kind is declared wrong. The richer metrics plane
-//! (`econcast-metrics`) makes the same distinction self-describing on
-//! the wire by tagging every gauge with its merge kind.
+//! [`ServiceStats`] is plain data: one service's (or shard's, or a
+//! whole deployment's) counters. Its wire form is the metrics scrape:
+//! its 18 counters are the first entries of the `econcast-metrics`
+//! registry (`CTR_REQUESTS` ..= `CTR_DEADLINE_EXPIRED`), and its two
+//! levels are registry gauges — `lru_len` is `GAUGE_LRU_ENTRIES`
+//! (shards hold disjoint key ranges, so levels sum) and
+//! `queue_depth_peak` is `GAUGE_QUEUE_DEPTH_PEAK` (shards share one
+//! admission queue, so peaks max). [`to_snapshot`](ServiceStats::to_snapshot)
+//! and [`from_snapshot`](ServiceStats::from_snapshot) convert, and
+//! [`merge`](ServiceStats::merge) goes through the snapshot merge, so
+//! the registry's `GAUGE_KINDS` is the only merge table.
 
-use econcast_proto::service::{WireServiceStats, STATS_COUNTERS};
-
-/// Merge semantics of one [`ServiceStats`] field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatKind {
-    /// Monotone total; aggregates by sum.
-    Counter,
-    /// Instantaneous level over disjoint domains; aggregates by sum.
-    GaugeSum,
-    /// Instantaneous level over a shared domain; aggregates by max.
-    GaugeMax,
-}
-
-/// Merge kind of every stats field, in wire order (the order of
-/// [`WireServiceStats::to_array`]).
-pub const STAT_KINDS: [StatKind; STATS_COUNTERS] = {
-    let mut kinds = [StatKind::Counter; STATS_COUNTERS];
-    kinds[9] = StatKind::GaugeSum; // lru_len
-    kinds[19] = StatKind::GaugeMax; // queue_depth_peak
-    kinds
+use econcast_metrics::{
+    MetricsSnapshot, CTR_AUTO_RESPAWNS, CTR_BATCHES, CTR_BATCH_DEDUP_HITS, CTR_BYTE_EVICTIONS,
+    CTR_CLOSED_FORM_HITS, CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES, CTR_ERRORS, CTR_EXACT_HITS,
+    CTR_EXACT_HITS_CLOSED_FORM, CTR_EXACT_HITS_FACTORIZED, CTR_INJECTED_FAULTS, CTR_LRU_EVICTIONS,
+    CTR_LRU_INSERTS, CTR_QUARANTINES, CTR_REQUESTS, CTR_SHED_REJECTS, CTR_SOLVER_SOLVES,
+    GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH_PEAK,
 };
 
 /// A snapshot of one service's (or one shard's) counters since
@@ -62,8 +41,8 @@ pub struct ServiceStats {
     /// Requests rejected (validation or size).
     pub errors: u64,
     /// Always 0: the service builds no interpolation grids. Kept only
-    /// so `servebench/` compiles; the next benchmark PR deletes it.
-    /// Not on the wire.
+    /// so `servebench/` compiles; the next benchmark change deletes
+    /// it. Not in the metrics registry.
     pub grid_builds: u64,
     /// Entries inserted into the LRU.
     pub lru_inserts: u64,
@@ -91,29 +70,30 @@ pub struct ServiceStats {
     pub byte_evictions: u64,
     /// Dead backends automatically respawned and retargeted by the
     /// cluster's supervisor policy loop. Always zero for a plain
-    /// service — the cluster front overlays the three self-healing
-    /// counters on the aggregate it reports, so they ride the same
-    /// wire block as the per-tier counters.
+    /// service — the cluster router counts the three self-healing
+    /// counters and the cluster front fills them into its aggregate.
     pub auto_respawns: u64,
     /// Backend slots quarantined onto the local fallback solver after
-    /// exhausting their respawn budget (cluster overlay).
+    /// exhausting their respawn budget (cluster router).
     pub quarantines: u64,
     /// Faults injected by a scripted fault plan — nonzero only under
-    /// the chaos harness (cluster overlay).
+    /// the chaos harness (cluster router).
     pub injected_faults: u64,
-    /// Requests rejected with `Overloaded` past the shed ladder
-    /// (admission overlay).
+    /// Requests answered `Overloaded`: shed by the admission ladder,
+    /// or admitted and then past their deadline (admission
+    /// controller).
     pub shed_rejects: u64,
     /// Requests served at a relaxed — still certificate-reported —
     /// tolerance because the admission queue was past its degrade
-    /// threshold (admission overlay). The relaxation loosens the
+    /// threshold (admission controller). The relaxation loosens the
     /// heterogeneous solver's stopping tolerance; a homogeneous
-    /// closed-form answer does not depend on tolerance.
+    /// closed-form answer does not depend on tolerance (admission
+    /// controller).
     pub degraded_serves: u64,
     /// Requests whose `deadline_us` budget expired before (or during)
     /// service; each also counts in
     /// [`shed_rejects`](Self::shed_rejects) — the caller saw an
-    /// `Overloaded`, never a late result (admission overlay).
+    /// `Overloaded`, never a late result (admission controller).
     pub deadline_expired: u64,
     /// High-water mark of the admission queue depth — a gauge, not a
     /// counter: [`merge`](Self::merge) takes the max, and the CI
@@ -134,107 +114,122 @@ impl ServiceStats {
         self.exact_hits + self.closed_form_hits + self.solver_solves + self.batch_dedup_hits
     }
 
+    /// The counter fields, each with its registry index.
+    fn counters_mut(&mut self) -> [(usize, &mut u64); 18] {
+        [
+            (CTR_REQUESTS, &mut self.requests),
+            (CTR_BATCHES, &mut self.batches),
+            (CTR_EXACT_HITS, &mut self.exact_hits),
+            (CTR_CLOSED_FORM_HITS, &mut self.closed_form_hits),
+            (CTR_SOLVER_SOLVES, &mut self.solver_solves),
+            (CTR_BATCH_DEDUP_HITS, &mut self.batch_dedup_hits),
+            (CTR_ERRORS, &mut self.errors),
+            (CTR_LRU_INSERTS, &mut self.lru_inserts),
+            (CTR_LRU_EVICTIONS, &mut self.lru_evictions),
+            (CTR_EXACT_HITS_CLOSED_FORM, &mut self.exact_hits_closed_form),
+            (CTR_EXACT_HITS_FACTORIZED, &mut self.exact_hits_factorized),
+            (CTR_BYTE_EVICTIONS, &mut self.byte_evictions),
+            (CTR_AUTO_RESPAWNS, &mut self.auto_respawns),
+            (CTR_QUARANTINES, &mut self.quarantines),
+            (CTR_INJECTED_FAULTS, &mut self.injected_faults),
+            (CTR_SHED_REJECTS, &mut self.shed_rejects),
+            (CTR_DEGRADED_SERVES, &mut self.degraded_serves),
+            (CTR_DEADLINE_EXPIRED, &mut self.deadline_expired),
+        ]
+    }
+
+    /// This snapshot as a registry-shaped metrics scrape: counters
+    /// under their `CTR_*` indices, `lru_len` and `queue_depth_peak`
+    /// under their gauges, everything else zero.
+    pub fn to_snapshot(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::zeroed();
+        let mut fields = *self;
+        for (idx, v) in fields.counters_mut() {
+            snap.counters[idx] = *v;
+        }
+        snap.gauges[GAUGE_LRU_ENTRIES].1 = self.lru_len;
+        snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1 = self.queue_depth_peak;
+        snap
+    }
+
+    /// The serving-counter view of a metrics scrape (what
+    /// `PolicyClient::stats` returns).
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
+        let mut stats = ServiceStats {
+            lru_len: snap.gauge(GAUGE_LRU_ENTRIES),
+            queue_depth_peak: snap.gauge(GAUGE_QUEUE_DEPTH_PEAK),
+            ..ServiceStats::default()
+        };
+        for (idx, v) in stats.counters_mut() {
+            *v = snap.counter(idx);
+        }
+        stats
+    }
+
     /// Accumulates another snapshot into this one — how per-shard
-    /// snapshots aggregate into a deployment total. Each field merges
-    /// by its declared [`STAT_KINDS`] entry: counters and
-    /// disjoint-domain gauges (`lru_len`) sum, shared-domain gauges
-    /// (`queue_depth_peak`) take the max.
+    /// snapshots aggregate into a deployment total. Merges through
+    /// [`MetricsSnapshot::merge`]: counters and `lru_len` sum,
+    /// `queue_depth_peak` takes the max.
     pub fn merge(&mut self, other: &ServiceStats) {
-        let mut a = self.to_wire().to_array();
-        let b = other.to_wire().to_array();
-        for (i, (x, y)) in a.iter_mut().zip(b).enumerate() {
-            match STAT_KINDS[i] {
-                StatKind::Counter | StatKind::GaugeSum => *x += y,
-                StatKind::GaugeMax => *x = (*x).max(y),
-            }
-        }
-        *self = ServiceStats::from_wire(&WireServiceStats::from_array(a));
-    }
-
-    /// The wire form of this snapshot (for `StatsResponse` messages).
-    pub fn to_wire(&self) -> WireServiceStats {
-        WireServiceStats {
-            requests: self.requests,
-            batches: self.batches,
-            exact_hits: self.exact_hits,
-            closed_form_hits: self.closed_form_hits,
-            solver_solves: self.solver_solves,
-            batch_dedup_hits: self.batch_dedup_hits,
-            errors: self.errors,
-            lru_inserts: self.lru_inserts,
-            lru_evictions: self.lru_evictions,
-            lru_len: self.lru_len,
-            exact_hits_closed_form: self.exact_hits_closed_form,
-            exact_hits_factorized: self.exact_hits_factorized,
-            byte_evictions: self.byte_evictions,
-            auto_respawns: self.auto_respawns,
-            quarantines: self.quarantines,
-            injected_faults: self.injected_faults,
-            shed_rejects: self.shed_rejects,
-            degraded_serves: self.degraded_serves,
-            deadline_expired: self.deadline_expired,
-            queue_depth_peak: self.queue_depth_peak,
-        }
-    }
-
-    /// Rebuilds a snapshot from its wire form.
-    pub fn from_wire(w: &WireServiceStats) -> Self {
-        ServiceStats {
-            requests: w.requests,
-            batches: w.batches,
-            exact_hits: w.exact_hits,
-            closed_form_hits: w.closed_form_hits,
-            solver_solves: w.solver_solves,
-            batch_dedup_hits: w.batch_dedup_hits,
-            errors: w.errors,
-            grid_builds: 0,
-            lru_inserts: w.lru_inserts,
-            lru_evictions: w.lru_evictions,
-            lru_len: w.lru_len,
-            exact_hits_closed_form: w.exact_hits_closed_form,
-            exact_hits_factorized: w.exact_hits_factorized,
-            byte_evictions: w.byte_evictions,
-            auto_respawns: w.auto_respawns,
-            quarantines: w.quarantines,
-            injected_faults: w.injected_faults,
-            shed_rejects: w.shed_rejects,
-            degraded_serves: w.degraded_serves,
-            deadline_expired: w.deadline_expired,
-            queue_depth_peak: w.queue_depth_peak,
-        }
+        let mut snap = self.to_snapshot();
+        snap.merge(&other.to_snapshot());
+        *self = ServiceStats::from_snapshot(&snap);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use econcast_metrics::{GAUGE_KINDS, GAUGE_KIND_MAX, GAUGE_KIND_SUM, NUM_COUNTERS};
 
+    /// Every field distinct: 1..=20 in declaration order.
     fn counting() -> ServiceStats {
-        let w = WireServiceStats::from_array(std::array::from_fn(|i| i as u64 + 1));
-        ServiceStats::from_wire(&w)
+        ServiceStats {
+            requests: 1,
+            batches: 2,
+            exact_hits: 3,
+            closed_form_hits: 4,
+            solver_solves: 5,
+            batch_dedup_hits: 6,
+            errors: 7,
+            grid_builds: 0,
+            lru_inserts: 8,
+            lru_evictions: 9,
+            lru_len: 10,
+            exact_hits_closed_form: 11,
+            exact_hits_factorized: 12,
+            byte_evictions: 13,
+            auto_respawns: 14,
+            quarantines: 15,
+            injected_faults: 16,
+            shed_rejects: 17,
+            degraded_serves: 18,
+            deadline_expired: 19,
+            queue_depth_peak: 20,
+        }
     }
 
     #[test]
     fn wire_roundtrip_is_lossless() {
         let s = counting();
-        assert_eq!(ServiceStats::from_wire(&s.to_wire()), s);
+        let snap = s.to_snapshot();
+        assert_eq!(ServiceStats::from_snapshot(&snap), s);
         // Every field is distinct in the fixture, so a swapped mapping
-        // in either direction would break the equality above.
-        assert_eq!(s.requests, 1);
-        assert_eq!(s.closed_form_hits, 4);
-        assert_eq!(s.lru_inserts, 8);
-        assert_eq!(s.lru_len, 10);
-        assert_eq!(s.exact_hits_closed_form, 11);
-        assert_eq!(s.exact_hits_factorized, 12);
-        assert_eq!(s.byte_evictions, 13);
-        assert_eq!(s.auto_respawns, 14);
-        assert_eq!(s.quarantines, 15);
-        assert_eq!(s.injected_faults, 16);
-        assert_eq!(s.shed_rejects, 17);
-        assert_eq!(s.degraded_serves, 18);
-        assert_eq!(s.deadline_expired, 19);
-        assert_eq!(s.queue_depth_peak, 20);
-        assert_eq!(s.grid_builds, 0, "the shim is not on the wire");
+        // in either direction would break the equality above; the
+        // registry slots themselves are pinned here.
+        assert_eq!(snap.counter(CTR_REQUESTS), 1);
+        assert_eq!(snap.counter(CTR_CLOSED_FORM_HITS), 4);
+        assert_eq!(snap.counter(CTR_ERRORS), 7);
+        assert_eq!(snap.counter(CTR_LRU_INSERTS), 8);
+        assert_eq!(snap.counter(CTR_EXACT_HITS_CLOSED_FORM), 11);
+        assert_eq!(snap.counter(CTR_AUTO_RESPAWNS), 14);
+        assert_eq!(snap.counter(CTR_SHED_REJECTS), 17);
+        assert_eq!(snap.counter(CTR_DEADLINE_EXPIRED), 19);
+        assert_eq!(snap.gauge(GAUGE_LRU_ENTRIES), 10);
+        assert_eq!(snap.gauge(GAUGE_QUEUE_DEPTH_PEAK), 20);
+        // The cluster-only counters past the 18 are not service fields.
+        assert!(snap.counters[18..NUM_COUNTERS].iter().all(|&c| c == 0));
+        assert_eq!(s.grid_builds, 0, "the shim is not in the registry");
     }
 
     #[test]
@@ -243,35 +238,33 @@ mod tests {
         let mut total = ServiceStats::default();
         total.merge(&s);
         total.merge(&s);
-        let mut expect = s.to_wire().to_array().map(|c| 2 * c);
-        // queue_depth_peak is a gauge: merging identical snapshots
+        let mut expect = s.to_snapshot();
+        for c in &mut expect.counters {
+            *c *= 2;
+        }
+        expect.gauges[GAUGE_LRU_ENTRIES].1 *= 2;
+        // queue_depth_peak is a max gauge: merging identical snapshots
         // keeps the max, not the sum.
-        *expect.last_mut().unwrap() = s.queue_depth_peak;
-        assert_eq!(total.to_wire().to_array(), expect);
+        assert_eq!(total.to_snapshot(), expect);
         assert_eq!(total.served(), 2 * s.served());
     }
 
     #[test]
     fn stat_kinds_flag_exactly_the_two_gauges() {
-        // lru_len (slot 9) sums across disjoint shards; the queue
-        // peak (slot 19) maxes across a shared queue; everything else
-        // is a plain counter. A gauge smuggled into the counter list
-        // without a kind declaration fails here.
-        for (i, kind) in STAT_KINDS.iter().enumerate() {
-            let expect = match i {
-                9 => StatKind::GaugeSum,
-                19 => StatKind::GaugeMax,
-                _ => StatKind::Counter,
-            };
-            assert_eq!(*kind, expect, "slot {i}");
-        }
-        // And the table drives merge: the two gauges behave
-        // differently from each other and from the counters.
-        let mut a = ServiceStats {
+        // The two levels ride registry gauges whose kinds drive the
+        // merge: lru_len sums across disjoint shards, the queue peak
+        // maxes across a shared queue. Every other field is a counter.
+        assert_eq!(GAUGE_KINDS[GAUGE_LRU_ENTRIES], GAUGE_KIND_SUM);
+        assert_eq!(GAUGE_KINDS[GAUGE_QUEUE_DEPTH_PEAK], GAUGE_KIND_MAX);
+        let gauges_only = ServiceStats {
             lru_len: 5,
             queue_depth_peak: 7,
-            requests: 1,
             ..ServiceStats::default()
+        };
+        assert!(gauges_only.to_snapshot().counters.iter().all(|&c| c == 0));
+        let mut a = ServiceStats {
+            requests: 1,
+            ..gauges_only
         };
         let b = ServiceStats {
             lru_len: 3,

@@ -79,7 +79,7 @@ fn tcp_sharded_responses_bit_identical_to_in_process() {
 
     // Stats over the wire: every request is accounted for, across all
     // shards, and per-shard snapshots sum to the aggregate — modulo
-    // the admission overlay, which is front-wide (like the cluster's
+    // the admission counters, which are front-wide (like the cluster's
     // robustness counters) and rides the aggregate only.
     let aggregate = client.stats(None).expect("aggregate stats");
     assert_eq!(aggregate.requests, batch.len() as u64);

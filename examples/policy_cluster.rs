@@ -116,8 +116,8 @@ fn main() {
         stats.healthy
     );
 
-    // Cluster-wide serving counters fan in over the ordinary
-    // StatsRequest path.
+    // Cluster-wide serving counters fan in over the ordinary metrics
+    // scrape.
     let aggregate = client.stats(None).expect("aggregate stats");
     println!(
         "fan-in: {} requests seen cluster-wide, {} served solver-free",
