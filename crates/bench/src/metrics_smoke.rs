@@ -40,20 +40,17 @@ impl SmokeOutcome {
 }
 
 /// Ground truth for the fan-in: Σ direct backend scrapes plus the
-/// front's own share — this process's latency histograms, the
-/// router's counters and fallback solver, and the front's admission
-/// counters. Valid only while the front is quiescent — metrics
-/// scrapes don't bump serve counters, so back-to-back scrapes see the
-/// same local state.
+/// front's own share — the router's counters and its fallback
+/// solver's counters and latency histograms, and the front's
+/// admission counters. Valid only while the front is quiescent —
+/// metrics scrapes don't bump serve counters, so back-to-back scrapes
+/// see the same local state.
 fn expected_sum(front: &FrontHandle, addrs: &[SocketAddr]) -> io::Result<MetricsSnapshot> {
-    let mut sum = econcast_metrics::snapshot();
-    sum.merge(
-        &front
-            .router()
-            .lock()
-            .map_err(|_| io::Error::other("router poisoned"))?
-            .metrics(),
-    );
+    let mut sum = front
+        .router()
+        .lock()
+        .map_err(|_| io::Error::other("router poisoned"))?
+        .metrics();
     sum.merge(&front.admission().metrics());
     for &addr in addrs {
         let direct = PolicyClient::connect(addr, 1)?.metrics()?;

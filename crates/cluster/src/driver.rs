@@ -14,7 +14,7 @@
 
 use crate::remote::{RemoteShard, RemoteTicket};
 use econcast_service::ready;
-use econcast_service::WireResult;
+use econcast_service::ReplyFrames;
 use std::time::Duration;
 
 /// One submitted sub-batch being driven to completion.
@@ -37,7 +37,7 @@ const PARK_CAP: Duration = Duration::from_millis(100);
 /// deadline) and returns `(slot, outcome)` pairs in completion order.
 /// Failures are per-job: one backend's error never voids another's
 /// sub-batch.
-pub fn drive(mut jobs: Vec<Job<'_>>) -> Vec<(usize, std::io::Result<Vec<WireResult>>)> {
+pub fn drive(mut jobs: Vec<Job<'_>>) -> Vec<(usize, std::io::Result<ReplyFrames>)> {
     let mut done = Vec::with_capacity(jobs.len());
     while !jobs.is_empty() {
         let mut k = 0;

@@ -8,14 +8,18 @@
 //! * `Hello` → `Welcome` (the advertised shard count is the cluster's
 //!   **slot** count);
 //! * pipelined `Request`s are served as routed batches through the
-//!   [`ClusterRouter`] (remote fan-out, local failover);
+//!   [`ClusterRouter`] (remote fan-out, local failover). A backend's
+//!   answer comes back as its `Response` frame, verified on arrival
+//!   and kept as bytes; the connection loop forwards it with `corr`
+//!   and `id` rewritten and a fresh CRC, so the front never decodes a
+//!   served policy;
 //! * `MetricsRequest(shard = i)` answers with slot `i`'s scrape (a
 //!   remote slot is asked over the wire, via a fresh short-timeout
 //!   dial made *outside* the router lock — the control plane never
 //!   blocks the data plane); `shard = 0xFFFF` answers with the
 //!   cluster-wide fan-in — backend scrapes + local slots + the
-//!   router's own counters and fallback solver + the front's
-//!   admission counters;
+//!   router's own counters and fallback solver (counters and latency
+//!   histograms) + the front's admission counters;
 //! * `Ping` → `Pong` (liveness, untouched by routing);
 //! * decode errors drop the connection without a reply, exactly like
 //!   the single-process server.
@@ -37,8 +41,7 @@ use crate::router::{ClusterRouter, StatsSource};
 use econcast_metrics::MetricsSnapshot;
 use econcast_proto::service::STATS_SHARD_AGGREGATE;
 use econcast_service::{
-    Acceptor, AdmissionController, PolicyClient, PolicyRequest, PolicyResponse, ServeTarget,
-    ServiceError,
+    Acceptor, AdmissionController, PolicyClient, PolicyRequest, ServeTarget, Served,
 };
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
@@ -157,15 +160,14 @@ impl ServeTarget for FrontTarget {
         self.router().num_slots()
     }
 
-    fn serve(&self, reqs: &[PolicyRequest]) -> Vec<Result<PolicyResponse, ServiceError>> {
+    fn serve(&self, reqs: &[PolicyRequest], out: &mut Served) {
         let router = &mut *self.router();
-        let out = router.serve_batch(reqs);
+        router.route_batch(reqs, out);
         // Backpressure propagation upstream: whatever the backends are
         // currently advertising becomes the floor of the front's own
         // retry hints (cleared automatically once the windows lapse).
         self.admission
             .set_external_hint_us(router.saturation_hint_us());
-        out
     }
 
     /// Scrape fan-in without blocking the data plane: the router
@@ -174,9 +176,8 @@ impl ServeTarget for FrontTarget {
     /// passes through the per-slot re-base, so a respawned backend
     /// restarting at zero never drags a counter backwards. The
     /// aggregate is what the cluster can *see*: down or unreachable
-    /// backends contribute nothing while absent. It adds the
-    /// process-global latency histograms (covering local slots and
-    /// the fallback solver) and the router's own share; the
+    /// backends contribute nothing while absent. It adds the router's
+    /// own share (its counters and its fallback solver's); the
     /// connection loop merges the front's admission counters on top.
     fn metrics(&self, shard: u16) -> Option<MetricsSnapshot> {
         let (sources, own) = {
@@ -194,8 +195,7 @@ impl ServeTarget for FrontTarget {
             let slot = usize::from(shard);
             return fetch(slot, sources.into_iter().nth(slot)?);
         };
-        let mut total = econcast_metrics::snapshot();
-        total.merge(&own);
+        let mut total = own;
         for (slot, source) in sources.into_iter().enumerate() {
             if let Some(snap) = fetch(slot, source) {
                 total.merge(&snap);

@@ -19,7 +19,7 @@
 //! backends are stock `PolicyServer` processes that cannot tell a
 //! dialer from any other client.
 
-use econcast_service::{ready, PolicyClient, PolicyRequest, Ticket, WireResult};
+use econcast_service::{ready, PolicyClient, PolicyRequest, ReplyFrames, Ticket, WireResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -234,19 +234,20 @@ impl RemoteShard {
     }
 
     /// Non-blocking progress check on an in-flight batch: absorbs
-    /// whatever replies are readable and reports completion.
+    /// whatever replies are readable and reports completion, with the
+    /// replies kept as the verified frames the backend sent.
     /// `Ok(None)` means "not done yet — wait for readability and
     /// retry". Completion (either way) closes the `remote_serve`
     /// trace span and feeds the health machine; blowing the
     /// [`RemoteConfig::io_timeout`] deadline counts as a stream
-    /// failure.
-    pub fn try_finish(&mut self, t: &RemoteTicket) -> std::io::Result<Option<Vec<WireResult>>> {
+    /// failure, and so does a reply that fails verification.
+    pub fn try_finish(&mut self, t: &RemoteTicket) -> std::io::Result<Option<ReplyFrames>> {
         let polled = match self.conn.as_mut() {
             None => Err(std::io::Error::new(
                 std::io::ErrorKind::NotConnected,
                 "connection was dropped mid-batch",
             )),
-            Some(conn) => conn.try_collect(&t.ticket),
+            Some(conn) => conn.try_collect_frames(&t.ticket),
         };
         match polled {
             Ok(Some(out)) => {
@@ -295,6 +296,14 @@ impl RemoteShard {
             self.note_failure();
         }
         econcast_trace::complete_from("cluster", "remote_serve", t.t0, &[("requests", t.n as u64)]);
+    }
+
+    /// Gives a finished batch's reply buffer back to the pooled
+    /// connection for reuse (dropped when the connection is gone).
+    pub fn recycle(&mut self, frames: ReplyFrames) {
+        if let Some(conn) = self.conn.as_mut() {
+            conn.recycle(frames);
+        }
     }
 
     /// The pooled connection's descriptor for readiness multiplexing

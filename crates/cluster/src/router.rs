@@ -17,15 +17,24 @@
 //!
 //! A batch scatters into per-slot sub-batches (request order
 //! preserved within each), remote sub-batches fan out **concurrently**
-//! (one thread per live backend), and responses gather back in
-//! request order, each already in its caller's node order.
+//! (pipelined on one readiness-driven thread), and responses gather
+//! back in request order, each already in its caller's node order.
+//! The routing core, [`ClusterRouter::route_batch`], answers each
+//! request either natively (local slots, the fallback solver) or with
+//! its backend's `Response` frame, verified on arrival and kept as
+//! bytes for the cluster front to forward;
+//! [`ClusterRouter::serve_batch`] parses those frames for in-process
+//! callers.
 //!
 //! ## Failover
 //!
 //! Backend trouble is never the caller's problem:
 //!
 //! * a backend marked down by its health machine is skipped outright;
-//! * a stream failure mid-batch voids that backend's whole sub-batch;
+//! * a stream failure mid-batch voids that backend's whole sub-batch —
+//!   and so does a reply that fails verification: a corrupt frame, or
+//!   a well-formed `Response` whose node count differs from its
+//!   request's;
 //! * both sets of requests are re-served by the router's **local
 //!   fallback solver** in request order, counted in
 //!   [`ClusterStats::local_fallbacks`].
@@ -44,7 +53,10 @@ use econcast_metrics::{
 };
 use econcast_proto::service::ServiceErrorCode;
 use econcast_service::ServiceStats;
-use econcast_service::{PolicyRequest, PolicyResponse, PolicyService, ServiceConfig, ServiceError};
+use econcast_service::{
+    Answer, PolicyRequest, PolicyResponse, PolicyService, ReplyFrames, Served, ServiceConfig,
+    ServiceError,
+};
 use econcast_statespace::{fnv1a_64, route_hash_of, InstanceKey};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -596,10 +608,29 @@ impl ClusterRouter {
     /// could not answer, gather in request order. Backend failures are
     /// **never** surfaced as caller errors — the fallback solver
     /// produces the identical bits a healthy backend would have.
+    ///
+    /// A thin adapter over [`route_batch`](Self::route_batch) that
+    /// parses the forwarded frames.
     pub fn serve_batch(
         &mut self,
         reqs: &[PolicyRequest],
     ) -> Vec<Result<PolicyResponse, ServiceError>> {
+        let mut served = Served::default();
+        self.route_batch(reqs, &mut served);
+        served.into_results(reqs)
+    }
+
+    /// The routing core: serves a batch into `out`, answering each
+    /// request either natively (local slots, the fallback solver) or
+    /// with its backend's verified `Response` frame, left as bytes for
+    /// the caller to forward. The reply buffers `out` holds from the
+    /// previous batch go back to the backend connections for reuse.
+    ///
+    /// Verification happens as frames arrive, in the dialer's client:
+    /// a reply that fails it — corrupt, or a well-formed `Response`
+    /// whose node count differs from its request's — fails the stream,
+    /// which voids that backend's whole sub-batch.
+    pub fn route_batch(&mut self, reqs: &[PolicyRequest], out: &mut Served) {
         let _serve = econcast_trace::trace_span!(
             "cluster",
             "cluster_serve",
@@ -608,6 +639,8 @@ impl ClusterRouter {
         self.sweep_saturation();
         let nslots = self.slots.len();
         let sub_idx = self.route(reqs);
+        let mut spare = std::mem::take(&mut out.frames);
+        out.answers.clear();
 
         // Remote fan-out, pipelined: submit every live backend's
         // sub-batch back to back, then drive all the in-flight
@@ -634,12 +667,15 @@ impl ClusterRouter {
             })
             .sum();
         self.saturated_routes += skipped_saturated;
-        let mut remote_results: Vec<Option<std::io::Result<Vec<econcast_service::WireResult>>>> =
-            (0..self.slots.len()).map(|_| None).collect();
+        let mut remote_results: Vec<Option<std::io::Result<ReplyFrames>>> =
+            (0..nslots).map(|_| None).collect();
         let mut jobs = Vec::new();
         for (s, slot) in self.slots.iter_mut().enumerate() {
             let Slot::Remote(rs) = slot else { continue };
             if !sub_idx[s].is_empty() && rs.should_attempt() && !saturated[s] {
+                if let Some(frames) = spare.pop() {
+                    rs.recycle(frames);
+                }
                 // Encoded straight from the caller's requests: the
                 // sub-batch is a view, not a copy.
                 match rs.begin_batch(sub_idx[s].iter().map(|&i| &reqs[i])) {
@@ -658,22 +694,23 @@ impl ClusterRouter {
             remote_results[s] = Some(result);
         }
 
-        let mut out: Vec<Option<Result<PolicyResponse, ServiceError>>> = vec![None; reqs.len()];
+        let mut answers: Vec<Option<Answer>> = (0..reqs.len()).map(|_| None).collect();
         for (s, result) in remote_results.into_iter().enumerate() {
             let Some(result) = result else { continue };
             match result {
-                Ok(wire_results) => {
-                    for (&i, wire) in sub_idx[s].iter().zip(wire_results) {
+                Ok(frames) => {
+                    let batch = out.frames.len();
+                    for (k, &i) in sub_idx[s].iter().enumerate() {
                         // A per-request backend rejection (the `Err`
                         // arm) is left unresolved here and re-judged
                         // locally: the fallback runs the same config,
                         // so the caller gets the identical typed
                         // error (or response) a local deployment
                         // would produce.
-                        match wire {
-                            Ok(resp) => {
+                        match frames.get(k) {
+                            Ok(_) => {
                                 self.remote_served += 1;
-                                out[i] = Some(Ok(PolicyResponse::from_wire(&resp, reqs[i].sigma)));
+                                answers[i] = Some(Answer::Forward { batch, k });
                             }
                             // The backend shed this request: open a
                             // saturation window for its advertised
@@ -686,10 +723,11 @@ impl ClusterRouter {
                             Err(_) => {}
                         }
                     }
+                    out.frames.push(frames);
                 }
                 Err(_) => {
                     // Stream failure: the whole sub-batch falls back.
-                    // (Any responses decoded before the failure are
+                    // (Any replies verified before the failure are
                     // discarded — recomputing locally yields identical
                     // bits, and a partial trust boundary is not worth
                     // the bookkeeping.)
@@ -709,7 +747,7 @@ impl ClusterRouter {
                     sub_idx[s].iter().map(|&i| reqs[i].clone()).collect();
                 self.local_served += batch.len() as u64;
                 for (&i, r) in sub_idx[s].iter().zip(svc.serve_batch(&batch)) {
-                    out[i] = Some(r);
+                    answers[i] = Some(Answer::Native(r));
                 }
             }
         }
@@ -717,7 +755,7 @@ impl ClusterRouter {
         // Fallback: everything still unresolved (invalid requests,
         // down/failed backends' sub-batches, per-request rejections),
         // as one local batch in request order.
-        let pending: Vec<usize> = (0..reqs.len()).filter(|&i| out[i].is_none()).collect();
+        let pending: Vec<usize> = (0..reqs.len()).filter(|&i| answers[i].is_none()).collect();
         if !pending.is_empty() {
             let _failover = econcast_trace::trace_span!(
                 "cluster",
@@ -734,16 +772,18 @@ impl ClusterRouter {
                     self.local_fallbacks += 1;
                     reserves += 1;
                 }
-                out[i] = Some(r);
+                answers[i] = Some(Answer::Native(r));
             }
             if reserves > 0 {
                 econcast_metrics::ops_event(OpsKind::FailoverReserve, 0, reserves);
             }
         }
 
-        out.into_iter()
-            .map(|r| r.expect("every request resolved"))
-            .collect()
+        out.answers.extend(
+            answers
+                .into_iter()
+                .map(|a| a.expect("every request resolved")),
+        );
     }
 }
 

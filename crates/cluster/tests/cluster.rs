@@ -13,12 +13,17 @@ use econcast_metrics::{
     CTR_ERRORS, CTR_EXACT_HITS, CTR_EXACT_HITS_CLOSED_FORM, CTR_EXACT_HITS_FACTORIZED,
     CTR_INJECTED_FAULTS, CTR_LRU_EVICTIONS, CTR_LRU_INSERTS, CTR_QUARANTINES, CTR_REQUESTS,
     CTR_SHED_REJECTS, CTR_SOLVER_SOLVES, GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH_PEAK,
+    HIST_REQUEST_NS,
 };
+use econcast_proto::service::{WirePong, WireWelcome};
+use econcast_proto::{ServiceCodec, ServiceMessage};
 use econcast_service::workload::mixed_batch;
 use econcast_service::{
-    PolicyClient, PolicyRequest, PolicyServer, RouterConfig, ServerConfig, ServiceConfig,
-    ServiceErrorCode, ServiceStats, ShardRouter,
+    PolicyClient, PolicyRequest, PolicyServer, PolicyService, RouterConfig, ServerConfig,
+    ServerHandle, ServiceConfig, ServiceErrorCode, ServiceStats, ShardRouter,
 };
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::time::Duration;
 
@@ -330,6 +335,23 @@ fn assert_planes_agree(m: &MetricsSnapshot, s: &ServiceStats) {
     assert_eq!(m.gauge(GAUGE_QUEUE_DEPTH_PEAK), s.queue_depth_peak);
 }
 
+/// A single-shard `PolicyServer` in this process.
+fn in_process_backend() -> ServerHandle {
+    PolicyServer::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            router: RouterConfig {
+                shards: 1,
+                service: service_cfg(),
+                ..RouterConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind backend")
+    .spawn()
+}
+
 #[test]
 fn front_counts_each_shed_and_expiry_once() {
     // Two in-process backends behind a front with a 2-slot queue and
@@ -338,21 +360,7 @@ fn front_counts_each_shed_and_expiry_once() {
     // backend and then past their deadline. Counters are per
     // component, so in-process backends keep their own counts, and
     // each answer counts exactly once in the fan-in.
-    let backend = || {
-        PolicyServer::bind(
-            "127.0.0.1:0",
-            ServerConfig {
-                router: RouterConfig {
-                    shards: 1,
-                    service: service_cfg(),
-                    ..RouterConfig::default()
-                },
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind backend")
-        .spawn()
-    };
+    let backend = in_process_backend;
     let backends = [backend(), backend()];
     let slots: Vec<SlotSpec> = backends
         .iter()
@@ -411,6 +419,166 @@ fn front_counts_each_shed_and_expiry_once() {
 
     drop(client);
     front.shutdown();
+}
+
+#[test]
+fn front_counts_each_request_latency_once() {
+    // Latency histograms belong to the service that served, like
+    // counters: a front over two backends in its own process reads
+    // each served request once, not once per server in the process.
+    let backends = [in_process_backend(), in_process_backend()];
+    let slots: Vec<SlotSpec> = backends
+        .iter()
+        .map(|b| SlotSpec::Remote(b.addr()))
+        .collect();
+    let front = ClusterFront::bind(
+        "127.0.0.1:0",
+        ClusterRouter::new(&slots, cluster_cfg()),
+        FrontConfig::default(),
+    )
+    .expect("bind front")
+    .spawn();
+    let mut client = PolicyClient::connect(front.addr(), 2).expect("connect");
+    let out = client.serve_batch(&mixed_batch(2)).expect("serve");
+    assert!(out.iter().all(Result::is_ok));
+    let m = client.metrics().expect("scrape");
+    assert_eq!(m.hist(HIST_REQUEST_NS).total(), 2);
+    assert_eq!(m.counter(CTR_REQUESTS), 2);
+}
+
+/// How a scripted backend spoils one reply in the middle of its
+/// sub-batch.
+#[derive(Debug, Clone, Copy)]
+enum Spoil {
+    /// Flip one bit deep inside the policy body, leaving the CRC as
+    /// it was.
+    FlipPolicyBit,
+    /// Answer with one policy fewer than the request has nodes, in a
+    /// well-formed frame with a valid CRC.
+    DropOnePolicy,
+}
+
+/// A backend speaking v7 by hand on a raw listener: it serves every
+/// request of its one connection correctly with its own
+/// `PolicyService`, except the middle reply, which it spoils.
+fn scripted_backend(spoil: Spoil) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted backend");
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut svc = PolicyService::new(service_cfg());
+        let mut codec = ServiceCodec::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut requests = Vec::new();
+        loop {
+            // Once a request arrived, a quiet 100 ms ends the batch.
+            let quiet = (!requests.is_empty()).then_some(Duration::from_millis(100));
+            stream.set_read_timeout(quiet).unwrap();
+            let n = match stream.read(&mut buf) {
+                Ok(0) => return,
+                Ok(n) => n,
+                Err(_) if quiet.is_some() => 0,
+                Err(_) => return,
+            };
+            codec.feed(&buf[..n]);
+            let mut out = bytes::BytesMut::new();
+            for msg in codec.drain().expect("router frames decode") {
+                let reply = match msg {
+                    ServiceMessage::Hello(h) => ServiceMessage::Welcome(WireWelcome {
+                        id: h.id,
+                        shards: 1,
+                        max_batch: 1024,
+                    }),
+                    ServiceMessage::Ping(p) => ServiceMessage::Pong(WirePong { id: p.id }),
+                    ServiceMessage::Request(r) => {
+                        requests.push(r);
+                        continue;
+                    }
+                    _ => continue,
+                };
+                ServiceCodec::encode(&reply, &mut out);
+            }
+            if n == 0 {
+                let native: Vec<PolicyRequest> = requests
+                    .iter()
+                    .cloned()
+                    .map(PolicyRequest::from_wire)
+                    .collect();
+                let mid = requests.len() / 2;
+                for (k, (r, result)) in requests.iter().zip(svc.serve_batch(&native)).enumerate() {
+                    let mut resp = result.expect("scripted backend serves").to_wire(r.id);
+                    resp.corr = r.corr;
+                    if k == mid {
+                        if let Spoil::DropOnePolicy = spoil {
+                            resp.policies.pop();
+                        }
+                    }
+                    let at = out.len();
+                    ServiceCodec::encode(&ServiceMessage::Response(resp), &mut out);
+                    if k == mid {
+                        if let Spoil::FlipPolicyBit = spoil {
+                            // Prefix, then the 47-byte fixed part, then
+                            // halfway into the policies.
+                            let body = out.len() - at - 2 - 47 - 2;
+                            out[at + 2 + 47 + body / 2] ^= 0x10;
+                        }
+                    }
+                }
+                requests.clear();
+            }
+            if !out.is_empty() && stream.write_all(&out).is_err() {
+                return;
+            }
+        }
+    });
+    (addr, handle)
+}
+
+/// A spoiled reply in the middle of a backend's sub-batch voids that
+/// whole sub-batch: the caller still gets the reference bits, every
+/// request of the sub-batch is re-served by the fallback, and the
+/// spoiled frame is never forwarded.
+fn spoiled_reply_voids_the_sub_batch(spoil: Spoil) {
+    let good = in_process_backend();
+    let (scripted, script) = scripted_backend(spoil);
+    let slots = [SlotSpec::Remote(good.addr()), SlotSpec::Remote(scripted)];
+    let front = ClusterFront::bind(
+        "127.0.0.1:0",
+        ClusterRouter::new(&slots, cluster_cfg()),
+        FrontConfig::default(),
+    )
+    .expect("bind front")
+    .spawn();
+    let batch = mixed_batch(22);
+    let reference = ShardRouter::new(RouterConfig {
+        shards: 2,
+        service: service_cfg(),
+        ..RouterConfig::default()
+    });
+    let expected = reference.serve_batch(&batch);
+
+    let mut client = PolicyClient::connect(front.addr(), batch.len() as u16).expect("connect");
+    let got = client.serve_batch(&batch).expect("front round trip");
+    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+        assert_payload_identical(i, g, e);
+    }
+    let cs = front.router().lock().unwrap().cluster_stats();
+    assert!(cs.routed[1] >= 3, "the scripted slot has a middle: {cs:?}");
+    assert_eq!(cs.backend_failures, 1, "{spoil:?}");
+    assert_eq!(cs.local_fallbacks, cs.routed[1], "{spoil:?}");
+    assert_eq!(cs.remote_served, cs.routed[0], "{spoil:?}");
+    drop(front);
+    script.join().expect("scripted backend");
+}
+
+#[test]
+fn corrupt_policy_bit_mid_sub_batch_falls_back_bit_identically() {
+    spoiled_reply_voids_the_sub_batch(Spoil::FlipPolicyBit);
+}
+
+#[test]
+fn wrong_node_count_reply_is_never_forwarded() {
+    spoiled_reply_voids_the_sub_batch(Spoil::DropOnePolicy);
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! (the per-slot re-base carries the dead incarnation's totals
 //! forward).
 //!
-//! One test in its own binary: the expected histograms come from the
-//! front process's global hub, which must stay quiescent between the
-//! aggregate scrape and the ground-truth scrapes.
+//! One test in its own binary: the expected values come from the
+//! front process's own components, which must stay quiescent between
+//! the aggregate scrape and the ground-truth scrapes.
 
 use econcast_cluster::{
     ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, FrontHandle, RemoteConfig, SlotSpec,
@@ -44,13 +44,12 @@ fn cluster_cfg() -> ClusterConfig {
 }
 
 /// Ground truth: Σ direct backend scrapes + the front's own share —
-/// the process's latency histograms (the fallback solver's serves),
-/// the router's counters and fallback solver, and the front's
-/// admission counters. The front-local counters come from the
-/// components that count them, not from a process-global tally.
+/// the router's counters and its fallback solver's counters and
+/// latency histograms, and the front's admission counters. The
+/// front-local values come from the components that record them, not
+/// from a process-global tally.
 fn expected_sum(front: &FrontHandle, addrs: &[SocketAddr]) -> MetricsSnapshot {
-    let mut sum = econcast_metrics::snapshot();
-    sum.merge(&front.router().lock().unwrap().metrics());
+    let mut sum = front.router().lock().unwrap().metrics();
     sum.merge(&front.admission().metrics());
     for &addr in addrs {
         let direct = PolicyClient::connect(addr, 1)

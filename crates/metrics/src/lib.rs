@@ -24,15 +24,16 @@
 //! * [`Histogram`] — one relaxed `fetch_add` into a fixed log-bucket
 //!   array (the bucket scheme is `econcast-trace`'s, re-exported, so
 //!   both layers' histograms merge index-for-index). The serve path's
-//!   two latency histograms live on the process-global [`hub`], so a
-//!   serve path records into them without plumbing.
-//! * Flight recorder — a mutex-guarded ring on the same hub, touched
-//!   only on *rare* events (a shed, a respawn), never on the
-//!   per-request path. Recording an event does not count it.
+//!   two latency histograms are a [`LatencyHists`] pair owned by each
+//!   policy service, so like a counter each latency is recorded once,
+//!   by the server that served it.
+//! * Flight recorder — a mutex-guarded ring on the process-global
+//!   [`hub`], touched only on *rare* events (a shed, a respawn), never
+//!   on the per-request path. Recording an event does not count it.
 //!
-//! [`set_recording`] (default **on**) is the kill switch for the hub
-//! (histograms and recorder) that the bench harness uses to measure
-//! the plane's own overhead.
+//! [`set_recording`] (default **on**) is the process-wide kill switch
+//! for the histograms and the recorder that the bench harness uses to
+//! measure the plane's own overhead.
 //!
 //! ## Snapshots, merge, windows
 //!
@@ -295,18 +296,42 @@ impl Histogram {
         }
         HistSnapshot { buckets }
     }
-
-    /// Zeroes every bucket (tests and the bench harness only).
-    pub fn reset(&self) {
-        for c in self.counts.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram::new()
+    }
+}
+
+/// The serve path's two latency histograms (`HIST_*`), owned by one
+/// serving component: a process running several servers reports each
+/// server's latencies from that server alone.
+#[derive(Debug, Default)]
+pub struct LatencyHists([Histogram; NUM_HISTS]);
+
+impl LatencyHists {
+    /// Records one served batch of `requests` that took `elapsed_ns`,
+    /// when recording is on: the batch once into [`HIST_BATCH_NS`],
+    /// and every request at the batch mean into [`HIST_REQUEST_NS`] —
+    /// one bucket update for the whole batch instead of per-request
+    /// clock reads, which is what keeps "always-on" near-free.
+    #[inline]
+    pub fn record_batch(&self, elapsed_ns: u64, requests: u64) {
+        if !recording_on() {
+            return;
+        }
+        self.0[HIST_BATCH_NS].record(elapsed_ns);
+        if let Some(per_request) = elapsed_ns.checked_div(requests) {
+            self.0[HIST_REQUEST_NS].record_n(per_request, requests);
+        }
+    }
+
+    /// Freezes both histograms into `snap`'s histogram slots.
+    pub fn fill(&self, snap: &mut MetricsSnapshot) {
+        for (slot, h) in snap.hists.iter_mut().zip(&self.0) {
+            *slot = h.snapshot();
+        }
     }
 }
 
@@ -593,13 +618,11 @@ struct Recorder {
 // The process-global hub
 // ---------------------------------------------------------------------------
 
-/// The process-global part of the metrics plane: the registry's
-/// histograms plus the flight recorder. Counters and gauges are *not*
-/// here — they are owned by their components and filled in at scrape
-/// time.
+/// The process-global part of the metrics plane: the flight
+/// recorder. Counters, gauges and histograms are *not* here — they are
+/// owned by their components and filled in at scrape time.
 #[derive(Debug)]
 pub struct Hub {
-    hists: Vec<Histogram>,
     recorder: Mutex<Recorder>,
 }
 
@@ -613,7 +636,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The process-global hub.
 pub fn hub() -> &'static Hub {
     HUB.get_or_init(|| Hub {
-        hists: (0..NUM_HISTS).map(|_| Histogram::new()).collect(),
         recorder: Mutex::new(Recorder::default()),
     })
 }
@@ -629,40 +651,6 @@ pub fn recording_on() -> bool {
 /// Turns recording on or off, process-wide.
 pub fn set_recording(on: bool) {
     RECORDING.store(on, Ordering::Relaxed);
-}
-
-impl Hub {
-    /// Records `n` samples of `v` into a registry histogram.
-    #[inline]
-    pub fn record_n(&self, hist: usize, v: u64, n: u64) {
-        self.hists[hist].record_n(v, n);
-    }
-
-    /// Freezes the histograms into a registry-shaped snapshot.
-    /// Counter and gauge slots come back zeroed (gauges with their
-    /// registry kinds) for their owners to fill in.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::zeroed();
-        for (i, h) in self.hists.iter().enumerate() {
-            snap.hists[i] = h.snapshot();
-        }
-        snap
-    }
-}
-
-/// Records `n` samples of `v` into a global-hub histogram, when
-/// recording.
-#[inline]
-pub fn record_n(hist: usize, v: u64, n: u64) {
-    if recording_on() {
-        hub().record_n(hist, v, n);
-    }
-}
-
-/// Freezes the global hub's histograms (counter and gauge slots
-/// zeroed for their owners to fill).
-pub fn snapshot() -> MetricsSnapshot {
-    hub().snapshot()
 }
 
 /// Records one flight-recorder event. It logs the event and counts
@@ -733,13 +721,9 @@ pub fn recorder_dump_json() -> String {
     out
 }
 
-/// Zeroes the global hub's histograms and empties the recorder — a
-/// clean slate for tests and bench runs. Leaves the recording switch
-/// alone.
+/// Empties the recorder — a clean slate for tests and bench runs.
+/// Leaves the recording switch alone.
 pub fn reset() {
-    for hist in &hub().hists {
-        hist.reset();
-    }
     recorder_clear();
 }
 
@@ -869,8 +853,7 @@ mod tests {
         ops_event(OpsKind::Quarantine, 2, 0);
         ops_event(OpsKind::SaturationClose, 1, 0);
         // The router that respawned and quarantined counts those; the
-        // recorder only logs them, so the hub's scrape counts nothing.
-        assert_eq!(snapshot(), MetricsSnapshot::zeroed());
+        // recorder only logs them (the hub holds no counter at all).
         let names: Vec<_> = recorder_events().iter().map(|e| e.kind.name()).collect();
         assert_eq!(names, vec!["respawn", "quarantine", "saturation_close"]);
         reset();
@@ -892,15 +875,27 @@ mod tests {
     #[test]
     fn recording_switch_gates_everything() {
         let _g = serial();
+        let hists = LatencyHists::default();
+        let scrape = |hists: &LatencyHists| {
+            let mut snap = MetricsSnapshot::zeroed();
+            hists.fill(&mut snap);
+            snap
+        };
         set_recording(false);
-        record_n(HIST_BATCH_NS, 1_000, 1);
+        hists.record_batch(1_000, 4);
         ops_event(OpsKind::Shed, 0, 0);
-        assert_eq!(snapshot().hist(HIST_BATCH_NS).total(), 0);
+        assert_eq!(scrape(&hists).hist(HIST_BATCH_NS).total(), 0);
+        assert_eq!(scrape(&hists).hist(HIST_REQUEST_NS).total(), 0);
         assert!(recorder_events().is_empty());
         set_recording(true);
-        record_n(HIST_BATCH_NS, 1_000, 1);
+        hists.record_batch(1_000, 4);
         ops_event(OpsKind::Shed, 0, 0);
-        assert_eq!(snapshot().hist(HIST_BATCH_NS).total(), 1);
+        assert_eq!(scrape(&hists).hist(HIST_BATCH_NS).total(), 1);
+        assert_eq!(scrape(&hists).hist(HIST_REQUEST_NS).total(), 4);
+        assert_eq!(
+            scrape(&hists).hist(HIST_REQUEST_NS).quantile(1.0),
+            bucket_high(bucket_of(250))
+        );
         assert_eq!(recorder_events().len(), 1);
         reset();
     }

@@ -34,6 +34,7 @@ pub use codec::StreamCodec;
 pub use error::DecodeError;
 pub use frame::{DataFrame, Frame, PingFrame, ReceptionReport};
 pub use service::{
-    ScatterEncoder, ServedTier, ServiceCodec, ServiceErrorCode, ServiceMessage, WireObjective,
-    WirePolicy, WirePolicyError, WirePolicyRequest, WirePolicyResponse, WIRE_VERSION,
+    Incoming, RequestHeader, ResponseHeader, ScatterEncoder, ServedTier, ServiceCodec,
+    ServiceErrorCode, ServiceMessage, VerifiedResponse, WireObjective, WirePolicy, WirePolicyError,
+    WirePolicyRequest, WirePolicyResponse, WIRE_VERSION,
 };

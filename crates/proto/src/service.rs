@@ -79,6 +79,18 @@ const TYPE_OVERLOADED: u8 = 0x1B;
 const TYPE_METRICS_REQUEST: u8 = 0x1C;
 const TYPE_METRICS_RESPONSE: u8 = 0x1D;
 
+/// Bytes of a Request frame before its budgets: type through the node
+/// count.
+const REQUEST_FIXED: usize = 49;
+
+/// Bytes of a Response frame before its policies: type through the
+/// node count.
+const RESPONSE_FIXED: usize = 47;
+
+/// Where the `corr` and `id` fields sit in every data-plane frame.
+const CORR_AT: usize = 2;
+const ID_AT: usize = 6;
+
 /// Cap on counters per [`WireMetricsSnapshot`] (frame must fit the
 /// u16 stream-length prefix; the registry currently uses 21).
 pub const MAX_WIRE_METRICS_COUNTERS: usize = 256;
@@ -297,6 +309,301 @@ pub struct WirePolicyResponse {
     pub policies: Vec<WirePolicy>,
 }
 
+/// Every field of a Request frame but its budgets: what an encoder
+/// needs beside the budget slice, so a caller holding its own request
+/// type frames it without first copying it into a
+/// [`WirePolicyRequest`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RequestHeader {
+    /// Batch correlation id.
+    pub corr: u32,
+    /// Per-request id.
+    pub id: u32,
+    /// Deadline budget in microseconds (0 = none).
+    pub deadline_us: u32,
+    /// Throughput objective.
+    pub objective: WireObjective,
+    /// Entropy temperature σ.
+    pub sigma: f64,
+    /// Requested relative accuracy.
+    pub tolerance: f64,
+    /// Listen power `L` (W).
+    pub listen_w: f64,
+    /// Transmit power `X` (W).
+    pub transmit_w: f64,
+}
+
+/// Every field of a Response frame but its policies — the
+/// [`RequestHeader`] of the reply direction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResponseHeader {
+    /// Echo of the request's batch correlation id.
+    pub corr: u32,
+    /// Echo of the request id.
+    pub id: u32,
+    /// Which cache tier answered.
+    pub tier: ServedTier,
+    /// Which solve kernel produced the underlying policy.
+    pub kernel: PolicyKernel,
+    /// Whether the underlying dual solve met its tolerance.
+    pub converged: bool,
+    /// Expected network throughput under the policy.
+    pub throughput: f64,
+    /// Certificate: achievable lower end `T^σ`.
+    pub cert_t_sigma: f64,
+    /// Certificate: the LP oracle `T*`.
+    pub cert_oracle: f64,
+    /// Certificate: weak-duality upper bound `D(η)`.
+    pub cert_dual_upper: f64,
+}
+
+/// A Response frame that passed every check [`ServiceMessage::decode`]
+/// makes of one — length, CRC, version, the tier, kernel and
+/// converged octets, and the node cap — borrowed from the bytes it
+/// was verified in. `decode` itself verifies with
+/// [`VerifiedResponse::verify`] and then parses, so the two can never
+/// disagree on which frames are Responses. A relay forwards
+/// [`frame`](VerifiedResponse::frame) as bytes
+/// ([`ServiceCodec::forward_response`]); a caller that stored the
+/// bytes parses them later with [`parse_verified_response`], without
+/// a second CRC pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VerifiedResponse<'a> {
+    frame: &'a [u8],
+    corr: u32,
+    id: u32,
+    nodes: usize,
+}
+
+impl<'a> VerifiedResponse<'a> {
+    /// Verifies the Response frame at the start of `data` (which may
+    /// run past it). Errors are exactly `decode`'s for the same bytes;
+    /// a frame of any other type is refused as
+    /// [`DecodeError::UnknownFrameType`].
+    pub fn verify(data: &'a [u8]) -> Result<Self, DecodeError> {
+        if data.len() < 2 {
+            return Err(DecodeError::Truncated {
+                needed: 8,
+                available: data.len(),
+            });
+        }
+        if data[0] != TYPE_RESPONSE {
+            return Err(DecodeError::UnknownFrameType(data[0]));
+        }
+        if data.len() < RESPONSE_FIXED {
+            return Err(DecodeError::Truncated {
+                needed: RESPONSE_FIXED + 2,
+                available: data.len(),
+            });
+        }
+        let nodes = usize::from(be_u16(data, RESPONSE_FIXED - 2));
+        let total = RESPONSE_FIXED + 16 * nodes + 2;
+        let frame = data.get(..total).ok_or(DecodeError::Truncated {
+            needed: total,
+            available: data.len(),
+        })?;
+        check_crc_and_version(frame)?;
+        ServedTier::from_u8(frame[10])?;
+        PolicyKernel::from_u8(frame[11])?;
+        if frame[12] > 1 {
+            return Err(DecodeError::InvalidField("converged"));
+        }
+        if nodes > MAX_WIRE_NODES {
+            return Err(DecodeError::MalformedLength);
+        }
+        Ok(VerifiedResponse {
+            frame,
+            corr: be_u32(frame, CORR_AT),
+            id: be_u32(frame, ID_AT),
+            nodes,
+        })
+    }
+
+    /// The frame's bytes, CRC included, without a length prefix.
+    pub fn frame(&self) -> &'a [u8] {
+        self.frame
+    }
+
+    /// The frame's correlation id.
+    pub fn corr(&self) -> u32 {
+        self.corr
+    }
+
+    /// The frame's request id.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// How many per-node policies the frame carries.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// Parses the verified frame.
+    pub fn parse(&self) -> WirePolicyResponse {
+        parse_verified_response(self.frame)
+    }
+}
+
+/// Parses the bytes of a frame that [`VerifiedResponse::verify`]
+/// accepted (its [`frame`](VerifiedResponse::frame), possibly stored
+/// and read back) without checking anything again.
+///
+/// # Panics
+///
+/// Panics when the bytes are not a verified Response frame.
+pub fn parse_verified_response(frame: &[u8]) -> WirePolicyResponse {
+    let mut cur = &frame[CORR_AT..frame.len() - 2];
+    let corr = cur.get_u32();
+    let id = cur.get_u32();
+    let tier = ServedTier::from_u8(cur.get_u8()).expect("verified tier");
+    let kernel = PolicyKernel::from_u8(cur.get_u8()).expect("verified kernel");
+    let converged = cur.get_u8() == 1;
+    let throughput = cur.get_f64();
+    let cert_t_sigma = cur.get_f64();
+    let cert_oracle = cur.get_f64();
+    let cert_dual_upper = cur.get_f64();
+    let n = usize::from(cur.get_u16());
+    let mut policies = Vec::with_capacity(n);
+    for _ in 0..n {
+        let listen = cur.get_f64();
+        let transmit = cur.get_f64();
+        policies.push(WirePolicy { listen, transmit });
+    }
+    WirePolicyResponse {
+        corr,
+        id,
+        tier,
+        kernel,
+        converged,
+        throughput,
+        cert_t_sigma,
+        cert_oracle,
+        cert_dual_upper,
+        policies,
+    }
+}
+
+fn be_u16(data: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([data[at], data[at + 1]])
+}
+
+fn be_u32(data: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
+}
+
+/// The two checks every frame passes before any field is read: the
+/// trailing CRC over everything before it, then the version octet —
+/// so corrupt bytes surface as `BadChecksum`, and a corrupt version
+/// octet as `BadChecksum` rather than `UnsupportedVersion`.
+fn check_crc_and_version(frame: &[u8]) -> Result<(), DecodeError> {
+    let (payload, tail) = frame.split_at(frame.len() - 2);
+    if crc16_ccitt(payload) != u16::from_be_bytes([tail[0], tail[1]]) {
+        return Err(DecodeError::BadChecksum);
+    }
+    if payload[1] != WIRE_VERSION {
+        return Err(DecodeError::UnsupportedVersion(payload[1]));
+    }
+    Ok(())
+}
+
+/// Writes one Request frame, CRC included — the only place its layout
+/// is written.
+fn put_request(buf: &mut BytesMut, h: &RequestHeader, budgets: &[f64]) {
+    assert!(
+        budgets.len() <= MAX_WIRE_NODES,
+        "request exceeds MAX_WIRE_NODES"
+    );
+    let start = buf.len();
+    buf.put_u8(TYPE_REQUEST);
+    buf.put_u8(WIRE_VERSION);
+    buf.put_u32(h.corr);
+    buf.put_u32(h.id);
+    buf.put_u32(h.deadline_us);
+    buf.put_u8(h.objective.to_u8());
+    buf.put_f64(h.sigma);
+    buf.put_f64(h.tolerance);
+    buf.put_f64(h.listen_w);
+    buf.put_f64(h.transmit_w);
+    buf.put_u16(budgets.len() as u16);
+    for &rho in budgets {
+        buf.put_f64(rho);
+    }
+    let crc = crc16_ccitt(&buf[start..]);
+    buf.put_u16(crc);
+}
+
+/// Writes one Response frame, CRC included — the only place its
+/// layout is written.
+fn put_response(
+    buf: &mut BytesMut,
+    h: &ResponseHeader,
+    policies: impl ExactSizeIterator<Item = WirePolicy>,
+) {
+    assert!(
+        policies.len() <= MAX_WIRE_NODES,
+        "response exceeds MAX_WIRE_NODES"
+    );
+    let start = buf.len();
+    buf.put_u8(TYPE_RESPONSE);
+    buf.put_u8(WIRE_VERSION);
+    buf.put_u32(h.corr);
+    buf.put_u32(h.id);
+    buf.put_u8(h.tier.to_u8());
+    buf.put_u8(h.kernel.to_u8());
+    buf.put_u8(u8::from(h.converged));
+    buf.put_f64(h.throughput);
+    buf.put_f64(h.cert_t_sigma);
+    buf.put_f64(h.cert_oracle);
+    buf.put_f64(h.cert_dual_upper);
+    buf.put_u16(policies.len() as u16);
+    for p in policies {
+        buf.put_f64(p.listen);
+        buf.put_f64(p.transmit);
+    }
+    let crc = crc16_ccitt(&buf[start..]);
+    buf.put_u16(crc);
+}
+
+/// Appends a length prefix for a frame of `len` bytes.
+fn put_prefix(buf: &mut BytesMut, len: usize) {
+    assert!(len <= u16::MAX as usize, "message too large for u16 prefix");
+    buf.put_u16(len as u16);
+}
+
+impl WirePolicyRequest {
+    /// Every field but the budgets.
+    fn header(&self) -> RequestHeader {
+        RequestHeader {
+            corr: self.corr,
+            id: self.id,
+            deadline_us: self.deadline_us,
+            objective: self.objective,
+            sigma: self.sigma,
+            tolerance: self.tolerance,
+            listen_w: self.listen_w,
+            transmit_w: self.transmit_w,
+        }
+    }
+}
+
+impl WirePolicyResponse {
+    /// Every field but the policies.
+    fn header(&self) -> ResponseHeader {
+        ResponseHeader {
+            corr: self.corr,
+            id: self.id,
+            tier: self.tier,
+            kernel: self.kernel,
+            converged: self.converged,
+            throughput: self.throughput,
+            cert_t_sigma: self.cert_t_sigma,
+            cert_oracle: self.cert_oracle,
+            cert_dual_upper: self.cert_dual_upper,
+        }
+    }
+}
+
 /// A per-request error reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WirePolicyError {
@@ -430,47 +737,9 @@ impl ServiceMessage {
     pub fn encode_into(&self, buf: &mut BytesMut) {
         let start = buf.len();
         match self {
-            ServiceMessage::Request(r) => {
-                assert!(
-                    r.budgets_w.len() <= MAX_WIRE_NODES,
-                    "request exceeds MAX_WIRE_NODES"
-                );
-                buf.put_u8(TYPE_REQUEST);
-                buf.put_u8(WIRE_VERSION);
-                buf.put_u32(r.corr);
-                buf.put_u32(r.id);
-                buf.put_u32(r.deadline_us);
-                buf.put_u8(r.objective.to_u8());
-                buf.put_f64(r.sigma);
-                buf.put_f64(r.tolerance);
-                buf.put_f64(r.listen_w);
-                buf.put_f64(r.transmit_w);
-                buf.put_u16(r.budgets_w.len() as u16);
-                for &rho in &r.budgets_w {
-                    buf.put_f64(rho);
-                }
-            }
+            ServiceMessage::Request(r) => return put_request(buf, &r.header(), &r.budgets_w),
             ServiceMessage::Response(r) => {
-                assert!(
-                    r.policies.len() <= MAX_WIRE_NODES,
-                    "response exceeds MAX_WIRE_NODES"
-                );
-                buf.put_u8(TYPE_RESPONSE);
-                buf.put_u8(WIRE_VERSION);
-                buf.put_u32(r.corr);
-                buf.put_u32(r.id);
-                buf.put_u8(r.tier.to_u8());
-                buf.put_u8(r.kernel.to_u8());
-                buf.put_u8(u8::from(r.converged));
-                buf.put_f64(r.throughput);
-                buf.put_f64(r.cert_t_sigma);
-                buf.put_f64(r.cert_oracle);
-                buf.put_f64(r.cert_dual_upper);
-                buf.put_u16(r.policies.len() as u16);
-                for p in &r.policies {
-                    buf.put_f64(p.listen);
-                    buf.put_f64(p.transmit);
-                }
+                return put_response(buf, &r.header(), r.policies.iter().copied())
             }
             ServiceMessage::Error(e) => {
                 if e.code == ServiceErrorCode::Overloaded {
@@ -581,6 +850,12 @@ impl ServiceMessage {
                 available: data.len(),
             });
         }
+        // A Response is verified, then parsed: the verifier is the one
+        // statement of which bytes are a Response.
+        if data[0] == TYPE_RESPONSE {
+            let v = VerifiedResponse::verify(data)?;
+            return Ok((ServiceMessage::Response(v.parse()), v.frame.len()));
+        }
         // Total length first (needs the count field for the
         // variable-size messages), then CRC, then version, then fields
         // — so corrupt bytes surface as BadChecksum, not field errors,
@@ -588,26 +863,13 @@ impl ServiceMessage {
         // than UnsupportedVersion.
         let total_len = match data[0] {
             TYPE_REQUEST => {
-                let fixed = 49;
-                if data.len() < fixed {
+                if data.len() < REQUEST_FIXED {
                     return Err(DecodeError::Truncated {
-                        needed: fixed + 2,
+                        needed: REQUEST_FIXED + 2,
                         available: data.len(),
                     });
                 }
-                let n = u16::from_be_bytes([data[fixed - 2], data[fixed - 1]]) as usize;
-                fixed + 8 * n + 2
-            }
-            TYPE_RESPONSE => {
-                let fixed = 47;
-                if data.len() < fixed {
-                    return Err(DecodeError::Truncated {
-                        needed: fixed + 2,
-                        available: data.len(),
-                    });
-                }
-                let n = u16::from_be_bytes([data[fixed - 2], data[fixed - 1]]) as usize;
-                fixed + 16 * n + 2
+                REQUEST_FIXED + 8 * usize::from(be_u16(data, REQUEST_FIXED - 2)) + 2
             }
             TYPE_ERROR => 13,
             TYPE_OVERLOADED => 16,
@@ -648,16 +910,9 @@ impl ServiceMessage {
             });
         }
         let frame_bytes = &data[..total_len];
-        let (payload, tail) = frame_bytes.split_at(total_len - 2);
-        let expected = u16::from_be_bytes([tail[0], tail[1]]);
-        if crc16_ccitt(payload) != expected {
-            return Err(DecodeError::BadChecksum);
-        }
-        if payload[1] != WIRE_VERSION {
-            return Err(DecodeError::UnsupportedVersion(payload[1]));
-        }
+        check_crc_and_version(frame_bytes)?;
 
-        let mut cur = &payload[2..]; // skip type + version octets
+        let mut cur = &frame_bytes[2..total_len - 2]; // skip type + version octets
         let msg = match data[0] {
             TYPE_REQUEST => {
                 let corr = cur.get_u32();
@@ -686,43 +941,6 @@ impl ServiceMessage {
                     listen_w,
                     transmit_w,
                     budgets_w,
-                })
-            }
-            TYPE_RESPONSE => {
-                let corr = cur.get_u32();
-                let id = cur.get_u32();
-                let tier = ServedTier::from_u8(cur.get_u8())?;
-                let kernel = PolicyKernel::from_u8(cur.get_u8())?;
-                let converged = match cur.get_u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(DecodeError::InvalidField("converged")),
-                };
-                let throughput = cur.get_f64();
-                let cert_t_sigma = cur.get_f64();
-                let cert_oracle = cur.get_f64();
-                let cert_dual_upper = cur.get_f64();
-                let n = cur.get_u16() as usize;
-                if n > MAX_WIRE_NODES {
-                    return Err(DecodeError::MalformedLength);
-                }
-                let mut policies = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let listen = cur.get_f64();
-                    let transmit = cur.get_f64();
-                    policies.push(WirePolicy { listen, transmit });
-                }
-                ServiceMessage::Response(WirePolicyResponse {
-                    corr,
-                    id,
-                    tier,
-                    kernel,
-                    converged,
-                    throughput,
-                    cert_t_sigma,
-                    cert_oracle,
-                    cert_dual_upper,
-                    policies,
                 })
             }
             TYPE_ERROR => {
@@ -835,6 +1053,18 @@ impl ServiceMessage {
 #[derive(Debug, Default)]
 pub struct ServiceCodec {
     buffer: BytesMut,
+    /// Bytes of the frame [`next_incoming`](ServiceCodec::next_incoming)
+    /// last lent out, dropped from `buffer` on the next call.
+    consumed: usize,
+}
+
+/// One frame taken off the stream by [`ServiceCodec::next_incoming`].
+#[derive(Debug)]
+pub enum Incoming<'a> {
+    /// A verified Response frame, left as bytes in the codec's buffer.
+    Response(VerifiedResponse<'a>),
+    /// Any other message, decoded.
+    Message(ServiceMessage),
 }
 
 impl ServiceCodec {
@@ -845,41 +1075,90 @@ impl ServiceCodec {
 
     /// Encodes one message with its length prefix into `out`.
     pub fn encode(msg: &ServiceMessage, out: &mut BytesMut) {
-        let len = msg.encoded_len();
-        assert!(len <= u16::MAX as usize, "message too large for u16 prefix");
-        out.put_u16(len as u16);
+        put_prefix(out, msg.encoded_len());
         msg.encode_into(out);
+    }
+
+    /// Encodes one Response with its length prefix into `out`, straight
+    /// from its header and policies.
+    pub fn encode_response(
+        out: &mut BytesMut,
+        head: &ResponseHeader,
+        policies: impl ExactSizeIterator<Item = WirePolicy>,
+    ) {
+        put_prefix(out, RESPONSE_FIXED + 16 * policies.len() + 2);
+        put_response(out, head, policies);
+    }
+
+    /// Appends a verified Response frame (the bytes of
+    /// [`VerifiedResponse::frame`]) with its length prefix, its
+    /// `corr` and `id` rewritten and its CRC stamped afresh: the
+    /// relay's reply path, which never parses the policies. Only a
+    /// verified frame may be re-stamped — a fresh CRC over unverified
+    /// bytes would launder corruption into a valid frame.
+    pub fn forward_response(out: &mut BytesMut, frame: &[u8], corr: u32, id: u32) {
+        debug_assert!(
+            VerifiedResponse::verify(frame).is_ok_and(|v| v.frame.len() == frame.len()),
+            "only verified Response frames are forwarded"
+        );
+        put_prefix(out, frame.len());
+        let start = out.len();
+        let body = frame.len() - 2;
+        out.extend_from_slice(&frame[..body]);
+        out[start + CORR_AT..start + ID_AT].copy_from_slice(&corr.to_be_bytes());
+        out[start + ID_AT..start + ID_AT + 4].copy_from_slice(&id.to_be_bytes());
+        let crc = crc16_ccitt(&out[start..]);
+        out.put_u16(crc);
     }
 
     /// Appends received bytes to the internal reassembly buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buffer.advance(std::mem::take(&mut self.consumed));
         self.buffer.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered and not yet decoded.
     pub fn pending(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.consumed
+    }
+
+    /// Takes the next complete frame off the stream: a Response is
+    /// verified and lent out as bytes (valid until the codec is used
+    /// again), anything else is decoded. `Ok(None)` means more bytes
+    /// are needed; errors are fatal for the stream.
+    pub fn next_incoming(&mut self) -> Result<Option<Incoming<'_>>, DecodeError> {
+        self.buffer.advance(std::mem::take(&mut self.consumed));
+        if self.buffer.len() < 2 {
+            return Ok(None);
+        }
+        let len = usize::from(be_u16(&self.buffer, 0));
+        if self.buffer.len() < 2 + len {
+            return Ok(None);
+        }
+        // Read in place from the reassembly buffer; the cursor only
+        // advances once the frame checked out.
+        let frame = &self.buffer[2..2 + len];
+        let (incoming, used) = if frame.first() == Some(&TYPE_RESPONSE) {
+            let v = VerifiedResponse::verify(frame)?;
+            (Incoming::Response(v), v.frame.len())
+        } else {
+            let (msg, used) = ServiceMessage::decode(frame)?;
+            (Incoming::Message(msg), used)
+        };
+        if used != len {
+            return Err(DecodeError::MalformedLength);
+        }
+        self.consumed = 2 + len;
+        Ok(Some(incoming))
     }
 
     /// Attempts to decode the next complete message. `Ok(None)` means
     /// more bytes are needed; errors are fatal for the stream.
     pub fn next_message(&mut self) -> Result<Option<ServiceMessage>, DecodeError> {
-        if self.buffer.len() < 2 {
-            return Ok(None);
-        }
-        let len = u16::from_be_bytes([self.buffer[0], self.buffer[1]]) as usize;
-        if self.buffer.len() < 2 + len {
-            return Ok(None);
-        }
-        // Decode in place from the reassembly buffer — no per-message
-        // allocation; the cursor only advances once the frame parsed.
-        let frame = &self.buffer[2..2 + len];
-        let (msg, used) = ServiceMessage::decode(frame)?;
-        if used != len {
-            return Err(DecodeError::MalformedLength);
-        }
-        self.buffer.advance(2 + len);
-        Ok(Some(msg))
+        Ok(self.next_incoming()?.map(|incoming| match incoming {
+            Incoming::Response(v) => ServiceMessage::Response(v.parse()),
+            Incoming::Message(msg) => msg,
+        }))
     }
 
     /// Drains all currently decodable messages.
@@ -940,6 +1219,14 @@ impl ScatterEncoder {
     pub fn push(&mut self, msg: &ServiceMessage, version: u8) {
         assert_eq!(version, WIRE_VERSION, "unsupported wire version");
         ServiceCodec::encode(msg, &mut self.buf);
+        self.frames += 1;
+    }
+
+    /// Appends one length-prefixed Request frame, encoded straight
+    /// from its header and budgets.
+    pub fn push_request(&mut self, head: &RequestHeader, budgets: &[f64]) {
+        put_prefix(&mut self.buf, REQUEST_FIXED + 8 * budgets.len() + 2);
+        put_request(&mut self.buf, head, budgets);
         self.frames += 1;
     }
 
@@ -1602,6 +1889,174 @@ mod tests {
         }
     }
 
+    /// The verifier and `decode` agree on `data`: the verifier accepts
+    /// exactly when `decode` yields a Response, and a frame typed as a
+    /// Response is refused with the same error by both.
+    fn verifier_agrees_with_decode(data: &[u8]) -> bool {
+        let verified = VerifiedResponse::verify(data);
+        let decoded = ServiceMessage::decode(data);
+        let decoded_response = matches!(decoded, Ok((ServiceMessage::Response(_), _)));
+        assert_eq!(
+            verified.is_ok(),
+            decoded_response,
+            "{verified:?} vs {decoded:?}"
+        );
+        match (&verified, &decoded) {
+            (Ok(v), Ok((ServiceMessage::Response(r), used))) => {
+                assert_eq!(&v.parse(), r);
+                assert_eq!(v.frame().len(), *used);
+                assert_eq!(
+                    (v.corr(), v.id(), v.nodes()),
+                    (r.corr, r.id, r.policies.len())
+                );
+            }
+            (Err(ve), Err(de)) if data.first() == Some(&TYPE_RESPONSE) => assert_eq!(ve, de),
+            _ => {}
+        }
+        verified.is_ok()
+    }
+
+    fn response_with_nodes(n: usize) -> WirePolicyResponse {
+        WirePolicyResponse {
+            corr: 0xC0FFEE,
+            id: 41,
+            tier: ServedTier::Exact,
+            kernel: PolicyKernel::Factorized,
+            converged: false,
+            throughput: 0.75,
+            cert_t_sigma: 0.75,
+            cert_oracle: 0.8,
+            cert_dual_upper: 0.9,
+            policies: (0..n)
+                .map(|i| WirePolicy {
+                    listen: 1.0 / (2.0 + i as f64),
+                    transmit: 1e-3 * i as f64,
+                })
+                .collect(),
+        }
+    }
+
+    /// Every single-bit flip, every truncation, every tier, kernel and
+    /// converged octet, every version and an over-cap node count: the
+    /// verifier accepts exactly the frames `decode` accepts as a
+    /// Response, with the same error otherwise.
+    #[test]
+    fn verifier_accepts_exactly_what_decode_accepts() {
+        let frame = ServiceMessage::Response(response_with_nodes(66)).encode();
+        assert!(verifier_agrees_with_decode(&frame));
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = frame.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(!verifier_agrees_with_decode(&flipped), "bit {bit}");
+        }
+        for cut in 0..frame.len() {
+            assert!(!verifier_agrees_with_decode(&frame[..cut]), "cut {cut}");
+        }
+        // Octets 10, 11 and 12 are the tier, kernel and converged
+        // flag; the retired grid tier (2) and grid kernel (3) and
+        // every other unassigned value are refused.
+        for value in 0..=255u8 {
+            let tier_ok = matches!(value, 0 | 1 | 3);
+            assert_eq!(
+                verifier_agrees_with_decode(&with_octet(&frame, 10, value)),
+                tier_ok
+            );
+            assert_eq!(
+                verifier_agrees_with_decode(&with_octet(&frame, 11, value)),
+                value <= 2
+            );
+            assert_eq!(
+                verifier_agrees_with_decode(&with_octet(&frame, 12, value)),
+                value <= 1
+            );
+            assert_eq!(
+                verifier_agrees_with_decode(&restamped(&frame, value)),
+                value == WIRE_VERSION
+            );
+        }
+        assert_eq!(
+            VerifiedResponse::verify(&restamped(&frame, 6)),
+            Err(DecodeError::UnsupportedVersion(6))
+        );
+        // One node past the cap, with a valid CRC over a frame that
+        // really is that long.
+        let full = ServiceMessage::Response(response_with_nodes(MAX_WIRE_NODES)).encode();
+        let mut over = full[..full.len() - 2].to_vec();
+        over.extend_from_slice(&[0; 16]);
+        over[RESPONSE_FIXED - 2..RESPONSE_FIXED]
+            .copy_from_slice(&(MAX_WIRE_NODES as u16 + 1).to_be_bytes());
+        over.extend_from_slice(&[0, 0]);
+        let over = with_octet(&over, 0, TYPE_RESPONSE);
+        assert!(!verifier_agrees_with_decode(&over));
+        assert_eq!(
+            VerifiedResponse::verify(&over),
+            Err(DecodeError::MalformedLength)
+        );
+        // Other frame types are not Responses.
+        for m in one_of_each() {
+            let b = m.encode();
+            assert_eq!(
+                verifier_agrees_with_decode(&b),
+                matches!(m, ServiceMessage::Response(_))
+            );
+        }
+    }
+
+    /// A forwarded frame is the original with `corr` and `id`
+    /// rewritten and a valid CRC; every other byte is untouched.
+    #[test]
+    fn forwarded_response_rewrites_only_corr_id_and_crc() {
+        let original = response_with_nodes(5);
+        let frame = ServiceMessage::Response(original.clone()).encode();
+        let mut out = BytesMut::new();
+        ServiceCodec::forward_response(&mut out, &frame, 0x1234_5678, 99);
+        let mut codec = ServiceCodec::new();
+        codec.feed(&out);
+        let Some(ServiceMessage::Response(got)) = codec.next_message().unwrap() else {
+            panic!("forwarded frame is a Response");
+        };
+        let mut want = original;
+        want.corr = 0x1234_5678;
+        want.id = 99;
+        assert_eq!(got, want);
+        assert_eq!(out.len(), 2 + frame.len());
+        assert_eq!(&out[2 + 10..out.len() - 2], &frame[10..frame.len() - 2]);
+    }
+
+    /// The direct encoders write the same bytes as the message
+    /// encoder, and `next_incoming` lends Responses out unparsed.
+    #[test]
+    fn direct_encoders_match_message_bytes() {
+        let (ServiceMessage::Request(req), ServiceMessage::Response(resp)) =
+            (sample_request(), sample_response())
+        else {
+            unreachable!()
+        };
+        let mut reference = BytesMut::new();
+        ServiceCodec::encode(&ServiceMessage::Request(req.clone()), &mut reference);
+        ServiceCodec::encode(&ServiceMessage::Response(resp.clone()), &mut reference);
+        let mut enc = ScatterEncoder::new();
+        enc.push_request(&req.header(), &req.budgets_w);
+        let mut direct = BytesMut::new();
+        direct.extend_from_slice(enc.pending());
+        ServiceCodec::encode_response(&mut direct, &resp.header(), resp.policies.iter().copied());
+        assert_eq!(&direct[..], &reference[..]);
+
+        let mut codec = ServiceCodec::new();
+        codec.feed(&direct);
+        assert!(matches!(
+            codec.next_incoming().unwrap(),
+            Some(Incoming::Message(ServiceMessage::Request(_)))
+        ));
+        let Some(Incoming::Response(v)) = codec.next_incoming().unwrap() else {
+            panic!("a Response is lent out as a verified frame");
+        };
+        assert_eq!(v.parse(), resp);
+        assert_eq!(parse_verified_response(v.frame()), resp);
+        assert!(codec.next_incoming().unwrap().is_none());
+        assert_eq!(codec.pending(), 0);
+    }
+
     /// The scatter encoder frames batches into one reusable buffer:
     /// the bytes are exactly the per-message codec's, and a drained
     /// buffer resets for the next batch without dropping frames.
@@ -1702,6 +2157,30 @@ mod tests {
             let (decoded, used) = ServiceMessage::decode(&b).unwrap();
             prop_assert_eq!(decoded, m);
             prop_assert_eq!(used, b.len());
+        }
+
+        /// Random responses of 1 to 4000 nodes: the verifier accepts
+        /// each, and agrees with `decode` on every truncation.
+        #[test]
+        fn prop_verifier_accepts_random_responses(
+            corr in any::<u32>(),
+            id in any::<u32>(),
+            n in 1usize..=4000,
+            tier in 0usize..3,
+            kernel in 0u8..3,
+            converged in any::<bool>(),
+            cut_frac in 0.0f64..1.0,
+        ) {
+            let mut r = response_with_nodes(n);
+            r.corr = corr;
+            r.id = id;
+            r.tier = [ServedTier::Solver, ServedTier::Exact, ServedTier::ClosedForm][tier];
+            r.kernel = PolicyKernel::from_u8(kernel).unwrap();
+            r.converged = converged;
+            let b = ServiceMessage::Response(r).encode();
+            prop_assert!(verifier_agrees_with_decode(&b));
+            let cut = ((b.len() - 1) as f64 * cut_frac) as usize;
+            prop_assert!(!verifier_agrees_with_decode(&b[..cut]));
         }
 
         /// Every truncation of a valid encoding fails with Truncated —

@@ -5,8 +5,9 @@ use crate::ready;
 use crate::request::PolicyRequest;
 use crate::stats::ServiceStats;
 use econcast_proto::service::{
-    ScatterEncoder, ServiceCodec, ServiceMessage, WireHello, WireMetricsRequest, WirePing,
-    WirePolicyError, WirePolicyResponse, STATS_SHARD_AGGREGATE, WIRE_VERSION,
+    parse_verified_response, Incoming, ScatterEncoder, ServiceCodec, ServiceMessage,
+    VerifiedResponse, WireHello, WireMetricsRequest, WirePing, WirePolicyError, WirePolicyResponse,
+    STATS_SHARD_AGGREGATE, WIRE_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -32,6 +33,18 @@ use std::time::Duration;
 /// version drops the `Hello`, and the connect fails instead of
 /// settling on a reduced protocol.
 ///
+/// ## Replies are kept as verified bytes
+///
+/// Each `Response` frame is checked once, as it arrives — CRC,
+/// version, length, the tier, kernel and converged octets, and that it
+/// carries as many policies as its request had nodes — and then stored
+/// undecoded in its ticket's byte arena ([`ReplyFrames`]); arenas are
+/// reused across tickets. [`collect`](PolicyClient::collect) parses
+/// the stored frames without a second CRC pass;
+/// [`try_collect_frames`](PolicyClient::try_collect_frames) hands them
+/// over as bytes, which is how a cluster front forwards backend
+/// replies without ever decoding a policy.
+///
 /// ## Failure contract
 ///
 /// Failures are surfaced at two separate levels, and they never mix:
@@ -47,14 +60,17 @@ use std::time::Duration;
 ///   re-connected. Results returned by *earlier* completed
 ///   `serve_batch`/`collect` calls are unaffected — corruption cannot
 ///   retroactively poison them, because every response was
-///   CRC-checked when it was decoded (pinned by the
+///   verified when it arrived (pinned by the
 ///   `corrupt_mid_stream_reply_fails_the_call_not_prior_results`
-///   regression test).
+///   regression test). A well-formed `Response` whose node count
+///   differs from its request's is a stream failure too.
 pub struct PolicyClient {
     stream: TcpStream,
     codec: ServiceCodec,
     enc: ScatterEncoder,
     pending: Vec<PendingBatch>,
+    /// Reply arenas of collected tickets, reused by the next submits.
+    spare: Vec<ReplyFrames>,
     shards: u16,
     server_max_batch: u16,
     next_id: u32,
@@ -95,56 +111,135 @@ pub struct Ticket {
     corr: u32,
 }
 
-/// One in-flight batch: its correlation id plus the collector filing
-/// its replies.
+/// Spare reply arenas one connection keeps: enough for the tickets a
+/// pipelining caller has in flight at once.
+const SPARE_ARENAS: usize = 4;
+
+/// One batch's replies in request order, as the server sent them:
+/// each success a verified `Response` frame kept as bytes in one
+/// arena, each failure the server's decoded error.
+#[derive(Debug, Default)]
+pub struct ReplyFrames {
+    arena: Vec<u8>,
+    entries: Vec<Entry>,
+}
+
+/// One batch entry: its request's node count and its reply so far.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    nodes: usize,
+    reply: Reply,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Reply {
+    Awaiting,
+    /// `arena[start..end]` holds the verified frame.
+    Frame {
+        start: usize,
+        end: usize,
+    },
+    Error(WirePolicyError),
+}
+
+impl ReplyFrames {
+    /// Number of entries (the batch's request count).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the batch was empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Entry `k`'s reply: the verified `Response` frame's bytes (CRC
+    /// included, no length prefix), or the server's error.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is out of range.
+    pub fn get(&self, k: usize) -> Result<&[u8], WirePolicyError> {
+        match self.entries[k].reply {
+            Reply::Frame { start, end } => Ok(&self.arena[start..end]),
+            Reply::Error(e) => Err(e),
+            Reply::Awaiting => unreachable!("only complete batches are handed out"),
+        }
+    }
+
+    /// Entry `k`'s reply, parsed — no second CRC pass.
+    pub fn result(&self, k: usize) -> WireResult {
+        self.get(k).map(parse_verified_response)
+    }
+
+    /// Every reply, parsed, in request order.
+    pub fn results(&self) -> Vec<WireResult> {
+        (0..self.len()).map(|k| self.result(k)).collect()
+    }
+}
+
+/// One in-flight batch: its correlation and base ids plus the replies
+/// filed so far.
 #[derive(Debug)]
 struct PendingBatch {
     corr: u32,
-    collector: Collector,
-}
-
-/// Accumulates one batch's replies in request order.
-#[derive(Debug)]
-struct Collector {
     base: u32,
-    out: Vec<Option<WireResult>>,
-    pending: usize,
+    replies: ReplyFrames,
+    missing: usize,
 }
 
-impl Collector {
-    fn new(base: u32, len: usize) -> Self {
-        Collector {
-            base,
-            out: vec![None; len],
-            pending: len,
-        }
-    }
-
-    /// Index of the batch entry a reply id belongs to, if any.
-    fn slot(&self, id: u32) -> Option<usize> {
+impl PendingBatch {
+    /// The entry a reply id belongs to, if any.
+    fn entry(&mut self, id: u32) -> Option<&mut Entry> {
         let k = id.wrapping_sub(self.base) as usize;
-        (k < self.out.len()).then_some(k)
+        self.replies.entries.get_mut(k)
     }
 
-    /// Files a reply; ids outside the batch are ignored.
-    fn file(&mut self, id: u32, result: WireResult) {
-        if let Some(k) = self.slot(id) {
-            if self.out[k].replace(result).is_none() {
-                self.pending -= 1;
+    /// Files a reply into its entry (a repeated reply replaces the
+    /// earlier one).
+    fn file(&mut self, id: u32, reply: Reply) {
+        if let Some(entry) = self.entry(id) {
+            if matches!(std::mem::replace(&mut entry.reply, reply), Reply::Awaiting) {
+                self.missing -= 1;
             }
         }
     }
+}
 
-    fn done(&self) -> bool {
-        self.pending == 0
+/// Files a verified `Response` into its in-flight batch by
+/// correlation id, copying its bytes into the batch's arena. Replies
+/// for no live ticket, or ids outside their batch, are dropped. A
+/// reply whose node count differs from its request's fails the
+/// stream: the server answered some other question.
+fn file_response(pending: &mut [PendingBatch], v: VerifiedResponse<'_>) -> std::io::Result<()> {
+    let Some(b) = pending.iter_mut().find(|b| b.corr == v.corr()) else {
+        return Ok(());
+    };
+    let Some(entry) = b.entry(v.id()) else {
+        return Ok(());
+    };
+    if entry.nodes != v.nodes() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "reply carries {} policies for a request of {} nodes",
+                v.nodes(),
+                entry.nodes
+            ),
+        ));
     }
+    let start = b.replies.arena.len();
+    b.replies.arena.extend_from_slice(v.frame());
+    let end = b.replies.arena.len();
+    b.file(v.id(), Reply::Frame { start, end });
+    Ok(())
+}
 
-    fn finish(self) -> Vec<WireResult> {
-        self.out
-            .into_iter()
-            .map(|r| r.expect("collector done"))
-            .collect()
-    }
+fn undecodable(e: econcast_proto::DecodeError) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("undecodable server reply: {e:?}"),
+    )
 }
 
 impl PolicyClient {
@@ -181,6 +276,7 @@ impl PolicyClient {
             codec: ServiceCodec::new(),
             enc: ScatterEncoder::new(),
             pending: Vec::new(),
+            spare: Vec::new(),
             shards: 0,
             server_max_batch: 0,
             next_id: 0,
@@ -191,7 +287,7 @@ impl PolicyClient {
         client.send(&ServiceMessage::Hello(WireHello { id, max_batch }))?;
         loop {
             match client.recv()? {
-                ServiceMessage::Welcome(w) if w.id == id => {
+                Some(ServiceMessage::Welcome(w)) if w.id == id => {
                     client.shards = w.shards;
                     client.server_max_batch = w.max_batch;
                     return Ok(client);
@@ -238,11 +334,12 @@ impl PolicyClient {
         self.send(&ServiceMessage::Ping(WirePing { id }))?;
         loop {
             match self.recv()? {
-                ServiceMessage::Pong(p) if p.id == id => return Ok(()),
+                Some(ServiceMessage::Pong(p)) if p.id == id => return Ok(()),
                 // Data-plane replies for in-flight tickets are filed,
                 // not dropped; other strays are skipped like the
                 // handshake does.
-                other => self.dispatch(other),
+                Some(other) => self.dispatch(other),
+                None => {}
             }
         }
     }
@@ -291,19 +388,29 @@ impl PolicyClient {
         let base = self.next_id;
         self.next_id = self.next_id.wrapping_add(n as u32);
         let corr = self.take_corr();
-        let msgs: Vec<ServiceMessage> = reqs
-            .enumerate()
-            .map(|(k, req)| {
-                let mut w = req.to_wire(base.wrapping_add(k as u32));
-                w.corr = corr;
-                w.deadline_us = deadline_us;
-                ServiceMessage::Request(w)
-            })
-            .collect();
-        self.enc.push_all(&msgs, WIRE_VERSION);
+        let mut replies = self.spare.pop().unwrap_or_default();
+        replies.arena.clear();
+        replies.entries.clear();
+        // Encoded straight from the caller's requests, traced as the
+        // batch's `proto/frame_encode` span.
+        let t0 = econcast_trace::armed_now();
+        for (k, req) in reqs.enumerate() {
+            let id = base.wrapping_add(k as u32);
+            self.enc
+                .push_request(&req.wire_header(corr, id, deadline_us), &req.budgets_w);
+            replies.entries.push(Entry {
+                nodes: req.num_nodes(),
+                reply: Reply::Awaiting,
+            });
+        }
+        if n > 0 {
+            econcast_trace::complete_from("proto", "frame_encode", t0, &[("msgs", n as u64)]);
+        }
         self.pending.push(PendingBatch {
             corr,
-            collector: Collector::new(base, n),
+            base,
+            replies,
+            missing: n,
         });
         self.flush()?;
         Ok(Ticket { corr })
@@ -314,17 +421,12 @@ impl PolicyClient {
     /// the batch's request order regardless of arrival order.
     pub fn collect(&mut self, ticket: Ticket) -> std::io::Result<Vec<WireResult>> {
         loop {
-            let Some(k) = self.pending.iter().position(|b| b.corr == ticket.corr) else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "unknown or already collected ticket",
-                ));
-            };
-            if self.pending[k].collector.done() {
-                return Ok(self.pending.remove(k).collector.finish());
+            if let Some(frames) = self.take_done(&ticket)? {
+                return Ok(self.parse_and_recycle(frames));
             }
-            let msg = self.recv()?;
-            self.dispatch(msg);
+            if let Some(msg) = self.recv()? {
+                self.dispatch(msg);
+            }
         }
     }
 
@@ -334,21 +436,46 @@ impl PolicyClient {
     /// cluster's connection driver multiplexes every backend this way
     /// on one thread.
     pub fn try_collect(&mut self, ticket: &Ticket) -> std::io::Result<Option<Vec<WireResult>>> {
+        let frames = self.try_collect_frames(ticket)?;
+        Ok(frames.map(|f| self.parse_and_recycle(f)))
+    }
+
+    /// [`try_collect`](PolicyClient::try_collect), with the replies
+    /// kept as the verified frames the server sent. Hand the buffer
+    /// back with [`recycle`](PolicyClient::recycle) once done with it.
+    pub fn try_collect_frames(&mut self, ticket: &Ticket) -> std::io::Result<Option<ReplyFrames>> {
         self.stream.set_nonblocking(true)?;
         let drained = self.drain_ready();
         let restored = self.stream.set_nonblocking(false);
         drained?;
         restored?;
+        self.take_done(ticket)
+    }
+
+    /// Gives a collected batch's reply buffer back for reuse by a
+    /// later ticket.
+    pub fn recycle(&mut self, frames: ReplyFrames) {
+        if self.spare.len() < SPARE_ARENAS {
+            self.spare.push(frames);
+        }
+    }
+
+    fn parse_and_recycle(&mut self, frames: ReplyFrames) -> Vec<WireResult> {
+        let out = frames.results();
+        self.recycle(frames);
+        out
+    }
+
+    /// Removes and returns the ticket's replies once every one
+    /// arrived.
+    fn take_done(&mut self, ticket: &Ticket) -> std::io::Result<Option<ReplyFrames>> {
         let Some(k) = self.pending.iter().position(|b| b.corr == ticket.corr) else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "unknown or already collected ticket",
             ));
         };
-        if self.pending[k].collector.done() {
-            return Ok(Some(self.pending.remove(k).collector.finish()));
-        }
-        Ok(None)
+        Ok((self.pending[k].missing == 0).then(|| self.pending.remove(k).replies))
     }
 
     /// Pipelines every request and waits for the full batch: exactly
@@ -453,51 +580,36 @@ impl PolicyClient {
     }
 
     /// Feeds the first `n` bytes of the read buffer to the codec and
-    /// files every decoded message, traced as one `proto/frame_decode`
-    /// span per readable burst — the pipelined read path's twin of the
-    /// server's drain span.
+    /// files every reply, traced as one `proto/frame_decode` span per
+    /// readable burst — the pipelined read path's twin of the server's
+    /// drain span.
     fn ingest(&mut self, n: usize) -> std::io::Result<()> {
         let t0 = econcast_trace::armed_now();
         let mut decoded = 0u64;
         self.codec.feed(&self.rbuf[..n]);
         loop {
-            match self.codec.next_message() {
-                Ok(Some(msg)) => {
-                    decoded += 1;
-                    self.dispatch(msg);
-                }
-                Ok(None) => {
-                    if decoded > 0 {
-                        econcast_trace::complete_from(
-                            "proto",
-                            "frame_decode",
-                            t0,
-                            &[("msgs", decoded)],
-                        );
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("undecodable server reply: {e:?}"),
-                    ))
-                }
+            match self.codec.next_incoming().map_err(undecodable)? {
+                Some(Incoming::Response(v)) => file_response(&mut self.pending, v)?,
+                Some(Incoming::Message(msg)) => self.dispatch(msg),
+                None => break,
             }
+            decoded += 1;
         }
+        if decoded > 0 {
+            econcast_trace::complete_from("proto", "frame_decode", t0, &[("msgs", decoded)]);
+        }
+        Ok(())
     }
 
-    /// Routes one decoded message to its in-flight batch by
+    /// Routes one decoded error reply to its in-flight batch by
     /// correlation id. Control-plane messages and replies for no live
     /// ticket are dropped.
     fn dispatch(&mut self, msg: ServiceMessage) {
-        let (corr, id, result) = match msg {
-            ServiceMessage::Response(r) => (r.corr, r.id, Ok(r)),
-            ServiceMessage::Error(e) => (e.corr, e.id, Err(e)),
-            _ => return,
+        let ServiceMessage::Error(e) = msg else {
+            return;
         };
-        if let Some(b) = self.pending.iter_mut().find(|b| b.corr == corr) {
-            b.collector.file(id, result);
+        if let Some(b) = self.pending.iter_mut().find(|b| b.corr == e.corr) {
+            b.file(e.id, Reply::Error(e));
         }
     }
 
@@ -522,16 +634,17 @@ impl PolicyClient {
         }))?;
         loop {
             match self.recv()? {
-                ServiceMessage::MetricsResponse(r) if r.id == id => {
+                Some(ServiceMessage::MetricsResponse(r)) if r.id == id => {
                     return Ok(crate::metrics::snapshot_from_wire(&r.snapshot));
                 }
-                ServiceMessage::Error(e) if e.id == id => {
+                Some(ServiceMessage::Error(e)) if e.id == id => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::InvalidInput,
                         format!("server rejected metrics request for shard {shard}"),
                     ));
                 }
-                other => self.dispatch(other),
+                Some(other) => self.dispatch(other),
+                None => {}
             }
         }
     }
@@ -568,20 +681,19 @@ impl PolicyClient {
         Ok(())
     }
 
-    /// Blocks until the next complete message arrives. Decode errors
-    /// surface as `InvalidData`; a server-side disconnect as
-    /// `UnexpectedEof`.
-    fn recv(&mut self) -> std::io::Result<ServiceMessage> {
+    /// Blocks until the next complete frame arrives. A `Response` is
+    /// filed to its ticket (`Ok(None)`); any other message is
+    /// returned. Decode and verification errors surface as
+    /// `InvalidData`; a server-side disconnect as `UnexpectedEof`.
+    fn recv(&mut self) -> std::io::Result<Option<ServiceMessage>> {
         loop {
-            match self.codec.next_message() {
-                Ok(Some(msg)) => return Ok(msg),
-                Ok(None) => {}
-                Err(e) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("undecodable server reply: {e:?}"),
-                    ))
+            match self.codec.next_incoming().map_err(undecodable)? {
+                Some(Incoming::Response(v)) => {
+                    file_response(&mut self.pending, v)?;
+                    return Ok(None);
                 }
+                Some(Incoming::Message(msg)) => return Ok(Some(msg)),
+                None => {}
             }
             let n = (&self.stream).read(&mut self.rbuf)?;
             if n == 0 {

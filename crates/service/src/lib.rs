@@ -59,11 +59,11 @@ pub mod workload;
 
 pub use admission::{degraded_tolerance, Admission, AdmissionController};
 pub use cache::{CachedPolicy, LruCache};
-pub use client::{PolicyClient, Ticket, WireResult};
+pub use client::{PolicyClient, ReplyFrames, Ticket, WireResult};
 pub use econcast_trace::TraceConfig;
 pub use metrics::{snapshot_from_wire, snapshot_to_wire};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
-pub use server::{Acceptor, PolicyServer, ServeTarget, ServerConfig, ServerHandle};
+pub use server::{Acceptor, Answer, PolicyServer, ServeTarget, Served, ServerConfig, ServerHandle};
 pub use service::{PolicyService, ServiceConfig};
 pub use shard::{RouterConfig, ShardRouter};
 pub use stats::ServiceStats;

@@ -1,10 +1,12 @@
 //! Native request/response types and their wire conversions.
 
+use bytes::BytesMut;
 use econcast_core::{NodeParams, ThroughputMode};
 use econcast_oracle::AchievabilityGap;
 use econcast_proto::service::{
-    PolicyKernel, ServedTier, ServiceErrorCode, WireObjective, WirePolicy, WirePolicyError,
-    WirePolicyRequest, WirePolicyResponse, MAX_WIRE_NODES,
+    PolicyKernel, RequestHeader, ResponseHeader, ServedTier, ServiceCodec, ServiceErrorCode,
+    WireObjective, WirePolicy, WirePolicyError, WirePolicyRequest, WirePolicyResponse,
+    MAX_WIRE_NODES,
 };
 
 /// One policy request: "tell these `n` nodes how to behave".
@@ -189,16 +191,33 @@ impl PolicyRequest {
         Ok(())
     }
 
-    /// Builds the native request from a wire request (no validation —
-    /// call [`PolicyRequest::validate`] before serving).
-    pub fn from_wire(w: &WirePolicyRequest) -> Self {
+    /// Builds the native request from a wire request, taking over its
+    /// budget vector (no validation — call
+    /// [`PolicyRequest::validate`] before serving).
+    pub fn from_wire(w: WirePolicyRequest) -> Self {
         PolicyRequest {
-            budgets_w: w.budgets_w.clone(),
+            budgets_w: w.budgets_w,
             listen_w: w.listen_w,
             transmit_w: w.transmit_w,
             sigma: w.sigma,
             objective: mode_from_wire(w.objective),
             tolerance: w.tolerance,
+        }
+    }
+
+    /// Every wire field but the budgets, for encoding the request
+    /// straight from this struct
+    /// ([`ScatterEncoder::push_request`](econcast_proto::ScatterEncoder::push_request)).
+    pub fn wire_header(&self, corr: u32, id: u32, deadline_us: u32) -> RequestHeader {
+        RequestHeader {
+            corr,
+            id,
+            deadline_us,
+            objective: mode_to_wire(self.objective),
+            sigma: self.sigma,
+            tolerance: self.tolerance,
+            listen_w: self.listen_w,
+            transmit_w: self.transmit_w,
         }
     }
 
@@ -250,6 +269,27 @@ impl PolicyResponse {
                 converged: w.converged,
             },
         }
+    }
+
+    /// Appends this response as a length-prefixed Response frame
+    /// carrying `corr` and `id`, encoded straight from this struct.
+    pub fn encode_wire(&self, corr: u32, id: u32, out: &mut BytesMut) {
+        let head = ResponseHeader {
+            corr,
+            id,
+            tier: self.tier,
+            kernel: self.kernel,
+            converged: self.converged,
+            throughput: self.throughput,
+            cert_t_sigma: self.certificate.t_sigma,
+            cert_oracle: self.certificate.oracle,
+            cert_dual_upper: self.certificate.dual_upper,
+        };
+        let policies = self.policies.iter().map(|p| WirePolicy {
+            listen: p.listen,
+            transmit: p.transmit,
+        });
+        ServiceCodec::encode_response(out, &head, policies);
     }
 
     /// Encodes the native response as a wire response with the given

@@ -21,7 +21,12 @@
 //! (answered by `Welcome` carrying the shard count and batch cap) but
 //! the server also serves handshake-less streams. Every fully received
 //! `Request` in one read cycle is served as a single routed batch, so
-//! pipelining `k` requests buys `k`-way batching. `MetricsRequest`
+//! pipelining `k` requests buys `k`-way batching. A request's budgets
+//! move into its `PolicyRequest`, and replies are encoded straight
+//! from each [`Answer`]: a native `PolicyResponse` field by field, a
+//! backend's verified `Response` frame (a cluster front's answers) as
+//! a copy with `corr` and `id` rewritten and a fresh CRC — forwarded,
+//! never decoded. `MetricsRequest`
 //! answers with one shard's scrape or the aggregate; counters come
 //! from the components that count them (the shards' services, the
 //! admission controller), never from a process-global tally. Decode
@@ -30,6 +35,7 @@
 //! the stream without a reply.
 
 use crate::admission::{degraded_tolerance, Admission, AdmissionController};
+use crate::client::ReplyFrames;
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::shard::{RouterConfig, ShardRouter};
 use bytes::BytesMut;
@@ -352,6 +358,55 @@ impl Drop for Acceptor {
     }
 }
 
+/// One answer of a served batch.
+#[derive(Debug)]
+pub enum Answer {
+    /// Solved (or refused) in this process.
+    Native(Result<PolicyResponse, ServiceError>),
+    /// A backend's verified `Response` frame, forwarded as bytes:
+    /// reply `k` of [`Served::frames`]`[batch]`.
+    Forward {
+        /// Index into [`Served::frames`].
+        batch: usize,
+        /// The reply's index within that batch.
+        k: usize,
+    },
+}
+
+/// A served batch: its answers in request order, plus the backend
+/// reply buffers the forwarded answers point into. The connection loop
+/// keeps one per connection and hands it to every serve, so the buffers
+/// are reused across batches.
+#[derive(Debug, Default)]
+pub struct Served {
+    /// One answer per request, in request order.
+    pub answers: Vec<Answer>,
+    /// Backend reply buffers of this batch.
+    pub frames: Vec<ReplyFrames>,
+}
+
+impl Served {
+    /// Every answer as a native result, parsing forwarded frames (the
+    /// wire response carries no σ; it is restored from `reqs`, the
+    /// batch that was served).
+    pub fn into_results(self, reqs: &[PolicyRequest]) -> Vec<Result<PolicyResponse, ServiceError>> {
+        let frames = self.frames;
+        self.answers
+            .into_iter()
+            .zip(reqs)
+            .map(|(answer, req)| match answer {
+                Answer::Native(result) => result,
+                Answer::Forward { batch, k } => Ok(PolicyResponse::from_wire(
+                    &frames[batch]
+                        .result(k)
+                        .expect("forwarded answers are frames"),
+                    req.sigma,
+                )),
+            })
+            .collect()
+    }
+}
+
 /// What a TCP connection loop serves. One implementation of the
 /// protocol dispatch (the [`Acceptor`]'s connection loop) fronts
 /// every deployment shape: [`PolicyServer`] implements this for
@@ -363,17 +418,18 @@ pub trait ServeTarget {
     /// handshake.
     fn shard_count(&self) -> usize;
 
-    /// Serves one routed batch; results in request order.
-    fn serve(&self, reqs: &[PolicyRequest]) -> Vec<Result<PolicyResponse, ServiceError>>;
+    /// Serves one routed batch into `out`, replacing its answers (in
+    /// request order) and its frames. The buffers `out` still holds
+    /// from the previous batch are the target's to reuse.
+    fn serve(&self, reqs: &[PolicyRequest], out: &mut Served);
 
     /// A point-in-time metrics scrape of one shard, or of the whole
-    /// target for [`STATS_SHARD_AGGREGATE`]: the counters and gauges
-    /// of whatever the target owns, and for the aggregate the
-    /// process-global latency histograms too. `None` = unknown shard
-    /// (or a backend the target cannot reach), answered with a typed
-    /// refusal. The connection loop merges the front's admission
-    /// counters and queue gauge into the aggregate — admission is per
-    /// front, not per target.
+    /// target for [`STATS_SHARD_AGGREGATE`]: the counters, gauges and
+    /// latency histograms of whatever the target owns. `None` =
+    /// unknown shard (or a backend the target cannot reach), answered
+    /// with a typed refusal. The connection loop merges the front's
+    /// admission counters and queue gauge into the aggregate —
+    /// admission is per front, not per target.
     fn metrics(&self, shard: u16) -> Option<MetricsSnapshot>;
 }
 
@@ -382,8 +438,11 @@ impl ServeTarget for ShardRouter {
         self.num_shards()
     }
 
-    fn serve(&self, reqs: &[PolicyRequest]) -> Vec<Result<PolicyResponse, ServiceError>> {
-        self.serve_batch(reqs)
+    fn serve(&self, reqs: &[PolicyRequest], out: &mut Served) {
+        out.frames.clear();
+        out.answers.clear();
+        out.answers
+            .extend(self.serve_batch(reqs).into_iter().map(Answer::Native));
     }
 
     fn metrics(&self, shard: u16) -> Option<MetricsSnapshot> {
@@ -391,7 +450,7 @@ impl ServeTarget for ShardRouter {
             return (usize::from(shard) < self.num_shards())
                 .then(|| self.shard_metrics(usize::from(shard)));
         }
-        let mut snap = econcast_metrics::snapshot();
+        let mut snap = MetricsSnapshot::zeroed();
         for s in 0..self.num_shards() {
             snap.merge(&self.shard_metrics(s));
         }
@@ -460,13 +519,14 @@ fn serve_connection_admitted(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(GATE_TICK));
     let mut codec = ServiceCodec::new();
-    // Reused across cycles: the read buffer, the encoded-reply buffer
-    // and the batch scratch — steady-state serving allocates nothing
-    // but the responses themselves.
+    // Reused across cycles: the read buffer, the encoded-reply buffer,
+    // the batch scratch and the served batch with its reply buffers —
+    // steady-state serving allocates nothing but native responses.
     let mut buf = vec![0u8; 256 * 1024];
     let mut out = BytesMut::new();
     let mut ids: Vec<ReqMeta> = Vec::new();
     let mut batch: Vec<PolicyRequest> = Vec::new();
+    let mut served = Served::default();
     let mut draining_since: Option<Instant> = None;
     loop {
         let n = match stream.read(&mut buf) {
@@ -531,7 +591,14 @@ fn serve_connection_admitted(
                     // stream out before the next batch is solved.
                     if let Some(m) = ids.first() {
                         if m.corr != w.corr {
-                            serve_into(target, &mut ids, &mut batch, &mut out, admission);
+                            serve_into(
+                                target,
+                                &mut ids,
+                                &mut batch,
+                                &mut served,
+                                &mut out,
+                                admission,
+                            );
                             if flush(&mut stream, &mut out).is_err() {
                                 return;
                             }
@@ -556,19 +623,26 @@ fn serve_connection_admitted(
                             );
                         }
                         rung => {
-                            let mut req = PolicyRequest::from_wire(&w);
-                            if rung == Admission::AdmitDegraded {
-                                req.tolerance = degraded_tolerance(req.tolerance);
-                            }
                             ids.push(ReqMeta {
                                 corr: w.corr,
                                 id: w.id,
                                 deadline_us: w.deadline_us,
                                 arrival: Instant::now(),
                             });
+                            let mut req = PolicyRequest::from_wire(w);
+                            if rung == Admission::AdmitDegraded {
+                                req.tolerance = degraded_tolerance(req.tolerance);
+                            }
                             batch.push(req);
                             if batch.len() >= max_batch {
-                                serve_into(target, &mut ids, &mut batch, &mut out, admission);
+                                serve_into(
+                                    target,
+                                    &mut ids,
+                                    &mut batch,
+                                    &mut served,
+                                    &mut out,
+                                    admission,
+                                );
                                 if flush(&mut stream, &mut out).is_err() {
                                     return;
                                 }
@@ -623,7 +697,14 @@ fn serve_connection_admitted(
                 | ServiceMessage::MetricsResponse(_) => {}
             }
         }
-        serve_into(target, &mut ids, &mut batch, &mut out, admission);
+        serve_into(
+            target,
+            &mut ids,
+            &mut batch,
+            &mut served,
+            &mut out,
+            admission,
+        );
         if flush(&mut stream, &mut out).is_err() {
             return;
         }
@@ -645,7 +726,11 @@ fn flush(stream: &mut TcpStream, out: &mut BytesMut) -> std::io::Result<()> {
 }
 
 /// Serves the buffered requests (if any) as one routed batch and
-/// encodes the replies, echoing each request's correlation id.
+/// encodes the replies, echoing each request's correlation id. A
+/// native result is encoded straight from its `PolicyResponse`; a
+/// forwarded backend frame is copied with its `corr` and `id`
+/// rewritten and a fresh CRC — the front never decodes a policy it
+/// forwards.
 ///
 /// This is also where the deadline ladder
 /// lands: deadline-carrying batches are reordered earliest-deadline-
@@ -658,6 +743,7 @@ fn serve_into(
     target: &impl ServeTarget,
     ids: &mut Vec<ReqMeta>,
     batch: &mut Vec<PolicyRequest>,
+    served: &mut Served,
     out: &mut BytesMut,
     admission: &AdmissionController,
 ) {
@@ -668,40 +754,41 @@ fn serve_into(
         sort_by_deadline(ids, batch);
     }
     let t_serve = Instant::now();
-    let results = target.serve(batch);
-    admission.release(results.len(), t_serve.elapsed());
+    target.serve(batch, served);
+    let answered = served.answers.len();
+    admission.release(answered, t_serve.elapsed());
     let t0 = econcast_trace::armed_now();
-    for (m, result) in ids.drain(..).zip(&results) {
+    for (m, answer) in ids.drain(..).zip(served.answers.drain(..)) {
         let expired = m.deadline_us != 0
             && m.arrival.elapsed() > Duration::from_micros(u64::from(m.deadline_us));
-        let mut msg = if expired {
+        if expired {
             admission.note_deadline_expired();
             econcast_metrics::ops_event(OpsKind::DeadlineMiss, 0, u64::from(m.deadline_us));
-            ServiceMessage::Error(WirePolicyError {
+            let overloaded = WirePolicyError {
                 corr: m.corr,
                 id: m.id,
                 code: ServiceErrorCode::Overloaded,
                 retry_after_us: admission.retry_after_us(),
-            })
-        } else {
-            match result {
-                Ok(resp) => ServiceMessage::Response(resp.to_wire(m.id)),
-                Err(e) => ServiceMessage::Error(crate::request::error_to_wire(e, m.id)),
-            }
-        };
-        match &mut msg {
-            ServiceMessage::Response(r) => r.corr = m.corr,
-            ServiceMessage::Error(e) => e.corr = m.corr,
-            _ => unreachable!(),
+            };
+            ServiceCodec::encode(&ServiceMessage::Error(overloaded), out);
+            continue;
         }
-        ServiceCodec::encode(&msg, out);
+        match answer {
+            Answer::Native(Ok(resp)) => resp.encode_wire(m.corr, m.id, out),
+            Answer::Native(Err(e)) => {
+                let mut error = crate::request::error_to_wire(&e, m.id);
+                error.corr = m.corr;
+                ServiceCodec::encode(&ServiceMessage::Error(error), out);
+            }
+            Answer::Forward { batch, k } => {
+                let frame = served.frames[batch]
+                    .get(k)
+                    .expect("forwarded answers are frames");
+                ServiceCodec::forward_response(out, frame, m.corr, m.id);
+            }
+        }
     }
-    econcast_trace::complete_from(
-        "proto",
-        "frame_encode",
-        t0,
-        &[("msgs", results.len() as u64)],
-    );
+    econcast_trace::complete_from("proto", "frame_encode", t0, &[("msgs", answered as u64)]);
     batch.clear();
 }
 

@@ -194,6 +194,9 @@ pub struct PolicyService {
     /// batches.
     scratch: Vec<SolverPool>,
     stats: Counters,
+    /// This service's latency histograms: a process running several
+    /// servers reports each one's latencies from that server alone.
+    latency: econcast_metrics::LatencyHists,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -224,6 +227,7 @@ impl PolicyService {
             lru: LruCache::with_byte_budget(cfg.lru_capacity, cfg.max_cache_bytes),
             scratch: Vec::new(),
             stats: Counters::default(),
+            latency: econcast_metrics::LatencyHists::default(),
             cfg,
         }
     }
@@ -259,12 +263,12 @@ impl PolicyService {
         }
     }
 
-    /// This service's counters and LRU gauges as a registry-shaped
-    /// metrics scrape. The latency histograms stay empty: they are
-    /// the process-wide hub's, not the service's.
+    /// This service's counters, LRU gauges and latency histograms as a
+    /// registry-shaped metrics scrape.
     pub fn metrics(&self) -> econcast_metrics::MetricsSnapshot {
         let mut snap = self.stats().to_snapshot();
         snap.gauges[econcast_metrics::GAUGE_LRU_BYTES].1 = self.cache_bytes() as u64;
+        self.latency.fill(&mut snap);
         snap
     }
 
@@ -313,7 +317,7 @@ impl PolicyService {
             }
         }
         let results = self.solve_and_publish(plans, jobs);
-        record_batch_metrics(t0, results.len());
+        record_batch_metrics(&self.latency, t0, results.len());
         results
     }
 
@@ -352,7 +356,7 @@ impl PolicyService {
             }
         }
         let results = self.solve_and_publish(plans, jobs);
-        record_batch_metrics(t0, results.len());
+        record_batch_metrics(&self.latency, t0, results.len());
         results
     }
 
@@ -552,29 +556,21 @@ fn kernel_span_name(kernel: PolicyKernel) -> &'static str {
     }
 }
 
-/// Always-on metrics for one served batch: the two latency
-/// histograms, recorded on the global hub (the batch's request, batch
-/// and error counts are the service's own counters). One
-/// `recording_on` check, then two relaxed atomics amortized over the
-/// whole batch — the cost the `warm_rps_metrics_on` bench row holds
-/// within noise of the unrecorded path. Unlike the trace crate's armed
-/// histograms this is unconditional in production;
-/// `set_recording(false)` exists for the bench harness to measure the
-/// difference, not as an operating mode.
-fn record_batch_metrics(t0: std::time::Instant, requests: usize) {
-    if !econcast_metrics::recording_on() {
-        return;
-    }
-    let n = requests as u64;
+/// Always-on metrics for one served batch: the service's two latency
+/// histograms (the batch's request, batch and error counts are the
+/// service's own counters). Two relaxed atomics amortized over the
+/// whole batch, skipped while recording is off — the cost the
+/// `warm_rps_metrics_on` bench row holds within noise of the
+/// unrecorded path. Unlike the trace crate's armed histograms this is
+/// unconditional in production; `set_recording(false)` exists for the
+/// bench harness to measure the difference, not as an operating mode.
+fn record_batch_metrics(
+    latency: &econcast_metrics::LatencyHists,
+    t0: std::time::Instant,
+    requests: usize,
+) {
     let elapsed = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let hub = econcast_metrics::hub();
-    hub.record_n(econcast_metrics::HIST_BATCH_NS, elapsed, 1);
-    // Per-request time is attributed as the batch mean: one bucket
-    // update for the whole batch instead of per-request clock reads,
-    // which is what keeps "always-on" near-free.
-    if let Some(per_request) = elapsed.checked_div(n) {
-        hub.record_n(econcast_metrics::HIST_REQUEST_NS, per_request, n);
-    }
+    latency.record_batch(elapsed, requests as u64);
 }
 
 /// Builds a caller-order response from a canonical-order policy.
