@@ -225,11 +225,12 @@ impl Lane {
         classify: &mut impl FnMut(Vec<econcast_service::WireResult>, Duration),
     ) -> io::Result<()> {
         while let Some((ticket, submitted)) = self.inflight.front() {
-            match self.client.try_collect(ticket)? {
-                Some(results) => {
+            match self.client.try_collect_frames(ticket)? {
+                Some(frames) => {
                     let latency = submitted.elapsed();
                     self.inflight.pop_front();
-                    classify(results, latency);
+                    classify(frames.results(), latency);
+                    self.client.recycle(frames);
                 }
                 None => break,
             }
@@ -340,8 +341,7 @@ pub fn run_open_loop(addr: SocketAddr, cfg: &OpenLoopConfig) -> io::Result<OpenL
     let pool = crate::perf::service_batch(POOL);
     let mut lanes: Vec<Lane> = (0..cfg.connections.max(1))
         .map(|_| -> io::Result<Lane> {
-            let client = PolicyClient::connect(addr, 1)?;
-            client.set_io_timeout(Some(Duration::from_secs(30)))?;
+            let client = PolicyClient::connect_with_timeout(addr, 1, Duration::from_secs(30))?;
             Ok(Lane {
                 client,
                 inflight: VecDeque::new(),

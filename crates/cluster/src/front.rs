@@ -27,15 +27,17 @@
 //! Protocol compatibility is by construction, not by convention: both
 //! front-ends run on the *same* [`Acceptor`] — one accept gate, one
 //! draining shutdown, and one admitted connection loop
-//! (`serve_connection_admitted`) — differing only in the
+//! (`serve_connection`) — differing only in the
 //! [`ServeTarget`] behind it: a `ShardRouter` there, one shared
 //! mutex-guarded [`ClusterRouter`] here. Connections are handled
-//! thread-per-connection behind the bounded accept gate; batches
-//! serialize through the router's mutex (the router owns the dialer
-//! pool — remote fan-out inside a batch is still concurrent). A
-//! shutdown drains: handlers finish everything their clients already
-//! sent before closing, so a planned drain is never a client-visible
-//! stream error.
+//! thread-per-connection behind the bounded accept gate, each handler
+//! parked in `poll(2)` on its non-blocking socket and the acceptor's
+//! stop descriptor; batches serialize through the router's mutex (the
+//! router owns the dialer pool — remote fan-out inside a batch is
+//! still concurrent). A shutdown drains: the stop descriptor wakes
+//! every handler at once, idle ones close, and one holding part of a
+//! frame serves it before closing, so a planned drain is never a
+//! client-visible stream error.
 
 use crate::router::{ClusterRouter, StatsSource};
 use econcast_metrics::MetricsSnapshot;

@@ -19,7 +19,7 @@
 //! backends are stock `PolicyServer` processes that cannot tell a
 //! dialer from any other client.
 
-use econcast_service::{ready, PolicyClient, PolicyRequest, ReplyFrames, Ticket, WireResult};
+use econcast_service::{ready, PolicyClient, PolicyRequest, ReplyFrames, Ticket};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -181,24 +181,12 @@ impl RemoteShard {
         self.down_since = None;
     }
 
-    /// Serves one batch on the backend, blocking until it completes.
-    /// An `Err` means the *stream* failed (dial, I/O, corruption) —
-    /// the connection is dropped, the failure is recorded, and the
-    /// caller should fall back; the cluster router re-serves the
-    /// whole sub-batch locally. Exactly
-    /// [`begin_batch`](RemoteShard::begin_batch) followed by the
-    /// blocking finish.
-    pub fn serve_batch<'a, I>(&mut self, reqs: I) -> std::io::Result<Vec<WireResult>>
-    where
-        I: IntoIterator<Item = &'a PolicyRequest>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let t = self.begin_batch(reqs)?;
-        self.finish(&t)
-    }
-
     /// Submits one batch on the backend without waiting for replies
     /// (dialing first if needed): the cluster router's scatter step.
+    /// An `Err` — here or from `try_finish` — means the *stream* failed
+    /// (dial, I/O, corruption): the connection is dropped, the failure
+    /// is recorded, and the caller should fall back; the cluster router
+    /// re-serves the whole sub-batch locally.
     /// Poll the returned ticket with
     /// [`try_finish`](RemoteShard::try_finish) — several backends'
     /// tickets can be in flight at once, multiplexed on one thread
@@ -271,23 +259,8 @@ impl RemoteShard {
         }
     }
 
-    /// Blocks until an in-flight batch completes (the single-backend
-    /// path behind [`RemoteShard::serve_batch`]).
-    fn finish(&mut self, t: &RemoteTicket) -> std::io::Result<Vec<WireResult>> {
-        let collected = match self.conn.as_mut() {
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "connection was dropped mid-batch",
-            )),
-            Some(conn) => conn.collect(t.ticket),
-        };
-        let ok = collected.is_ok();
-        self.settle(t, ok);
-        collected
-    }
-
-    /// Completion bookkeeping shared by the blocking and polled
-    /// finish paths: health machine, served counter, trace span.
+    /// Completion bookkeeping: health machine, served counter, trace
+    /// span.
     fn settle(&mut self, t: &RemoteTicket, ok: bool) {
         if ok {
             self.note_success();
@@ -404,6 +377,20 @@ impl RemoteShard {
 mod tests {
     use super::*;
     use econcast_core::{NodeParams, ThroughputMode};
+    use econcast_service::WireResult;
+
+    /// One batch through the dialer the way the router drives it:
+    /// submit, then [`crate::driver::drive`] to completion.
+    fn serve(shard: &mut RemoteShard, reqs: &[PolicyRequest]) -> std::io::Result<Vec<WireResult>> {
+        let ticket = shard.begin_batch(reqs)?;
+        let job = crate::driver::Job {
+            slot: 0,
+            shard,
+            ticket,
+        };
+        let (_, out) = crate::driver::drive(vec![job]).pop().expect("one job");
+        out.map(|frames| frames.results())
+    }
 
     /// An address with nothing listening (bind, learn, drop).
     fn dead_addr() -> SocketAddr {
@@ -435,7 +422,7 @@ mod tests {
         );
         assert!(shard.healthy());
         assert!(shard.should_attempt());
-        assert!(shard.serve_batch(&one_request()).is_err());
+        assert!(serve(&mut shard, &one_request()).is_err());
         assert!(!shard.healthy(), "one failure marks it down");
         assert!(
             !shard.should_attempt(),
@@ -476,7 +463,7 @@ mod tests {
                 ..RemoteConfig::default()
             },
         );
-        assert!(shard.serve_batch(&one_request()).is_err());
+        assert!(serve(&mut shard, &one_request()).is_err());
         assert!(!shard.healthy());
 
         // Re-target at the live backend (the replace-a-dead-backend
@@ -484,7 +471,7 @@ mod tests {
         shard.retarget(server.addr());
         assert!(shard.should_attempt());
         assert!(shard.ping(), "live backend answers the probe");
-        let out = shard.serve_batch(&one_request()).expect("remote serve");
+        let out = serve(&mut shard, &one_request()).expect("remote serve");
         assert_eq!(out.len(), 1);
         assert!(out[0].is_ok());
         assert!(shard.healthy());
@@ -545,7 +532,7 @@ mod tests {
                 ..RemoteConfig::default()
             },
         );
-        assert!(shard.serve_batch(&one_request()).is_err());
+        assert!(serve(&mut shard, &one_request()).is_err());
         assert!(!shard.healthy());
         assert!(!shard.should_attempt(), "inside the cooldown window");
 
@@ -576,7 +563,7 @@ mod tests {
                 ..RemoteConfig::default()
             },
         );
-        assert!(shard.serve_batch(&one_request()).is_err());
+        assert!(serve(&mut shard, &one_request()).is_err());
         assert!(!shard.healthy());
 
         // The backend comes back on the same port mid-window. The
@@ -610,7 +597,7 @@ mod tests {
         assert!(shard.should_attempt());
         let s = shard.shard_stats();
         assert_eq!(s.recoveries, 1);
-        let out = shard.serve_batch(&one_request()).expect("serves again");
+        let out = serve(&mut shard, &one_request()).expect("serves again");
         assert!(out[0].is_ok());
         server.shutdown();
     }

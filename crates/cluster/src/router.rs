@@ -2,8 +2,8 @@
 //!
 //! A [`ClusterRouter`] is the multi-process sibling of
 //! `econcast_service::ShardRouter`: requests are consistent-hashed
-//! over the **same 64-vnode ring** (`fnv1a_64([slot, vnode])`
-//! points), but a slot is a [`RemoteShard`] dialing a backend
+//! over the **same ring type** (`econcast_service::HashRing`, 64
+//! vnodes per slot), but a slot is a [`RemoteShard`] dialing a backend
 //! `PolicyServer` process — or an in-process `PolicyService` for
 //! mixed local/remote topologies. The router keys each raw request
 //! with `route_hash_of` — one O(N) pass, no sort, no allocation —
@@ -54,10 +54,10 @@ use econcast_metrics::{
 use econcast_proto::service::ServiceErrorCode;
 use econcast_service::ServiceStats;
 use econcast_service::{
-    Answer, PolicyRequest, PolicyResponse, PolicyService, ReplyFrames, Served, ServiceConfig,
-    ServiceError,
+    Answer, HashRing, PolicyRequest, PolicyResponse, PolicyService, ReplyFrames, Served,
+    ServiceConfig, ServiceError,
 };
-use econcast_statespace::{fnv1a_64, route_hash_of, InstanceKey};
+use econcast_statespace::{route_hash_of, InstanceKey};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -183,12 +183,20 @@ pub struct ClusterStats {
     pub saturated: Vec<bool>,
 }
 
+/// The consistent-hash ring over every non-retired slot. With no
+/// retired slots this is `ShardRouter`'s ring, so equal slot counts
+/// assign every canonical key identically.
+fn ring_over(slots: &[Slot], vnodes: usize) -> HashRing {
+    let live = slots.iter().enumerate();
+    let live = live.filter(|(_, slot)| !matches!(slot, Slot::Retired));
+    HashRing::new(live.map(|(s, _)| s as u16), vnodes)
+}
+
 /// Routes canonicalized requests across remote and local slots.
 #[derive(Debug)]
 pub struct ClusterRouter {
-    /// Sorted consistent-hash ring: `(point, slot)`; retired slots
-    /// own no points.
-    ring: Vec<(u64, u16)>,
+    /// Consistent-hash ring; retired slots own no points.
+    ring: HashRing,
     slots: Vec<Slot>,
     cfg: ClusterConfig,
     /// The failover solver (and the answerer of invalid requests).
@@ -222,7 +230,6 @@ impl ClusterRouter {
     pub fn new(slots: &[SlotSpec], cfg: ClusterConfig) -> Self {
         assert!(!slots.is_empty(), "need at least one slot");
         assert!(slots.len() <= u16::MAX as usize, "slot ids are u16");
-        assert!(cfg.vnodes >= 1, "need at least one vnode per slot");
         let slots: Vec<Slot> = slots
             .iter()
             .enumerate()
@@ -233,8 +240,8 @@ impl ClusterRouter {
                 SlotSpec::Local => Slot::Local(Box::new(PolicyService::new(cfg.service))),
             })
             .collect();
-        let mut router = ClusterRouter {
-            ring: Vec::new(),
+        ClusterRouter {
+            ring: ring_over(&slots, cfg.vnodes),
             routed: vec![0; slots.len()],
             saturation: vec![None; slots.len()],
             slots,
@@ -251,27 +258,7 @@ impl ClusterRouter {
             saturation_opens: 0,
             saturated_routes: 0,
             injected_faults: Arc::new(AtomicU64::new(0)),
-        };
-        router.rebuild_ring();
-        router
-    }
-
-    /// Recomputes the consistent-hash ring over every non-retired
-    /// slot. With no retired slots this reproduces the construction
-    /// `ShardRouter` uses bit for bit, so equal slot counts keep
-    /// assigning every canonical key identically.
-    fn rebuild_ring(&mut self) {
-        let vnodes = self.cfg.vnodes as u64;
-        let mut ring: Vec<(u64, u16)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| !matches!(slot, Slot::Retired))
-            .flat_map(|(s, _)| (0..vnodes).map(move |v| (fnv1a_64([s as u64, v]), s as u16)))
-            .collect();
-        ring.sort_unstable();
-        assert!(!ring.is_empty(), "every slot retired");
-        self.ring = ring;
+        }
     }
 
     /// Number of slots.
@@ -279,18 +266,10 @@ impl ClusterRouter {
         self.slots.len()
     }
 
-    /// The home slot of a canonical instance key — the same
-    /// partition-point walk as `ShardRouter::shard_of_key`, over the
-    /// same ring construction.
+    /// The home slot of a canonical instance key — the same ring walk
+    /// as `ShardRouter::shard_of_key`.
     pub fn slot_of_key(&self, key: &InstanceKey) -> u16 {
-        self.slot_of_hash(key.route_hash())
-    }
-
-    /// The home slot of a route hash: the first ring point at or after
-    /// it (wrapping).
-    fn slot_of_hash(&self, h: u64) -> u16 {
-        let i = self.ring.partition_point(|&(p, _)| p < h);
-        self.ring[if i == self.ring.len() { 0 } else { i }].1
+        self.ring.owner(key.route_hash())
     }
 
     /// Whether a slot is currently healthy (local slots always are,
@@ -516,7 +495,7 @@ impl ClusterRouter {
             ))));
         self.routed.push(0);
         self.saturation.push(None);
-        self.rebuild_ring();
+        self.ring = ring_over(&self.slots, self.cfg.vnodes);
         slot
     }
 
@@ -537,7 +516,7 @@ impl ClusterRouter {
             return false;
         }
         self.slots[slot] = Slot::Retired;
-        self.rebuild_ring();
+        self.ring = ring_over(&self.slots, self.cfg.vnodes);
         true
     }
 
@@ -596,7 +575,7 @@ impl ClusterRouter {
                 req.objective,
                 req.tolerance,
             );
-            let s = usize::from(self.slot_of_hash(h));
+            let s = usize::from(self.ring.owner(h));
             self.routed[s] += 1;
             sub_idx[s].push(i);
         }
@@ -743,10 +722,9 @@ impl ClusterRouter {
                 if sub_idx[s].is_empty() {
                     continue;
                 }
-                let batch: Vec<PolicyRequest> =
-                    sub_idx[s].iter().map(|&i| reqs[i].clone()).collect();
-                self.local_served += batch.len() as u64;
-                for (&i, r) in sub_idx[s].iter().zip(svc.serve_batch(&batch)) {
+                self.local_served += sub_idx[s].len() as u64;
+                let results = svc.serve_batch(sub_idx[s].iter().map(|&i| &reqs[i]));
+                for (&i, r) in sub_idx[s].iter().zip(results) {
                     answers[i] = Some(Answer::Native(r));
                 }
             }
@@ -762,8 +740,7 @@ impl ClusterRouter {
                 "failover_reserve",
                 "requests" => pending.len() as u64
             );
-            let batch: Vec<PolicyRequest> = pending.iter().map(|&i| reqs[i].clone()).collect();
-            let results = self.fallback.serve_batch(&batch);
+            let results = self.fallback.serve_batch(pending.iter().map(|&i| &reqs[i]));
             let mut reserves = 0u64;
             for (&i, r) in pending.iter().zip(results) {
                 // Only *routed* requests count as failovers; invalid

@@ -1,5 +1,6 @@
-//! A blocking TCP client for the policy server, with a pipelined
-//! submit/collect data plane.
+//! The TCP client for the policy server: a non-blocking connection
+//! with a pipelined submit/collect data plane, waiting in
+//! [`ready::wait`].
 
 use crate::ready;
 use crate::request::PolicyRequest;
@@ -11,7 +12,7 @@ use econcast_proto::service::{
 };
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A handshaken connection to a [`crate::PolicyServer`].
 ///
@@ -28,6 +29,12 @@ use std::time::Duration;
 /// [`serve_batch`](PolicyClient::serve_batch) is the classic
 /// submit-then-collect convenience and behaves exactly like the
 /// pre-pipeline call.
+///
+/// The stream is non-blocking from the handshake on. Every call reads
+/// and writes on one path (read until `WouldBlock`, write until
+/// `WouldBlock`) and parks in `poll(2)` in between; a connection made
+/// with [`connect_with_timeout`](PolicyClient::connect_with_timeout)
+/// fails `TimedOut` when one park sees no progress for that long.
 ///
 /// Every frame rides [`WIRE_VERSION`]; a server built at any other
 /// version drops the `Hello`, and the connect fails instead of
@@ -66,11 +73,16 @@ use std::time::Duration;
 ///   differs from its request's is a stream failure too.
 pub struct PolicyClient {
     stream: TcpStream,
+    /// Bound on each wait for the socket (`None` = wait forever).
+    timeout: Option<Duration>,
     codec: ServiceCodec,
     enc: ScatterEncoder,
     pending: Vec<PendingBatch>,
     /// Reply arenas of collected tickets, reused by the next submits.
     spare: Vec<ReplyFrames>,
+    /// Control-plane messages (`Welcome`, `Pong`, scrapes, refusals)
+    /// awaiting the round trip that asked for them.
+    control: Vec<ServiceMessage>,
     shards: u16,
     server_max_batch: u16,
     next_id: u32,
@@ -88,6 +100,7 @@ impl std::fmt::Debug for PolicyClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PolicyClient")
             .field("stream", &self.stream)
+            .field("timeout", &self.timeout)
             .field("codec", &self.codec)
             .field("enc", &self.enc)
             .field("pending", &self.pending)
@@ -105,7 +118,7 @@ pub type WireResult = Result<WirePolicyResponse, WirePolicyError>;
 
 /// Handle to one submitted, not-yet-collected batch. Redeem with
 /// [`PolicyClient::collect`] (blocking) or poll with
-/// [`PolicyClient::try_collect`].
+/// [`PolicyClient::try_collect_frames`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ticket {
     corr: u32,
@@ -243,40 +256,45 @@ fn undecodable(e: econcast_proto::DecodeError) -> std::io::Error {
 }
 
 impl PolicyClient {
-    /// Connects and performs the `Hello`/`Welcome` handshake.
+    /// Connects and performs the `Hello`/`Welcome` handshake, with no
+    /// I/O timeout: every wait blocks until the server moves.
     /// `max_batch` is the largest batch this client intends to
     /// pipeline (informational, rides the hello).
     pub fn connect(addr: impl ToSocketAddrs, max_batch: u16) -> std::io::Result<Self> {
-        Self::handshake(TcpStream::connect(addr)?, max_batch)
+        Self::handshake(TcpStream::connect(addr)?, max_batch, None)
     }
 
-    /// Like [`PolicyClient::connect`], but with `timeout` applied to
-    /// the TCP connect **and** to the handshake reads/writes — and
-    /// left in force on the connection. Dialers use this: a backend
-    /// that accepts but never answers the `Hello` must surface as a
-    /// timed-out error, not a connect() that hangs before any
-    /// [`set_io_timeout`](PolicyClient::set_io_timeout) call could
-    /// take effect.
+    /// Like [`PolicyClient::connect`], but with `timeout` bounding the
+    /// TCP connect **and** every later wait on the connection,
+    /// handshake included: a wait that sees no progress for `timeout`
+    /// fails `TimedOut`. Dialers use this: a backend that accepts but
+    /// never answers must surface as an error, not a hung caller.
     pub fn connect_with_timeout(
         addr: std::net::SocketAddr,
         max_batch: u16,
         timeout: Duration,
     ) -> std::io::Result<Self> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Self::handshake(stream, max_batch)
+        Self::handshake(stream, max_batch, Some(timeout))
     }
 
-    /// Performs the `Hello`/`Welcome` handshake on a connected stream.
-    fn handshake(stream: TcpStream, max_batch: u16) -> std::io::Result<Self> {
+    /// Performs the `Hello`/`Welcome` handshake on a connected stream,
+    /// which is non-blocking from here on.
+    fn handshake(
+        stream: TcpStream,
+        max_batch: u16,
+        timeout: Option<Duration>,
+    ) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
         let mut client = PolicyClient {
             stream,
+            timeout,
             codec: ServiceCodec::new(),
             enc: ScatterEncoder::new(),
             pending: Vec::new(),
             spare: Vec::new(),
+            control: Vec::new(),
             shards: 0,
             server_max_batch: 0,
             next_id: 0,
@@ -284,19 +302,16 @@ impl PolicyClient {
             rbuf: vec![0; READ_CHUNK].into_boxed_slice(),
         };
         let id = client.take_id();
-        client.send(&ServiceMessage::Hello(WireHello { id, max_batch }))?;
-        loop {
-            match client.recv()? {
-                Some(ServiceMessage::Welcome(w)) if w.id == id => {
-                    client.shards = w.shards;
-                    client.server_max_batch = w.max_batch;
-                    return Ok(client);
-                }
-                // Anything else before the welcome is protocol misuse;
-                // skip it rather than wedging the handshake.
-                _ => {}
-            }
+        let hello = ServiceMessage::Hello(WireHello { id, max_batch });
+        let welcome = client.round_trip(
+            &hello,
+            |m| matches!(m, ServiceMessage::Welcome(w) if w.id == id),
+        )?;
+        if let ServiceMessage::Welcome(w) = welcome {
+            client.shards = w.shards;
+            client.server_max_batch = w.max_batch;
         }
+        Ok(client)
     }
 
     /// Shard count the server advertised.
@@ -304,44 +319,22 @@ impl PolicyClient {
         self.shards
     }
 
-    /// Applies a read/write timeout to the underlying stream (`None`
-    /// = block forever). Remote-shard dialers set this so a wedged —
-    /// rather than dead — backend surfaces as a timed-out `Err`
-    /// instead of a hung cluster.
-    pub fn set_io_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
-    }
-
     /// The raw socket descriptor, for readiness multiplexing across
     /// connections ([`crate::ready::wait`]).
     pub fn poll_fd(&self) -> ready::RawFdAlias {
-        #[cfg(unix)]
-        {
-            use std::os::unix::io::AsRawFd;
-            self.stream.as_raw_fd()
-        }
-        #[cfg(not(unix))]
-        {
-            0
-        }
+        ready::fd(&self.stream)
     }
 
     /// Round-trips a `Ping`/`Pong` liveness probe, verifying the id
     /// echo. The cluster layer's health checks in one call.
     pub fn ping(&mut self) -> std::io::Result<()> {
         let id = self.take_id();
-        self.send(&ServiceMessage::Ping(WirePing { id }))?;
-        loop {
-            match self.recv()? {
-                Some(ServiceMessage::Pong(p)) if p.id == id => return Ok(()),
-                // Data-plane replies for in-flight tickets are filed,
-                // not dropped; other strays are skipped like the
-                // handshake does.
-                Some(other) => self.dispatch(other),
-                None => {}
-            }
-        }
+        let ping = ServiceMessage::Ping(WirePing { id });
+        self.round_trip(
+            &ping,
+            |m| matches!(m, ServiceMessage::Pong(p) if p.id == id),
+        )?;
+        Ok(())
     }
 
     /// The server's batch cap from the handshake.
@@ -355,10 +348,11 @@ impl PolicyClient {
     /// any replies — for *any* in-flight ticket — that arrive while
     /// the send buffer drains. Returns the ticket to redeem with
     /// [`collect`](PolicyClient::collect) or
-    /// [`try_collect`](PolicyClient::try_collect). Takes the requests
-    /// by reference (a slice, a `&Vec`, or any exact-size iterator of
-    /// references), so a caller scattering one batch across several
-    /// connections encodes straight from its own storage.
+    /// [`try_collect_frames`](PolicyClient::try_collect_frames). Takes
+    /// the requests by reference (a slice, a `&Vec`, or any exact-size
+    /// iterator of references), so a caller scattering one batch
+    /// across several connections encodes straight from its own
+    /// storage.
     pub fn submit_batch<'a, I>(&mut self, reqs: I) -> std::io::Result<Ticket>
     where
         I: IntoIterator<Item = &'a PolicyRequest>,
@@ -420,35 +414,22 @@ impl PolicyClient {
     /// for every in-flight ticket along the way. Replies return in
     /// the batch's request order regardless of arrival order.
     pub fn collect(&mut self, ticket: Ticket) -> std::io::Result<Vec<WireResult>> {
-        loop {
-            if let Some(frames) = self.take_done(&ticket)? {
-                return Ok(self.parse_and_recycle(frames));
-            }
-            if let Some(msg) = self.recv()? {
-                self.dispatch(msg);
-            }
-        }
+        self.advance_until(true, |c| c.is_done(&ticket))?;
+        let frames = self.take_done(&ticket)?.expect("advanced until done");
+        let out = frames.results();
+        self.recycle(frames);
+        Ok(out)
     }
 
-    /// Non-blocking collect: drains whatever replies are currently
-    /// readable, then reports whether the ticket's batch completed.
+    /// Non-blocking collect: files whatever replies are currently
+    /// readable, then reports whether the ticket's batch completed,
+    /// with the replies kept as the verified frames the server sent.
     /// `Ok(None)` means "not yet — poll the socket and retry"; the
     /// cluster's connection driver multiplexes every backend this way
-    /// on one thread.
-    pub fn try_collect(&mut self, ticket: &Ticket) -> std::io::Result<Option<Vec<WireResult>>> {
-        let frames = self.try_collect_frames(ticket)?;
-        Ok(frames.map(|f| self.parse_and_recycle(f)))
-    }
-
-    /// [`try_collect`](PolicyClient::try_collect), with the replies
-    /// kept as the verified frames the server sent. Hand the buffer
-    /// back with [`recycle`](PolicyClient::recycle) once done with it.
+    /// on one thread. Hand the buffer back with
+    /// [`recycle`](PolicyClient::recycle) once done with it.
     pub fn try_collect_frames(&mut self, ticket: &Ticket) -> std::io::Result<Option<ReplyFrames>> {
-        self.stream.set_nonblocking(true)?;
-        let drained = self.drain_ready();
-        let restored = self.stream.set_nonblocking(false);
-        drained?;
-        restored?;
+        self.advance_until(false, |c| c.is_done(ticket))?;
         self.take_done(ticket)
     }
 
@@ -460,10 +441,13 @@ impl PolicyClient {
         }
     }
 
-    fn parse_and_recycle(&mut self, frames: ReplyFrames) -> Vec<WireResult> {
-        let out = frames.results();
-        self.recycle(frames);
-        out
+    /// Whether the ticket's batch is complete (an unknown ticket counts
+    /// as done, for [`take_done`](PolicyClient::take_done) to refuse).
+    fn is_done(&self, ticket: &Ticket) -> bool {
+        self.pending
+            .iter()
+            .find(|b| b.corr == ticket.corr)
+            .is_none_or(|b| b.missing == 0)
     }
 
     /// Removes and returns the ticket's replies once every one
@@ -487,65 +471,28 @@ impl PolicyClient {
         self.collect(ticket)
     }
 
-    /// Flushes the scatter buffer, interleaving reads whenever the
-    /// send buffer is full — a client that only wrote first could
-    /// deadlock against the server once both directions' socket
-    /// buffers fill. The stream's configured read timeout bounds the
-    /// whole write phase (SO_SNDTIMEO does not apply to a
-    /// non-blocking socket, so the deadline is explicit): blowing it
-    /// means the peer stopped draining our requests.
+    /// Flushes the scatter buffer — the one write path — interleaving
+    /// reads whenever the send buffer is full: a client that only
+    /// wrote could deadlock against the server once both directions'
+    /// socket buffers fill. Each park waits for the socket to turn
+    /// writable (or readable — replies get absorbed first).
     fn flush(&mut self) -> std::io::Result<()> {
-        if self.enc.is_drained() {
-            return Ok(());
-        }
-        let deadline = self
-            .stream
-            .read_timeout()?
-            .map(|t| std::time::Instant::now() + t);
-        self.stream.set_nonblocking(true)?;
-        let pumped = self.pump(deadline);
-        let restored = self.stream.set_nonblocking(false);
-        pumped?;
-        restored?;
-        Ok(())
-    }
-
-    /// The non-blocking write/absorb loop behind
-    /// [`flush`](PolicyClient::flush): writes park in `poll(2)` until
-    /// the socket turns writable (or readable — replies get absorbed
-    /// first), instead of the fixed short sleeps of the pre-pipeline
-    /// pump.
-    fn pump(&mut self, deadline: Option<std::time::Instant>) -> std::io::Result<()> {
         use std::io::ErrorKind::{Interrupted, WouldBlock};
         while !self.enc.is_drained() {
             match (&self.stream).write(self.enc.pending()) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::WriteZero,
-                        "server stopped reading mid-batch",
+                        "server stopped reading",
                     ))
                 }
                 Ok(n) => self.enc.advance(n),
                 Err(e) if e.kind() == Interrupted => {}
                 Err(e) if e.kind() == WouldBlock => {
-                    if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::TimedOut,
-                            "server did not drain the batch within the I/O timeout",
-                        ));
-                    }
                     // Send buffer full: the server is probably waiting
-                    // for us to drain replies — absorb whatever is
-                    // readable, then park until either direction moves.
-                    if !self.drain_ready()? {
-                        let remaining = deadline
-                            .map(|d| d.saturating_duration_since(std::time::Instant::now()));
-                        ready::wait_one(
-                            self.poll_fd(),
-                            ready::READABLE | ready::WRITABLE,
-                            remaining,
-                        )?;
-                    }
+                    // for us to drain replies.
+                    self.advance_until(false, |_| false)?;
+                    self.park(ready::READABLE | ready::WRITABLE)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -553,64 +500,128 @@ impl PolicyClient {
         Ok(())
     }
 
-    /// Reads everything currently available (stream must be in
-    /// non-blocking mode), filing data-plane replies to their
-    /// in-flight batches. Returns whether any bytes arrived.
-    fn drain_ready(&mut self) -> std::io::Result<bool> {
+    /// Parks until the socket is ready for `events`; fails `TimedOut`
+    /// when the connection's timeout passes first.
+    fn park(&self, events: i16) -> std::io::Result<()> {
+        let deadline = self.timeout.map(|t| Instant::now() + t);
+        loop {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if ready::wait_one(self.poll_fd(), events, left)? != 0 {
+                return Ok(());
+            }
+            if left.is_some_and(|l| l.is_zero()) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "server made no progress within the I/O timeout",
+                ));
+            }
+        }
+    }
+
+    /// The one read path: files frames — buffered ones first, then
+    /// whatever the socket has — until `done` holds (`Ok(true)`). With
+    /// `park` it waits for the socket whenever nothing is readable;
+    /// without, it returns `Ok(false)` once the socket is drained. A
+    /// stream failure (a corrupt frame, EOF) surfaces only when no
+    /// frame before it satisfied `done`.
+    fn advance_until(&mut self, park: bool, done: impl Fn(&Self) -> bool) -> std::io::Result<bool> {
+        loop {
+            if self.decode_until(&done)? {
+                return Ok(true);
+            }
+            if self.fill()? {
+                continue;
+            }
+            if !park {
+                return Ok(false);
+            }
+            self.park(ready::READABLE)?;
+        }
+    }
+
+    /// Files buffered frames until `done` holds (`true`) or no complete
+    /// frame is left (`false`), traced as one `proto/frame_decode` span
+    /// per run — the read path's twin of the server's drain span.
+    fn decode_until(&mut self, done: &impl Fn(&Self) -> bool) -> std::io::Result<bool> {
+        let t0 = econcast_trace::armed_now();
+        let mut decoded = 0u64;
+        let finished = loop {
+            if done(self) {
+                break true;
+            }
+            match self.codec.next_incoming().map_err(undecodable)? {
+                Some(Incoming::Response(v)) => file_response(&mut self.pending, v)?,
+                Some(Incoming::Message(msg)) => self.dispatch(msg),
+                None => break false,
+            }
+            decoded += 1;
+        };
+        if decoded > 0 {
+            econcast_trace::complete_from("proto", "frame_decode", t0, &[("msgs", decoded)]);
+        }
+        Ok(finished)
+    }
+
+    /// Reads until `WouldBlock` and reports whether any bytes arrived.
+    /// An EOF behind fresh bytes is left for the next call, so every
+    /// frame before a close is filed first.
+    fn fill(&mut self) -> std::io::Result<bool> {
         use std::io::ErrorKind::{Interrupted, WouldBlock};
         let mut got = false;
         loop {
             match (&self.stream).read(&mut self.rbuf) {
+                Ok(0) if got => return Ok(true),
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection mid-batch",
+                        "server closed the connection",
                     ))
                 }
                 Ok(n) => {
                     got = true;
-                    self.ingest(n)?;
+                    self.codec.feed(&self.rbuf[..n]);
                 }
-                Err(e) if e.kind() == WouldBlock => break,
+                Err(e) if e.kind() == WouldBlock => return Ok(got),
                 Err(e) if e.kind() == Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(got)
-    }
-
-    /// Feeds the first `n` bytes of the read buffer to the codec and
-    /// files every reply, traced as one `proto/frame_decode` span per
-    /// readable burst — the pipelined read path's twin of the server's
-    /// drain span.
-    fn ingest(&mut self, n: usize) -> std::io::Result<()> {
-        let t0 = econcast_trace::armed_now();
-        let mut decoded = 0u64;
-        self.codec.feed(&self.rbuf[..n]);
-        loop {
-            match self.codec.next_incoming().map_err(undecodable)? {
-                Some(Incoming::Response(v)) => file_response(&mut self.pending, v)?,
-                Some(Incoming::Message(msg)) => self.dispatch(msg),
-                None => break,
-            }
-            decoded += 1;
-        }
-        if decoded > 0 {
-            econcast_trace::complete_from("proto", "frame_decode", t0, &[("msgs", decoded)]);
-        }
-        Ok(())
     }
 
     /// Routes one decoded error reply to its in-flight batch by
-    /// correlation id. Control-plane messages and replies for no live
-    /// ticket are dropped.
+    /// correlation id (replies for no live ticket are dropped); every
+    /// other message lands in the control inbox for
+    /// [`round_trip`](PolicyClient::round_trip).
     fn dispatch(&mut self, msg: ServiceMessage) {
-        let ServiceMessage::Error(e) = msg else {
-            return;
-        };
-        if let Some(b) = self.pending.iter_mut().find(|b| b.corr == e.corr) {
-            b.file(e.id, Reply::Error(e));
+        match msg {
+            ServiceMessage::Error(e) if e.corr != 0 => {
+                if let Some(b) = self.pending.iter_mut().find(|b| b.corr == e.corr) {
+                    b.file(e.id, Reply::Error(e));
+                }
+            }
+            other => self.control.push(other),
         }
+    }
+
+    /// Sends one control message and waits for the reply `is_reply`
+    /// picks out of the control inbox. Data-plane replies arriving
+    /// meanwhile are filed to their tickets; stray control messages
+    /// are dropped.
+    fn round_trip(
+        &mut self,
+        msg: &ServiceMessage,
+        is_reply: impl Fn(&ServiceMessage) -> bool,
+    ) -> std::io::Result<ServiceMessage> {
+        self.control.clear();
+        self.enc.push(msg, WIRE_VERSION);
+        self.flush()?;
+        self.advance_until(true, |c| c.control.iter().any(&is_reply))?;
+        let k = self
+            .control
+            .iter()
+            .position(is_reply)
+            .expect("advanced until found");
+        Ok(self.control.swap_remove(k))
     }
 
     /// Fetches one shard's counters (`None` = the aggregate): the
@@ -628,24 +639,20 @@ impl PolicyClient {
 
     fn scrape(&mut self, shard: u16) -> std::io::Result<econcast_metrics::MetricsSnapshot> {
         let id = self.take_id();
-        self.send(&ServiceMessage::MetricsRequest(WireMetricsRequest {
-            id,
-            shard,
-        }))?;
-        loop {
-            match self.recv()? {
-                Some(ServiceMessage::MetricsResponse(r)) if r.id == id => {
-                    return Ok(crate::metrics::snapshot_from_wire(&r.snapshot));
-                }
-                Some(ServiceMessage::Error(e)) if e.id == id => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        format!("server rejected metrics request for shard {shard}"),
-                    ));
-                }
-                Some(other) => self.dispatch(other),
-                None => {}
+        let req = ServiceMessage::MetricsRequest(WireMetricsRequest { id, shard });
+        let reply = self.round_trip(&req, |m| match m {
+            ServiceMessage::MetricsResponse(r) => r.id == id,
+            ServiceMessage::Error(e) => e.id == id,
+            _ => false,
+        })?;
+        match reply {
+            ServiceMessage::MetricsResponse(r) => {
+                Ok(crate::metrics::snapshot_from_wire(&r.snapshot))
             }
+            _ => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("server rejected metrics request for shard {shard}"),
+            )),
         }
     }
 
@@ -663,46 +670,5 @@ impl PolicyClient {
             self.next_corr = 1;
         }
         corr
-    }
-
-    fn send(&mut self, msg: &ServiceMessage) -> std::io::Result<()> {
-        debug_assert!(self.enc.is_drained(), "send during an unflushed submit");
-        self.enc.push(msg, WIRE_VERSION);
-        while !self.enc.is_drained() {
-            let n = (&self.stream).write(self.enc.pending())?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "server stopped reading",
-                ));
-            }
-            self.enc.advance(n);
-        }
-        Ok(())
-    }
-
-    /// Blocks until the next complete frame arrives. A `Response` is
-    /// filed to its ticket (`Ok(None)`); any other message is
-    /// returned. Decode and verification errors surface as
-    /// `InvalidData`; a server-side disconnect as `UnexpectedEof`.
-    fn recv(&mut self) -> std::io::Result<Option<ServiceMessage>> {
-        loop {
-            match self.codec.next_incoming().map_err(undecodable)? {
-                Some(Incoming::Response(v)) => {
-                    file_response(&mut self.pending, v)?;
-                    return Ok(None);
-                }
-                Some(Incoming::Message(msg)) => return Ok(Some(msg)),
-                None => {}
-            }
-            let n = (&self.stream).read(&mut self.rbuf)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            self.codec.feed(&self.rbuf[..n]);
-        }
     }
 }

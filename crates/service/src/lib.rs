@@ -39,11 +39,12 @@
 //! CRC-checked `econcast-proto::service` message family on a
 //! length-prefixed TCP stream: an [`Acceptor`] (thread-per-connection,
 //! bounded pool, draining shutdown) in front of a [`ShardRouter`] that
-//! consistent-hashes canonical instance keys across several
-//! `PolicyService` shards, keeping each shard's LRU hot and disjoint;
-//! [`PolicyClient`] is the matching blocking client. Every wire
-//! message is dispatched in one place, the acceptor's connection loop,
-//! which the cluster front runs too.
+//! consistent-hashes canonical instance keys ([`HashRing`]) across
+//! several `PolicyService` shards, keeping each shard's LRU hot and
+//! disjoint; [`PolicyClient`] is the matching pipelined client. Every
+//! wire message is dispatched in one place, the acceptor's connection
+//! loop, which the cluster front runs too. Every socket on both sides
+//! is non-blocking and waits in one place, [`ready::wait`].
 
 pub mod admission;
 pub mod cache;
@@ -60,12 +61,11 @@ pub mod workload;
 pub use admission::{degraded_tolerance, Admission, AdmissionController};
 pub use cache::{CachedPolicy, LruCache};
 pub use client::{PolicyClient, ReplyFrames, Ticket, WireResult};
-pub use econcast_trace::TraceConfig;
 pub use metrics::{snapshot_from_wire, snapshot_to_wire};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
 pub use server::{Acceptor, Answer, PolicyServer, ServeTarget, Served, ServerConfig, ServerHandle};
 pub use service::{PolicyService, ServiceConfig};
-pub use shard::{RouterConfig, ShardRouter};
+pub use shard::{HashRing, RouterConfig, ShardRouter};
 pub use stats::ServiceStats;
 
 // The tier and kernel discriminants live in the proto crate (they

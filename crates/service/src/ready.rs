@@ -1,19 +1,19 @@
-//! Minimal `poll(2)` readiness binding for the pipelined data plane.
+//! Minimal `poll(2)` readiness binding: the one way every thread in
+//! the serving stack waits on a socket.
 //!
-//! The pre-pipeline client waited out short `WouldBlock` windows with
-//! a fixed 200 µs sleep — on a single-CPU box that sleep granularity,
-//! multiplied by every batch, *was* a visible slice of the wire
-//! overhead. This module replaces the sleeps with real readiness: the
-//! submit path parks in `poll` until the socket is writable (or a
-//! reply arrived to absorb), and the cluster driver multiplexes every
-//! backend connection on one thread by polling all their descriptors
-//! at once.
+//! Every socket is non-blocking. The server's accept thread parks
+//! here on the listener and the acceptor's stop descriptor, each
+//! connection handler on its connection and the stop descriptor, the
+//! client on its connection (with the connect timeout as the per-wait
+//! bound), and the cluster driver on every in-flight backend
+//! connection at once.
 //!
 //! The binding is deliberately tiny — `poll` only, no registration
 //! state, no libc dependency (the symbol comes from the C runtime the
-//! std already links). On non-unix targets the fallback degrades to
-//! the old short-sleep behaviour: report everything ready and let the
-//! caller's non-blocking I/O sort it out.
+//! std already links). On non-unix targets the fallback naps briefly
+//! and reports every descriptor ready; callers run non-blocking I/O
+//! and re-loop on `WouldBlock`, and flags, not descriptors, carry
+//! their stop signals.
 
 use std::io;
 use std::time::Duration;
@@ -83,8 +83,7 @@ mod imp {
 
     /// Portable fallback: a short nap, then report every descriptor
     /// ready — callers run non-blocking I/O and re-loop on
-    /// `WouldBlock`, which reproduces the pre-pipeline short-sleep
-    /// pump exactly.
+    /// `WouldBlock`.
     pub fn wait(fds: &[(i32, i16)], timeout: Option<Duration>) -> io::Result<Vec<i16>> {
         let nap = timeout
             .unwrap_or(Duration::from_micros(200))
@@ -108,6 +107,19 @@ pub fn wait_one(fd: RawFdAlias, events: i16, timeout: Option<Duration>) -> io::R
 pub type RawFdAlias = std::os::unix::io::RawFd;
 #[cfg(not(unix))]
 pub type RawFdAlias = i32;
+
+/// A socket's descriptor, for [`wait`].
+#[cfg(unix)]
+pub fn fd(socket: &impl std::os::unix::io::AsRawFd) -> RawFdAlias {
+    socket.as_raw_fd()
+}
+
+/// A stand-in descriptor: the fallback [`wait`] reports every
+/// descriptor ready whatever it is.
+#[cfg(not(unix))]
+pub fn fd<T>(_socket: &T) -> RawFdAlias {
+    -1
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,12 +7,17 @@
 //! a counting gate ([`ServerConfig::max_connections`]): when the pool
 //! is full the acceptor blocks *before* accepting, so excess clients
 //! queue in the kernel backlog instead of spawning unbounded threads.
-//! The environment is offline (no tokio); blocking I/O over OS threads
-//! is the deployment story this repo can actually run, and the shard
-//! mutexes already serialize what must be serialized — handlers whose
-//! batches touch disjoint shards proceed in parallel. The cluster
-//! front runs on the same [`Acceptor`], with its router as the
-//! [`ServeTarget`].
+//! The environment is offline (no tokio), and the shard mutexes
+//! already serialize what must be serialized — handlers whose batches
+//! touch disjoint shards proceed in parallel. The cluster front runs
+//! on the same [`Acceptor`], with its router as the [`ServeTarget`].
+//!
+//! Every socket is non-blocking, and every thread waits in one place,
+//! [`ready::wait`]: the accept thread on the listener and the stop
+//! descriptor, a handler on its connection and the stop descriptor (or
+//! on its connection turning writable while a reply is flushed).
+//! Shutdown raises the stop flag and shuts the stop socket pair's
+//! write end, which wakes every one of those waits at once.
 //!
 //! ## Protocol
 //!
@@ -36,6 +41,7 @@
 
 use crate::admission::{degraded_tolerance, Admission, AdmissionController};
 use crate::client::ReplyFrames;
+use crate::ready;
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::shard::{RouterConfig, ShardRouter};
 use bytes::BytesMut;
@@ -99,15 +105,15 @@ impl ConnGate {
     /// Blocks until a handler slot is free and claims it, or returns
     /// `false` when `stop` is raised while waiting (shutdown wakes
     /// waiters via [`ConnGate::interrupt`]).
-    fn acquire(&self, stop: &AtomicBool) -> bool {
+    fn acquire(&self, stop: &Stop) -> bool {
         let mut active = self.active.lock().expect("gate poisoned");
         while *active >= self.cap {
-            if stop.load(Ordering::SeqCst) {
+            if stop.is_raised() {
                 return false;
             }
             active = self.freed.wait(active).expect("gate poisoned");
         }
-        if stop.load(Ordering::SeqCst) {
+        if stop.is_raised() {
             return false;
         }
         *active += 1;
@@ -145,6 +151,56 @@ impl ConnGate {
             active = guard;
         }
         true
+    }
+}
+
+/// The acceptor's shutdown signal. The flag is the source of truth;
+/// on unix a socket pair mirrors it as a descriptor: raising shuts the
+/// pair's write end, so the read end polls readable (EOF) from then on
+/// and every thread parked on it in [`ready::wait`] wakes at once.
+#[derive(Debug)]
+struct Stop {
+    raised: AtomicBool,
+    #[cfg(unix)]
+    pair: (
+        std::os::unix::net::UnixStream,
+        std::os::unix::net::UnixStream,
+    ),
+}
+
+impl Stop {
+    fn new() -> Self {
+        Stop {
+            raised: AtomicBool::new(false),
+            #[cfg(unix)]
+            pair: std::os::unix::net::UnixStream::pair().expect("stop socket pair"),
+        }
+    }
+
+    /// Raises the stop; `false` when it already was.
+    fn raise(&self) -> bool {
+        let first = !self.raised.swap(true, Ordering::SeqCst);
+        #[cfg(unix)]
+        let _ = self.pair.0.shutdown(std::net::Shutdown::Write);
+        first
+    }
+
+    fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// The descriptor to wait on: readable once the stop is raised.
+    /// (Elsewhere the readiness fallback reports every descriptor
+    /// ready, and the flag decides.)
+    fn fd(&self) -> ready::RawFdAlias {
+        #[cfg(unix)]
+        {
+            ready::fd(&self.pair.1)
+        }
+        #[cfg(not(unix))]
+        {
+            -1
+        }
     }
 }
 
@@ -241,7 +297,7 @@ impl ServerHandle {
 pub struct Acceptor {
     addr: SocketAddr,
     admission: Arc<AdmissionController>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     gate: Arc<ConnGate>,
     thread: Option<JoinHandle<()>>,
 }
@@ -262,31 +318,22 @@ impl Acceptor {
         let addr = listener
             .local_addr()
             .expect("bound listener has an address");
-        let stop = Arc::new(AtomicBool::new(false));
+        listener
+            .set_nonblocking(true)
+            .expect("listener goes non-blocking");
+        let stop = Arc::new(Stop::new());
         let gate = Arc::new(ConnGate::new(max_connections));
         let thread = {
             let (stop, gate, admission) =
                 (Arc::clone(&stop), Arc::clone(&gate), Arc::clone(&admission));
             std::thread::spawn(move || {
                 while gate.acquire(&stop) {
-                    let stream = match listener.accept() {
-                        Ok((stream, _)) => stream,
-                        Err(_) => {
-                            // Transient accept failure (fd exhaustion,
-                            // aborted handshake): return the slot and
-                            // back off instead of spinning.
-                            gate.release();
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                            continue;
-                        }
-                    };
-                    if stop.load(Ordering::SeqCst) {
+                    let Some(stream) = accept(&listener, &stop) else {
+                        // Stopped: the next acquire sees it and ends
+                        // the loop.
                         gate.release();
-                        break;
-                    }
+                        continue;
+                    };
                     let (gate, target) = (Arc::clone(&gate), Arc::clone(&target));
                     let (stop, admission) = (Arc::clone(&stop), Arc::clone(&admission));
                     std::thread::spawn(move || {
@@ -300,7 +347,7 @@ impl Acceptor {
                             }
                         }
                         let _slot = SlotGuard(gate);
-                        serve_connection_admitted(stream, &*target, max_batch, &admission, &stop);
+                        serve_connection(stream, &*target, max_batch, &admission, &stop);
                     });
                 }
             })
@@ -326,30 +373,56 @@ impl Acceptor {
     }
 
     /// Stops accepting, joins the accept thread, and **drains** live
-    /// connections: handlers observe the stop flag at their next idle
-    /// tick, finish serving everything their clients already sent
-    /// (complete batches, full replies on the wire), and close cleanly
-    /// — an in-flight batch sees its whole result, never a mid-frame
-    /// disconnect. The drain wait is bounded (5 s) so a wedged client
-    /// cannot hold shutdown hostage.
+    /// connections: the stop descriptor wakes every handler at once; a
+    /// handler finishes serving everything its client already sent
+    /// (complete batches, full replies on the wire) and closes cleanly
+    /// — an idle one at once, one holding part of a frame once the
+    /// frame completes (or its grace runs out), so an in-flight batch
+    /// sees its whole result, never a mid-frame disconnect. The drain
+    /// wait is bounded (5 s) so a wedged client cannot hold shutdown
+    /// hostage.
     pub fn shutdown(mut self) {
         self.stop_and_drain();
     }
 
     fn stop_and_drain(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if !self.stop.raise() {
             return;
         }
         // The accept thread is parked either in the gate (pool
         // saturated — interrupt() wakes it to observe the stop flag)
-        // or in accept() (a throwaway connection wakes it).
+        // or in `ready::wait` (the stop descriptor wakes it).
         self.gate.interrupt();
-        let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
         self.gate.wait_idle(DRAIN_WAIT);
     }
+}
+
+/// Waits in [`ready::wait`] for the next connection and sets it
+/// non-blocking; `None` once the stop is raised.
+fn accept(listener: &TcpListener, stop: &Stop) -> Option<TcpStream> {
+    let fds = [
+        (ready::fd(listener), ready::READABLE),
+        (stop.fd(), ready::READABLE),
+    ];
+    while !stop.is_raised() {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stream.set_nonblocking(true).is_ok() {
+                    return Some(stream);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let _ = ready::wait(&fds, None);
+            }
+            // Transient accept failure (fd exhaustion, aborted
+            // handshake): back off instead of spinning.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+    None
 }
 
 impl Drop for Acceptor {
@@ -458,11 +531,7 @@ impl ServeTarget for ShardRouter {
     }
 }
 
-/// Idle-tick period of the gated connection loop: how often a handler
-/// parked in `read()` re-checks the drain/stop flag.
-const GATE_TICK: Duration = Duration::from_millis(100);
-
-/// After the stop flag is observed, how long a handler waits for the
+/// After the stop is raised, how long a handler waits for the
 /// tail of a partially received frame before force-closing — a client
 /// that stalls mid-frame cannot hold the drain open forever.
 const DRAIN_GRACE: Duration = Duration::from_secs(2);
@@ -492,32 +561,35 @@ struct ReqMeta {
 /// budget are replaced by `Overloaded`, and aggregate scrapes carry
 /// the overload counters.
 ///
-/// The read path is greedy: after each blocking read it drains
-/// whatever else the client already queued (non-blocking), so a
-/// pipelined client's second and third batches ride the same serve
-/// cycle instead of waiting out another wakeup. The write path
-/// streams: each batch's replies are flushed as soon as that batch is
-/// served, so the first submitted batch's responses are on the wire
-/// while later batches are still being solved. Replies echo the
-/// request's correlation id.
+/// The stream is non-blocking. Each cycle reads until `WouldBlock`,
+/// so a pipelined client's second and third batches ride the same
+/// serve cycle, then parks in [`ready::wait`] on the connection and
+/// the stop descriptor. The write path streams: each batch's replies
+/// are flushed as soon as that batch is served, so the first submitted
+/// batch's responses are on the wire while later batches are still
+/// being solved. Replies echo the request's correlation id.
 ///
-/// The drain is cooperative: reads tick every [`GATE_TICK`] so a
-/// raised `stop` flag is observed even on an idle connection. On stop,
-/// the handler finishes what the client already sent and closes only
-/// once the stream is quiet (no partially received frame, or the
-/// [`DRAIN_GRACE`] ran out), so a draining shutdown is never a
-/// mid-frame disconnect from the client's point of view.
-fn serve_connection_admitted(
+/// Drain is a state transition: once the stop is raised, a handler
+/// holding no partially received frame closes at once; one holding
+/// part of a frame waits (on the connection alone) for the rest until
+/// [`DRAIN_GRACE`] runs out, so a draining shutdown is never a
+/// mid-frame disconnect from the client's point of view. Every fully
+/// received request was served on the cycle it arrived, so a partial
+/// frame is the only state a close could strand.
+fn serve_connection(
     mut stream: TcpStream,
     target: &impl ServeTarget,
     max_batch: usize,
     admission: &AdmissionController,
-    stop: &AtomicBool,
+    stop: &Stop,
 ) {
-    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    use std::io::ErrorKind::{Interrupted, WouldBlock};
     let max_batch = max_batch.max(1);
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(GATE_TICK));
+    let fds = [
+        (ready::fd(&stream), ready::READABLE),
+        (stop.fd(), ready::READABLE),
+    ];
     let mut codec = ServiceCodec::new();
     // Reused across cycles: the read buffer, the encoded-reply buffer,
     // the batch scratch and the served batch with its reply buffers —
@@ -529,52 +601,22 @@ fn serve_connection_admitted(
     let mut served = Served::default();
     let mut draining_since: Option<Instant> = None;
     loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => n,
-            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {
-                // Idle tick. Every fully received request was served
-                // on the cycle it arrived, so the only state a close
-                // could strand is a partially received frame —
-                // grant those a bounded grace.
-                if stop.load(Ordering::SeqCst) {
-                    if codec.pending() == 0 {
-                        return;
-                    }
-                    let since = *draining_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= DRAIN_GRACE {
-                        return;
-                    }
-                }
-                continue;
-            }
-            Err(e) if e.kind() == Interrupted => continue,
-            Err(_) => return,
-        };
-        codec.feed(&buf[..n]);
-        // Greedy drain: a pipelining client may have more batches
-        // already queued in the socket buffer; absorb them into this
-        // cycle without blocking. EOF and errors are deferred — what
-        // was received still gets served and answered first.
+        // EOF and errors are deferred: what was received still gets
+        // served and answered first.
         let mut closing = false;
-        if stream.set_nonblocking(true).is_ok() {
-            loop {
-                match stream.read(&mut buf) {
-                    Ok(0) => {
-                        closing = true;
-                        break;
-                    }
-                    Ok(n) => codec.feed(&buf[..n]),
-                    Err(e) if e.kind() == WouldBlock => break,
-                    Err(e) if e.kind() == Interrupted => {}
-                    Err(_) => {
-                        closing = true;
-                        break;
-                    }
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => {
+                    closing = true;
+                    break;
                 }
-            }
-            if stream.set_nonblocking(false).is_err() {
-                closing = true;
+                Ok(n) => codec.feed(&buf[..n]),
+                Err(e) if e.kind() == WouldBlock => break,
+                Err(e) if e.kind() == Interrupted => {}
+                Err(_) => {
+                    closing = true;
+                    break;
+                }
             }
         }
         let Ok(messages) = codec.drain() else {
@@ -705,24 +747,45 @@ fn serve_connection_admitted(
             &mut out,
             admission,
         );
-        if flush(&mut stream, &mut out).is_err() {
+        if flush(&mut stream, &mut out).is_err() || closing {
             return;
         }
-        if closing {
+        let parked = if stop.is_raised() {
+            if codec.pending() == 0 {
+                return;
+            }
+            let since = *draining_since.get_or_insert_with(Instant::now);
+            match DRAIN_GRACE.checked_sub(since.elapsed()) {
+                Some(left) if !left.is_zero() => ready::wait(&fds[..1], Some(left)),
+                _ => return,
+            }
+        } else {
+            ready::wait(&fds, None)
+        };
+        if parked.is_err() {
             return;
         }
     }
 }
 
 /// Writes and clears the encoded-reply buffer, keeping its capacity
-/// for the next cycle.
+/// for the next cycle; parks in [`ready::wait`] while the socket's
+/// send buffer is full.
 fn flush(stream: &mut TcpStream, out: &mut BytesMut) -> std::io::Result<()> {
-    if out.is_empty() {
-        return Ok(());
+    let mut sent = 0;
+    while sent < out.len() {
+        match stream.write(&out[sent..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                ready::wait_one(ready::fd(&*stream), ready::WRITABLE, None)?;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let res = stream.write_all(out);
     out.clear();
-    res
+    Ok(())
 }
 
 /// Serves the buffered requests (if any) as one routed batch and

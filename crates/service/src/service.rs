@@ -73,11 +73,6 @@ pub struct ServiceConfig {
     /// replay from the cache, never an answer's bits: a miss re-runs
     /// the same deterministic solve that produced the evicted entry.
     pub max_cache_bytes: Option<usize>,
-    /// Tracing knob: arms span collection and/or latency histograms
-    /// process-wide when this service is constructed (see
-    /// [`econcast_trace::TraceConfig`]). Default off — every trace
-    /// macro then costs one relaxed atomic load and a branch.
-    pub trace: econcast_trace::TraceConfig,
     /// Admission-queue capacity (requests) in front of `serve_batch`
     /// on the socket server. Past it, callers get an explicit
     /// `Overloaded { retry_after_us }` — never a silent drop or
@@ -99,7 +94,6 @@ impl Default for ServiceConfig {
             max_exact_nodes: 256,
             max_anyput_nodes: 64,
             max_cache_bytes: None,
-            trace: econcast_trace::TraceConfig::default(),
             queue_capacity: 256,
             max_queue_delay: std::time::Duration::from_millis(50),
         }
@@ -222,7 +216,6 @@ impl Default for PolicyService {
 impl PolicyService {
     /// Creates a service with the given configuration.
     pub fn new(cfg: ServiceConfig) -> Self {
-        cfg.trace.apply();
         PolicyService {
             lru: LruCache::with_byte_budget(cfg.lru_capacity, cfg.max_cache_bytes),
             scratch: Vec::new(),
@@ -292,10 +285,33 @@ impl PolicyService {
 
     /// Serves a batch: independent solves fan out across the worker
     /// pool; responses come back in request order, each in its
-    /// caller's node order.
-    pub fn serve_batch(
+    /// caller's node order. Takes the requests by reference (a slice,
+    /// a `&Vec`, or any exact-size iterator of references), so a
+    /// caller serving a view of a larger batch copies nothing.
+    pub fn serve_batch<'a, I>(&mut self, reqs: I) -> Vec<Result<PolicyResponse, ServiceError>>
+    where
+        I: IntoIterator<Item = &'a PolicyRequest>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        self.serve_core(reqs.into_iter().map(|req| (req, None)))
+    }
+
+    /// The shard router's entry point: requests arrive with the
+    /// canonicalization the router already computed for routing
+    /// (`None` = the request failed validation), so the probe phase
+    /// does not canonicalize a second time.
+    pub(crate) fn serve_batch_prerouted(
         &mut self,
-        reqs: &[PolicyRequest],
+        reqs: Vec<(&PolicyRequest, Option<CanonicalInstance>)>,
+    ) -> Vec<Result<PolicyResponse, ServiceError>> {
+        self.serve_core(reqs.into_iter())
+    }
+
+    /// The one batch core: a request without a canonicalization is
+    /// validated and canonicalized by the probe phase.
+    fn serve_core<'a>(
+        &mut self,
+        reqs: impl ExactSizeIterator<Item = (&'a PolicyRequest, Option<CanonicalInstance>)>,
     ) -> Vec<Result<PolicyResponse, ServiceError>> {
         let _serve = econcast_trace::trace_span!(
             "service",
@@ -312,47 +328,8 @@ impl PolicyService {
         let mut pending: HashMap<econcast_statespace::InstanceKey, usize> = HashMap::new();
         {
             let _probe = econcast_trace::trace_span!("service", "probe");
-            for req in reqs {
-                plans.push(self.probe(req, &mut jobs, &mut pending));
-            }
-        }
-        let results = self.solve_and_publish(plans, jobs);
-        record_batch_metrics(&self.latency, t0, results.len());
-        results
-    }
-
-    /// The shard router's entry point: requests arrive with the
-    /// canonicalization the router already computed for routing
-    /// (`None` = the request failed validation), so the probe phase
-    /// does not canonicalize a second time.
-    pub(crate) fn serve_batch_prerouted(
-        &mut self,
-        reqs: Vec<(&PolicyRequest, Option<CanonicalInstance>)>,
-    ) -> Vec<Result<PolicyResponse, ServiceError>> {
-        let _serve = econcast_trace::trace_span!(
-            "service",
-            "serve_batch",
-            "requests" => reqs.len() as u64
-        );
-        self.stats.batches += 1;
-        self.stats.requests += reqs.len() as u64;
-        let t0 = std::time::Instant::now();
-
-        let mut plans: Vec<Plan> = Vec::with_capacity(reqs.len());
-        let mut jobs: Vec<SolveJob> = Vec::new();
-        let mut pending: HashMap<econcast_statespace::InstanceKey, usize> = HashMap::new();
-        {
-            let _probe = econcast_trace::trace_span!("service", "probe");
             for (req, canon) in reqs {
-                plans.push(match canon {
-                    Some(canon) => self.probe_canonical(req, canon, &mut jobs, &mut pending),
-                    None => {
-                        self.stats.errors += 1;
-                        Plan::Done(Err(req
-                            .validate()
-                            .expect_err("router routes canon-less requests only on failure")))
-                    }
-                });
+                plans.push(self.probe(req, canon, &mut jobs, &mut pending));
             }
         }
         let results = self.solve_and_publish(plans, jobs);
@@ -441,37 +418,32 @@ impl PolicyService {
         out
     }
 
-    /// Phase-1 logic for one request.
+    /// Phase-1 logic for one request; one arriving without its
+    /// canonicalization is validated and canonicalized first.
     fn probe(
         &mut self,
         req: &PolicyRequest,
+        canon: Option<CanonicalInstance>,
         jobs: &mut Vec<SolveJob>,
         pending: &mut HashMap<econcast_statespace::InstanceKey, usize>,
     ) -> Plan {
-        if let Err(e) = req.validate() {
-            self.stats.errors += 1;
-            return Plan::Done(Err(e));
-        }
-        let canon = CanonicalInstance::new(
-            &req.budgets_w,
-            req.listen_w,
-            req.transmit_w,
-            req.sigma,
-            req.objective,
-            req.tolerance,
-        );
-        self.probe_canonical(req, canon, jobs, pending)
-    }
-
-    /// Phase-1 tier walk for an already-validated, already-canonical
-    /// request.
-    fn probe_canonical(
-        &mut self,
-        req: &PolicyRequest,
-        canon: CanonicalInstance,
-        jobs: &mut Vec<SolveJob>,
-        pending: &mut HashMap<econcast_statespace::InstanceKey, usize>,
-    ) -> Plan {
+        let canon = match canon {
+            Some(canon) => canon,
+            None => {
+                if let Err(e) = req.validate() {
+                    self.stats.errors += 1;
+                    return Plan::Done(Err(e));
+                }
+                CanonicalInstance::new(
+                    &req.budgets_w,
+                    req.listen_w,
+                    req.transmit_w,
+                    req.sigma,
+                    req.objective,
+                    req.tolerance,
+                )
+            }
+        };
         // Tier 1: exact-match LRU. The hit counter splits by the
         // kernel that originally produced the entry, so the exact
         // tier's behaviour at large N (factorized-solved entries) is

@@ -28,7 +28,7 @@ use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::service::{PolicyService, ServiceConfig};
 use crate::stats::ServiceStats;
 use econcast_metrics::MetricsSnapshot;
-use econcast_statespace::{route_hash_of, CanonicalInstance, InstanceKey};
+use econcast_statespace::{fnv1a_64, route_hash_of, CanonicalInstance, InstanceKey};
 use std::sync::Mutex;
 
 /// Configuration for a sharded deployment.
@@ -54,6 +54,42 @@ impl Default for RouterConfig {
     }
 }
 
+/// A consistent-hash ring: each owner (a shard, or a cluster slot)
+/// places `vnodes` points at `fnv1a_64([owner, vnode])`, and a route
+/// hash belongs to the owner of the first point at or after it
+/// (wrapping). Owners left out own no points, so their key ranges
+/// fall to their ring successors; equal owner sets assign every key
+/// identically.
+#[derive(Debug)]
+pub struct HashRing {
+    /// Sorted `(point, owner)` pairs.
+    points: Vec<(u64, u16)>,
+}
+
+impl HashRing {
+    /// Builds the ring over `owners`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `owners` is empty or `vnodes == 0`.
+    pub fn new(owners: impl IntoIterator<Item = u16>, vnodes: usize) -> Self {
+        assert!(vnodes >= 1, "need at least one vnode per owner");
+        let mut points: Vec<(u64, u16)> = owners
+            .into_iter()
+            .flat_map(|s| (0..vnodes as u64).map(move |v| (fnv1a_64([u64::from(s), v]), s)))
+            .collect();
+        assert!(!points.is_empty(), "a ring needs at least one owner");
+        points.sort_unstable();
+        HashRing { points }
+    }
+
+    /// The owner of a route hash.
+    pub fn owner(&self, h: u64) -> u16 {
+        let i = self.points.partition_point(|&(p, _)| p < h);
+        self.points[if i == self.points.len() { 0 } else { i }].1
+    }
+}
+
 /// One shard: a policy service plus its routing count.
 #[derive(Debug)]
 struct ShardState {
@@ -70,8 +106,7 @@ struct ShardState {
 /// its one home shard.
 #[derive(Debug)]
 pub struct ShardRouter {
-    /// Sorted consistent-hash ring: `(point, shard)`.
-    ring: Vec<(u64, u16)>,
+    ring: HashRing,
     shards: Vec<Mutex<ShardState>>,
 }
 
@@ -85,14 +120,7 @@ impl ShardRouter {
     pub fn new(cfg: RouterConfig) -> Self {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.shards <= u16::MAX as usize, "shard ids are u16");
-        assert!(cfg.vnodes >= 1, "need at least one vnode per shard");
-        let mut ring: Vec<(u64, u16)> = (0..cfg.shards as u16)
-            .flat_map(|s| {
-                (0..cfg.vnodes as u64)
-                    .map(move |v| (econcast_statespace::fnv1a_64([u64::from(s), v]), s))
-            })
-            .collect();
-        ring.sort_unstable();
+        let ring = HashRing::new(0..cfg.shards as u16, cfg.vnodes);
         let shards = (0..cfg.shards)
             .map(|_| {
                 Mutex::new(ShardState {
@@ -112,12 +140,7 @@ impl ShardRouter {
     /// The home shard of a canonical instance key: the first ring
     /// point at or after the key's route hash (wrapping).
     pub fn shard_of_key(&self, key: &InstanceKey) -> u16 {
-        self.shard_of_hash(key.route_hash())
-    }
-
-    fn shard_of_hash(&self, h: u64) -> u16 {
-        let i = self.ring.partition_point(|&(p, _)| p < h);
-        self.ring[if i == self.ring.len() { 0 } else { i }].1
+        self.ring.owner(key.route_hash())
     }
 
     /// The home shard of a request, or `None` when the request fails
@@ -125,7 +148,7 @@ impl ShardRouter {
     /// raw request with [`route_hash_of`] — no canonicalization.
     pub fn shard_of_request(&self, req: &PolicyRequest) -> Option<u16> {
         req.validate().ok()?;
-        Some(self.shard_of_hash(route_hash_of(
+        Some(self.ring.owner(route_hash_of(
             &req.budgets_w,
             req.listen_w,
             req.transmit_w,

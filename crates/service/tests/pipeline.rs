@@ -92,7 +92,7 @@ fn tickets_collect_in_every_permutation_order() {
         ..ServiceConfig::default()
     });
     let expected: Vec<Vec<Result<PolicyResponse, ServiceError>>> =
-        chunks.iter().map(|c| single.serve_batch(c)).collect();
+        chunks.iter().map(|c| single.serve_batch(*c)).collect();
 
     let handle = PolicyServer::bind("127.0.0.1:0", server(2, 1))
         .expect("bind")

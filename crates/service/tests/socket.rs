@@ -484,3 +484,166 @@ fn large_n_requests_round_trip_the_sharded_tcp_path() {
     }
     handle.shutdown();
 }
+
+/// Opens a raw connection and completes the `Hello`/`Welcome`
+/// handshake by hand, with a 5 s read timeout so a missing reply
+/// fails the test instead of hanging it.
+fn handshaken(addr: std::net::SocketAddr) -> (TcpStream, ServiceCodec) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut codec = ServiceCodec::new();
+    let mut out = bytes::BytesMut::new();
+    let hello = WireHello {
+        id: 1,
+        max_batch: 1,
+    };
+    ServiceCodec::encode(&ServiceMessage::Hello(hello), &mut out);
+    stream.write_all(&out).expect("send hello");
+    assert!(matches!(
+        read_msg(&mut stream, &mut codec),
+        ServiceMessage::Welcome(_)
+    ));
+    (stream, codec)
+}
+
+/// Reads until one whole message decodes; any stream error fails.
+fn read_msg(stream: &mut TcpStream, codec: &mut ServiceCodec) -> ServiceMessage {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(msg) = codec.next_message().expect("clean stream") {
+            return msg;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => panic!("peer closed before replying"),
+            Ok(n) => codec.feed(&buf[..n]),
+            Err(e) => panic!("client-visible stream error: {e}"),
+        }
+    }
+}
+
+/// Reads the clean end of a drained stream: EOF, no bytes, no error.
+fn expect_clean_eof(stream: &mut TcpStream) {
+    let mut tail = [0u8; 64];
+    match stream.read(&mut tail) {
+        Ok(0) => {}
+        Ok(n) => panic!("{n} unexpected bytes after the drain"),
+        Err(e) => panic!("client-visible stream error on drain: {e}"),
+    }
+}
+
+#[test]
+fn shutdown_drains_a_mid_frame_request_and_closes_idle_clients_at_once() {
+    // The single-process twin of the cluster front's drain test: a
+    // shutdown issued while one client is mid-frame waits for the
+    // frame's tail, serves and answers the request, then closes;
+    // idle clients read a clean EOF as soon as the stop is raised,
+    // and shutdown() returns well within its 5 s drain bound.
+    use std::time::{Duration, Instant};
+    let handle = PolicyServer::bind("127.0.0.1:0", server(2))
+        .expect("bind")
+        .spawn();
+    let addr = handle.addr();
+    let mut idle: Vec<TcpStream> = (0..2).map(|_| handshaken(addr).0).collect();
+    let (mut stream, mut codec) = handshaken(addr);
+
+    // Send only the first half of a request frame, then shut down
+    // while the frame is dangling.
+    let req = mixed_batch(1).pop().expect("one request");
+    let mut frame = bytes::BytesMut::new();
+    ServiceCodec::encode(&ServiceMessage::Request(req.to_wire(42)), &mut frame);
+    let split = frame.len() / 2;
+    stream.write_all(&frame[..split]).expect("send frame head");
+    std::thread::sleep(Duration::from_millis(250)); // handler buffers the head
+    let shutdown = std::thread::spawn(move || {
+        let t0 = Instant::now();
+        handle.shutdown();
+        t0.elapsed()
+    });
+
+    // Idle clients are closed by the stop itself, while the mid-frame
+    // client still holds the drain open.
+    for s in &mut idle {
+        expect_clean_eof(s);
+    }
+    std::thread::sleep(Duration::from_millis(500)); // drain grace running
+
+    // The tail arrives inside the grace window: the request is served
+    // and answered before the connection closes, then a clean EOF.
+    stream.write_all(&frame[split..]).expect("send frame tail");
+    match read_msg(&mut stream, &mut codec) {
+        ServiceMessage::Response(r) => assert_eq!(r.id, 42),
+        other => panic!("expected the drained response, got {other:?}"),
+    }
+    expect_clean_eof(&mut stream);
+
+    let took = shutdown.join().expect("shutdown thread");
+    assert!(
+        took < Duration::from_millis(2500),
+        "shutdown took {took:?}, not well within the 5 s drain bound"
+    );
+}
+
+#[test]
+fn client_waits_fail_timed_out_against_a_server_that_never_answers() {
+    use econcast_proto::service::WireWelcome;
+    use std::time::{Duration, Instant};
+    let timeout = Duration::from_millis(300);
+    let slack = Duration::from_secs(2);
+
+    // Accepts every connection and holds it open until the client
+    // hangs up; answers a `Hello` only when `welcome` is set, and
+    // nothing else ever.
+    let silent_server = |welcome: bool| {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let thread = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut codec = ServiceCodec::new();
+            let mut buf = [0u8; 4096];
+            loop {
+                let n = match stream.read(&mut buf) {
+                    Ok(0) | Err(_) => return,
+                    Ok(n) => n,
+                };
+                codec.feed(&buf[..n]);
+                for msg in codec.drain().expect("clean client") {
+                    if let (true, ServiceMessage::Hello(h)) = (welcome, msg) {
+                        let mut out = bytes::BytesMut::new();
+                        let w = WireWelcome {
+                            id: h.id,
+                            shards: 1,
+                            max_batch: 8,
+                        };
+                        ServiceCodec::encode(&ServiceMessage::Welcome(w), &mut out);
+                        stream.write_all(&out).expect("send welcome");
+                    }
+                }
+            }
+        });
+        (addr, thread)
+    };
+
+    // No `Welcome` ever: the connect's handshake wait times out.
+    let (addr, thread) = silent_server(false);
+    let t0 = Instant::now();
+    let err = PolicyClient::connect_with_timeout(addr, 1, timeout).expect_err("no welcome");
+    let took = t0.elapsed();
+    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err:?}");
+    assert!(took >= timeout && took < timeout + slack, "took {took:?}");
+    thread.join().expect("silent server");
+
+    // A `Welcome`, then silence: a collect's wait times out.
+    let (addr, thread) = silent_server(true);
+    let mut client = PolicyClient::connect_with_timeout(addr, 1, timeout).expect("welcome");
+    let ticket = client.submit_batch(&mixed_batch(1)).expect("submit");
+    let t0 = Instant::now();
+    let err = client.collect(ticket).expect_err("no reply");
+    let took = t0.elapsed();
+    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err:?}");
+    assert!(took >= timeout && took < timeout + slack, "took {took:?}");
+    drop(client);
+    thread.join().expect("silent server");
+}

@@ -15,10 +15,8 @@
 //! Both facilities are gated on process-wide atomics; every macro
 //! compiles to one relaxed load and a branch when tracing is disabled
 //! (the default). Nothing allocates, no thread-local is touched, no
-//! clock is read. Services arm the statics from their
-//! [`TraceConfig`] knob ([`TraceConfig::apply`] only ever turns
-//! facilities *on* — a service constructed with tracing off never
-//! disarms a trace another component started).
+//! clock is read. Whoever wants a trace arms the statics with
+//! [`set_spans`] and [`set_histograms`].
 //!
 //! ## Event model
 //!
@@ -92,44 +90,6 @@ pub fn set_spans(on: bool) {
 /// Turns histogram collection on or off (process-wide).
 pub fn set_histograms(on: bool) {
     HISTOGRAMS_ON.store(on, Ordering::Relaxed);
-}
-
-/// The tracing knob carried by service/cluster configs.
-///
-/// Default-off; [`apply`](Self::apply) arms the process-wide statics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TraceConfig {
-    /// Collect span/instant/counter events (the Perfetto stream).
-    pub spans: bool,
-    /// Collect per-span latency histograms.
-    pub histograms: bool,
-}
-
-impl TraceConfig {
-    /// Everything on — the `trace_demo` configuration.
-    pub fn full() -> Self {
-        TraceConfig {
-            spans: true,
-            histograms: true,
-        }
-    }
-
-    /// Whether this config asks for anything at all.
-    pub fn enabled(self) -> bool {
-        self.spans || self.histograms
-    }
-
-    /// Arms the process-wide statics. Only ever turns facilities *on*:
-    /// a component constructed with tracing off must not disarm a
-    /// trace some other component (or the bench harness) started.
-    pub fn apply(self) {
-        if self.spans {
-            set_spans(true);
-        }
-        if self.histograms {
-            set_histograms(true);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,23 +985,5 @@ mod tests {
             assert_eq!(b[k], v * 4, "{k}");
         }
         set_spans(false);
-    }
-
-    #[test]
-    fn trace_config_apply_only_arms() {
-        let _g = serial();
-        TraceConfig::default().apply();
-        assert!(!armed());
-        TraceConfig {
-            spans: true,
-            histograms: false,
-        }
-        .apply();
-        assert!(spans_on() && !histograms_on());
-        // A later default config must not disarm.
-        TraceConfig::default().apply();
-        assert!(spans_on());
-        set_spans(false);
-        assert!(TraceConfig::full().enabled());
     }
 }
