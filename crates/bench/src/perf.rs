@@ -977,7 +977,7 @@ fn failover_reserve_percentiles(quick: bool) -> Option<SpanStats> {
         .ok()?
         .local_addr()
         .ok()?; // listener dropped here — the port now refuses connections
-    let mut router = ClusterRouter::new(
+    let router = ClusterRouter::new(
         &[SlotSpec::Remote(dead)],
         ClusterConfig {
             service: ServiceConfig {

@@ -15,197 +15,36 @@
 //!   served policy;
 //! * `MetricsRequest(shard = i)` answers with slot `i`'s scrape (a
 //!   remote slot is asked over the wire, via a fresh short-timeout
-//!   dial made *outside* the router lock — the control plane never
-//!   blocks the data plane); `shard = 0xFFFF` answers with the
-//!   cluster-wide fan-in — backend scrapes + local slots + the
-//!   router's own counters and fallback solver (counters and latency
-//!   histograms) + the front's admission counters;
+//!   dial made with no lock held — the control plane never blocks the
+//!   data plane); `shard = 0xFFFF` answers with the cluster-wide
+//!   fan-in — backend scrapes + local slots + the router's own
+//!   counters and fallback solver (counters and latency histograms) +
+//!   the front's admission counters;
 //! * `Ping` → `Pong` (liveness, untouched by routing);
 //! * decode errors drop the connection without a reply, exactly like
 //!   the single-process server.
 //!
 //! Protocol compatibility is by construction, not by convention: both
-//! front-ends run on the *same* [`Acceptor`] — one accept gate, one
-//! draining shutdown, and one admitted connection loop
-//! (`serve_connection`) — differing only in the
-//! [`ServeTarget`] behind it: a `ShardRouter` there, one shared
-//! mutex-guarded [`ClusterRouter`] here. Connections are handled
+//! front-ends are the *same* [`Acceptor`] over the same router type —
+//! one accept gate, one draining shutdown, one admitted connection
+//! loop — differing only in the router's slots: local shards there,
+//! remote or mixed slots here. Connections are handled
 //! thread-per-connection behind the bounded accept gate, each handler
 //! parked in `poll(2)` on its non-blocking socket and the acceptor's
-//! stop descriptor; batches serialize through the router's mutex (the
-//! router owns the dialer pool — remote fan-out inside a batch is
-//! still concurrent). A shutdown drains: the stop descriptor wakes
+//! stop descriptor. The router is shared, not locked: each slot has
+//! its own lock, so front clients whose batches home on different
+//! backends are served in parallel, and a wedged backend holds up only
+//! the batches with keys on it. After each batch the connection loop
+//! publishes the router's backend-saturation hint into the front's
+//! admission controller. A shutdown drains: the stop descriptor wakes
 //! every handler at once, idle ones close, and one holding part of a
 //! frame serves it before closing, so a planned drain is never a
 //! client-visible stream error.
 
-use crate::router::{ClusterRouter, StatsSource};
-use econcast_metrics::MetricsSnapshot;
-use econcast_proto::service::STATS_SHARD_AGGREGATE;
-use econcast_service::{
-    Acceptor, AdmissionController, PolicyClient, PolicyRequest, ServeTarget, Served,
-};
+use crate::ClusterRouter;
+use econcast_service::{Acceptor, AdmissionController};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
-
-/// Timeout for the fresh per-request dials a scrape fan-in makes.
-/// Deliberately short: these are advisory, and they run with the
-/// router unlocked but a client waiting.
-const STATS_DIAL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
-
-/// Per-slot re-basing state for the scrape fan-in. A respawned (or
-/// quarantined) backend restarts its counters at zero; summed naively
-/// that reads as every rate going sharply negative right when the
-/// cluster healed. The front instead remembers, per slot, the last
-/// raw scrape and a `base` accumulated from dead incarnations: a
-/// per-slot monotonicity break (any counter below its last observed
-/// value) folds the previous incarnation's final totals into the
-/// base, and every contribution is reported as `base + raw` — so the
-/// front's aggregates stay monotone across respawns.
-///
-/// Only counters and histograms (which reset with their process) are
-/// re-based. Gauges are instantaneous readings: a decrease is
-/// ordinary (an LRU evicted, a queue drained), never a restart
-/// signal, and re-basing one would double-count live state — so the
-/// base's gauges are always zero (a dead process holds no live
-/// state).
-#[derive(Debug, Default)]
-struct ScrapeRebase {
-    slots: Vec<SlotRebase>,
-}
-
-#[derive(Debug, Default, Clone)]
-struct SlotRebase {
-    /// Accumulated totals of dead incarnations.
-    base: MetricsSnapshot,
-    /// The last raw scrape.
-    last: MetricsSnapshot,
-}
-
-impl ScrapeRebase {
-    /// Folds one slot's fresh scrape into its monotone view.
-    fn fold(&mut self, slot: usize, fresh: &MetricsSnapshot) -> MetricsSnapshot {
-        if self.slots.len() <= slot {
-            self.slots.resize(slot + 1, SlotRebase::default());
-        }
-        let state = &mut self.slots[slot];
-        let reset = state
-            .last
-            .counters
-            .iter()
-            .zip(&fresh.counters)
-            .any(|(&last, &cur)| cur < last);
-        let mut prev = std::mem::replace(&mut state.last, fresh.clone());
-        if reset {
-            for gauge in &mut prev.gauges {
-                gauge.1 = 0;
-            }
-            state.base.merge(&prev);
-        }
-        let mut adjusted = fresh.clone();
-        adjusted.merge(&state.base);
-        adjusted
-    }
-}
-
-/// The cluster router as a connection-loop target, shared by every
-/// connection: each protocol interaction locks the mutex for exactly
-/// one router operation. (A newtype over the mutex, not
-/// `impl ServeTarget for Mutex<ClusterRouter>` — the orphan rule
-/// forbids covering a local type with a foreign one.)
-struct FrontTarget {
-    router: Arc<Mutex<ClusterRouter>>,
-    /// The front's shared admission controller: each serve republishes
-    /// the router's current backend-saturation hint into it, so a shed
-    /// at the front advertises a `retry_after_us` no shorter than what
-    /// the saturated backends themselves asked for.
-    admission: Arc<AdmissionController>,
-    /// Per-slot counter re-basing so the fan-in stays monotone across
-    /// backend respawns (and across scraping connections coming and
-    /// going).
-    rebase: Mutex<ScrapeRebase>,
-}
-
-impl FrontTarget {
-    fn router(&self) -> std::sync::MutexGuard<'_, ClusterRouter> {
-        self.router
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn rebase(&self) -> std::sync::MutexGuard<'_, ScrapeRebase> {
-        self.rebase
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Asks one remote slot over a fresh short-timeout dial — the fan-in's
-/// per-backend round trip, always made with the router unlocked so a
-/// slow or unreachable backend cannot freeze serving behind the mutex.
-/// `None` for local slots, backends the health machine says to skip,
-/// and failed dials or requests.
-fn scrape(source: &StatsSource) -> Option<MetricsSnapshot> {
-    let StatsSource::Remote {
-        addr,
-        attempt: true,
-    } = source
-    else {
-        return None;
-    };
-    let mut client = PolicyClient::connect_with_timeout(*addr, 1, STATS_DIAL_TIMEOUT).ok()?;
-    client.metrics().ok()
-}
-
-impl ServeTarget for FrontTarget {
-    fn shard_count(&self) -> usize {
-        self.router().num_slots()
-    }
-
-    fn serve(&self, reqs: &[PolicyRequest], out: &mut Served) {
-        let router = &mut *self.router();
-        router.route_batch(reqs, out);
-        // Backpressure propagation upstream: whatever the backends are
-        // currently advertising becomes the floor of the front's own
-        // retry hints (cleared automatically once the windows lapse).
-        self.admission
-            .set_external_hint_us(router.saturation_hint_us());
-    }
-
-    /// Scrape fan-in without blocking the data plane: the router
-    /// lock is held only for network-free snapshots; the per-backend
-    /// round-trips ([`scrape`]) happen unlocked. Each remote scrape
-    /// passes through the per-slot re-base, so a respawned backend
-    /// restarting at zero never drags a counter backwards. The
-    /// aggregate is what the cluster can *see*: down or unreachable
-    /// backends contribute nothing while absent. It adds the router's
-    /// own share (its counters and its fallback solver's); the
-    /// connection loop merges the front's admission counters on top.
-    fn metrics(&self, shard: u16) -> Option<MetricsSnapshot> {
-        let (sources, own) = {
-            let router = self.router();
-            let own = (shard == STATS_SHARD_AGGREGATE).then(|| router.metrics());
-            (router.stats_sources(), own)
-        };
-        let fetch = |slot: usize, source: StatsSource| match source {
-            StatsSource::Local(snap) => Some(snap),
-            remote => Some(self.rebase().fold(slot, &scrape(&remote)?)),
-        };
-        let Some(own) = own else {
-            // `None` (unknown slot or unreachable backend) becomes a
-            // typed refusal in the connection loop.
-            let slot = usize::from(shard);
-            return fetch(slot, sources.into_iter().nth(slot)?);
-        };
-        let mut total = own;
-        for (slot, source) in sources.into_iter().enumerate() {
-            if let Some(snap) = fetch(slot, source) {
-                total.merge(&snap);
-            }
-        }
-        Some(total)
-    }
-}
+use std::sync::Arc;
 
 /// Tuning knobs for a [`ClusterFront`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,7 +82,7 @@ impl Default for FrontConfig {
 #[derive(Debug)]
 pub struct ClusterFront {
     listener: TcpListener,
-    router: Arc<Mutex<ClusterRouter>>,
+    router: Arc<ClusterRouter>,
     cfg: FrontConfig,
 }
 
@@ -258,7 +97,7 @@ impl ClusterFront {
         let listener = TcpListener::bind(addr)?;
         Ok(ClusterFront {
             listener,
-            router: Arc::new(Mutex::new(router)),
+            router: Arc::new(router),
             cfg,
         })
     }
@@ -271,13 +110,13 @@ impl ClusterFront {
     }
 
     /// The shared router (cluster stats, re-targeting).
-    pub fn router(&self) -> &Arc<Mutex<ClusterRouter>> {
+    pub fn router(&self) -> &Arc<ClusterRouter> {
         &self.router
     }
 
     /// Starts the [`Acceptor`] and returns a handle that stops it on
     /// [`FrontHandle::shutdown`] or drop, draining live connections.
-    /// One admission controller and one target serve every
+    /// One admission controller and one router serve every
     /// connection, so all of them share the bounded queue, exactly as
     /// on a single-process server.
     pub fn spawn(self) -> FrontHandle {
@@ -285,20 +124,15 @@ impl ClusterFront {
             self.cfg.queue_capacity,
             self.cfg.max_queue_delay,
         ));
-        let target = Arc::new(FrontTarget {
-            router: Arc::clone(&self.router),
-            admission: Arc::clone(&admission),
-            rebase: Mutex::default(),
-        });
         FrontHandle {
-            router: self.router,
             acceptor: Acceptor::spawn(
                 self.listener,
-                target,
+                Arc::clone(&self.router),
                 self.cfg.max_connections,
                 self.cfg.max_batch,
                 admission,
             ),
+            router: self.router,
         }
     }
 }
@@ -306,7 +140,7 @@ impl ClusterFront {
 /// Running front-end handle; shuts the acceptor down when dropped.
 #[derive(Debug)]
 pub struct FrontHandle {
-    router: Arc<Mutex<ClusterRouter>>,
+    router: Arc<ClusterRouter>,
     acceptor: Acceptor,
 }
 
@@ -317,7 +151,7 @@ impl FrontHandle {
     }
 
     /// The shared router (cluster stats, re-targeting).
-    pub fn router(&self) -> &Arc<Mutex<ClusterRouter>> {
+    pub fn router(&self) -> &Arc<ClusterRouter> {
         &self.router
     }
 

@@ -31,8 +31,8 @@
 //! served by the router's local fallback (bit-identical bits) the
 //! whole time.
 
-use crate::router::ClusterRouter;
 use crate::supervisor::Supervisor;
+use crate::ClusterRouter;
 use econcast_service::PolicyClient;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,7 +119,7 @@ impl ClusterHealer {
     /// but nobody respawns processes — for deployments whose backends
     /// are managed elsewhere (e.g. the benchmark's in-process
     /// servers).
-    pub fn spawn(router: Arc<Mutex<ClusterRouter>>, cfg: HealerConfig) -> Self {
+    pub fn spawn(router: Arc<ClusterRouter>, cfg: HealerConfig) -> Self {
         Self::spawn_inner(router, None, Vec::new(), None, cfg)
     }
 
@@ -128,7 +128,7 @@ impl ClusterHealer {
     /// backend `i` serves; `retarget` (when given) maps a respawned
     /// backend's address to the address the slot is retargeted at.
     pub fn spawn_supervised(
-        router: Arc<Mutex<ClusterRouter>>,
+        router: Arc<ClusterRouter>,
         supervisor: Arc<Mutex<Supervisor>>,
         slot_of_backend: Vec<usize>,
         retarget: Option<Box<RetargetFn>>,
@@ -138,7 +138,7 @@ impl ClusterHealer {
     }
 
     fn spawn_inner(
-        router: Arc<Mutex<ClusterRouter>>,
+        router: Arc<ClusterRouter>,
         supervisor: Option<Arc<Mutex<Supervisor>>>,
         slot_of_backend: Vec<usize>,
         retarget: Option<Box<RetargetFn>>,
@@ -166,12 +166,11 @@ impl ClusterHealer {
                         // any one drain), sized by the probe + repair
                         // work, excluding the idle sleep.
                         let t0 = econcast_trace::armed_now();
-                        // Health sweep: the probe dials are cheap on the
-                        // deployments this loop serves (localhost refusals
-                        // fail in microseconds), and holding the lock keeps
-                        // the health machine's state transitions atomic
-                        // with respect to batch routing.
-                        lock(&router).ping_all();
+                        // Health sweep: each probe runs under its own
+                        // slot's lock, so the health machine's transitions
+                        // stay atomic with respect to that slot's batches
+                        // while every other slot keeps serving.
+                        router.ping_all();
                         if let Some(sup) = &supervisor {
                             for m in managed.iter_mut().filter(|m| !m.quarantined) {
                                 heal_backend(&router, sup, &retarget, &cfg, m);
@@ -210,7 +209,7 @@ impl Drop for ClusterHealer {
 
 /// One backend's detect→decide→repair step.
 fn heal_backend(
-    router: &Arc<Mutex<ClusterRouter>>,
+    router: &Arc<ClusterRouter>,
     sup: &Arc<Mutex<Supervisor>>,
     retarget: &Option<Box<RetargetFn>>,
     cfg: &HealerConfig,
@@ -226,7 +225,7 @@ fn heal_backend(
     // that already burned its window crash-looping gets pinned onto a
     // local solver instead of restarted forever.
     if m.respawns.len() as u32 >= cfg.max_respawns_per_window {
-        lock(router).quarantine_slot(m.slot);
+        router.quarantine_slot(m.slot);
         m.quarantined = true;
         return;
     }
@@ -243,9 +242,8 @@ fn heal_backend(
     match spawned {
         Ok(addr) if probe_ready(addr, cfg) => {
             let target = retarget.as_ref().map_or(addr, |f| f(m.backend, addr));
-            let mut r = lock(router);
-            r.retarget_slot(m.slot, target);
-            r.note_auto_respawn();
+            router.retarget_slot(m.slot, target);
+            router.note_auto_respawn();
             m.consecutive_failures = 0;
             econcast_trace::complete_from(
                 "cluster",

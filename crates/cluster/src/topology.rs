@@ -36,7 +36,7 @@
 //! kebab-cased (`--backends`, `--queue-capacity`, …).
 
 use crate::front::FrontConfig;
-use crate::router::SlotSpec;
+use crate::SlotSpec;
 use std::fmt;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;

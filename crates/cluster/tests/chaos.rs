@@ -181,7 +181,7 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
         Supervisor::spawn(backend_bin(), 2, SupervisorConfig::default()).expect("spawn backends"),
     ));
     let addrs = sup.lock().unwrap().addrs();
-    let mut router = ClusterRouter::new(
+    let router = ClusterRouter::new(
         &[SlotSpec::Remote(addrs[0]), SlotSpec::Remote(addrs[1])],
         chaos_cfg(),
     );
@@ -257,7 +257,7 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
     loop {
         let healthy = {
             let router = front.router();
-            let guard = router.lock().unwrap();
+            let guard = router;
             guard.cluster_stats().healthy
         };
         if healthy.iter().all(|&h| h) && sup.lock().unwrap().alive_count() == 2 {
@@ -272,7 +272,7 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
 
     let stats = {
         let router = front.router();
-        let guard = router.lock().unwrap();
+        let guard = router;
         guard.cluster_stats()
     };
     assert!(kills >= 1, "the plan must script at least one kill");
@@ -298,7 +298,7 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
     let aggregate = client.stats(None).expect("aggregate stats");
     let after = {
         let router = front.router();
-        let guard = router.lock().unwrap();
+        let guard = router;
         guard.cluster_stats()
     };
     assert_eq!(aggregate.auto_respawns, stats.auto_respawns);
@@ -435,10 +435,10 @@ fn family_req(rho_uw: f64) -> PolicyRequest {
 fn live_reshard_keeps_answers_bit_identical() {
     let (handle_a, addr_a) = bind_backend();
     let (handle_b, addr_b) = bind_backend();
-    let router = Arc::new(Mutex::new(ClusterRouter::new(
+    let router = Arc::new(ClusterRouter::new(
         &[SlotSpec::Remote(addr_a), SlotSpec::Remote(addr_b)],
         chaos_cfg(),
-    )));
+    ));
     let reference = ShardRouter::new(RouterConfig {
         shards: 2,
         service: service_cfg(),
@@ -453,7 +453,7 @@ fn live_reshard_keeps_answers_bit_identical() {
     };
     let serve_checked = |batch: &[PolicyRequest]| {
         let expected = reference.serve_batch(batch);
-        let got = router.lock().unwrap().serve_batch(batch);
+        let got = router.serve_batch(batch);
         assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_resp_identical(i, g, e);
@@ -464,7 +464,7 @@ fn live_reshard_keeps_answers_bit_identical() {
     // Grow the ring under load: the new backend takes its vnodes and
     // serves its share of the next batch from a cold cache.
     let (handle_c, addr_c) = bind_backend();
-    let slot = router.lock().unwrap().add_backend(addr_c);
+    let slot = router.add_backend(addr_c);
     assert_eq!(slot, 2);
     serve_checked(&phase(20.0));
     let inheritor = PolicyClient::connect(addr_c, 1)
@@ -478,10 +478,10 @@ fn live_reshard_keeps_answers_bit_identical() {
 
     // Shrink the ring under load: retire slot 0; its vnodes vanish
     // and serving continues bit-identically.
-    let routed_0_before = router.lock().unwrap().cluster_stats().routed[0];
-    assert!(router.lock().unwrap().remove_backend(0));
+    let routed_0_before = router.cluster_stats().routed[0];
+    assert!(router.remove_backend(0));
     serve_checked(&phase(35.0));
-    let stats = router.lock().unwrap().cluster_stats();
+    let stats = router.cluster_stats();
     assert_eq!(stats.healthy, vec![false, true, true], "slot 0 retired");
     assert_eq!(
         stats.routed[0], routed_0_before,
@@ -513,10 +513,7 @@ fn crash_looping_backend_is_quarantined_onto_a_local_slot() {
         .expect("spawn crash-looping backend"),
     ));
     let addr = sup.lock().unwrap().addr(0);
-    let router = Arc::new(Mutex::new(ClusterRouter::new(
-        &[SlotSpec::Remote(addr)],
-        chaos_cfg(),
-    )));
+    let router = Arc::new(ClusterRouter::new(&[SlotSpec::Remote(addr)], chaos_cfg()));
     let _healer = ClusterHealer::spawn_supervised(
         Arc::clone(&router),
         Arc::clone(&sup),
@@ -543,11 +540,11 @@ fn crash_looping_backend_is_quarantined_onto_a_local_slot() {
     // on the backend; every response must stay clean throughout.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let got = router.lock().unwrap().serve_batch(&batch);
+        let got = router.serve_batch(&batch);
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_resp_identical(i, g, e);
         }
-        if router.lock().unwrap().cluster_stats().quarantines >= 1 {
+        if router.cluster_stats().quarantines >= 1 {
             break;
         }
         assert!(
@@ -557,7 +554,7 @@ fn crash_looping_backend_is_quarantined_onto_a_local_slot() {
         std::thread::sleep(Duration::from_millis(100));
     }
 
-    let stats = router.lock().unwrap().cluster_stats();
+    let stats = router.cluster_stats();
     assert_eq!(stats.quarantines, 1);
     assert!(
         stats.auto_respawns <= 2,
@@ -571,11 +568,11 @@ fn crash_looping_backend_is_quarantined_onto_a_local_slot() {
 
     // The quarantined slot serves in-process from here on.
     let served_before = stats.local_served;
-    let got = router.lock().unwrap().serve_batch(&batch);
+    let got = router.serve_batch(&batch);
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
         assert_resp_identical(i, g, e);
     }
-    assert!(router.lock().unwrap().cluster_stats().local_served > served_before);
+    assert!(router.cluster_stats().local_served > served_before);
 }
 
 /// Reads the next complete protocol message off a raw stream.

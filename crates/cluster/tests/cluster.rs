@@ -159,7 +159,7 @@ fn two_backend_cluster_is_bit_identical_and_survives_a_kill() {
     // on the dead slot, were re-served locally, and none errored.
     let stats = {
         let router = front.router();
-        let guard = router.lock().unwrap();
+        let guard = router;
         guard.cluster_stats()
     };
     assert!(
@@ -184,12 +184,12 @@ fn two_backend_cluster_is_bit_identical_and_survives_a_kill() {
     let fresh_addr = sup.respawn(0).expect("respawn backend 0");
     {
         let router = front.router();
-        let mut guard = router.lock().unwrap();
+        let guard = router;
         assert!(guard.retarget_slot(0, fresh_addr));
     }
     let before = {
         let router = front.router();
-        let guard = router.lock().unwrap();
+        let guard = router;
         guard.cluster_stats().remote_served
     };
     let replay = client
@@ -200,7 +200,7 @@ fn two_backend_cluster_is_bit_identical_and_survives_a_kill() {
     }
     let stats = {
         let router = front.router();
-        let guard = router.lock().unwrap();
+        let guard = router;
         guard.cluster_stats()
     };
     assert!(
@@ -282,7 +282,7 @@ fn stats_fan_in_equals_the_sum_of_backend_stats() {
     assert_eq!(aggregate.injected_faults, 0);
     {
         let router = front.router();
-        let mut guard = router.lock().unwrap();
+        let guard = router;
         guard.note_auto_respawn();
         guard
             .injected_fault_counter()
@@ -562,7 +562,7 @@ fn spoiled_reply_voids_the_sub_batch(spoil: Spoil) {
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
         assert_payload_identical(i, g, e);
     }
-    let cs = front.router().lock().unwrap().cluster_stats();
+    let cs = front.router().cluster_stats();
     assert!(cs.routed[1] >= 3, "the scripted slot has a middle: {cs:?}");
     assert_eq!(cs.backend_failures, 1, "{spoil:?}");
     assert_eq!(cs.local_fallbacks, cs.routed[1], "{spoil:?}");
@@ -627,7 +627,7 @@ fn mixed_local_remote_topology_is_bit_identical() {
     let sup =
         Supervisor::spawn(backend_bin(), 1, SupervisorConfig::default()).expect("spawn backend");
     let slots = [SlotSpec::Remote(sup.addr(0)), SlotSpec::Local];
-    let mut cluster = ClusterRouter::new(&slots, cluster_cfg());
+    let cluster = ClusterRouter::new(&slots, cluster_cfg());
 
     let batch: Vec<PolicyRequest> = mixed_batch(48);
     let reference = ShardRouter::new(RouterConfig {
@@ -707,7 +707,7 @@ fn discovered_topology_serves_through_a_real_front() {
     // The discovered backends really served it — no silent fallback.
     let stats = {
         let router = front.router();
-        let guard = router.lock().unwrap();
+        let guard = router;
         guard.cluster_stats()
     };
     assert_eq!(stats.local_fallbacks, 0, "{stats:?}");

@@ -49,7 +49,7 @@ fn cluster_cfg() -> ClusterConfig {
 /// front-local values come from the components that record them, not
 /// from a process-global tally.
 fn expected_sum(front: &FrontHandle, addrs: &[SocketAddr]) -> MetricsSnapshot {
-    let mut sum = front.router().lock().unwrap().metrics();
+    let mut sum = front.router().metrics();
     sum.merge(&front.admission().metrics());
     for &addr in addrs {
         let direct = PolicyClient::connect(addr, 1)
@@ -137,7 +137,7 @@ fn metrics_fan_in_equals_backend_sum_and_survives_kill_and_respawn() {
     let fresh = sup.respawn(0).expect("respawn backend 0");
     {
         let router = front.router();
-        let mut guard = router.lock().unwrap();
+        let guard = router;
         assert!(guard.retarget_slot(0, fresh));
     }
     let out = client.serve_batch(&batch).expect("serve after respawn");

@@ -33,37 +33,58 @@
 //! pool per worker. Responses are **bit-identical at any worker
 //! count** and come back in request order.
 //!
-//! ## Wire API and deployment layer
+//! ## Routing, wire API and deployment layer
 //!
-//! [`PolicyServer`] exposes the whole thing over the versioned,
-//! CRC-checked `econcast-proto::service` message family on a
-//! length-prefixed TCP stream: an [`Acceptor`] (thread-per-connection,
-//! bounded pool, draining shutdown) in front of a [`ShardRouter`] that
-//! consistent-hashes canonical instance keys ([`HashRing`]) across
-//! several `PolicyService` shards, keeping each shard's LRU hot and
-//! disjoint; [`PolicyClient`] is the matching pipelined client. Every
-//! wire message is dispatched in one place, the acceptor's connection
-//! loop, which the cluster front runs too. Every socket on both sides
-//! is non-blocking and waits in one place, [`ready::wait`].
+//! One router, [`ClusterRouter`], scatters each batch over a
+//! consistent-hash ring ([`HashRing`]) of slots — in-process shards
+//! or [`RemoteShard`] backends, each behind its own lock — and gathers
+//! the answers in request order; its fallback solver answers whatever
+//! no slot can (a down backend, an invalid request), bit-identically.
+//!
+//! ```text
+//!   PolicyClient ──TCP──▶ Acceptor ─▶ ClusterRouter ─┬─ Local shard   (PolicyService)
+//!                         (one per     (ring: read-  ├─ Remote slot   (RemoteShard ──TCP──▶ backend)
+//!                          front-end)   mostly lock) ├─ Retired slot  (owns no keys)
+//!                                                    └─ fallback      (PolicyService)
+//! ```
+//!
+//! [`PolicyServer`] serves the router over local shards
+//! ([`ShardRouter`]) on the versioned, CRC-checked
+//! `econcast-proto::service` message family: an [`Acceptor`]
+//! (thread-per-connection, bounded pool, draining shutdown) whose
+//! connection loop dispatches every wire message in one place — the
+//! cluster crate's front is the same acceptor over remote slots.
+//! [`PolicyClient`] is the matching pipelined client. Every socket on
+//! both sides is non-blocking and waits in one place,
+//! [`ready::wait`].
 
 pub mod admission;
 pub mod cache;
 pub mod client;
+pub mod driver;
 pub mod metrics;
 pub mod ready;
+pub mod remote;
 pub mod request;
+pub mod router;
 pub mod server;
 pub mod service;
 pub mod shard;
 pub mod stats;
 pub mod workload;
 
+#[cfg(test)]
+#[path = "../tests/common/gen.rs"]
+mod gen;
+
 pub use admission::{degraded_tolerance, Admission, AdmissionController};
 pub use cache::{CachedPolicy, LruCache};
 pub use client::{PolicyClient, ReplyFrames, Ticket, WireResult};
 pub use metrics::{snapshot_from_wire, snapshot_to_wire};
+pub use remote::{RemoteConfig, RemoteShard, RemoteShardStats, RemoteTicket};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
-pub use server::{Acceptor, Answer, PolicyServer, ServeTarget, Served, ServerConfig, ServerHandle};
+pub use router::{ClusterConfig, ClusterRouter, ClusterStats, SlotSpec, StatsSource};
+pub use server::{Acceptor, Answer, PolicyServer, Served, ServerConfig, ServerHandle};
 pub use service::{PolicyService, ServiceConfig};
 pub use shard::{HashRing, RouterConfig, ShardRouter};
 pub use stats::ServiceStats;

@@ -27,18 +27,52 @@ pub const HANGUP: i16 = 0x010;
 /// Result-only bit: error condition on the descriptor (POLLERR).
 pub const ERROR: i16 = 0x008;
 
+/// One descriptor of a [`wait`] set: the descriptor, the events
+/// asked for, and, once the wait returns, the events that fired. Laid
+/// out as poll(2)'s `struct pollfd`, so a caller-owned array of them
+/// is handed to the kernel as is: a wait allocates nothing.
+#[repr(C)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PollFd {
+    fd: RawFdAlias,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    /// Asks for `events` on `fd`. A negative `fd` is skipped by the
+    /// wait and never fires.
+    pub fn new(fd: RawFdAlias, events: i16) -> Self {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+
+    /// The result bits of the last [`wait`] (0 = nothing fired).
+    pub fn revents(&self) -> i16 {
+        self.revents
+    }
+}
+
+/// A wait bound in whole milliseconds for poll(2), rounded *up*: a
+/// sub-millisecond remainder must not truncate to a zero timeout, or
+/// a caller waiting out its last millisecond would spin through it.
+/// `None` blocks indefinitely (-1).
+#[cfg(unix)]
+fn timeout_ms(timeout: Option<Duration>) -> std::os::raw::c_int {
+    use std::os::raw::c_int;
+    match timeout {
+        None => -1,
+        Some(d) => d.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int,
+    }
+}
+
 #[cfg(unix)]
 mod imp {
     use super::*;
     use std::os::raw::{c_int, c_ulong};
-    use std::os::unix::io::RawFd;
-
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
 
     extern "C" {
         // `nfds_t` is `unsigned long` on Linux, which is the only unix
@@ -48,32 +82,23 @@ mod imp {
     }
 
     /// Waits until at least one descriptor is ready (or the timeout
-    /// passes; `None` blocks indefinitely) and returns each
-    /// descriptor's result bits in input order — all zero on timeout.
-    /// `EINTR` reports as a timeout-like all-zero result so callers
-    /// simply re-loop.
-    pub fn wait(fds: &[(RawFd, i16)], timeout: Option<Duration>) -> io::Result<Vec<i16>> {
-        let mut pollfds: Vec<PollFd> = fds
-            .iter()
-            .map(|&(fd, events)| PollFd {
-                fd,
-                events,
-                revents: 0,
-            })
-            .collect();
-        let timeout_ms: c_int = match timeout {
-            None => -1,
-            Some(d) => d.as_millis().min(c_int::MAX as u128) as c_int,
-        };
-        let rc = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as c_ulong, timeout_ms) };
+    /// passes; `None` blocks indefinitely) and leaves each
+    /// descriptor's result bits in its [`PollFd::revents`] — all zero
+    /// on timeout. `EINTR` reports as a timeout-like all-zero result
+    /// so callers simply re-loop.
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+        // SAFETY: `PollFd` is `repr(C)` with `struct pollfd`'s layout,
+        // and the pointer/length pair covers exactly the caller's slice.
+        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms(timeout)) };
         if rc < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(vec![0; fds.len()]);
+                fds.iter_mut().for_each(|p| p.revents = 0);
+                return Ok(());
             }
             return Err(err);
         }
-        Ok(pollfds.into_iter().map(|p| p.revents).collect())
+        Ok(())
     }
 }
 
@@ -84,12 +109,13 @@ mod imp {
     /// Portable fallback: a short nap, then report every descriptor
     /// ready — callers run non-blocking I/O and re-loop on
     /// `WouldBlock`.
-    pub fn wait(fds: &[(i32, i16)], timeout: Option<Duration>) -> io::Result<Vec<i16>> {
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         let nap = timeout
             .unwrap_or(Duration::from_micros(200))
             .min(Duration::from_micros(200));
         std::thread::sleep(nap);
-        Ok(fds.iter().map(|&(_, events)| events).collect())
+        fds.iter_mut().for_each(|p| p.revents = p.events);
+        Ok(())
     }
 }
 
@@ -98,7 +124,9 @@ pub use imp::wait;
 /// Waits on a single descriptor; returns its result bits (0 = timed
 /// out).
 pub fn wait_one(fd: RawFdAlias, events: i16, timeout: Option<Duration>) -> io::Result<i16> {
-    Ok(wait(&[(fd, events)], timeout)?[0])
+    let mut fds = [PollFd::new(fd, events)];
+    wait(&mut fds, timeout)?;
+    Ok(fds[0].revents())
 }
 
 /// The raw-descriptor type `wait` operates on (unix `RawFd`; a plain
@@ -161,6 +189,18 @@ mod tests {
         )
         .unwrap();
         assert_ne!(r & WRITABLE, 0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn sub_millisecond_timeouts_round_up() {
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(timeout_ms(Some(Duration::from_nanos(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(999))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_millis(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1001))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_secs(u64::MAX))), i32::MAX);
     }
 
     #[cfg(unix)]

@@ -19,7 +19,9 @@
 //! backends are stock `PolicyServer` processes that cannot tell a
 //! dialer from any other client.
 
-use econcast_service::{ready, PolicyClient, PolicyRequest, ReplyFrames, Ticket};
+use crate::client::{PolicyClient, ReplyFrames, Ticket};
+use crate::ready;
+use crate::request::PolicyRequest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -84,8 +86,9 @@ pub struct RemoteTicket {
     /// `remote_serve` span start (armed only while tracing).
     t0: Option<u64>,
     /// Absolute completion deadline derived from
-    /// [`RemoteConfig::io_timeout`] at submit time.
-    deadline: Option<Instant>,
+    /// [`RemoteConfig::io_timeout`] at submit time; the readiness
+    /// driver parks no longer than the nearest one.
+    pub(crate) deadline: Option<Instant>,
     /// Requests in the sub-batch.
     n: usize,
 }
@@ -376,8 +379,8 @@ impl RemoteShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WireResult;
     use econcast_core::{NodeParams, ThroughputMode};
-    use econcast_service::WireResult;
 
     /// One batch through the dialer the way the router drives it:
     /// submit, then [`crate::driver::drive`] to completion.
@@ -436,7 +439,7 @@ mod tests {
 
     #[test]
     fn live_backend_serves_and_recovers_after_retarget() {
-        use econcast_service::{PolicyServer, RouterConfig, ServerConfig, ServiceConfig};
+        use crate::{PolicyServer, RouterConfig, ServerConfig, ServiceConfig};
         let server = PolicyServer::bind(
             "127.0.0.1:0",
             ServerConfig {
@@ -551,7 +554,7 @@ mod tests {
 
     #[test]
     fn recovery_is_adopted_at_the_next_probe_not_mid_window() {
-        use econcast_service::{PolicyServer, RouterConfig, ServerConfig, ServiceConfig};
+        use crate::{PolicyServer, RouterConfig, ServerConfig, ServiceConfig};
         // Mark the shard down while nothing listens, with a long
         // reprobe window.
         let addr = dead_addr();

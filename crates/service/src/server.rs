@@ -1,5 +1,6 @@
-//! The TCP front-end: a [`ShardRouter`] behind a `std::net` listener,
-//! and the [`Acceptor`] every TCP front-end in the workspace runs on.
+//! The TCP front-end: the [`Acceptor`] every TCP front-end in the
+//! workspace runs on, and [`PolicyServer`], the acceptor over one
+//! process's [`ShardRouter`].
 //!
 //! ## Threading model
 //!
@@ -7,10 +8,12 @@
 //! a counting gate ([`ServerConfig::max_connections`]): when the pool
 //! is full the acceptor blocks *before* accepting, so excess clients
 //! queue in the kernel backlog instead of spawning unbounded threads.
-//! The environment is offline (no tokio), and the shard mutexes
-//! already serialize what must be serialized — handlers whose batches
-//! touch disjoint shards proceed in parallel. The cluster front runs
-//! on the same [`Acceptor`], with its router as the [`ServeTarget`].
+//! The environment is offline (no tokio). Every handler serves through
+//! one shared [`ClusterRouter`] — local shards here, remote or mixed
+//! slots behind the cluster crate's front — whose per-slot locks
+//! serialize what must be serialized: a key's batches queue on its one
+//! home slot, and handlers whose batches touch disjoint slots run in
+//! parallel.
 //!
 //! Every socket is non-blocking, and every thread waits in one place,
 //! [`ready::wait`]: the accept thread on the listener and the stop
@@ -31,21 +34,21 @@
 //! from each [`Answer`]: a native `PolicyResponse` field by field, a
 //! backend's verified `Response` frame (a cluster front's answers) as
 //! a copy with `corr` and `id` rewritten and a fresh CRC — forwarded,
-//! never decoded. `MetricsRequest`
-//! answers with one shard's scrape or the aggregate; counters come
-//! from the components that count them (the shards' services, the
-//! admission controller), never from a process-global tally. Decode
-//! errors (CRC, framing, version, a retired frame type) are fatal for
-//! the connection, matching the codec's semantics: the server drops
-//! the stream without a reply.
+//! never decoded. `MetricsRequest` answers with one slot's scrape or
+//! the aggregate; counters come from the components that count them
+//! (the slots' services, the router, the admission controller), never
+//! from a process-global tally. Decode errors (CRC, framing, version,
+//! a retired frame type) are fatal for the connection, matching the
+//! codec's semantics: the server drops the stream without a reply.
 
 use crate::admission::{degraded_tolerance, Admission, AdmissionController};
 use crate::client::ReplyFrames;
-use crate::ready;
+use crate::ready::{self, PollFd};
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
+use crate::router::ClusterRouter;
 use crate::shard::{RouterConfig, ShardRouter};
 use bytes::BytesMut;
-use econcast_metrics::{MetricsSnapshot, OpsKind};
+use econcast_metrics::OpsKind;
 use econcast_proto::service::{
     ServiceCodec, ServiceErrorCode, ServiceMessage, WireMetricsResponse, WirePolicyError, WirePong,
     WireWelcome, STATS_SHARD_AGGREGATE,
@@ -208,7 +211,7 @@ impl Stop {
 #[derive(Debug)]
 pub struct PolicyServer {
     listener: TcpListener,
-    router: Arc<ShardRouter>,
+    router: ShardRouter,
     cfg: ServerConfig,
 }
 
@@ -219,7 +222,7 @@ impl PolicyServer {
         let listener = TcpListener::bind(addr)?;
         Ok(PolicyServer {
             listener,
-            router: Arc::new(ShardRouter::new(cfg.router)),
+            router: ShardRouter::new(cfg.router),
             cfg,
         })
     }
@@ -232,7 +235,7 @@ impl PolicyServer {
     }
 
     /// The shard router (per-shard counters).
-    pub fn router(&self) -> &Arc<ShardRouter> {
+    pub fn router(&self) -> &ShardRouter {
         &self.router
     }
 
@@ -245,14 +248,14 @@ impl PolicyServer {
             svc.max_queue_delay,
         ));
         ServerHandle {
-            router: Arc::clone(&self.router),
             acceptor: Acceptor::spawn(
                 self.listener,
-                self.router,
+                self.router.shared(),
                 self.cfg.max_connections,
                 self.cfg.max_batch,
                 admission,
             ),
+            router: self.router,
         }
     }
 }
@@ -260,7 +263,7 @@ impl PolicyServer {
 /// Running-server handle; shuts the server down when dropped.
 #[derive(Debug)]
 pub struct ServerHandle {
-    router: Arc<ShardRouter>,
+    router: ShardRouter,
     acceptor: Acceptor,
 }
 
@@ -271,7 +274,7 @@ impl ServerHandle {
     }
 
     /// The shard router (per-shard counters).
-    pub fn router(&self) -> &Arc<ShardRouter> {
+    pub fn router(&self) -> &ShardRouter {
         &self.router
     }
 
@@ -291,7 +294,7 @@ impl ServerHandle {
 /// The one TCP acceptor behind every front-end ([`PolicyServer`], the
 /// cluster crate's `ClusterFront`): an accept thread plus one handler
 /// thread per live connection, each running the connection loop
-/// against one shared [`ServeTarget`] under one shared admission
+/// against one shared [`ClusterRouter`] under one shared admission
 /// controller. Stops on [`Acceptor::shutdown`] or drop.
 #[derive(Debug)]
 pub struct Acceptor {
@@ -308,9 +311,9 @@ impl Acceptor {
     /// accepting, so excess clients wait in the kernel listen backlog
     /// rather than being accepted and parked (or dropped). Requests
     /// pipelined past `max_batch` are split into several batches.
-    pub fn spawn<T: ServeTarget + Send + Sync + 'static>(
+    pub fn spawn(
         listener: TcpListener,
-        target: Arc<T>,
+        router: Arc<ClusterRouter>,
         max_connections: usize,
         max_batch: usize,
         admission: Arc<AdmissionController>,
@@ -334,7 +337,7 @@ impl Acceptor {
                         gate.release();
                         continue;
                     };
-                    let (gate, target) = (Arc::clone(&gate), Arc::clone(&target));
+                    let (gate, router) = (Arc::clone(&gate), Arc::clone(&router));
                     let (stop, admission) = (Arc::clone(&stop), Arc::clone(&admission));
                     std::thread::spawn(move || {
                         // Return the slot on unwind too: a panicking
@@ -347,7 +350,7 @@ impl Acceptor {
                             }
                         }
                         let _slot = SlotGuard(gate);
-                        serve_connection(stream, &*target, max_batch, &admission, &stop);
+                        serve_connection(stream, &router, max_batch, &admission, &stop);
                     });
                 }
             })
@@ -403,9 +406,9 @@ impl Acceptor {
 /// Waits in [`ready::wait`] for the next connection and sets it
 /// non-blocking; `None` once the stop is raised.
 fn accept(listener: &TcpListener, stop: &Stop) -> Option<TcpStream> {
-    let fds = [
-        (ready::fd(listener), ready::READABLE),
-        (stop.fd(), ready::READABLE),
+    let mut fds = [
+        PollFd::new(ready::fd(listener), ready::READABLE),
+        PollFd::new(stop.fd(), ready::READABLE),
     ];
     while !stop.is_raised() {
         match listener.accept() {
@@ -415,7 +418,7 @@ fn accept(listener: &TcpListener, stop: &Stop) -> Option<TcpStream> {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                let _ = ready::wait(&fds, None);
+                let _ = ready::wait(&mut fds, None);
             }
             // Transient accept failure (fd exhaustion, aborted
             // handshake): back off instead of spinning.
@@ -480,57 +483,6 @@ impl Served {
     }
 }
 
-/// What a TCP connection loop serves. One implementation of the
-/// protocol dispatch (the [`Acceptor`]'s connection loop) fronts
-/// every deployment shape: [`PolicyServer`] implements this for
-/// [`ShardRouter`] (in-process shards), the cluster crate implements
-/// it for its router-behind-a-mutex (remote backends) — so a new wire
-/// message is wired up exactly once, not per front-end.
-pub trait ServeTarget {
-    /// Shard (or cluster-slot) count advertised in the `Welcome`
-    /// handshake.
-    fn shard_count(&self) -> usize;
-
-    /// Serves one routed batch into `out`, replacing its answers (in
-    /// request order) and its frames. The buffers `out` still holds
-    /// from the previous batch are the target's to reuse.
-    fn serve(&self, reqs: &[PolicyRequest], out: &mut Served);
-
-    /// A point-in-time metrics scrape of one shard, or of the whole
-    /// target for [`STATS_SHARD_AGGREGATE`]: the counters, gauges and
-    /// latency histograms of whatever the target owns. `None` =
-    /// unknown shard (or a backend the target cannot reach), answered
-    /// with a typed refusal. The connection loop merges the front's
-    /// admission counters and queue gauge into the aggregate —
-    /// admission is per front, not per target.
-    fn metrics(&self, shard: u16) -> Option<MetricsSnapshot>;
-}
-
-impl ServeTarget for ShardRouter {
-    fn shard_count(&self) -> usize {
-        self.num_shards()
-    }
-
-    fn serve(&self, reqs: &[PolicyRequest], out: &mut Served) {
-        out.frames.clear();
-        out.answers.clear();
-        out.answers
-            .extend(self.serve_batch(reqs).into_iter().map(Answer::Native));
-    }
-
-    fn metrics(&self, shard: u16) -> Option<MetricsSnapshot> {
-        if shard != STATS_SHARD_AGGREGATE {
-            return (usize::from(shard) < self.num_shards())
-                .then(|| self.shard_metrics(usize::from(shard)));
-        }
-        let mut snap = MetricsSnapshot::zeroed();
-        for s in 0..self.num_shards() {
-            snap.merge(&self.shard_metrics(s));
-        }
-        Some(snap)
-    }
-}
-
 /// After the stop is raised, how long a handler waits for the
 /// tail of a partially received frame before force-closing — a client
 /// that stalls mid-frame cannot hold the drain open forever.
@@ -552,7 +504,7 @@ struct ReqMeta {
 
 /// Serves one connection until EOF, I/O error, a (fatal) decode error,
 /// or a drained stop — the single protocol loop every [`Acceptor`]
-/// handler runs (see [`ServeTarget`]).
+/// handler runs, whichever router it serves.
 ///
 /// Overload control is always armed: every request walks
 /// `admission`'s shed ladder before joining a batch (see
@@ -578,7 +530,7 @@ struct ReqMeta {
 /// frame is the only state a close could strand.
 fn serve_connection(
     mut stream: TcpStream,
-    target: &impl ServeTarget,
+    router: &ClusterRouter,
     max_batch: usize,
     admission: &AdmissionController,
     stop: &Stop,
@@ -586,9 +538,9 @@ fn serve_connection(
     use std::io::ErrorKind::{Interrupted, WouldBlock};
     let max_batch = max_batch.max(1);
     let _ = stream.set_nodelay(true);
-    let fds = [
-        (ready::fd(&stream), ready::READABLE),
-        (stop.fd(), ready::READABLE),
+    let mut fds = [
+        PollFd::new(ready::fd(&stream), ready::READABLE),
+        PollFd::new(stop.fd(), ready::READABLE),
     ];
     let mut codec = ServiceCodec::new();
     // Reused across cycles: the read buffer, the encoded-reply buffer,
@@ -634,7 +586,7 @@ fn serve_connection(
                     if let Some(m) = ids.first() {
                         if m.corr != w.corr {
                             serve_into(
-                                target,
+                                router,
                                 &mut ids,
                                 &mut batch,
                                 &mut served,
@@ -678,7 +630,7 @@ fn serve_connection(
                             batch.push(req);
                             if batch.len() >= max_batch {
                                 serve_into(
-                                    target,
+                                    router,
                                     &mut ids,
                                     &mut batch,
                                     &mut served,
@@ -696,7 +648,7 @@ fn serve_connection(
                     ServiceCodec::encode(
                         &ServiceMessage::Welcome(WireWelcome {
                             id: h.id,
-                            shards: target.shard_count() as u16,
+                            shards: router.num_slots() as u16,
                             max_batch: max_batch.min(usize::from(u16::MAX)) as u16,
                         }),
                         &mut out,
@@ -707,11 +659,13 @@ fn serve_connection(
                 ServiceMessage::Ping(p) => {
                     ServiceCodec::encode(&ServiceMessage::Pong(WirePong { id: p.id }), &mut out);
                 }
-                // Metrics scrape: the target's snapshot, with the
+                // Metrics scrape: the router's snapshot, with the
                 // front's admission counters and queue gauge merged
-                // into the aggregate.
+                // into the aggregate (admission is per front, not per
+                // router). `None` (an unknown slot, an unreachable
+                // backend) becomes a typed refusal.
                 ServiceMessage::MetricsRequest(r) => {
-                    let msg = match target.metrics(r.shard) {
+                    let msg = match router.scrape(r.shard) {
                         Some(mut snap) => {
                             if r.shard == STATS_SHARD_AGGREGATE {
                                 snap.merge(&admission.metrics());
@@ -740,7 +694,7 @@ fn serve_connection(
             }
         }
         serve_into(
-            target,
+            router,
             &mut ids,
             &mut batch,
             &mut served,
@@ -756,11 +710,11 @@ fn serve_connection(
             }
             let since = *draining_since.get_or_insert_with(Instant::now);
             match DRAIN_GRACE.checked_sub(since.elapsed()) {
-                Some(left) if !left.is_zero() => ready::wait(&fds[..1], Some(left)),
+                Some(left) if !left.is_zero() => ready::wait(&mut fds[..1], Some(left)),
                 _ => return,
             }
         } else {
-            ready::wait(&fds, None)
+            ready::wait(&mut fds, None)
         };
         if parked.is_err() {
             return;
@@ -801,9 +755,12 @@ fn flush(stream: &mut TcpStream, out: &mut BytesMut) -> std::io::Result<()> {
 /// `deadline_us` budget is replaced by an `Overloaded` frame — the
 /// caller gave up on it, so a late (stale) result must never reach
 /// the wire. Served batches return their queue slots and feed the
-/// controller's service-time estimate.
+/// controller's service-time estimate, and the router's current
+/// backend-saturation hint becomes the floor of the controller's
+/// retry hints: a shed here never invites a retry sooner than the
+/// saturated backends asked for (always zero over local shards).
 fn serve_into(
-    target: &impl ServeTarget,
+    router: &ClusterRouter,
     ids: &mut Vec<ReqMeta>,
     batch: &mut Vec<PolicyRequest>,
     served: &mut Served,
@@ -817,9 +774,10 @@ fn serve_into(
         sort_by_deadline(ids, batch);
     }
     let t_serve = Instant::now();
-    target.serve(batch, served);
+    router.route_batch(batch, served);
     let answered = served.answers.len();
     admission.release(answered, t_serve.elapsed());
+    admission.set_external_hint_us(router.saturation_hint_us());
     let t0 = econcast_trace::armed_now();
     for (m, answer) in ids.drain(..).zip(served.answers.drain(..)) {
         let expired = m.deadline_us != 0

@@ -293,26 +293,7 @@ impl PolicyService {
         I: IntoIterator<Item = &'a PolicyRequest>,
         I::IntoIter: ExactSizeIterator,
     {
-        self.serve_core(reqs.into_iter().map(|req| (req, None)))
-    }
-
-    /// The shard router's entry point: requests arrive with the
-    /// canonicalization the router already computed for routing
-    /// (`None` = the request failed validation), so the probe phase
-    /// does not canonicalize a second time.
-    pub(crate) fn serve_batch_prerouted(
-        &mut self,
-        reqs: Vec<(&PolicyRequest, Option<CanonicalInstance>)>,
-    ) -> Vec<Result<PolicyResponse, ServiceError>> {
-        self.serve_core(reqs.into_iter())
-    }
-
-    /// The one batch core: a request without a canonicalization is
-    /// validated and canonicalized by the probe phase.
-    fn serve_core<'a>(
-        &mut self,
-        reqs: impl ExactSizeIterator<Item = (&'a PolicyRequest, Option<CanonicalInstance>)>,
-    ) -> Vec<Result<PolicyResponse, ServiceError>> {
+        let reqs = reqs.into_iter();
         let _serve = econcast_trace::trace_span!(
             "service",
             "serve_batch",
@@ -328,8 +309,8 @@ impl PolicyService {
         let mut pending: HashMap<econcast_statespace::InstanceKey, usize> = HashMap::new();
         {
             let _probe = econcast_trace::trace_span!("service", "probe");
-            for (req, canon) in reqs {
-                plans.push(self.probe(req, canon, &mut jobs, &mut pending));
+            for req in reqs {
+                plans.push(self.probe(req, &mut jobs, &mut pending));
             }
         }
         let results = self.solve_and_publish(plans, jobs);
@@ -337,7 +318,7 @@ impl PolicyService {
         results
     }
 
-    /// Phases 2 and 3, shared by every batch entry point.
+    /// Phases 2 and 3: solve the queued jobs, then publish.
     fn solve_and_publish(
         &mut self,
         plans: Vec<Plan>,
@@ -418,32 +399,25 @@ impl PolicyService {
         out
     }
 
-    /// Phase-1 logic for one request; one arriving without its
-    /// canonicalization is validated and canonicalized first.
+    /// Phase-1 logic for one request: validate, canonicalize, probe.
     fn probe(
         &mut self,
         req: &PolicyRequest,
-        canon: Option<CanonicalInstance>,
         jobs: &mut Vec<SolveJob>,
         pending: &mut HashMap<econcast_statespace::InstanceKey, usize>,
     ) -> Plan {
-        let canon = match canon {
-            Some(canon) => canon,
-            None => {
-                if let Err(e) = req.validate() {
-                    self.stats.errors += 1;
-                    return Plan::Done(Err(e));
-                }
-                CanonicalInstance::new(
-                    &req.budgets_w,
-                    req.listen_w,
-                    req.transmit_w,
-                    req.sigma,
-                    req.objective,
-                    req.tolerance,
-                )
-            }
-        };
+        if let Err(e) = req.validate() {
+            self.stats.errors += 1;
+            return Plan::Done(Err(e));
+        }
+        let canon = CanonicalInstance::new(
+            &req.budgets_w,
+            req.listen_w,
+            req.transmit_w,
+            req.sigma,
+            req.objective,
+            req.tolerance,
+        );
         // Tier 1: exact-match LRU. The hit counter splits by the
         // kernel that originally produced the entry, so the exact
         // tier's behaviour at large N (factorized-solved entries) is

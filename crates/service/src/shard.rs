@@ -1,15 +1,16 @@
-//! Sharding policy services by canonical instance key.
+//! Sharding one server's policy cache by canonical instance key.
 //!
-//! A [`ShardRouter`] fronts `k` independent [`PolicyService`] shards.
-//! Requests are canonicalized once (`econcast_statespace::instance`)
-//! and routed by **consistent hashing** of the key's order-independent
-//! route hash over a ring of virtual nodes: every canonical instance
-//! — and therefore every permutation and tolerance-tier alias of it —
-//! always lands on the same shard, so the per-shard LRU caches stay
-//! hot and **disjoint** (no entry is duplicated across shards, and
-//! growing the shard count moves only ~1/k of the key space). The
-//! canonicalization travels with the request to its shard, which
-//! probes and answers from it without sorting again.
+//! A [`ShardRouter`] is the one router ([`ClusterRouter`]) over `k`
+//! local slots: independent [`PolicyService`](crate::PolicyService)
+//! shards, each behind its own lock. Requests are routed by
+//! **consistent hashing** of their order-independent route hash over
+//! a [`HashRing`] of virtual nodes: every canonical instance — and
+//! therefore every permutation and tolerance-tier alias of it — always
+//! lands on the same shard, so the per-shard LRU caches stay hot and
+//! **disjoint** (no entry is duplicated across shards, and growing the
+//! shard count moves only ~1/k of the key space). Each shard
+//! canonicalizes the requests it serves, once; connection handlers
+//! whose batches touch disjoint shards run in parallel.
 //!
 //! ## Response invariance
 //!
@@ -24,12 +25,11 @@
 //! job can arrive in a later sub-batch and replay from the LRU as
 //! `Exact` — same bits either way.
 
-use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
-use crate::service::{PolicyService, ServiceConfig};
-use crate::stats::ServiceStats;
-use econcast_metrics::MetricsSnapshot;
-use econcast_statespace::{fnv1a_64, route_hash_of, CanonicalInstance, InstanceKey};
-use std::sync::Mutex;
+use crate::request::PolicyRequest;
+use crate::router::ClusterRouter;
+use crate::service::ServiceConfig;
+use econcast_statespace::{fnv1a_64, InstanceKey};
+use std::sync::Arc;
 
 /// Configuration for a sharded deployment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,25 +90,13 @@ impl HashRing {
     }
 }
 
-/// One shard: a policy service plus its routing count.
+/// The one router over `shards` local slots, as one server runs it:
+/// the name a sharded in-process deployment is built by. It owns no
+/// routing of its own — it dereferences to the [`ClusterRouter`] it
+/// shares with its server's connection handlers, and its `shard_*`
+/// methods are that router's `slot_*` ones under their shard names.
 #[derive(Debug)]
-struct ShardState {
-    service: PolicyService,
-    /// Requests routed to this shard (including rejected ones).
-    routed: u64,
-}
-
-/// Routes canonicalized requests across policy-service shards.
-///
-/// The router is `Sync`: shards live behind independent mutexes, so
-/// connection handlers serving disjoint shard sets proceed in
-/// parallel, while a single canonical key is always serialized through
-/// its one home shard.
-#[derive(Debug)]
-pub struct ShardRouter {
-    ring: HashRing,
-    shards: Vec<Mutex<ShardState>>,
-}
+pub struct ShardRouter(Arc<ClusterRouter>);
 
 impl ShardRouter {
     /// Builds the ring and the shard services.
@@ -118,154 +106,43 @@ impl ShardRouter {
     /// Panics when `shards == 0`, `shards > u16::MAX as usize`, or
     /// `vnodes == 0`.
     pub fn new(cfg: RouterConfig) -> Self {
-        assert!(cfg.shards >= 1, "need at least one shard");
-        assert!(cfg.shards <= u16::MAX as usize, "shard ids are u16");
-        let ring = HashRing::new(0..cfg.shards as u16, cfg.vnodes);
-        let shards = (0..cfg.shards)
-            .map(|_| {
-                Mutex::new(ShardState {
-                    service: PolicyService::new(cfg.service),
-                    routed: 0,
-                })
-            })
-            .collect();
-        ShardRouter { ring, shards }
+        ShardRouter(Arc::new(ClusterRouter::over_shards(cfg)))
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    /// The shared router, for the server's acceptor.
+    pub(crate) fn shared(&self) -> Arc<ClusterRouter> {
+        Arc::clone(&self.0)
     }
 
-    /// The home shard of a canonical instance key: the first ring
-    /// point at or after the key's route hash (wrapping).
+    /// The home shard of a canonical instance key.
     pub fn shard_of_key(&self, key: &InstanceKey) -> u16 {
-        self.ring.owner(key.route_hash())
+        self.slot_of_key(key)
     }
 
     /// The home shard of a request, or `None` when the request fails
-    /// validation (rejected requests are charged to shard 0). Keys the
-    /// raw request with [`route_hash_of`] — no canonicalization.
+    /// validation.
     pub fn shard_of_request(&self, req: &PolicyRequest) -> Option<u16> {
-        req.validate().ok()?;
-        Some(self.ring.owner(route_hash_of(
-            &req.budgets_w,
-            req.listen_w,
-            req.transmit_w,
-            req.sigma,
-            req.objective,
-            req.tolerance,
-        )))
+        self.slot_of_request(req)
     }
 
-    /// Serves a batch: requests scatter to their home shards (each
-    /// sub-batch preserves request order), shards serve independently,
-    /// and responses gather back in request order, each in its
-    /// caller's node order.
-    pub fn serve_batch(&self, reqs: &[PolicyRequest]) -> Vec<Result<PolicyResponse, ServiceError>> {
-        let nshards = self.shards.len();
-        // Route — canonicalize each request exactly once; ownership of
-        // the canonicalization is handed to the home shard's probe
-        // phase below, so nothing is sorted or cloned twice.
-        let route_t0 = econcast_trace::armed_now();
-        let mut canons: Vec<Option<CanonicalInstance>> = Vec::with_capacity(reqs.len());
-        let mut sub_idx: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        for (i, req) in reqs.iter().enumerate() {
-            let shard = match req.validate() {
-                // Rejected requests are charged to shard 0.
-                Err(_) => {
-                    canons.push(None);
-                    0
-                }
-                Ok(()) => {
-                    let canon = canonicalize(req);
-                    let s = self.shard_of_key(&canon.key);
-                    canons.push(Some(canon));
-                    s
-                }
-            };
-            sub_idx[shard as usize].push(i);
-        }
-        econcast_trace::complete_from(
-            "service",
-            "route",
-            route_t0,
-            &[("requests", reqs.len() as u64)],
-        );
-
-        let mut out: Vec<Option<Result<PolicyResponse, ServiceError>>> = vec![None; reqs.len()];
-        for (s, idxs) in sub_idx.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let sub: Vec<(&PolicyRequest, Option<CanonicalInstance>)> =
-                idxs.iter().map(|&i| (&reqs[i], canons[i].take())).collect();
-            let mut shard = self.shards[s]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.routed += sub.len() as u64;
-            let results = shard.service.serve_batch_prerouted(sub);
-            for (&i, r) in idxs.iter().zip(results) {
-                out[i] = Some(r);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every request routed to a shard"))
-            .collect()
-    }
-
-    /// One shard's counter snapshot (plus its routed-request count).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn shard_stats(&self, shard: usize) -> ServiceStats {
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .service
-            .stats()
-    }
-
-    /// Requests routed to one shard so far (including rejected ones).
+    /// Requests routed to one shard so far.
     pub fn shard_routed(&self, shard: usize) -> u64 {
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .routed
-    }
-
-    /// One shard's counters and LRU gauges as a metrics scrape (see
-    /// [`PolicyService::metrics`]). Shards hold disjoint key ranges,
-    /// so merged shard scrapes are deployment totals.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` is out of range.
-    pub fn shard_metrics(&self, shard: usize) -> MetricsSnapshot {
-        self.shards[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .service
-            .metrics()
+        self.cluster_stats().routed[shard]
     }
 }
 
-/// Canonicalizes a (validated) request.
-fn canonicalize(req: &PolicyRequest) -> CanonicalInstance {
-    CanonicalInstance::new(
-        &req.budgets_w,
-        req.listen_w,
-        req.transmit_w,
-        req.sigma,
-        req.objective,
-        req.tolerance,
-    )
+impl std::ops::Deref for ShardRouter {
+    type Target = ClusterRouter;
+
+    fn deref(&self) -> &ClusterRouter {
+        &self.0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyService, ServiceError};
     use econcast_core::{NodeParams, ThroughputMode};
 
     fn router(shards: usize) -> ShardRouter {
@@ -369,7 +246,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_requests_are_rejected_on_shard_zero() {
+    fn invalid_requests_are_rejected_on_the_fallback() {
         let r = router(2);
         let bad = PolicyRequest {
             budgets_w: vec![],
@@ -382,8 +259,15 @@ mod tests {
         assert_eq!(r.shard_of_request(&bad), None);
         let out = r.serve_batch(std::slice::from_ref(&bad));
         assert!(matches!(out[0], Err(ServiceError::BadRequest(_))));
-        assert_eq!(r.shard_stats(0).errors, 1);
-        assert_eq!(r.shard_metrics(0).counter(econcast_metrics::CTR_ERRORS), 1);
-        assert_eq!(r.shard_stats(1).errors, 0);
+        assert_eq!(r.fallback_stats().errors, 1);
+        assert_eq!(r.metrics().counter(econcast_metrics::CTR_ERRORS), 1);
+        assert_eq!(
+            r.scrape(0).unwrap().counter(econcast_metrics::CTR_ERRORS),
+            0
+        );
+        assert_eq!(
+            r.scrape(1).unwrap().counter(econcast_metrics::CTR_ERRORS),
+            0
+        );
     }
 }

@@ -21,8 +21,8 @@ use econcast_metrics::{
 };
 
 /// A snapshot of one service's (or one shard's) counters since
-/// construction. Obtained from `PolicyService::stats` or per shard
-/// from `ShardRouter::shard_stats`; plain data, cheap to copy.
+/// construction. Obtained from `PolicyService::stats`, or over the
+/// wire from a metrics scrape; plain data, cheap to copy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests received (including failed ones).

@@ -174,9 +174,9 @@ pub fn route_hash_of(
 }
 
 /// Pinned FNV-1a over a stream of u64 words (big-endian bytes) — the
-/// consistent-hash rings' virtual-node points. `ShardRouter` and the
-/// cluster router both place `fnv1a_64([slot, vnode])`, so equal slot
-/// counts build identical rings.
+/// consistent-hash ring's virtual-node points. The router places
+/// `fnv1a_64([slot, vnode])`, so equal slot counts build identical
+/// rings, whether the slots are shards or backends.
 pub fn fnv1a_64(words: impl IntoIterator<Item = u64>) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -91,7 +91,7 @@ fn main() {
     println!("256/256 responses bit-identical to the single-process ShardRouter path");
 
     // Where did the work go? The distribution layer knows.
-    let stats = front.router().lock().unwrap().cluster_stats();
+    let stats = front.router().cluster_stats();
     println!(
         "distribution: {} remote · {} failed over locally · {} backend failures · health {:?}",
         stats.remote_served, stats.local_fallbacks, stats.backend_failures, stats.healthy
@@ -104,12 +104,12 @@ fn main() {
     // The operator loop: respawn the dead backend, re-target its
     // slot, and traffic flows remotely again.
     let fresh = sup.respawn(0).expect("respawn backend 0");
-    front.router().lock().unwrap().retarget_slot(0, fresh);
-    let before = front.router().lock().unwrap().cluster_stats().remote_served;
+    front.router().retarget_slot(0, fresh);
+    let before = front.router().cluster_stats().remote_served;
     client
         .serve_batch(&batch[..64])
         .expect("post-respawn batch");
-    let stats = front.router().lock().unwrap().cluster_stats();
+    let stats = front.router().cluster_stats();
     println!(
         "respawned backend 0 at {fresh}: +{} requests served remotely, health {:?}",
         stats.remote_served - before,
