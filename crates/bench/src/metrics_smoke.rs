@@ -4,10 +4,10 @@
 //! recorder as a Perfetto-compatible artifact.
 //!
 //! The backends are *child processes* ([`Supervisor`]-spawned), not
-//! in-process servers: the latency histograms live on a
-//! process-global hub, so an in-process backend's histograms would
-//! appear on both sides of the fan-in equation and the histogram
-//! check would prove nothing.
+//! in-process servers: the mid-run kill is then a real process death
+//! that the front only sees through its sockets, and the
+//! process-global flight recorder the smoke dumps holds the front's
+//! ops events alone.
 
 use econcast_cluster::{
     default_backend_binary, ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, FrontHandle,
@@ -92,7 +92,7 @@ pub fn run(out_dir: &Path) -> io::Result<SmokeOutcome> {
         checks.push(("all requests served", out.iter().all(Result::is_ok)));
 
         // Fan-in: scrape the aggregate first, then ground truth — the
-        // local hub holds still in between.
+        // quiescent front's own counters hold still in between.
         let aggregate = client.metrics()?;
         let expected = expected_sum(&front, &sup.addrs())?;
         checks.push((

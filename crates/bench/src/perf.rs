@@ -624,10 +624,10 @@ pub struct ServiceThroughput {
     /// `None` when the loopback cluster could not bind.
     pub cluster_rps: Option<f64>,
     /// Warm `serve_batch` latency percentiles (µs per call, not per
-    /// request), from the trace layer's fixed-bucket histograms in a
-    /// separate post-rps pass — the rps numbers above measure the
-    /// tracing-off path. Each value is its bucket's upper edge
-    /// (≤ 12.5% above the true sample). `None` on filtered runs.
+    /// request): each call timed and recorded into an
+    /// `econcast_metrics::Histogram` in a separate post-rps pass. Each
+    /// value is its bucket's upper edge (≤ 12.5% above the true
+    /// sample). `None` on filtered runs.
     pub warm_p50_us: Option<f64>,
     /// Warm `serve_batch` p99 latency (µs per call).
     pub warm_p99_us: Option<f64>,
@@ -654,10 +654,10 @@ pub struct ServiceThroughput {
     pub cluster_p999_us: Option<f64>,
 }
 
-/// One traced span's latency distribution, harvested from the trace
-/// layer's fixed-bucket histograms during the cluster tail-latency
-/// pass (each value is its bucket's upper edge, ≤ 12.5% above the
-/// true sample).
+/// One traced span's latency distribution: the durations of the span
+/// events drained in harvest windows, recorded into an
+/// `econcast_metrics::Histogram` (each value is its bucket's upper
+/// edge, ≤ 12.5% above the true sample).
 #[derive(Debug, Clone, Copy)]
 pub struct SpanStats {
     /// Span name within the `cluster` trace category.
@@ -698,8 +698,8 @@ pub struct SuiteReport {
     pub quick_sensitive: Vec<String>,
     /// Per-span latency percentiles for the cluster data plane
     /// (`dial` / `remote_serve` / `failover_reserve`), harvested from
-    /// the trace histograms during the largest batch's cluster
-    /// tail-latency pass. Empty when no cluster pass ran.
+    /// span events around the cluster tail-latency passes. Empty when
+    /// no cluster pass ran.
     pub cluster_spans: Vec<SpanStats>,
     /// Open-loop overload rows (goodput / shed / degraded / accepted
     /// tails at 0.5×–4× measured capacity) against the same cluster
@@ -787,6 +787,7 @@ pub fn run_suite(quick: bool, filter: Option<&str>) -> SuiteReport {
                     || *socket_tail_addr.get_or_insert_with(|| bind_socket_server().ok()),
                     batch,
                     quick,
+                    &[],
                 )
                 .map(|(t, _)| t)
             });
@@ -795,6 +796,7 @@ pub fn run_suite(quick: bool, filter: Option<&str>) -> SuiteReport {
                     || *cluster_tail_addr.get_or_insert_with(|| bind_cluster_front().ok()),
                     batch,
                     quick,
+                    &CLUSTER_SPAN_NAMES,
                 )?;
                 // Merge harvests across batch passes, keeping the
                 // best-sampled row per span: `dial` fires only while
@@ -935,27 +937,63 @@ pub fn run_suite(quick: bool, filter: Option<&str>) -> SuiteReport {
     }
 }
 
-/// Warm `serve_batch` tail latency at one batch size: arm the trace
-/// layer's latency histograms (spans stay off — no event collection),
-/// drive a warmed service for a fixed call count, and read the
-/// `service/serve_batch` percentiles. Returns `(p50, p99, p99.9)` in
-/// µs per call, or `None` when no samples landed.
+/// Reads nanosecond samples through an [`econcast_metrics::Histogram`]:
+/// the sample count and `(p50, p99, p99.9)` in µs, each its bucket's
+/// upper edge (`None` without samples).
+pub(crate) fn bucketed_us(
+    samples_ns: impl IntoIterator<Item = u64>,
+) -> (u64, Option<(f64, f64, f64)>) {
+    let hist = econcast_metrics::Histogram::new();
+    for ns in samples_ns {
+        hist.record(ns);
+    }
+    let snap = hist.snapshot();
+    let us = |q: f64| snap.quantile(q) as f64 / 1e3;
+    let count = snap.total();
+    (count, (count > 0).then(|| (us(0.50), us(0.99), us(0.999))))
+}
+
+/// A [`SpanStats`] row from one span's harvested durations (ns).
+fn span_stats(name: &'static str, durations_ns: Vec<u64>) -> SpanStats {
+    let (count, tail) = bucketed_us(durations_ns);
+    SpanStats {
+        name,
+        count,
+        p50_us: tail.map(|t| t.0),
+        p99_us: tail.map(|t| t.1),
+        p999_us: tail.map(|t| t.2),
+    }
+}
+
+/// Drains one harvest window and appends the durations of the
+/// `cluster`-category spans named in `names` to `into` (one `Vec` per
+/// name). Panics if a ring overflowed: a dropped event could be one of
+/// the harvested spans, and the row would silently under-count.
+fn harvest(names: &[&'static str], into: &mut [Vec<u64>]) {
+    let snap = econcast_trace::drain();
+    assert_eq!(
+        snap.dropped, 0,
+        "a trace ring overflowed inside a harvest window"
+    );
+    for (&name, durs) in names.iter().zip(into) {
+        durs.extend(econcast_trace::span_durations(&snap, "cluster", name));
+    }
+}
+
+/// Warm `serve_batch` tail latency at one batch size: drive a warmed
+/// service for a fixed call count with nothing armed, timing each
+/// call into a histogram. Returns `(p50, p99, p99.9)` in µs per call.
 fn warm_latency_percentiles(size: usize, quick: bool) -> Option<(f64, f64, f64)> {
     let calls = if quick { 120 } else { 400 };
     let batch = service_batch(size);
     let mut svc = bench_service();
-    svc.serve_batch(&batch); // warm the cache before arming
-    econcast_trace::set_histograms(true);
-    econcast_trace::clear_histograms();
-    for _ in 0..calls {
+    svc.serve_batch(&batch); // warm the cache before timing
+    let samples_ns = (0..calls).map(|_| {
+        let t = std::time::Instant::now();
         black_box(svc.serve_batch(&batch));
-    }
-    econcast_trace::set_histograms(false);
-    let p = econcast_trace::percentiles("service", "serve_batch");
-    econcast_trace::clear_histograms();
-    let p = p?;
-    let us = |ns: u64| ns as f64 / 1000.0;
-    Some((us(p.p50_ns), us(p.p99_ns), us(p.p999_ns)))
+        t.elapsed().as_nanos() as u64
+    });
+    bucketed_us(samples_ns).1
 }
 
 /// Forced-fault pass for the `failover_reserve` span. A healthy run
@@ -968,9 +1006,9 @@ fn warm_latency_percentiles(size: usize, quick: bool) -> Option<(f64, f64, f64)>
 /// every batch re-serve on the local fallback and fire exactly one
 /// `failover_reserve` span per call. The first, unarmed call eats the
 /// dial failure and marks the backend down (`unhealthy_after: 1`,
-/// reprobe pushed past the pass), so the armed calls measure the
-/// steady-state reserve path — fallback solve time, not dial
-/// timeouts.
+/// reprobe pushed past the pass), so the armed calls — one harvest
+/// window — measure the steady-state reserve path: fallback solve
+/// time, not dial timeouts.
 fn failover_reserve_percentiles(quick: bool) -> Option<SpanStats> {
     let calls = if quick { 120 } else { 400 };
     let dead = std::net::TcpListener::bind("127.0.0.1:0")
@@ -996,76 +1034,80 @@ fn failover_reserve_percentiles(quick: bool) -> Option<SpanStats> {
     );
     let batch = service_batch(32);
     black_box(router.serve_batch(&batch)); // dial fails, backend marked down, fallback warms
-    econcast_trace::set_histograms(true);
-    econcast_trace::clear_histograms();
+    econcast_trace::reset();
+    econcast_trace::set_spans(true);
     for _ in 0..calls {
         black_box(router.serve_batch(&batch));
     }
-    econcast_trace::set_histograms(false);
-    let p = econcast_trace::percentiles("cluster", "failover_reserve");
-    econcast_trace::clear_histograms();
-    let p = p?;
-    let us = |ns: u64| ns as f64 / 1000.0;
-    Some(SpanStats {
-        name: "failover_reserve",
-        count: p.count,
-        p50_us: Some(us(p.p50_ns)),
-        p99_us: Some(us(p.p99_ns)),
-        p999_us: Some(us(p.p999_ns)),
-    })
+    econcast_trace::set_spans(false);
+    let mut durs = [Vec::new()];
+    harvest(&["failover_reserve"], &mut durs);
+    let [durs] = durs;
+    Some(span_stats("failover_reserve", durs))
 }
 
 /// Round-trip tail latency through a live TCP endpoint at one batch
 /// size: resolve (possibly lazily bind) the endpoint, dial, warm
 /// once, then time `calls` pipelined `serve_batch` round trips with
-/// the monotonic clock (client percentiles are exact order statistics
-/// over the samples, not histogram buckets). The trace layer's
-/// histograms are armed *before* `bind` runs so backend `dial` spans
-/// from a first-time cluster bind land in the harvest; the second
-/// return value carries whatever `cluster`-category spans fired
-/// ([`CLUSTER_SPAN_NAMES`]) — all `count: 0` rows when the endpoint
-/// is the plain socket server.
+/// the monotonic clock and nothing armed (client percentiles are
+/// exact order statistics over the samples, not histogram buckets).
+///
+/// With `spans` non-empty, the `cluster`-category spans of those
+/// names are harvested in two windows around the timed loop: spans are
+/// armed *before* `bind` runs, so backend `dial` spans from a
+/// first-time cluster bind land in the first window, and after the
+/// timed loop `calls` more round trips run armed, drained one call at
+/// a time so no ring overflows (a batch-256 call emits ~260 events on
+/// each serving thread). The second return value holds one row per
+/// name.
 fn net_latency_percentiles(
     bind: impl FnOnce() -> Option<std::net::SocketAddr>,
     size: usize,
     quick: bool,
+    spans: &[&'static str],
 ) -> Option<((f64, f64, f64), Vec<SpanStats>)> {
     let calls = if quick { 120 } else { 400 };
     let batch = service_batch(size);
-    econcast_trace::set_histograms(true);
-    econcast_trace::clear_histograms();
-    let sampled = (|| {
+    let armed = !spans.is_empty();
+    let mut durs = vec![Vec::new(); spans.len()];
+    econcast_trace::reset();
+    econcast_trace::set_spans(armed);
+    let warmed = (|| {
         let addr = bind()?;
         let mut client = PolicyClient::connect(addr, size.min(u16::MAX as usize) as u16).ok()?;
-        client.serve_batch(&batch).ok()?; // warm (the dial span lands inside the armed window)
-        let mut samples_us = Vec::with_capacity(calls);
-        for _ in 0..calls {
-            let t = std::time::Instant::now();
-            black_box(client.serve_batch(&batch).ok()?);
-            samples_us.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-        Some(samples_us)
+        client.serve_batch(&batch).ok()?; // warm (the dial span lands inside the window)
+        Some(client)
     })();
-    econcast_trace::set_histograms(false);
-    let us = |ns: u64| ns as f64 / 1000.0;
-    let spans = CLUSTER_SPAN_NAMES
+    econcast_trace::set_spans(false);
+    harvest(spans, &mut durs);
+    let mut client = warmed?;
+    let mut samples_us = Vec::with_capacity(calls);
+    for _ in 0..calls {
+        let t = std::time::Instant::now();
+        black_box(client.serve_batch(&batch).ok()?);
+        samples_us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    if armed {
+        econcast_trace::set_spans(true);
+        let served = (0..calls).all(|_| {
+            let ok = client.serve_batch(&batch).is_ok();
+            harvest(spans, &mut durs);
+            ok
+        });
+        econcast_trace::set_spans(false);
+        harvest(spans, &mut durs);
+        if !served {
+            return None;
+        }
+    }
+    let rows = spans
         .iter()
-        .map(|&name| {
-            let p = econcast_trace::percentiles("cluster", name);
-            SpanStats {
-                name,
-                count: p.as_ref().map_or(0, |p| p.count),
-                p50_us: p.as_ref().map(|p| us(p.p50_ns)),
-                p99_us: p.as_ref().map(|p| us(p.p99_ns)),
-                p999_us: p.as_ref().map(|p| us(p.p999_ns)),
-            }
-        })
+        .zip(durs)
+        .map(|(&name, d)| span_stats(name, d))
         .collect();
-    econcast_trace::clear_histograms();
-    let mut samples_us = sampled?;
     samples_us.sort_by(f64::total_cmp);
     let q = |f: f64| samples_us[((samples_us.len() - 1) as f64 * f).round() as usize];
-    Some(((q(0.50), q(0.99), q(0.999)), spans))
+    Some(((q(0.50), q(0.99), q(0.999)), rows))
 }
 
 /// `git rev-parse --short HEAD`, or `ECONCAST_GIT_SHA`, or "unknown".

@@ -286,9 +286,8 @@ mod tests {
         .expect("bind")
         .spawn();
         // Put some traffic on the plane so the view has something to
-        // show (the latency histograms are process-global — the exact
-        // numbers belong to whichever tests ran first, which is why
-        // this test only asserts shape, never totals).
+        // show (the rates depend on when the two 10 ms frames land,
+        // which is why this test only asserts shape, never totals).
         let batch = crate::perf::service_batch(8);
         let mut client = PolicyClient::connect(handle.addr(), 8).expect("connect");
         client.serve_batch(&batch).expect("serve");

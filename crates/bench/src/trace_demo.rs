@@ -36,8 +36,9 @@ pub struct TraceDemoReport {
     /// Mean wall time of one warm batch-256 round trip on the plain
     /// socket path, µs.
     pub socket_batch_us: f64,
-    /// Where that wall time goes: per-span histogram percentiles for
-    /// the socket-path lifecycle, harvested before the cluster phase.
+    /// Where that wall time goes: per-span medians for the socket-path
+    /// lifecycle, from the span events of the phase before the cluster
+    /// phase.
     pub socket_profile: Vec<SocketSpan>,
 }
 
@@ -48,7 +49,7 @@ pub struct SocketSpan {
     pub name: &'static str,
     /// Samples recorded during the profile phase.
     pub count: u64,
-    /// Median span duration, µs.
+    /// Median span duration, µs (its histogram bucket's upper edge).
     pub p50_us: f64,
 }
 
@@ -60,12 +61,30 @@ pub struct SocketSpan {
 pub fn run(out_dir: &Path) -> std::io::Result<TraceDemoReport> {
     econcast_trace::reset();
     econcast_trace::set_spans(true);
-    econcast_trace::set_histograms(true);
     // Phase 1 — plain socket path, profiled: where does a warm
     // batch-256 round trip spend its time once the solver is out of
-    // the picture? The histograms are harvested (and cleared) before
-    // the cluster phase so its spans can't muddy the answer.
+    // the picture? The profile reads only events stamped before the
+    // cluster phase, so its spans can't muddy the answer (the socket
+    // server is shut down by then, so no span straddles the boundary).
     let socket = drive_socket();
+    let boundary_ns = econcast_trace::now_ns();
+    // Phase 2 — the cluster fault lifecycle.
+    let driven = drive();
+    econcast_trace::set_spans(false);
+    // Drain even on error so a failed run doesn't leak its events
+    // into the next tracer user in this process.
+    let snap = econcast_trace::drain();
+    let socket_batch_us = socket?;
+    driven?;
+    let socket_phase = econcast_trace::TraceSnapshot {
+        events: snap
+            .events
+            .iter()
+            .take_while(|e| e.ts_ns < boundary_ns)
+            .cloned()
+            .collect(),
+        ..Default::default()
+    };
     let mut socket_profile = Vec::new();
     for name in ["frame_encode", "frame_decode", "route", "serve_batch"] {
         let cat = if name.starts_with("frame") {
@@ -73,26 +92,16 @@ pub fn run(out_dir: &Path) -> std::io::Result<TraceDemoReport> {
         } else {
             "service"
         };
-        if let Some(p) = econcast_trace::percentiles(cat, name) {
+        let (count, tail) =
+            crate::perf::bucketed_us(econcast_trace::span_durations(&socket_phase, cat, name));
+        if let Some((p50_us, _, _)) = tail {
             socket_profile.push(SocketSpan {
                 name,
-                count: p.count,
-                p50_us: p.p50_ns as f64 / 1e3,
+                count,
+                p50_us,
             });
         }
     }
-    econcast_trace::clear_histograms();
-    econcast_trace::set_histograms(true);
-    // Phase 2 — the cluster fault lifecycle.
-    let driven = drive();
-    econcast_trace::set_spans(false);
-    econcast_trace::set_histograms(false);
-    // Drain even on error so a failed run doesn't leak its events
-    // into the next tracer user in this process.
-    let snap = econcast_trace::drain();
-    econcast_trace::clear_histograms();
-    let socket_batch_us = socket?;
-    driven?;
     let json = econcast_trace::to_chrome_json(&snap);
     let path = out_dir.join("econcast_demo.trace.json");
     std::fs::write(&path, &json)?;
@@ -109,7 +118,7 @@ pub fn run(out_dir: &Path) -> std::io::Result<TraceDemoReport> {
 /// The socket-path profile workload: one warm-up plus a few timed
 /// warm batch-256 round trips against a 2-shard TCP server, returning
 /// the mean round-trip wall time in µs. Runs with the tracer armed so
-/// the lifecycle spans land in both the trace and the histograms.
+/// the lifecycle spans land in the trace and the profile.
 fn drive_socket() -> std::io::Result<f64> {
     let srv = PolicyServer::bind(
         "127.0.0.1:0",

@@ -20,9 +20,7 @@ fn serial() -> MutexGuard<'static, ()> {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     econcast_trace::set_spans(false);
-    econcast_trace::set_histograms(false);
     econcast_trace::reset();
-    econcast_trace::clear_histograms();
     guard
 }
 
@@ -44,6 +42,17 @@ fn trace_demo_emits_parseable_lifecycle_trace() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let report = econcast_bench::trace_demo::run(&dir).expect("trace demo run");
     assert_eq!(report.dropped, 0, "demo outgrew the per-thread rings");
+    let profiled: Vec<_> = report
+        .socket_profile
+        .iter()
+        .filter(|s| s.count > 0)
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(
+        profiled,
+        ["frame_encode", "frame_decode", "route", "serve_batch"],
+        "socket profile must time every lifecycle span"
+    );
 
     let doc = parse_json(&report.json).expect("demo trace parses with the gate parser");
     let names = event_names(&doc);

@@ -1,14 +1,16 @@
 //! # econcast-metrics — the always-on metrics plane
 //!
-//! `econcast-trace` is a *diagnostic* facility: armed on demand, and
-//! its span histograms cost ~20% armed, so they stay off in
-//! production. This crate is the *operational* twin: a fixed, named
-//! registry of *counters*, *gauges*, and *latency histograms* that
-//! every serving front answers a metrics scrape with (the scrape is
-//! the only counter schema on the wire), plus a **flight recorder** —
-//! a bounded ring of timestamped significant ops events (sheds,
-//! failovers, respawns, quarantines, …) dumpable as
-//! Perfetto-compatible JSON so a chaos run leaves a black-box record.
+//! `econcast-trace` is a *diagnostic* facility: span events, armed on
+//! demand and off in production. This crate is the *operational*
+//! twin: a fixed, named registry of *counters*, *gauges*, and
+//! *latency histograms* that every serving front answers a metrics
+//! scrape with (the scrape is the only counter schema on the wire),
+//! plus a **flight recorder** — a bounded ring of timestamped
+//! significant ops events (sheds, failovers, respawns, quarantines,
+//! …) dumpable through the tracer's Chrome/Perfetto writer so a chaos
+//! run leaves a black-box record. [`Histogram`] is the workspace's
+//! only histogram type, and the log-bucket scheme ([`bucket_of`]) is
+//! defined here.
 //!
 //! ## Who counts
 //!
@@ -22,8 +24,8 @@
 //!   injected into a scrape the same way (admission queue, LRU,
 //!   router).
 //! * [`Histogram`] — one relaxed `fetch_add` into a fixed log-bucket
-//!   array (the bucket scheme is `econcast-trace`'s, re-exported, so
-//!   both layers' histograms merge index-for-index). The serve path's
+//!   array; snapshots of any two histograms merge index-for-index
+//!   because every one uses the same buckets. The serve path's
 //!   two latency histograms are a [`LatencyHists`] pair owned by each
 //!   policy service, so like a counter each latency is recorded once,
 //!   by the server that served it.
@@ -49,8 +51,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-pub use econcast_trace::{bucket_high, bucket_of, NUM_BUCKETS, SUB_BITS};
 
 // ---------------------------------------------------------------------------
 // The fixed metric registry
@@ -198,6 +198,37 @@ pub const HIST_NAMES: [&str; NUM_HISTS] = ["batch_ns", "request_ns"];
 // Primitives
 // ---------------------------------------------------------------------------
 
+/// Sub-bucket resolution of the log-bucket scheme: 2^3 = 8
+/// sub-buckets per octave.
+pub const SUB_BITS: u32 = 3;
+/// Bucket count of the log-bucket scheme (covers all of u64).
+pub const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) << SUB_BITS) + (1 << SUB_BITS);
+
+/// Log-spaced fixed buckets over u64 nanoseconds: 2^[`SUB_BITS`]
+/// sub-buckets per octave (≤ 12.5% relative width), exact below
+/// 2^[`SUB_BITS`]. The HdrHistogram bucketing scheme, sized down.
+pub fn bucket_of(v: u64) -> usize {
+    if v < (1 << SUB_BITS) {
+        return v as usize;
+    }
+    let msb = 63 - v.leading_zeros();
+    let sub = ((v >> (msb - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
+    (((msb - SUB_BITS + 1) as usize) << SUB_BITS) + sub
+}
+
+/// Upper edge (inclusive) of a bucket — what quantile extraction
+/// reports, so tails are never under-stated.
+pub fn bucket_high(idx: usize) -> u64 {
+    if idx < (1 << SUB_BITS) {
+        return idx as u64;
+    }
+    let group = (idx >> SUB_BITS) as u32;
+    let sub = (idx & ((1 << SUB_BITS) - 1)) as u64;
+    let msb = group + SUB_BITS - 1;
+    let width = 1u64 << (msb - SUB_BITS);
+    (1u64 << msb) + (sub + 1) * width - 1
+}
+
 /// A level with a high-water mark: current value plus the peak it has
 /// ever reached. Owned by the component whose level it measures (the
 /// admission queue, a router); injected into snapshots at scrape
@@ -258,8 +289,8 @@ impl Gauge {
 }
 
 /// A permanently-armed latency histogram: fixed log-spaced buckets
-/// (the `econcast-trace` scheme — ≤ 12.5% relative edge error), one
-/// relaxed `fetch_add` per sample.
+/// ([`bucket_of`] — ≤ 12.5% relative edge error), one relaxed
+/// `fetch_add` per sample.
 #[derive(Debug)]
 pub struct Histogram {
     counts: Box<[AtomicU64]>,
@@ -696,29 +727,26 @@ pub fn recorder_clear() {
 }
 
 /// Renders the recorder as Chrome/Perfetto JSON instant events
-/// (`{"traceEvents":[...]}`), loadable by `chrome://tracing` and the
-/// Perfetto UI — the black-box dump a chaos run leaves behind.
+/// (category `ops`, args `seq`/`slot`/`detail`) through
+/// [`econcast_trace::to_chrome_json`], loadable by `chrome://tracing`
+/// and the Perfetto UI — the black-box dump a chaos run leaves behind.
 pub fn recorder_dump_json() -> String {
-    let events = recorder_events();
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n{{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"s\":\"p\",\"ts\":{}.{:03},\
-             \"cat\":\"ops\",\"name\":\"{}\",\"args\":{{\"seq\":{},\"slot\":{},\"detail\":{}}}}}",
-            ev.ts_ns / 1_000,
-            ev.ts_ns % 1_000,
-            ev.kind.name(),
-            ev.seq,
-            ev.slot,
-            ev.detail,
-        ));
-    }
-    out.push_str("\n]}\n");
-    out
+    let events = recorder_events()
+        .into_iter()
+        .map(|ev| econcast_trace::TraceEvent {
+            tid: 1,
+            kind: econcast_trace::EventKind::Instant,
+            cat: "ops",
+            name: ev.kind.name(),
+            ts_ns: ev.ts_ns,
+            dur_ns: 0,
+            args: vec![("seq", ev.seq), ("slot", ev.slot), ("detail", ev.detail)],
+        })
+        .collect();
+    econcast_trace::to_chrome_json(&econcast_trace::TraceSnapshot {
+        events,
+        ..Default::default()
+    })
 }
 
 /// Empties the recorder — a clean slate for tests and bench runs.
@@ -761,7 +789,26 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_quantiles_match_trace_buckets() {
+    fn bucket_scheme_is_monotone_and_bounded() {
+        let mut last = 0usize;
+        for shift in 0..63 {
+            for off in [0u64, 1, 3] {
+                let v = (1u64 << shift).saturating_add(off);
+                let b = bucket_of(v);
+                assert!(b >= last || v < (1 << SUB_BITS));
+                assert!(b < NUM_BUCKETS);
+                assert!(bucket_high(b) >= v);
+                // Upper edge is within 12.5% above the value (or exact
+                // for small values).
+                assert!(bucket_high(b) as f64 <= v as f64 * 1.125 + 1.0);
+                last = b;
+            }
+        }
+        assert!(bucket_of(u64::MAX) < NUM_BUCKETS);
+    }
+
+    #[test]
+    fn histogram_snapshot_quantiles_report_upper_bucket_edges() {
         let h = Histogram::new();
         for _ in 0..99 {
             h.record(1_000);
@@ -773,6 +820,22 @@ mod tests {
         assert_eq!(snap.quantile(1.0), bucket_high(bucket_of(1_000_000)));
         // Upper-edge reporting: never under-states.
         assert!(snap.quantile(0.50) >= 1_000);
+
+        // 1000 samples: 988 at 1µs, 10 at 100µs, 2 at 10ms.
+        let h = Histogram::new();
+        h.record_n(1_000, 988);
+        h.record_n(100_000, 10);
+        h.record_n(10_000_000, 2);
+        let snap = h.snapshot();
+        assert_eq!(snap.total(), 1000);
+        let (p50, p99, p999) = (
+            snap.quantile(0.50),
+            snap.quantile(0.99),
+            snap.quantile(0.999),
+        );
+        assert!((1_000..1_200).contains(&p50));
+        assert!((100_000..120_000).contains(&p99));
+        assert!((10_000_000..12_000_000).contains(&p999));
     }
 
     #[test]

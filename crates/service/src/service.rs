@@ -507,8 +507,8 @@ fn kernel_span_name(kernel: PolicyKernel) -> &'static str {
 /// service's own counters). Two relaxed atomics amortized over the
 /// whole batch, skipped while recording is off — the cost the
 /// `warm_rps_metrics_on` bench row holds within noise of the
-/// unrecorded path. Unlike the trace crate's armed histograms this is
-/// unconditional in production; `set_recording(false)` exists for the
+/// unrecorded path. Unlike trace spans, which are armed on demand, this
+/// is unconditional in production; `set_recording(false)` exists for the
 /// bench harness to measure the difference, not as an operating mode.
 fn record_batch_metrics(
     latency: &econcast_metrics::LatencyHists,

@@ -1,22 +1,21 @@
-//! # econcast-trace — span tracing and latency histograms
+//! # econcast-trace — span tracing
 //!
 //! A lightweight, dependency-free structured tracing layer for the
 //! whole workspace: instrumented code emits **span events** (begin/end
 //! pairs, one-shot complete events, instants) and **counter samples**
 //! into thread-local ring buffers, which drain into the Chrome/Perfetto
 //! JSON Trace Format — the resulting `.trace.json` opens directly in
-//! `chrome://tracing` or the Perfetto UI. On the same span stream the
-//! layer keeps per-span fixed-bucket **latency histograms** with
-//! p50/p99/p999 extraction, which is what the bench suite's
-//! tail-latency entries are recorded from.
+//! `chrome://tracing` or the Perfetto UI. Latency histograms are not
+//! kept here: [`span_durations`] reads span durations back out of a
+//! drained snapshot, and `econcast-metrics` owns the workspace's one
+//! histogram type.
 //!
 //! ## Zero overhead when off
 //!
-//! Both facilities are gated on process-wide atomics; every macro
+//! Collection is gated on one process-wide atomic; every macro
 //! compiles to one relaxed load and a branch when tracing is disabled
 //! (the default). Nothing allocates, no thread-local is touched, no
-//! clock is read. Whoever wants a trace arms the statics with
-//! [`set_spans`] and [`set_histograms`].
+//! clock is read. Whoever wants a trace arms it with [`set_spans`].
 //!
 //! ## Event model
 //!
@@ -62,34 +61,17 @@ pub const RING_CAPACITY: usize = 1 << 16;
 // ---------------------------------------------------------------------------
 
 static SPANS_ON: AtomicBool = AtomicBool::new(false);
-static HISTOGRAMS_ON: AtomicBool = AtomicBool::new(false);
 
-/// Whether span/counter *events* are being collected.
+/// Whether span/counter events are being collected (the macros'
+/// fast-path check).
 #[inline(always)]
 pub fn spans_on() -> bool {
     SPANS_ON.load(Ordering::Relaxed)
 }
 
-/// Whether per-span latency histograms are being collected.
-#[inline(always)]
-pub fn histograms_on() -> bool {
-    HISTOGRAMS_ON.load(Ordering::Relaxed)
-}
-
-/// Whether any facility is armed (the macros' fast-path check).
-#[inline(always)]
-pub fn armed() -> bool {
-    spans_on() || histograms_on()
-}
-
 /// Turns span-event collection on or off (process-wide).
 pub fn set_spans(on: bool) {
     SPANS_ON.store(on, Ordering::Relaxed);
-}
-
-/// Turns histogram collection on or off (process-wide).
-pub fn set_histograms(on: bool) {
-    HISTOGRAMS_ON.store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +90,7 @@ pub fn now_ns() -> u64 {
 /// [`complete_from`]; `None` (no clock read) otherwise.
 #[inline]
 pub fn armed_now() -> Option<u64> {
-    if armed() {
+    if spans_on() {
         Some(now_ns())
     } else {
         None
@@ -248,65 +230,50 @@ fn pack_args(args: &[(&'static str, u64)]) -> (u8, [(&'static str, u64); MAX_ARG
 // Emission API (called through the macros)
 // ---------------------------------------------------------------------------
 
-/// A scoped span: `B` at construction, `E` (and a histogram sample)
-/// on drop. Build through [`trace_span!`].
+/// A scoped span: `B` at construction, `E` on drop. Build through
+/// [`trace_span!`], which only constructs one while spans are armed,
+/// so a guard always emits both events.
 #[derive(Debug)]
 pub struct SpanGuard {
     cat: &'static str,
     name: &'static str,
-    t0: u64,
-    emit: bool,
 }
 
 impl SpanGuard {
-    /// Begins a span now. The events are only emitted when the
-    /// respective facility was armed at begin time.
+    /// Begins a span now.
     pub fn begin(cat: &'static str, name: &'static str, args: &[(&'static str, u64)]) -> Self {
-        let t0 = now_ns();
-        let emit = spans_on();
-        if emit {
-            let (nargs, args) = pack_args(args);
-            push_event(RawEvent {
-                kind: EventKind::Begin,
-                cat,
-                name,
-                ts_ns: t0,
-                dur_ns: 0,
-                nargs,
-                args,
-            });
-        }
-        SpanGuard {
+        let (nargs, args) = pack_args(args);
+        push_event(RawEvent {
+            kind: EventKind::Begin,
             cat,
             name,
-            t0,
-            emit,
-        }
+            ts_ns: now_ns(),
+            dur_ns: 0,
+            nargs,
+            args,
+        });
+        SpanGuard { cat, name }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let now = now_ns();
-        if self.emit {
-            push_event(RawEvent {
-                kind: EventKind::End,
-                cat: self.cat,
-                name: self.name,
-                ts_ns: now,
-                dur_ns: 0,
-                nargs: 0,
-                args: [("", 0); MAX_ARGS],
-            });
-        }
-        if histograms_on() {
-            record_duration(self.cat, self.name, now.saturating_sub(self.t0));
-        }
+        push_event(RawEvent {
+            kind: EventKind::End,
+            cat: self.cat,
+            name: self.name,
+            ts_ns: now_ns(),
+            dur_ns: 0,
+            nargs: 0,
+            args: [("", 0); MAX_ARGS],
+        });
     }
 }
 
 /// Emits a complete (`X`) span from a begin-stamp taken with
-/// [`armed_now`]; no-op when the stamp is `None`. Used where the
+/// [`armed_now`]; no-op when the stamp is `None`. Like a
+/// [`SpanGuard`], a span is decided at its begin: one stamped while
+/// armed is emitted even if tracing was disarmed since. Used where the
 /// begin and end may run on different worker threads, or where a
 /// span's name is only known after the work (e.g. which solve kernel
 /// ran) — `X` events don't participate in per-thread B/E nesting, so
@@ -318,23 +285,16 @@ pub fn complete_from(
     args: &[(&'static str, u64)],
 ) {
     let Some(t0) = t0 else { return };
-    let now = now_ns();
-    let dur = now.saturating_sub(t0);
-    if histograms_on() {
-        record_duration(cat, name, dur);
-    }
-    if spans_on() {
-        let (nargs, args) = pack_args(args);
-        push_event(RawEvent {
-            kind: EventKind::Complete,
-            cat,
-            name,
-            ts_ns: t0,
-            dur_ns: dur,
-            nargs,
-            args,
-        });
-    }
+    let (nargs, args) = pack_args(args);
+    push_event(RawEvent {
+        kind: EventKind::Complete,
+        cat,
+        name,
+        ts_ns: t0,
+        dur_ns: now_ns().saturating_sub(t0),
+        nargs,
+        args,
+    });
 }
 
 /// Emits an instant event (macro backend; check [`spans_on`] first).
@@ -365,7 +325,7 @@ pub fn counter(cat: &'static str, name: &'static str, value: u64) {
 }
 
 /// Opens a scoped span, yielding `Option<SpanGuard>` (`None` when
-/// tracing is fully disarmed — one relaxed load and a branch).
+/// tracing is disarmed — one relaxed load and a branch).
 ///
 /// ```
 /// # use econcast_trace::trace_span;
@@ -375,7 +335,7 @@ pub fn counter(cat: &'static str, name: &'static str, value: u64) {
 #[macro_export]
 macro_rules! trace_span {
     ($cat:expr, $name:expr $(, $k:expr => $v:expr)* $(,)?) => {
-        if $crate::armed() {
+        if $crate::spans_on() {
             Some($crate::SpanGuard::begin($cat, $name, &[$(($k, $v as u64)),*]))
         } else {
             None
@@ -401,126 +361,6 @@ macro_rules! trace_counter {
             $crate::counter($cat, $name, $v as u64);
         }
     };
-}
-
-// ---------------------------------------------------------------------------
-// Latency histograms
-// ---------------------------------------------------------------------------
-
-/// Sub-bucket resolution of the shared log-bucket scheme: 2^3 = 8
-/// sub-buckets per octave. Public so the always-on metrics plane
-/// (`econcast-metrics`) records into bit-identical buckets — merged
-/// histograms from both layers line up index-for-index.
-pub const SUB_BITS: u32 = 3;
-/// Bucket count of the shared log-bucket scheme (covers all of u64).
-pub const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) << SUB_BITS) + (1 << SUB_BITS);
-
-/// Log-spaced fixed buckets over u64 nanoseconds: 2^[`SUB_BITS`]
-/// sub-buckets per octave (≤ 12.5% relative width), exact below
-/// 2^[`SUB_BITS`]. The HdrHistogram bucketing scheme, sized down.
-pub fn bucket_of(v: u64) -> usize {
-    if v < (1 << SUB_BITS) {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros();
-    let sub = ((v >> (msb - SUB_BITS)) & ((1 << SUB_BITS) - 1)) as usize;
-    (((msb - SUB_BITS + 1) as usize) << SUB_BITS) + sub
-}
-
-/// Upper edge (inclusive) of a bucket — what percentile extraction
-/// reports, so tails are never under-stated.
-pub fn bucket_high(idx: usize) -> u64 {
-    if idx < (1 << SUB_BITS) {
-        return idx as u64;
-    }
-    let group = (idx >> SUB_BITS) as u32;
-    let sub = (idx & ((1 << SUB_BITS) - 1)) as u64;
-    let msb = group + SUB_BITS - 1;
-    let width = 1u64 << (msb - SUB_BITS);
-    (1u64 << msb) + (sub + 1) * width - 1
-}
-
-struct Hist {
-    counts: Box<[u64; NUM_BUCKETS]>,
-    total: u64,
-}
-
-static HISTOGRAMS: Mutex<Vec<((&'static str, &'static str), Hist)>> = Mutex::new(Vec::new());
-
-/// Records one duration sample into the `(cat, name)` histogram.
-pub fn record_duration(cat: &'static str, name: &'static str, dur_ns: u64) {
-    let mut hists = lock(&HISTOGRAMS);
-    let pos = match hists.iter().position(|(k, _)| *k == (cat, name)) {
-        Some(pos) => pos,
-        None => {
-            hists.push((
-                (cat, name),
-                Hist {
-                    counts: Box::new([0; NUM_BUCKETS]),
-                    total: 0,
-                },
-            ));
-            hists.len() - 1
-        }
-    };
-    let hist = &mut hists[pos].1;
-    hist.counts[bucket_of(dur_ns)] += 1;
-    hist.total += 1;
-}
-
-/// Extracted latency percentiles of one span histogram (ns; each
-/// value is the upper edge of its bucket, ≤ 12.5% above the true
-/// sample).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Percentiles {
-    /// Sample count.
-    pub count: u64,
-    /// 50th percentile, ns.
-    pub p50_ns: u64,
-    /// 99th percentile, ns.
-    pub p99_ns: u64,
-    /// 99.9th percentile, ns.
-    pub p999_ns: u64,
-}
-
-/// Percentiles of the `(cat, name)` histogram, if it has samples.
-pub fn percentiles(cat: &str, name: &str) -> Option<Percentiles> {
-    let hists = lock(&HISTOGRAMS);
-    let (_, hist) = hists.iter().find(|((c, n), _)| *c == cat && *n == name)?;
-    if hist.total == 0 {
-        return None;
-    }
-    let quantile = |q: f64| -> u64 {
-        let rank = ((q * hist.total as f64).ceil() as u64).clamp(1, hist.total);
-        let mut seen = 0u64;
-        for (idx, &c) in hist.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_high(idx);
-            }
-        }
-        bucket_high(NUM_BUCKETS - 1)
-    };
-    Some(Percentiles {
-        count: hist.total,
-        p50_ns: quantile(0.50),
-        p99_ns: quantile(0.99),
-        p999_ns: quantile(0.999),
-    })
-}
-
-/// The `(cat, name)` keys of every histogram with samples.
-pub fn histogram_keys() -> Vec<(&'static str, &'static str)> {
-    lock(&HISTOGRAMS)
-        .iter()
-        .filter(|(_, h)| h.total > 0)
-        .map(|(k, _)| *k)
-        .collect()
-}
-
-/// Clears all histograms.
-pub fn clear_histograms() {
-    lock(&HISTOGRAMS).clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -569,11 +409,10 @@ pub fn drain() -> TraceSnapshot {
     snap
 }
 
-/// Drops all buffered events and histograms (a clean slate for a
-/// demo or test run). Leaves the armed/disarmed state alone.
+/// Drops all buffered events (a clean slate for a demo or test run).
+/// Leaves the armed/disarmed state alone.
 pub fn reset() {
     drain();
-    clear_histograms();
 }
 
 // ---------------------------------------------------------------------------
@@ -687,41 +526,71 @@ pub fn to_chrome_json(snap: &TraceSnapshot) -> String {
 // Structure analysis (test support, but useful for tooling too)
 // ---------------------------------------------------------------------------
 
+/// Per-thread open-span stacks, as [`walk_spans`] leaves them.
+type OpenSpans<'a> = std::collections::BTreeMap<u64, Vec<&'a TraceEvent>>;
+
+/// Walks every thread's B/E events in order with one stack per
+/// thread: each `E` pops its thread's stack and is handed to `close`
+/// with the `B` it popped (`None` on an empty stack). Stops at the
+/// first `Err` from `close`; otherwise returns the spans left open.
+fn walk_spans<'a>(
+    snap: &'a TraceSnapshot,
+    mut close: impl FnMut(&'a TraceEvent, Option<&'a TraceEvent>) -> Result<(), String>,
+) -> Result<OpenSpans<'a>, String> {
+    let mut stacks = OpenSpans::new();
+    for ev in &snap.events {
+        match ev.kind {
+            EventKind::Begin => stacks.entry(ev.tid).or_default().push(ev),
+            EventKind::End => close(ev, stacks.entry(ev.tid).or_default().pop())?,
+            _ => {}
+        }
+    }
+    Ok(stacks)
+}
+
 /// Checks that every thread's B/E events are well-nested: each `E`
 /// closes the `B` on top of that thread's stack, and no stack is left
 /// open. `X`/`i`/`C` events don't participate.
 pub fn check_nesting(snap: &TraceSnapshot) -> Result<(), String> {
-    let mut stacks: std::collections::BTreeMap<u64, Vec<(&str, &str)>> = Default::default();
-    for ev in &snap.events {
-        match ev.kind {
-            EventKind::Begin => stacks.entry(ev.tid).or_default().push((ev.cat, ev.name)),
-            EventKind::End => {
-                let stack = stacks.entry(ev.tid).or_default();
-                match stack.pop() {
-                    Some(open) if open == (ev.cat, ev.name) => {}
-                    Some((c, n)) => {
-                        return Err(format!(
-                            "tid {}: E {}/{} closes open span {c}/{n}",
-                            ev.tid, ev.cat, ev.name
-                        ))
-                    }
-                    None => {
-                        return Err(format!(
-                            "tid {}: E {}/{} with empty stack",
-                            ev.tid, ev.cat, ev.name
-                        ))
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    for (tid, stack) in &stacks {
+    let open = walk_spans(snap, |end, begin| match begin {
+        Some(b) if (b.cat, b.name) == (end.cat, end.name) => Ok(()),
+        Some(b) => Err(format!(
+            "tid {}: E {}/{} closes open span {}/{}",
+            end.tid, end.cat, end.name, b.cat, b.name
+        )),
+        None => Err(format!(
+            "tid {}: E {}/{} with empty stack",
+            end.tid, end.cat, end.name
+        )),
+    })?;
+    for (tid, stack) in &open {
         if !stack.is_empty() {
             return Err(format!("tid {tid}: {} span(s) left open", stack.len()));
         }
     }
     Ok(())
+}
+
+/// Durations (ns) of every closed `(cat, name)` span in a snapshot:
+/// each `X` event's duration as recorded, then each `B`/`E` pair that
+/// [`check_nesting`]'s per-thread stack walk matches. An `E` whose
+/// `B` fell before the snapshot (an earlier drain took it) and a `B`
+/// still open at the drain give no sample.
+pub fn span_durations(snap: &TraceSnapshot, cat: &str, name: &str) -> Vec<u64> {
+    let key = (cat, name);
+    let mut out: Vec<u64> = snap
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Complete && (e.cat, e.name) == key)
+        .map(|e| e.dur_ns)
+        .collect();
+    let _ = walk_spans(snap, |end, begin| {
+        if let Some(b) = begin.filter(|b| (b.cat, b.name) == key && (end.cat, end.name) == key) {
+            out.push(end.ts_ns.saturating_sub(b.ts_ns));
+        }
+        Ok(())
+    });
+    out
 }
 
 /// A worker-count-invariant signature of a snapshot's span
@@ -770,7 +639,6 @@ mod tests {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_spans(false);
-        set_histograms(false);
         reset();
         guard
     }
@@ -782,23 +650,21 @@ mod tests {
         trace_instant!("t", "nothing");
         trace_counter!("t", "nothing", 7u64);
         drop(_span);
+        complete_from("t", "nothing", armed_now(), &[]);
         let snap = drain();
         assert!(snap.events.is_empty());
-        assert!(histogram_keys().is_empty());
     }
 
     #[test]
-    fn span_guard_emits_balanced_b_e_and_histograms() {
+    fn span_guard_emits_balanced_b_e_and_durations() {
         let _g = serial();
         set_spans(true);
-        set_histograms(true);
         {
             let _outer = trace_span!("t", "outer", "n" => 3u64);
             let _inner = trace_span!("t", "inner");
         }
         complete_from("t", "solve", armed_now(), &[("nodes", 8)]);
         set_spans(false);
-        set_histograms(false);
         let snap = drain();
         let kinds: Vec<_> = snap.events.iter().map(|e| (e.kind, e.name)).collect();
         assert_eq!(
@@ -813,23 +679,51 @@ mod tests {
         );
         check_nesting(&snap).unwrap();
         assert_eq!(snap.events[0].args, vec![("n", 3u64)]);
-        for name in ["outer", "inner", "solve"] {
-            let p = percentiles("t", name).unwrap();
-            assert_eq!(p.count, 1);
-            assert!(p.p50_ns <= p.p99_ns && p.p99_ns <= p.p999_ns);
-        }
+        let outer = span_durations(&snap, "t", "outer");
+        let inner = span_durations(&snap, "t", "inner");
+        assert_eq!((outer.len(), inner.len()), (1, 1));
+        assert!(inner[0] <= outer[0], "the inner span nests in the outer");
+        assert_eq!(span_durations(&snap, "t", "solve").len(), 1);
     }
 
+    /// One sample per closed span: `X` durations as recorded, `B`/`E`
+    /// pairs matched per thread through nesting, and nothing for an
+    /// `E` whose `B` is missing or a `B` never closed.
     #[test]
-    fn histograms_without_spans_record_but_emit_no_events() {
-        let _g = serial();
-        set_histograms(true);
-        {
-            let _span = trace_span!("t", "warm");
-        }
-        set_histograms(false);
-        assert!(drain().events.is_empty());
-        assert_eq!(percentiles("t", "warm").unwrap().count, 1);
+    fn span_durations_pair_per_thread_and_skip_unmatched() {
+        let ev = |tid, kind, name, ts_ns, dur_ns| TraceEvent {
+            tid,
+            kind,
+            cat: "t",
+            name,
+            ts_ns,
+            dur_ns,
+            args: Vec::new(),
+        };
+        use EventKind::{Begin as B, Complete as X, End as E};
+        let snap = TraceSnapshot {
+            threads: Vec::new(),
+            events: vec![
+                ev(1, E, "s", 5, 0), // its B was drained earlier
+                ev(1, B, "s", 10, 0),
+                ev(2, B, "s", 11, 0),
+                ev(1, B, "s", 12, 0), // nested in tid 1's outer span
+                ev(2, X, "s", 13, 7),
+                ev(1, E, "s", 15, 0),
+                ev(2, E, "s", 31, 0),
+                ev(1, E, "s", 40, 0),
+                ev(1, B, "other", 41, 0),
+                ev(1, E, "other", 42, 0),
+                ev(2, B, "s", 50, 0), // still open at the drain
+            ],
+            dropped: 0,
+        };
+        let mut durs = span_durations(&snap, "t", "s");
+        durs.sort_unstable();
+        // tid 1 inner 15-12, X 7, tid 2 31-11, tid 1 outer 40-10.
+        assert_eq!(durs, vec![3, 7, 20, 30]);
+        assert_eq!(span_durations(&snap, "t", "other"), vec![1]);
+        assert!(span_durations(&snap, "u", "s").is_empty());
     }
 
     #[test]
@@ -881,44 +775,6 @@ mod tests {
         assert_eq!(snap.events.len(), RING_CAPACITY);
         assert_eq!(snap.dropped, 10);
         assert_eq!(snap.events[0].args[0].1, 10);
-    }
-
-    #[test]
-    fn bucket_scheme_is_monotone_and_bounded() {
-        let mut last = 0usize;
-        for shift in 0..63 {
-            for off in [0u64, 1, 3] {
-                let v = (1u64 << shift).saturating_add(off);
-                let b = bucket_of(v);
-                assert!(b >= last || v < (1 << SUB_BITS));
-                assert!(b < NUM_BUCKETS);
-                assert!(bucket_high(b) >= v);
-                // Upper edge is within 12.5% above the value (or exact
-                // for small values).
-                assert!(bucket_high(b) as f64 <= v as f64 * 1.125 + 1.0);
-                last = b;
-            }
-        }
-        assert!(bucket_of(u64::MAX) < NUM_BUCKETS);
-    }
-
-    #[test]
-    fn percentiles_on_known_distribution() {
-        let _g = serial();
-        // 1000 samples: 988 at 1µs, 10 at 100µs, 2 at 10ms.
-        for _ in 0..988 {
-            record_duration("t", "dist", 1_000);
-        }
-        for _ in 0..10 {
-            record_duration("t", "dist", 100_000);
-        }
-        record_duration("t", "dist", 10_000_000);
-        record_duration("t", "dist", 10_000_000);
-        let p = percentiles("t", "dist").unwrap();
-        assert_eq!(p.count, 1000);
-        assert!(p.p50_ns >= 1_000 && p.p50_ns < 1_200);
-        assert!(p.p99_ns >= 100_000 && p.p99_ns < 120_000);
-        assert!(p.p999_ns >= 10_000_000 && p.p999_ns < 12_000_000);
     }
 
     #[test]
