@@ -808,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_snapshot_quantiles_report_upper_bucket_edges() {
+    fn histogram_snapshot_quantiles_match_trace_buckets() {
         let h = Histogram::new();
         for _ in 0..99 {
             h.record(1_000);
@@ -820,7 +820,10 @@ mod tests {
         assert_eq!(snap.quantile(1.0), bucket_high(bucket_of(1_000_000)));
         // Upper-edge reporting: never under-states.
         assert!(snap.quantile(0.50) >= 1_000);
+    }
 
+    #[test]
+    fn percentiles_on_known_distribution() {
         // 1000 samples: 988 at 1µs, 10 at 100µs, 2 at 10ms.
         let h = Histogram::new();
         h.record_n(1_000, 988);
