@@ -1029,7 +1029,6 @@ fn failover_reserve_percentiles(quick: bool) -> Option<SpanStats> {
                 reprobe_after: std::time::Duration::from_secs(3600),
                 ..RemoteConfig::default()
             },
-            ..ClusterConfig::default()
         },
     );
     let batch = service_batch(32);

@@ -72,7 +72,7 @@ pub mod topology;
 
 pub use econcast_service::{
     ClusterConfig, ClusterRouter, ClusterStats, RemoteConfig, RemoteShard, RemoteShardStats,
-    RemoteTicket, SlotSpec, StatsSource,
+    RemoteTicket, SlotSpec,
 };
 pub use fault::{Fault, FaultEvent, FaultPlan, FaultProxy};
 pub use front::{ClusterFront, FrontConfig, FrontHandle};

@@ -19,7 +19,7 @@
 //!    per-backend crash-loop damping: respawn attempts back off
 //!    exponentially, and more than
 //!    [`HealerConfig::max_respawns_per_window`] respawns inside
-//!    [`HealerConfig::respawn_window`] **quarantines** the slot onto a
+//!    [`RESPAWN_WINDOW`] **quarantines** the slot onto a
 //!    fresh in-process local solver
 //!    ([`ClusterRouter::quarantine_slot`]) — a crash-looping binary
 //!    must not be restarted forever;
@@ -29,13 +29,15 @@
 //!
 //! Requests never wait for any of this: a down slot's sub-batches are
 //! served by the router's local fallback (bit-identical bits) the
-//! whole time.
+//! whole time, and a probe holds no slot lock while it waits on a
+//! backend. Between sweeps the thread waits on its stop signal, so
+//! [`ClusterHealer::shutdown`] wakes it at once.
 
 use crate::supervisor::Supervisor;
 use crate::ClusterRouter;
-use econcast_service::PolicyClient;
+use econcast_service::RemoteShard;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,11 +56,9 @@ pub struct HealerConfig {
     /// Backoff before re-attempting a respawn after a failed one;
     /// doubles per consecutive failure (crash-loop damping).
     pub respawn_backoff: Duration,
-    /// Respawns tolerated inside [`respawn_window`](Self::respawn_window)
-    /// before the slot is quarantined onto a local solver.
+    /// Respawns tolerated inside [`RESPAWN_WINDOW`] before the slot
+    /// is quarantined onto a local solver.
     pub max_respawns_per_window: u32,
-    /// Sliding window over which respawns are counted.
-    pub respawn_window: Duration,
     /// Readiness-probe attempts against a freshly respawned backend
     /// before the attempt is declared failed.
     pub probe_retries: u32,
@@ -74,13 +74,15 @@ impl Default for HealerConfig {
             sweep_interval: Duration::from_millis(100),
             respawn_backoff: Duration::from_millis(250),
             max_respawns_per_window: 3,
-            respawn_window: Duration::from_secs(30),
             probe_retries: 5,
             probe_backoff: Duration::from_millis(50),
             probe_timeout: Duration::from_secs(1),
         }
     }
 }
+
+/// Sliding window over which a backend's respawns are counted.
+pub const RESPAWN_WINDOW: Duration = Duration::from_secs(30);
 
 /// Per-managed-backend crash-loop bookkeeping.
 struct Managed {
@@ -101,14 +103,16 @@ struct Managed {
 /// The running policy loop; stops on [`shutdown`](Self::shutdown) or
 /// drop.
 pub struct ClusterHealer {
-    stop: Arc<AtomicBool>,
+    /// The stop signal: dropping it disconnects the channel the sweep
+    /// thread waits on between sweeps, which wakes it at once.
+    stop: Option<mpsc::Sender<()>>,
     sweeper: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ClusterHealer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterHealer")
-            .field("stopped", &self.stop.load(Ordering::SeqCst))
+            .field("stopped", &self.stop.is_none())
             .finish()
     }
 }
@@ -144,9 +148,8 @@ impl ClusterHealer {
         retarget: Option<Box<RetargetFn>>,
         cfg: HealerConfig,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let sweeper = {
-            let stop = Arc::clone(&stop);
             let mut managed: Vec<Managed> = slot_of_backend
                 .iter()
                 .enumerate()
@@ -159,31 +162,30 @@ impl ClusterHealer {
                     quarantined: false,
                 })
                 .collect();
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    {
-                        // Sweeps are X events (the sweep thread outlives
-                        // any one drain), sized by the probe + repair
-                        // work, excluding the idle sleep.
-                        let t0 = econcast_trace::armed_now();
-                        // Health sweep: each probe runs under its own
-                        // slot's lock, so the health machine's transitions
-                        // stay atomic with respect to that slot's batches
-                        // while every other slot keeps serving.
-                        router.ping_all();
-                        if let Some(sup) = &supervisor {
-                            for m in managed.iter_mut().filter(|m| !m.quarantined) {
-                                heal_backend(&router, sup, &retarget, &cfg, m);
-                            }
-                        }
-                        econcast_trace::complete_from("cluster", "healer_sweep", t0, &[]);
+            std::thread::spawn(move || loop {
+                // Sweeps are X events (the sweep thread outlives any
+                // one drain), sized by the probe + repair work,
+                // excluding the idle wait.
+                let t0 = econcast_trace::armed_now();
+                // Health sweep: each probe dials with no slot lock held
+                // and records its outcome under the slot's lock, so
+                // every slot keeps serving.
+                router.ping_all();
+                if let Some(sup) = &supervisor {
+                    for m in managed.iter_mut().filter(|m| !m.quarantined) {
+                        heal_backend(&router, sup, &retarget, &cfg, m);
                     }
-                    sleep_ticks(cfg.sweep_interval, &stop);
+                }
+                econcast_trace::complete_from("cluster", "healer_sweep", t0, &[]);
+                // Wait out the interval on the stop signal: a shutdown
+                // disconnects it and wakes this at once.
+                if stopped.recv_timeout(cfg.sweep_interval) != Err(RecvTimeoutError::Timeout) {
+                    break;
                 }
             })
         };
         ClusterHealer {
-            stop,
+            stop: Some(stop),
             sweeper: Some(sweeper),
         }
     }
@@ -194,7 +196,7 @@ impl ClusterHealer {
     }
 
     fn shutdown_impl(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop = None;
         if let Some(h) = self.sweeper.take() {
             let _ = h.join();
         }
@@ -220,7 +222,7 @@ fn heal_backend(
     }
     let now = Instant::now();
     m.respawns
-        .retain(|t| now.duration_since(*t) < cfg.respawn_window);
+        .retain(|t| now.duration_since(*t) < RESPAWN_WINDOW);
     // Quarantine decision comes *before* another respawn: a backend
     // that already burned its window crash-looping gets pinned onto a
     // local solver instead of restarted forever.
@@ -274,24 +276,11 @@ fn probe_ready(addr: SocketAddr, cfg: &HealerConfig) -> bool {
         if attempt > 0 {
             std::thread::sleep(cfg.probe_backoff);
         }
-        if let Ok(mut client) = PolicyClient::connect_with_timeout(addr, 1, cfg.probe_timeout) {
-            if client.ping().is_ok() {
-                return true;
-            }
+        if RemoteShard::probe(addr, Some(cfg.probe_timeout)) {
+            return true;
         }
     }
     false
-}
-
-/// Sleeps `total` in short ticks so a shutdown is prompt.
-fn sleep_ticks(total: Duration, stop: &AtomicBool) {
-    let tick = Duration::from_millis(20);
-    let mut remaining = total;
-    while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
-        let step = remaining.min(tick);
-        std::thread::sleep(step);
-        remaining = remaining.saturating_sub(step);
-    }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {

@@ -28,11 +28,6 @@ pub struct SupervisorConfig {
     /// `--workers` per backend shard service (`None` = backend
     /// default).
     pub workers: Option<usize>,
-    /// How long a freshly spawned backend may take to print its
-    /// readiness line before the spawn is declared failed and the
-    /// child killed — a wedged replacement must not hang the
-    /// supervisor (and whoever drives `respawn`) forever.
-    pub startup_timeout: Duration,
     /// Extra flags appended to every backend's command line (applied
     /// to respawns too) — how the fault-injection tests spawn
     /// deliberately crash-looping backends (`--crash-after-ms`).
@@ -44,11 +39,16 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             backend_shards: 2,
             workers: None,
-            startup_timeout: Duration::from_secs(10),
             extra_args: Vec::new(),
         }
     }
 }
+
+/// How long a freshly spawned backend may take to print its readiness
+/// line before the spawn is declared failed and the child killed — a
+/// wedged replacement must not hang the supervisor (and whoever drives
+/// `respawn`) forever.
+const STARTUP_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One supervised backend process.
 #[derive(Debug)]
@@ -126,13 +126,10 @@ impl Supervisor {
             let _ = tx.send(Err("backend exited before reporting its address".into()));
         });
 
-        let outcome = match rx.recv_timeout(self.cfg.startup_timeout) {
+        let outcome = match rx.recv_timeout(STARTUP_TIMEOUT) {
             Ok(Ok(addr)) => return Ok(Backend { child, addr }),
             Ok(Err(msg)) => msg,
-            Err(_) => format!(
-                "backend did not report readiness within {:?}",
-                self.cfg.startup_timeout
-            ),
+            Err(_) => format!("backend did not report readiness within {STARTUP_TIMEOUT:?}"),
         };
         let _ = child.kill();
         let _ = child.wait();

@@ -49,9 +49,7 @@ fn chaos_cfg() -> ClusterConfig {
             io_timeout: Some(Duration::from_millis(800)),
             unhealthy_after: 1,
             reprobe_after: Duration::from_secs(3600),
-            ..RemoteConfig::default()
         },
-        ..ClusterConfig::default()
     }
 }
 

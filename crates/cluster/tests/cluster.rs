@@ -51,7 +51,6 @@ fn cluster_cfg() -> ClusterConfig {
             reprobe_after: Duration::from_secs(3600),
             ..RemoteConfig::default()
         },
-        ..ClusterConfig::default()
     }
 }
 

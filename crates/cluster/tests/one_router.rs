@@ -2,7 +2,8 @@
 //! process, a `PolicyServer` over TCP, and a cluster front over
 //! backends — all answering a seeded random workload bit for bit like
 //! a single `PolicyService` — plus the isolation its per-slot locks
-//! buy: a wedged backend stalls only the keys it owns.
+//! buy: a wedged backend stalls only the keys it owns, and a health
+//! probe of it stalls none.
 
 use econcast_cluster::{
     ClusterConfig, ClusterFront, ClusterHealer, ClusterRouter, FrontConfig, HealerConfig,
@@ -323,7 +324,6 @@ fn a_wedged_slot_blocks_only_its_own_keys() {
                 reprobe_after: Duration::from_secs(3600),
                 ..RemoteConfig::default()
             },
-            ..ClusterConfig::default()
         },
     );
     // Split a family of instances by home slot.
@@ -408,6 +408,19 @@ fn a_wedged_slot_blocks_only_its_own_keys() {
     assert!(
         probing_since.elapsed() < STUCK,
         "the healthy client waited for the health probe"
+    );
+
+    // 3. The wedged slot is down, so its own keys go straight to the
+    //    fallback: the probe holds no slot lock while it waits on the
+    //    backend, and a batch of those keys comes back well inside the
+    //    I/O timeout.
+    let fallback_since = Instant::now();
+    let got = client.serve_batch(&on_wedged).expect("fallback round trip");
+    assert!(got.iter().all(Result::is_ok));
+    assert!(
+        fallback_since.elapsed() < STUCK / 4,
+        "the down slot's batch waited {:?} for the health probe",
+        fallback_since.elapsed()
     );
     healer.shutdown();
     drop(client);

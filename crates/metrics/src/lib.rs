@@ -15,11 +15,16 @@
 //! ## Who counts
 //!
 //! * Counters — the registry fixes their names and wire order
-//!   (`CTR_*`); it does not hold them. Each event is counted once, by
-//!   the component it happens in (a policy service's tier counters,
-//!   an admission controller, a cluster router), and that owner's
-//!   serving target fills its counts into each scrape. A process may
-//!   run many servers, and each still reports exactly its own.
+//!   (`CTR_*`), and each name's index is also where it is held. Each
+//!   event is counted once, by the component it happens in, into that
+//!   component's own table indexed by the registry: a
+//!   [`CounterTable`] of relaxed atomics for shared owners (an
+//!   admission controller, a cluster router), a plain
+//!   `[u64; NUM_COUNTERS]` for a policy service, which is reached only
+//!   through `&mut`. A scrape copies the table; every other form of a
+//!   count (`ServiceStats`, `ClusterStats`) is a view built from a
+//!   [`MetricsSnapshot`]. A process may run many servers, and each
+//!   still reports exactly its own.
 //! * [`Gauge`] — a value + high-water pair of atomics, owned and
 //!   injected into a scrape the same way (admission queue, LRU,
 //!   router).
@@ -56,12 +61,12 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 // The fixed metric registry
 // ---------------------------------------------------------------------------
 
-// Counters. The registry names them and fixes their wire order; it
-// does not count them. Each is counted by exactly one owner — a
-// `PolicyService` (the serve tiers, indices 0..=11), a front's
-// admission controller (the shed ladder, 15..=17), or a cluster
-// router (distribution, 12..=14 and 18..=20) — and the owner's
-// serving target fills it into a scrape.
+// Counters. The registry names them and fixes their wire order, and
+// its index is where each one is held: every owner counts into a
+// table indexed by these constants — a `PolicyService` (the serve
+// tiers, indices 0..=11), a front's admission controller (the shed
+// ladder, 15..=17), or a cluster router (distribution, 12..=14 and
+// 18..=25) — and its scrape copies that table.
 
 /// Requests received on the serve path (including failed ones).
 pub const CTR_REQUESTS: usize = 0;
@@ -112,8 +117,26 @@ pub const CTR_OVERLOADED_RECEIVED: usize = 18;
 pub const CTR_FAILOVER_RESERVES: usize = 19;
 /// Backend-saturation windows opened.
 pub const CTR_SATURATION_OPENS: usize = 20;
+/// Requests a cluster router forwarded a backend's answer for. Like
+/// every router counter, a per-router count: in a fan-in each tier
+/// counts its own, so an aggregate scrape counts a remotely served
+/// request here at the front and again under [`CTR_LOCAL_SERVED`] at
+/// the backend that served it.
+pub const CTR_REMOTE_SERVED: usize = 21;
+/// Requests a router's in-process local slots served — every router's,
+/// a plain server's over its shards included (see
+/// [`CTR_REMOTE_SERVED`] on summing across tiers).
+pub const CTR_LOCAL_SERVED: usize = 22;
+/// Backend stream failures a router observed (each voids one
+/// sub-batch).
+pub const CTR_BACKEND_FAILURES: usize = 23;
+/// Requests a router found invalid and left to its fallback, unrouted.
+pub const CTR_INVALID_REQUESTS: usize = 24;
+/// Requests a router sent straight to its fallback because their
+/// backend was inside a saturation window.
+pub const CTR_SATURATED_ROUTES: usize = 25;
 /// Number of named counters in the registry.
-pub const NUM_COUNTERS: usize = 21;
+pub const NUM_COUNTERS: usize = 26;
 
 /// Display names, indexed by the `CTR_*` constants.
 pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
@@ -138,6 +161,11 @@ pub const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "overloaded_received",
     "failover_reserves",
     "saturation_opens",
+    "remote_served",
+    "local_served",
+    "backend_failures",
+    "invalid_requests",
+    "saturated_routes",
 ];
 
 /// Gauge merge kind: values sum across sources (disjoint levels, e.g.
@@ -285,6 +313,33 @@ impl Gauge {
     /// The high-water mark.
     pub fn peak(&self) -> u64 {
         self.peak.load(Ordering::Acquire)
+    }
+}
+
+/// The counters of one shared owner (an admission controller, a
+/// router): one relaxed atomic per registry slot, indexed by the
+/// `CTR_*` constants, so the slot is where the count is held. An
+/// owner counts into its own slots and leaves the rest at zero, and
+/// its scrape copies the whole table with [`fill`](Self::fill). An
+/// owner reached only through `&mut` (a policy service) holds a plain
+/// `[u64; NUM_COUNTERS]` instead.
+#[derive(Debug, Default)]
+pub struct CounterTable([AtomicU64; NUM_COUNTERS]);
+
+impl CounterTable {
+    /// Counts `n` events under registry slot `idx`.
+    #[inline]
+    pub fn add(&self, idx: usize, n: u64) {
+        self.0[idx].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds the table into `snap`'s counters: a zeroed snapshot then
+    /// reads exactly the table, and one already holding another
+    /// owner's counts (a router's fallback solver) reads their sum.
+    pub fn fill(&self, snap: &mut MetricsSnapshot) {
+        for (c, v) in snap.counters.iter_mut().zip(&self.0) {
+            *c = c.wrapping_add(v.load(Ordering::Relaxed));
+        }
     }
 }
 
@@ -964,6 +1019,26 @@ mod tests {
         );
         assert_eq!(recorder_events().len(), 1);
         reset();
+    }
+
+    #[test]
+    fn counter_table_fills_by_registry_slot() {
+        let table = CounterTable::default();
+        table.add(CTR_REMOTE_SERVED, 3);
+        table.add(CTR_SATURATED_ROUTES, 2);
+        table.add(CTR_REMOTE_SERVED, 1);
+        // A zeroed snapshot reads exactly the table; one holding
+        // another owner's counts reads the sum.
+        let mut snap = MetricsSnapshot::zeroed();
+        table.fill(&mut snap);
+        let mut want = vec![0; NUM_COUNTERS];
+        want[CTR_REMOTE_SERVED] = 4;
+        want[CTR_SATURATED_ROUTES] = 2;
+        assert_eq!(snap.counters, want);
+        snap.counters[CTR_REQUESTS] = 7;
+        table.fill(&mut snap);
+        assert_eq!(snap.counter(CTR_REQUESTS), 7);
+        assert_eq!(snap.counter(CTR_REMOTE_SERVED), 8);
     }
 
     #[test]

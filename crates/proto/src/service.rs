@@ -60,6 +60,7 @@
 use crate::crc::crc16_ccitt;
 use crate::error::DecodeError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use econcast_metrics::{HistSnapshot, MetricsSnapshot};
 
 /// Current service wire-format version.
 pub const WIRE_VERSION: u8 = 7;
@@ -91,14 +92,14 @@ const RESPONSE_FIXED: usize = 47;
 const CORR_AT: usize = 2;
 const ID_AT: usize = 6;
 
-/// Cap on counters per [`WireMetricsSnapshot`] (frame must fit the
-/// u16 stream-length prefix; the registry currently uses 21).
+/// Cap on counters per metrics scrape (frame must fit the u16
+/// stream-length prefix; the registry currently uses 26).
 pub const MAX_WIRE_METRICS_COUNTERS: usize = 256;
 
-/// Cap on gauges per [`WireMetricsSnapshot`].
+/// Cap on gauges per metrics scrape.
 pub const MAX_WIRE_METRICS_GAUGES: usize = 256;
 
-/// Cap on histograms per [`WireMetricsSnapshot`].
+/// Cap on histograms per metrics scrape.
 pub const MAX_WIRE_METRICS_HISTS: usize = 8;
 
 /// Cap on non-zero buckets per histogram (the shared log-bucket
@@ -672,29 +673,18 @@ pub struct WireMetricsRequest {
     pub shard: u16,
 }
 
-/// The wire form of one metrics scrape: dense counters, merge-kind-
-/// tagged gauges (`0` = sum across sources, `1` = max), and sparse
-/// log-bucket histograms — self-describing, so a fan-in merges
-/// without an out-of-band schema, and a newer peer's extra registry
-/// slots ride through an older relay unharmed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireMetricsSnapshot {
-    /// Counter values, in the metrics registry's index order.
-    pub counters: Vec<u64>,
-    /// `(merge kind, value)` per gauge, registry index order.
-    pub gauges: Vec<(u8, u64)>,
-    /// Sparse histograms: non-zero `(bucket index, count)` pairs,
-    /// ascending bucket index, registry index order.
-    pub hists: Vec<Vec<(u16, u64)>>,
-}
-
-/// Metrics scrape reply.
+/// Metrics scrape reply. The scrape rides the wire as the metrics
+/// plane's own [`MetricsSnapshot`]: dense counters, merge-kind-tagged
+/// gauges (`0` = sum across sources, `1` = max) and sparse log-bucket
+/// histograms — self-describing, so a fan-in merges without an
+/// out-of-band schema, and a newer peer's extra registry slots ride
+/// through an older relay unharmed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMetricsResponse {
     /// Echo of the request id.
     pub id: u32,
     /// The snapshot.
-    pub snapshot: WireMetricsSnapshot,
+    pub snapshot: MetricsSnapshot,
 }
 
 /// Any service-family message.
@@ -793,7 +783,9 @@ impl ServiceMessage {
                     s.counters.len() <= MAX_WIRE_METRICS_COUNTERS
                         && s.gauges.len() <= MAX_WIRE_METRICS_GAUGES
                         && s.hists.len() <= MAX_WIRE_METRICS_HISTS
-                        && s.hists.iter().all(|h| h.len() <= MAX_WIRE_METRICS_BUCKETS),
+                        && s.hists
+                            .iter()
+                            .all(|h| h.buckets.len() <= MAX_WIRE_METRICS_BUCKETS),
                     "metrics snapshot exceeds wire caps"
                 );
                 buf.put_u8(TYPE_METRICS_RESPONSE);
@@ -810,8 +802,8 @@ impl ServiceMessage {
                 }
                 buf.put_u16(s.hists.len() as u16);
                 for h in &s.hists {
-                    buf.put_u16(h.len() as u16);
-                    for &(idx, n) in h {
+                    buf.put_u16(h.buckets.len() as u16);
+                    for &(idx, n) in &h.buckets {
                         buf.put_u16(idx);
                         buf.put_u64(n);
                     }
@@ -835,7 +827,7 @@ impl ServiceMessage {
             ServiceMessage::MetricsRequest(_) => 8 + 2,
             ServiceMessage::MetricsResponse(r) => {
                 let s = &r.snapshot;
-                let hists: usize = s.hists.iter().map(|h| 2 + 10 * h.len()).sum();
+                let hists: usize = s.hists.iter().map(|h| 2 + 10 * h.buckets.len()).sum();
                 6 + 2 + 8 * s.counters.len() + 2 + 9 * s.gauges.len() + 2 + hists + 2
             }
         }
@@ -1030,11 +1022,11 @@ impl ServiceMessage {
                     if buckets.windows(2).any(|w| w[0].0 >= w[1].0) {
                         return Err(DecodeError::InvalidField("hist bucket order"));
                     }
-                    hists.push(buckets);
+                    hists.push(HistSnapshot { buckets });
                 }
                 ServiceMessage::MetricsResponse(WireMetricsResponse {
                     id,
-                    snapshot: WireMetricsSnapshot {
+                    snapshot: MetricsSnapshot {
                         counters,
                         gauges,
                         hists,
@@ -1404,14 +1396,24 @@ mod tests {
         );
     }
 
+    /// A full-registry scrape: every counter slot distinct (one at
+    /// `u64::MAX`), kind-tagged gauges, one populated histogram.
+    fn sample_snapshot() -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::zeroed();
+        for (i, c) in snap.counters.iter_mut().enumerate() {
+            *c = 1 + 3 * i as u64;
+        }
+        snap.counters[econcast_metrics::CTR_BATCHES] = u64::MAX;
+        snap.gauges[econcast_metrics::GAUGE_QUEUE_DEPTH].1 = 9;
+        snap.gauges[econcast_metrics::GAUGE_QUEUE_DEPTH_PEAK].1 = 1_000_000;
+        snap.hists[econcast_metrics::HIST_BATCH_NS].buckets = vec![(0, 3), (17, 5), (495, 1)];
+        snap
+    }
+
     fn sample_metrics_response() -> ServiceMessage {
         ServiceMessage::MetricsResponse(WireMetricsResponse {
             id: 77,
-            snapshot: WireMetricsSnapshot {
-                counters: vec![1, 0, u64::MAX, 42],
-                gauges: vec![(0, 9), (1, 1_000_000)],
-                hists: vec![vec![(0, 3), (17, 5), (495, 1)], vec![]],
-            },
+            snapshot: sample_snapshot(),
         })
     }
 
@@ -1453,9 +1455,11 @@ mod tests {
         let m = sample_metrics_response();
         let b = m.encode();
         assert_eq!(b.len(), m.encoded_len());
-        // 6 hdr + (2 + 4·8) counters + (2 + 2·9) gauges
+        // 6 hdr + (2 + 26·8) counters + (2 + 6·9) gauges
         // + (2 + (2 + 3·10) + (2 + 0)) hists + 2 crc
-        assert_eq!(b.len(), 6 + 34 + 20 + 36 + 2);
+        assert_eq!(econcast_metrics::NUM_COUNTERS, 26);
+        assert_eq!(econcast_metrics::NUM_GAUGES, 6);
+        assert_eq!(b.len(), 6 + 210 + 56 + 36 + 2);
         assert_eq!(b[0], 0x1D);
         let (decoded, used) = ServiceMessage::decode(&b).unwrap();
         assert_eq!(decoded, m);
@@ -1479,7 +1483,7 @@ mod tests {
         // The empty snapshot is the minimal well-formed scrape.
         let empty = ServiceMessage::MetricsResponse(WireMetricsResponse {
             id: 0,
-            snapshot: WireMetricsSnapshot::default(),
+            snapshot: MetricsSnapshot::default(),
         });
         let be = empty.encode();
         assert_eq!(be.len(), 14);
@@ -1491,14 +1495,9 @@ mod tests {
         // Out-of-order (and duplicate) bucket indices encode fine —
         // the discipline is enforced where it matters, at decode.
         for buckets in [vec![(5u16, 1u64), (3, 2)], vec![(5, 1), (5, 2)]] {
-            let m = ServiceMessage::MetricsResponse(WireMetricsResponse {
-                id: 1,
-                snapshot: WireMetricsSnapshot {
-                    counters: vec![],
-                    gauges: vec![],
-                    hists: vec![buckets],
-                },
-            });
+            let mut snapshot = sample_snapshot();
+            snapshot.hists[0].buckets = buckets;
+            let m = ServiceMessage::MetricsResponse(WireMetricsResponse { id: 1, snapshot });
             assert_eq!(
                 ServiceMessage::decode(&m.encode()),
                 Err(DecodeError::InvalidField("hist bucket order"))
@@ -1508,14 +1507,9 @@ mod tests {
 
     #[test]
     fn metrics_gauge_kind_rejected() {
-        let m = ServiceMessage::MetricsResponse(WireMetricsResponse {
-            id: 1,
-            snapshot: WireMetricsSnapshot {
-                counters: vec![],
-                gauges: vec![(2, 7)],
-                hists: vec![],
-            },
-        });
+        let mut snapshot = sample_snapshot();
+        snapshot.gauges[1] = (2, 7);
+        let m = ServiceMessage::MetricsResponse(WireMetricsResponse { id: 1, snapshot });
         assert_eq!(
             ServiceMessage::decode(&m.encode()),
             Err(DecodeError::InvalidField("gauge kind"))
@@ -1524,6 +1518,11 @@ mod tests {
 
     #[test]
     fn metrics_counter_cap_enforced() {
+        // The full registry sits well inside the cap, and a scrape of
+        // it decodes.
+        let full = sample_metrics_response();
+        const { assert!(econcast_metrics::NUM_COUNTERS <= MAX_WIRE_METRICS_COUNTERS) };
+        assert_eq!(ServiceMessage::decode(&full.encode()).unwrap().0, full);
         // Hand-assemble a frame whose counter count exceeds the cap
         // (the encoder refuses to produce one) with a valid CRC, so
         // the cap check itself is exercised rather than the CRC.
@@ -2540,10 +2539,10 @@ mod tests {
             }
             let m = ServiceMessage::MetricsResponse(WireMetricsResponse {
                 id,
-                snapshot: WireMetricsSnapshot {
+                snapshot: MetricsSnapshot {
                     counters,
                     gauges,
-                    hists: vec![buckets, vec![]],
+                    hists: vec![HistSnapshot { buckets }, HistSnapshot::default()],
                 },
             });
             let b = m.encode();

@@ -38,8 +38,8 @@
 //! [`ServiceConfig::queue_capacity`]: crate::ServiceConfig::queue_capacity
 
 use econcast_metrics::{
-    Gauge, MetricsSnapshot, CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES, CTR_SHED_REJECTS,
-    GAUGE_QUEUE_DEPTH, GAUGE_QUEUE_DEPTH_PEAK,
+    CounterTable, Gauge, MetricsSnapshot, CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES,
+    CTR_SHED_REJECTS, GAUGE_QUEUE_DEPTH, GAUGE_QUEUE_DEPTH_PEAK,
 };
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
@@ -85,9 +85,9 @@ pub struct AdmissionController {
     /// `econcast-metrics` primitive, so the same object feeds the
     /// ladder and a metrics scrape.
     queue: Gauge,
-    shed_rejects: AtomicU64,
-    degraded_serves: AtomicU64,
-    deadline_expired: AtomicU64,
+    /// The overload counters, under `CTR_SHED_REJECTS`,
+    /// `CTR_DEGRADED_SERVES` and `CTR_DEADLINE_EXPIRED`.
+    counters: CounterTable,
     /// EWMA of per-request service time, nanoseconds (α = 1/8);
     /// zero until the first observation.
     service_ns: AtomicU64,
@@ -110,9 +110,7 @@ impl AdmissionController {
             degrade_at: (capacity / 2).max(1),
             max_queue_delay,
             queue: Gauge::new(),
-            shed_rejects: AtomicU64::new(0),
-            degraded_serves: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
+            counters: CounterTable::default(),
             service_ns: AtomicU64::new(0),
             external_hint_us: AtomicU32::new(0),
         }
@@ -124,7 +122,7 @@ impl AdmissionController {
         let depth = self.queue.add(1) as usize;
         if depth > self.capacity {
             self.queue.sub(1);
-            self.shed_rejects.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(CTR_SHED_REJECTS, 1);
             return Admission::Shed {
                 retry_after_us: self.retry_after_us(),
             };
@@ -134,7 +132,7 @@ impl AdmissionController {
         // CI bounded-memory assertion).
         self.queue.note_peak(depth as u64);
         if depth > self.degrade_at {
-            self.degraded_serves.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(CTR_DEGRADED_SERVES, 1);
             Admission::AdmitDegraded
         } else {
             Admission::Admit
@@ -163,8 +161,8 @@ impl AdmissionController {
     /// `deadline_us` budget: its result was replaced by `Overloaded`,
     /// so it counts as both expired and shed.
     pub fn note_deadline_expired(&self) {
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        self.shed_rejects.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(CTR_DEADLINE_EXPIRED, 1);
+        self.counters.add(CTR_SHED_REJECTS, 1);
     }
 
     /// Current queue depth (admitted, not yet served).
@@ -205,17 +203,15 @@ impl AdmissionController {
         drain.max(floor).max(hint).min(u64::from(u32::MAX)) as u32
     }
 
-    /// The front's own share of an aggregate scrape: the overload
-    /// counters under `CTR_SHED_REJECTS`, `CTR_DEGRADED_SERVES` and
-    /// `CTR_DEADLINE_EXPIRED`, and the queue gauge's level and peak.
+    /// The front's own share of an aggregate scrape: its counter
+    /// table (the overload counters) and the queue gauge's level and
+    /// peak.
     /// A connection loop merges it into the target's scrape, so a
     /// cluster front's own counters join its backends' rather than
     /// replace them.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::zeroed();
-        snap.counters[CTR_SHED_REJECTS] = self.shed_rejects.load(Ordering::Relaxed);
-        snap.counters[CTR_DEGRADED_SERVES] = self.degraded_serves.load(Ordering::Relaxed);
-        snap.counters[CTR_DEADLINE_EXPIRED] = self.deadline_expired.load(Ordering::Relaxed);
+        self.counters.fill(&mut snap);
         snap.gauges[GAUGE_QUEUE_DEPTH].1 = self.queue.value();
         snap.gauges[GAUGE_QUEUE_DEPTH_PEAK].1 = self.queue.peak();
         snap

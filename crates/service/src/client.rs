@@ -646,9 +646,7 @@ impl PolicyClient {
             _ => false,
         })?;
         match reply {
-            ServiceMessage::MetricsResponse(r) => {
-                Ok(crate::metrics::snapshot_from_wire(&r.snapshot))
-            }
+            ServiceMessage::MetricsResponse(r) => Ok(r.snapshot),
             _ => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!("server rejected metrics request for shard {shard}"),

@@ -62,7 +62,6 @@ pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod driver;
-pub mod metrics;
 pub mod ready;
 pub mod remote;
 pub mod request;
@@ -80,10 +79,9 @@ mod gen;
 pub use admission::{degraded_tolerance, Admission, AdmissionController};
 pub use cache::{CachedPolicy, LruCache};
 pub use client::{PolicyClient, ReplyFrames, Ticket, WireResult};
-pub use metrics::{snapshot_from_wire, snapshot_to_wire};
 pub use remote::{RemoteConfig, RemoteShard, RemoteShardStats, RemoteTicket};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
-pub use router::{ClusterConfig, ClusterRouter, ClusterStats, SlotSpec, StatsSource};
+pub use router::{ClusterConfig, ClusterRouter, ClusterStats, SlotSpec};
 pub use server::{Acceptor, Answer, PolicyServer, Served, ServerConfig, ServerHandle};
 pub use service::{PolicyService, ServiceConfig};
 pub use shard::{HashRing, RouterConfig, ShardRouter};

@@ -44,9 +44,10 @@ pub struct RemoteConfig {
     pub unhealthy_after: u32,
     /// Downtime before a probe operation is allowed through again.
     pub reprobe_after: Duration,
-    /// `max_batch` announced in the connection handshake.
-    pub hello_batch: u16,
 }
+
+/// `max_batch` a dialer announces in its connection handshake.
+const HELLO_BATCH: u16 = 1024;
 
 impl Default for RemoteConfig {
     fn default() -> Self {
@@ -56,7 +57,6 @@ impl Default for RemoteConfig {
             io_timeout: Some(Duration::from_secs(10)),
             unhealthy_after: 1,
             reprobe_after: Duration::from_millis(250),
-            hello_batch: 1024,
         }
     }
 }
@@ -218,7 +218,7 @@ impl RemoteShard {
                     t0,
                     &[("requests", n as u64)],
                 );
-                self.note_failure();
+                self.note_outcome(false);
                 Err(e)
             }
         }
@@ -265,11 +265,9 @@ impl RemoteShard {
     /// Completion bookkeeping: health machine, served counter, trace
     /// span.
     fn settle(&mut self, t: &RemoteTicket, ok: bool) {
+        self.note_outcome(ok);
         if ok {
-            self.note_success();
             self.stats.served += t.n as u64;
-        } else {
-            self.note_failure();
         }
         econcast_trace::complete_from("cluster", "remote_serve", t.t0, &[("requests", t.n as u64)]);
     }
@@ -293,20 +291,32 @@ impl RemoteShard {
         self.cfg.io_timeout
     }
 
-    /// Liveness probe: dial if needed, round-trip a `Ping`. Returns
-    /// the post-probe health.
+    /// Liveness probe, fed to the health machine. A live pooled
+    /// connection round-trips a `Ping` in place (no accept or
+    /// handshake on the backend); with none, a one-shot
+    /// [`probe`](Self::probe). Returns whether the backend answered.
     pub fn ping(&mut self) -> bool {
-        let result = self.connect().and_then(PolicyClient::ping);
-        match result {
-            Ok(()) => {
-                self.note_success();
-                true
-            }
-            Err(_) => {
-                self.note_failure();
-                false
-            }
-        }
+        let ok = match self.conn.as_mut() {
+            Some(conn) => conn.ping().is_ok(),
+            None => Self::probe(self.addr, self.cfg.io_timeout),
+        };
+        self.note_outcome(ok);
+        ok
+    }
+
+    /// Whether a pooled connection is live (dropped on every failure).
+    pub fn connected(&self) -> bool {
+        self.conn.is_some()
+    }
+
+    /// Liveness probe on a fresh connection to `addr`, each wait
+    /// bounded by `timeout`. It touches no dialer, so it runs with no
+    /// lock held, and the router feeds its outcome to the slot's
+    /// health machine.
+    pub fn probe(addr: SocketAddr, timeout: Option<Duration>) -> bool {
+        dial(addr, 1, timeout)
+            .and_then(|mut client| client.ping())
+            .is_ok()
     }
 
     /// Returns the pooled connection, dialing with bounded
@@ -325,13 +335,7 @@ impl RemoteShard {
                 // The timeout must already be armed while dialing and
                 // handshaking: applying it only afterwards would leave
                 // a wedged backend able to hang the dial itself.
-                let dial = match self.cfg.io_timeout {
-                    Some(timeout) => {
-                        PolicyClient::connect_with_timeout(self.addr, self.cfg.hello_batch, timeout)
-                    }
-                    None => PolicyClient::connect(self.addr, self.cfg.hello_batch),
-                };
-                match dial {
+                match dial(self.addr, HELLO_BATCH, self.cfg.io_timeout) {
                     Ok(client) => {
                         self.stats.connects += 1;
                         self.conn = Some(client);
@@ -354,14 +358,16 @@ impl RemoteShard {
         Ok(self.conn.as_mut().expect("dialed above"))
     }
 
-    fn note_success(&mut self) {
-        self.consecutive_failures = 0;
-        if self.down_since.take().is_some() {
-            self.stats.recoveries += 1;
+    /// Feeds one operation's outcome (a batch, a probe) to the health
+    /// machine.
+    pub(crate) fn note_outcome(&mut self, ok: bool) {
+        if ok {
+            self.consecutive_failures = 0;
+            if self.down_since.take().is_some() {
+                self.stats.recoveries += 1;
+            }
+            return;
         }
-    }
-
-    fn note_failure(&mut self) {
         // A failed stream is never reused: the next operation redials.
         self.conn = None;
         self.stats.failures += 1;
@@ -373,6 +379,19 @@ impl RemoteShard {
                 self.stats.down_transitions += 1;
             }
         }
+    }
+}
+
+/// One dial and handshake, every wait bounded by `timeout` when one
+/// is given.
+fn dial(
+    addr: SocketAddr,
+    max_batch: u16,
+    timeout: Option<Duration>,
+) -> std::io::Result<PolicyClient> {
+    match timeout {
+        Some(timeout) => PolicyClient::connect_with_timeout(addr, max_batch, timeout),
+        None => PolicyClient::connect(addr, max_batch),
     }
 }
 
@@ -602,6 +621,50 @@ mod tests {
         assert_eq!(s.recoveries, 1);
         let out = serve(&mut shard, &one_request()).expect("serves again");
         assert!(out[0].is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_pooled_connection_answers_the_probe_in_place() {
+        use crate::{PolicyServer, RouterConfig, ServerConfig, ServiceConfig};
+        // One handler slot, held by the shard's pooled connection: a
+        // fresh probe waits in the listen backlog past the I/O
+        // timeout, so only a probe on the pooled stream can answer.
+        let server = PolicyServer::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                router: RouterConfig {
+                    shards: 1,
+                    service: ServiceConfig {
+                        workers: Some(1),
+                        ..ServiceConfig::default()
+                    },
+                    ..RouterConfig::default()
+                },
+                max_connections: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind")
+        .spawn();
+        let timeout = Some(Duration::from_millis(300));
+        let mut shard = RemoteShard::new(
+            server.addr(),
+            RemoteConfig {
+                io_timeout: timeout,
+                ..RemoteConfig::default()
+            },
+        );
+        serve(&mut shard, &one_request()).expect("remote serve");
+        assert!(shard.connected());
+        assert!(
+            !RemoteShard::probe(server.addr(), timeout),
+            "the one handler slot is taken"
+        );
+        assert!(shard.ping(), "the pooled stream answers");
+        assert!(shard.healthy());
+        assert!(shard.connected());
+        assert_eq!(shard.shard_stats().failures, 0);
         server.shutdown();
     }
 }

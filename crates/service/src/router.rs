@@ -2,7 +2,7 @@
 //! remote backends, or both.
 //!
 //! A [`ClusterRouter`] consistent-hashes requests over a
-//! [`HashRing`] (64 vnodes per slot) and serves each slot's
+//! [`HashRing`] ([`VNODES`](crate::shard::VNODES) per slot) and serves each slot's
 //! sub-batch where that slot lives: an in-process `PolicyService`
 //! (`Local`), a [`RemoteShard`] dialing a backend `PolicyServer`
 //! (`Remote`), or nowhere (`Retired`, removed by a live rebalance).
@@ -34,7 +34,9 @@
 //! wedged backend therefore stalls only the batches with keys on it,
 //! and the health sweep ([`ping_all`](ClusterRouter::ping_all)) and
 //! the metrics fan-in lock one slot at a time and dial with no lock
-//! held.
+//! held. Counting takes no lock at all: the router's counters sit in
+//! a [`CounterTable`] indexed by the metrics registry, and each
+//! slot's routed count in a relaxed atomic beside the slot.
 //!
 //! ## Fan-out and reassembly
 //!
@@ -57,9 +59,10 @@
 //!   a well-formed `Response` whose node count differs from its
 //!   request's;
 //! * both sets of requests are re-served by the router's **local
-//!   fallback solver** in request order, counted in
-//!   [`ClusterStats::local_fallbacks`]. The fallback also answers
-//!   every invalid request with its typed error.
+//!   fallback solver** in request order, counted under
+//!   `CTR_FAILOVER_RESERVES` (read as [`ClusterStats::local_fallbacks`]).
+//!   The fallback also answers every invalid request with its typed
+//!   error.
 //!
 //! Every solve is a deterministic, self-contained computation and the
 //! fallback runs the same `ServiceConfig` as the backends, so a
@@ -74,11 +77,11 @@ use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::server::{Answer, Served};
 use crate::service::{PolicyService, ServiceConfig};
 use crate::shard::{HashRing, RouterConfig};
-use crate::stats::ServiceStats;
 use econcast_metrics::{
-    MetricsSnapshot, OpsKind, CTR_AUTO_RESPAWNS, CTR_FAILOVER_RESERVES, CTR_INJECTED_FAULTS,
-    CTR_OVERLOADED_RECEIVED, CTR_QUARANTINES, CTR_SATURATION_OPENS, GAUGE_LIVE_BACKENDS,
-    GAUGE_SATURATION_OPEN,
+    CounterTable, MetricsSnapshot, OpsKind, CTR_AUTO_RESPAWNS, CTR_BACKEND_FAILURES,
+    CTR_FAILOVER_RESERVES, CTR_INJECTED_FAULTS, CTR_INVALID_REQUESTS, CTR_LOCAL_SERVED,
+    CTR_OVERLOADED_RECEIVED, CTR_QUARANTINES, CTR_REMOTE_SERVED, CTR_SATURATED_ROUTES,
+    CTR_SATURATION_OPENS, GAUGE_LIVE_BACKENDS, GAUGE_SATURATION_OPEN,
 };
 use econcast_proto::service::{ServiceErrorCode, STATS_SHARD_AGGREGATE};
 use econcast_statespace::{route_hash_of, InstanceKey};
@@ -100,27 +103,14 @@ pub enum SlotSpec {
 }
 
 /// Tuning knobs for a [`ClusterRouter`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClusterConfig {
-    /// Virtual nodes per slot on the consistent-hash ring (64 matches
-    /// `RouterConfig`).
-    pub vnodes: usize,
     /// Service configuration for local slots **and** the fallback
     /// solver. For the bit-identical failover guarantee this must
     /// match the backends' per-shard configuration.
     pub service: ServiceConfig,
     /// Dialer configuration applied to every remote slot.
     pub remote: RemoteConfig,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            vnodes: 64,
-            service: ServiceConfig::default(),
-            remote: RemoteConfig::default(),
-        }
-    }
 }
 
 /// Timeout for the fresh per-request dials a metrics fan-in makes.
@@ -220,41 +210,10 @@ impl DerefMut for RemoteGuard<'_> {
     }
 }
 
-/// Where one slot's metrics scrape comes from — a network-free
-/// snapshot taken under the slot's lock ([`ClusterRouter::stats_sources`]);
-/// a remote slot's scrape is fetched with no lock held.
-#[derive(Debug, Clone)]
-pub enum StatsSource {
-    /// An in-process slot's counters and LRU gauges, read directly.
-    Local(MetricsSnapshot),
-    /// A backend to ask over the wire; `attempt = false` means the
-    /// health machine says the backend is down and no reprobe is due
-    /// yet — don't burn a dial on it.
-    Remote {
-        /// The backend's address.
-        addr: SocketAddr,
-        /// Whether a dial is currently worth attempting.
-        attempt: bool,
-    },
-}
-
-impl StatsSource {
-    fn of(slot: &Slot) -> Self {
-        match slot {
-            Slot::Local(svc) => StatsSource::Local(svc.metrics()),
-            Slot::Remote(remote) => StatsSource::Remote {
-                addr: remote.shard.addr(),
-                attempt: remote.shard.should_attempt(),
-            },
-            // A retired slot's counters died with its backend; it
-            // contributes zeros to any fan-in.
-            Slot::Retired => StatsSource::Local(MetricsSnapshot::zeroed()),
-        }
-    }
-}
-
 /// Distribution-layer counters (the serving counters live in the
-/// slots; these describe the *distribution* layer).
+/// slots): a view of the router's counter table and its slots, built
+/// by [`ClusterRouter::cluster_stats`]. Every counter here is also a
+/// registry slot of the router's [`metrics`](ClusterRouter::metrics).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Requests routed per slot (including ones later failed over).
@@ -318,6 +277,9 @@ struct Topology {
     sole: Option<u16>,
     slots: Vec<Arc<Mutex<Slot>>>,
     kinds: Vec<Kind>,
+    /// Requests routed to each slot, bumped under the read lock and
+    /// grown with `slots` under the write lock.
+    routed: Vec<AtomicU64>,
 }
 
 /// What a slot was built as, readable without its lock. Only a remote
@@ -335,12 +297,12 @@ enum Kind {
 /// exactly one. With no retired slots this is the ring of
 /// `kinds.len()` shards, so equal slot counts assign every canonical
 /// key identically.
-fn ring_over(kinds: &[Kind], vnodes: usize) -> (HashRing, Option<u16>) {
+fn ring_over(kinds: &[Kind]) -> (HashRing, Option<u16>) {
     let live: Vec<u16> = (0..kinds.len() as u16)
         .filter(|&s| kinds[usize::from(s)] != Kind::Retired)
         .collect();
     let sole = (live.len() == 1).then(|| live[0]);
-    (HashRing::new(live, vnodes), sole)
+    (HashRing::new(live), sole)
 }
 
 /// Routes requests across local and remote slots.
@@ -350,14 +312,14 @@ pub struct ClusterRouter {
     cfg: ClusterConfig,
     /// The failover solver (and the answerer of invalid requests).
     fallback: Mutex<PolicyService>,
-    /// The distribution counters. `routed` grows with the slot vector
-    /// (under the write lock) and is bumped under the read lock; the
-    /// per-slot gauges are filled in on every snapshot.
-    tally: Mutex<ClusterStats>,
+    /// The distribution counters, each under its registry slot.
+    counters: CounterTable,
     /// Per-slot saturation window from the last backend `Overloaded`:
     /// `(backoff end, the backend's retry_after_us hint)`.
     saturation: Mutex<Vec<Option<(Instant, u32)>>>,
-    /// Shared with fault injectors (which fire from proxy threads).
+    /// The injected-fault count's one holder, shared with fault
+    /// injectors (which fire from proxy threads); the table's
+    /// `CTR_INJECTED_FAULTS` slot stays zero.
     injected_faults: Arc<AtomicU64>,
     /// Whether the slots are a cluster's backends (built from
     /// [`SlotSpec`]s), whose liveness and saturation the scrape
@@ -372,8 +334,7 @@ impl ClusterRouter {
     ///
     /// # Panics
     ///
-    /// Panics when `slots` is empty, exceeds `u16::MAX`, or
-    /// `cfg.vnodes == 0`.
+    /// Panics when `slots` is empty or exceeds `u16::MAX`.
     pub fn new(slots: &[SlotSpec], cfg: ClusterConfig) -> Self {
         Self::build(slots, cfg, true)
     }
@@ -382,12 +343,10 @@ impl ClusterRouter {
     ///
     /// # Panics
     ///
-    /// Panics when `shards == 0`, `shards > u16::MAX as usize`, or
-    /// `vnodes == 0`.
+    /// Panics when `shards == 0` or `shards > u16::MAX as usize`.
     pub(crate) fn over_shards(cfg: RouterConfig) -> Self {
         let slots = vec![SlotSpec::Local; cfg.shards];
         let cfg = ClusterConfig {
-            vnodes: cfg.vnodes,
             service: cfg.service,
             remote: RemoteConfig::default(),
         };
@@ -409,22 +368,20 @@ impl ClusterRouter {
                 SlotSpec::Local => Kind::Local,
             })
             .collect();
-        let (ring, sole) = ring_over(&kinds, cfg.vnodes);
+        let (ring, sole) = ring_over(&kinds);
         let topo = Topology {
             ring,
             sole,
             slots,
             kinds,
+            routed: specs.iter().map(|_| AtomicU64::new(0)).collect(),
         };
         ClusterRouter {
             topo: RwLock::new(topo),
             fallback: Mutex::new(PolicyService::new(cfg.service)),
             saturation: Mutex::new(vec![None; specs.len()]),
             cfg,
-            tally: Mutex::new(ClusterStats {
-                routed: vec![0; specs.len()],
-                ..ClusterStats::default()
-            }),
+            counters: CounterTable::default(),
             injected_faults: Arc::new(AtomicU64::new(0)),
             cluster,
         }
@@ -483,12 +440,6 @@ impl ClusterRouter {
         Some(self.topo().ring.owner(route_hash(req)))
     }
 
-    /// Whether a slot is currently healthy (local slots always are,
-    /// retired slots never are).
-    pub fn slot_healthy(&self, slot: usize) -> bool {
-        self.with_slot(slot, |s| healthy(s)) == Some(true)
-    }
-
     /// Whether a slot is a remote backend (the only kind a supervisor
     /// policy loop manages).
     pub fn slot_is_remote(&self, slot: usize) -> bool {
@@ -504,14 +455,51 @@ impl ClusterRouter {
         })?
     }
 
-    /// Distribution-layer counter snapshot.
+    /// The distribution-layer view: the router's counters read out of
+    /// its own share of a scrape, plus per-slot routed counts, health
+    /// and saturation.
     pub fn cluster_stats(&self) -> ClusterStats {
-        let mut stats = lock(&self.tally).clone();
-        stats.injected_faults = self.injected_faults.load(Ordering::Relaxed);
+        let mut snap = MetricsSnapshot::zeroed();
+        self.fill_counters(&mut snap);
+        let routed = {
+            let topo = self.topo();
+            topo.routed
+                .iter()
+                .map(|n| n.load(Ordering::Relaxed))
+                .collect()
+        };
+        let (healthy, saturated) = self.slot_flags();
+        ClusterStats {
+            routed,
+            remote_served: snap.counter(CTR_REMOTE_SERVED),
+            local_served: snap.counter(CTR_LOCAL_SERVED),
+            local_fallbacks: snap.counter(CTR_FAILOVER_RESERVES),
+            backend_failures: snap.counter(CTR_BACKEND_FAILURES),
+            invalid_requests: snap.counter(CTR_INVALID_REQUESTS),
+            auto_respawns: snap.counter(CTR_AUTO_RESPAWNS),
+            quarantines: snap.counter(CTR_QUARANTINES),
+            injected_faults: snap.counter(CTR_INJECTED_FAULTS),
+            overload_rejects: snap.counter(CTR_OVERLOADED_RECEIVED),
+            saturation_opens: snap.counter(CTR_SATURATION_OPENS),
+            saturated_routes: snap.counter(CTR_SATURATED_ROUTES),
+            healthy,
+            saturated,
+        }
+    }
+
+    /// Per-slot health (one slot lock at a time) and saturation.
+    fn slot_flags(&self) -> (Vec<bool>, Vec<bool>) {
         let cells = self.cells();
-        stats.healthy = cells.iter().map(|cell| healthy(&lock(cell))).collect();
-        stats.saturated = (0..cells.len()).map(|s| self.slot_saturated(s)).collect();
-        stats
+        let healthy = cells.iter().map(|cell| healthy(&lock(cell))).collect();
+        let saturated = (0..cells.len()).map(|s| self.slot_saturated(s)).collect();
+        (healthy, saturated)
+    }
+
+    /// Adds the router's counters into `snap`: its table, and the
+    /// injected-fault count its fault injectors hold.
+    fn fill_counters(&self, snap: &mut MetricsSnapshot) {
+        self.counters.fill(snap);
+        snap.counters[CTR_INJECTED_FAULTS] += self.injected_faults.load(Ordering::Relaxed);
     }
 
     /// Whether a slot is inside a backend-advertised saturation
@@ -544,7 +532,7 @@ impl ClusterRouter {
     /// `retry_after_us`, during which the router goes straight to the
     /// local fallback instead of dialing.
     fn note_backend_overload(&self, slot: usize, retry_after_us: u32) {
-        lock(&self.tally).overload_rejects += 1;
+        self.counters.add(CTR_OVERLOADED_RECEIVED, 1);
         econcast_metrics::ops_event(
             OpsKind::OverloadedReceived,
             slot as u64,
@@ -556,7 +544,7 @@ impl ClusterRouter {
         // an `Overloaded` landing inside an already-open window only
         // extends it.
         if !matches!(saturation[slot], Some((until, _)) if now < until) {
-            lock(&self.tally).saturation_opens += 1;
+            self.counters.add(CTR_SATURATION_OPENS, 1);
             econcast_metrics::ops_event(
                 OpsKind::SaturationOpen,
                 slot as u64,
@@ -589,27 +577,21 @@ impl ClusterRouter {
     }
 
     /// The router's own share of an aggregate scrape: the fallback
-    /// solver's counters and LRU gauges, the distribution counters
-    /// only the router counts (respawns, quarantines, injected faults,
-    /// backend `Overloaded`s, failover re-serves, saturation opens),
-    /// and — on a cluster — the cluster gauges: slots able to serve
-    /// (healthy remotes plus local slots) and open saturation windows.
-    /// The slots themselves are scraped separately
+    /// solver's counters, LRU gauges and latency histograms, the
+    /// router's counter table (the distribution counters only it
+    /// counts), and — on a cluster — the cluster gauges: slots able to
+    /// serve (healthy remotes plus local slots) and open saturation
+    /// windows. The slots themselves are scraped separately
     /// ([`scrape`](Self::scrape)), so a per-slot scrape answers from
     /// its slot alone.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = lock(&self.fallback).metrics();
-        let stats = self.cluster_stats();
-        snap.counters[CTR_AUTO_RESPAWNS] = stats.auto_respawns;
-        snap.counters[CTR_QUARANTINES] = stats.quarantines;
-        snap.counters[CTR_INJECTED_FAULTS] = stats.injected_faults;
-        snap.counters[CTR_OVERLOADED_RECEIVED] = stats.overload_rejects;
-        snap.counters[CTR_FAILOVER_RESERVES] = stats.local_fallbacks;
-        snap.counters[CTR_SATURATION_OPENS] = stats.saturation_opens;
+        self.fill_counters(&mut snap);
         if self.cluster {
-            let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u64;
-            snap.gauges[GAUGE_LIVE_BACKENDS].1 = count(&stats.healthy);
-            snap.gauges[GAUGE_SATURATION_OPEN].1 = count(&stats.saturated);
+            let count = |flags: Vec<bool>| flags.into_iter().filter(|&f| f).count() as u64;
+            let (healthy, saturated) = self.slot_flags();
+            snap.gauges[GAUGE_LIVE_BACKENDS].1 = count(healthy);
+            snap.gauges[GAUGE_SATURATION_OPEN].1 = count(saturated);
         }
         snap
     }
@@ -638,20 +620,15 @@ impl ClusterRouter {
         Some(total)
     }
 
-    /// Pings every remote slot (dialing as needed), returning the
-    /// post-probe health per slot — the healer's health sweep. Local
-    /// slots are trivially healthy, retired slots trivially not. Slots
-    /// are locked one at a time, so a wedged backend's probe holds up
-    /// only its own slot.
+    /// Pings every remote slot, returning the probe outcome per slot
+    /// — the healer's health sweep. Local slots are trivially healthy,
+    /// retired slots trivially not. A slot with a live pooled
+    /// connection is pinged on it; one without (down, or a wedged
+    /// backend's) is probed on a fresh connection with **no lock
+    /// held**, as a scrape dials, so that probe holds up no batch
+    /// whose keys would fail over at once.
     pub fn ping_all(&self) -> Vec<bool> {
-        self.cells()
-            .iter()
-            .map(|cell| match &mut *lock(cell) {
-                Slot::Remote(remote) => remote.shard.ping(),
-                Slot::Local(_) => true,
-                Slot::Retired => false,
-            })
-            .collect()
+        self.cells().iter().map(|cell| ping_slot(cell)).collect()
     }
 
     /// Re-targets a remote slot at a replacement backend (respawned
@@ -670,7 +647,7 @@ impl ClusterRouter {
 
     /// Records that the policy loop replaced a dead backend.
     pub fn note_auto_respawn(&self) {
-        lock(&self.tally).auto_respawns += 1;
+        self.counters.add(CTR_AUTO_RESPAWNS, 1);
         econcast_metrics::ops_event(OpsKind::Respawn, 0, 0);
     }
 
@@ -698,7 +675,7 @@ impl ClusterRouter {
         if self.with_slot(slot, quarantine) != Some(true) {
             return false;
         }
-        lock(&self.tally).quarantines += 1;
+        self.counters.add(CTR_QUARANTINES, 1);
         econcast_metrics::ops_event(OpsKind::Quarantine, slot as u64, 0);
         econcast_trace::trace_instant!("cluster", "quarantine", "slot" => slot as u64);
         true
@@ -725,9 +702,9 @@ impl ClusterRouter {
         let cell = Self::slot(spec, &self.cfg, u64::from(slot));
         topo.slots.push(Arc::new(Mutex::new(cell)));
         topo.kinds.push(Kind::Remote);
-        lock(&self.tally).routed.push(0);
+        topo.routed.push(AtomicU64::new(0));
         lock(&self.saturation).push(None);
-        (topo.ring, topo.sole) = ring_over(&topo.kinds, self.cfg.vnodes);
+        (topo.ring, topo.sole) = ring_over(&topo.kinds);
         slot
     }
 
@@ -751,25 +728,8 @@ impl ClusterRouter {
         }
         topo.slots[slot] = Arc::new(Mutex::new(Slot::Retired));
         topo.kinds[slot] = Kind::Retired;
-        (topo.ring, topo.sole) = ring_over(&topo.kinds, self.cfg.vnodes);
+        (topo.ring, topo.sole) = ring_over(&topo.kinds);
         true
-    }
-
-    /// Where each slot's scrape comes from — a cheap, network-free
-    /// snapshot taken one slot lock at a time. [`scrape`](Self::scrape)
-    /// builds on it and performs the backend round-trips with no lock
-    /// held.
-    pub fn stats_sources(&self) -> Vec<StatsSource> {
-        self.cells()
-            .iter()
-            .map(|cell| StatsSource::of(&lock(cell)))
-            .collect()
-    }
-
-    /// The fallback solver's own counters (how much failover and
-    /// invalid-request work the router absorbed).
-    pub fn fallback_stats(&self) -> ServiceStats {
-        lock(&self.fallback).stats()
     }
 
     /// Scatters a batch into per-slot request indices (request order
@@ -792,10 +752,9 @@ impl ClusterRouter {
             };
             sub_idx[usize::from(s)].push(i);
         }
-        let mut tally = lock(&self.tally);
-        tally.invalid_requests += invalid;
-        for (count, idxs) in tally.routed.iter_mut().zip(&sub_idx) {
-            *count += idxs.len() as u64;
+        self.counters.add(CTR_INVALID_REQUESTS, invalid);
+        for (count, idxs) in topo.routed.iter().zip(&sub_idx) {
+            count.fetch_add(idxs.len() as u64, Ordering::Relaxed);
         }
         sub_idx
     }
@@ -889,7 +848,8 @@ impl ClusterRouter {
                 continue;
             }
             if saturated.get(s).copied().unwrap_or(false) {
-                lock(&self.tally).saturated_routes += sub_idx[s].len() as u64;
+                self.counters
+                    .add(CTR_SATURATED_ROUTES, sub_idx[s].len() as u64);
                 continue;
             }
             if let Some(frames) = spare.pop() {
@@ -940,7 +900,7 @@ impl ClusterRouter {
             out.frames.push(frames);
         }
         let forwarded = answers.iter().flatten().count() as u64;
-        lock(&self.tally).remote_served += forwarded;
+        self.counters.add(CTR_REMOTE_SERVED, forwarded);
 
         // Local slots, one at a time in slot order — deterministic. A
         // local slot stays local (only remote slots change kind), so
@@ -948,7 +908,7 @@ impl ClusterRouter {
         for s in locals {
             let Some((cell, _)) = &cells[s] else { continue };
             if let Slot::Local(svc) = &mut *lock(cell) {
-                lock(&self.tally).local_served += sub_idx[s].len() as u64;
+                self.counters.add(CTR_LOCAL_SERVED, sub_idx[s].len() as u64);
                 let results = svc.serve_batch(sub_idx[s].iter().map(|&i| &reqs[i]));
                 for (&i, r) in sub_idx[s].iter().zip(results) {
                     answers[i] = Some(Answer::Native(r));
@@ -977,7 +937,7 @@ impl ClusterRouter {
                 answers[i] = Some(Answer::Native(r));
             }
             if reserves > 0 {
-                lock(&self.tally).local_fallbacks += reserves;
+                self.counters.add(CTR_FAILOVER_RESERVES, reserves);
                 econcast_metrics::ops_event(OpsKind::FailoverReserve, 0, reserves);
             }
         }
@@ -990,7 +950,7 @@ impl ClusterRouter {
     }
 
     fn note_backend_failure(&self) {
-        lock(&self.tally).backend_failures += 1;
+        self.counters.add(CTR_BACKEND_FAILURES, 1);
         econcast_trace::trace_instant!("cluster", "backend_failure");
     }
 }
@@ -1016,12 +976,42 @@ fn healthy(slot: &Slot) -> bool {
     }
 }
 
+/// One slot's health probe. A remote slot with a live pooled
+/// connection pings on it under the lock, ordered with the slot's
+/// batches. One without (down, or never dialed — a wedged backend's
+/// case) has its address read under the lock, a fresh connection
+/// probed with no lock held, and the outcome fed to its health
+/// machine under the lock again — only if the slot still targets the
+/// probed address and no batch has pooled a connection meanwhile (a
+/// retarget, quarantine or newer batch outcome wins).
+fn ping_slot(cell: &Mutex<Slot>) -> bool {
+    let (addr, timeout) = match &mut *lock(cell) {
+        Slot::Remote(remote) if remote.shard.connected() => return remote.shard.ping(),
+        Slot::Remote(remote) => (remote.shard.addr(), remote.shard.io_timeout()),
+        Slot::Local(_) => return true,
+        Slot::Retired => return false,
+    };
+    let ok = RemoteShard::probe(addr, timeout);
+    match &mut *lock(cell) {
+        Slot::Remote(remote) if remote.shard.addr() == addr && !remote.shard.connected() => {
+            remote.shard.note_outcome(ok);
+            ok
+        }
+        slot => healthy(slot),
+    }
+}
+
 /// One slot's scrape: a local slot read under its lock; a remote one
 /// dialed with no lock held and folded into its re-base.
 fn scrape_slot(cell: &Mutex<Slot>) -> Option<MetricsSnapshot> {
-    let (addr, attempt) = match StatsSource::of(&lock(cell)) {
-        StatsSource::Local(snap) => return Some(snap),
-        StatsSource::Remote { addr, attempt } => (addr, attempt),
+    let (addr, attempt) = match &*lock(cell) {
+        Slot::Local(svc) => return Some(svc.metrics()),
+        // A retired slot's counters died with its backend; it
+        // contributes zeros to any fan-in.
+        Slot::Retired => return Some(MetricsSnapshot::zeroed()),
+        // `attempt = false`: the health machine says the backend is
+        // down and no reprobe is due yet — don't burn a dial on it.
+        Slot::Remote(remote) => (remote.shard.addr(), remote.shard.should_attempt()),
     };
     if !attempt {
         return None;
@@ -1212,7 +1202,6 @@ mod tests {
                     reprobe_after: std::time::Duration::from_secs(3600),
                     ..RemoteConfig::default()
                 },
-                ..ClusterConfig::default()
             },
         );
         let reqs: Vec<PolicyRequest> = (2..10).map(|n| request(n, 10.0)).collect();
@@ -1247,16 +1236,12 @@ mod tests {
 
         // The operator surfaces agree: the dialer counters recorded
         // the failure, an explicit probe sweep still says down, and
-        // the stats snapshot marks the slot skip-worthy.
+        // the slot's scrape is skipped (no dial, nothing reported).
         let dialer = cluster.remote_stats(0).expect("remote slot");
         assert!(dialer.failures >= 1);
         assert_eq!(dialer.served, 0);
         assert_eq!(cluster.ping_all(), vec![false], "probe fails while dead");
-        let sources = cluster.stats_sources();
-        assert!(matches!(
-            sources[0],
-            StatsSource::Remote { attempt: false, .. }
-        ));
+        assert_eq!(cluster.scrape(0), None);
     }
 
     #[test]
@@ -1282,7 +1267,6 @@ mod tests {
                     dial_retries: 1,
                     ..RemoteConfig::default()
                 },
-                ..ClusterConfig::default()
             },
         );
         // As if the backend had just answered `Overloaded`.
@@ -1348,6 +1332,134 @@ mod tests {
         assert_eq!(cs.invalid_requests, 1);
         assert_eq!(cs.local_fallbacks, 0);
         assert_eq!(cs.routed, vec![0]);
-        assert_eq!(cluster.fallback_stats().errors, 1);
+        assert_eq!(cluster.metrics().counter(econcast_metrics::CTR_ERRORS), 1);
+    }
+
+    /// An address with nothing listening (bind, learn, drop).
+    fn dead_addr() -> SocketAddr {
+        std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+    }
+
+    #[test]
+    fn cluster_stats_is_a_view_of_the_scrape() {
+        // One remote slot on a live backend, one local slot, one dead
+        // backend: requests are served remotely, locally and by the
+        // fallback; invalid ones are never routed; a saturated slot is
+        // routed around. Every distribution counter is held once, in
+        // the router's table, and reads the same through both views.
+        let backend = crate::PolicyServer::bind(
+            "127.0.0.1:0",
+            crate::ServerConfig {
+                router: RouterConfig {
+                    shards: 1,
+                    service: ServiceConfig {
+                        workers: Some(1),
+                        ..ServiceConfig::default()
+                    },
+                    ..RouterConfig::default()
+                },
+                ..crate::ServerConfig::default()
+            },
+        )
+        .unwrap()
+        .spawn();
+        let cluster = ClusterRouter::new(
+            &[
+                SlotSpec::Remote(backend.addr()),
+                SlotSpec::Local,
+                SlotSpec::Remote(dead_addr()),
+            ],
+            ClusterConfig {
+                service: ServiceConfig {
+                    workers: Some(1),
+                    ..ServiceConfig::default()
+                },
+                remote: RemoteConfig {
+                    dial_retries: 1,
+                    reprobe_after: std::time::Duration::from_secs(3600),
+                    ..RemoteConfig::default()
+                },
+            },
+        );
+        let mut reqs: Vec<PolicyRequest> = (2..40).map(|n| request(n, 10.0)).collect();
+        reqs.push(PolicyRequest {
+            budgets_w: vec![],
+            ..request(2, 10.0)
+        });
+        assert!(cluster
+            .serve_batch(&reqs)
+            .iter()
+            .take(38)
+            .all(Result::is_ok));
+        cluster.note_backend_overload(0, 60_000_000);
+        assert!(cluster
+            .serve_batch(&reqs)
+            .iter()
+            .take(38)
+            .all(Result::is_ok));
+        cluster.note_auto_respawn();
+        cluster
+            .injected_fault_counter()
+            .fetch_add(2, Ordering::Relaxed);
+        assert!(cluster.quarantine_slot(2));
+
+        let cs = cluster.cluster_stats();
+        let m = cluster.metrics();
+        for (idx, v) in [
+            (CTR_REMOTE_SERVED, cs.remote_served),
+            (CTR_LOCAL_SERVED, cs.local_served),
+            (CTR_FAILOVER_RESERVES, cs.local_fallbacks),
+            (CTR_BACKEND_FAILURES, cs.backend_failures),
+            (CTR_INVALID_REQUESTS, cs.invalid_requests),
+            (CTR_AUTO_RESPAWNS, cs.auto_respawns),
+            (CTR_QUARANTINES, cs.quarantines),
+            (CTR_INJECTED_FAULTS, cs.injected_faults),
+            (CTR_OVERLOADED_RECEIVED, cs.overload_rejects),
+            (CTR_SATURATION_OPENS, cs.saturation_opens),
+            (CTR_SATURATED_ROUTES, cs.saturated_routes),
+        ] {
+            let name = econcast_metrics::COUNTER_NAMES[idx];
+            assert!(v > 0, "{name} was never driven");
+            assert_eq!(m.counter(idx), v, "{name}");
+        }
+        assert_eq!(cs.invalid_requests, 2);
+        assert_eq!(cs.injected_faults, 2);
+        // Every routed request was answered exactly one way.
+        let routed: u64 = cs.routed.iter().sum();
+        assert_eq!(routed, 2 * 38);
+        assert_eq!(
+            cs.remote_served + cs.local_served + cs.local_fallbacks,
+            routed
+        );
+        assert_eq!(cs.saturated_routes, cs.routed[0] / 2);
+        drop(backend);
+    }
+
+    #[test]
+    fn routed_counts_grow_with_add_backend() {
+        let cluster = ClusterRouter::new(
+            &[SlotSpec::Local],
+            ClusterConfig {
+                remote: RemoteConfig {
+                    dial_retries: 1,
+                    ..RemoteConfig::default()
+                },
+                ..ClusterConfig::default()
+            },
+        );
+        let reqs: Vec<PolicyRequest> = (2..40).map(|n| request(n, 10.0)).collect();
+        cluster.serve_batch(&reqs);
+        assert_eq!(cluster.cluster_stats().routed, vec![reqs.len() as u64]);
+        assert_eq!(cluster.add_backend(dead_addr()), 1);
+        let before = cluster.cluster_stats().routed;
+        assert_eq!(before, vec![reqs.len() as u64, 0], "a new slot starts at 0");
+        cluster.serve_batch(&reqs);
+        let after = cluster.cluster_stats().routed;
+        assert_eq!(after.len(), 2);
+        assert!(after[1] > 0, "the new slot took part of the key space");
+        assert_eq!(after[0] + after[1], 2 * reqs.len() as u64);
     }
 }

@@ -672,7 +672,7 @@ fn serve_connection(
                             }
                             ServiceMessage::MetricsResponse(WireMetricsResponse {
                                 id: r.id,
-                                snapshot: crate::metrics::snapshot_to_wire(&snap),
+                                snapshot: snap,
                             })
                         }
                         None => ServiceMessage::Error(WirePolicyError {

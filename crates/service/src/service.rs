@@ -33,6 +33,12 @@ use crate::cache::{CachedPolicy, LruCache};
 use crate::request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
 use crate::stats::ServiceStats;
 use econcast_core::NodeParams;
+use econcast_metrics::{
+    MetricsSnapshot, CTR_BATCHES, CTR_BATCH_DEDUP_HITS, CTR_BYTE_EVICTIONS, CTR_CLOSED_FORM_HITS,
+    CTR_ERRORS, CTR_EXACT_HITS, CTR_EXACT_HITS_CLOSED_FORM, CTR_EXACT_HITS_FACTORIZED,
+    CTR_LRU_EVICTIONS, CTR_LRU_INSERTS, CTR_REQUESTS, CTR_SOLVER_SOLVES, GAUGE_LRU_BYTES,
+    GAUGE_LRU_ENTRIES, NUM_COUNTERS,
+};
 use econcast_oracle::{certificate_for, certificate_for_homogeneous};
 use econcast_proto::service::{PolicyKernel, ServedTier};
 use econcast_statespace::{
@@ -49,21 +55,6 @@ pub struct ServiceConfig {
     /// `econcast_parallel::effective_threads`. Results are
     /// bit-identical either way.
     pub workers: Option<usize>,
-    /// Largest heterogeneous *groupput* instance the exact solver
-    /// accepts. Since the factorized kernel replaced enumeration on
-    /// this path the ceiling is a latency budget, not a memory wall:
-    /// a groupput solve is O(N) per dual iteration, so the default
-    /// comfortably serves N ∈ {24, 32, 64, 256} where the old `2^N`
-    /// tables stopped at 16.
-    pub max_exact_nodes: usize,
-    /// Largest heterogeneous *anyput* instance the exact solver
-    /// accepts (the effective anyput ceiling is the `min` with
-    /// [`max_exact_nodes`](Self::max_exact_nodes)). Anyput's
-    /// factorized evaluation is now O(N) per dual iteration like
-    /// groupput, but its marginal pass runs more exponentials per
-    /// node, so the ceiling stays separately tunable; the default
-    /// stays at the largest size the end-to-end tests pin.
-    pub max_anyput_nodes: usize,
     /// Exact-tier byte budget (`None` = unbounded): an approximate
     /// ceiling on resident LRU bytes. Past it the LRU evicts —
     /// size-aware, LRU-first — to fit, counting those evictions in
@@ -91,14 +82,25 @@ impl Default for ServiceConfig {
         ServiceConfig {
             lru_capacity: 1024,
             workers: None,
-            max_exact_nodes: 256,
-            max_anyput_nodes: 64,
             max_cache_bytes: None,
             queue_capacity: 256,
             max_queue_delay: std::time::Duration::from_millis(50),
         }
     }
 }
+
+/// Largest heterogeneous *groupput* instance the exact solver
+/// accepts. Since the factorized kernel replaced enumeration on this
+/// path the ceiling is a latency budget, not a memory wall: a groupput
+/// solve is O(N) per dual iteration, so it comfortably serves
+/// N ∈ {24, 32, 64, 256} where the old `2^N` tables stopped at 16.
+pub const MAX_EXACT_NODES: usize = 256;
+
+/// Largest heterogeneous *anyput* instance the exact solver accepts.
+/// Anyput's factorized evaluation is O(N) per dual iteration like
+/// groupput, but its marginal pass runs more exponentials per node,
+/// so it caps lower: at the largest size the end-to-end tests pin.
+pub const MAX_ANYPUT_NODES: usize = 64;
 
 /// What the probe phase decided for one request.
 ///
@@ -187,24 +189,13 @@ pub struct PolicyService {
     /// One solver workspace pool per worker slot, reused across
     /// batches.
     scratch: Vec<SolverPool>,
-    stats: Counters,
+    /// This service's counters, each under its registry slot. Only
+    /// `&mut self` reaches them, so counting is a plain add; the LRU
+    /// holds its own eviction counts.
+    counters: [u64; NUM_COUNTERS],
     /// This service's latency histograms: a process running several
     /// servers reports each one's latencies from that server alone.
     latency: econcast_metrics::LatencyHists,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct Counters {
-    requests: u64,
-    batches: u64,
-    exact_hits: u64,
-    exact_hits_closed_form: u64,
-    exact_hits_factorized: u64,
-    closed_form_hits: u64,
-    solver_solves: u64,
-    batch_dedup_hits: u64,
-    errors: u64,
-    lru_inserts: u64,
 }
 
 impl Default for PolicyService {
@@ -219,48 +210,27 @@ impl PolicyService {
         PolicyService {
             lru: LruCache::with_byte_budget(cfg.lru_capacity, cfg.max_cache_bytes),
             scratch: Vec::new(),
-            stats: Counters::default(),
+            counters: [0; NUM_COUNTERS],
             latency: econcast_metrics::LatencyHists::default(),
             cfg,
         }
     }
 
-    /// A snapshot of the per-tier counters.
+    /// The per-tier counters: the serving-counter view of
+    /// [`metrics`](Self::metrics).
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            requests: self.stats.requests,
-            batches: self.stats.batches,
-            exact_hits: self.stats.exact_hits,
-            exact_hits_closed_form: self.stats.exact_hits_closed_form,
-            exact_hits_factorized: self.stats.exact_hits_factorized,
-            closed_form_hits: self.stats.closed_form_hits,
-            solver_solves: self.stats.solver_solves,
-            batch_dedup_hits: self.stats.batch_dedup_hits,
-            errors: self.stats.errors,
-            grid_builds: 0,
-            lru_inserts: self.stats.lru_inserts,
-            lru_evictions: self.lru.evictions(),
-            lru_len: self.lru.len() as u64,
-            byte_evictions: self.lru.byte_evictions(),
-            // The cluster self-healing counters are counted by the
-            // cluster router, and the overload counters by the socket
-            // server's admission controller; a plain service never
-            // counts either.
-            auto_respawns: 0,
-            quarantines: 0,
-            injected_faults: 0,
-            shed_rejects: 0,
-            degraded_serves: 0,
-            deadline_expired: 0,
-            queue_depth_peak: 0,
-        }
+        ServiceStats::from_snapshot(&self.metrics())
     }
 
-    /// This service's counters, LRU gauges and latency histograms as a
-    /// registry-shaped metrics scrape.
-    pub fn metrics(&self) -> econcast_metrics::MetricsSnapshot {
-        let mut snap = self.stats().to_snapshot();
-        snap.gauges[econcast_metrics::GAUGE_LRU_BYTES].1 = self.cache_bytes() as u64;
+    /// This service's counters, the LRU's eviction counts and gauges,
+    /// and the latency histograms as a registry-shaped metrics scrape.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::zeroed();
+        snap.counters.copy_from_slice(&self.counters);
+        snap.counters[CTR_LRU_EVICTIONS] = self.lru.evictions();
+        snap.counters[CTR_BYTE_EVICTIONS] = self.lru.byte_evictions();
+        snap.gauges[GAUGE_LRU_ENTRIES].1 = self.lru.len() as u64;
+        snap.gauges[GAUGE_LRU_BYTES].1 = self.cache_bytes() as u64;
         self.latency.fill(&mut snap);
         snap
     }
@@ -299,8 +269,8 @@ impl PolicyService {
             "serve_batch",
             "requests" => reqs.len() as u64
         );
-        self.stats.batches += 1;
-        self.stats.requests += reqs.len() as u64;
+        self.counters[CTR_BATCHES] += 1;
+        self.counters[CTR_REQUESTS] += reqs.len() as u64;
         let t0 = std::time::Instant::now();
 
         // Phase 1: probe tiers, queue deduplicated solves.
@@ -381,16 +351,16 @@ impl PolicyService {
                     let policy = results[j].as_ref().expect("every job ran");
                     if let Plan::Job(..) = plan {
                         match job.kind {
-                            JobKind::Exact(_) => self.stats.solver_solves += 1,
-                            JobKind::ClosedForm => self.stats.closed_form_hits += 1,
+                            JobKind::Exact(_) => self.counters[CTR_SOLVER_SOLVES] += 1,
+                            JobKind::ClosedForm => self.counters[CTR_CLOSED_FORM_HITS] += 1,
                         }
                     } else {
-                        self.stats.batch_dedup_hits += 1;
+                        self.counters[CTR_BATCH_DEDUP_HITS] += 1;
                     }
                     if !inserted[j] {
                         inserted[j] = true;
                         self.lru.insert(canon.key.clone(), policy.clone());
-                        self.stats.lru_inserts += 1;
+                        self.counters[CTR_LRU_INSERTS] += 1;
                     }
                     out.push(Ok(respond(canon, policy, job.tier())));
                 }
@@ -407,7 +377,7 @@ impl PolicyService {
         pending: &mut HashMap<econcast_statespace::InstanceKey, usize>,
     ) -> Plan {
         if let Err(e) = req.validate() {
-            self.stats.errors += 1;
+            self.counters[CTR_ERRORS] += 1;
             return Plan::Done(Err(e));
         }
         let canon = CanonicalInstance::new(
@@ -423,10 +393,10 @@ impl PolicyService {
         // tier's behaviour at large N (factorized-solved entries) is
         // observable apart from the closed-form traffic.
         if let Some(hit) = self.lru.get(&canon.key) {
-            self.stats.exact_hits += 1;
+            self.counters[CTR_EXACT_HITS] += 1;
             match hit.kernel {
-                PolicyKernel::ClosedForm => self.stats.exact_hits_closed_form += 1,
-                PolicyKernel::Factorized => self.stats.exact_hits_factorized += 1,
+                PolicyKernel::ClosedForm => self.counters[CTR_EXACT_HITS_CLOSED_FORM] += 1,
+                PolicyKernel::Factorized => self.counters[CTR_EXACT_HITS_FACTORIZED] += 1,
                 PolicyKernel::GrayCode => {}
             }
             let resp = respond(&canon, hit, ServedTier::Exact);
@@ -438,13 +408,11 @@ impl PolicyService {
         // have no tier left. The ceiling is mode-aware: anyput runs
         // more exponentials per node, so it caps lower than groupput.
         let ceiling = match req.objective {
-            econcast_core::ThroughputMode::Groupput => self.cfg.max_exact_nodes,
-            econcast_core::ThroughputMode::Anyput => {
-                self.cfg.max_exact_nodes.min(self.cfg.max_anyput_nodes)
-            }
+            econcast_core::ThroughputMode::Groupput => MAX_EXACT_NODES,
+            econcast_core::ThroughputMode::Anyput => MAX_ANYPUT_NODES,
         };
         if !canon.homogeneous && canon.sorted_budgets.len() > ceiling {
-            self.stats.errors += 1;
+            self.counters[CTR_ERRORS] += 1;
             return Plan::Done(Err(ServiceError::TooLarge {
                 n: canon.sorted_budgets.len(),
                 max: ceiling,
@@ -688,9 +656,8 @@ mod tests {
         let err = svc.serve(&het_request(&budgets, 1e-2)).unwrap_err();
         assert_eq!(err, ServiceError::TooLarge { n: 300, max: 256 });
         assert_eq!(svc.stats().errors, 1);
-        // Anyput's ceiling is separately tunable (and defaults
-        // lower), so the mode-aware ceiling rejects sizes the
-        // groupput path would accept.
+        // Anyput's ceiling is lower, so the mode-aware ceiling
+        // rejects sizes the groupput path would accept.
         let anyput_100 = PolicyRequest {
             objective: Anyput,
             ..het_request(

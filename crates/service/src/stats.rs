@@ -1,9 +1,12 @@
-//! Per-tier serving counters, and their place in a metrics scrape.
+//! Per-tier serving counters: a view of a metrics scrape.
 //!
 //! [`ServiceStats`] is plain data: one service's (or shard's, or a
-//! whole deployment's) counters. Its wire form is the metrics scrape:
-//! its 18 counters are the first entries of the `econcast-metrics`
-//! registry (`CTR_REQUESTS` ..= `CTR_DEADLINE_EXPIRED`), and its two
+//! whole deployment's) counters, read out of a [`MetricsSnapshot`].
+//! It holds no count of its own — every count lives in its owner's
+//! registry-indexed table, and `PolicyService::stats` is this view of
+//! `PolicyService::metrics`. Its 18 counters are the first entries of
+//! the `econcast-metrics` registry
+//! (`CTR_REQUESTS` ..= `CTR_DEADLINE_EXPIRED`), and its two
 //! levels are registry gauges — `lru_len` is `GAUGE_LRU_ENTRIES`
 //! (shards hold disjoint key ranges, so levels sum) and
 //! `queue_depth_peak` is `GAUGE_QUEUE_DEPTH_PEAK` (shards share one
@@ -21,8 +24,9 @@ use econcast_metrics::{
 };
 
 /// A snapshot of one service's (or one shard's) counters since
-/// construction. Obtained from `PolicyService::stats`, or over the
-/// wire from a metrics scrape; plain data, cheap to copy.
+/// construction, read out of a metrics scrape (`PolicyService::stats`
+/// in process, `PolicyClient::stats` over the wire); plain data,
+/// cheap to copy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests received (including failed ones).
