@@ -71,8 +71,7 @@ pub mod supervisor;
 pub mod topology;
 
 pub use econcast_service::{
-    ClusterConfig, ClusterRouter, ClusterStats, RemoteConfig, RemoteShard, RemoteShardStats,
-    RemoteTicket, SlotSpec,
+    ClusterConfig, ClusterRouter, ClusterStats, RemoteConfig, RemoteShard, RemoteTicket, SlotSpec,
 };
 pub use fault::{Fault, FaultEvent, FaultPlan, FaultProxy};
 pub use front::{ClusterFront, FrontConfig, FrontHandle};

@@ -15,8 +15,8 @@ use econcast_core::{NodeParams, ThroughputMode};
 use econcast_proto::service::{ServiceCodec, ServiceMessage, WireHello};
 use econcast_service::workload::mixed_batch;
 use econcast_service::{
-    PolicyClient, PolicyRequest, PolicyResponse, PolicyServer, RouterConfig, ServerConfig,
-    ServerHandle, ServiceConfig, ServiceError, ShardRouter,
+    PolicyClient, PolicyRequest, PolicyServer, RouterConfig, ServerConfig, ServerHandle,
+    ServiceConfig, ShardRouter,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -24,6 +24,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+#[path = "../../service/tests/common/contract.rs"]
+mod contract;
+use contract::assert_same;
 
 /// The backend executable Cargo built for this crate's tests.
 fn backend_bin() -> &'static Path {
@@ -51,82 +55,6 @@ fn chaos_cfg() -> ClusterConfig {
             reprobe_after: Duration::from_secs(3600),
         },
     }
-}
-
-/// Asserts a wire result carries identical payload bits to the
-/// reference (tier labels may shift where `Exact` is involved — the
-/// PR 3 socket-test convention; same helper as `tests/cluster.rs`).
-fn assert_payload_identical(
-    i: usize,
-    wire: &econcast_service::WireResult,
-    exp: &Result<PolicyResponse, ServiceError>,
-) {
-    let wire = wire
-        .as_ref()
-        .unwrap_or_else(|e| panic!("request {i}: caller-visible error {e:?}"));
-    let exp = exp.as_ref().expect("reference served");
-    assert_eq!(wire.policies.len(), exp.policies.len(), "request {i}");
-    for (wp, np) in wire.policies.iter().zip(&exp.policies) {
-        assert_eq!(wp.listen.to_bits(), np.listen.to_bits(), "request {i}");
-        assert_eq!(wp.transmit.to_bits(), np.transmit.to_bits(), "request {i}");
-    }
-    assert_eq!(
-        wire.throughput.to_bits(),
-        exp.throughput.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(
-        wire.cert_t_sigma.to_bits(),
-        exp.certificate.t_sigma.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(
-        wire.cert_oracle.to_bits(),
-        exp.certificate.oracle.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(
-        wire.cert_dual_upper.to_bits(),
-        exp.certificate.dual_upper.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(wire.converged, exp.converged, "request {i}");
-    assert!(
-        wire.tier == exp.tier
-            || wire.tier == econcast_service::ServedTier::Exact
-            || exp.tier == econcast_service::ServedTier::Exact,
-        "request {i}: tier {:?} vs expected {:?}",
-        wire.tier,
-        exp.tier
-    );
-}
-
-/// The native-response sibling of [`assert_payload_identical`], for
-/// tests that drive the router directly instead of over the wire.
-fn assert_resp_identical(
-    i: usize,
-    got: &Result<PolicyResponse, ServiceError>,
-    exp: &Result<PolicyResponse, ServiceError>,
-) {
-    let got = got
-        .as_ref()
-        .unwrap_or_else(|e| panic!("request {i}: caller-visible error {e:?}"));
-    let exp = exp.as_ref().expect("reference served");
-    assert_eq!(got.policies.len(), exp.policies.len(), "request {i}");
-    for (gp, ep) in got.policies.iter().zip(&exp.policies) {
-        assert_eq!(gp.listen.to_bits(), ep.listen.to_bits(), "request {i}");
-        assert_eq!(gp.transmit.to_bits(), ep.transmit.to_bits(), "request {i}");
-    }
-    assert_eq!(
-        got.throughput.to_bits(),
-        exp.throughput.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(
-        got.certificate.t_sigma.to_bits(),
-        exp.certificate.t_sigma.to_bits(),
-        "request {i}"
-    );
 }
 
 /// The chaos acceptance test: a seeded fault plan covering every
@@ -238,7 +166,7 @@ fn chaos_plan_is_absorbed_bit_identically_while_the_policy_loop_heals() {
             assert_eq!(got.len(), chunk.len());
             for (k, wire) in got.iter().enumerate() {
                 let i = c * 64 + k;
-                assert_payload_identical(i, wire, &expected[i]);
+                assert_same("chaos plan", i, wire, &expected[i]);
             }
         }
         // Quiet gap between rounds: healing (sweep, respawn, probe,
@@ -397,7 +325,7 @@ fn refused_dial_fails_and_the_next_dial_speaks_the_full_protocol() {
     let got = client.serve_batch(&batch).expect("serve");
     assert_eq!(got.len(), expected.len());
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_payload_identical(i, g, e);
+        assert_same("refused dial", i, g, e);
     }
     let snap = client.metrics().expect("metrics scrape on the new link");
     assert!(!snap.counters.is_empty());
@@ -454,7 +382,7 @@ fn live_reshard_keeps_answers_bit_identical() {
         let got = router.serve_batch(batch);
         assert_eq!(got.len(), expected.len());
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_resp_identical(i, g, e);
+            assert_same("live reshard", i, g, e);
         }
     };
     serve_checked(&phase(5.0));
@@ -540,7 +468,7 @@ fn crash_looping_backend_is_quarantined_onto_a_local_slot() {
     loop {
         let got = router.serve_batch(&batch);
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-            assert_resp_identical(i, g, e);
+            assert_same("crash loop", i, g, e);
         }
         if router.cluster_stats().quarantines >= 1 {
             break;
@@ -568,7 +496,7 @@ fn crash_looping_backend_is_quarantined_onto_a_local_slot() {
     let served_before = stats.local_served;
     let got = router.serve_batch(&batch);
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_resp_identical(i, g, e);
+        assert_same("crash loop", i, g, e);
     }
     assert!(router.cluster_stats().local_served > served_before);
 }

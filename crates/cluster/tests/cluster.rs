@@ -7,14 +7,7 @@ use econcast_cluster::{
     ClusterConfig, ClusterFront, ClusterRouter, FrontConfig, RemoteConfig, SlotSpec, Supervisor,
     SupervisorConfig,
 };
-use econcast_metrics::{
-    MetricsSnapshot, COUNTER_NAMES, CTR_AUTO_RESPAWNS, CTR_BATCHES, CTR_BATCH_DEDUP_HITS,
-    CTR_BYTE_EVICTIONS, CTR_CLOSED_FORM_HITS, CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES,
-    CTR_ERRORS, CTR_EXACT_HITS, CTR_EXACT_HITS_CLOSED_FORM, CTR_EXACT_HITS_FACTORIZED,
-    CTR_INJECTED_FAULTS, CTR_LRU_EVICTIONS, CTR_LRU_INSERTS, CTR_QUARANTINES, CTR_REQUESTS,
-    CTR_SHED_REJECTS, CTR_SOLVER_SOLVES, GAUGE_LRU_ENTRIES, GAUGE_QUEUE_DEPTH_PEAK,
-    HIST_REQUEST_NS,
-};
+use econcast_metrics::{CTR_REQUESTS, HIST_REQUEST_NS};
 use econcast_proto::service::{WirePong, WireWelcome};
 use econcast_proto::{ServiceCodec, ServiceMessage};
 use econcast_service::workload::mixed_batch;
@@ -26,6 +19,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::time::Duration;
+
+#[path = "../../service/tests/common/contract.rs"]
+mod contract;
+use contract::{assert_planes_agree, assert_same};
 
 /// The backend executable Cargo built for this crate's tests.
 fn backend_bin() -> &'static Path {
@@ -52,60 +49,6 @@ fn cluster_cfg() -> ClusterConfig {
             ..RemoteConfig::default()
         },
     }
-}
-
-/// Asserts two responses carry identical payload bits (tier labels
-/// may shift to `Exact`, the PR 3 socket-test convention).
-fn assert_payload_identical(
-    i: usize,
-    wire: &econcast_service::WireResult,
-    exp: &Result<econcast_service::PolicyResponse, econcast_service::ServiceError>,
-) {
-    let wire = wire
-        .as_ref()
-        .unwrap_or_else(|e| panic!("request {i}: caller-visible error {e:?}"));
-    let exp = exp.as_ref().expect("reference served");
-    assert_eq!(wire.policies.len(), exp.policies.len(), "request {i}");
-    for (wp, np) in wire.policies.iter().zip(&exp.policies) {
-        assert_eq!(wp.listen.to_bits(), np.listen.to_bits(), "request {i}");
-        assert_eq!(wp.transmit.to_bits(), np.transmit.to_bits(), "request {i}");
-    }
-    assert_eq!(
-        wire.throughput.to_bits(),
-        exp.throughput.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(
-        wire.cert_t_sigma.to_bits(),
-        exp.certificate.t_sigma.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(
-        wire.cert_oracle.to_bits(),
-        exp.certificate.oracle.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(
-        wire.cert_dual_upper.to_bits(),
-        exp.certificate.dual_upper.to_bits(),
-        "request {i}"
-    );
-    assert_eq!(wire.converged, exp.converged, "request {i}");
-    // Tier labels may differ only where the exact tier is involved:
-    // batching boundaries turn fresh serves into `Exact` replays
-    // (the PR 3 socket convention), and failover re-serves turn
-    // `Exact` replays back into fresh serves on the fallback's cold
-    // caches (`Grid`/`ClosedForm`/`Solver`). Either way the LRU entry
-    // *is* the producing tier's policy, so the payload asserts above
-    // already pinned the bits.
-    assert!(
-        wire.tier == exp.tier
-            || wire.tier == econcast_service::ServedTier::Exact
-            || exp.tier == econcast_service::ServedTier::Exact,
-        "request {i}: tier {:?} vs expected {:?}",
-        wire.tier,
-        exp.tier
-    );
 }
 
 #[test]
@@ -146,7 +89,7 @@ fn two_backend_cluster_is_bit_identical_and_survives_a_kill() {
         assert_eq!(got.len(), chunk.len());
         for (k, wire) in got.iter().enumerate() {
             let i = c * 64 + k;
-            assert_payload_identical(i, wire, &expected[i]);
+            assert_same("two backends", i, wire, &expected[i]);
         }
         if c == 0 {
             sup.kill(0).expect("kill backend 0");
@@ -195,7 +138,7 @@ fn two_backend_cluster_is_bit_identical_and_survives_a_kill() {
         .serve_batch(&batch[..64])
         .expect("post-respawn batch");
     for (i, wire) in replay.iter().enumerate() {
-        assert_payload_identical(i, wire, &expected[i]);
+        assert_same("two backends", i, wire, &expected[i]);
     }
     let stats = {
         let router = front.router();
@@ -302,36 +245,6 @@ fn stats_fan_in_equals_the_sum_of_backend_stats() {
     drop(client);
     front.shutdown();
     drop(sup);
-}
-
-/// Asserts that a scrape and a serving-counter view agree on every
-/// counter and gauge they share, field by registry slot.
-fn assert_planes_agree(m: &MetricsSnapshot, s: &ServiceStats) {
-    let shared = [
-        (CTR_REQUESTS, s.requests),
-        (CTR_BATCHES, s.batches),
-        (CTR_EXACT_HITS, s.exact_hits),
-        (CTR_CLOSED_FORM_HITS, s.closed_form_hits),
-        (CTR_SOLVER_SOLVES, s.solver_solves),
-        (CTR_BATCH_DEDUP_HITS, s.batch_dedup_hits),
-        (CTR_ERRORS, s.errors),
-        (CTR_LRU_INSERTS, s.lru_inserts),
-        (CTR_LRU_EVICTIONS, s.lru_evictions),
-        (CTR_EXACT_HITS_CLOSED_FORM, s.exact_hits_closed_form),
-        (CTR_EXACT_HITS_FACTORIZED, s.exact_hits_factorized),
-        (CTR_BYTE_EVICTIONS, s.byte_evictions),
-        (CTR_AUTO_RESPAWNS, s.auto_respawns),
-        (CTR_QUARANTINES, s.quarantines),
-        (CTR_INJECTED_FAULTS, s.injected_faults),
-        (CTR_SHED_REJECTS, s.shed_rejects),
-        (CTR_DEGRADED_SERVES, s.degraded_serves),
-        (CTR_DEADLINE_EXPIRED, s.deadline_expired),
-    ];
-    for (idx, v) in shared {
-        assert_eq!(m.counter(idx), v, "{}", COUNTER_NAMES[idx]);
-    }
-    assert_eq!(m.gauge(GAUGE_LRU_ENTRIES), s.lru_len);
-    assert_eq!(m.gauge(GAUGE_QUEUE_DEPTH_PEAK), s.queue_depth_peak);
 }
 
 /// A single-shard `PolicyServer` in this process.
@@ -559,7 +472,7 @@ fn spoiled_reply_voids_the_sub_batch(spoil: Spoil) {
     let mut client = PolicyClient::connect(front.addr(), batch.len() as u16).expect("connect");
     let got = client.serve_batch(&batch).expect("front round trip");
     for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_payload_identical(i, g, e);
+        assert_same("spoiled reply", i, g, e);
     }
     let cs = front.router().cluster_stats();
     assert!(cs.routed[1] >= 3, "the scripted slot has a middle: {cs:?}");
@@ -700,7 +613,7 @@ fn discovered_topology_serves_through_a_real_front() {
     let mut client = PolicyClient::connect(front.addr(), 64).expect("connect");
     let got = client.serve_batch(&batch).expect("serve");
     for (i, wire) in got.iter().enumerate() {
-        assert_payload_identical(i, wire, &expected[i]);
+        assert_same("discovered topology", i, wire, &expected[i]);
     }
 
     // The discovered backends really served it — no silent fallback.
@@ -774,7 +687,7 @@ fn over_cap_front_client_is_served_once_the_slot_frees() {
     let got = second.serve_batch(&batch).expect("serve");
     assert_eq!(got.len(), batch.len());
     for (i, wire) in got.iter().enumerate() {
-        assert_payload_identical(i, wire, &expected[i]);
+        assert_same("over-cap client", i, wire, &expected[i]);
     }
     drop(second);
     front.shutdown();

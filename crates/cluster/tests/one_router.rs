@@ -11,9 +11,8 @@ use econcast_cluster::{
 };
 use econcast_core::{NodeParams, ThroughputMode};
 use econcast_service::{
-    PolicyClient, PolicyRequest, PolicyResponse, PolicyServer, PolicyService, RouterConfig,
-    ServerConfig, ServerHandle, ServiceConfig, ServiceError, ServiceErrorCode, ShardRouter,
-    WireResult,
+    PolicyClient, PolicyRequest, PolicyServer, PolicyService, RouterConfig, ServerConfig,
+    ServerHandle, ServiceConfig, ShardRouter,
 };
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -23,6 +22,10 @@ use std::time::{Duration, Instant};
 #[path = "../../service/tests/common/gen.rs"]
 mod gen;
 use gen::{random_request, Gen};
+
+#[path = "../../service/tests/common/contract.rs"]
+mod contract;
+use contract::assert_all_same;
 
 /// One configuration for every slot, backend, fallback and the
 /// reference: bit-identity needs them equal.
@@ -96,64 +99,6 @@ fn workload(seed: u64, batches: usize, batch: usize) -> Vec<Vec<PolicyRequest>> 
     reqs.chunks(batch).map(<[PolicyRequest]>::to_vec).collect()
 }
 
-/// Asserts one answer carries the reference's bits: policies,
-/// throughput, certificate and convergence — or its error code. Tier
-/// labels may differ (a batching boundary turns a fresh serve into an
-/// `Exact` replay of the same bits).
-fn assert_same(
-    what: &str,
-    i: usize,
-    got: Result<&PolicyResponse, ServiceErrorCode>,
-    want: &Result<PolicyResponse, ServiceError>,
-) {
-    let (got, want) = match (got, want) {
-        (Ok(got), Ok(want)) => (got, want),
-        (Err(got), Err(want)) => {
-            assert_eq!(got, want.wire_code(), "{what}: request {i}");
-            return;
-        }
-        (got, want) => panic!("{what}: request {i}: got {got:?}, want {want:?}"),
-    };
-    let bits = |r: &PolicyResponse| {
-        let c = &r.certificate;
-        let policies: Vec<_> = r
-            .policies
-            .iter()
-            .map(|p| (p.listen.to_bits(), p.transmit.to_bits()))
-            .collect();
-        let cert = [c.t_sigma, c.oracle, c.dual_upper].map(f64::to_bits);
-        (policies, r.throughput.to_bits(), cert, r.converged)
-    };
-    assert_eq!(bits(got), bits(want), "{what}: request {i}");
-}
-
-fn assert_native(
-    what: &str,
-    got: &[Result<PolicyResponse, ServiceError>],
-    want: &[Result<PolicyResponse, ServiceError>],
-) {
-    assert_eq!(got.len(), want.len(), "{what}");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_same(what, i, g.as_ref().map_err(ServiceError::wire_code), w);
-    }
-}
-
-fn assert_wire(
-    what: &str,
-    reqs: &[PolicyRequest],
-    got: &[WireResult],
-    want: &[Result<PolicyResponse, ServiceError>],
-) {
-    assert_eq!(got.len(), want.len(), "{what}");
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        let g = g
-            .as_ref()
-            .map(|r| PolicyResponse::from_wire(r, reqs[i].sigma))
-            .map_err(|e| e.code);
-        assert_same(what, i, g.as_ref().map_err(|&c| c), w);
-    }
-}
-
 #[test]
 fn every_router_shape_answers_like_a_single_service() {
     let batches = workload(0x0ee_2026, 6, 24);
@@ -173,7 +118,7 @@ fn every_router_shape_answers_like_a_single_service() {
         });
         for (b, reqs) in batches.iter().enumerate() {
             let what = format!("{shards} shards, batch {b}");
-            assert_native(&what, &router.serve_batch(reqs), &want[b]);
+            assert_all_same(&what, &router.serve_batch(reqs), &want[b]);
         }
     }
 
@@ -182,7 +127,7 @@ fn every_router_shape_answers_like_a_single_service() {
     let mut client = PolicyClient::connect(server.addr(), 64).expect("connect server");
     for (b, reqs) in batches.iter().enumerate() {
         let got = client.serve_batch(reqs).expect("server round trip");
-        assert_wire(&format!("server, batch {b}"), reqs, &got, &want[b]);
+        assert_all_same(&format!("server, batch {b}"), &got, &want[b]);
     }
     drop(client);
     server.shutdown();
@@ -210,7 +155,7 @@ fn every_router_shape_answers_like_a_single_service() {
                     let b = (k + step) % batches.len();
                     let got = client.serve_batch(&batches[b]).expect("front round trip");
                     let what = format!("front client {k}, batch {b}");
-                    assert_wire(&what, &batches[b], &got, &want[b]);
+                    assert_all_same(&what, &got, &want[b]);
                 }
             });
         }

@@ -657,7 +657,8 @@ pub enum OpsKind {
     Quarantine,
     /// A backend-saturation window opened.
     SaturationOpen,
-    /// A backend-saturation window lapsed.
+    /// A backend-saturation window closed: it lapsed, or its slot was
+    /// quarantined.
     SaturationClose,
 }
 

@@ -79,7 +79,7 @@ mod gen;
 pub use admission::{degraded_tolerance, Admission, AdmissionController};
 pub use cache::{CachedPolicy, LruCache};
 pub use client::{PolicyClient, ReplyFrames, Ticket, WireResult};
-pub use remote::{RemoteConfig, RemoteShard, RemoteShardStats, RemoteTicket};
+pub use remote::{RemoteConfig, RemoteShard, RemoteTicket};
 pub use request::{NodePolicy, PolicyRequest, PolicyResponse, ServiceError};
 pub use router::{ClusterConfig, ClusterRouter, ClusterStats, SlotSpec};
 pub use server::{Acceptor, Answer, PolicyServer, Served, ServerConfig, ServerHandle};

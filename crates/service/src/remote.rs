@@ -4,7 +4,8 @@
 //! A [`RemoteShard`] owns one backend address and at most one live
 //! connection to it. Operations dial lazily with **bounded retry and
 //! exponential backoff**, and every operation outcome feeds a small
-//! health machine:
+//! health machine, which holds state and counts nothing (the router
+//! counts failures and served requests in its registry table):
 //!
 //! * a success resets the failure streak and marks the backend
 //!   healthy;
@@ -61,25 +62,8 @@ impl Default for RemoteConfig {
     }
 }
 
-/// Cumulative per-backend counters (plain data, cheap to copy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RemoteShardStats {
-    /// Successful connection establishments.
-    pub connects: u64,
-    /// Requests served by the backend through this dialer.
-    pub served: u64,
-    /// Failed operations (dial or I/O), each of which drops the
-    /// pooled connection.
-    pub failures: u64,
-    /// healthy → down transitions.
-    pub down_transitions: u64,
-    /// down → healthy recoveries.
-    pub recoveries: u64,
-}
-
 /// An in-flight remote sub-batch: the connection-level [`Ticket`]
-/// plus the accounting ([`RemoteShardStats::served`], trace span,
-/// deadline) applied when it completes.
+/// plus the trace span and deadline applied when it completes.
 #[derive(Debug)]
 pub struct RemoteTicket {
     ticket: Ticket,
@@ -105,7 +89,6 @@ pub struct RemoteShard {
     /// Deterministic per-shard multiplier in `[1.0, 1.5)` applied to
     /// every reconnect backoff sleep.
     jitter: f64,
-    stats: RemoteShardStats,
 }
 
 /// The per-shard backoff jitter factor: seeded from the shard's slot
@@ -139,7 +122,6 @@ impl RemoteShard {
             consecutive_failures: 0,
             down_since: None,
             jitter: jitter_factor(index),
-            stats: RemoteShardStats::default(),
         }
     }
 
@@ -166,11 +148,6 @@ impl RemoteShard {
             None => true,
             Some(since) => since.elapsed() >= self.cfg.reprobe_after,
         }
-    }
-
-    /// Counter snapshot.
-    pub fn shard_stats(&self) -> RemoteShardStats {
-        self.stats
     }
 
     /// Re-targets the dialer at a replacement backend (a respawned
@@ -262,13 +239,9 @@ impl RemoteShard {
         }
     }
 
-    /// Completion bookkeeping: health machine, served counter, trace
-    /// span.
+    /// Completion bookkeeping: health machine, trace span.
     fn settle(&mut self, t: &RemoteTicket, ok: bool) {
         self.note_outcome(ok);
-        if ok {
-            self.stats.served += t.n as u64;
-        }
         econcast_trace::complete_from("cluster", "remote_serve", t.t0, &[("requests", t.n as u64)]);
     }
 
@@ -337,7 +310,6 @@ impl RemoteShard {
                 // a wedged backend able to hang the dial itself.
                 match dial(self.addr, HELLO_BATCH, self.cfg.io_timeout) {
                     Ok(client) => {
-                        self.stats.connects += 1;
                         self.conn = Some(client);
                         last_err = None;
                         break;
@@ -363,21 +335,16 @@ impl RemoteShard {
     pub(crate) fn note_outcome(&mut self, ok: bool) {
         if ok {
             self.consecutive_failures = 0;
-            if self.down_since.take().is_some() {
-                self.stats.recoveries += 1;
-            }
+            self.down_since = None;
             return;
         }
         // A failed stream is never reused: the next operation redials.
         self.conn = None;
-        self.stats.failures += 1;
         self.consecutive_failures += 1;
         if self.consecutive_failures >= self.cfg.unhealthy_after.max(1) {
             // (Re-)stamp the downtime so the reprobe window restarts
             // after every failed probe, not just the first failure.
-            if self.down_since.replace(Instant::now()).is_none() {
-                self.stats.down_transitions += 1;
-            }
+            self.down_since = Some(Instant::now());
         }
     }
 }
@@ -450,10 +417,7 @@ mod tests {
             !shard.should_attempt(),
             "an hour-long reprobe window gates further attempts"
         );
-        let s = shard.shard_stats();
-        assert_eq!(s.failures, 1);
-        assert_eq!(s.down_transitions, 1);
-        assert_eq!(s.served, 0);
+        assert!(!shard.connected(), "the failed dial pooled nothing");
     }
 
     #[test]
@@ -497,9 +461,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].is_ok());
         assert!(shard.healthy());
-        let s = shard.shard_stats();
-        assert_eq!(s.served, 1);
-        assert!(s.connects >= 1);
+        assert!(shard.connected(), "the serve pooled its connection");
 
         // The backend's own scrape counts the request it served.
         let backend = PolicyClient::connect(server.addr(), 1)
@@ -565,10 +527,8 @@ mod tests {
             !shard.should_attempt(),
             "failed reprobe re-stamps the window"
         );
-        let s = shard.shard_stats();
-        assert_eq!(s.failures, 2, "initial failure plus one probe");
-        assert_eq!(s.down_transitions, 1, "still the same outage");
-        assert_eq!(s.recoveries, 0);
+        assert!(!shard.healthy(), "still the same outage");
+        assert!(!shard.connected());
     }
 
     #[test]
@@ -617,8 +577,7 @@ mod tests {
         assert!(shard.ping(), "sweep probe re-adopts the backend");
         assert!(shard.healthy());
         assert!(shard.should_attempt());
-        let s = shard.shard_stats();
-        assert_eq!(s.recoveries, 1);
+        assert!(!shard.connected(), "the probe dialed on its own connection");
         let out = serve(&mut shard, &one_request()).expect("serves again");
         assert!(out[0].is_ok());
         server.shutdown();
@@ -664,7 +623,7 @@ mod tests {
         assert!(shard.ping(), "the pooled stream answers");
         assert!(shard.healthy());
         assert!(shard.connected());
-        assert_eq!(shard.shard_stats().failures, 0);
+        assert!(shard.should_attempt());
         server.shutdown();
     }
 }

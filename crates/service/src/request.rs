@@ -74,13 +74,6 @@ pub enum ServiceError {
         /// The service's exact-enumeration ceiling.
         max: usize,
     },
-    /// The admission queue is past its shed ladder: the request was
-    /// rejected (or its deadline expired) rather than served late.
-    /// Rides the dedicated `Overloaded` frame, never `0x12`.
-    Overloaded {
-        /// Server's drain-time estimate: retry no sooner than this.
-        retry_after_us: u32,
-    },
 }
 
 impl std::fmt::Display for ServiceError {
@@ -91,9 +84,6 @@ impl std::fmt::Display for ServiceError {
                 f,
                 "heterogeneous instance with {n} nodes exceeds the exact solver ceiling ({max})"
             ),
-            ServiceError::Overloaded { retry_after_us } => {
-                write!(f, "server overloaded; retry after {retry_after_us}µs")
-            }
         }
     }
 }
@@ -106,7 +96,6 @@ impl ServiceError {
         match self {
             ServiceError::BadRequest(_) => ServiceErrorCode::BadRequest,
             ServiceError::TooLarge { .. } => ServiceErrorCode::TooLarge,
-            ServiceError::Overloaded { .. } => ServiceErrorCode::Overloaded,
         }
     }
 }
@@ -317,15 +306,13 @@ impl PolicyResponse {
     }
 }
 
-/// Encodes a service error as a wire error with the given id.
-pub fn error_to_wire(err: &ServiceError, id: u32) -> WirePolicyError {
+/// Encodes a service error as a wire error with the given
+/// correlation id and request id.
+pub fn error_to_wire(err: &ServiceError, corr: u32, id: u32) -> WirePolicyError {
     WirePolicyError {
-        corr: 0,
+        corr,
         id,
         code: err.wire_code(),
-        retry_after_us: match err {
-            ServiceError::Overloaded { retry_after_us } => *retry_after_us,
-            _ => 0,
-        },
+        retry_after_us: 0,
     }
 }

@@ -19,13 +19,14 @@
 //!
 //! ## Locking
 //!
-//! Every method takes `&self`. Each slot sits behind its own mutex;
-//! the ring and the slot vector sit behind a read-mostly lock, taken
-//! for writing only by [`add_backend`](ClusterRouter::add_backend) and
-//! [`remove_backend`](ClusterRouter::remove_backend). A batch holds
-//! the read lock only while it routes, so batches on disjoint slots
-//! run in parallel and a key stays serialized through its one home
-//! slot. A batch locks its remote slots in slot order for the
+//! Every method takes `&self`. Each slot has one record: its kind,
+//! its routed count and its saturation window beside its own mutex.
+//! The ring and the record vector sit behind a read-mostly lock,
+//! taken for writing only by [`add_backend`](ClusterRouter::add_backend)
+//! and [`remove_backend`](ClusterRouter::remove_backend). A batch
+//! holds the read lock only while it routes, so batches on disjoint
+//! slots run in parallel and a key stays serialized through its one
+//! home slot. A batch locks its remote slots in slot order for the
 //! pipelined fan-out and releases each as soon as its sub-batch
 //! completes, and it never waits for one slot while holding another:
 //! a busy slot is waited for only once the jobs already submitted have
@@ -34,9 +35,12 @@
 //! wedged backend therefore stalls only the batches with keys on it,
 //! and the health sweep ([`ping_all`](ClusterRouter::ping_all)) and
 //! the metrics fan-in lock one slot at a time and dial with no lock
-//! held. Counting takes no lock at all: the router's counters sit in
-//! a [`CounterTable`] indexed by the metrics registry, and each
-//! slot's routed count in a relaxed atomic beside the slot.
+//! held. Counting and saturation take no lock at all: the router's
+//! counters sit in a [`CounterTable`] indexed by the metrics registry,
+//! and a slot's routed count and saturation window are relaxed atomics
+//! in its record. A batch reads the window **before** it locks the
+//! slot, so a saturated slot's keys go to the fallback without waiting
+//! for whoever holds its lock.
 //!
 //! ## Fan-out and reassembly
 //!
@@ -72,7 +76,7 @@
 
 use crate::client::PolicyClient;
 use crate::driver::{self, Job};
-use crate::remote::{RemoteConfig, RemoteShard, RemoteShardStats};
+use crate::remote::{RemoteConfig, RemoteShard};
 use crate::request::{PolicyRequest, PolicyResponse, ServiceError};
 use crate::server::{Answer, Served};
 use crate::service::{PolicyService, ServiceConfig};
@@ -87,7 +91,7 @@ use econcast_proto::service::{ServiceErrorCode, STATS_SHARD_AGGREGATE};
 use econcast_statespace::{route_hash_of, InstanceKey};
 use std::net::SocketAddr;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -267,19 +271,45 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The ring and the slot vector: what a batch reads while it routes,
-/// and what only a live rebalance writes.
+/// The ring and the slot records: what a batch reads while it
+/// routes, and what only a live rebalance writes.
 #[derive(Debug)]
 struct Topology {
     /// Consistent-hash ring; retired slots own no points.
     ring: HashRing,
     /// The ring's owner when it has exactly one: keying is skipped.
     sole: Option<u16>,
-    slots: Vec<Arc<Mutex<Slot>>>,
-    kinds: Vec<Kind>,
-    /// Requests routed to each slot, bumped under the read lock and
-    /// grown with `slots` under the write lock.
-    routed: Vec<AtomicU64>,
+    /// One record per slot, indexed by slot id.
+    slots: Vec<Arc<SlotEntry>>,
+}
+
+/// One ring slot: what it was built as, the requests routed to it and
+/// its saturation window, each readable without its lock, and the slot
+/// itself behind that lock.
+#[derive(Debug)]
+struct SlotEntry {
+    kind: Kind,
+    /// Requests routed to the slot, bumped under the topology read
+    /// lock.
+    routed: AtomicU64,
+    window: Window,
+    slot: Mutex<Slot>,
+}
+
+impl SlotEntry {
+    fn new(slot: Slot) -> Self {
+        let kind = match slot {
+            Slot::Remote(_) => Kind::Remote,
+            Slot::Local(_) => Kind::Local,
+            Slot::Retired => Kind::Retired,
+        };
+        SlotEntry {
+            kind,
+            routed: AtomicU64::new(0),
+            window: Window::default(),
+            slot: Mutex::new(slot),
+        }
+    }
 }
 
 /// What a slot was built as, readable without its lock. Only a remote
@@ -293,13 +323,51 @@ enum Kind {
     Retired,
 }
 
+/// A slot's saturation window from its backend's last `Overloaded`,
+/// on the router's clock ([`ClusterRouter::now_us`]). Both fields are
+/// relaxed atomics: the window is advisory, and a reader that sees a
+/// new end beside an old hint only misjudges one backoff estimate.
+#[derive(Debug, Default)]
+struct Window {
+    /// The window's end; 0 while closed.
+    end_us: AtomicU64,
+    /// The backend's `retry_after_us` hint that last set the end.
+    hint_us: AtomicU32,
+}
+
+impl Window {
+    fn open(&self, now: u64) -> bool {
+        now < self.end_us.load(Ordering::Relaxed)
+    }
+
+    /// Moves the end to `now + retry_after_us`. Returns whether this
+    /// opened a window: the old end had passed (or there was none).
+    fn extend(&self, now: u64, retry_after_us: u32) -> bool {
+        self.hint_us.store(retry_after_us, Ordering::Relaxed);
+        let end = now + u64::from(retry_after_us);
+        self.end_us.swap(end, Ordering::Relaxed) <= now
+    }
+
+    /// Closes a window that ends at or before `by`. Returns whether
+    /// one closed.
+    fn close(&self, by: u64) -> bool {
+        let end = self.end_us.load(Ordering::Relaxed);
+        end != 0
+            && end <= by
+            && self
+                .end_us
+                .compare_exchange(end, 0, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+    }
+}
+
 /// The ring over every non-retired slot, and its owner when it has
 /// exactly one. With no retired slots this is the ring of
-/// `kinds.len()` shards, so equal slot counts assign every canonical
+/// `slots.len()` shards, so equal slot counts assign every canonical
 /// key identically.
-fn ring_over(kinds: &[Kind]) -> (HashRing, Option<u16>) {
-    let live: Vec<u16> = (0..kinds.len() as u16)
-        .filter(|&s| kinds[usize::from(s)] != Kind::Retired)
+fn ring_over(slots: &[Arc<SlotEntry>]) -> (HashRing, Option<u16>) {
+    let live: Vec<u16> = (0..slots.len() as u16)
+        .filter(|&s| slots[usize::from(s)].kind != Kind::Retired)
         .collect();
     let sole = (live.len() == 1).then(|| live[0]);
     (HashRing::new(live), sole)
@@ -314,9 +382,8 @@ pub struct ClusterRouter {
     fallback: Mutex<PolicyService>,
     /// The distribution counters, each under its registry slot.
     counters: CounterTable,
-    /// Per-slot saturation window from the last backend `Overloaded`:
-    /// `(backoff end, the backend's retry_after_us hint)`.
-    saturation: Mutex<Vec<Option<(Instant, u32)>>>,
+    /// The zero of the saturation windows' clock.
+    epoch: Instant,
     /// The injected-fault count's one holder, shared with fault
     /// injectors (which fire from proxy threads); the table's
     /// `CTR_INJECTED_FAULTS` slot stays zero.
@@ -356,30 +423,16 @@ impl ClusterRouter {
     fn build(specs: &[SlotSpec], cfg: ClusterConfig, cluster: bool) -> Self {
         assert!(!specs.is_empty(), "need at least one slot");
         assert!(specs.len() <= u16::MAX as usize, "slot ids are u16");
-        let slots = specs
+        let slots: Vec<Arc<SlotEntry>> = specs
             .iter()
             .enumerate()
-            .map(|(i, spec)| Arc::new(Mutex::new(Self::slot(*spec, &cfg, i as u64))))
+            .map(|(i, spec)| Arc::new(Self::entry(*spec, &cfg, i as u64)))
             .collect();
-        let kinds: Vec<Kind> = specs
-            .iter()
-            .map(|spec| match spec {
-                SlotSpec::Remote(_) => Kind::Remote,
-                SlotSpec::Local => Kind::Local,
-            })
-            .collect();
-        let (ring, sole) = ring_over(&kinds);
-        let topo = Topology {
-            ring,
-            sole,
-            slots,
-            kinds,
-            routed: specs.iter().map(|_| AtomicU64::new(0)).collect(),
-        };
+        let (ring, sole) = ring_over(&slots);
         ClusterRouter {
-            topo: RwLock::new(topo),
+            topo: RwLock::new(Topology { ring, sole, slots }),
             fallback: Mutex::new(PolicyService::new(cfg.service)),
-            saturation: Mutex::new(vec![None; specs.len()]),
+            epoch: Instant::now(),
             cfg,
             counters: CounterTable::default(),
             injected_faults: Arc::new(AtomicU64::new(0)),
@@ -387,14 +440,14 @@ impl ClusterRouter {
         }
     }
 
-    fn slot(spec: SlotSpec, cfg: &ClusterConfig, index: u64) -> Slot {
-        match spec {
+    fn entry(spec: SlotSpec, cfg: &ClusterConfig, index: u64) -> SlotEntry {
+        SlotEntry::new(match spec {
             SlotSpec::Remote(addr) => Slot::Remote(Box::new(RemoteSlot {
                 shard: RemoteShard::with_index(addr, cfg.remote, index),
                 rebase: ScrapeRebase::default(),
             })),
             SlotSpec::Local => Slot::Local(Box::new(PolicyService::new(cfg.service))),
-        }
+        })
     }
 
     fn topo(&self) -> RwLockReadGuard<'_, Topology> {
@@ -403,22 +456,28 @@ impl ClusterRouter {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Every slot's cell, taken under the read lock and used after it
-    /// is released: nothing waits on a slot lock while holding the
+    /// Every slot's record, taken under the read lock and used after
+    /// it is released: nothing waits on a slot lock while holding the
     /// topology.
-    fn cells(&self) -> Vec<Arc<Mutex<Slot>>> {
+    fn cells(&self) -> Vec<Arc<SlotEntry>> {
         self.topo().slots.clone()
     }
 
-    fn cell(&self, slot: usize) -> Option<Arc<Mutex<Slot>>> {
+    fn cell(&self, slot: usize) -> Option<Arc<SlotEntry>> {
         self.topo().slots.get(slot).cloned()
     }
 
     /// Runs `f` on one slot under its lock (`None` for an unknown slot).
     fn with_slot<R>(&self, slot: usize, f: impl FnOnce(&mut Slot) -> R) -> Option<R> {
         let cell = self.cell(slot)?;
-        let mut guard = lock(&cell);
+        let mut guard = lock(&cell.slot);
         Some(f(&mut guard))
+    }
+
+    /// Microseconds since the router was built, plus one: the
+    /// saturation windows' clock, on which 0 never names an instant.
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64 + 1
     }
 
     /// Number of slots.
@@ -446,29 +505,18 @@ impl ClusterRouter {
         self.with_slot(slot, |s| matches!(s, Slot::Remote(_))) == Some(true)
     }
 
-    /// A remote slot's dialer counters (`None` for local or retired
-    /// slots).
-    pub fn remote_stats(&self, slot: usize) -> Option<RemoteShardStats> {
-        self.with_slot(slot, |s| match s {
-            Slot::Remote(remote) => Some(remote.shard.shard_stats()),
-            _ => None,
-        })?
-    }
-
     /// The distribution-layer view: the router's counters read out of
     /// its own share of a scrape, plus per-slot routed counts, health
     /// and saturation.
     pub fn cluster_stats(&self) -> ClusterStats {
         let mut snap = MetricsSnapshot::zeroed();
         self.fill_counters(&mut snap);
-        let routed = {
-            let topo = self.topo();
-            topo.routed
-                .iter()
-                .map(|n| n.load(Ordering::Relaxed))
-                .collect()
-        };
-        let (healthy, saturated) = self.slot_flags();
+        let cells = self.cells();
+        let routed = cells
+            .iter()
+            .map(|e| e.routed.load(Ordering::Relaxed))
+            .collect();
+        let (healthy, saturated) = self.slot_flags(&cells);
         ClusterStats {
             routed,
             remote_served: snap.counter(CTR_REMOTE_SERVED),
@@ -488,10 +536,10 @@ impl ClusterRouter {
     }
 
     /// Per-slot health (one slot lock at a time) and saturation.
-    fn slot_flags(&self) -> (Vec<bool>, Vec<bool>) {
-        let cells = self.cells();
-        let healthy = cells.iter().map(|cell| healthy(&lock(cell))).collect();
-        let saturated = (0..cells.len()).map(|s| self.slot_saturated(s)).collect();
+    fn slot_flags(&self, cells: &[Arc<SlotEntry>]) -> (Vec<bool>, Vec<bool>) {
+        let healthy = cells.iter().map(|e| healthy(&lock(&e.slot))).collect();
+        let now = self.now_us();
+        let saturated = cells.iter().map(|e| e.window.open(now)).collect();
         (healthy, saturated)
     }
 
@@ -506,10 +554,11 @@ impl ClusterRouter {
     /// window: its backend shed a request less than `retry_after_us`
     /// ago, so routing to it now would only earn another rejection.
     pub fn slot_saturated(&self, slot: usize) -> bool {
-        matches!(
-            lock(&self.saturation).get(slot),
-            Some(Some((until, _))) if Instant::now() < *until
-        )
+        let now = self.now_us();
+        self.topo()
+            .slots
+            .get(slot)
+            .is_some_and(|e| e.window.open(now))
     }
 
     /// The largest `retry_after_us` hint among currently saturated
@@ -517,12 +566,12 @@ impl ClusterRouter {
     /// estimates, so upstream callers back off as far as the
     /// most-loaded backend asked for. Zero when nothing is saturated.
     pub fn saturation_hint_us(&self) -> u32 {
-        let now = Instant::now();
-        lock(&self.saturation)
+        let now = self.now_us();
+        self.topo()
+            .slots
             .iter()
-            .flatten()
-            .filter(|(until, _)| now < *until)
-            .map(|&(_, hint)| hint)
+            .filter(|e| e.window.open(now))
+            .map(|e| e.window.hint_us.load(Ordering::Relaxed))
             .max()
             .unwrap_or(0)
     }
@@ -538,12 +587,16 @@ impl ClusterRouter {
             slot as u64,
             u64::from(retry_after_us),
         );
-        let now = Instant::now();
-        let mut saturation = lock(&self.saturation);
         // A window *opening* is the rare, recorder-worthy transition;
         // an `Overloaded` landing inside an already-open window only
         // extends it.
-        if !matches!(saturation[slot], Some((until, _)) if now < until) {
+        let now = self.now_us();
+        let opened = self
+            .topo()
+            .slots
+            .get(slot)
+            .is_some_and(|e| e.window.extend(now, retry_after_us));
+        if opened {
             self.counters.add(CTR_SATURATION_OPENS, 1);
             econcast_metrics::ops_event(
                 OpsKind::SaturationOpen,
@@ -551,29 +604,19 @@ impl ClusterRouter {
                 u64::from(retry_after_us),
             );
         }
-        saturation[slot] = Some((
-            now + Duration::from_micros(u64::from(retry_after_us)),
-            retry_after_us,
-        ));
         econcast_trace::trace_instant!("cluster", "backend_overloaded", "slot" => slot as u64);
     }
 
-    /// Clears lapsed saturation windows, recording each close in the
-    /// flight recorder, and returns which slots are saturated now.
-    /// Called at the top of every batch; windows that lapse between
-    /// batches close on the next one (the recorder is an ops log, not
-    /// a real-time signal, and `slot_saturated` already treats a
-    /// lapsed window as closed).
-    fn sweep_saturation(&self) -> Vec<bool> {
-        let now = Instant::now();
-        let mut saturation = lock(&self.saturation);
-        for (slot, window) in saturation.iter_mut().enumerate() {
-            if matches!(window, Some((until, _)) if now >= *until) {
-                *window = None;
-                econcast_metrics::ops_event(OpsKind::SaturationClose, slot as u64, 0);
-            }
+    /// Closes a slot's window if it ends at or before `by`, recording
+    /// the close in the flight recorder. Every batch closes the
+    /// windows that have lapsed, so windows that lapse between batches
+    /// close on the next one (the recorder is an ops log, not a
+    /// real-time signal, and `slot_saturated` already treats a lapsed
+    /// window as closed).
+    fn close_window(slot: usize, entry: &SlotEntry, by: u64) {
+        if entry.window.close(by) {
+            econcast_metrics::ops_event(OpsKind::SaturationClose, slot as u64, 0);
         }
-        saturation.iter().map(Option::is_some).collect()
     }
 
     /// The router's own share of an aggregate scrape: the fallback
@@ -589,7 +632,7 @@ impl ClusterRouter {
         self.fill_counters(&mut snap);
         if self.cluster {
             let count = |flags: Vec<bool>| flags.into_iter().filter(|&f| f).count() as u64;
-            let (healthy, saturated) = self.slot_flags();
+            let (healthy, saturated) = self.slot_flags(&self.cells());
             snap.gauges[GAUGE_LIVE_BACKENDS].1 = count(healthy);
             snap.gauges[GAUGE_SATURATION_OPEN].1 = count(saturated);
         }
@@ -609,11 +652,11 @@ impl ClusterRouter {
     /// slot or an unreachable backend.
     pub fn scrape(&self, shard: u16) -> Option<MetricsSnapshot> {
         if shard != STATS_SHARD_AGGREGATE {
-            return scrape_slot(&*self.cell(usize::from(shard))?);
+            return scrape_slot(&self.cell(usize::from(shard))?.slot);
         }
         let mut total = self.metrics();
         for cell in self.cells() {
-            if let Some(snap) = scrape_slot(&cell) {
+            if let Some(snap) = scrape_slot(&cell.slot) {
                 total.merge(&snap);
             }
         }
@@ -628,7 +671,10 @@ impl ClusterRouter {
     /// held**, as a scrape dials, so that probe holds up no batch
     /// whose keys would fail over at once.
     pub fn ping_all(&self) -> Vec<bool> {
-        self.cells().iter().map(|cell| ping_slot(cell)).collect()
+        self.cells()
+            .iter()
+            .map(|cell| ping_slot(&cell.slot))
+            .collect()
     }
 
     /// Re-targets a remote slot at a replacement backend (respawned
@@ -662,19 +708,21 @@ impl ClusterRouter {
     /// Replaces a crash-looping remote slot with a fresh in-process
     /// local slot — the policy loop's quarantine action. The ring is
     /// untouched (the slot keeps its vnodes; its keys are simply
-    /// served locally from now on). Returns `false` for slots that
-    /// are not remote.
+    /// served locally from now on), and the slot's saturation window
+    /// closes: the backend that opened it no longer serves the slot.
+    /// Returns `false` for slots that are not remote.
     pub fn quarantine_slot(&self, slot: usize) -> bool {
-        let quarantine = |s: &mut Slot| {
-            let remote = matches!(s, Slot::Remote(_));
-            if remote {
-                *s = Slot::Local(Box::new(PolicyService::new(self.cfg.service)));
-            }
-            remote
-        };
-        if self.with_slot(slot, quarantine) != Some(true) {
+        let Some(entry) = self.cell(slot) else {
             return false;
+        };
+        {
+            let mut s = lock(&entry.slot);
+            if !matches!(*s, Slot::Remote(_)) {
+                return false;
+            }
+            *s = Slot::Local(Box::new(PolicyService::new(self.cfg.service)));
         }
+        Self::close_window(slot, &entry, u64::MAX);
         self.counters.add(CTR_QUARANTINES, 1);
         econcast_metrics::ops_event(OpsKind::Quarantine, slot as u64, 0);
         econcast_trace::trace_instant!("cluster", "quarantine", "slot" => slot as u64);
@@ -698,13 +746,9 @@ impl ClusterRouter {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         assert!(topo.slots.len() < u16::MAX as usize, "slot ids are u16");
         let slot = topo.slots.len() as u16;
-        let spec = SlotSpec::Remote(addr);
-        let cell = Self::slot(spec, &self.cfg, u64::from(slot));
-        topo.slots.push(Arc::new(Mutex::new(cell)));
-        topo.kinds.push(Kind::Remote);
-        topo.routed.push(AtomicU64::new(0));
-        lock(&self.saturation).push(None);
-        (topo.ring, topo.sole) = ring_over(&topo.kinds);
+        let entry = Self::entry(SlotSpec::Remote(addr), &self.cfg, u64::from(slot));
+        topo.slots.push(Arc::new(entry));
+        (topo.ring, topo.sole) = ring_over(&topo.slots);
         slot
     }
 
@@ -712,7 +756,9 @@ impl ClusterRouter {
     /// vnodes vanish and its key ranges fall to the ring successors.
     /// Returns `false` (and changes nothing) when the slot is not
     /// remote or is the last slot on the ring. A batch still in flight
-    /// on the slot finishes on the dialer it holds.
+    /// on the slot finishes on the dialer it holds. The tombstone keeps
+    /// the slot's routed count; its saturation window closes, as on
+    /// quarantine.
     pub fn remove_backend(&self, slot: usize) -> bool {
         // Checked before the write lock: a batch stuck on this slot
         // holds its lock, and routing must not stall behind it.
@@ -723,12 +769,16 @@ impl ClusterRouter {
             .topo
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if topo.kinds.iter().filter(|&&k| k != Kind::Retired).count() <= 1 {
+        let live = topo.slots.iter().filter(|e| e.kind != Kind::Retired);
+        if live.count() <= 1 {
             return false;
         }
-        topo.slots[slot] = Arc::new(Mutex::new(Slot::Retired));
-        topo.kinds[slot] = Kind::Retired;
-        (topo.ring, topo.sole) = ring_over(&topo.kinds);
+        Self::close_window(slot, &topo.slots[slot], u64::MAX);
+        let tomb = SlotEntry::new(Slot::Retired);
+        let routed = topo.slots[slot].routed.load(Ordering::Relaxed);
+        tomb.routed.store(routed, Ordering::Relaxed);
+        topo.slots[slot] = Arc::new(tomb);
+        (topo.ring, topo.sole) = ring_over(&topo.slots);
         true
     }
 
@@ -753,8 +803,8 @@ impl ClusterRouter {
             sub_idx[usize::from(s)].push(i);
         }
         self.counters.add(CTR_INVALID_REQUESTS, invalid);
-        for (count, idxs) in topo.routed.iter().zip(&sub_idx) {
-            count.fetch_add(idxs.len() as u64, Ordering::Relaxed);
+        for (entry, idxs) in topo.slots.iter().zip(&sub_idx) {
+            entry.routed.fetch_add(idxs.len() as u64, Ordering::Relaxed);
         }
         sub_idx
     }
@@ -789,14 +839,19 @@ impl ClusterRouter {
             "cluster_serve",
             "requests" => reqs.len() as u64
         );
-        let saturated = self.sweep_saturation();
+        let now = self.now_us();
         let route_t0 = econcast_trace::armed_now();
         let (sub_idx, cells) = {
             let topo = self.topo();
             let sub_idx = self.route_in(&topo, reqs);
-            let cells: Vec<Option<(Arc<Mutex<Slot>>, Kind)>> = (0..sub_idx.len())
-                .map(|s| {
-                    (!sub_idx[s].is_empty()).then(|| (Arc::clone(&topo.slots[s]), topo.kinds[s]))
+            let cells: Vec<Option<Arc<SlotEntry>>> = topo
+                .slots
+                .iter()
+                .zip(&sub_idx)
+                .enumerate()
+                .map(|(s, (entry, idxs))| {
+                    Self::close_window(s, entry, now);
+                    (!idxs.is_empty()).then(|| Arc::clone(entry))
                 })
                 .collect();
             (sub_idx, cells)
@@ -817,25 +872,31 @@ impl ClusterRouter {
         // readiness driver absorbs whichever backend answers first and
         // unlocks its slot. A busy slot is waited for only once every
         // job submitted so far has completed: a batch never waits for
-        // one slot while holding another. Down backends (health
-        // machine says skip) and saturated backends (inside a
+        // one slot while holding another. Saturated backends (inside a
         // `retry_after_us` backoff window from an earlier `Overloaded`)
-        // go straight to fallback — the latter without burning a dial,
-        // so backpressure routes around a loaded backend before its
+        // go straight to fallback before their slot is locked, and
+        // down backends (health machine says skip) once it is — the
+        // former without burning a dial or waiting on the lock, so
+        // backpressure routes around a loaded backend before its
         // health machine would notice anything.
         let (mut jobs, mut done, mut locals) = (Vec::new(), Vec::new(), Vec::new());
-        for (s, cell) in cells.iter().enumerate() {
-            let Some((cell, kind)) = cell else { continue };
-            if *kind != Kind::Remote {
+        for (s, entry) in cells.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            if entry.kind != Kind::Remote {
                 locals.push(s);
                 continue;
             }
-            let mut guard = match cell.try_lock() {
+            if entry.window.open(now) {
+                self.counters
+                    .add(CTR_SATURATED_ROUTES, sub_idx[s].len() as u64);
+                continue;
+            }
+            let mut guard = match entry.slot.try_lock() {
                 Ok(guard) => guard,
                 Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
                 Err(TryLockError::WouldBlock) => {
                     done.extend(driver::drive(std::mem::take(&mut jobs)));
-                    lock(cell)
+                    lock(&entry.slot)
                 }
             };
             let Slot::Remote(remote) = &mut *guard else {
@@ -845,11 +906,6 @@ impl ClusterRouter {
             };
             let rs = &mut remote.shard;
             if !rs.should_attempt() {
-                continue;
-            }
-            if saturated.get(s).copied().unwrap_or(false) {
-                self.counters
-                    .add(CTR_SATURATED_ROUTES, sub_idx[s].len() as u64);
                 continue;
             }
             if let Some(frames) = spare.pop() {
@@ -906,8 +962,8 @@ impl ClusterRouter {
         // local slot stays local (only remote slots change kind), so
         // the cell locked here is the one routed to.
         for s in locals {
-            let Some((cell, _)) = &cells[s] else { continue };
-            if let Slot::Local(svc) = &mut *lock(cell) {
+            let Some(entry) = &cells[s] else { continue };
+            if let Slot::Local(svc) = &mut *lock(&entry.slot) {
                 self.counters.add(CTR_LOCAL_SERVED, sub_idx[s].len() as u64);
                 let results = svc.serve_batch(sub_idx[s].iter().map(|&i| &reqs[i]));
                 for (&i, r) in sub_idx[s].iter().zip(results) {
@@ -1069,7 +1125,7 @@ mod tests {
                 );
                 assert_eq!(
                     cluster.slot_of_key(&canon.key),
-                    sharded.shard_of_key(&canon.key),
+                    sharded.slot_of_key(&canon.key),
                     "n={n} rho={rho}"
                 );
             }
@@ -1135,8 +1191,8 @@ mod tests {
                 assert_eq!(routed.iter().map(Vec::len).sum::<usize>(), 1);
                 let slot = slot as u16;
                 assert_eq!(slot, cluster.slot_of_key(&canon.key), "case {case}");
-                assert_eq!(slot, sharded.shard_of_key(&canon.key), "case {case}");
-                assert_eq!(Some(slot), sharded.shard_of_request(&req), "case {case}");
+                assert_eq!(slot, sharded.slot_of_key(&canon.key), "case {case}");
+                assert_eq!(Some(slot), sharded.slot_of_request(&req), "case {case}");
                 // Closed-form and over-ceiling requests answer without
                 // a dual descent; those also go through serve_batch.
                 if canon.homogeneous || canon.sorted_budgets.len() > 256 {
@@ -1234,12 +1290,10 @@ mod tests {
         assert_eq!(cs.local_fallbacks, 2 * reqs.len() as u64);
         assert_eq!(cs.backend_failures, 1, "down backend not re-dialed");
 
-        // The operator surfaces agree: the dialer counters recorded
-        // the failure, an explicit probe sweep still says down, and
-        // the slot's scrape is skipped (no dial, nothing reported).
-        let dialer = cluster.remote_stats(0).expect("remote slot");
-        assert!(dialer.failures >= 1);
-        assert_eq!(dialer.served, 0);
+        // The operator surfaces agree: the failure was counted once,
+        // an explicit probe sweep still says down, and the slot's
+        // scrape is skipped (no dial, nothing reported).
+        assert_eq!(cluster.cluster_stats().backend_failures, 1);
         assert_eq!(cluster.ping_all(), vec![false], "probe fails while dead");
         assert_eq!(cluster.scrape(0), None);
     }
@@ -1313,6 +1367,106 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(!cluster.slot_saturated(0));
         assert_eq!(cluster.saturation_hint_us(), 0);
+    }
+
+    #[test]
+    fn a_saturated_slot_is_skipped_before_its_lock() {
+        // Another thread holds slot 0's lock, as an in-flight batch or
+        // the healer's ping would. Slot 0 is inside a saturation
+        // window, so a batch homing on it must go to the fallback at
+        // once instead of waiting for the lock.
+        let cluster = ClusterRouter::new(
+            &[SlotSpec::Remote(dead_addr())],
+            ClusterConfig {
+                service: ServiceConfig {
+                    workers: Some(1),
+                    ..ServiceConfig::default()
+                },
+                remote: RemoteConfig {
+                    dial_retries: 1,
+                    ..RemoteConfig::default()
+                },
+            },
+        );
+        cluster.note_backend_overload(0, 60_000_000);
+        let entry = cluster.cell(0).expect("slot 0");
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            let _guard = lock(&entry.slot);
+            held_tx.send(()).expect("signal held");
+            // Released by the test, or after 10 s if the batch waits.
+            let _ = release_rx.recv_timeout(Duration::from_secs(10));
+        });
+        held_rx.recv().expect("lock held");
+
+        let reqs: Vec<PolicyRequest> = (2..10).map(|n| request(n, 10.0)).collect();
+        let t0 = Instant::now();
+        let got = cluster.serve_batch(&reqs);
+        let waited = t0.elapsed();
+        release_tx.send(()).expect("release");
+        holder.join().expect("holder");
+
+        assert!(
+            waited < Duration::from_secs(1),
+            "the batch waited {waited:?} for a saturated slot's lock"
+        );
+        assert!(got.iter().all(Result::is_ok));
+        let cs = cluster.cluster_stats();
+        assert_eq!(cs.saturated_routes, reqs.len() as u64);
+        assert_eq!(cs.local_fallbacks, reqs.len() as u64);
+        assert_eq!(cs.backend_failures, 0);
+    }
+
+    #[test]
+    fn a_quarantined_slot_inside_a_window_serves_locally() {
+        // Quarantine closes the window its backend opened: the slot's
+        // keys serve on its new local service, not on the fallback.
+        let cluster = ClusterRouter::new(
+            &[SlotSpec::Remote(dead_addr())],
+            ClusterConfig {
+                service: ServiceConfig {
+                    workers: Some(1),
+                    ..ServiceConfig::default()
+                },
+                remote: RemoteConfig {
+                    dial_retries: 1,
+                    ..RemoteConfig::default()
+                },
+            },
+        );
+        cluster.note_backend_overload(0, 60_000_000);
+        assert!(cluster.quarantine_slot(0));
+        assert!(!cluster.slot_saturated(0));
+        assert_eq!(cluster.saturation_hint_us(), 0);
+
+        let reqs: Vec<PolicyRequest> = (2..10).map(|n| request(n, 10.0)).collect();
+        let before = cluster.cluster_stats();
+        assert!(cluster.serve_batch(&reqs).iter().all(Result::is_ok));
+        let cs = cluster.cluster_stats();
+        assert_eq!(cs.local_served - before.local_served, reqs.len() as u64);
+        assert_eq!(cs.local_fallbacks, 0);
+        assert_eq!(cs.saturated_routes, 0);
+    }
+
+    #[test]
+    fn a_window_opens_once_and_closes_once_it_lapses() {
+        let w = Window::default();
+        assert!(!w.open(1));
+        assert!(w.extend(10, 100), "no window: an Overloaded opens one");
+        assert!(w.open(109) && !w.open(110));
+        assert!(
+            !w.extend(50, 200),
+            "inside the window: extended, not opened"
+        );
+        assert_eq!(w.hint_us.load(Ordering::Relaxed), 200);
+        assert!(!w.close(249), "still open");
+        assert!(w.close(250), "lapsed: the next sweep closes it");
+        assert!(!w.close(u64::MAX), "closed once");
+        assert!(w.extend(300, 0), "a closed window opens again");
+        assert!(!w.open(300), "a zero hint opens a window already lapsed");
+        assert!(w.extend(300, 5), "lapsed, not yet closed: opens anew");
+        assert!(w.close(u64::MAX), "quarantine closes an open window");
     }
 
     #[test]

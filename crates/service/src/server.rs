@@ -797,8 +797,7 @@ fn serve_into(
         match answer {
             Answer::Native(Ok(resp)) => resp.encode_wire(m.corr, m.id, out),
             Answer::Native(Err(e)) => {
-                let mut error = crate::request::error_to_wire(&e, m.id);
-                error.corr = m.corr;
+                let error = crate::request::error_to_wire(&e, m.corr, m.id);
                 ServiceCodec::encode(&ServiceMessage::Error(error), out);
             }
             Answer::Forward { batch, k } => {

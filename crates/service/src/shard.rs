@@ -25,10 +25,9 @@
 //! job can arrive in a later sub-batch and replay from the LRU as
 //! `Exact` — same bits either way.
 
-use crate::request::PolicyRequest;
 use crate::router::ClusterRouter;
 use crate::service::ServiceConfig;
-use econcast_statespace::{fnv1a_64, InstanceKey};
+use econcast_statespace::fnv1a_64;
 use std::sync::Arc;
 
 /// Configuration for a sharded deployment.
@@ -99,8 +98,7 @@ impl HashRing {
 /// The one router over `shards` local slots, as one server runs it:
 /// the name a sharded in-process deployment is built by. It owns no
 /// routing of its own — it dereferences to the [`ClusterRouter`] it
-/// shares with its server's connection handlers, and its `shard_*`
-/// methods are that router's `slot_*` ones under their shard names.
+/// shares with its server's connection handlers.
 #[derive(Debug)]
 pub struct ShardRouter(Arc<ClusterRouter>);
 
@@ -120,22 +118,6 @@ impl ShardRouter {
     pub(crate) fn shared(&self) -> Arc<ClusterRouter> {
         Arc::clone(&self.0)
     }
-
-    /// The home shard of a canonical instance key.
-    pub fn shard_of_key(&self, key: &InstanceKey) -> u16 {
-        self.slot_of_key(key)
-    }
-
-    /// The home shard of a request, or `None` when the request fails
-    /// validation.
-    pub fn shard_of_request(&self, req: &PolicyRequest) -> Option<u16> {
-        self.slot_of_request(req)
-    }
-
-    /// Requests routed to one shard so far.
-    pub fn shard_routed(&self, shard: usize) -> u64 {
-        self.cluster_stats().routed[shard]
-    }
 }
 
 impl std::ops::Deref for ShardRouter {
@@ -149,7 +131,7 @@ impl std::ops::Deref for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PolicyService, ServiceError};
+    use crate::{PolicyRequest, PolicyService, ServiceError};
     use econcast_core::{NodeParams, ThroughputMode};
 
     fn router(shards: usize) -> ShardRouter {
@@ -186,12 +168,12 @@ mod tests {
         };
         let mut permuted = base.clone();
         permuted.budgets_w.rotate_left(1);
-        assert_eq!(r.shard_of_request(&base), r.shard_of_request(&permuted));
+        assert_eq!(r.slot_of_request(&base), r.slot_of_request(&permuted));
 
         // Enough distinct families hit more than one shard.
         let mut seen = std::collections::HashSet::new();
         for n in 2..40 {
-            seen.insert(r.shard_of_request(&homogeneous(n, 10.0)).unwrap());
+            seen.insert(r.slot_of_request(&homogeneous(n, 10.0)).unwrap());
         }
         assert!(seen.len() >= 2, "routing collapsed onto {seen:?}");
     }
@@ -202,7 +184,7 @@ mod tests {
         let mut counts = [0u32; 4];
         for n in 2..200 {
             for rho in [3.0f64, 7.0, 11.0] {
-                counts[r.shard_of_request(&homogeneous(n, rho)).unwrap() as usize] += 1;
+                counts[r.slot_of_request(&homogeneous(n, rho)).unwrap() as usize] += 1;
             }
         }
         let total: u32 = counts.iter().sum();
@@ -263,7 +245,7 @@ mod tests {
             objective: ThroughputMode::Groupput,
             tolerance: 1e-2,
         };
-        assert_eq!(r.shard_of_request(&bad), None);
+        assert_eq!(r.slot_of_request(&bad), None);
         let out = r.serve_batch(std::slice::from_ref(&bad));
         assert!(matches!(out[0], Err(ServiceError::BadRequest(_))));
         assert_eq!(r.metrics().counter(econcast_metrics::CTR_ERRORS), 1);

@@ -107,17 +107,6 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Requests served without touching any solver (exact + in-batch
-    /// dedup).
-    pub fn solver_free(&self) -> u64 {
-        self.exact_hits + self.batch_dedup_hits
-    }
-
-    /// Total requests answered successfully.
-    pub fn served(&self) -> u64 {
-        self.exact_hits + self.closed_form_hits + self.solver_solves + self.batch_dedup_hits
-    }
-
     /// The counter fields, each with its registry index.
     fn counters_mut(&mut self) -> [(usize, &mut u64); 18] {
         [
@@ -250,7 +239,6 @@ mod tests {
         // queue_depth_peak is a max gauge: merging identical snapshots
         // keeps the max, not the sum.
         assert_eq!(total.to_snapshot(), expect);
-        assert_eq!(total.served(), 2 * s.served());
     }
 
     #[test]

@@ -5,50 +5,19 @@
 //! from, and every counted event must count exactly once.
 
 use econcast_metrics::{
-    MetricsSnapshot, COUNTER_NAMES, CTR_AUTO_RESPAWNS, CTR_BATCHES, CTR_BATCH_DEDUP_HITS,
-    CTR_BYTE_EVICTIONS, CTR_CLOSED_FORM_HITS, CTR_DEADLINE_EXPIRED, CTR_DEGRADED_SERVES,
-    CTR_ERRORS, CTR_EXACT_HITS, CTR_EXACT_HITS_CLOSED_FORM, CTR_EXACT_HITS_FACTORIZED,
-    CTR_INJECTED_FAULTS, CTR_LRU_EVICTIONS, CTR_LRU_INSERTS, CTR_QUARANTINES, CTR_REQUESTS,
-    CTR_SHED_REJECTS, CTR_SOLVER_SOLVES, GAUGE_KIND_MAX, GAUGE_KIND_SUM, GAUGE_LRU_ENTRIES,
+    CTR_BATCHES, CTR_REQUESTS, GAUGE_KIND_MAX, GAUGE_KIND_SUM, GAUGE_LRU_ENTRIES,
     GAUGE_QUEUE_DEPTH, GAUGE_QUEUE_DEPTH_PEAK, HIST_BATCH_NS, HIST_REQUEST_NS, NUM_COUNTERS,
     NUM_GAUGES, NUM_HISTS,
 };
 use econcast_service::workload::mixed_batch;
 use econcast_service::{
     PolicyClient, PolicyServer, RouterConfig, ServerConfig, ServiceConfig, ServiceErrorCode,
-    ServiceStats,
 };
 use std::time::Duration;
 
-/// Asserts that a scrape and a serving-counter view agree on every
-/// counter and gauge they share, field by registry slot.
-fn assert_planes_agree(m: &MetricsSnapshot, s: &ServiceStats) {
-    let shared = [
-        (CTR_REQUESTS, s.requests),
-        (CTR_BATCHES, s.batches),
-        (CTR_EXACT_HITS, s.exact_hits),
-        (CTR_CLOSED_FORM_HITS, s.closed_form_hits),
-        (CTR_SOLVER_SOLVES, s.solver_solves),
-        (CTR_BATCH_DEDUP_HITS, s.batch_dedup_hits),
-        (CTR_ERRORS, s.errors),
-        (CTR_LRU_INSERTS, s.lru_inserts),
-        (CTR_LRU_EVICTIONS, s.lru_evictions),
-        (CTR_EXACT_HITS_CLOSED_FORM, s.exact_hits_closed_form),
-        (CTR_EXACT_HITS_FACTORIZED, s.exact_hits_factorized),
-        (CTR_BYTE_EVICTIONS, s.byte_evictions),
-        (CTR_AUTO_RESPAWNS, s.auto_respawns),
-        (CTR_QUARANTINES, s.quarantines),
-        (CTR_INJECTED_FAULTS, s.injected_faults),
-        (CTR_SHED_REJECTS, s.shed_rejects),
-        (CTR_DEGRADED_SERVES, s.degraded_serves),
-        (CTR_DEADLINE_EXPIRED, s.deadline_expired),
-    ];
-    for (idx, v) in shared {
-        assert_eq!(m.counter(idx), v, "{}", COUNTER_NAMES[idx]);
-    }
-    assert_eq!(m.gauge(GAUGE_LRU_ENTRIES), s.lru_len);
-    assert_eq!(m.gauge(GAUGE_QUEUE_DEPTH_PEAK), s.queue_depth_peak);
-}
+#[path = "common/contract.rs"]
+mod contract;
+use contract::assert_planes_agree;
 
 #[test]
 fn scrape_reports_serve_path_counters_histograms_and_gauges() {

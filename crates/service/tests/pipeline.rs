@@ -12,6 +12,10 @@ use econcast_service::{
 };
 use std::io::{Read, Write};
 
+#[path = "common/contract.rs"]
+mod contract;
+use contract::assert_all_same;
+
 fn server(shards: usize, workers: usize) -> ServerConfig {
     ServerConfig {
         router: RouterConfig {
@@ -23,57 +27,6 @@ fn server(shards: usize, workers: usize) -> ServerConfig {
             ..RouterConfig::default()
         },
         ..ServerConfig::default()
-    }
-}
-
-/// Payload bits must match the in-process reference exactly; the tier
-/// label may alias to `Exact` when the server replays a solve from its
-/// LRU (see the socket suite for the rationale).
-fn assert_bit_identical(
-    got: &[Result<
-        econcast_proto::service::WirePolicyResponse,
-        econcast_proto::service::WirePolicyError,
-    >],
-    expected: &[Result<PolicyResponse, ServiceError>],
-    label: &str,
-) {
-    assert_eq!(got.len(), expected.len(), "{label}: length");
-    for (i, (wire, exp)) in got.iter().zip(expected).enumerate() {
-        let (wire, exp) = (
-            wire.as_ref()
-                .unwrap_or_else(|e| panic!("{label} req {i}: {e:?}")),
-            exp.as_ref().expect("reference served"),
-        );
-        assert_eq!(wire.policies.len(), exp.policies.len(), "{label} req {i}");
-        for (wp, np) in wire.policies.iter().zip(&exp.policies) {
-            assert_eq!(wp.listen.to_bits(), np.listen.to_bits(), "{label} req {i}");
-            assert_eq!(
-                wp.transmit.to_bits(),
-                np.transmit.to_bits(),
-                "{label} req {i}"
-            );
-        }
-        assert_eq!(
-            wire.throughput.to_bits(),
-            exp.throughput.to_bits(),
-            "{label} req {i}"
-        );
-        assert_eq!(
-            wire.cert_t_sigma.to_bits(),
-            exp.certificate.t_sigma.to_bits(),
-            "{label} req {i}"
-        );
-        assert_eq!(
-            wire.cert_oracle.to_bits(),
-            exp.certificate.oracle.to_bits(),
-            "{label} req {i}"
-        );
-        assert_eq!(
-            wire.cert_dual_upper.to_bits(),
-            exp.certificate.dual_upper.to_bits(),
-            "{label} req {i}"
-        );
-        assert_eq!(wire.converged, exp.converged, "{label} req {i}");
     }
 }
 
@@ -119,10 +72,10 @@ fn tickets_collect_in_every_permutation_order() {
             got[k] = Some(client.collect(tickets[k]).expect("collect"));
         }
         for k in 0..3 {
-            assert_bit_identical(
+            assert_all_same(
+                &format!("perm {perm:?} batch {k}"),
                 got[k].as_ref().unwrap(),
                 &expected[k],
-                &format!("perm {perm:?} batch {k}"),
             );
         }
     }
@@ -331,8 +284,8 @@ fn request_order_gathering_is_bit_identical_across_worker_counts() {
         let tb = client.submit_batch(b).expect("submit b");
         let got_b = client.collect(tb).expect("collect b");
         let got_a = client.collect(ta).expect("collect a");
-        assert_bit_identical(&got_a, &expected_a, &format!("workers={workers} batch a"));
-        assert_bit_identical(&got_b, &expected_b, &format!("workers={workers} batch b"));
+        assert_all_same(&format!("workers={workers} batch a"), &got_a, &expected_a);
+        assert_all_same(&format!("workers={workers} batch b"), &got_b, &expected_b);
         drop(client);
         handle.shutdown();
     }

@@ -152,9 +152,11 @@ fn concurrent_clients_on_disjoint_shards() {
     }
 
     let router = handle.router();
-    let total: u64 = (0..4).map(|s| router.shard_routed(s)).sum();
+    let total: u64 = (0..4).map(|s| router.cluster_stats().routed[s]).sum();
     assert_eq!(total, 4 * 8 * 4, "every request routed exactly once");
-    let live = (0..4).filter(|&s| router.shard_routed(s) > 0).count();
+    let live = (0..4)
+        .filter(|&s| router.cluster_stats().routed[s] > 0)
+        .count();
     assert!(live >= 2, "32 distinct families should span shards");
     handle.shutdown();
 }

@@ -122,7 +122,7 @@ fn main() {
     println!(
         "fan-in: {} requests seen cluster-wide, {} served solver-free",
         aggregate.requests,
-        aggregate.solver_free()
+        aggregate.exact_hits + aggregate.batch_dedup_hits
     );
 
     drop(client);

@@ -89,7 +89,7 @@ fn main() {
         "aggregate: {} requests across {} shards, {} served solver-free",
         total.requests,
         client.shards(),
-        total.solver_free(),
+        total.exact_hits + total.batch_dedup_hits,
     );
 
     // Warm replay: every shard answers from its exact tier.

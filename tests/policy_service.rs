@@ -12,6 +12,10 @@ use econcast::service::{
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
+#[path = "../crates/service/tests/common/contract.rs"]
+mod contract;
+use contract::assert_same;
+
 const L: f64 = 500e-6;
 const X: f64 = 450e-6;
 
@@ -20,18 +24,6 @@ const X: f64 = 450e-6;
 /// `policy_server` example).
 fn mixed_batch() -> Vec<PolicyRequest> {
     econcast::service::workload::mixed_batch(256)
-}
-
-fn bits_equal(a: &PolicyResponse, b: &PolicyResponse) -> bool {
-    a.throughput.to_bits() == b.throughput.to_bits()
-        && a.converged == b.converged
-        && a.policies.len() == b.policies.len()
-        && a.policies.iter().zip(&b.policies).all(|(x, y)| {
-            x.listen.to_bits() == y.listen.to_bits() && x.transmit.to_bits() == y.transmit.to_bits()
-        })
-        && a.certificate.t_sigma.to_bits() == b.certificate.t_sigma.to_bits()
-        && a.certificate.oracle.to_bits() == b.certificate.oracle.to_bits()
-        && a.certificate.dual_upper.to_bits() == b.certificate.dual_upper.to_bits()
 }
 
 fn serve_with_workers(workers: usize) -> Vec<Result<PolicyResponse, ServiceError>> {
@@ -58,10 +50,7 @@ fn mixed_batch_bit_identical_across_worker_counts() {
                 a.tier, b.tier,
                 "request {i}: tier diverged at {workers} workers"
             );
-            assert!(
-                bits_equal(a, b),
-                "request {i}: response diverged at {workers} workers"
-            );
+            assert_same(&format!("{workers} workers"), i, b, a);
         }
     }
 }
@@ -101,10 +90,7 @@ fn mixed_batch_exercises_every_tier_and_warm_cache_skips_solvers() {
     for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
         let (c, w) = (c.as_ref().unwrap(), w.as_ref().unwrap());
         assert_eq!(w.tier, ServedTier::Exact);
-        assert!(
-            bits_equal(c, w),
-            "request {i}: warm replay diverged from cold"
-        );
+        assert_same("warm replay", i, w, c);
     }
 }
 
@@ -176,15 +162,8 @@ fn byte_budget_never_changes_an_answer() {
             }
             for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
                 let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert!(
-                    bits_equal(a, b) && a.kernel == b.kernel,
-                    "request {i} diverged at {workers} workers, budget {budget:?}: \
-                     {:?}/{:?} vs {:?}/{:?}",
-                    a.tier,
-                    a.kernel,
-                    b.tier,
-                    b.kernel
-                );
+                let what = format!("{workers} workers, budget {budget:?}");
+                assert_same(&what, i, b, a);
             }
         }
     }
